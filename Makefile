@@ -16,23 +16,16 @@
 #                         crash-copied or closed and then recovered
 #                         (reproduce one round with
 #                         go test -run TestChaos -chaos.seed=N .)
-#   make bench            run every benchmark family with -benchmem and
-#                         append a labelled JSON record per family (JSON
-#                         Lines: one run object per line, with go version +
-#                         GOMAXPROCS):
-#                           store primitives      -> BENCH_store.json
-#                           engine/query family   -> BENCH_query.json
-#   make bench-query      the engine/query + parallel-saturation family only
-#   make bench-concurrent snapshot cost + server read throughput under
-#                         sustained writes -> BENCH_concurrent.json
-#   make bench-persist    durability layer: snapshot load vs parse+saturate,
-#                         WAL append cost, recovery time vs WAL length,
-#                         durable server write overhead -> BENCH_persist.json
-#                         (BENCHTIME=1x for a CI smoke run)
-#   make bench-group      group commit: durable server writes under
-#                         SyncAlways/SyncGroup/SyncNever at 1/4/16 producers
-#                         plus acked-write (Session.InsertDurable) latency
-#                         -> BENCH_persist.json (BENCHTIME=1x in CI)
+#   make bench            the repository's one benchmark (BENCHMARK.json):
+#                         bash benchmark/run.sh once per workload — sat.read,
+#                         ref.read, sat.update, fig3.batch — at BENCH_SEED
+#                         (default 1), each printing its named end-to-end
+#                         metrics; see benchmark/README.md for traced runs.
+#                         The Go Benchmark* functions remain runnable with
+#                         plain go test -bench.
+#   make test-benchmark   vet and smoke-test the benchmark module against
+#                         this checkout's root module, so a facade change
+#                         that breaks the benchmark fails here
 #   make test-replica-chaos
 #                         seeded replication chaos under the race detector:
 #                         REPLICA_CHAOS_SEEDS (default 24) rounds of
@@ -49,26 +42,17 @@
 #                         (reproduce one round with
 #                         go test -run TestDifferentialBattery -store.seed=N
 #                         -store.rounds=1 ./internal/store/)
-#   make bench-replica    replication cost model: follower bootstrap time,
-#                         steady-state per-record lag, promotion downtime
-#                         -> BENCH_replica.json (BENCHTIME=1x in CI)
-#   make bench-obs        observability overhead: instrumented vs bare
-#                         prepared-query path plus the metric-core
-#                         micro-benchmarks -> BENCH_obs.json; fails (exit 2)
-#                         if the instrumented path exceeds 3 allocs/op
-#                         (BENCHTIME=1x for a CI smoke run)
 
 GO ?= go
-BENCH_LABEL ?= $(shell git rev-parse --short HEAD 2>/dev/null || echo dev)
+BENCH_SEED ?= 1
 FUZZTIME ?= 30s
-BENCHTIME ?= 1s
 CHAOS_SEEDS ?= 200
 REPLICA_CHAOS_SEEDS ?= 24
 STORE_SEED ?= 1
 STORE_ROUNDS ?= 1000
 STORE_STEPS ?= 300
 
-.PHONY: test test-race test-chaos test-replica-chaos test-store-stress vet lint fuzz bench bench-query bench-concurrent bench-persist bench-group bench-replica bench-obs
+.PHONY: test test-race test-chaos test-replica-chaos test-store-stress test-benchmark vet lint fuzz bench
 
 test:
 	$(GO) build ./...
@@ -107,41 +91,11 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzWALDecode -fuzztime $(FUZZTIME) ./internal/persist/
 	$(GO) test -run '^$$' -fuzz FuzzHAMTNodeDecode -fuzztime $(FUZZTIME) ./internal/store/
 
-bench: bench-query
-	$(GO) test -run '^$$' -bench 'BenchmarkStore' -benchmem ./internal/store/ | \
-		$(GO) run ./cmd/benchjson -label "$(BENCH_LABEL)-store" -out BENCH_store.json
-	$(GO) test -run '^$$' -bench 'BenchmarkSaturate$$' -benchmem . | \
-		$(GO) run ./cmd/benchjson -label "$(BENCH_LABEL)-saturation" -out BENCH_store.json
+test-benchmark:
+	$(GO) -C benchmark vet .
+	$(GO) -C benchmark test .
 
-bench-query:
-	$(GO) test -run '^$$' -bench 'BenchmarkQuery|BenchmarkSaturateParallel' -benchmem . | \
-		$(GO) run ./cmd/benchjson -label "$(BENCH_LABEL)-query" -out BENCH_query.json
-
-bench-concurrent:
-	$(GO) test -run '^$$' -bench 'BenchmarkStoreSnapshot|BenchmarkStoreCloneDepts6|BenchmarkServerReadThroughput' \
-		-benchtime 1s -benchmem . | \
-		$(GO) run ./cmd/benchjson -label "$(BENCH_LABEL)-concurrent" -out BENCH_concurrent.json
-	$(GO) run ./cmd/rdfserve -duration 3s -readers 4 -writers 1 -bench | \
-		$(GO) run ./cmd/benchjson -label "$(BENCH_LABEL)-serve" -out BENCH_concurrent.json
-
-bench-persist:
-	$(GO) test -run '^$$' -bench 'BenchmarkPersist|BenchmarkServerDurableWrites' \
-		-benchtime $(BENCHTIME) -benchmem . | \
-		$(GO) run ./cmd/benchjson -label "$(BENCH_LABEL)-persist" -out BENCH_persist.json
-
-bench-group:
-	$(GO) test -run '^$$' -bench 'BenchmarkServerGroupCommit|BenchmarkServerDurableAck' \
-		-benchtime $(BENCHTIME) -benchmem . | \
-		$(GO) run ./cmd/benchjson -label "$(BENCH_LABEL)-group" -out BENCH_persist.json
-
-bench-replica:
-	$(GO) test -run '^$$' -bench 'BenchmarkReplica' -benchtime $(BENCHTIME) -benchmem ./internal/replica/ | \
-		$(GO) run ./cmd/benchjson -label "$(BENCH_LABEL)-replica" -out BENCH_replica.json
-
-# The gate needs enough iterations to amortize one-time buffer growth into
-# the steady state, so use an iteration-count BENCHTIME (e.g. 100x) rather
-# than 1x for smoke runs.
-bench-obs:
-	$(GO) test -run '^$$' -bench 'BenchmarkObs' -benchtime $(BENCHTIME) -benchmem . ./internal/obs/ | \
-		$(GO) run ./cmd/benchjson -label "$(BENCH_LABEL)-obs" -out BENCH_obs.json \
-			-gate 'BenchmarkObsPreparedQuery/metrics=on' -max-allocs 3
+bench:
+	for w in sat.read ref.read sat.update fig3.batch; do \
+		bash benchmark/run.sh -workload $$w -seed $(BENCH_SEED) || exit 1; \
+	done

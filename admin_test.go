@@ -183,3 +183,51 @@ func counterValue(t *testing.T, exposition, series string) int {
 	t.Fatalf("series %s not found in:\n%s", series, exposition)
 	return 0
 }
+
+// TestSessionReadsAreObserved pins that a session read takes the same
+// instrumented path as an anonymous one: it moves the query histogram and,
+// at threshold 0, lands in the slow log; a failing one counts as an error.
+func TestSessionReadsAreObserved(t *testing.T) {
+	srv, reg, slow := newObsServer(t)
+	exposition := func() string {
+		var b strings.Builder
+		if err := reg.WritePrometheus(&b); err != nil {
+			t.Fatal(err)
+		}
+		return b.String()
+	}
+	const count = `webreason_query_seconds_count{strategy="saturation",prepared="false"}`
+	const errs = `webreason_query_errors_total{strategy="saturation"}`
+	before, seen := counterValue(t, exposition(), count), slow.Seen()
+
+	sess := srv.Session()
+	bob := webreason.T(webreason.NewIRI("ex:bob"), webreason.Type, webreason.NewIRI("ex:Student"))
+	if err := sess.Insert(bob); err != nil {
+		t.Fatal(err)
+	}
+	res, err := sess.Query(webreason.MustParseQuery(`SELECT ?x WHERE { ?x a <ex:Person> . }`))
+	if err != nil || len(res.Rows) != 2 {
+		t.Fatalf("session Query: %d rows, err %v; want alice and bob", len(res.Rows), err)
+	}
+	if ok, err := sess.Ask(webreason.MustParseQuery(`ASK { <ex:bob> a <ex:Person> . }`)); err != nil || !ok {
+		t.Fatalf("session Ask = %v, %v", ok, err)
+	}
+	if _, err := sess.Query(&webreason.Query{}); err == nil {
+		t.Fatal("empty query should fail")
+	}
+
+	out := exposition()
+	if got := counterValue(t, out, count); got != before+3 {
+		t.Fatalf("query histogram count moved %d → %d across 3 session reads", before, got)
+	}
+	if got := counterValue(t, out, errs); got != 1 {
+		t.Fatalf("query error count = %d, want 1", got)
+	}
+	if got := slow.Seen() - seen; got != 3 {
+		t.Fatalf("slow log saw %d of 3 session reads at threshold 0", got)
+	}
+	traces := slow.Snapshot()
+	if tr := traces[len(traces)-2]; tr.Rows != 1 || tr.Prepared || !strings.Contains(tr.Query, "ex:bob") {
+		t.Fatalf("session Ask trace wrong: %+v", tr)
+	}
+}

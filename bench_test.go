@@ -20,7 +20,6 @@ import (
 
 	webreason "repro"
 	"repro/internal/core"
-	"repro/internal/datalog"
 	"repro/internal/lubm"
 	"repro/internal/reason"
 	"repro/internal/reformulate"
@@ -41,7 +40,7 @@ var (
 	fix     *fixture
 )
 
-func getFixture(b *testing.B) *fixture {
+func getFixture(b testing.TB) *fixture {
 	b.Helper()
 	fixOnce.Do(func() {
 		kb := core.NewKB()
@@ -316,33 +315,6 @@ func BenchmarkSaturateParallel(b *testing.B) {
 			})
 		}
 	}
-}
-
-// BenchmarkDatalog compares the two RDF→Datalog encodings on the same
-// saturation job (E9).
-func BenchmarkDatalog(b *testing.B) {
-	kb := core.NewKB()
-	if _, err := kb.LoadGraph(lubm.GenerateWithOntology(lubm.SmallConfig())); err != nil {
-		b.Fatal(err)
-	}
-	b.Run("naive", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			p := datalog.TranslateNaive(kb.Base(), kb.Vocab())
-			if _, err := datalog.Eval(p); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("split", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			p := datalog.TranslateSplit(kb.Base(), kb.Vocab())
-			if _, err := datalog.Eval(p); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }
 
 // BenchmarkPublicAPIQuickstart exercises the façade end to end: load,

@@ -182,11 +182,11 @@ func chaosRound(t *testing.T, seed int64) {
 				ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 				switch r := wrng.Intn(10); {
 				case r < 4: // tracked durable insert
-					record(t, known, idx, true, sess.InsertDurableContext(ctx, chaosTriple(idx)))
+					record(t, known, idx, true, sess.Mutate(ctx, webreason.Mutation{Durable: true, Triples: []webreason.Triple{chaosTriple(idx)}}))
 				case r < 7: // tracked durable delete
-					record(t, known, idx, false, sess.DeleteDurableContext(ctx, chaosTriple(idx)))
+					record(t, known, idx, false, sess.Mutate(ctx, webreason.Mutation{Delete: true, Durable: true, Triples: []webreason.Triple{chaosTriple(idx)}}))
 				case r < 8: // untracked plain churn (never asserted after recovery)
-					if err := srv.InsertContext(ctx, chaosTriple(g*1000+500+wrng.Intn(poolN))); err != nil && !typedServerError(err) {
+					if err := srv.Mutate(ctx, webreason.Mutation{Triples: []webreason.Triple{chaosTriple(g*1000 + 500 + wrng.Intn(poolN))}}); err != nil && !typedServerError(err) {
 						t.Errorf("plain insert: untyped error %v", err)
 					}
 				default: // session read: result or typed error, promptly
@@ -240,7 +240,7 @@ func chaosRecoverAndCheck(t *testing.T, seed int64, dir string, states []map[int
 	}
 	for g, known := range states {
 		for idx, present := range known {
-			ok, err := strat.Ask(chaosAsk(idx))
+			ok, err := webreason.Ask(strat.Answer(chaosAsk(idx)))
 			if err != nil {
 				t.Fatalf("seed %d: Ask(%d): %v", seed, idx, err)
 			}

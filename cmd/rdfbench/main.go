@@ -20,7 +20,7 @@ import (
 )
 
 func main() {
-	experiment := flag.String("experiment", "all", "fig1|fig2|fig3|sat|strategies|blowup|maint|advisor|datalog|parallel|all")
+	experiment := flag.String("experiment", "all", "fig1|fig2|fig3|sat|strategies|blowup|maint|advisor|parallel|all")
 	universities := flag.Int("universities", 1, "LUBM scale factor (number of universities)")
 	depts := flag.Int("depts", 15, "departments per university")
 	seed := flag.Int64("seed", 1, "generator seed")
@@ -95,13 +95,6 @@ func main() {
 		rows, err := bench.RunAdvisor(cfg)
 		exitOn(err)
 		bench.RenderAdvisor(out, rows)
-		fmt.Fprintln(out)
-	}
-	if run("datalog") {
-		any = true
-		rows, err := bench.RunDatalog(cfg)
-		exitOn(err)
-		bench.RenderDatalog(out, rows)
 		fmt.Fprintln(out)
 	}
 	if run("parallel") {

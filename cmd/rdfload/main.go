@@ -85,17 +85,17 @@ func main() {
 		fmt.Fprintf(os.Stderr, "rdfload: %v\n", err)
 		os.Exit(1)
 	}
-	var durable webreason.DurableStrategy
+	var strat webreason.Strategy
 	if *saturate {
-		durable = core.NewSaturation(kb)
+		strat = core.NewSaturation(kb)
 	} else {
-		durable = core.NewBackward(kb)
+		strat = core.NewBackward(kb)
 	}
 	buildTime := time.Since(buildStart)
 
 	db := openDataDir(*dataDir)
 	snapStart := time.Now()
-	if err := db.Checkpoint(durable.DurableState()); err != nil {
+	if err := db.Checkpoint(strat.DurableState()); err != nil {
 		fmt.Fprintf(os.Stderr, "rdfload: checkpoint: %v\n", err)
 		os.Exit(1)
 	}
@@ -105,7 +105,7 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Printf("snapshot: %s gen %d — %d stored triples (saturated: %v), written in %s\n",
-		*dataDir, db.Generation(), durable.Len(), *saturate, snapTime.Round(time.Millisecond))
+		*dataDir, db.Generation(), strat.Len(), *saturate, snapTime.Round(time.Millisecond))
 
 	// Measure what the snapshot saves: reload it and compare with the
 	// parse(+build) path it replaces.

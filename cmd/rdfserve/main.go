@@ -36,10 +36,6 @@
 //	rdfserve -data /var/lib/rdfserve -sync group -session -writers 16
 //	rdfserve -data /var/lib/replica -follow /var/lib/rdfserve -readers 8
 //	rdfserve -data /var/lib/replica -follow /var/lib/rdfserve -promote
-//	rdfserve -bench | go run ./cmd/benchjson -out BENCH_concurrent.json
-//
-// With -bench the report is emitted as `go test -bench`-style lines, so it
-// pipes straight into cmd/benchjson for BENCH_concurrent.json records.
 package main
 
 import (
@@ -69,7 +65,6 @@ func main() {
 	flushEvery := flag.Int("flush-every", webreason.DefaultFlushEvery, "server mutation batch size")
 	flushInterval := flag.Duration("flush-interval", webreason.DefaultFlushInterval, "server mutation flush interval")
 	queryName := flag.String("query", "Q5", "workload query the readers execute")
-	benchOut := flag.Bool("bench", false, "emit go-bench-style lines for cmd/benchjson")
 	dataDir := flag.String("data", "", "persistence directory: WAL + snapshots, crash recovery on start")
 	syncMode := flag.String("sync", "always", "WAL fsync policy: always|group|never")
 	groupDelay := flag.Duration("group-delay", 0, "sync=group coalescing window (0 = default, negative = fsync as soon as free)")
@@ -160,7 +155,7 @@ func main() {
 			}
 			// Bootstrap checkpoint: the bulk load becomes a snapshot, not a
 			// giant WAL, and must be durable before mutations are accepted.
-			if err := db.Checkpoint(strat.(webreason.DurableStrategy).DurableState()); err != nil {
+			if err := db.Checkpoint(strat.DurableState()); err != nil {
 				fatalf("bootstrap checkpoint: %v", err)
 			}
 			fmt.Printf("bootstrapped %s: %d triples, snapshot gen %d (replayed %d pre-existing WAL records)\n",
@@ -322,16 +317,6 @@ func main() {
 	nsPerQuery := float64(0)
 	if nq > 0 {
 		nsPerQuery = float64(readNanos.Load()) / float64(nq)
-	}
-	if *benchOut {
-		// go-bench-style lines: benchjson parses name, iterations, ns/op.
-		fmt.Printf("BenchmarkServeLoad/%s/%s/readers=%d/writers=%d \t%d\t%.0f ns/op\n",
-			*strategy, *queryName, *readers, *writers, nq, nsPerQuery)
-		if nm > 0 {
-			fmt.Printf("BenchmarkServeLoadWrites/%s/readers=%d/writers=%d \t%d\t%.0f ns/op\n",
-				*strategy, *readers, *writers, nm, secs*1e9/float64(nm))
-		}
-		return
 	}
 	fmt.Printf("strategy=%s query=%s readers=%d writers=%d duration=%s flushEvery=%d flushInterval=%s durable=%v session=%v\n",
 		*strategy, *queryName, *readers, *writers, elapsed.Round(time.Millisecond), *flushEvery, *flushInterval, db != nil, *sessionMode)

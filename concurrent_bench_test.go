@@ -1,5 +1,5 @@
-// Benchmarks for the snapshot-isolated serving layer (PR "concurrent"),
-// recorded by `make bench-concurrent` into BENCH_concurrent.json:
+// Benchmarks for the snapshot-isolated serving layer (PR "concurrent"); run
+// with go test -run '^$' -bench 'StoreSnapshot|StoreClone|ServerReadThroughput' .
 //
 //	BenchmarkStoreSnapshot       — Snapshot() acquisition on the saturated
 //	    depts=6 LUBM store (quiescent: the O(1) serving-path cost, and

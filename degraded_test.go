@@ -166,84 +166,6 @@ func TestSessionReadAfterDurabilityError(t *testing.T) {
 	}
 }
 
-// TestOverloadedAdmission pins deadline-aware admission control: when the
-// mutation queue sits at MaxPending past the caller's deadline, the write is
-// bounced with a typed OverloadedError instead of blocking indefinitely.
-func TestOverloadedAdmission(t *testing.T) {
-	// A slow disk keeps the writer busy for ~1s per WAL sync, so the queue
-	// stays full while the short-deadline write waits for admission.
-	fsys := faultfs.New(faultfs.NewSchedule().LatencyOn(faultfs.OpSync, "wal-", 300*time.Millisecond))
-	srv, db := newFaultedServer(t, t.TempDir(), fsys,
-		persist.Options{Sync: persist.SyncAlways, CheckpointBytes: -1, CheckpointRecords: -1},
-		webreason.ServerOptions{FlushEvery: 1, MaxPending: 1})
-	defer db.Close()
-	defer srv.Close()
-
-	// First write: writer picks it up and stalls in the slow fsync (the sleep
-	// gives it time to grab the batch, so the second write really sits in the
-	// queue at MaxPending rather than joining the first batch).
-	if err := srv.Insert(degTriple(0)); err != nil {
-		t.Fatal(err)
-	}
-	time.Sleep(50 * time.Millisecond)
-	if err := srv.Insert(degTriple(1)); err != nil {
-		t.Fatal(err)
-	}
-
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
-	defer cancel()
-	err := srv.InsertContext(ctx, degTriple(2))
-	if !errors.Is(err, webreason.ErrOverloaded) {
-		t.Fatalf("admission past deadline should be ErrOverloaded, got %v", err)
-	}
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("overloaded error should carry the context cause, got %v", err)
-	}
-	var oe *webreason.OverloadedError
-	if !errors.As(err, &oe) || oe.Pending < 1 {
-		t.Fatalf("OverloadedError should report the observed depth, got %v", err)
-	}
-	if !strings.Contains(err.Error(), "overloaded") {
-		t.Fatalf("unexpected message %q", err.Error())
-	}
-
-	// Without a deadline the same write admits once the writer catches up.
-	if err := srv.Insert(degTriple(2)); err != nil {
-		t.Fatalf("unbounded write should eventually admit, got %v", err)
-	}
-	if err := srv.Flush(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestDurableContextAbandonsWaitNotWrite pins the documented cancellation
-// semantics: expiring the context during the durability wait returns the
-// context error, while the write itself stays accepted and becomes visible.
-func TestDurableContextAbandonsWaitNotWrite(t *testing.T) {
-	fsys := faultfs.New(faultfs.NewSchedule().LatencyOn(faultfs.OpSync, "wal-", 200*time.Millisecond))
-	srv, db := newFaultedServer(t, t.TempDir(), fsys,
-		persist.Options{Sync: persist.SyncAlways, CheckpointBytes: -1, CheckpointRecords: -1},
-		webreason.ServerOptions{FlushEvery: 1})
-	defer db.Close()
-	defer srv.Close()
-
-	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
-	defer cancel()
-	err := srv.InsertDurableContext(ctx, degTriple(0))
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("cancelled durability wait should return the context error, got %v", err)
-	}
-
-	// The write was not undone: once the writer drains, it is visible.
-	if err := srv.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	q := webreason.MustParseQuery(`ASK { ?s ?p ?o }`)
-	if ok, err := srv.Ask(q); err != nil || !ok {
-		t.Fatalf("abandoned-wait write should still be applied (ok=%v err=%v)", ok, err)
-	}
-}
-
 // TestHealthHealthy sanity-checks the report on a healthy durable server:
 // counters advance, no degradation, lag drains to zero after Flush.
 func TestHealthHealthy(t *testing.T) {
@@ -445,12 +367,11 @@ func TestServerConcurrentDegradation(t *testing.T) {
 			sess := srv.Session()
 			for i := 0; i < 40; i++ {
 				ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
-				var err error
-				if i%2 == 0 {
-					err = sess.InsertDurableContext(ctx, degTriple(g*1000+i))
-				} else {
-					err = sess.DeleteContext(ctx, degTriple(g*1000+i-1))
+				m := webreason.Mutation{Durable: true, Triples: []webreason.Triple{degTriple(g*1000 + i)}}
+				if i%2 == 1 {
+					m = webreason.Mutation{Delete: true, Triples: []webreason.Triple{degTriple(g*1000 + i - 1)}}
 				}
+				err := sess.Mutate(ctx, m)
 				cancel()
 				if err != nil && !typedServerError(err) {
 					t.Errorf("untyped write error: %v", err)

@@ -7,103 +7,9 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/datalog"
 	"repro/internal/lubm"
 	"repro/internal/reason"
 )
-
-// ---------------------------------------------------------------------------
-// E9 — saturation via Datalog translation (§II-D open issue)
-// ---------------------------------------------------------------------------
-
-// DatalogRow compares one engine/encoding on the same saturation job.
-type DatalogRow struct {
-	Engine   string
-	Facts    int
-	Rules    int
-	Derived  int // atoms added by evaluation
-	Duration time.Duration
-}
-
-// RunDatalog saturates the same graph with the native triple engine, the
-// naive triple/3 Datalog encoding, and the split per-property/per-class
-// encoding (E9).
-func RunDatalog(cfg lubm.Config) ([]DatalogRow, error) {
-	kb := core.NewKB()
-	if _, err := kb.LoadGraph(lubm.GenerateWithOntology(cfg)); err != nil {
-		return nil, err
-	}
-	var rows []DatalogRow
-
-	var mat *reason.Materialization
-	d := measure(500*time.Millisecond, 3, func() {
-		mat = reason.Materialize(kb.Base(), kb.Rules())
-	})
-	rows = append(rows, DatalogRow{
-		Engine:   "native triple engine",
-		Facts:    kb.Len(),
-		Rules:    len(kb.Rules()),
-		Derived:  mat.DerivedLen(),
-		Duration: d,
-	})
-
-	naive := datalog.TranslateNaive(kb.Base(), kb.Vocab())
-	var naiveDB *datalog.DB
-	d = measure(500*time.Millisecond, 3, func() {
-		db, err := datalog.Eval(naive)
-		if err != nil {
-			panic(err)
-		}
-		naiveDB = db
-	})
-	rows = append(rows, DatalogRow{
-		Engine:   "datalog, naive triple/3",
-		Facts:    len(naive.Facts),
-		Rules:    len(naive.Rules),
-		Derived:  naiveDB.Count("triple") - len(naive.Facts),
-		Duration: d,
-	})
-
-	split := datalog.TranslateSplit(kb.Base(), kb.Vocab())
-	var splitDB *datalog.DB
-	d = measure(500*time.Millisecond, 3, func() {
-		db, err := datalog.Eval(split)
-		if err != nil {
-			panic(err)
-		}
-		splitDB = db
-	})
-	splitTotal := 0
-	for _, p := range splitDB.Predicates() {
-		splitTotal += splitDB.Count(p)
-	}
-	rows = append(rows, DatalogRow{
-		Engine:   "datalog, split per-property (schema compiled to rules)",
-		Facts:    len(split.Facts),
-		Rules:    len(split.Rules),
-		Derived:  splitTotal - len(split.Facts),
-		Duration: d,
-	})
-
-	// Sanity: the naive encoding must reproduce the native closure exactly.
-	if naiveDB.Count("triple") != mat.Store().Len() {
-		return nil, fmt.Errorf("bench: naive datalog closure %d != native closure %d",
-			naiveDB.Count("triple"), mat.Store().Len())
-	}
-	return rows, nil
-}
-
-// RenderDatalog prints E9.
-func RenderDatalog(w io.Writer, rows []DatalogRow) {
-	fmt.Fprintln(w, "E9 — saturation via translation to Datalog (§II-D open issue)")
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', tabwriter.AlignRight)
-	fmt.Fprintln(tw, "engine\tfacts\trules\tderived\ttime\t")
-	for _, r := range rows {
-		fmt.Fprintf(tw, "%s\t%d\t%d\t%d\t%v\t\n", r.Engine, r.Facts, r.Rules, r.Derived, r.Duration.Round(time.Millisecond))
-	}
-	tw.Flush()
-	fmt.Fprintln(w, "(the split encoding trades generic triple/3 joins for schema-specialised rules)")
-}
 
 // ---------------------------------------------------------------------------
 // E10 — parallel saturation (§II-D open issue)

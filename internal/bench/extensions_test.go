@@ -8,37 +8,6 @@ import (
 	"repro/internal/lubm"
 )
 
-func TestRunDatalog(t *testing.T) {
-	rows, err := RunDatalog(lubm.SmallConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 3 {
-		t.Fatalf("rows = %d, want 3", len(rows))
-	}
-	native, naive, split := rows[0], rows[1], rows[2]
-	if native.Derived <= 0 {
-		t.Error("native engine derived nothing")
-	}
-	// The naive encoding carries the whole graph as triple/3 facts.
-	if naive.Facts != native.Facts {
-		t.Errorf("naive facts %d != graph size %d", naive.Facts, native.Facts)
-	}
-	// The split encoding compiles the schema into rules: fewer facts, more
-	// rules.
-	if split.Facts >= naive.Facts {
-		t.Error("split encoding should drop schema facts")
-	}
-	if split.Rules <= naive.Rules {
-		t.Error("split encoding should have schema-many rules")
-	}
-	var buf bytes.Buffer
-	RenderDatalog(&buf, rows)
-	if !strings.Contains(buf.String(), "datalog") {
-		t.Error("render missing engines")
-	}
-}
-
 func TestRunParallelSaturation(t *testing.T) {
 	rows, err := RunParallelSaturation(lubm.SmallConfig(), []int{1, 2})
 	if err != nil {

@@ -1,15 +1,10 @@
 package core
 
 import (
-	"sync"
-	"sync/atomic"
-
 	"repro/internal/dict"
 	"repro/internal/engine"
-	"repro/internal/persist"
 	"repro/internal/rdf"
 	"repro/internal/schema"
-	"repro/internal/sparql"
 	"repro/internal/store"
 )
 
@@ -20,183 +15,38 @@ import (
 // inference (§II-C) — no materialisation, no query rewriting, inference
 // interleaved with evaluation.
 //
-// The view reads an immutable store snapshot; a fresh view is swapped in
-// after every mutation batch, so reads racing updates see a consistent G.
+// The virtual view is a plain Source (its matches are derived lazily, not
+// stored sorted), so prepared backward queries get plan caching but no merge
+// joins.
 type Backward struct {
-	kb   *KB
-	data *store.Store
-
-	// mu serializes mutation; cur is the immutable view readers use.
-	mu  sync.Mutex
-	cur atomic.Pointer[inferredView]
+	skeleton
+	direct
+	asserted
+	// sch is the closed schema the virtual view chains through.
+	sch *schema.Schema
 }
 
 // NewBackward builds the strategy over a private copy of the KB's data.
 func NewBackward(kb *KB) *Backward {
-	b := &Backward{kb: kb, data: kb.base.Clone()}
-	b.reindex()
+	b := &Backward{skeleton: skeleton{kb: kb}, direct: direct{kb.dict}, asserted: asserted{kb.base.Clone()}}
+	b.sch = schema.Extract(b.data, kb.voc)
+	b.start(b)
 	return b
 }
 
 // Name implements Strategy.
 func (b *Backward) Name() string { return "backward" }
 
-// reindex re-extracts the schema and publishes a fresh view. Writer-side.
-func (b *Backward) reindex() {
-	sch := schema.Extract(b.data, b.kb.voc)
-	b.cur.Store(&inferredView{st: b.data.Snapshot(), sch: sch, voc: b.kb.voc})
-}
-
-// republish swaps in a view over the current data, keeping the schema of the
-// previous view (no schema triple changed). Writer-side.
-func (b *Backward) republish() {
-	b.cur.Store(&inferredView{st: b.data.Snapshot(), sch: b.cur.Load().sch, voc: b.kb.voc})
-}
-
-// Answer implements Strategy: ordinary evaluation against the virtual view.
-func (b *Backward) Answer(q *sparql.Query) (*engine.Result, error) {
-	if err := q.Validate(); err != nil {
-		return nil, err
-	}
-	res, err := engine.EvalBGP(b.cur.Load(), q.Patterns, b.kb.dict)
-	if err != nil {
-		return nil, err
-	}
-	return finish(res, q), nil
-}
-
-// Ask implements Strategy.
-func (b *Backward) Ask(q *sparql.Query) (bool, error) {
-	res, err := b.Answer(q)
-	if err != nil {
-		return false, err
-	}
-	return len(res.Rows) > 0, nil
-}
-
-// Insert implements Strategy: O(1) per instance triple, schema triples
-// rebuild the (small) schema closure.
-func (b *Backward) Insert(ts ...rdf.Triple) error {
-	enc, err := encodeAll(b.kb, ts)
-	if err != nil {
-		return err
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	schemaTouched := false
-	for i, t := range enc {
-		b.data.Add(t)
-		if ts[i].IsSchema() {
-			schemaTouched = true
-		}
-	}
-	if schemaTouched {
-		b.reindex()
-	} else {
-		b.republish()
-	}
-	return nil
-}
-
-// Delete implements Strategy.
-func (b *Backward) Delete(ts ...rdf.Triple) error {
-	enc, err := encodeAll(b.kb, ts)
-	if err != nil {
-		return err
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	schemaTouched := false
-	for i, t := range enc {
-		if b.data.Remove(t) && ts[i].IsSchema() {
-			schemaTouched = true
-		}
-	}
-	if schemaTouched {
-		b.reindex()
-	} else {
-		b.republish()
-	}
-	return nil
-}
-
-// Len implements Strategy: only |G| is stored.
-func (b *Backward) Len() int { return b.cur.Load().st.Len() }
-
-// DurableState implements DurableStrategy: backward chaining materialises
-// nothing, so only the asserted triples are persisted.
-func (b *Backward) DurableState() persist.State {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return persist.State{
-		Dict:    b.kb.dict,
-		DictLen: b.kb.dict.Len(),
-		Base:    b.data.Snapshot(),
+func (b *Backward) apply(del bool, enc []store.Triple, ts []rdf.Triple) {
+	if b.update(del, enc, ts) {
+		b.sch = schema.Extract(b.data, b.kb.voc)
 	}
 }
 
-// Prepare implements Strategy: the compiled plan is cached against the
-// current inferred view. The view is a plain Source (its matches are derived
-// lazily, not stored sorted), so prepared backward queries get plan caching
-// but no merge joins. Mutation batches swap the view; the prepared query
-// follows data-only swaps with a cheap rebind (the engine replans on size
-// drift) and replans from scratch when the schema changed.
-func (b *Backward) Prepare(q *sparql.Query) (PreparedQuery, error) {
-	if err := q.Validate(); err != nil {
-		return nil, err
-	}
-	pq := &backPrepared{b: b, q: q, proj: q.Projection()}
-	if err := pq.rebuild(b.cur.Load()); err != nil {
-		return nil, err
-	}
-	return pq, nil
+func (b *Backward) view() *view {
+	st := b.data.Snapshot()
+	return &view{src: &inferredView{st: st, sch: b.sch, voc: b.kb.voc}, sch: b.sch, size: st.Len()}
 }
-
-type backPrepared struct {
-	b    *Backward
-	q    *sparql.Query
-	proj []string
-	view *inferredView
-	p    *engine.Prepared
-}
-
-func (pq *backPrepared) Query() *sparql.Query { return pq.q }
-
-func (pq *backPrepared) rebuild(v *inferredView) error {
-	p, err := engine.Prepare(v, pq.q.Patterns, pq.b.kb.dict)
-	if err != nil {
-		return err
-	}
-	pq.p = p
-	pq.view = v
-	return nil
-}
-
-func (pq *backPrepared) Answer() (*engine.Result, error) {
-	if v := pq.b.cur.Load(); v != pq.view {
-		if v.sch == pq.view.sch {
-			pq.p.Rebind(v)
-			pq.view = v
-		} else if err := pq.rebuild(v); err != nil {
-			return nil, err
-		}
-	}
-	res := pq.p.EvalDistinct(pq.proj)
-	if pq.q.Limit > 0 {
-		res = res.Limit(pq.q.Limit)
-	}
-	return res, nil
-}
-
-func (pq *backPrepared) Ask() (bool, error) {
-	res, err := pq.Answer()
-	if err != nil {
-		return false, err
-	}
-	return len(res.Rows) > 0, nil
-}
-
-var _ Strategy = (*Backward)(nil)
 
 // inferredView is an engine.Source that behaves like G∞ without storing it.
 // Each match call unions the explicit matches with the entailed ones

@@ -121,7 +121,7 @@ func TestBackwardCountEstimates(t *testing.T) {
 	// stay cheap to call; it guides only the optimizer.
 	kb := loadKB(t)
 	b := NewBackward(kb)
-	v := b.cur.Load()
+	v := b.cur.Load().src.(*inferredView)
 	voc := kb.Vocab()
 	person, _ := kb.Dict().Lookup(iri("Person"))
 	knows, _ := kb.Dict().Lookup(iri("knows"))

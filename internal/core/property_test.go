@@ -60,11 +60,14 @@ func TestStrategiesAgreeOnRandomGraphs(t *testing.T) {
 // about: the same randomized mutation batches — instance and schema triples,
 // inserts and deletes — are applied to all three strategies, and after every
 // batch the strategies must still return identical certain answers on random
-// queries. Long-lived prepared queries ride along and must agree with fresh
-// evaluation at every step, which exercises every invalidation tier:
-// saturation's snapshot rebinding, reformulation's branch-level rebind
-// (data-only batches), its full re-reformulation (schema batches, vocabulary
-// growth) and backward's view swap.
+// queries. Schema mutations draw subClassOf and subPropertyOf edges between
+// arbitrary pairs (so both hierarchies grow cycles) and deletions draw from
+// everything asserted (so both lose edges again). Long-lived prepared queries
+// ride along and must agree with fresh evaluation at every step, which drives
+// the shared prepared query's rule on all three strategies: follow a
+// data-only batch by rebinding (a snapshot swap for saturation and backward,
+// a branch-level rebind for reformulation), recompile after a schema batch
+// or — for reformulation — vocabulary growth.
 func TestStrategiesAgreeUnderInterleavedMutations(t *testing.T) {
 	const seeds = 12
 	for seed := int64(0); seed < seeds; seed++ {
@@ -97,9 +100,11 @@ func TestStrategiesAgreeUnderInterleavedMutations(t *testing.T) {
 			// asserted tracks the current base graph for deletion draws.
 			asserted := g.Triples()
 			randomMutation := func() rdf.Triple {
-				switch rng.Intn(8) {
-				case 0: // schema: class hierarchy
+				switch rng.Intn(9) {
+				case 0: // schema: class hierarchy (any pair, so cycles arise)
 					return rdf.T(rc(rng), rdf.SubClassOf, rc(rng))
+				case 8: // schema: property hierarchy, cycles included
+					return rdf.T(rp(rng), rdf.SubPropertyOf, rp(rng))
 				case 1: // schema: property constraint
 					if rng.Intn(2) == 0 {
 						return rdf.T(rp(rng), rdf.Domain, rc(rng))

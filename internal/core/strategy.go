@@ -21,7 +21,7 @@ import (
 // graph is updated. The three implementations mirror §II-B/§II-C of the
 // paper.
 // All three implementations follow a single-writer, multi-reader concurrency
-// model: Answer, Ask and Prepare route every read through an immutable
+// model: Answer and Prepare route every read through an immutable
 // current-state pointer (store snapshots plus whatever derived structures the
 // technique keeps) that Insert/Delete swap atomically after each mutation
 // batch, so reads racing a mutation observe either the state before the whole
@@ -34,14 +34,13 @@ type Strategy interface {
 	// the evaluation of q against G∞, deduplicated over the projection
 	// (certain-answer semantics; LIMIT is applied afterwards).
 	Answer(q *sparql.Query) (*engine.Result, error)
-	// Ask reports whether the query pattern has any answer against G∞.
-	Ask(q *sparql.Query) (bool, error)
 	// Insert asserts base triples.
 	Insert(ts ...rdf.Triple) error
 	// Delete retracts base triples.
 	Delete(ts ...rdf.Triple) error
 	// Len returns the number of triples the strategy stores physically
-	// (|G∞| for saturation, |G| plus the closed schema for the others).
+	// (|G∞| for saturation, |G| plus the closed schema for reformulation,
+	// |G| for backward chaining).
 	Len() int
 	// Prepare compiles q into a PreparedQuery whose plans are cached across
 	// executions — the paper's repeated-query regime, where planning and
@@ -49,58 +48,288 @@ type Strategy interface {
 	// the strategy's data live and revalidates its cached plans
 	// automatically, so it stays correct across Insert/Delete.
 	Prepare(q *sparql.Query) (PreparedQuery, error)
-}
-
-// DurableStrategy is implemented by strategies whose state can be
-// checkpointed by the persistence layer. DurableState must be called from
-// the strategy's (serialized) mutation side — in serving deployments, the
-// server's single writer goroutine at a mutation-batch boundary — and
-// returns O(1) copy-on-write views: capturing a checkpoint never stalls
-// reads or subsequent writes, the serialisation happens later against the
-// frozen views. All three built-in strategies implement it.
-type DurableStrategy interface {
-	Strategy
-	// DurableState captures the strategy's persistent state: the asserted
-	// triples (always) and the saturated store (when materialised), plus the
-	// dictionary length as of the same boundary.
+	// DurableState captures the strategy's persistent state for a
+	// checkpoint: the asserted triples (always) and the saturated store
+	// (when materialised), plus the dictionary length as of the same
+	// boundary. It must be called from the strategy's (serialized) mutation
+	// side — in serving deployments, the server's single writer goroutine at
+	// a mutation-batch boundary — and returns O(1) copy-on-write views:
+	// capturing a checkpoint never stalls reads or subsequent writes, the
+	// serialisation happens later against the frozen views.
 	DurableState() persist.State
 }
 
+// DurableStrategy names the checkpointing surface, which every Strategy
+// carries.
+type DurableStrategy = Strategy
+
 // PreparedQuery is a query compiled against one strategy for repeated
-// execution. Answer and Ask match the Strategy methods of the same name;
-// cached plans are revalidated transparently (dictionary growth, schema
-// updates), so results always reflect the strategy's current data. A
-// PreparedQuery is not safe for concurrent use; results it returns are
-// independent snapshots and remain valid.
+// execution. Answer matches Strategy.Answer; cached plans are revalidated
+// transparently (dictionary growth, schema updates), so results always
+// reflect the strategy's current data. A PreparedQuery is not safe for
+// concurrent use; results it returns are independent snapshots and remain
+// valid.
 type PreparedQuery interface {
 	// Query returns the source query.
 	Query() *sparql.Query
 	// Answer executes the prepared query; see Strategy.Answer.
 	Answer() (*engine.Result, error)
-	// Ask reports whether the prepared query has any answer.
-	Ask() (bool, error)
 }
 
-// finish applies the shared answer post-processing.
-func finish(res *engine.Result, q *sparql.Query) *engine.Result {
-	out := res.Project(q.Projection()).Distinct()
-	if q.Limit > 0 {
-		out = out.Limit(q.Limit)
+// Ask turns the outcome of an Answer call — a Strategy's, a PreparedQuery's
+// or a server's — into the ASK verdict: whether the query pattern has any
+// answer against G∞.
+func Ask(res *engine.Result, err error) (bool, error) {
+	if err != nil {
+		return false, err
 	}
-	return out
+	return len(res.Rows) > 0, nil
 }
 
-// encodeAll converts term triples for a strategy, validating well-formedness.
-func encodeAll(kb *KB, ts []rdf.Triple) ([]store.Triple, error) {
-	out := make([]store.Triple, 0, len(ts))
+// limit applies q's LIMIT, the last step of every answer.
+func limit(res *engine.Result, q *sparql.Query) *engine.Result {
+	if q.Limit > 0 {
+		return res.Limit(q.Limit)
+	}
+	return res
+}
+
+// ---------------------------------------------------------------------------
+// The shared skeleton
+// ---------------------------------------------------------------------------
+
+// view is one immutable read epoch of a strategy. A fresh view is published
+// after every mutation batch, so a reader that loads one evaluates entirely
+// against that batch boundary.
+type view struct {
+	// src is what queries evaluate against: a snapshot of G∞ (saturation),
+	// of G plus the closed schema (reformulation), or the virtual G∞ derived
+	// from a snapshot of G (backward chaining).
+	src engine.Source
+	// sch is the closed schema the view was built under (nil for
+	// saturation, which stores its consequences). Its identity is the
+	// schema epoch: a data-only batch republishes the same pointer, a batch
+	// that changed a schema triple a new one.
+	sch *schema.Schema
+	// size is the number of triples physically stored (Strategy.Len).
+	size int
+}
+
+// technique is what distinguishes one strategy from another: what it
+// materialises on the write side and how it evaluates on the read side. The
+// skeleton supplies everything else. apply, view and durable run on the
+// writer side, serialized by the skeleton's mutex; answer and compile run on
+// any reader against the immutable view they are handed.
+type technique interface {
+	// apply maintains the strategy's stores for one batch of assertions or
+	// retractions; ts are the same triples as enc at term level.
+	apply(del bool, enc []store.Triple, ts []rdf.Triple)
+	// view builds the immutable read epoch over the stores' current content.
+	view() *view
+	// durable adds O(1) snapshots of the stores a checkpoint must hold.
+	durable(st *persist.State)
+	// answer evaluates q once against v, deduplicated over the projection.
+	answer(v *view, q *sparql.Query) (*engine.Result, error)
+	// compile builds the cached evaluation of q against v.
+	compile(v *view, q *sparql.Query) (plan, error)
+}
+
+// plan is a technique's cached evaluation of one query, compiled under one
+// schema and bound to one view's source.
+type plan interface {
+	// rebind points the plan at src, the data of the current view (same
+	// schema as the plan was compiled under), and reports whether the plan
+	// is sound there. It is called before every execution; false asks for a
+	// recompile.
+	rebind(src engine.Source) bool
+	// eval runs the plan, deduplicated over proj.
+	eval(proj []string) (*engine.Result, error)
+}
+
+// skeleton is the part every strategy shares: the KB, the writer mutex, the
+// atomically published view, and the paths that run on them — every mutation
+// is encode → lock → technique.apply → publish, every read loads the current
+// view and hands it to the technique.
+type skeleton struct {
+	kb   *KB
+	tech technique
+	// mu serializes the writer side; cur is the view readers use.
+	mu  sync.Mutex
+	cur atomic.Pointer[view]
+}
+
+// start binds the technique (the strategy embedding this skeleton, its own
+// stores already built) and publishes the first view.
+func (s *skeleton) start(t technique) {
+	s.tech = t
+	s.cur.Store(t.view())
+}
+
+// mutate runs one batch. The whole batch becomes visible to readers at once,
+// when the view built after the technique's maintenance is swapped in.
+func (s *skeleton) mutate(del bool, ts []rdf.Triple) error {
+	enc := make([]store.Triple, 0, len(ts))
 	for _, t := range ts {
 		if err := t.WellFormed(); err != nil {
+			return err
+		}
+		enc = append(enc, s.kb.Encode(t))
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.tech.apply(del, enc, ts)
+	s.cur.Store(s.tech.view())
+	return nil
+}
+
+// Insert implements Strategy.
+func (s *skeleton) Insert(ts ...rdf.Triple) error { return s.mutate(false, ts) }
+
+// Delete implements Strategy.
+func (s *skeleton) Delete(ts ...rdf.Triple) error { return s.mutate(true, ts) }
+
+// Len implements Strategy, as of the current view.
+func (s *skeleton) Len() int { return s.cur.Load().size }
+
+// Answer implements Strategy: rewriting (if any) and evaluation run against
+// the same view, so a concurrent mutation cannot slip between them.
+func (s *skeleton) Answer(q *sparql.Query) (*engine.Result, error) {
+	res, err := s.tech.answer(s.cur.Load(), q)
+	if err != nil {
+		return nil, err
+	}
+	return limit(res, q), nil
+}
+
+// DurableState implements Strategy: the dictionary boundary plus the
+// technique's stores, captured under the writer mutex.
+func (s *skeleton) DurableState() persist.State {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	st := persist.State{Dict: s.kb.dict, DictLen: s.kb.dict.Len()}
+	s.tech.durable(&st)
+	return st
+}
+
+// Prepare implements Strategy. Steady-state execution allocates only the
+// result rows; see prepared.Answer for how the cached plan follows
+// mutations.
+func (s *skeleton) Prepare(q *sparql.Query) (PreparedQuery, error) {
+	if err := q.Validate(); err != nil {
+		return nil, err
+	}
+	pq := &prepared{s: s, q: q, proj: q.Projection()}
+	if err := pq.compile(s.cur.Load()); err != nil {
+		return nil, err
+	}
+	return pq, nil
+}
+
+// prepared is the PreparedQuery of every strategy: the query, its projection
+// and LIMIT, and the technique's plan together with the schema it was
+// compiled under.
+type prepared struct {
+	s    *skeleton
+	q    *sparql.Query
+	proj []string
+	sch  *schema.Schema
+	p    plan
+}
+
+func (pq *prepared) Query() *sparql.Query { return pq.q }
+
+// compile (re)builds the plan against v; on error the previous plan stays.
+func (pq *prepared) compile(v *view) error {
+	p, err := pq.s.tech.compile(v, pq.q)
+	if err != nil {
+		return err
+	}
+	pq.p, pq.sch = p, v.sch
+	return nil
+}
+
+// Answer executes against the current view with two invalidation tiers. A
+// batch that changed the schema recompiles the plan from scratch. A
+// data-only batch asks the plan to follow it: engine plans always can (a
+// pointer swap; the engine replans on its own when the data size drifts or
+// the dictionary grows), a reformulated union can unless its rewriting
+// depends on the data vocabulary or the dictionary grew.
+func (pq *prepared) Answer() (*engine.Result, error) {
+	if v := pq.s.cur.Load(); v.sch != pq.sch || !pq.p.rebind(v.src) {
+		if err := pq.compile(v); err != nil {
 			return nil, err
 		}
-		out = append(out, kb.Encode(t))
 	}
-	return out, nil
+	res, err := pq.p.eval(pq.proj)
+	if err != nil {
+		return nil, err
+	}
+	return limit(res, pq.q), nil
 }
+
+// direct is the read side of the two strategies that evaluate the query as
+// written — saturation against the stored G∞, backward chaining against the
+// virtual one.
+type direct struct{ d *dict.Dict }
+
+func (e direct) answer(v *view, q *sparql.Query) (*engine.Result, error) {
+	if err := q.Validate(); err != nil {
+		return nil, err
+	}
+	res, err := engine.EvalBGP(v.src, q.Patterns, e.d)
+	if err != nil {
+		return nil, err
+	}
+	return res.Project(q.Projection()).Distinct(), nil
+}
+
+func (e direct) compile(v *view, q *sparql.Query) (plan, error) {
+	p, err := engine.Prepare(v.src, q.Patterns, e.d)
+	if err != nil {
+		return nil, err
+	}
+	return bgpPlan{p}, nil
+}
+
+// bgpPlan is a compiled join plan with a fused projection+dedup.
+type bgpPlan struct{ *engine.Prepared }
+
+func (p bgpPlan) rebind(src engine.Source) bool {
+	p.Rebind(src)
+	return true
+}
+
+func (p bgpPlan) eval(proj []string) (*engine.Result, error) { return p.EvalDistinct(proj), nil }
+
+// asserted is the write side of the two strategies that store G as asserted
+// and reason at query time: instance updates cost O(1), and only the (small)
+// schema is re-derived when a schema triple changes.
+type asserted struct {
+	// data holds the asserted triples (the strategy's private copy of G).
+	data *store.Store
+}
+
+// update applies the batch to data and reports whether it changed a schema
+// triple.
+func (g *asserted) update(del bool, enc []store.Triple, ts []rdf.Triple) (schemaChanged bool) {
+	for i, t := range enc {
+		var changed bool
+		if del {
+			changed = g.data.Remove(t)
+		} else {
+			changed = g.data.Add(t)
+		}
+		if changed && ts[i].IsSchema() {
+			schemaChanged = true
+		}
+	}
+	return schemaChanged
+}
+
+// durable persists only the asserted triples: whatever is derived from them
+// is recomputed on restore (it is small by the paper's DB-fragment
+// assumption).
+func (g *asserted) durable(st *persist.State) { st.Base = g.data.Snapshot() }
 
 // ---------------------------------------------------------------------------
 // Saturation strategy
@@ -110,25 +339,16 @@ func encodeAll(kb *KB, ts []rdf.Triple) ([]store.Triple, error) {
 // closure G∞, maintained incrementally on updates (semi-naive insertion,
 // DRed deletion). This is the forward-chaining camp of §II-C (OWLIM, Oracle,
 // Jena/Sesame persistent inferencing).
-//
-// Reads evaluate against an immutable snapshot of G∞ swapped in after every
-// maintenance batch, so Answer/Ask/Prepare are safe to call concurrently
-// with (serialized) Insert/Delete.
 type Saturation struct {
-	kb  *KB
+	skeleton
+	direct
 	mat *reason.Materialization
-
-	// mu serializes maintenance; cur is the snapshot of G∞ readers use.
-	mu  sync.Mutex
-	cur atomic.Pointer[store.Snapshot]
 }
 
 // NewSaturation materialises the KB's closure. The KB's base store is
 // copied; later updates must go through this strategy.
 func NewSaturation(kb *KB) *Saturation {
-	s := &Saturation{kb: kb, mat: reason.Materialize(kb.base, kb.rules)}
-	s.cur.Store(s.mat.Store().Snapshot())
-	return s
+	return newSaturation(kb, reason.Materialize(kb.base, kb.rules))
 }
 
 // NewSaturationRestored rebuilds a saturation strategy from a recovered
@@ -139,8 +359,12 @@ func NewSaturation(kb *KB) *Saturation {
 // dictionary, vocabulary and rules — its own base store plays no role in a
 // restored materialisation.
 func NewSaturationRestored(kb *KB, base *store.TripleSet, saturated *store.Store) *Saturation {
-	s := &Saturation{kb: kb, mat: reason.Restore(base, saturated, kb.rules)}
-	s.cur.Store(s.mat.Store().Snapshot())
+	return newSaturation(kb, reason.Restore(base, saturated, kb.rules))
+}
+
+func newSaturation(kb *KB, mat *reason.Materialization) *Saturation {
+	s := &Saturation{skeleton: skeleton{kb: kb}, direct: direct{kb.dict}, mat: mat}
+	s.start(s)
 	return s
 }
 
@@ -152,114 +376,26 @@ func (s *Saturation) Name() string { return "saturation" }
 // it with Insert/Delete.
 func (s *Saturation) Materialization() *reason.Materialization { return s.mat }
 
-// Answer implements Strategy by plain evaluation on the current G∞ snapshot.
-func (s *Saturation) Answer(q *sparql.Query) (*engine.Result, error) {
-	if err := q.Validate(); err != nil {
-		return nil, err
-	}
-	res, err := engine.EvalBGP(s.cur.Load(), q.Patterns, s.kb.dict)
-	if err != nil {
-		return nil, err
-	}
-	return finish(res, q), nil
-}
-
-// Ask implements Strategy.
-func (s *Saturation) Ask(q *sparql.Query) (bool, error) {
-	res, err := s.Answer(q)
-	if err != nil {
-		return false, err
-	}
-	return len(res.Rows) > 0, nil
-}
-
-// Insert implements Strategy with incremental saturation maintenance. The
-// whole batch becomes visible to readers at once, when the post-maintenance
-// snapshot is swapped in.
-func (s *Saturation) Insert(ts ...rdf.Triple) error {
-	enc, err := encodeAll(s.kb, ts)
-	if err != nil {
-		return err
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.mat.Insert(enc...)
-	s.cur.Store(s.mat.Store().Snapshot())
-	return nil
-}
-
-// Delete implements Strategy with DRed maintenance.
-func (s *Saturation) Delete(ts ...rdf.Triple) error {
-	enc, err := encodeAll(s.kb, ts)
-	if err != nil {
-		return err
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.mat.Delete(enc...)
-	s.cur.Store(s.mat.Store().Snapshot())
-	return nil
-}
-
-// Len implements Strategy: the size of G∞ (as of the current snapshot).
-func (s *Saturation) Len() int { return s.cur.Load().Len() }
-
-// Prepare implements Strategy: the compiled plan evaluates against the
-// strategy's current snapshot with a fused projection+dedup, so steady-state
-// execution allocates only the result rows. Each execution rebinds the plan
-// to the latest snapshot (a pointer swap when nothing changed); the engine
-// revalidates the plan on dictionary growth or >2x data-size drift.
-func (s *Saturation) Prepare(q *sparql.Query) (PreparedQuery, error) {
-	if err := q.Validate(); err != nil {
-		return nil, err
-	}
-	p, err := engine.Prepare(s.cur.Load(), q.Patterns, s.kb.dict)
-	if err != nil {
-		return nil, err
-	}
-	return &satPrepared{s: s, q: q, proj: q.Projection(), p: p}, nil
-}
-
-// DurableState implements DurableStrategy: the asserted set and the
-// saturated closure, both as O(1) COW snapshots, so a restart restores G and
-// G∞ without re-running saturation. The base goes into the snapshot as a
-// single-index set image — a third of a full store's bytes and load work,
-// matching what the materialisation actually keeps.
-func (s *Saturation) DurableState() persist.State {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return persist.State{
-		Dict:      s.kb.dict,
-		DictLen:   s.kb.dict.Len(),
-		BaseSet:   s.mat.BaseSet().Snapshot(),
-		Saturated: s.mat.Store().Snapshot(),
+func (s *Saturation) apply(del bool, enc []store.Triple, _ []rdf.Triple) {
+	if del {
+		s.mat.Delete(enc...)
+	} else {
+		s.mat.Insert(enc...)
 	}
 }
 
-type satPrepared struct {
-	s    *Saturation
-	q    *sparql.Query
-	proj []string
-	p    *engine.Prepared
+func (s *Saturation) view() *view {
+	snap := s.mat.Store().Snapshot()
+	return &view{src: snap, size: snap.Len()}
 }
 
-func (pq *satPrepared) Query() *sparql.Query { return pq.q }
-
-func (pq *satPrepared) Answer() (*engine.Result, error) {
-	pq.p.Rebind(pq.s.cur.Load())
-	res := pq.p.EvalDistinct(pq.proj)
-	if pq.q.Limit > 0 {
-		res = res.Limit(pq.q.Limit)
-	}
-	return res, nil
-}
-
-func (pq *satPrepared) Ask() (bool, error) {
-	res, err := pq.Answer()
-	if err != nil {
-		return false, err
-	}
-	return len(res.Rows) > 0, nil
+// durable persists the asserted set and the saturated closure, so a restart
+// restores G and G∞ without re-running saturation. The base goes into the
+// snapshot as a single-index set image — a third of a full store's bytes and
+// load work, matching what the materialisation actually keeps.
+func (s *Saturation) durable(st *persist.State) {
+	st.BaseSet = s.mat.BaseSet().Snapshot()
+	st.Saturated = s.mat.Store().Snapshot()
 }
 
 // ---------------------------------------------------------------------------
@@ -269,193 +405,90 @@ func (pq *satPrepared) Ask() (bool, error) {
 // Reformulation leaves the data untouched and rewrites queries at run time;
 // only the (small) schema closure is maintained, stored in an overlay so
 // instance updates cost O(1). This is the approach of [12], [19], [20].
-//
-// Reads (rewriting and evaluation) run against an immutable refState —
-// snapshots of data and overlay plus the schema they imply — swapped in
-// after every mutation batch.
 type Reformulation struct {
-	kb *KB
-	// data holds the asserted triples (the strategy's private copy of G).
-	data *store.Store
-	// schemaOverlay holds closed-schema triples not asserted in data, so
+	skeleton
+	asserted
+	// overlay holds closed-schema triples not asserted in data, so
 	// data ∪ overlay is G with closed schema and no duplicates.
-	schemaOverlay *store.Store
-	sch           *schema.Schema
-	opt           reformulate.Options
-	// schemaGen counts schema reclosures; prepared queries compare it (plus
-	// the published state pointer and the dictionary version) to pick
-	// between branch-level rebinding and a full re-reformulation.
-	schemaGen uint64
-
-	// mu serializes mutation; cur is the immutable state readers use.
-	mu  sync.Mutex
-	cur atomic.Pointer[refState]
+	overlay *store.Store
+	// sch is the closed schema queries are rewritten against.
+	sch *schema.Schema
+	opt reformulate.Options
 }
 
-// refState is one immutable read epoch of the reformulation strategy. A
-// fresh pointer is published after every mutation batch, so pointer
-// equality means "nothing changed"; schemaGen distinguishes data-only
-// batches (same schemaGen) from schema reclosures.
-type refState struct {
-	src       *unionSource
-	sch       *schema.Schema
-	schemaGen uint64
-}
-
-// NewReformulation builds the strategy; opt tunes the rewriting (zero value
-// = defaults).
+// NewReformulation builds the strategy over a private copy of the KB's data;
+// opt tunes the rewriting (zero value = defaults).
 func NewReformulation(kb *KB, opt reformulate.Options) *Reformulation {
-	r := &Reformulation{kb: kb, data: kb.base.Clone(), opt: opt}
-	r.recloseSchema()
-	r.publish()
+	r := &Reformulation{skeleton: skeleton{kb: kb}, asserted: asserted{kb.base.Clone()}, opt: opt}
+	r.reclose()
+	r.start(r)
 	return r
 }
 
 // Name implements Strategy.
 func (r *Reformulation) Name() string { return "reformulation" }
 
-// recloseSchema recomputes the schema closure overlay; called after any
-// schema-triple update (cheap: schemas are small). Writer-side only.
-func (r *Reformulation) recloseSchema() {
-	overlay := store.New()
-	sch := schema.Extract(r.data, r.kb.voc)
-	for _, t := range sch.ClosureTriples() {
-		if !r.data.Contains(t) {
-			overlay.Add(t)
-		}
+func (r *Reformulation) apply(del bool, enc []store.Triple, ts []rdf.Triple) {
+	if r.update(del, enc, ts) {
+		r.reclose()
 	}
-	r.schemaOverlay = overlay
-	// The schema used for rewriting must be the closed one, extracted over
-	// data + overlay.
-	r.sch = schema.Extract(&unionSource{a: r.data, b: overlay}, r.kb.voc)
-	r.schemaGen++
 }
 
-// publish swaps in a fresh read state reflecting the writer's current data,
-// overlay and schema. Writer-side only.
-func (r *Reformulation) publish() {
-	r.cur.Store(&refState{
-		src:       &unionSource{a: r.data.Snapshot(), b: r.schemaOverlay.Snapshot()},
-		sch:       r.sch,
-		schemaGen: r.schemaGen,
-	})
+// reclose recomputes the schema closure overlay (cheap: schemas are small).
+func (r *Reformulation) reclose() {
+	r.overlay = store.New()
+	for _, t := range schema.Extract(r.data, r.kb.voc).ClosureTriples() {
+		if !r.data.Contains(t) {
+			r.overlay.Add(t)
+		}
+	}
+	// The schema used for rewriting must be the closed one, extracted over
+	// data + overlay.
+	r.sch = schema.Extract(&unionSource{a: r.data, b: r.overlay}, r.kb.voc)
+}
+
+func (r *Reformulation) view() *view {
+	src := &unionSource{a: r.data.Snapshot(), b: r.overlay.Snapshot()}
+	return &view{src: src, sch: r.sch, size: src.Count(store.Triple{})}
+}
+
+// rewrite reformulates q against v's schema and data vocabulary.
+func (r *Reformulation) rewrite(v *view, q *sparql.Query) (*reformulate.UCQ, error) {
+	return reformulate.Reformulate(q, v.sch, r.kb.dict, v.src.(*unionSource), r.opt)
 }
 
 // Reformulate exposes the rewriting of q (for -explain and experiment E6).
 func (r *Reformulation) Reformulate(q *sparql.Query) (*reformulate.UCQ, error) {
-	st := r.cur.Load()
-	return reformulate.Reformulate(q, st.sch, r.kb.dict, st.src, r.opt)
+	return r.rewrite(r.cur.Load(), q)
 }
 
-// Answer implements Strategy: rewrite, then evaluate the union on G — both
-// against the same immutable state, so a concurrent mutation cannot slip
-// between rewriting and evaluation.
-func (r *Reformulation) Answer(q *sparql.Query) (*engine.Result, error) {
-	st := r.cur.Load()
-	ucq, err := reformulate.Reformulate(q, st.sch, r.kb.dict, st.src, r.opt)
+// answer rewrites, then evaluates the union on G.
+func (r *Reformulation) answer(v *view, q *sparql.Query) (*engine.Result, error) {
+	ucq, err := r.rewrite(v, q)
 	if err != nil {
 		return nil, err
 	}
-	res, err := ucq.Evaluate(st.src, r.kb.dict)
+	return ucq.Evaluate(v.src, r.kb.dict)
+}
+
+// compile caches the rewriting and the per-branch plans of the union. The
+// dictionary version is read BEFORE the rewriting: a concurrent writer may
+// coin terms while we compile, and stamping the older version merely costs
+// one extra recompile on the next execution, whereas stamping the newer one
+// would mark growth we never saw as already-handled and skip a required
+// recompile forever.
+func (r *Reformulation) compile(v *view, q *sparql.Query) (plan, error) {
+	RefPlanStats.Rebuilt.Add(1)
+	dver := r.kb.dict.Version()
+	ucq, err := r.rewrite(v, q)
 	if err != nil {
 		return nil, err
 	}
-	if q.Limit > 0 {
-		res = res.Limit(q.Limit)
-	}
-	return res, nil
-}
-
-// Ask implements Strategy.
-func (r *Reformulation) Ask(q *sparql.Query) (bool, error) {
-	res, err := r.Answer(q)
+	pu, err := ucq.Prepare(v.src, r.kb.dict)
 	if err != nil {
-		return false, err
-	}
-	return len(res.Rows) > 0, nil
-}
-
-// Insert implements Strategy: O(1) per instance triple; schema triples
-// additionally re-close the (small) schema.
-func (r *Reformulation) Insert(ts ...rdf.Triple) error {
-	enc, err := encodeAll(r.kb, ts)
-	if err != nil {
-		return err
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	schemaTouched := false
-	for i, t := range enc {
-		r.data.Add(t)
-		if ts[i].IsSchema() {
-			schemaTouched = true
-		}
-	}
-	if schemaTouched {
-		r.recloseSchema()
-	}
-	r.publish()
-	return nil
-}
-
-// Delete implements Strategy.
-func (r *Reformulation) Delete(ts ...rdf.Triple) error {
-	enc, err := encodeAll(r.kb, ts)
-	if err != nil {
-		return err
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	schemaTouched := false
-	for i, t := range enc {
-		if r.data.Remove(t) && ts[i].IsSchema() {
-			schemaTouched = true
-		}
-	}
-	if schemaTouched {
-		r.recloseSchema()
-	}
-	r.publish()
-	return nil
-}
-
-// Len implements Strategy: |G| plus the schema-closure overlay.
-func (r *Reformulation) Len() int { return r.cur.Load().src.Count(store.Triple{}) }
-
-// Prepare implements Strategy: the rewriting and the per-branch plans of the
-// union are cached across executions with two invalidation tiers. A schema
-// change, dictionary growth, or — for rewritings that instantiated
-// class/property variables against the data vocabulary — any mutation
-// rebuilds the union from scratch, exactly as before. A data-only mutation
-// under a vocabulary-independent rewriting (the common case: all workload
-// queries with constant classes and properties) keeps the union and every
-// branch plan, merely rebinding the branches to the new snapshot; each
-// branch replans individually only when the data size drifts past the
-// engine's threshold. That closes the "reformulation rebuilds its whole
-// prepared union on any mutation" gap: update-heavy workloads pay one
-// pointer swap per branch instead of a full rewrite.
-func (r *Reformulation) Prepare(q *sparql.Query) (PreparedQuery, error) {
-	if err := q.Validate(); err != nil {
 		return nil, err
 	}
-	pq := &refPrepared{r: r, q: q}
-	if err := pq.rebuild(r.cur.Load()); err != nil {
-		return nil, err
-	}
-	return pq, nil
-}
-
-// DurableState implements DurableStrategy. Only the asserted triples are
-// persisted: the schema-closure overlay is derived state that restore
-// recomputes (it is small by the paper's DB-fragment assumption).
-func (r *Reformulation) DurableState() persist.State {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return persist.State{
-		Dict:    r.kb.dict,
-		DictLen: r.kb.dict.Len(),
-		Base:    r.data.Snapshot(),
-	}
+	return &ucqPlan{pu: pu, src: v.src, d: r.kb.dict, dver: dver}, nil
 }
 
 // RefPlanStats counts reformulation prepared-union lifecycle events:
@@ -466,78 +499,38 @@ var RefPlanStats struct {
 	Rebound atomic.Uint64
 }
 
-type refPrepared struct {
-	r    *Reformulation
-	q    *sparql.Query
-	st   *refState // state the cached union was built (or last rebound) against
-	dver uint64
+// ucqPlan is a reformulated union with one engine plan per branch.
+type ucqPlan struct {
 	pu   *reformulate.PreparedUCQ
+	src  engine.Source // source the branches are bound to
+	d    *dict.Dict
+	dver uint64 // dictionary version the rewriting saw
 }
 
-func (pq *refPrepared) Query() *sparql.Query { return pq.q }
-
-// rebuild re-reformulates and re-prepares the union against the given state
-// and the current dictionary. The dictionary version is read BEFORE the
-// rewriting: a concurrent writer may coin terms while we rebuild, and
-// stamping the older version merely costs one extra rebuild on the next
-// execution, whereas stamping the newer one would mark growth we never saw
-// as already-handled and skip a required rebuild forever.
-func (pq *refPrepared) rebuild(st *refState) error {
-	RefPlanStats.Rebuilt.Add(1)
-	dver := pq.r.kb.dict.Version()
-	ucq, err := reformulate.Reformulate(pq.q, st.sch, pq.r.kb.dict, st.src, pq.r.opt)
-	if err != nil {
-		return err
+// rebind keeps the union and every branch plan across a data-only batch,
+// merely pointing the branches at the new snapshot (each replans on its own
+// only when the data size drifts past the engine's threshold) — the common
+// case of constant classes and properties, where update-heavy workloads pay
+// one pointer swap per branch instead of a full rewrite. Dictionary growth,
+// or any batch under a rewriting that instantiated class/property variables
+// against the data vocabulary, invalidates the rewriting itself.
+func (p *ucqPlan) rebind(src engine.Source) bool {
+	if p.d.Version() != p.dver {
+		return false
 	}
-	pu, err := ucq.Prepare(st.src, pq.r.kb.dict)
-	if err != nil {
-		return err
+	if src == p.src {
+		return true
 	}
-	pq.pu = pu
-	pq.st = st
-	pq.dver = dver
-	return nil
+	if p.pu.VocabDependent() {
+		return false
+	}
+	RefPlanStats.Rebound.Add(1)
+	p.pu.Rebind(src)
+	p.src = src
+	return true
 }
 
-// revalidate brings the cached union up to date with the strategy's current
-// state: no-op at steady state, branch-level rebind after data-only
-// mutations, full rebuild otherwise (see Prepare).
-func (pq *refPrepared) revalidate() error {
-	st := pq.r.cur.Load()
-	dver := pq.r.kb.dict.Version()
-	if st == pq.st && dver == pq.dver {
-		return nil
-	}
-	if dver == pq.dver && st.schemaGen == pq.st.schemaGen && !pq.pu.VocabDependent() {
-		RefPlanStats.Rebound.Add(1)
-		pq.pu.Rebind(st.src)
-		pq.st = st
-		return nil
-	}
-	return pq.rebuild(st)
-}
-
-func (pq *refPrepared) Answer() (*engine.Result, error) {
-	if err := pq.revalidate(); err != nil {
-		return nil, err
-	}
-	res, err := pq.pu.Evaluate()
-	if err != nil {
-		return nil, err
-	}
-	if pq.q.Limit > 0 {
-		res = res.Limit(pq.q.Limit)
-	}
-	return res, nil
-}
-
-func (pq *refPrepared) Ask() (bool, error) {
-	res, err := pq.Answer()
-	if err != nil {
-		return false, err
-	}
-	return len(res.Rows) > 0, nil
-}
+func (p *ucqPlan) eval([]string) (*engine.Result, error) { return p.pu.Evaluate() }
 
 // storeView is the read-only store surface shared by *store.Store and
 // *store.Snapshot that composite sources build on: what the engine needs to
@@ -573,31 +566,23 @@ func (u *unionSource) Count(pat store.Triple) int {
 }
 
 func (u *unionSource) Predicates() []dict.ID {
-	set := map[dict.ID]struct{}{}
-	for _, p := range u.a.Predicates() {
-		set[p] = struct{}{}
-	}
-	for _, p := range u.b.Predicates() {
-		set[p] = struct{}{}
-	}
-	out := make([]dict.ID, 0, len(set))
-	for p := range set {
-		out = append(out, p)
-	}
-	return out
+	return unionIDs(u.a.Predicates(), u.b.Predicates())
 }
 
 func (u *unionSource) Objects(p dict.ID) []dict.ID {
-	set := map[dict.ID]struct{}{}
-	for _, o := range u.a.Objects(p) {
-		set[o] = struct{}{}
-	}
-	for _, o := range u.b.Objects(p) {
-		set[o] = struct{}{}
-	}
-	out := make([]dict.ID, 0, len(set))
-	for o := range set {
-		out = append(out, o)
+	return unionIDs(u.a.Objects(p), u.b.Objects(p))
+}
+
+func unionIDs(a, b []dict.ID) []dict.ID {
+	set := make(map[dict.ID]struct{}, len(a)+len(b))
+	out := make([]dict.ID, 0, len(a)+len(b))
+	for _, ids := range [2][]dict.ID{a, b} {
+		for _, id := range ids {
+			if _, dup := set[id]; !dup {
+				set[id] = struct{}{}
+				out = append(out, id)
+			}
+		}
 	}
 	return out
 }
@@ -606,9 +591,7 @@ func (u *unionSource) Objects(p dict.ID) []dict.ID {
 var (
 	_ Strategy                     = (*Saturation)(nil)
 	_ Strategy                     = (*Reformulation)(nil)
-	_ DurableStrategy              = (*Saturation)(nil)
-	_ DurableStrategy              = (*Reformulation)(nil)
-	_ DurableStrategy              = (*Backward)(nil)
+	_ Strategy                     = (*Backward)(nil)
 	_ engine.Source                = (*unionSource)(nil)
 	_ reformulate.VocabularySource = (*unionSource)(nil)
 )
@@ -618,14 +601,11 @@ var (
 // contrasts with query answering, and the baseline showing how many answers
 // each workload query loses without reasoning.
 func PlainAnswer(kb *KB, q *sparql.Query) (*engine.Result, error) {
-	if err := q.Validate(); err != nil {
-		return nil, err
-	}
-	res, err := engine.EvalBGP(kb.base, q.Patterns, kb.dict)
+	res, err := direct{kb.dict}.answer(&view{src: kb.base}, q)
 	if err != nil {
 		return nil, err
 	}
-	return finish(res, q), nil
+	return limit(res, q), nil
 }
 
 // NewStrategy builds a strategy by name ("saturation", "reformulation",

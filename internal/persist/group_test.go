@@ -103,6 +103,21 @@ func TestGroupCommitConcurrentProducersDurable(t *testing.T) {
 	}
 }
 
+// openParked opens a SyncGroup DB whose background syncer stays parked until
+// Close: the coalescing window is effectively infinite, and the lone-writer
+// shortcut Open arms (fsync the first record at once instead of waiting the
+// window out) is cleared, so no fsync or ack happens unless the test calls
+// groupFlush itself.
+func openParked(t *testing.T, dir string) *DB {
+	t.Helper()
+	db, err := Open(dir, Options{Sync: SyncGroup, GroupDelay: time.Hour, CheckpointBytes: -1, CheckpointRecords: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	db.loneWriter.Store(false)
+	return db
+}
+
 // TestGroupCommitCrashBetweenStageAndFsync kills the directory (byte-level
 // copy, nothing closed) while records sit staged behind an effectively
 // infinite GroupDelay — the widest possible stage→fsync window. Recovery
@@ -112,10 +127,7 @@ func TestGroupCommitConcurrentProducersDurable(t *testing.T) {
 // promptly and deliver every pending ack under its final sync.
 func TestGroupCommitCrashBetweenStageAndFsync(t *testing.T) {
 	dir := t.TempDir()
-	db, err := Open(dir, Options{Sync: SyncGroup, GroupDelay: time.Hour, CheckpointBytes: -1, CheckpointRecords: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	db := openParked(t, dir)
 	const n = 10
 	acked := make(chan error, n)
 	for i := 0; i < n; i++ {
@@ -203,12 +215,9 @@ func TestOpenRejectsUnknownSyncPolicy(t *testing.T) {
 // once, then clears it), so acknowledging anything behind it would lie.
 func TestGroupCommitFsyncFailureIsSticky(t *testing.T) {
 	dir := t.TempDir()
-	// An effectively infinite window keeps the background syncer parked so
-	// the test drives groupFlush deterministically.
-	db, err := Open(dir, Options{Sync: SyncGroup, GroupDelay: time.Hour, CheckpointBytes: -1, CheckpointRecords: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	// A parked background syncer lets the test drive groupFlush
+	// deterministically.
+	db := openParked(t, dir)
 	acked := make(chan error, 1)
 	if err := db.AppendAck(false, groupTriples(0), func(err error) { acked <- err }); err != nil {
 		t.Fatal(err)
@@ -252,10 +261,7 @@ func TestGroupCommitFsyncFailureIsSticky(t *testing.T) {
 // path: a failed rotation fsync leaves the same durability hole as a failed
 // group fsync and must refuse later appends.
 func TestRotateFsyncFailureIsSticky(t *testing.T) {
-	db, err := Open(t.TempDir(), Options{Sync: SyncGroup, GroupDelay: time.Hour, CheckpointBytes: -1, CheckpointRecords: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	db := openParked(t, t.TempDir())
 	if err := db.AppendAck(false, groupTriples(0), nil); err != nil {
 		t.Fatal(err)
 	}

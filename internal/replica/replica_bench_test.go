@@ -1,5 +1,5 @@
-// Replication cost model, recorded into BENCH_replica.json by `make
-// bench-replica`:
+// Replication cost model; run with
+// go test -run '^$' -bench Replica ./internal/replica/
 //
 //	BenchmarkReplicaBootstrap   — time for a fresh follower to bootstrap from
 //	                              a checkpoint and cover the primary's tip

@@ -72,7 +72,7 @@ func (p *primary) delete(ts ...rdf.Triple) {
 
 func (p *primary) checkpoint() {
 	p.t.Helper()
-	if err := p.db.Checkpoint(p.strat.(core.DurableStrategy).DurableState()); err != nil {
+	if err := p.db.Checkpoint(p.strat.DurableState()); err != nil {
 		p.t.Fatal(err)
 	}
 }
@@ -103,7 +103,7 @@ func waitCover(t testing.TB, f *replica.Follower, pos persist.ChainPos) {
 
 func mustAsk(t testing.TB, s core.Strategy, i int, want bool) {
 	t.Helper()
-	ok, err := s.Ask(askQ(i))
+	ok, err := core.Ask(s.Answer(askQ(i)))
 	if err != nil {
 		t.Fatalf("Ask(%d): %v", i, err)
 	}

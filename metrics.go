@@ -72,7 +72,7 @@ func newServerMetrics(reg *obs.Registry, slow *obs.SlowLog, strategy string) ser
 		batchSize: reg.Histogram("webreason_apply_batch_calls",
 			"Mutation calls per drained batch.", 1),
 		sessionWait: reg.Histogram("webreason_session_wait_seconds",
-			"Read-your-writes wait before session reads (slow path only).", 1e-9),
+			"Waits for the applied watermark: session reads, Session.Position, Flush (slow path only).", 1e-9),
 	}
 }
 

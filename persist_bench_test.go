@@ -1,5 +1,5 @@
-// Benchmarks for the durability layer (BENCH_persist.json, reproduce with
-// `make bench-persist`):
+// Benchmarks for the durability layer; run with
+// go test -run '^$' -bench 'Persist|ServerDurable|ServerGroupCommit' .
 //
 //	BenchmarkPersistColdStart — the two ways to bring a saturated LUBM
 //	    serving state up: loading a binary snapshot (snapshot case) vs
@@ -16,8 +16,8 @@
 //	    bench with durability on vs off: what the WAL hook costs per
 //	    applied triple end to end.
 //	BenchmarkServerGroupCommit — durable server writes under the three
-//	    sync policies at 1/4/16 producers (`make bench-group`): the group
-//	    commit acceptance numbers.
+//	    sync policies at 1/4/16 producers: the group commit acceptance
+//	    numbers.
 //	BenchmarkServerDurableAck — Session.InsertDurable (acknowledged write)
 //	    latency, inline fsync vs shared group fsync, 1 vs 16 sessions.
 package webreason_test
@@ -301,8 +301,8 @@ func BenchmarkServerDurableWrites(b *testing.B) {
 }
 
 // BenchmarkServerGroupCommit measures durable server write throughput under
-// the three WAL sync policies at 1/4/16 concurrent producers (reproduce with
-// `make bench-group`). The strategy is reformulation — mutations apply in
+// the three WAL sync policies at 1/4/16 concurrent producers. The strategy
+// is reformulation — mutations apply in
 // microseconds, so the WAL policy, not reasoning maintenance, dominates the
 // applied cost and the policies separate cleanly: SyncAlways pays one inline
 // fsync per applied run, SyncGroup stages records and lets the background

@@ -307,7 +307,7 @@ func TestCrossStrategyRestore(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := db.Checkpoint(srcStrat.(core.DurableStrategy).DurableState()); err != nil {
+			if err := db.Checkpoint(srcStrat.DurableState()); err != nil {
 				t.Fatal(err)
 			}
 			db.Close()
@@ -356,7 +356,7 @@ func TestRestoredServerKeepsServing(t *testing.T) {
 	strat3, kb3, db3 := restoreFrom(t, dir, "saturation")
 	defer db3.Close()
 	q := webreason.MustParseQuery(`ASK { <http://mut.example.org/post-recovery> <http://mut.example.org/rel> <http://mut.example.org/e1> }`)
-	ok, err := strat3.Ask(q)
+	ok, err := webreason.Ask(strat3.Answer(q))
 	if err != nil || !ok {
 		t.Fatalf("marker lost across second recovery: ok=%v err=%v (kb len %d)", ok, err, kb3.Len())
 	}

@@ -71,7 +71,7 @@ func checkMarkerPrefix(t *testing.T, st webreason.Strategy, n int) {
 	t.Helper()
 	high := -1
 	for i := n - 1; i >= 0; i-- {
-		ok, err := st.Ask(replAsk(replMarkerBase + i))
+		ok, err := webreason.Ask(st.Answer(replAsk(replMarkerBase + i)))
 		if err != nil {
 			t.Errorf("marker probe %d: %v", i, err)
 			return
@@ -82,7 +82,7 @@ func checkMarkerPrefix(t *testing.T, st webreason.Strategy, n int) {
 		}
 	}
 	for j := 0; j < high; j++ {
-		ok, err := st.Ask(replAsk(replMarkerBase + j))
+		ok, err := webreason.Ask(st.Answer(replAsk(replMarkerBase + j)))
 		if err != nil {
 			t.Errorf("marker probe %d: %v", j, err)
 			return

@@ -4,8 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/persist"
@@ -113,31 +111,11 @@ func NewFSFeeder(dir string) ReplicaSource { return replica.NewFSFeeder(dir, nil
 // itself). Close stops replication and closes the mirror.
 func NewFollowerServer(f *Follower, opts ServerOptions) *Server {
 	opts.DB = nil
-	if opts.FlushEvery <= 0 {
-		opts.FlushEvery = DefaultFlushEvery
-	}
-	if opts.FlushInterval == 0 {
-		opts.FlushInterval = DefaultFlushInterval
-	}
-	if opts.MaxPending == 0 {
-		opts.MaxPending = DefaultMaxPending
-	}
-	srv := &Server{
-		opts:     opts,
-		follower: f,
-		kick:     make(chan struct{}, 1),
-		done:     make(chan struct{}),
-	}
+	// The writer starts at Promote: a follower has no mutation queue to
+	// flush or checkpoint.
+	srv := newServer(opts, f.Strategy().Name())
+	srv.follower = f
 	srv.role.Store(int32(RoleFollower))
-	srv.om = newServerMetrics(opts.Obs, opts.SlowLog, f.Strategy().Name())
-	registerServerFuncs(opts.Obs, srv)
-	srv.cond = sync.NewCond(&srv.mu)
-	// The timers exist (Promote's writer loop selects on them) but stay
-	// disarmed: a follower has no mutation queue to flush or checkpoint.
-	srv.flushTimer = time.NewTimer(time.Hour)
-	srv.flushTimer.Stop()
-	srv.ckptTimer = time.NewTimer(time.Hour)
-	srv.ckptTimer.Stop()
 	return srv
 }
 
@@ -229,9 +207,6 @@ func (s *Server) Promote(opts PromotionOptions) error {
 	s.mu.Lock()
 	s.strat = strat
 	s.opts.DB = db
-	if ds, ok := strat.(core.DurableStrategy); ok {
-		s.durable = ds
-	}
 	s.ownDB = true
 	s.mu.Unlock()
 	// Start the writer only now: a follower has no mutation queue, and

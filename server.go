@@ -41,9 +41,7 @@ type ServerOptions struct {
 	// at the DB's configured thresholds (from O(1) copy-on-write state
 	// snapshots, so writes never stall on serialisation), and Close writes a
 	// final checkpoint. The caller opens the DB, replays its recovered tail
-	// through the strategy, hands it here, and closes it after Close. The
-	// strategy must implement core.DurableStrategy for checkpointing (all
-	// built-in strategies do; a bare WAL still works without it).
+	// through the strategy, hands it here, and closes it after Close.
 	//
 	// A WAL append failure is sticky: the batch that failed to log
 	// synchronously and everything after it are not applied, and
@@ -189,12 +187,19 @@ func (e *OverloadedError) Unwrap() []error { return []error{ErrOverloaded, e.Cau
 // Server itself keep the default bounded-staleness behaviour and never
 // block on the queue.
 //
-// Mutations are validated synchronously — an ill-formed triple is rejected
-// on the Insert/Delete call itself — and applied asynchronously in enqueue
-// order, batched up to FlushEvery calls or FlushInterval of latency,
-// whichever comes first. The queue is bounded by MaxPending: when producers
-// sustainedly outrun the applier, Insert/Delete block until it catches up
-// rather than growing the backlog (and the staleness window) without bound.
+// # Mutations
+//
+// Every write is one Mutation — assert or retract a set of triples,
+// optionally waiting for durability — and takes one path, Mutate, on the
+// Server or on a Session (which additionally advances the session's
+// watermark). Insert, Delete, InsertDurable and DeleteDurable are Mutate
+// with a background context and the corresponding flags. A mutation is
+// validated synchronously — an ill-formed triple is rejected on the call
+// itself — and applied asynchronously in enqueue order, batched up to
+// FlushEvery calls or FlushInterval of latency, whichever comes first. The
+// queue is bounded by MaxPending: when producers sustainedly outrun the
+// applier, writes block until it catches up rather than growing the backlog
+// (and the staleness window) without bound.
 //
 // # Durability
 //
@@ -222,10 +227,10 @@ func (e *OverloadedError) Unwrap() []error { return []error{ErrOverloaded, e.Cau
 //     nothing (the OS still holds the pages), power loss may lose the last
 //     moments of history.
 //
-// InsertDurable/DeleteDurable block until their mutation's WAL record is
-// durable under the configured policy; without a DB they degrade to "applied
-// to the in-memory state". Plain Insert/Delete never wait on an fsync under
-// any policy.
+// A Durable mutation (InsertDurable/DeleteDurable) blocks until its WAL
+// record is durable under the configured policy; without a DB it degrades to
+// "applied to the in-memory state". A plain mutation never waits on an fsync
+// under any policy.
 //
 // # Degraded read-only mode
 //
@@ -254,18 +259,15 @@ func (e *OverloadedError) Unwrap() []error { return []error{ErrOverloaded, e.Cau
 //
 // # Admission control
 //
-// The *Context mutation variants bound the MaxPending backpressure wait: a
-// write that cannot be admitted before its context expires returns an
-// OverloadedError (wrapping ErrOverloaded) carrying the observed queue
-// depth — the hook a front end maps to 429/503. The *DurableContext
-// variants additionally bound the durability wait; cancelling that wait
-// abandons the acknowledgement, not the write.
+// Mutate's context bounds the MaxPending backpressure wait: a write that
+// cannot be admitted before its context expires returns an OverloadedError
+// (wrapping ErrOverloaded) carrying the observed queue depth — the hook a
+// front end maps to 429/503. For a Durable mutation it additionally bounds
+// the durability wait; cancelling that wait abandons the acknowledgement,
+// not the write.
 type Server struct {
 	strat core.Strategy
 	opts  ServerOptions
-	// durable is strat's checkpoint surface when opts.DB is set and the
-	// strategy supports it.
-	durable core.DurableStrategy
 	// follower is the replication state machine behind a follower-mode
 	// server (NewFollowerServer); nil on a plain primary. It keeps serving
 	// after promotion (frozen) so epoch-tagged prepared entries stay valid.
@@ -324,6 +326,16 @@ type mutation struct {
 // server's methods from then on. Close must be called to release the
 // background writer.
 func NewServer(s Strategy, opts ServerOptions) *Server {
+	srv := newServer(opts, s.Name())
+	srv.strat = s
+	srv.wg.Add(1)
+	go srv.writer()
+	return srv
+}
+
+// newServer applies the option defaults and builds a server whose writer is
+// not started yet: no strategy, timers disarmed.
+func newServer(opts ServerOptions, strategy string) *Server {
 	if opts.FlushEvery <= 0 {
 		opts.FlushEvery = DefaultFlushEvery
 	}
@@ -334,25 +346,17 @@ func NewServer(s Strategy, opts ServerOptions) *Server {
 		opts.MaxPending = DefaultMaxPending
 	}
 	srv := &Server{
-		strat: s,
-		opts:  opts,
-		kick:  make(chan struct{}, 1),
-		done:  make(chan struct{}),
+		opts: opts,
+		kick: make(chan struct{}, 1),
+		done: make(chan struct{}),
 	}
-	if opts.DB != nil {
-		if ds, ok := s.(core.DurableStrategy); ok {
-			srv.durable = ds
-		}
-	}
-	srv.om = newServerMetrics(opts.Obs, opts.SlowLog, s.Name())
+	srv.om = newServerMetrics(opts.Obs, opts.SlowLog, strategy)
 	registerServerFuncs(opts.Obs, srv)
 	srv.cond = sync.NewCond(&srv.mu)
 	srv.flushTimer = time.NewTimer(time.Hour)
 	srv.flushTimer.Stop()
 	srv.ckptTimer = time.NewTimer(time.Hour)
 	srv.ckptTimer.Stop()
-	srv.wg.Add(1)
-	go srv.writer()
 	return srv
 }
 
@@ -365,104 +369,151 @@ func (s *Server) Strategy() Strategy { return s.reading() }
 // Query answers q against the current snapshot; safe for any number of
 // concurrent callers.
 func (s *Server) Query(q *Query) (*engine.Result, error) {
-	strat := s.reading()
+	return s.read(context.Background(), nil, q, nil)
+}
+
+// Ask reports whether q has any answer against the current snapshot.
+func (s *Server) Ask(q *Query) (bool, error) { return core.Ask(s.Query(q)) }
+
+// read is the one read path, behind Server.Query/Ask, the Session reads and
+// ServerPrepared.Answer/Ask. A session read (ss non-nil) first waits, bounded
+// by ctx, until the applied prefix covers the session's writes; an anonymous
+// read skips the barrier. The query is then evaluated — on a pooled prepared
+// instance when p is set, ad hoc against the serving strategy otherwise —
+// and, with metrics on, timed and noted. With metrics off the path reads no
+// clock.
+//
+//webreason:hotpath
+func (s *Server) read(ctx context.Context, ss *Session, q *Query, p *ServerPrepared) (*engine.Result, error) {
+	if ss != nil {
+		//lint:ignore hotpath the barrier runs for session reads only — anonymous and prepared reads pass no session — and is one atomic load unless the session actually has to wait for the writer
+		if err := s.waitSession(ctx, ss); err != nil {
+			return nil, err
+		}
+	}
 	if !s.om.on {
-		return strat.Answer(q)
+		res, _, err := s.eval(q, p)
+		return res, err
 	}
 	t0 := monoNow()
-	res, err := strat.Answer(q)
+	res, hit, err := s.eval(q, p)
+	d := monoNow() - t0
 	rows := 0
 	if res != nil {
 		rows = len(res.Rows)
 	}
-	s.om.noteQuery(q, false, false, monoNow()-t0, rows, err)
+	//lint:ignore hotpath noteQuery's happy path is counter increments and one Observe; the wall-clock read and query formatting sit in the slow-log branch, entered only after the threshold fires
+	s.om.noteQuery(q, p != nil, hit, d, rows, err)
 	return res, err
 }
 
-// Ask reports whether q has any answer against the current snapshot.
-func (s *Server) Ask(q *Query) (bool, error) {
-	strat := s.reading()
-	if !s.om.on {
-		return strat.Ask(q)
+// eval answers q against the current snapshot: ad hoc on the serving
+// strategy, or — p set — on one of p's pooled prepared instances (hit reports
+// whether the pool had one). An instance whose execution errored is dropped
+// instead of pooled: its cached plan state may be mid-revalidation, and
+// recycling it would hand the breakage to the next caller; get builds a
+// fresh one on demand.
+func (s *Server) eval(q *Query, p *ServerPrepared) (res *engine.Result, hit bool, err error) {
+	if p == nil {
+		res, err = s.reading().Answer(q)
+		return res, false, err
 	}
-	t0 := monoNow()
-	ok, err := strat.Ask(q)
-	s.om.noteQuery(q, false, false, monoNow()-t0, 0, err)
-	return ok, err
+	e, hit, err := p.get()
+	if err != nil {
+		return nil, hit, err
+	}
+	if res, err = e.pq.Answer(); err != nil {
+		return nil, hit, err
+	}
+	p.pool.Put(e)
+	return res, hit, nil
 }
 
-// Insert validates the triples and enqueues their assertion, returning
-// before the batch is applied (see the staleness note in the type doc).
+// Mutation is one write: the assertion, or with Delete the retraction, of a
+// set of triples.
+type Mutation struct {
+	// Delete retracts Triples instead of asserting them.
+	Delete bool
+	// Durable makes the call return only once the mutation's WAL record is
+	// durable under the DB's sync policy — under persist.SyncGroup that is
+	// the covering group fsync, so concurrent durable writers share one
+	// fsync per burst instead of paying one each. Without a DB it returns
+	// once the mutation is applied. A nil return then means the write is
+	// logged and fsynced: it survives power loss (SyncAlways/SyncGroup) or
+	// process crash (SyncNever).
+	Durable bool
+	Triples []Triple
+}
+
+// Mutate validates m and enqueues it, returning before the batch is applied
+// (see the staleness note in the type doc) unless m is Durable. ctx bounds
+// the admission wait: if the mutation queue stays at MaxPending until ctx
+// expires, Mutate returns an OverloadedError instead of blocking
+// indefinitely. For a Durable mutation ctx also bounds the durability wait;
+// cancellation there abandons the WAIT, not the write — the mutation is
+// already accepted into the applied sequence and its WAL record may still
+// become durable; the context error tells the caller "durability
+// unconfirmed", not "undone".
+func (s *Server) Mutate(ctx context.Context, m Mutation) error { return s.mutate(ctx, nil, m) }
+
+// Insert is Mutate for an assertion, with an unbounded admission wait.
 func (s *Server) Insert(ts ...Triple) error {
-	_, err := s.enqueue(context.Background(), false, ts, nil)
-	return err
+	return s.mutate(context.Background(), nil, Mutation{Triples: ts})
 }
 
-// Delete validates the triples and enqueues their retraction.
+// Delete is Mutate for a retraction, with an unbounded admission wait.
 func (s *Server) Delete(ts ...Triple) error {
-	_, err := s.enqueue(context.Background(), true, ts, nil)
-	return err
+	return s.mutate(context.Background(), nil, Mutation{Delete: true, Triples: ts})
 }
 
-// InsertContext is Insert with deadline-aware admission control: if the
-// mutation queue stays at MaxPending until ctx expires, it returns an
-// OverloadedError instead of blocking indefinitely.
-func (s *Server) InsertContext(ctx context.Context, ts ...Triple) error {
-	_, err := s.enqueue(ctx, false, ts, nil)
-	return err
+// InsertDurable is Mutate for a Durable assertion, with unbounded waits.
+func (s *Server) InsertDurable(ts ...Triple) error {
+	return s.mutate(context.Background(), nil, Mutation{Durable: true, Triples: ts})
 }
 
-// DeleteContext is Delete with deadline-aware admission control.
-func (s *Server) DeleteContext(ctx context.Context, ts ...Triple) error {
-	_, err := s.enqueue(ctx, true, ts, nil)
-	return err
+// DeleteDurable is Mutate for a Durable retraction, with unbounded waits.
+func (s *Server) DeleteDurable(ts ...Triple) error {
+	return s.mutate(context.Background(), nil, Mutation{Delete: true, Durable: true, Triples: ts})
 }
 
-// InsertDurable enqueues the assertion and blocks until its WAL record is
-// durable under the DB's sync policy — under persist.SyncGroup that is the
-// covering group fsync, so concurrent durable writers share one fsync per
-// burst instead of paying one each. Without a DB it blocks until the
-// mutation is applied. A nil return means the write is logged and fsynced:
-// it survives power loss (SyncAlways/SyncGroup) or process crash
-// (SyncNever).
-func (s *Server) InsertDurable(ts ...Triple) error { return s.durably(context.Background(), false, ts) }
-
-// DeleteDurable is InsertDurable for retractions.
-func (s *Server) DeleteDurable(ts ...Triple) error { return s.durably(context.Background(), true, ts) }
-
-// InsertDurableContext is InsertDurable bounded by ctx: admission control on
-// the enqueue wait (OverloadedError once ctx expires against a full queue)
-// and a bounded durability wait. Cancellation during the durability wait
-// abandons the WAIT, not the write — the mutation is already accepted into
-// the applied sequence and its WAL record may still become durable; the
-// context error tells the caller "durability unconfirmed", not "undone".
-func (s *Server) InsertDurableContext(ctx context.Context, ts ...Triple) error {
-	return s.durably(ctx, false, ts)
-}
-
-// DeleteDurableContext is InsertDurableContext for retractions.
-func (s *Server) DeleteDurableContext(ctx context.Context, ts ...Triple) error {
-	return s.durably(ctx, true, ts)
-}
-
-func (s *Server) durably(ctx context.Context, del bool, ts []Triple) error {
-	ch := make(chan error, 1)
-	//lint:ignore ctxblock the channel is buffered(1) and the ack fires at most once, so the send never blocks
-	if _, err := s.enqueue(ctx, del, ts, func(err error) { ch <- err }); err != nil {
+// mutate is the one write path: validate and enqueue (admission control
+// bounded by ctx), advance the session's watermark when the write came
+// through one, and for a Durable mutation wait for the acknowledgement.
+func (s *Server) mutate(ctx context.Context, ss *Session, m Mutation) error {
+	var acked chan error
+	var ack func(error)
+	if m.Durable {
+		acked = make(chan error, 1)
+		//lint:ignore ctxblock the channel is buffered(1) and the ack fires at most once, so the send never blocks
+		ack = func(err error) { acked <- err }
+	}
+	seq, err := s.enqueue(ctx, m.Delete, m.Triples, ack)
+	if err != nil {
 		return err
+	}
+	if ss != nil {
+		// The watermark advances before the durability wait: even if the ack
+		// reports a failure the mutation was accepted into the applied
+		// sequence (applied always advances past it, and a refused mutation
+		// turns the session's later reads into typed DegradedErrors), so
+		// reads stay well-defined.
+		ss.note(seq)
+	}
+	if !m.Durable {
+		return nil
 	}
 	// The caller is explicitly waiting: kick the writer so the ack is a
 	// queue drain away, not a FlushInterval sleep away.
 	s.nudge()
 	if ctx.Done() == nil {
 		//lint:ignore ctxblock ctx.Done() is nil so the caller chose an unbounded wait; the ack always fires because the writer drains the queue on close and degrade
-		return <-ch
+		return <-acked
 	}
 	select {
-	case err := <-ch:
+	case err := <-acked:
 		return err
 	case <-ctx.Done():
-		// Abandons the durability wait only; see InsertDurableContext.
+		// Abandons the durability wait only; see Mutate.
 		return ctx.Err()
 	}
 }
@@ -569,7 +620,7 @@ func (s *Server) waitApplied(ctx context.Context, seq uint64) error {
 	if s.applied.Load() >= seq {
 		return nil
 	}
-	// Slow path: the session actually waits. The defer's closure allocation
+	// Slow path: the caller actually waits. The defer's closure allocation
 	// is acceptable here — the caller is about to block on the writer.
 	if s.om.on {
 		t0 := time.Now()
@@ -620,20 +671,18 @@ func (s *Server) checkDiverged(seq uint64) error {
 // Flush blocks until every mutation enqueued before the call has been
 // applied, making it visible to subsequent reads. With durability enabled it
 // returns the sticky WAL error if logging failed (the affected batches were
-// not applied).
+// not, and will not be, applied).
 func (s *Server) Flush() error {
 	s.mu.Lock()
 	target := s.enqueued
 	s.mu.Unlock()
-	s.nudge()
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	// The writer always drains the queue (on kicks, ticks and on its way
 	// out), so applied reaches target even when Close races this call.
-	for s.applied.Load() < target {
-		//lint:ignore ctxblock Flush's API contract is an unbounded wait; the writer drains the queue on kicks, ticks and exit, so applied always reaches target
-		s.cond.Wait()
+	if err := s.waitApplied(context.Background(), target); err != nil {
+		return err
 	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	return wrapDegraded(s.durErr)
 }
 
@@ -783,11 +832,11 @@ func (s *Server) Close() error {
 	durErr := s.durErr
 	s.mu.Unlock()
 	err := wrapDegraded(durErr)
-	if err == nil && s.durable != nil && !s.opts.NoFinalCheckpoint && s.opts.DB.Dirty() {
+	if err == nil && s.opts.DB != nil && !s.opts.NoFinalCheckpoint && s.opts.DB.Dirty() {
 		// Wrapped like every other durability failure: callers see one typed
 		// taxonomy (the WAL already holds the un-checkpointed history, so a
 		// failed final snapshot degrades the shutdown, it does not lose data).
-		err = wrapDegraded(s.opts.DB.Checkpoint(s.durable.DurableState()))
+		err = wrapDegraded(s.opts.DB.Checkpoint(s.strat.DurableState()))
 	}
 	if s.ownDB {
 		// A promoted server opened its DB itself (Promote); a NewServer
@@ -835,14 +884,11 @@ func (s *Server) asyncDurErr(err error) {
 // a read observes every write whose Session method returned before the
 // read started.
 //
-// Writes through a session are the server's — same queue, same batching,
-// same durability — plus watermark tracking: each call records its enqueue
-// position, and reads wait (nudging the writer, so typically microseconds)
-// until the applied prefix covers the session's watermark before evaluating
-// against the then-current snapshot. InsertDurable/DeleteDurable block
-// until the write is durable under the DB's sync policy, which under
-// persist.SyncGroup means sharing one group fsync with every concurrent
-// durable writer.
+// Writes through a session are the server's — the same Mutate path, queue,
+// batching and durability — plus watermark tracking: each call records its
+// enqueue position, and reads wait (nudging the writer, so typically
+// microseconds) until the applied prefix covers the session's watermark
+// before evaluating against the then-current snapshot.
 type Session struct {
 	s    *Server
 	mark atomic.Uint64 // highest enqueue seq of this session's mutations
@@ -865,80 +911,29 @@ func (ss *Session) note(seq uint64) {
 	}
 }
 
-// Insert enqueues the assertion like Server.Insert and advances the session
-// watermark, making the write visible to this session's subsequent reads.
-func (ss *Session) Insert(ts ...Triple) error { return ss.InsertContext(context.Background(), ts...) }
+// Mutate is Server.Mutate with session watermark tracking: the write becomes
+// visible to this session's subsequent reads, and — when m is Durable — is
+// durably logged on return.
+func (ss *Session) Mutate(ctx context.Context, m Mutation) error { return ss.s.mutate(ctx, ss, m) }
 
-// Delete enqueues the retraction and advances the session watermark.
-func (ss *Session) Delete(ts ...Triple) error { return ss.DeleteContext(context.Background(), ts...) }
-
-// InsertContext is Insert with deadline-aware admission control (see
-// Server.InsertContext).
-func (ss *Session) InsertContext(ctx context.Context, ts ...Triple) error {
-	seq, err := ss.s.enqueue(ctx, false, ts, nil)
-	if err == nil {
-		ss.note(seq)
-	}
-	return err
+// Insert is Mutate for an assertion, with an unbounded admission wait.
+func (ss *Session) Insert(ts ...Triple) error {
+	return ss.s.mutate(context.Background(), ss, Mutation{Triples: ts})
 }
 
-// DeleteContext is Delete with deadline-aware admission control.
-func (ss *Session) DeleteContext(ctx context.Context, ts ...Triple) error {
-	seq, err := ss.s.enqueue(ctx, true, ts, nil)
-	if err == nil {
-		ss.note(seq)
-	}
-	return err
+// Delete is Mutate for a retraction, with an unbounded admission wait.
+func (ss *Session) Delete(ts ...Triple) error {
+	return ss.s.mutate(context.Background(), ss, Mutation{Delete: true, Triples: ts})
 }
 
-// InsertDurable is Server.InsertDurable with session watermark tracking: it
-// returns once the write is durably logged (and the session's later reads
-// will observe it).
+// InsertDurable is Mutate for a Durable assertion, with unbounded waits.
 func (ss *Session) InsertDurable(ts ...Triple) error {
-	return ss.durably(context.Background(), false, ts)
+	return ss.s.mutate(context.Background(), ss, Mutation{Durable: true, Triples: ts})
 }
 
-// DeleteDurable is InsertDurable for retractions.
+// DeleteDurable is Mutate for a Durable retraction, with unbounded waits.
 func (ss *Session) DeleteDurable(ts ...Triple) error {
-	return ss.durably(context.Background(), true, ts)
-}
-
-// InsertDurableContext is InsertDurable bounded by ctx; cancellation during
-// the durability wait abandons the wait, not the write (see
-// Server.InsertDurableContext).
-func (ss *Session) InsertDurableContext(ctx context.Context, ts ...Triple) error {
-	return ss.durably(ctx, false, ts)
-}
-
-// DeleteDurableContext is InsertDurableContext for retractions.
-func (ss *Session) DeleteDurableContext(ctx context.Context, ts ...Triple) error {
-	return ss.durably(ctx, true, ts)
-}
-
-func (ss *Session) durably(ctx context.Context, del bool, ts []Triple) error {
-	ch := make(chan error, 1)
-	//lint:ignore ctxblock the channel is buffered(1) and the ack fires at most once, so the send never blocks
-	seq, err := ss.s.enqueue(ctx, del, ts, func(err error) { ch <- err })
-	if err != nil {
-		return err
-	}
-	// The watermark advances before the durability wait: even if the ack
-	// reports a failure the mutation was accepted into the applied sequence
-	// (applied always advances past it, and a refused mutation turns the
-	// session's later reads into typed DegradedErrors), so reads stay
-	// well-defined.
-	ss.note(seq)
-	ss.s.nudge()
-	if ctx.Done() == nil {
-		//lint:ignore ctxblock ctx.Done() is nil so the caller chose an unbounded wait; the ack always fires because the writer drains the queue on close and degrade
-		return <-ch
-	}
-	select {
-	case err := <-ch:
-		return err
-	case <-ctx.Done():
-		return ctx.Err()
-	}
+	return ss.s.mutate(context.Background(), ss, Mutation{Delete: true, Durable: true, Triples: ts})
 }
 
 // Query answers q against a snapshot whose applied prefix covers every
@@ -948,26 +943,20 @@ func (ss *Session) durably(ctx context.Context, del bool, ts []Triple) error {
 // to apply: answering then would silently drop the session's own accepted
 // write, while sessions below the divergence keep reading normally.
 func (ss *Session) Query(q *Query) (*engine.Result, error) {
-	return ss.QueryContext(context.Background(), q)
+	return ss.s.read(context.Background(), ss, q, nil)
 }
 
 // QueryContext is Query with the read-your-writes wait bounded by ctx.
 func (ss *Session) QueryContext(ctx context.Context, q *Query) (*engine.Result, error) {
-	if err := ss.s.waitSession(ctx, ss); err != nil {
-		return nil, err
-	}
-	return ss.s.reading().Answer(q)
+	return ss.s.read(ctx, ss, q, nil)
 }
 
 // Ask reports whether q has any answer, observing the session's own writes.
-func (ss *Session) Ask(q *Query) (bool, error) { return ss.AskContext(context.Background(), q) }
+func (ss *Session) Ask(q *Query) (bool, error) { return core.Ask(ss.Query(q)) }
 
 // AskContext is Ask with the read-your-writes wait bounded by ctx.
 func (ss *Session) AskContext(ctx context.Context, q *Query) (bool, error) {
-	if err := ss.s.waitSession(ctx, ss); err != nil {
-		return false, err
-	}
-	return ss.s.reading().Ask(q)
+	return core.Ask(ss.QueryContext(ctx, q))
 }
 
 // writer is the single mutation applier: it owns all strategy mutation
@@ -998,11 +987,11 @@ func (s *Server) writer() {
 // pending, so retries don't depend on new mutations arriving. A rotation
 // failure here degrades the server exactly like one at a run boundary.
 func (s *Server) maybeCheckpoint() {
-	if s.durable == nil {
+	if s.opts.DB == nil {
 		return
 	}
 	if s.opts.DB.CheckpointDue() {
-		if err := s.opts.DB.CheckpointAsync(s.durable.DurableState()); err != nil {
+		if err := s.opts.DB.CheckpointAsync(s.strat.DurableState()); err != nil {
 			s.asyncDurErr(err)
 		}
 	}
@@ -1121,8 +1110,8 @@ func (s *Server) apply() {
 		// — the run was logged, then applied. The O(1) state capture plus
 		// the DB's background serialisation keep this loop unstalled; the
 		// DB's in-flight guard makes extra Due checks free.
-		if s.durable != nil && s.opts.DB.CheckpointDue() {
-			if err := s.opts.DB.CheckpointAsync(s.durable.DurableState()); err != nil {
+		if s.opts.DB != nil && s.opts.DB.CheckpointDue() {
+			if err := s.opts.DB.CheckpointAsync(s.strat.DurableState()); err != nil {
 				durErr = err
 			}
 		}
@@ -1217,63 +1206,9 @@ func (p *ServerPrepared) get() (e *preparedEntry, hit bool, err error) {
 }
 
 // Answer executes the prepared query against the current snapshot.
-//
-//webreason:hotpath
 func (p *ServerPrepared) Answer() (*engine.Result, error) {
-	e, hit, err := p.get()
-	if err != nil {
-		return nil, err
-	}
-	if !p.s.om.on {
-		res, err := e.pq.Answer()
-		if err != nil {
-			// Drop the errored instance instead of pooling it: its cached plan
-			// state may be mid-revalidation, and recycling it would hand the
-			// breakage to the next caller. get builds a fresh one on demand.
-			return nil, err
-		}
-		p.pool.Put(e)
-		return res, nil
-	}
-	t0 := monoNow()
-	res, err := e.pq.Answer()
-	d := monoNow() - t0
-	rows := 0
-	if res != nil {
-		rows = len(res.Rows)
-	}
-	//lint:ignore hotpath noteQuery's happy path is counter increments and one Observe; the wall-clock read and query formatting sit in the slow-log branch, entered only after the threshold fires
-	p.s.om.noteQuery(p.q, true, hit, d, rows, err)
-	if err != nil {
-		return nil, err // drop the errored instance (see above)
-	}
-	p.pool.Put(e)
-	return res, nil
+	return p.s.read(context.Background(), nil, p.q, p)
 }
 
 // Ask reports whether the prepared query has any answer.
-//
-//webreason:hotpath
-func (p *ServerPrepared) Ask() (bool, error) {
-	e, hit, err := p.get()
-	if err != nil {
-		return false, err
-	}
-	if !p.s.om.on {
-		ok, err := e.pq.Ask()
-		if err != nil {
-			return false, err // drop the errored instance (see Answer)
-		}
-		p.pool.Put(e)
-		return ok, nil
-	}
-	t0 := monoNow()
-	ok, err := e.pq.Ask()
-	//lint:ignore hotpath noteQuery's happy path is counter increments and one Observe; the wall-clock read and query formatting sit in the slow-log branch, entered only after the threshold fires
-	p.s.om.noteQuery(p.q, true, hit, monoNow()-t0, 0, err)
-	if err != nil {
-		return false, err // drop the errored instance (see Answer)
-	}
-	p.pool.Put(e)
-	return ok, nil
-}
+func (p *ServerPrepared) Ask() (bool, error) { return core.Ask(p.Answer()) }

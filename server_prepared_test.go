@@ -47,14 +47,6 @@ func (f *flakyPrepared) Answer() (*engine.Result, error) {
 	return f.inner.Answer()
 }
 
-func (f *flakyPrepared) Ask() (bool, error) {
-	f.s.lastUsed.Store(f.id)
-	if f.s.fail.Load() {
-		return false, errFlaky
-	}
-	return f.inner.Ask()
-}
-
 // TestServerPreparedDropsErroredInstance is the regression test for the
 // prepared-instance pool: an instance whose execution returned an error must
 // be dropped, not recycled to the next caller — the error may have left its

@@ -23,7 +23,7 @@
 //
 // The paper's central trade-off assumes queries are asked repeatedly. For
 // that regime, Prepare compiles a query once against a strategy and returns
-// a PreparedQuery whose Answer/Ask reuse the cached plan on every call:
+// a PreparedQuery whose Answer reuses the cached plan on every call:
 // saturation and backward chaining skip per-call compilation and join
 // planning, and reformulation additionally caches the rewritten union with
 // one plan per union member. Prepared queries read the strategy's data live
@@ -55,6 +55,12 @@
 //	sess := srv.Session()
 //	err := sess.InsertDurable(triples...) // logged + fsynced on return
 //	res, err := sess.Query(q)             // observes the session's writes
+//
+// Insert, Delete, InsertDurable and DeleteDurable are all Mutate with a
+// background context; call Mutate directly to bound the admission and
+// durability waits with a deadline:
+//
+//	err := srv.Mutate(ctx, webreason.Mutation{Durable: true, Triples: triples})
 package webreason
 
 import (
@@ -180,8 +186,8 @@ type (
 	// DBStats is the DB's point-in-time health counters (DB.Stats);
 	// Server.Health folds them into the serving-layer report.
 	DBStats = persist.Stats
-	// DurableStrategy is a Strategy whose state the persistence layer can
-	// checkpoint; all three built-in strategies implement it.
+	// DurableStrategy is Strategy under the name of its checkpointing
+	// surface (Strategy.DurableState).
 	DurableStrategy = core.DurableStrategy
 )
 
@@ -248,11 +254,16 @@ var NewSlowLog = obs.NewSlowLog
 
 // Prepare compiles q against s for repeated execution. The returned
 // PreparedQuery caches the join plan (and, for reformulation, the rewritten
-// union) across Answer/Ask calls, revalidating automatically when the
+// union) across Answer calls, revalidating automatically when the
 // strategy's data, schema or dictionary changes — use it whenever the same
 // query is asked more than a handful of times, the regime the paper's
 // Figure 3 thresholds reason about.
 func Prepare(s Strategy, q *Query) (PreparedQuery, error) { return s.Prepare(q) }
+
+// Ask turns the outcome of an Answer call into the ASK verdict — whether the
+// query has any answer against G∞: webreason.Ask(strategy.Answer(q)),
+// webreason.Ask(pq.Answer()).
+var Ask = core.Ask
 
 // ComputeThresholds evaluates the Figure 3 arithmetic: how many executions
 // of a query amortise saturation (or one maintenance step) against

@@ -92,7 +92,7 @@ func TestPublicAPIPrepare(t *testing.T) {
 		if len(got.Rows) != 3 {
 			t.Errorf("%s after insert: prepared query sees %d mammals, want 3", name, len(got.Rows))
 		}
-		ok, err := pq.Ask()
+		ok, err := webreason.Ask(pq.Answer())
 		if err != nil || !ok {
 			t.Errorf("%s: Ask = %v, %v", name, ok, err)
 		}
@@ -145,7 +145,7 @@ func TestPublicAPILUBM(t *testing.T) {
 	}
 	s := webreason.NewBackwardStrategy(kb)
 	q := webreason.MustParseQuery(`PREFIX lubm: <http://lubm.example.org/onto#> ASK { ?x a lubm:Person }`)
-	yes, err := s.Ask(q)
+	yes, err := webreason.Ask(s.Answer(q))
 	if err != nil {
 		t.Fatal(err)
 	}
