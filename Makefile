@@ -35,9 +35,9 @@
 #                         go test -run TestReplicaChaos -replica.chaos.seed=N .)
 #   make test-store-stress
 #                         high-iteration randomized store sweep under the
-#                         race detector: the differential battery (trie
-#                         index vs legacy map-backed port vs brute force)
-#                         plus the structural-sharing properties, at
+#                         race detector: the differential battery (store
+#                         and its snapshots vs a brute-force oracle) plus
+#                         the structural-sharing properties, at
 #                         STORE_ROUNDS (default 1000) seeded rounds
 #                         (reproduce one round with
 #                         go test -run TestDifferentialBattery -store.seed=N

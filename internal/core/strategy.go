@@ -634,14 +634,14 @@ func NewStrategy(name string, kb *KB) (Strategy, error) {
 func RestoreStrategy(name string, ls *persist.LoadedState) (*KB, Strategy, error) {
 	base := ls.Base
 	if base == nil && !(name == "saturation" && ls.Saturated != nil) {
-		base = store.NewWithCapacity(ls.BaseSet.Len())
+		base = store.New()
 		ls.BaseSet.ForEach(func(t store.Triple) bool { base.Add(t); return true })
 	}
 	kb := RestoreKB(ls.Dict, base)
 	if name == "saturation" && ls.Saturated != nil {
 		baseSet := ls.BaseSet
 		if baseSet == nil {
-			baseSet = store.NewTripleSet(ls.Base.Len())
+			baseSet = store.NewTripleSet()
 			ls.Base.ForEachMatch(store.Triple{}, func(t store.Triple) bool { baseSet.Add(t); return true })
 		}
 		return kb, NewSaturationRestored(kb, baseSet, ls.Saturated), nil

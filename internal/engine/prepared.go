@@ -41,19 +41,19 @@ type pstep struct {
 
 // Prepared is a BGP compiled and planned once and evaluated many times — the
 // prepared-statement counterpart of EvalBGP. It caches the compiled patterns
-// and the join plan keyed on the dictionary version: while no new terms are
-// coined, re-evaluation reuses the plan and every scratch buffer, so the
-// steady-state cost per call is the join work plus the result rows and
-// nothing else (zero planning allocations). When the dictionary grows, the
-// next evaluation transparently recompiles and replans — constants that did
-// not resolve before may now, and fresh statistics feed the optimizer.
+// and the join plan: re-evaluation reuses the plan and every scratch buffer,
+// so the steady-state cost per call is the join work plus the result rows
+// and nothing else (zero planning allocations). Dictionary growth leaves a
+// plan whose constants all resolved untouched (IDs are append-only); a plan
+// holding a constant the dictionary did not know recompiles on the next
+// evaluation after the dictionary grows, since the term may exist now.
 //
 // A Prepared is bound to one Source and one Dict (the source can be swapped
 // with Rebind — the snapshot-serving path does this on every epoch). It
 // reads the source live on every evaluation, so data updates are always
-// visible; only the join order can go stale, and it is refreshed on
-// dictionary growth or when the source size drifts more than replanDrift×
-// from what the optimizer planned against. Not safe for concurrent use;
+// visible; only the join order can go stale, and it is refreshed when the
+// source size drifts more than replanDrift× from what the optimizer planned
+// against. Not safe for concurrent use;
 // evaluation results are independent of the Prepared and stay valid
 // indefinitely.
 type Prepared struct {
@@ -62,7 +62,7 @@ type Prepared struct {
 	d        *dict.Dict
 	patterns []rdf.Triple
 
-	version   uint64
+	version   uint64 // dictionary version c was compiled at; consulted only while c.impossible
 	c         *Compiled
 	steps     []pstep
 	planSteps []PlanStep
@@ -122,18 +122,21 @@ var PlanStats struct {
 	Rebound   atomic.Uint64
 }
 
-// refresh recompiles and replans when the dictionary has grown since the
-// last compilation, and replans (statistics only) when the source size has
-// drifted more than replanDrift× since the plan was computed; otherwise it
-// is a version check plus one O(1) Count and nothing more.
+// refresh revalidates the cached plan: one O(1) Count in the steady state.
+// Dictionary IDs are append-only, so growth can change nothing about a plan
+// whose constants all resolved, and such a plan never looks at the dictionary
+// again; a plan compiled with an unknown constant recompiles once the
+// dictionary has grown past the version it was compiled at, because the term
+// may exist now. The join order is recomputed (statistics only) when the
+// source size has drifted more than replanDrift× since it was planned.
 func (p *Prepared) refresh() error {
-	v := p.d.Version()
-	if p.c != nil && v == p.version {
+	if p.c != nil && (!p.c.impossible || p.d.Version() == p.version) {
 		if n := p.src.Count(store.Triple{}); n > replanDrift*p.planSize || replanDrift*n < p.planSize {
 			p.replan()
 		}
 		return nil
 	}
+	v := p.d.Version() // read before compiling: growth in between recompiles again
 	c, err := Compile(p.patterns, p.d)
 	if err != nil {
 		return err

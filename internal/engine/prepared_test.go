@@ -98,9 +98,9 @@ func decodeRows(t *testing.T, res *Result, d *dict.Dict) [][]string {
 	return rows
 }
 
-// genStarWorld builds a graph whose (p,o) leaves routinely exceed the
-// promotion threshold (many subjects share each type/edge), so the merge
-// joins run over promoted hash-set leaves with lazily-sorted snapshots.
+// genStarWorld builds a graph whose (p,o) leaves are long (many subjects
+// share each type/edge), so the merge joins intersect runs of very unequal
+// length.
 func genStarWorld(rng *rand.Rand, n int) []rdf.Triple {
 	iri := func(kind string, i int) rdf.Term {
 		return rdf.NewIRI(fmt.Sprintf("http://ex.org/%s%d", kind, i))
@@ -116,7 +116,7 @@ func genStarWorld(rng *rand.Rand, n int) []rdf.Triple {
 	for i := 0; i < n; i++ {
 		s := iri("node", i)
 		// Every node gets a type from a tiny class pool: leaves of size ~n/3,
-		// far past promoteAt for n ≥ 64.
+		// long for n ≥ 64.
 		add(rdf.T(s, rdf.Type, iri("Class", rng.Intn(3))))
 		for j := 0; j < 1+rng.Intn(3); j++ {
 			add(rdf.T(s, iri("edge", rng.Intn(3)), iri("node", rng.Intn(n))))
@@ -213,9 +213,9 @@ func TestPreparedMatchesBruteForce(t *testing.T) {
 		check("initial")
 
 		// Grow the graph with triples over fresh terms (new classes, new
-		// nodes): the dictionary version moves, so every Prepared must
-		// recompile — previously-unknown constants may now resolve — and the
-		// new data must show up in the answers.
+		// nodes): the dictionary version moves, plans holding a
+		// previously-unknown constant recompile, the rest carry on, and the
+		// new data must show up in every answer.
 		growth := genStarWorld(rand.New(rand.NewSource(seed+1000)), 32)
 		for i := range growth {
 			// Rename to fresh IRIs so the dictionary genuinely grows.
@@ -236,9 +236,38 @@ func TestPreparedMatchesBruteForce(t *testing.T) {
 	}
 }
 
+// TestPreparedKeepsPlanAcrossDictionaryGrowth: IDs are append-only, so a
+// plan whose constants all resolved has nothing to learn from new terms — it
+// must not recompile, and must still see the triples asserted over them.
+func TestPreparedKeepsPlanAcrossDictionaryGrowth(t *testing.T) {
+	d := dict.New()
+	st := store.New()
+	iri := func(n string) rdf.Term { return rdf.NewIRI("http://ex.org/" + n) }
+	st.Add(store.Triple{S: d.Encode(iri("a")), P: d.Encode(iri("p")), O: d.Encode(iri("b"))})
+
+	p, err := Prepare(st, []rdf.Triple{rdf.T(rdf.NewVar("x"), iri("p"), iri("b"))}, d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := p.Eval(); len(got.Rows) != 1 {
+		t.Fatalf("initial: want 1 row, got %d", len(got.Rows))
+	}
+	compiled := PlanStats.Compiled.Load()
+	for i := 0; i < 5; i++ {
+		fresh := d.Encode(iri(fmt.Sprintf("fresh%d", i)))
+		st.Add(store.Triple{S: fresh, P: d.Encode(iri("p")), O: d.Encode(iri("b"))})
+		if got := p.Eval(); len(got.Rows) != i+2 {
+			t.Fatalf("after %d fresh subjects: want %d rows, got %d", i+1, i+2, len(got.Rows))
+		}
+	}
+	if got := PlanStats.Compiled.Load(); got != compiled {
+		t.Fatalf("dictionary growth recompiled a fully resolved plan %d times", got-compiled)
+	}
+}
+
 // TestPreparedResolvesNewConstants pins the invalidation contract: a
 // constant unknown at Prepare time makes the query empty, and becomes
-// visible once the term is coined and asserted.
+// visible — through a recompilation — once the term is coined and asserted.
 func TestPreparedResolvesNewConstants(t *testing.T) {
 	d := dict.New()
 	st := store.New()
@@ -253,9 +282,13 @@ func TestPreparedResolvesNewConstants(t *testing.T) {
 	if got := p.Eval(); len(got.Rows) != 0 {
 		t.Fatalf("unknown constant: want empty, got %d rows", len(got.Rows))
 	}
+	compiled := PlanStats.Compiled.Load()
 	st.Add(store.Triple{S: d.Encode(iri("a")), P: d.Encode(iri("p")), O: d.Encode(iri("late"))})
 	if got := p.Eval(); len(got.Rows) != 1 {
 		t.Fatalf("after coining constant: want 1 row, got %d", len(got.Rows))
+	}
+	if got := PlanStats.Compiled.Load(); got != compiled+1 {
+		t.Fatalf("coining the missing constant compiled %d times, want 1", got-compiled)
 	}
 }
 
@@ -269,7 +302,7 @@ func TestPreparedMergeGroupsForm(t *testing.T) {
 	enc := func(tr rdf.Triple) store.Triple {
 		return store.Triple{S: d.Encode(tr.S), P: d.Encode(tr.P), O: d.Encode(tr.O)}
 	}
-	// 40 students, 25 of them take the course: both leaves promoted.
+	// 40 students, 25 of them take the course: both leaves long.
 	for i := 0; i < 40; i++ {
 		st.Add(enc(rdf.T(iri(fmt.Sprintf("s%d", i)), rdf.Type, iri("Student"))))
 		if i < 25 {

@@ -20,7 +20,7 @@ var updateGolden = flag.Bool("update-golden", false, "rewrite testdata golden sn
 // promotion bound.
 func goldenState() State {
 	d := dict.New()
-	base := store.NewTripleSet(0)
+	base := store.NewTripleSet()
 	sat := store.New()
 	enc := func(t rdf.Term) dict.ID { return d.Encode(t) }
 	p := enc(rdf.NewIRI("http://example.org/p"))

@@ -20,7 +20,7 @@ func mkState(t testing.TB, n int, saturated bool) State {
 	t.Helper()
 	d := dict.New()
 	base := store.New()
-	baseSet := store.NewTripleSet(n)
+	baseSet := store.NewTripleSet()
 	sat := store.New()
 	for i := 0; i < n; i++ {
 		tr := store.Triple{

@@ -39,8 +39,8 @@ func MaterializeParallel(g *store.Store, rules []Rule, workers int) *Materializa
 		return Materialize(g, rules)
 	}
 	m := &Materialization{
-		st:    store.NewWithCapacity(g.Len()),
-		base:  store.NewTripleSet(g.Len()),
+		st:    store.New(),
+		base:  store.NewTripleSet(),
 		rules: rules,
 	}
 	delta := make([]store.Triple, 0, g.Len())

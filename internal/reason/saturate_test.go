@@ -549,8 +549,8 @@ func naiveClosure(base []store.Triple, rules []Rule) map[store.Triple]struct{} {
 // enumerating: premise 2 scans the (V1, p2, ?) leaf and the conclusion is
 // (V1, p2, K). The packed-key store forbids mutation during ForEachMatch,
 // so forEachInstantiation must buffer instantiations before applying them;
-// this test pins that behavior against a brute-force closure, with enough
-// objects in the leaf to cross the slice→set promotion threshold.
+// this test pins that behavior against a brute-force closure, on a leaf of
+// 40 objects.
 func TestSaturateConclusionIntoIteratedLeaf(t *testing.T) {
 	const (
 		p1 = dict.ID(1)
@@ -570,8 +570,7 @@ func TestSaturateConclusionIntoIteratedLeaf(t *testing.T) {
 		t.Fatal(err)
 	}
 	base := []store.Triple{{S: 10, P: p1, O: 20}}
-	// Fill the (20, p2) leaf well past promoteAt so the enumeration spans
-	// both leaf representations.
+	// Fill the (20, p2) leaf the join enumerates.
 	for o := dict.ID(30); o < 30+40; o++ {
 		base = append(base, store.Triple{S: 20, P: p2, O: o})
 	}

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -8,8 +9,8 @@ import (
 )
 
 // benchTriples synthesises a LUBM-shaped workload: a few hot predicates,
-// many subjects, zipf-ish object sharing — so leaves span the sorted-slice
-// and promoted-set regimes the way a real graph does.
+// many subjects, zipf-ish object sharing — so leaf lengths are skewed the
+// way a real graph's are.
 func benchTriples(n int) []Triple {
 	rng := rand.New(rand.NewSource(1))
 	ts := make([]Triple, 0, n)
@@ -133,4 +134,71 @@ func BenchmarkStoreClone(b *testing.B) {
 			b.Fatal("bad clone")
 		}
 	}
+}
+
+// BenchmarkLeafInsertOrder prices the flat leaf by arrival order: n IDs into
+// one (s,p) leaf of a fresh store. Ascending is an append per insert — the
+// order dictionary IDs arrive in on every load and saturation path;
+// descending shifts the whole run on every insert (an O(n) memmove each, the
+// worst case), random shifts half of it on average.
+func BenchmarkLeafInsertOrder(b *testing.B) {
+	const n = 1 << 16
+	perm := rand.New(rand.NewSource(1)).Perm(n)
+	orders := []struct {
+		name string
+		at   func(i int) dict.ID // the i-th ID to insert
+	}{
+		{"ascending", func(i int) dict.ID { return dict.ID(i + 1) }},
+		{"random", func(i int) dict.ID { return dict.ID(perm[i] + 1) }},
+		{"descending", func(i int) dict.ID { return dict.ID(n - i) }},
+	}
+	for _, o := range orders {
+		b.Run(fmt.Sprintf("%s/n=%d", o.name, n), func(b *testing.B) {
+			ids := make([]dict.ID, n)
+			for i := range ids {
+				ids[i] = o.at(i)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				s := New()
+				for _, id := range ids {
+					s.Add(Triple{1, 2, id})
+				}
+				if s.Len() != n {
+					b.Fatal("short leaf")
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/insert")
+		})
+	}
+}
+
+// BenchmarkStoreSnapshot/afterWrite/bigLeaf is the copy-on-write worst case
+// for a flat leaf: every iteration publishes a snapshot and then writes one
+// ID into the middle of a 65,536-ID leaf, so each write pays the whole-leaf
+// copy (and the matching side-table sub set's) before shifting half the run.
+// The LUBM-shaped afterWrite case lives with the depts=6 store in the root
+// package's concurrent_bench_test.go.
+func BenchmarkStoreSnapshot(b *testing.B) {
+	b.Run("afterWrite/bigLeaf", func(b *testing.B) {
+		const n = 1 << 16
+		s := New()
+		for x := dict.ID(1); x <= n; x++ {
+			s.Add(Triple{2 * x, 2, 3})
+		}
+		probe := Triple{n + 1, 2, 3} // odd: absent, lands mid-run
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if s.Snapshot() == nil {
+				b.Fatal("nil snapshot")
+			}
+			if i%2 == 0 {
+				s.Add(probe)
+			} else {
+				s.Remove(probe)
+			}
+		}
+	})
 }

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"slices"
-	"sync"
 	"unsafe"
 
 	"repro/internal/dict"
@@ -69,15 +68,13 @@ var (
 )
 
 // WriteBinary writes the canonical binary encoding of the view to w. It is a
-// read-only operation, safe under the store's concurrent read contract (the
-// ordered iteration of promoted leaves synchronises on the shared sort lock,
-// like SortedIDs).
+// read-only operation, safe under the store's concurrent read contract.
 func (t *tables) WriteBinary(w io.Writer) error {
 	var buf []byte
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(t.size))
 	var err error
 	for _, ix := range []*index{&t.spo, &t.pos, &t.osp} {
-		if buf, err = appendIndexBinary(w, buf, ix, t.sortMu); err != nil {
+		if buf, err = appendIndexBinary(w, buf, ix); err != nil {
 			return err
 		}
 	}
@@ -88,12 +85,12 @@ func (t *tables) WriteBinary(w io.Writer) error {
 // appendIndexBinary encodes one index section into buf, flushing full chunks
 // to w, and returns the remaining buffered tail for the caller to continue
 // with (or flush).
-func appendIndexBinary(w io.Writer, buf []byte, ix *index, sortMu *sync.Mutex) ([]byte, error) {
+func appendIndexBinary(w io.Writer, buf []byte, ix *index) ([]byte, error) {
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(ix.as.len()))
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(ix.leaves()))
 	// The side tables iterate in hash order; the canonical encoding wants
 	// ascending a, so collect and sort the group keys first (one sort of the
-	// a vocabulary — small next to the per-leaf sorts below).
+	// a vocabulary; the b keys and leaf runs below are already ascending).
 	groups := make([]dict.ID, 0, ix.as.len())
 	ix.as.forEach(func(k uint64, _ aSub) bool {
 		groups = append(groups, dict.ID(k))
@@ -102,12 +99,12 @@ func appendIndexBinary(w io.Writer, buf []byte, ix *index, sortMu *sync.Mutex) (
 	slices.Sort(groups)
 	for _, a := range groups {
 		e, _ := ix.as.get(uint64(a))
-		bs := sortedSub(e.sub, sortMu)
+		bs := e.sub.ids
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(a))
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(bs)))
 		for _, b := range bs {
 			l, _ := ix.ls.get(pack(a, b))
-			ids := sortedSub(l, sortMu)
+			ids := l.ids
 			buf = binary.LittleEndian.AppendUint32(buf, uint32(b))
 			buf = binary.LittleEndian.AppendUint32(buf, uint32(len(ids)))
 			for _, id := range ids {
@@ -159,7 +156,7 @@ func ReadBinaryChecked(b []byte, maxID dict.ID) (*Store, error) {
 	if size > uint64(len(b))/12 {
 		return nil, fmt.Errorf("%w: size %d exceeds buffer", ErrStoreCorrupt, size)
 	}
-	s := &Store{tables: tables{sortMu: &sync.Mutex{}, size: int(size)}}
+	s := &Store{tables: tables{size: int(size)}}
 	for i, ix := range []*index{&s.spo, &s.pos, &s.osp} {
 		rest, err := readIndex(ix, b, int(size), maxID)
 		if err != nil {
@@ -200,15 +197,9 @@ func readIndex(ix *index, b []byte, size int, maxID dict.ID) ([]byte, error) {
 	// capacity, so carved slices and struct pointers are never invalidated
 	// by reallocation. Leaf IDs alias the input in place when the host
 	// representation matches (see ReadBinaryChecked), falling back to one
-	// more arena otherwise.
-	//
-	// Every decoded leaf stays in the sorted-slice representation no matter
-	// its size — binary-search membership is valid at any length, the slice
-	// is the sorted view the merge joins want, and postings.add promotes an
-	// over-long slice to a hash set on the first mutation that touches it.
-	// Deferring promotion (and skipping the ID copy) is what makes loading
-	// "near-memcpy": for the read-only majority of leaves the file bytes ARE
-	// the index leaves.
+	// more arena otherwise. A validated run is a finished leaf — the in-memory
+	// and on-disk forms are the same bytes — which is what makes loading
+	// "near-memcpy".
 	alias := hostLittleEndian && uintptr(unsafe.Pointer(unsafe.SliceData(b)))%4 == 0
 	var leafArena []dict.ID
 	if !alias {
@@ -308,12 +299,12 @@ func readIndex(ix *index, b []byte, size int, maxID dict.ID) ([]byte, error) {
 				ids = leafArena[start:len(leafArena):len(leafArena)]
 			}
 			b = b[4*n:]
-			posArena = append(posArena, postings{small: ids})
+			posArena = append(posArena, postings{ids: ids})
 			*ix.ls.upsert(pack(a, bb), m) = &posArena[len(posArena)-1]
 			ksArena = append(ksArena, bb)
 			count += n
 		}
-		subArena = append(subArena, postings{small: ksArena[ksStart:len(ksArena):len(ksArena)]})
+		subArena = append(subArena, postings{ids: ksArena[ksStart:len(ksArena):len(ksArena)]})
 		*ix.as.upsert(uint64(a), m) = aSub{count: int32(count), sub: &subArena[len(subArena)-1]}
 	}
 	if leavesSeen != nLeaves {

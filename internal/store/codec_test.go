@@ -25,7 +25,7 @@ func saveLoad(t *testing.T, v BinaryView) *Store {
 // TestCodecRoundTripProperty drives random mutation sequences (the PR 1
 // naive-reference generator pattern) and requires load(save(store)) to be
 // observationally equivalent to the original on every pattern shape —
-// including states with promoted leaves, emptied leaves and interleaved
+// including states with long leaves, emptied leaves and interleaved
 // removes, and including serialising from a COW snapshot while the live
 // store has moved on.
 func TestCodecRoundTripProperty(t *testing.T) {
@@ -67,58 +67,6 @@ func TestCodecRoundTripProperty(t *testing.T) {
 			t.Fatalf("snapshot ReadBinary: %v", err)
 		}
 		checkEquivalent(t, round, fromSnap, ref, maxID)
-	}
-}
-
-// TestCodecPromotedLeaves round-trips a store whose leaves are far past the
-// promotion bound. Loading keeps every leaf in the sorted-slice
-// representation (promotion is deferred to the first mutation that touches
-// an over-long leaf), so the test checks reads on the long slice and that
-// the first Add promotes without losing anything.
-func TestCodecPromotedLeaves(t *testing.T) {
-	s := New()
-	const n = 5 * promoteAt
-	for o := dict.ID(1); o <= n; o++ {
-		s.Add(Triple{1, 2, o})
-		s.Add(Triple{o, 7, 9}) // promoted POS leaf too
-	}
-	got := saveLoad(t, s)
-	if got.Len() != s.Len() {
-		t.Fatalf("Len = %d, want %d", got.Len(), s.Len())
-	}
-	l := got.spo.leaf(1, 2)
-	if l == nil || l.set != nil {
-		t.Fatal("loaded leaf should stay in sorted-slice form until mutated")
-	}
-	for o := dict.ID(1); o <= n; o++ {
-		if !got.Contains(Triple{1, 2, o}) {
-			t.Fatalf("Contains o=%d false on long loaded leaf", o)
-		}
-	}
-	ids, ok := got.SortedIDs(Triple{1, 2, dict.None})
-	if !ok || len(ids) != n {
-		t.Fatalf("SortedIDs = %d ids, want %d", len(ids), n)
-	}
-	for i := range ids {
-		if ids[i] != dict.ID(i+1) {
-			t.Fatalf("SortedIDs[%d] = %d", i, ids[i])
-		}
-	}
-	// Loaded stores must remain fully mutable; the first Add of an over-long
-	// leaf promotes it to the hash-set representation.
-	if !got.Add(Triple{1, 2, n + 1}) || !got.Remove(Triple{1, 2, 1}) {
-		t.Fatal("loaded store not mutable")
-	}
-	if l := got.spo.leaf(1, 2); l == nil || l.set == nil {
-		t.Fatal("over-long leaf did not promote on first Add")
-	}
-	if got.Count(Triple{1, 2, dict.None}) != n {
-		t.Fatalf("Count after mutation = %d", got.Count(Triple{1, 2, dict.None}))
-	}
-	for o := dict.ID(2); o <= n+1; o++ {
-		if !got.Contains(Triple{1, 2, o}) {
-			t.Fatalf("Contains o=%d false after promotion", o)
-		}
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
-	"sync"
 	"testing"
 
 	"repro/internal/dict"
@@ -21,342 +20,8 @@ var (
 	storeSteps  = flag.Int("store.steps", 400, "mutation steps per differential round")
 )
 
-// ---------------------------------------------------------------------------
-// Legacy reference implementation.
-//
-// legacyStore is a faithful test-only port of the map-backed index this
-// package used before the persistent-trie rewrite: three two-level indexes
-// mapping a packed (a<<32|b) uint64 key to a postings leaf, side tables for
-// the single-constant shapes, epoch-stamped copy-on-write leaves, and an
-// O(map entries) detach on the first mutation after a snapshot. The
-// differential battery drives it and the trie store through identical
-// operation interleavings and requires byte-identical answers, so the
-// rewrite is pinned as a drop-in replacement — snapshot semantics included.
-// ---------------------------------------------------------------------------
-
-type legacyIndex struct {
-	leaves map[uint64]*postings
-	subs   map[dict.ID]*postings
-	counts map[dict.ID]int
-}
-
-func newLegacyIndex() legacyIndex {
-	return legacyIndex{
-		leaves: map[uint64]*postings{},
-		subs:   map[dict.ID]*postings{},
-		counts: map[dict.ID]int{},
-	}
-}
-
-func (ix *legacyIndex) mutable(k uint64, l *postings, epoch uint64) *postings {
-	if l.epoch == epoch {
-		return l
-	}
-	c := l.cloneAt(epoch)
-	ix.leaves[k] = c
-	return c
-}
-
-func (ix *legacyIndex) add(a, b, c dict.ID, epoch uint64) bool {
-	k := pack(a, b)
-	l := ix.leaves[k]
-	if l == nil {
-		l = &postings{epoch: epoch}
-		ix.leaves[k] = l
-		sub := ix.subs[a]
-		if sub == nil {
-			sub = &postings{epoch: epoch}
-			ix.subs[a] = sub
-		} else if sub.epoch != epoch {
-			sub = sub.cloneAt(epoch)
-			ix.subs[a] = sub
-		}
-		sub.add(b)
-	} else if l.epoch != epoch {
-		if l.contains(c) {
-			return false
-		}
-		l = ix.mutable(k, l, epoch)
-	}
-	if !l.add(c) {
-		return false
-	}
-	ix.counts[a]++
-	return true
-}
-
-func (ix *legacyIndex) remove(a, b, c dict.ID, epoch uint64) bool {
-	k := pack(a, b)
-	l := ix.leaves[k]
-	if l == nil {
-		return false
-	}
-	if l.epoch != epoch {
-		if !l.contains(c) {
-			return false
-		}
-		l = ix.mutable(k, l, epoch)
-	}
-	if !l.remove(c) {
-		return false
-	}
-	if l.size() == 0 {
-		delete(ix.leaves, k)
-		if sub := ix.subs[a]; sub != nil {
-			if sub.epoch != epoch {
-				sub = sub.cloneAt(epoch)
-				ix.subs[a] = sub
-			}
-			sub.remove(b)
-			if sub.size() == 0 {
-				delete(ix.subs, a)
-			}
-		}
-	}
-	if n := ix.counts[a] - 1; n == 0 {
-		delete(ix.counts, a)
-	} else {
-		ix.counts[a] = n
-	}
-	return true
-}
-
-func (ix *legacyIndex) leaf(a, b dict.ID) *postings { return ix.leaves[pack(a, b)] }
-
-func (ix *legacyIndex) detach() legacyIndex {
-	c := newLegacyIndex()
-	for k, l := range ix.leaves {
-		c.leaves[k] = l
-	}
-	for a, sub := range ix.subs {
-		c.subs[a] = sub
-	}
-	for a, n := range ix.counts {
-		c.counts[a] = n
-	}
-	return c
-}
-
-type legacyTables struct {
-	spo legacyIndex
-	pos legacyIndex
-	osp legacyIndex
-
-	size   int
-	sortMu *sync.Mutex
-}
-
-func (t *legacyTables) Contains(tr Triple) bool {
-	l := t.spo.leaf(tr.S, tr.P)
-	return l != nil && l.contains(tr.O)
-}
-
-func (t *legacyTables) Len() int { return t.size }
-
-func (t *legacyTables) Count(pat Triple) int {
-	bs, bp, bo := pat.S != dict.None, pat.P != dict.None, pat.O != dict.None
-	sizeOf := func(l *postings) int {
-		if l == nil {
-			return 0
-		}
-		return l.size()
-	}
-	switch {
-	case bs && bp && bo:
-		if t.Contains(pat) {
-			return 1
-		}
-		return 0
-	case bs && bp:
-		return sizeOf(t.spo.leaf(pat.S, pat.P))
-	case bp && bo:
-		return sizeOf(t.pos.leaf(pat.P, pat.O))
-	case bs && bo:
-		return sizeOf(t.osp.leaf(pat.O, pat.S))
-	case bs:
-		return t.spo.counts[pat.S]
-	case bp:
-		return t.pos.counts[pat.P]
-	case bo:
-		return t.osp.counts[pat.O]
-	default:
-		return t.size
-	}
-}
-
-func (t *legacyTables) ForEachMatch(pat Triple, fn func(Triple) bool) {
-	bs, bp, bo := pat.S != dict.None, pat.P != dict.None, pat.O != dict.None
-	switch {
-	case bs && bp && bo:
-		if t.Contains(pat) {
-			fn(pat)
-		}
-	case bs && bp:
-		if l := t.spo.leaf(pat.S, pat.P); l != nil {
-			l.forEach(func(o dict.ID) bool { return fn(Triple{pat.S, pat.P, o}) })
-		}
-	case bp && bo:
-		if l := t.pos.leaf(pat.P, pat.O); l != nil {
-			l.forEach(func(sub dict.ID) bool { return fn(Triple{sub, pat.P, pat.O}) })
-		}
-	case bs && bo:
-		if l := t.osp.leaf(pat.O, pat.S); l != nil {
-			l.forEach(func(p dict.ID) bool { return fn(Triple{pat.S, p, pat.O}) })
-		}
-	case bs:
-		if sub := t.spo.subs[pat.S]; sub != nil {
-			sub.forEach(func(p dict.ID) bool {
-				return t.spo.leaf(pat.S, p).forEach(func(o dict.ID) bool {
-					return fn(Triple{pat.S, p, o})
-				})
-			})
-		}
-	case bp:
-		if sub := t.pos.subs[pat.P]; sub != nil {
-			sub.forEach(func(o dict.ID) bool {
-				return t.pos.leaf(pat.P, o).forEach(func(subj dict.ID) bool {
-					return fn(Triple{subj, pat.P, o})
-				})
-			})
-		}
-	case bo:
-		if sub := t.osp.subs[pat.O]; sub != nil {
-			sub.forEach(func(subj dict.ID) bool {
-				return t.osp.leaf(pat.O, subj).forEach(func(p dict.ID) bool {
-					return fn(Triple{subj, p, pat.O})
-				})
-			})
-		}
-	default:
-		for k, l := range t.spo.leaves {
-			subj, p := dict.ID(k>>32), dict.ID(k)
-			if !l.forEach(func(o dict.ID) bool { return fn(Triple{subj, p, o}) }) {
-				return
-			}
-		}
-	}
-}
-
-func (t *legacyTables) SortedIDs(pat Triple) ([]dict.ID, bool) {
-	bs, bp, bo := pat.S != dict.None, pat.P != dict.None, pat.O != dict.None
-	var l *postings
-	switch {
-	case bs && bp && !bo:
-		l = t.spo.leaf(pat.S, pat.P)
-	case bp && bo && !bs:
-		l = t.pos.leaf(pat.P, pat.O)
-	case bs && bo && !bp:
-		l = t.osp.leaf(pat.O, pat.S)
-	default:
-		panic("legacy store: SortedIDs pattern must have exactly one wildcard position")
-	}
-	if l == nil {
-		return nil, false
-	}
-	if l.set == nil {
-		return l.small, true
-	}
-	t.sortMu.Lock()
-	ids := l.sortedView()
-	t.sortMu.Unlock()
-	return ids, true
-}
-
-func (t *legacyTables) Predicates() []dict.ID {
-	out := make([]dict.ID, 0, len(t.pos.counts))
-	for p := range t.pos.counts {
-		out = append(out, p)
-	}
-	slices.Sort(out)
-	return out
-}
-
-func (t *legacyTables) Objects(p dict.ID) []dict.ID {
-	sub := t.pos.subs[p]
-	if sub == nil {
-		return nil
-	}
-	out := make([]dict.ID, 0, sub.size())
-	sub.forEach(func(o dict.ID) bool {
-		out = append(out, o)
-		return true
-	})
-	slices.Sort(out)
-	return out
-}
-
-type legacySnap struct{ legacyTables }
-
-type legacyStore struct {
-	legacyTables
-	epoch  uint64
-	shared bool
-	snap   *legacySnap
-}
-
-func newLegacyStore() *legacyStore {
-	return &legacyStore{legacyTables: legacyTables{
-		spo:    newLegacyIndex(),
-		pos:    newLegacyIndex(),
-		osp:    newLegacyIndex(),
-		sortMu: &sync.Mutex{},
-	}}
-}
-
-func (s *legacyStore) detach() {
-	s.snap = nil
-	if !s.shared {
-		return
-	}
-	s.spo = s.spo.detach()
-	s.pos = s.pos.detach()
-	s.osp = s.osp.detach()
-	s.shared = false
-	s.epoch++
-}
-
-func (s *legacyStore) Add(t Triple) bool {
-	if s.snap != nil && s.Contains(t) {
-		return false
-	}
-	s.detach()
-	if !s.spo.add(t.S, t.P, t.O, s.epoch) {
-		return false
-	}
-	s.pos.add(t.P, t.O, t.S, s.epoch)
-	s.osp.add(t.O, t.S, t.P, s.epoch)
-	s.size++
-	return true
-}
-
-func (s *legacyStore) Remove(t Triple) bool {
-	if s.snap != nil && !s.Contains(t) {
-		return false
-	}
-	s.detach()
-	if !s.spo.remove(t.S, t.P, t.O, s.epoch) {
-		return false
-	}
-	s.pos.remove(t.P, t.O, t.S, s.epoch)
-	s.osp.remove(t.O, t.S, t.P, s.epoch)
-	s.size--
-	return true
-}
-
-func (s *legacyStore) Snapshot() *legacySnap {
-	if s.snap == nil {
-		s.snap = &legacySnap{legacyTables: s.legacyTables}
-		s.shared = true
-	}
-	return s.snap
-}
-
-// ---------------------------------------------------------------------------
-// Differential driver.
-// ---------------------------------------------------------------------------
-
-// readView is the query surface the battery compares across implementations;
-// both tables (live Store and Snapshot) and the legacy port satisfy it.
+// readView is the query surface the battery checks; the live Store and its
+// Snapshots both satisfy it.
 type readView interface {
 	Contains(Triple) bool
 	Len() int
@@ -367,7 +32,7 @@ type readView interface {
 	Objects(dict.ID) []dict.ID
 }
 
-// bruteMatch is the third, zero-cleverness opinion: a flat triple set.
+// bruteMatch is the oracle, with zero cleverness: a scan of a flat triple set.
 func bruteMatch(set map[Triple]struct{}, pat Triple) map[Triple]bool {
 	out := map[Triple]bool{}
 	for tr := range set {
@@ -379,89 +44,91 @@ func bruteMatch(set map[Triple]struct{}, pat Triple) map[Triple]bool {
 }
 
 // checkViews sweeps every pattern shape over the ID domain and requires the
-// trie store, the legacy store and the brute-force set to agree — exactly,
-// element for element, on the order-carrying surfaces (SortedIDs,
-// Predicates, Objects).
-func checkViews(t *testing.T, tag string, trie, legacy readView, brute map[Triple]struct{}, maxID dict.ID) {
+// store to agree with the brute-force set — exactly, element for element, on
+// the order-carrying surfaces (SortedIDs, Predicates, Objects).
+func checkViews(t *testing.T, tag string, view readView, brute map[Triple]struct{}, maxID dict.ID) {
 	t.Helper()
-	if trie.Len() != len(brute) || legacy.Len() != len(brute) {
-		t.Fatalf("%s: Len trie=%d legacy=%d brute=%d", tag, trie.Len(), legacy.Len(), len(brute))
+	if view.Len() != len(brute) {
+		t.Fatalf("%s: Len = %d, brute = %d", tag, view.Len(), len(brute))
 	}
 	for s := dict.ID(0); s <= maxID; s++ {
 		for p := dict.ID(0); p <= maxID; p++ {
 			for o := dict.ID(0); o <= maxID; o++ {
 				pat := Triple{s, p, o}
 				want := bruteMatch(brute, pat)
-				if got := trie.Count(pat); got != len(want) {
-					t.Fatalf("%s: trie Count(%v) = %d, want %d", tag, pat, got, len(want))
-				}
-				if got := legacy.Count(pat); got != len(want) {
-					t.Fatalf("%s: legacy Count(%v) = %d, want %d", tag, pat, got, len(want))
+				if got := view.Count(pat); got != len(want) {
+					t.Fatalf("%s: Count(%v) = %d, want %d", tag, pat, got, len(want))
 				}
 				seen := map[Triple]bool{}
-				trie.ForEachMatch(pat, func(tr Triple) bool {
+				view.ForEachMatch(pat, func(tr Triple) bool {
 					if seen[tr] || !want[tr] {
-						t.Fatalf("%s: trie ForEachMatch(%v) yielded %v (dup or not in brute)", tag, pat, tr)
+						t.Fatalf("%s: ForEachMatch(%v) yielded %v (dup or not in brute)", tag, pat, tr)
 					}
 					seen[tr] = true
 					return true
 				})
 				if len(seen) != len(want) {
-					t.Fatalf("%s: trie ForEachMatch(%v) yielded %d, want %d", tag, pat, len(seen), len(want))
+					t.Fatalf("%s: ForEachMatch(%v) yielded %d, want %d", tag, pat, len(seen), len(want))
 				}
 				// Exactly-one-wildcard shapes additionally pin the sorted-leaf
-				// surface the engine's merge joins consume: identical slices.
-				bound := 0
-				if s != 0 {
-					bound++
+				// surface the engine's merge joins consume: the brute matches'
+				// free component, ascending.
+				var free func(Triple) dict.ID
+				switch {
+				case s != 0 && p != 0 && o == 0:
+					free = func(tr Triple) dict.ID { return tr.O }
+				case s == 0 && p != 0 && o != 0:
+					free = func(tr Triple) dict.ID { return tr.S }
+				case s != 0 && p == 0 && o != 0:
+					free = func(tr Triple) dict.ID { return tr.P }
+				default:
+					continue
 				}
-				if p != 0 {
-					bound++
+				ids := []dict.ID{}
+				for tr := range want {
+					ids = append(ids, free(tr))
 				}
-				if o != 0 {
-					bound++
-				}
-				if bound == 2 {
-					gt, okT := trie.SortedIDs(pat)
-					gl, okL := legacy.SortedIDs(pat)
-					if okT != okL || !slices.Equal(gt, gl) {
-						t.Fatalf("%s: SortedIDs(%v) trie=(%v,%v) legacy=(%v,%v)", tag, pat, gt, okT, gl, okL)
-					}
-					if okT != (len(want) > 0) || len(gt) != len(want) {
-						t.Fatalf("%s: SortedIDs(%v) = %d ids ok=%v, brute wants %d", tag, pat, len(gt), okT, len(want))
-					}
-					if !slices.IsSorted(gt) {
-						t.Fatalf("%s: SortedIDs(%v) not ascending: %v", tag, pat, gt)
-					}
+				slices.Sort(ids)
+				if got, ok := view.SortedIDs(pat); ok != (len(ids) > 0) || !slices.Equal(got, ids) {
+					t.Fatalf("%s: SortedIDs(%v) = (%v,%v), want %v", tag, pat, got, ok, ids)
 				}
 			}
 		}
 	}
-	if pt, pl := trie.Predicates(), legacy.Predicates(); !slices.Equal(pt, pl) {
-		t.Fatalf("%s: Predicates trie=%v legacy=%v", tag, pt, pl)
-	}
-	for p := dict.ID(0); p <= maxID; p++ {
-		if ot, ol := trie.Objects(p), legacy.Objects(p); !slices.Equal(ot, ol) {
-			t.Fatalf("%s: Objects(%d) trie=%v legacy=%v", tag, p, ot, ol)
+	preds := []dict.ID{}
+	for p := dict.ID(1); p <= maxID; p++ {
+		objs := []dict.ID{}
+		for o := dict.ID(1); o <= maxID; o++ {
+			if len(bruteMatch(brute, Triple{P: p, O: o})) > 0 {
+				objs = append(objs, o)
+			}
 		}
+		if len(objs) > 0 {
+			preds = append(preds, p)
+		}
+		if got := view.Objects(p); !slices.Equal(got, objs) {
+			t.Fatalf("%s: Objects(%d) = %v, want %v", tag, p, got, objs)
+		}
+	}
+	if got := view.Predicates(); !slices.Equal(got, preds) {
+		t.Fatalf("%s: Predicates = %v, want %v", tag, got, preds)
 	}
 }
 
-// diffSnap is one coordinated snapshot of all three implementations plus the
+// diffSnap is one snapshot with the oracle state frozen beside it and the
 // step it was taken at (for failure messages).
 type diffSnap struct {
-	trie   *Snapshot
-	legacy *legacySnap
-	brute  map[Triple]struct{}
-	step   int
+	snap  *Snapshot
+	brute map[Triple]struct{}
+	step  int
 }
 
 // TestDifferentialBattery drives randomized interleavings of
-// Add/Remove/Snapshot/query through the trie store, the legacy map-backed
-// port and a brute-force set, and requires all three to answer identically —
-// on the live stores and on every coordinated snapshot, including snapshots
-// that stay live across many later mutations. Runs in CI under -race; the
-// store-stress job repeats it at -store.rounds=1000.
+// Add/Remove/Snapshot/query through the store and a brute-force set and
+// requires them to answer identically — on the live store and on every
+// snapshot, including snapshots that stay live across many later mutations.
+// Runs in CI under -race; the store-stress job repeats it at
+// -store.rounds=1000.
 func TestDifferentialBattery(t *testing.T) {
 	for round := 0; round < *storeRounds; round++ {
 		seed := *storeSeed + int64(round)
@@ -472,9 +139,8 @@ func TestDifferentialBattery(t *testing.T) {
 
 func differentialRound(t *testing.T, rng *rand.Rand, seed int64) {
 	t.Helper()
-	maxID := dict.ID(rng.Intn(7) + 4) // [4, 10]: dense collisions, exercised promotion
-	trie := New()
-	legacy := newLegacyStore()
+	maxID := dict.ID(rng.Intn(7) + 4) // [4, 10]: dense collisions, leaves fill and empty
+	st := New()
 	brute := map[Triple]struct{}{}
 	var snaps []diffSnap
 	tag := func(step int, what string) string {
@@ -485,27 +151,23 @@ func differentialRound(t *testing.T, rng *rand.Rand, seed int64) {
 		x := Triple{randID(), randID(), randID()}
 		switch op := rng.Intn(100); {
 		case op < 50: // Add
-			gt := trie.Add(x)
-			gl := legacy.Add(x)
 			_, had := brute[x]
 			brute[x] = struct{}{}
-			if gt != !had || gl != !had {
-				t.Fatalf("%s: Add(%v) trie=%v legacy=%v want %v", tag(step, "add"), x, gt, gl, !had)
+			if got := st.Add(x); got != !had {
+				t.Fatalf("%s: Add(%v) = %v, want %v", tag(step, "add"), x, got, !had)
 			}
 		case op < 80: // Remove
-			gt := trie.Remove(x)
-			gl := legacy.Remove(x)
 			_, had := brute[x]
 			delete(brute, x)
-			if gt != had || gl != had {
-				t.Fatalf("%s: Remove(%v) trie=%v legacy=%v want %v", tag(step, "remove"), x, gt, gl, had)
+			if got := st.Remove(x); got != had {
+				t.Fatalf("%s: Remove(%v) = %v, want %v", tag(step, "remove"), x, got, had)
 			}
-		case op < 90: // Snapshot all three at the same point
+		case op < 90: // Snapshot store and oracle at the same point
 			frozen := make(map[Triple]struct{}, len(brute))
 			for tr := range brute {
 				frozen[tr] = struct{}{}
 			}
-			snaps = append(snaps, diffSnap{trie.Snapshot(), legacy.Snapshot(), frozen, step})
+			snaps = append(snaps, diffSnap{st.Snapshot(), frozen, step})
 			if len(snaps) > 4 {
 				snaps = slices.Delete(snaps, 0, 1)
 			}
@@ -516,24 +178,22 @@ func differentialRound(t *testing.T, rng *rand.Rand, seed int64) {
 			}
 		default: // spot check one random pattern everywhere (wildcards included)
 			pat := Triple{dict.ID(rng.Intn(int(maxID) + 1)), dict.ID(rng.Intn(int(maxID) + 1)), dict.ID(rng.Intn(int(maxID) + 1))}
-			want := len(bruteMatch(brute, pat))
-			if gt, gl := trie.Count(pat), legacy.Count(pat); gt != want || gl != want {
-				t.Fatalf("%s: Count(%v) trie=%d legacy=%d want %d", tag(step, "spot"), pat, gt, gl, want)
+			if got, want := st.Count(pat), len(bruteMatch(brute, pat)); got != want {
+				t.Fatalf("%s: Count(%v) = %d, want %d", tag(step, "spot"), pat, got, want)
 			}
 			for i, sn := range snaps {
-				want := len(bruteMatch(sn.brute, pat))
-				if gt, gl := sn.trie.Count(pat), sn.legacy.Count(pat); gt != want || gl != want {
-					t.Fatalf("%s: snap[%d] (taken step %d) Count(%v) trie=%d legacy=%d want %d",
-						tag(step, "spot"), i, sn.step, pat, gt, gl, want)
+				if got, want := sn.snap.Count(pat), len(bruteMatch(sn.brute, pat)); got != want {
+					t.Fatalf("%s: snap[%d] (taken step %d) Count(%v) = %d, want %d",
+						tag(step, "spot"), i, sn.step, pat, got, want)
 				}
 			}
 		}
 	}
-	// Full sweep on the live stores and on every surviving snapshot: the
+	// Full sweep on the live store and on every surviving snapshot: the
 	// snapshots must still show exactly the state frozen at their step, no
-	// matter what the writers did since.
-	checkViews(t, tag(*storeSteps, "live"), trie, legacy, brute, maxID)
+	// matter what the writer did since.
+	checkViews(t, tag(*storeSteps, "live"), st, brute, maxID)
 	for i, sn := range snaps {
-		checkViews(t, tag(sn.step, fmt.Sprintf("snap[%d]", i)), sn.trie, sn.legacy, sn.brute, maxID)
+		checkViews(t, tag(sn.step, fmt.Sprintf("snap[%d]", i)), sn.snap, sn.brute, maxID)
 	}
 }

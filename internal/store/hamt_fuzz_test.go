@@ -30,8 +30,8 @@ func FuzzHAMTNodeDecode(f *testing.F) {
 		s.Add(Triple{1, 2, 4})
 		s.Add(Triple{2, 3, 4})
 	})
-	seed(func(s *Store) { // promoted postings leaf + promoted side-table b-set
-		for o := dict.ID(1); o <= 3*promoteAt; o++ {
+	seed(func(s *Store) { // long postings leaf + long side-table b-set
+		for o := dict.ID(1); o <= 48; o++ {
 			s.Add(Triple{1, 2, o})
 			s.Add(Triple{1, o, 9})
 		}

@@ -6,45 +6,25 @@ import (
 	"repro/internal/dict"
 )
 
-// promoteAt is the leaf size at which a postings list switches from a sorted
-// slice to a hash set. Below it, membership is a short binary search over one
-// cache line or two and insertion is a memmove; above it, the hash set's O(1)
-// lookup wins. LUBM-style graphs keep the overwhelming majority of leaves
-// (objects per (s,p), subjects per (p,o), predicates per (o,s)) far below
-// this bound, so almost all leaves stay in the compact representation.
-const promoteAt = 16
-
-// sortCache is the lazily-(re)built sorted mirror of a promoted leaf: ids is
-// valid while ok holds. It backs ordered iteration (merge joins) over
-// promoted leaves without forcing every mutation to keep a sorted mirror,
-// and lives behind a pointer so the (overwhelmingly common) small leaves do
-// not pay its footprint — the postings struct itself stays in the 48-byte
-// size class.
-type sortCache struct {
-	ids []dict.ID
-	ok  bool
-}
-
 // postings is the leaf of a packed-key index: the set of third components c
-// for one (a,b) key pair. It starts as a small sorted []dict.ID and promotes
-// to a map past promoteAt elements; it never demotes (a leaf that grew once
-// is likely to grow again, and Remove-heavy workloads delete whole leaves
-// anyway).
+// for one (a,b) key pair, held as one strictly ascending run of IDs at every
+// size. Membership is a binary search, ordered iteration and the sorted view
+// the merge joins consume are the run itself, and the run is byte for byte
+// what the binary codec writes — a loaded leaf aliases the file image.
+//
+// Insertion and removal shift the tail of the run, so an out-of-order insert
+// into a leaf of n IDs is an O(n) memmove; dictionary IDs arrive ascending in
+// every load and saturation path, which makes the common insert an append.
 //
 // A leaf whose epoch predates the store's current epoch is shared with at
-// least one snapshot: it is frozen, and only the copy-on-write writers below
-// may touch its fields.
+// least one snapshot: it is frozen, nothing writes it again, and the writer
+// copies it (cloneAt) before its first mutation in the new epoch. A leaf at
+// the current epoch is private to the writer.
 //
 //webreason:frozen
 type postings struct {
-	small []dict.ID            // sorted; authoritative while set == nil
-	set   map[dict.ID]struct{} // non-nil once promoted
-	sc    *sortCache           // non-nil once promoted; see sortCache
-	// epoch is the store mutation epoch that created (or copy-on-write
-	// copied) this leaf. A leaf whose epoch predates the store's current
-	// epoch is shared with at least one snapshot and must be copied before
-	// mutation; a leaf at the current epoch is private to the writer.
-	epoch uint64
+	ids   []dict.ID // strictly ascending
+	epoch uint64    // store mutation epoch that created or copied this leaf
 }
 
 // add inserts c and reports whether it was new. The caller guarantees p is
@@ -52,32 +32,11 @@ type postings struct {
 //
 //webreason:writer
 func (p *postings) add(c dict.ID) bool {
-	if p.set != nil {
-		if _, ok := p.set[c]; ok {
-			return false
-		}
-		p.set[c] = struct{}{}
-		p.sc.ok = false
-		return true
-	}
-	i, ok := slices.BinarySearch(p.small, c)
+	i, ok := slices.BinarySearch(p.ids, c)
 	if ok {
 		return false
 	}
-	if len(p.small) < promoteAt {
-		p.small = slices.Insert(p.small, i, c)
-		return true
-	}
-	// Leaves loaded from a binary snapshot may arrive far longer than
-	// promoteAt (promotion is deferred to this first mutation), so size the
-	// set from the actual length.
-	p.set = make(map[dict.ID]struct{}, 2*max(promoteAt, len(p.small)))
-	for _, v := range p.small {
-		p.set[v] = struct{}{}
-	}
-	p.small = nil
-	p.sc = &sortCache{}
-	p.set[c] = struct{}{}
+	p.ids = slices.Insert(p.ids, i, c)
 	return true
 }
 
@@ -86,52 +45,27 @@ func (p *postings) add(c dict.ID) bool {
 //
 //webreason:writer
 func (p *postings) remove(c dict.ID) bool {
-	if p.set != nil {
-		if _, ok := p.set[c]; !ok {
-			return false
-		}
-		delete(p.set, c)
-		p.sc.ok = false
-		return true
-	}
-	i, ok := slices.BinarySearch(p.small, c)
+	i, ok := slices.BinarySearch(p.ids, c)
 	if !ok {
 		return false
 	}
-	p.small = slices.Delete(p.small, i, i+1)
+	p.ids = slices.Delete(p.ids, i, i+1)
 	return true
 }
 
 // contains reports membership of c.
 func (p *postings) contains(c dict.ID) bool {
-	if p.set != nil {
-		_, ok := p.set[c]
-		return ok
-	}
-	_, ok := slices.BinarySearch(p.small, c)
+	_, ok := slices.BinarySearch(p.ids, c)
 	return ok
 }
 
 // size returns the number of elements.
-func (p *postings) size() int {
-	if p.set != nil {
-		return len(p.set)
-	}
-	return len(p.small)
-}
+func (p *postings) size() int { return len(p.ids) }
 
-// forEach calls fn for every element; it returns false iff fn stopped the
-// iteration early.
+// forEach calls fn for every element in ascending order; it returns false
+// iff fn stopped the iteration early.
 func (p *postings) forEach(fn func(dict.ID) bool) bool {
-	if p.set != nil {
-		for c := range p.set {
-			if !fn(c) {
-				return false
-			}
-		}
-		return true
-	}
-	for _, c := range p.small {
+	for _, c := range p.ids {
 		if !fn(c) {
 			return false
 		}
@@ -139,56 +73,19 @@ func (p *postings) forEach(fn func(dict.ID) bool) bool {
 	return true
 }
 
-// sortedView returns the elements in ascending order as a slice the caller
-// must treat as read-only. For small leaves this is the authoritative sorted
-// slice, free of charge; for promoted leaves it is a snapshot rebuilt lazily
-// after mutations (the buffer is retained, so a stable leaf pays the sort
-// once). Rebuilding mutates the leaf's sort cache, so concurrent callers
-// must hold the store's sort lock for promoted leaves — SortedIDs does; do
-// not call this directly from new read paths without it.
-func (p *postings) sortedView() []dict.ID {
-	if p.set == nil {
-		return p.small
-	}
-	sc := p.sc
-	if !sc.ok {
-		sc.ids = sc.ids[:0]
-		for c := range p.set {
-			sc.ids = append(sc.ids, c)
-		}
-		slices.Sort(sc.ids)
-		sc.ok = true
-	}
-	return sc.ids
-}
-
-// clone returns an independent deep copy (sort cache cold).
-//
-//webreason:writer
-func (p *postings) clone() *postings {
-	c := &postings{}
-	if p.set != nil {
-		c.set = make(map[dict.ID]struct{}, len(p.set))
-		for v := range p.set {
-			c.set[v] = struct{}{}
-		}
-		c.sc = &sortCache{}
-		return c
-	}
-	c.small = slices.Clone(p.small)
-	return c
-}
+// clone returns an independent copy cut to fit, owned by a fresh store
+// (epoch 0).
+func (p *postings) clone() *postings { return &postings{ids: slices.Clone(p.ids)} }
 
 // cloneAt is the copy-on-write step: an independent copy stamped with the
-// given epoch. It deliberately reads only the authoritative representation
-// (set or small) and gives promoted copies a fresh, cold sort cache —
-// snapshot readers may be rebuilding the original's cache concurrently
-// under the shared sort lock, and copying it here would race with that
-// write.
+// given epoch, made with one allocation and one memmove. The copy is grown
+// by append's amortised rule rather than cut to fit, so an insert that
+// follows lands in it without a second allocation. A removal leaves that
+// slack unused; an exact-fit, single-pass copy for the remove path was
+// measured twice on sat.update and made no resolvable difference.
 //
 //webreason:writer
 func (p *postings) cloneAt(epoch uint64) *postings {
-	c := p.clone()
-	c.epoch = epoch
-	return c
+	n := len(p.ids)
+	return &postings{ids: slices.Grow(p.ids[:n:n], 1), epoch: epoch}
 }

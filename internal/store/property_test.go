@@ -11,7 +11,7 @@ import (
 // contract: a flat set of triples, every query a full scan. The property
 // test drives it and the packed-key store through the same randomized
 // operation sequence and requires observational equivalence, so the packed
-// layout (leaf promotion, side tables, count maintenance) is checked as a
+// layout (sorted leaves, side tables, count maintenance) is checked as a
 // drop-in replacement — including the Remove-heavy access pattern of the
 // DRed maintenance paths.
 type refStore struct {
@@ -108,8 +108,8 @@ func checkEquivalent(t *testing.T, step int, s *Store, ref *refStore, maxID dict
 
 // TestPackedStoreEquivalence randomizes Add/Remove/Contains against the
 // reference and periodically checks full observational equivalence. The ID
-// domain is small so patterns collide heavily (dense leaves, exercised
-// promotion) and removals frequently empty leaves (exercised demolition of
+// domain is small so patterns collide heavily (dense leaves) and removals
+// frequently empty leaves (exercised demolition of
 // leaves, sub entries, and counters).
 func TestPackedStoreEquivalence(t *testing.T) {
 	const (
@@ -182,61 +182,15 @@ func TestPackedStoreEquivalence(t *testing.T) {
 	}
 }
 
-// TestLeafPromotion pushes one (s,p) leaf far past promoteAt and checks the
-// promoted representation behaves identically, including shrinking back
-// through Remove.
-func TestLeafPromotion(t *testing.T) {
+// TestAddBatch checks the bulk-load path: AddBatch reports the number of new
+// triples.
+func TestAddBatch(t *testing.T) {
 	s := New()
-	const n = 4 * promoteAt
-	for o := dict.ID(1); o <= n; o++ {
-		if !s.Add(Triple{1, 2, o}) {
-			t.Fatalf("Add o=%d not new", o)
-		}
-	}
-	if got := s.Count(Triple{1, 2, 0}); got != n {
-		t.Fatalf("Count(s,p,?) = %d, want %d", got, n)
-	}
-	l := s.spo.leaf(1, 2)
-	if l == nil || l.set == nil {
-		t.Fatalf("leaf with %d elements not promoted to set", n)
-	}
-	for o := dict.ID(1); o <= n; o++ {
-		if !s.Contains(Triple{1, 2, o}) {
-			t.Fatalf("Contains o=%d false after promotion", o)
-		}
-	}
-	// Remove odd objects; evens must survive.
-	for o := dict.ID(1); o <= n; o += 2 {
-		if !s.Remove(Triple{1, 2, o}) {
-			t.Fatalf("Remove o=%d failed", o)
-		}
-	}
-	if got := s.Count(Triple{1, 2, 0}); got != n/2 {
-		t.Fatalf("Count after removals = %d, want %d", got, n/2)
-	}
-	for o := dict.ID(1); o <= n; o++ {
-		want := o%2 == 0
-		if got := s.Contains(Triple{1, 2, o}); got != want {
-			t.Fatalf("Contains o=%d = %v, want %v", o, got, want)
-		}
-	}
-}
-
-// TestReserveAndAddBatch checks the bulk-load path: Reserve on an empty
-// store keeps it empty, AddBatch reports the number of new triples, and
-// Reserve on a populated store is a no-op that loses nothing.
-func TestReserveAndAddBatch(t *testing.T) {
-	s := New()
-	s.Reserve(1024)
-	if s.Len() != 0 {
-		t.Fatalf("Reserve left Len = %d", s.Len())
-	}
 	batch := []Triple{{1, 2, 3}, {1, 2, 4}, {2, 2, 3}, {1, 2, 3}} // one dup
 	if got := s.AddBatch(batch); got != 3 {
 		t.Fatalf("AddBatch = %d, want 3", got)
 	}
-	s.Reserve(1 << 20) // must be a no-op now
 	if s.Len() != 3 || !s.Contains(Triple{1, 2, 4}) {
-		t.Fatalf("Reserve on populated store lost data: Len=%d", s.Len())
+		t.Fatalf("AddBatch lost data: Len=%d", s.Len())
 	}
 }

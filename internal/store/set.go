@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"sync"
 
 	"repro/internal/dict"
 )
@@ -17,9 +16,8 @@ import (
 // checks) and point updates, so carrying POS and OSP for it would triple the
 // memory, checkpoint bytes and snapshot-load work for nothing.
 type TripleSet struct {
-	ix     index
-	size   int
-	sortMu *sync.Mutex // serialises promoted-leaf sorted rebuilds (WriteBinary)
+	ix   index
+	size int
 
 	epoch  uint64
 	shared bool
@@ -27,11 +25,8 @@ type TripleSet struct {
 	copied uint64
 }
 
-// NewTripleSet returns an empty set; n is ignored (see NewWithCapacity).
-func NewTripleSet(n int) *TripleSet {
-	_ = n
-	return &TripleSet{sortMu: &sync.Mutex{}}
-}
+// NewTripleSet returns an empty set.
+func NewTripleSet() *TripleSet { return &TripleSet{} }
 
 // Contains reports membership of the (fully concrete) triple.
 func (s *TripleSet) Contains(t Triple) bool {
@@ -102,7 +97,7 @@ func (s *TripleSet) ForEach(fn func(Triple) bool) { forEachInIndex(&s.ix, fn) }
 
 // Clone returns an independent deep copy.
 func (s *TripleSet) Clone() *TripleSet {
-	return &TripleSet{ix: s.ix.clone(), size: s.size, sortMu: &sync.Mutex{}}
+	return &TripleSet{ix: s.ix.clone(), size: s.size}
 }
 
 // Snapshot returns an immutable view of the current contents, O(1) like
@@ -110,7 +105,7 @@ func (s *TripleSet) Clone() *TripleSet {
 // mutations; hand to any number of readers).
 func (s *TripleSet) Snapshot() *TripleSetSnapshot {
 	if s.snap == nil {
-		s.snap = &TripleSetSnapshot{ix: s.ix, size: s.size, sortMu: s.sortMu, epoch: s.epoch}
+		s.snap = &TripleSetSnapshot{ix: s.ix, size: s.size, epoch: s.epoch}
 		s.shared = true
 	}
 	return s.snap
@@ -120,10 +115,9 @@ func (s *TripleSet) Snapshot() *TripleSetSnapshot {
 //
 //webreason:frozen
 type TripleSetSnapshot struct {
-	ix     index
-	size   int
-	sortMu *sync.Mutex
-	epoch  uint64
+	ix    index
+	size  int
+	epoch uint64
 }
 
 // Contains reports membership of the triple.
@@ -141,13 +135,13 @@ func (s *TripleSetSnapshot) ForEach(fn func(Triple) bool) { forEachInIndex(&s.ix
 // WriteBinary writes the canonical binary encoding (implements BinaryView):
 // the same size-plus-index-section layout as a Store, with one section.
 func (s *TripleSetSnapshot) WriteBinary(w io.Writer) error {
-	return writeSetBinary(w, &s.ix, s.size, s.sortMu)
+	return writeSetBinary(w, &s.ix, s.size)
 }
 
 // WriteBinary implements BinaryView on the live set (serialized with
 // mutations, like every read of a live container).
 func (s *TripleSet) WriteBinary(w io.Writer) error {
-	return writeSetBinary(w, &s.ix, s.size, s.sortMu)
+	return writeSetBinary(w, &s.ix, s.size)
 }
 
 var (
@@ -155,10 +149,10 @@ var (
 	_ BinaryView = (*TripleSetSnapshot)(nil)
 )
 
-func writeSetBinary(w io.Writer, ix *index, size int, sortMu *sync.Mutex) error {
+func writeSetBinary(w io.Writer, ix *index, size int) error {
 	var buf []byte
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(size))
-	buf, err := appendIndexBinary(w, buf, ix, sortMu)
+	buf, err := appendIndexBinary(w, buf, ix)
 	if err != nil {
 		return err
 	}
@@ -180,7 +174,7 @@ func ReadSetBinary(b []byte, maxID dict.ID) (*TripleSet, error) {
 	if size > uint64(len(b))/4 {
 		return nil, fmt.Errorf("%w: size %d exceeds buffer", ErrStoreCorrupt, size)
 	}
-	s := &TripleSet{size: int(size), sortMu: &sync.Mutex{}}
+	s := &TripleSet{size: int(size)}
 	rest, err := readIndex(&s.ix, b, int(size), maxID)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrStoreCorrupt, err)

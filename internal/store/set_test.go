@@ -17,7 +17,7 @@ func TestTripleSetEquivalence(t *testing.T) {
 		maxID = dict.ID(6)
 	)
 	rng := rand.New(rand.NewSource(11))
-	s := NewTripleSet(0)
+	s := NewTripleSet()
 	ref := map[Triple]struct{}{}
 	randID := func() dict.ID { return dict.ID(rng.Intn(int(maxID)) + 1) }
 
@@ -102,7 +102,7 @@ func TestTripleSetEquivalence(t *testing.T) {
 // TestTripleSetSnapshotWriteIsolation serialises a snapshot after the live
 // set moved on; the bytes must describe the frozen state.
 func TestTripleSetSnapshotWriteIsolation(t *testing.T) {
-	s := NewTripleSet(0)
+	s := NewTripleSet()
 	s.Add(Triple{1, 2, 3})
 	snap := s.Snapshot()
 	s.Add(Triple{4, 5, 6})
@@ -124,7 +124,7 @@ func TestTripleSetSnapshotWriteIsolation(t *testing.T) {
 // TestReadSetBinaryRejectsCorrupt mirrors the store decoder's corruption
 // handling for the set layout.
 func TestReadSetBinaryRejectsCorrupt(t *testing.T) {
-	s := NewTripleSet(0)
+	s := NewTripleSet()
 	s.Add(Triple{1, 2, 3})
 	s.Add(Triple{2, 2, 3})
 	var buf bytes.Buffer

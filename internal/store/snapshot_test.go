@@ -50,7 +50,7 @@ func equalTriples(a, b []Triple) bool {
 
 // TestSnapshotIsolation is the core contract: a snapshot's contents never
 // change, whatever the store does afterwards — adds, removes, re-adds,
-// leaf promotions — and a fresh snapshot always shows the live state.
+// leaf growth — and a fresh snapshot always shows the live state.
 func TestSnapshotIsolation(t *testing.T) {
 	s := New()
 	s.Add(Triple{1, 2, 3})
@@ -66,8 +66,8 @@ func TestSnapshotIsolation(t *testing.T) {
 	// Mutate the live store in every way that touches shared structure.
 	s.Remove(Triple{1, 2, 3})
 	s.Add(Triple{1, 2, 9})
-	for o := dict.ID(10); o < 10+2*promoteAt; o++ {
-		s.Add(Triple{1, 2, o}) // promotes the (1,2) leaf the snapshot shares
+	for o := dict.ID(10); o < 42; o++ {
+		s.Add(Triple{1, 2, o}) // grows the (1,2) leaf the snapshot shares
 	}
 	s.Remove(Triple{5, 2, 3}) // deletes a leaf and its subs entry
 
@@ -115,16 +115,16 @@ func TestSnapshotCaching(t *testing.T) {
 	}
 }
 
-// TestSnapshotSortedIDs: sorted reads work on snapshots, including promoted
+// TestSnapshotSortedIDs: sorted reads work on snapshots, including long
 // leaves, and stay valid while the store mutates the shared leaf.
 func TestSnapshotSortedIDs(t *testing.T) {
 	s := New()
-	n := 2*promoteAt + 5
+	n := 37
 	for o := 1; o <= n; o++ {
 		s.Add(Triple{1, 2, dict.ID(o)})
 	}
 	snap := s.Snapshot()
-	s.Add(Triple{1, 2, dict.ID(n + 1)}) // COW-copies the promoted leaf
+	s.Add(Triple{1, 2, dict.ID(n + 1)}) // COW-copies the shared leaf
 
 	ids, ok := snap.SortedIDs(Triple{S: 1, P: 2})
 	if !ok || len(ids) != n {
@@ -197,11 +197,11 @@ func TestSnapshotPropertyVsClone(t *testing.T) {
 
 // TestSnapshotConcurrentReaders hammers snapshots from reader goroutines
 // while the writer keeps mutating — primarily a -race exercise proving the
-// frozen-leaf sharing discipline holds, including concurrent sorted-view
-// rebuilds on shared promoted leaves.
+// frozen-leaf sharing discipline holds, including concurrent sorted reads of
+// shared long leaves.
 func TestSnapshotConcurrentReaders(t *testing.T) {
 	s := New()
-	for o := 1; o <= 3*promoteAt; o++ {
+	for o := 1; o <= 48; o++ {
 		s.Add(Triple{1, 2, dict.ID(o)})
 		s.Add(Triple{dict.ID(o), 3, 4})
 	}

@@ -9,14 +9,13 @@ import (
 )
 
 // TestSortedIDsAllShapes checks the three leaf shapes against Match, across
-// the small→promoted leaf boundary and after mutations (snapshot
-// invalidation).
+// short and long leaves and after mutations.
 func TestSortedIDsAllShapes(t *testing.T) {
 	st := New()
 	rng := rand.New(rand.NewSource(7))
-	// One (s,p) pair with a leaf well past promoteAt, plus scattered noise.
+	// One (s,p) pair with a long leaf, plus scattered noise.
 	s, p := dict.ID(1), dict.ID(2)
-	for i := 0; i < 3*promoteAt; i++ {
+	for i := 0; i < 48; i++ {
 		st.Add(Triple{S: s, P: p, O: dict.ID(100 + rng.Intn(200))})
 	}
 	for i := 0; i < 50; i++ {
@@ -59,7 +58,7 @@ func TestSortedIDsAllShapes(t *testing.T) {
 	}
 	checkAll()
 
-	// Mutate the promoted leaf: the lazily-built snapshot must refresh.
+	// Mutate the long leaf: the sorted view must follow.
 	st.Add(Triple{S: s, P: p, O: 999})
 	st.Remove(Triple{S: s, P: p, O: st.Match(Triple{S: s, P: p})[0].O})
 	checkAll()

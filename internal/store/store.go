@@ -10,14 +10,15 @@
 // components through a persistent hash-array-mapped trie (see hmap) — one
 // walk per probe, which is what the engine's merge joins hammer — and keeps
 // a side table per first component a (in a second hmap) holding the set of b
-// values under a and the per-a triple count. A leaf starts as a small
-// sorted []dict.ID and promotes to a hash set past promoteAt elements,
-// keeping the common short leaf allocation-light and cache-friendly (the
-// flat-layout idea of RDF-3X-style engines, reduced to the three orders
-// pattern matching needs). The per-a counters make every Count O(lookup)
-// except the fully-unbound scan. Enumeration order is unspecified (hash
-// order); sorted access goes through SortedIDs/Postings on leaves and the
-// canonical encoder, which sort on demand.
+// values under a and the per-a triple count. A leaf is one strictly
+// ascending []dict.ID run at every size (see postings): membership is a
+// binary search, SortedIDs/Postings hand the run out as it is, and the
+// binary codec writes and aliases the same bytes (the flat-layout idea of
+// RDF-3X-style engines, reduced to the three orders pattern matching needs).
+// The per-a counters make every Count O(lookup) except the fully-unbound
+// scan. Leaves enumerate ascending; the order in which an index visits its
+// leaves is unspecified (hash order), and the canonical encoder sorts the
+// group keys it collects.
 //
 // # Snapshots
 //
@@ -27,10 +28,12 @@
 // postings leaf. Nodes and leaves are stamped with the mutation epoch that
 // created them; taking a snapshot freezes the current epoch, and the writer
 // path-copies frozen nodes on the way to its first mutation of each path per
-// epoch (copy-on-write), mutating in place afterwards. A mutation therefore
-// costs O(depth) node copies worst case — never O(index size), no matter how
-// many snapshots are live — which is what makes snapshot-per-query reads and
-// long-lived pinned views affordable. See snapshot.go.
+// epoch (copy-on-write), mutating in place afterwards. The first write to a
+// path in an epoch therefore costs O(depth) node copies plus one memmove of
+// the leaf it lands in (and of the side-table sub set when a leaf appears or
+// disappears) — linear in that leaf, never in the index, no matter how many
+// snapshots are live; later writes to the same leaf in the same epoch are in
+// place. See snapshot.go.
 package store
 
 import (
@@ -63,12 +66,11 @@ func (t Triple) Matches(u Triple) bool {
 func pack(a, b dict.ID) uint64 { return uint64(a)<<32 | uint64(b) }
 
 // aSub is the side-table record for one first-component value a within an
-// index: the set of second components b under a (as a postings set — same
-// adaptive sorted-slice/hash representation as the leaves) and the number of
-// triples under a, which makes the single-constant Count shapes a single
-// lookup. Records are stored by value in the a-level trie, so node ownership
-// covers the record itself; the sub postings follows the usual per-structure
-// epoch copy-on-write protocol.
+// index: the set of second components b under a (a postings run, like the
+// leaves) and the number of triples under a, which makes the single-constant
+// Count shapes a single lookup. Records are stored by value in the a-level
+// trie, so node ownership covers the record itself; the sub postings follows
+// the usual per-structure epoch copy-on-write protocol.
 type aSub struct {
 	count int32
 	sub   *postings
@@ -202,19 +204,6 @@ func (ix *index) leaf(a, b dict.ID) *postings {
 // leaves returns the number of postings leaves in the index.
 func (ix *index) leaves() int { return ix.ls.len() }
 
-// sortedSub returns the b values of a side-table record in ascending order,
-// synchronising promoted-set rebuilds on the store's sort lock (the same
-// discipline as SortedIDs on leaves).
-func sortedSub(p *postings, sortMu *sync.Mutex) []dict.ID {
-	if p.set == nil {
-		return p.small
-	}
-	sortMu.Lock()
-	ids := p.sortedView()
-	sortMu.Unlock()
-	return ids
-}
-
 // forEachTriple enumerates the index by walking the leaf trie directly —
 // no per-leaf lookups, no locks. The order is the trie's hash order:
 // deterministic for a given index value, but not sorted (the canonical
@@ -252,15 +241,6 @@ type tables struct {
 	osp index // (o,s) -> {p}
 
 	size int
-
-	// sortMu serializes the lazy sorted-snapshot rebuilds of promoted
-	// leaves (SortedIDs). It is shared by pointer between a store and every
-	// snapshot taken from it, because frozen promoted leaves are shared too
-	// and the rebuild mutates the leaf's sorted cache. It is deliberately
-	// store-wide: rebuilds happen at most once per leaf per mutation batch,
-	// so contention is nil and per-leaf locks would waste memory on millions
-	// of leaves.
-	sortMu *sync.Mutex
 }
 
 // Store is an in-memory triple store with a single-writer, multi-reader
@@ -289,32 +269,19 @@ type Store struct {
 }
 
 // New returns an empty store.
-func New() *Store { return NewWithCapacity(0) }
-
-// NewWithCapacity returns an empty store ready for roughly n triples. The
-// persistent-trie indexes grow incrementally, so n only exists for API
-// compatibility with the earlier map-backed layout; it is ignored.
-func NewWithCapacity(n int) *Store {
-	_ = n
-	return &Store{tables: tables{sortMu: &sync.Mutex{}}}
-}
-
-// Reserve is a no-op kept for API compatibility: the trie indexes need no
-// pre-sizing (nodes grow by insertion, and there are no hash maps to rehash).
-func (s *Store) Reserve(n int) {}
+func New() *Store { return &Store{} }
 
 // CopiedNodes returns the cumulative number of copy-on-write copies (trie
 // nodes, index entries, postings leaves) the store's mutations have paid.
 // Each mutation after a snapshot copies at most one path per index — O(trie
-// depth) structures — never the whole index; the structural-sharing property
-// test pins that bound through this counter.
+// depth) structures, one of them a leaf — never the whole index; the
+// structural-sharing property test pins that bound through this counter.
 func (s *Store) CopiedNodes() uint64 { return s.copied }
 
 // mut readies the store for mutation: it drops the cached snapshot and, when
 // the current state is shared with a live snapshot, advances the epoch so
 // every reachable structure is recognised as frozen and copied on first
-// touch. O(1) — the old map-backed layout paid an O(index-entries) shallow
-// "detach" copy here, which is exactly what the persistent trie removes.
+// touch. O(1).
 func (s *Store) mut() {
 	s.snap = nil
 	if s.shared {
@@ -532,13 +499,8 @@ func (t *tables) ForEachMatch(pat Triple, fn func(Triple) bool) {
 // leaf shapes: (s,p,?), (?,p,o), (s,?,o)). ok is false when no triple
 // matches. The returned slice aliases store internals and must be treated as
 // read-only; it stays valid until the store is mutated (slices obtained from
-// a Snapshot stay valid for the snapshot's lifetime).
-//
-// For promoted (hash-set) leaves the order comes from a lazily-maintained
-// snapshot rebuilt on first sorted access after a mutation; the rebuild is
-// internally synchronized (against the live store and every snapshot sharing
-// the leaf), so SortedIDs is safe under the store's concurrent read-only
-// contract like every other read. Sorted-leaf access is what the engine's
+// a Snapshot stay valid for the snapshot's lifetime). The slice is the leaf's
+// own run — no lock, no copy, no rebuild — which is what the engine's
 // merge-intersection joins build on.
 func (t *tables) SortedIDs(pat Triple) ([]dict.ID, bool) {
 	bs, bp, bo := pat.S != dict.None, pat.P != dict.None, pat.O != dict.None
@@ -556,13 +518,7 @@ func (t *tables) SortedIDs(pat Triple) ([]dict.ID, bool) {
 	if l == nil {
 		return nil, false
 	}
-	if l.set == nil {
-		return l.small, true
-	}
-	t.sortMu.Lock()
-	ids := l.sortedView()
-	t.sortMu.Unlock()
-	return ids, true
+	return l.ids, true
 }
 
 // Cursor is a positioned iterator over one sorted postings leaf, obtained
@@ -743,7 +699,7 @@ func (t *tables) Objects(p dict.ID) []dict.ID {
 	if !ok {
 		return nil
 	}
-	return slices.Clone(sortedSub(e.sub, t.sortMu))
+	return slices.Clone(e.sub.ids)
 }
 
 // Clone returns a deep copy of the store: every trie node and leaf is
@@ -753,11 +709,10 @@ func (t *tables) Objects(p dict.ID) []dict.ID {
 func (s *Store) Clone() *Store {
 	return &Store{
 		tables: tables{
-			spo:    s.spo.clone(),
-			pos:    s.pos.clone(),
-			osp:    s.osp.clone(),
-			size:   s.size,
-			sortMu: &sync.Mutex{},
+			spo:  s.spo.clone(),
+			pos:  s.pos.clone(),
+			osp:  s.osp.clone(),
+			size: s.size,
 		},
 	}
 }
