@@ -11,8 +11,12 @@
 //
 // All three implement Strategy over the same store, so their performance
 // differences (Figure 3 and experiments E3–E8) are algorithmic, not
-// storage artifacts. The package also hosts the threshold arithmetic of
-// Figure 3 and the strategy advisor sketched as an open issue in §II-D.
+// storage artifacts. They also share one read path: a query is compiled
+// into an immutable plan that every goroutine executing it shares — kept by
+// a prepared query (safe for concurrent use, replaced under the one
+// validity rule of prepared.current), dropped after one execution by an ad
+// hoc Answer. The package also hosts the threshold arithmetic of Figure 3
+// and the strategy advisor sketched as an open issue in §II-D.
 package core
 
 import (

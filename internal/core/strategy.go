@@ -42,11 +42,11 @@ type Strategy interface {
 	// (|G∞| for saturation, |G| plus the closed schema for reformulation,
 	// |G| for backward chaining).
 	Len() int
-	// Prepare compiles q into a PreparedQuery whose plans are cached across
+	// Prepare compiles q into a PreparedQuery whose plan is kept across
 	// executions — the paper's repeated-query regime, where planning and
 	// (for reformulation) rewriting are paid once. The prepared query reads
-	// the strategy's data live and revalidates its cached plans
-	// automatically, so it stays correct across Insert/Delete.
+	// the strategy's data live and replaces its plan when it goes stale, so
+	// it stays correct across Insert/Delete.
 	Prepare(q *sparql.Query) (PreparedQuery, error)
 	// DurableState captures the strategy's persistent state for a
 	// checkpoint: the asserted triples (always) and the saturated store
@@ -64,16 +64,22 @@ type Strategy interface {
 type DurableStrategy = Strategy
 
 // PreparedQuery is a query compiled against one strategy for repeated
-// execution. Answer matches Strategy.Answer; cached plans are revalidated
-// transparently (dictionary growth, schema updates), so results always
-// reflect the strategy's current data. A PreparedQuery is not safe for
-// concurrent use; results it returns are independent snapshots and remain
-// valid.
+// execution. Answer matches Strategy.Answer; the compiled plan is replaced
+// transparently when it goes stale (schema updates, a constant the
+// dictionary has learnt since, statistics drift), so results always reflect
+// the strategy's current data. A PreparedQuery is safe for concurrent use:
+// the compiled plan is immutable and shared by every caller, each execution
+// runs on its own scratch, and the results returned are independent
+// snapshots that remain valid.
 type PreparedQuery interface {
 	// Query returns the source query.
 	Query() *sparql.Query
 	// Answer executes the prepared query; see Strategy.Answer.
 	Answer() (*engine.Result, error)
+	// Execute is Answer, and additionally reports whether this call had to
+	// build a plan (compile, recompile or re-plan) before it could execute,
+	// instead of running on the one already published.
+	Execute() (res *engine.Result, built bool, err error)
 }
 
 // Ask turns the outcome of an Answer call — a Strategy's, a PreparedQuery's
@@ -118,8 +124,8 @@ type view struct {
 // technique is what distinguishes one strategy from another: what it
 // materialises on the write side and how it evaluates on the read side. The
 // skeleton supplies everything else. apply, view and durable run on the
-// writer side, serialized by the skeleton's mutex; answer and compile run on
-// any reader against the immutable view they are handed.
+// writer side, serialized by the skeleton's mutex; compile runs on any reader
+// against the immutable view it is handed.
 type technique interface {
 	// apply maintains the strategy's stores for one batch of assertions or
 	// retractions; ts are the same triples as enc at term level.
@@ -128,22 +134,22 @@ type technique interface {
 	view() *view
 	// durable adds O(1) snapshots of the stores a checkpoint must hold.
 	durable(st *persist.State)
-	// answer evaluates q once against v, deduplicated over the projection.
-	answer(v *view, q *sparql.Query) (*engine.Result, error)
-	// compile builds the cached evaluation of q against v.
-	compile(v *view, q *sparql.Query) (plan, error)
+	// compile builds the evaluation of q against v: compiled under v's
+	// schema, planned against v's data. data is v.src when compiling also
+	// read v's data vocabulary — the plan is then good for that data only —
+	// and nil otherwise.
+	compile(v *view, q *sparql.Query) (p plan, data engine.Source, err error)
 }
 
-// plan is a technique's cached evaluation of one query, compiled under one
-// schema and bound to one view's source.
+// plan is a technique's compiled evaluation of one query: immutable, shared
+// by every goroutine executing the query, with the source an argument.
 type plan interface {
-	// rebind points the plan at src, the data of the current view (same
-	// schema as the plan was compiled under), and reports whether the plan
-	// is sound there. It is called before every execution; false asks for a
-	// recompile.
-	rebind(src engine.Source) bool
-	// eval runs the plan, deduplicated over proj.
-	eval(proj []string) (*engine.Result, error)
+	// on returns the plan to execute against src, the data of a view under
+	// the schema the plan was compiled for: the receiver while it is still
+	// good there, otherwise its successor (see engine.Plan.For).
+	on(src engine.Source) plan
+	// exec runs the plan against src, deduplicated over the projection.
+	exec(src engine.Source) *engine.Result
 }
 
 // skeleton is the part every strategy shares: the KB, the writer mutex, the
@@ -191,14 +197,29 @@ func (s *skeleton) Delete(ts ...rdf.Triple) error { return s.mutate(true, ts) }
 // Len implements Strategy, as of the current view.
 func (s *skeleton) Len() int { return s.cur.Load().size }
 
-// Answer implements Strategy: rewriting (if any) and evaluation run against
-// the same view, so a concurrent mutation cannot slip between them.
-func (s *skeleton) Answer(q *sparql.Query) (*engine.Result, error) {
-	res, err := s.tech.answer(s.cur.Load(), q)
+// build validates q and has the technique compile it against v.
+func (s *skeleton) build(v *view, q *sparql.Query) (*compilation, error) {
+	if err := q.Validate(); err != nil {
+		return nil, err
+	}
+	p, data, err := s.tech.compile(v, q)
 	if err != nil {
 		return nil, err
 	}
-	return limit(res, q), nil
+	return &compilation{plan: p, sch: v.sch, data: data}, nil
+}
+
+// Answer implements Strategy: the ad hoc query is the prepared one's
+// degenerate case — compile against the current view, execute once, drop the
+// plan. Rewriting (if any) and evaluation run against the same view, so a
+// concurrent mutation cannot slip between them.
+func (s *skeleton) Answer(q *sparql.Query) (*engine.Result, error) {
+	v := s.cur.Load()
+	c, err := s.build(v, q)
+	if err != nil {
+		return nil, err
+	}
+	return limit(c.plan.exec(v.src), q), nil
 }
 
 // DurableState implements Strategy: the dictionary boundary plus the
@@ -212,59 +233,87 @@ func (s *skeleton) DurableState() persist.State {
 }
 
 // Prepare implements Strategy. Steady-state execution allocates only the
-// result rows; see prepared.Answer for how the cached plan follows
-// mutations.
+// result rows; see prepared.current for how the plan follows mutations.
 func (s *skeleton) Prepare(q *sparql.Query) (PreparedQuery, error) {
-	if err := q.Validate(); err != nil {
+	c, err := s.build(s.cur.Load(), q)
+	if err != nil {
 		return nil, err
 	}
-	pq := &prepared{s: s, q: q, proj: q.Projection()}
-	if err := pq.compile(s.cur.Load()); err != nil {
-		return nil, err
-	}
+	pq := &prepared{s: s, q: q}
+	pq.cur.Store(c)
 	return pq, nil
 }
 
-// prepared is the PreparedQuery of every strategy: the query, its projection
-// and LIMIT, and the technique's plan together with the schema it was
-// compiled under.
+// prepared is the PreparedQuery of every strategy: the query and the one
+// compilation all its callers currently share, swapped atomically.
 type prepared struct {
-	s    *skeleton
-	q    *sparql.Query
-	proj []string
-	sch  *schema.Schema
-	p    plan
+	s   *skeleton
+	q   *sparql.Query
+	cur atomic.Pointer[compilation]
+}
+
+// compilation is a technique's plan together with what it was compiled
+// under. It is immutable; a prepared query replaces it whole.
+//
+//webreason:frozen
+type compilation struct {
+	plan plan
+	// sch is the schema the plan was compiled under (the view's pointer).
+	sch *schema.Schema
+	// data is the view source a vocabulary-dependent rewriting read, nil for
+	// every other plan.
+	data engine.Source
 }
 
 func (pq *prepared) Query() *sparql.Query { return pq.q }
 
-// compile (re)builds the plan against v; on error the previous plan stays.
-func (pq *prepared) compile(v *view) error {
-	p, err := pq.s.tech.compile(v, pq.q)
-	if err != nil {
-		return err
-	}
-	pq.p, pq.sch = p, v.sch
-	return nil
-}
-
-// Answer executes against the current view with two invalidation tiers. A
-// batch that changed the schema recompiles the plan from scratch. A
-// data-only batch asks the plan to follow it: engine plans always can (a
-// pointer swap; the engine replans on its own when the data size drifts or
-// the dictionary grows), a reformulated union can unless its rewriting
-// depends on the data vocabulary or the dictionary grew.
-func (pq *prepared) Answer() (*engine.Result, error) {
-	if v := pq.s.cur.Load(); v.sch != pq.sch || !pq.p.rebind(v.src) {
-		if err := pq.compile(v); err != nil {
-			return nil, err
+// current returns the compilation to execute against v and whether this call
+// built it. It states the one validity rule of a prepared query: the
+// published compilation is good for v when it was compiled under v's schema
+// (pointer identity: a data-only batch republishes the same schema) and, if
+// its rewriting read the data vocabulary, against v's very data; then its
+// plan follows the data by plan.on — a constant the dictionary did not know
+// is recompiled once the dictionary has grown, a join order is re-planned
+// once the data size has drifted past the engine's threshold, and nothing
+// else looks at the dictionary or costs more than an O(1) count. Whoever
+// finds the compilation stale builds the successor and publishes it for
+// everyone; two callers racing on different views each publish a valid one.
+// On error the published compilation stays.
+func (pq *prepared) current(v *view) (*compilation, bool, error) {
+	c := pq.cur.Load()
+	if c.sch == v.sch && (c.data == nil || c.data == v.src) {
+		p := c.plan.on(v.src)
+		if p == c.plan {
+			return c, false, nil
+		}
+		c = &compilation{plan: p, sch: c.sch, data: c.data}
+	} else {
+		var err error
+		if c, err = pq.s.build(v, pq.q); err != nil {
+			return nil, false, err
 		}
 	}
-	res, err := pq.p.eval(pq.proj)
+	pq.cur.Store(c)
+	return c, true, nil
+}
+
+// Execute implements PreparedQuery against the current view.
+//
+//webreason:hotpath
+func (pq *prepared) Execute() (*engine.Result, bool, error) {
+	v := pq.s.cur.Load()
+	//lint:ignore hotpath compiling or re-planning is the cold branch; the steady state is two pointer comparisons and plan.on's O(1) count
+	c, built, err := pq.current(v)
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
-	return limit(res, pq.q), nil
+	return limit(c.plan.exec(v.src), pq.q), built, nil
+}
+
+// Answer implements PreparedQuery.
+func (pq *prepared) Answer() (*engine.Result, error) {
+	res, _, err := pq.Execute()
+	return res, err
 }
 
 // direct is the read side of the two strategies that evaluate the query as
@@ -272,34 +321,20 @@ func (pq *prepared) Answer() (*engine.Result, error) {
 // virtual one.
 type direct struct{ d *dict.Dict }
 
-func (e direct) answer(v *view, q *sparql.Query) (*engine.Result, error) {
-	if err := q.Validate(); err != nil {
-		return nil, err
-	}
-	res, err := engine.EvalBGP(v.src, q.Patterns, e.d)
+func (e direct) compile(v *view, q *sparql.Query) (plan, engine.Source, error) {
+	p, err := engine.NewPlan(v.src, q.Patterns, e.d, q.Projection())
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return res.Project(q.Projection()).Distinct(), nil
-}
-
-func (e direct) compile(v *view, q *sparql.Query) (plan, error) {
-	p, err := engine.Prepare(v.src, q.Patterns, e.d)
-	if err != nil {
-		return nil, err
-	}
-	return bgpPlan{p}, nil
+	return bgpPlan{p}, nil, nil
 }
 
 // bgpPlan is a compiled join plan with a fused projection+dedup.
-type bgpPlan struct{ *engine.Prepared }
+type bgpPlan struct{ *engine.Plan }
 
-func (p bgpPlan) rebind(src engine.Source) bool {
-	p.Rebind(src)
-	return true
-}
+func (p bgpPlan) on(src engine.Source) plan { return bgpPlan{p.For(src)} }
 
-func (p bgpPlan) eval(proj []string) (*engine.Result, error) { return p.EvalDistinct(proj), nil }
+func (p bgpPlan) exec(src engine.Source) *engine.Result { return p.Exec(src) }
 
 // asserted is the write side of the two strategies that store G as asserted
 // and reason at query time: instance updates cost O(1), and only the (small)
@@ -462,75 +497,41 @@ func (r *Reformulation) Reformulate(q *sparql.Query) (*reformulate.UCQ, error) {
 	return r.rewrite(r.cur.Load(), q)
 }
 
-// answer rewrites, then evaluates the union on G.
-func (r *Reformulation) answer(v *view, q *sparql.Query) (*engine.Result, error) {
-	ucq, err := r.rewrite(v, q)
-	if err != nil {
-		return nil, err
-	}
-	return ucq.Evaluate(v.src, r.kb.dict)
-}
-
-// compile caches the rewriting and the per-branch plans of the union. The
-// dictionary version is read BEFORE the rewriting: a concurrent writer may
-// coin terms while we compile, and stamping the older version merely costs
-// one extra recompile on the next execution, whereas stamping the newer one
-// would mark growth we never saw as already-handled and skip a required
-// recompile forever.
-func (r *Reformulation) compile(v *view, q *sparql.Query) (plan, error) {
+// compile rewrites q against v's schema and compiles one engine plan per
+// branch of the union.
+func (r *Reformulation) compile(v *view, q *sparql.Query) (plan, engine.Source, error) {
 	RefPlanStats.Rebuilt.Add(1)
-	dver := r.kb.dict.Version()
 	ucq, err := r.rewrite(v, q)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	pu, err := ucq.Prepare(v.src, r.kb.dict)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return &ucqPlan{pu: pu, src: v.src, d: r.kb.dict, dver: dver}, nil
+	if ucq.VocabDependent {
+		return ucqPlan{pu}, v.src, nil
+	}
+	return ucqPlan{pu}, nil, nil
 }
 
-// RefPlanStats counts reformulation prepared-union lifecycle events:
-// full re-reformulations (rebuild) and cheap branch-level rebinds. Exposed
-// by the server's metrics registry alongside engine.PlanStats.
+// RefPlanStats counts the rewritings compiled into a union plan: one per
+// prepared compile or recompile and one per ad hoc query. Exposed by the
+// server's metrics registry alongside engine.PlanStats.
 var RefPlanStats struct {
 	Rebuilt atomic.Uint64
-	Rebound atomic.Uint64
 }
 
-// ucqPlan is a reformulated union with one engine plan per branch.
-type ucqPlan struct {
-	pu   *reformulate.PreparedUCQ
-	src  engine.Source // source the branches are bound to
-	d    *dict.Dict
-	dver uint64 // dictionary version the rewriting saw
-}
+// ucqPlan is a reformulated union with one engine plan per branch. The union
+// depends only on the schema closure (and, when VocabDependent, the data
+// vocabulary), so across a data-only batch it and every branch plan are kept:
+// the common case of constant classes and properties, where update-heavy
+// workloads pay one O(1) check per branch instead of a full rewrite.
+type ucqPlan struct{ *reformulate.PreparedUCQ }
 
-// rebind keeps the union and every branch plan across a data-only batch,
-// merely pointing the branches at the new snapshot (each replans on its own
-// only when the data size drifts past the engine's threshold) — the common
-// case of constant classes and properties, where update-heavy workloads pay
-// one pointer swap per branch instead of a full rewrite. Dictionary growth,
-// or any batch under a rewriting that instantiated class/property variables
-// against the data vocabulary, invalidates the rewriting itself.
-func (p *ucqPlan) rebind(src engine.Source) bool {
-	if p.d.Version() != p.dver {
-		return false
-	}
-	if src == p.src {
-		return true
-	}
-	if p.pu.VocabDependent() {
-		return false
-	}
-	RefPlanStats.Rebound.Add(1)
-	p.pu.Rebind(src)
-	p.src = src
-	return true
-}
+func (p ucqPlan) on(src engine.Source) plan { return ucqPlan{p.For(src)} }
 
-func (p *ucqPlan) eval([]string) (*engine.Result, error) { return p.pu.Evaluate() }
+func (p ucqPlan) exec(src engine.Source) *engine.Result { return p.Exec(src) }
 
 // storeView is the read-only store surface shared by *store.Store and
 // *store.Snapshot that composite sources build on: what the engine needs to
@@ -601,11 +602,14 @@ var (
 // contrasts with query answering, and the baseline showing how many answers
 // each workload query loses without reasoning.
 func PlainAnswer(kb *KB, q *sparql.Query) (*engine.Result, error) {
-	res, err := direct{kb.dict}.answer(&view{src: kb.base}, q)
+	if err := q.Validate(); err != nil {
+		return nil, err
+	}
+	p, err := engine.NewPlan(kb.base, q.Patterns, kb.dict, q.Projection())
 	if err != nil {
 		return nil, err
 	}
-	return limit(res, q), nil
+	return limit(p.Exec(kb.base), q), nil
 }
 
 // NewStrategy builds a strategy by name ("saturation", "reformulation",

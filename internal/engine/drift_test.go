@@ -45,7 +45,7 @@ func TestPreparedReplanOnSizeDrift(t *testing.T) {
 	if got := planFirst(); got != 0 {
 		t.Fatalf("initial plan starts with pattern %d, want 0 (knows)", got)
 	}
-	size0 := p.planSize
+	size0 := p.pl.size
 	if size0 != st.Len() {
 		t.Fatalf("planSize = %d, want %d", size0, st.Len())
 	}
@@ -55,8 +55,8 @@ func TestPreparedReplanOnSizeDrift(t *testing.T) {
 		st.Add(store.Triple{S: ids[i], P: likes, O: ids[i+1]})
 	}
 	p.Eval()
-	if p.planSize != size0 {
-		t.Fatalf("replanned below the drift threshold (planSize %d -> %d)", size0, p.planSize)
+	if p.pl.size != size0 {
+		t.Fatalf("replanned below the drift threshold (planSize %d -> %d)", size0, p.pl.size)
 	}
 
 	// Push past 2x by flooding knows triples: statistics now say likes is
@@ -68,7 +68,7 @@ func TestPreparedReplanOnSizeDrift(t *testing.T) {
 		t.Fatalf("test setup: store grew to %d, need > %d", st.Len(), replanDrift*size0)
 	}
 	p.Eval()
-	if p.planSize == size0 {
+	if p.pl.size == size0 {
 		t.Fatal("plan statistics not refreshed after >2x growth")
 	}
 	if got := planFirst(); got != 1 {
@@ -76,7 +76,7 @@ func TestPreparedReplanOnSizeDrift(t *testing.T) {
 	}
 
 	// Shrink drift: deleting most of the store re-triggers too.
-	sizeBig := p.planSize
+	sizeBig := p.pl.size
 	var toRemove []store.Triple
 	st.ForEachMatch(store.Triple{P: knows}, func(tr store.Triple) bool {
 		toRemove = append(toRemove, tr)
@@ -86,7 +86,7 @@ func TestPreparedReplanOnSizeDrift(t *testing.T) {
 		st.Remove(tr)
 	}
 	p.Eval()
-	if p.planSize == sizeBig {
+	if p.pl.size == sizeBig {
 		t.Fatal("plan statistics not refreshed after >2x shrink")
 	}
 }
@@ -167,7 +167,7 @@ func TestPreparedRebind(t *testing.T) {
 	if got := len(prep.Eval().Rows); got != 1 {
 		t.Fatalf("snapshot-bound eval: %d rows, want 1 (snapshot predates second add)", got)
 	}
-	if prep.ss == nil {
+	if !prep.pl.sorted {
 		t.Fatal("snapshot rebind lost the sorted-source capability")
 	}
 

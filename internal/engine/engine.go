@@ -1,14 +1,23 @@
 // Package engine evaluates BGP queries over a triple source: variable
 // binding, greedy selectivity-based join ordering, and index nested-loop
-// joins over the store's pattern indexes. It is deliberately agnostic about
+// joins (merge-intersection joins where the source enumerates in ID order)
+// over the store's pattern indexes. It is deliberately agnostic about
 // where the triples come from — the saturated store, the original store
 // (for reformulated queries) or a virtual backward-chaining view all
 // implement Source — so the paper's three query-answering techniques differ
 // only in the Source and the query they hand to the same evaluator.
+//
+// There is one evaluator. A query is compiled and planned into an immutable
+// Plan, which any number of goroutines share; an execution draws its scratch
+// (bindings, undo stack, dedup sets, merge buffers) from one pool and takes
+// the Source as an argument. A prepared query keeps its Plan between
+// executions and replaces it when Plan.For says so; an ad hoc query builds
+// one, runs it once and drops it.
 package engine
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/dict"
@@ -45,8 +54,9 @@ type cpattern struct {
 // Compiled is a BGP compiled against a dictionary: variables numbered, and
 // constant terms resolved to IDs.
 type Compiled struct {
-	vars     []string
-	varIndex map[string]int
+	// vars are the variable names in first-occurrence order; a variable's
+	// number is its index (BGPs have a handful, so lookups scan).
+	vars []string
 	// patterns holds the compiled patterns in original BGP order, so
 	// patterns[i].idx == i: a PlanStep.PatternIndex indexes patterns
 	// directly.
@@ -61,13 +71,12 @@ type Compiled struct {
 // occur in any triple), which Compile records rather than treating as an
 // error.
 func Compile(patterns []rdf.Triple, d *dict.Dict) (*Compiled, error) {
-	c := &Compiled{varIndex: map[string]int{}}
+	c := &Compiled{}
 	mk := func(t rdf.Term) (slot, error) {
 		if t.IsVar() {
-			i, ok := c.varIndex[t.Value]
-			if !ok {
+			i := slices.Index(c.vars, t.Value)
+			if i < 0 {
 				i = len(c.vars)
-				c.varIndex[t.Value] = i
 				c.vars = append(c.vars, t.Value)
 			}
 			return slot{isVar: true, v: i}, nil
@@ -108,7 +117,7 @@ func (c *Compiled) Vars() []string { return c.vars }
 
 // concrete returns the store pattern for cp under bindings b: constants and
 // bound variables become IDs, unbound variables become wildcards.
-func concrete(cp cpattern, b []dict.ID) store.Triple {
+func concrete(cp *cpattern, b []dict.ID) store.Triple {
 	get := func(s slot) dict.ID {
 		if !s.isVar {
 			return s.id
@@ -121,7 +130,7 @@ func concrete(cp cpattern, b []dict.ID) store.Triple {
 // bind matches triple t against cp, extending b; it returns false (leaving
 // b partially updated — callers restore from undo) when a repeated variable
 // or constant mismatches.
-func bind(cp cpattern, t store.Triple, b []dict.ID, undo *[]int) bool {
+func bind(cp *cpattern, t store.Triple, b []dict.ID, undo *[]int) bool {
 	try := func(s slot, v dict.ID) bool {
 		if !s.isVar {
 			return s.id == v
@@ -214,75 +223,9 @@ type Result struct {
 }
 
 // Eval evaluates the compiled BGP against src, returning one row per match
-// (bag semantics, as SPARQL evaluation defines).
-func (c *Compiled) Eval(src Source) *Result {
-	res := &Result{Vars: c.vars}
-	if c.impossible {
-		return res
-	}
-	order := c.plan(src)
-	// patterns is in original BGP order (patterns[i].idx == i), so each plan
-	// step maps back to its compiled pattern by direct indexing (this used
-	// to be a quadratic nested scan over the patterns).
-	ordered := make([]cpattern, len(order))
-	for i, st := range order {
-		ordered[i] = c.patterns[st.PatternIndex]
-	}
-	w := len(c.vars)
-	b := make([]dict.ID, w)
-	// undo is a single shared stack of bound variable indexes; each join
-	// level remembers its mark and pops back to it, so the inner loop does
-	// not allocate a fresh undo slice per matched triple.
-	undo := make([]int, 0, 3*len(ordered))
-	// Result rows are carved out of chunked arenas: one allocation per
-	// rowChunk rows instead of one per row. Full chunks stay referenced by
-	// the rows sliced from them; only the unused tail of the last chunk is
-	// waste.
-	const rowChunk = 128
-	var arena []dict.ID
-	emit := func() {
-		if w == 0 {
-			res.Rows = append(res.Rows, nil)
-			return
-		}
-		if len(arena)+w > cap(arena) {
-			arena = make([]dict.ID, 0, rowChunk*w)
-		}
-		n := len(arena)
-		arena = arena[: n+w : cap(arena)]
-		row := arena[n : n+w : n+w]
-		copy(row, b)
-		res.Rows = append(res.Rows, row)
-	}
-	// One callback per join level, allocated up front: the per-triple inner
-	// loop then runs closure-allocation-free.
-	callbacks := make([]func(store.Triple) bool, len(ordered))
-	var rec func(depth int)
-	rec = func(depth int) {
-		if depth == len(ordered) {
-			emit()
-			return
-		}
-		src.ForEachMatch(concrete(ordered[depth], b), callbacks[depth])
-	}
-	for depth := range callbacks {
-		cp := ordered[depth]
-		next := depth + 1
-		callbacks[depth] = func(t store.Triple) bool {
-			mark := len(undo)
-			if bind(cp, t, b, &undo) {
-				rec(next)
-			}
-			for _, v := range undo[mark:] {
-				b[v] = dict.None
-			}
-			undo = undo[:mark]
-			return true
-		}
-	}
-	rec(0)
-	return res
-}
+// (bag semantics, as SPARQL evaluation defines): plan against src, execute
+// once.
+func (c *Compiled) Eval(src Source) *Result { return c.planOn(src, nil).exec(src, false) }
 
 // EvalBGP compiles and evaluates patterns in one call.
 func EvalBGP(src Source, patterns []rdf.Triple, d *dict.Dict) (*Result, error) {
@@ -342,7 +285,7 @@ func (r *Result) Project(vars []string) *Result {
 }
 
 // rowSet is a width-specialized set of binding rows, the shared dedup
-// machinery of Result.Distinct and Prepared's fused distinct. Rows are keyed
+// machinery of Result.Distinct and the evaluator's fused distinct. Rows are keyed
 // on binary values rather than formatted text: widths up to three use
 // fixed-size ID arrays as comparable map keys (no per-row allocation at
 // all); wider rows fall back to the raw little-endian bytes of the IDs as a
@@ -352,6 +295,7 @@ func (r *Result) Project(vars []string) *Result {
 // steady state.
 type rowSet struct {
 	w      int
+	high   int // most rows ever held; see held
 	seen1  map[dict.ID]struct{}
 	seen2  map[[2]dict.ID]struct{}
 	seen3  map[[3]dict.ID]struct{}
@@ -409,6 +353,22 @@ func (s *rowSet) add(row []dict.ID) bool {
 		s.seenN[string(buf)] = struct{}{}
 	}
 	return true
+}
+
+// held returns the most rows the set has ever held. A map keeps the buckets
+// of its largest population, so this is what reset costs.
+func (s *rowSet) held() int {
+	n := len(s.seenN)
+	switch s.w {
+	case 1:
+		n = len(s.seen1)
+	case 2:
+		n = len(s.seen2)
+	case 3:
+		n = len(s.seen3)
+	}
+	s.high = max(s.high, n)
+	return s.high
 }
 
 // reset empties the set, retaining the buckets.

@@ -1,7 +1,9 @@
 package engine
 
 import (
+	"math/bits"
 	"slices"
+	"sync"
 	"sync/atomic"
 
 	"repro/internal/dict"
@@ -12,8 +14,8 @@ import (
 // SortedSource is a Source that can additionally enumerate the free position
 // of a two-constant pattern in ascending ID order. The concrete store
 // implements it via its sorted postings leaves; virtual sources (union views,
-// backward-chaining views) generally cannot, and prepared queries over them
-// simply skip the merge-join optimization.
+// backward-chaining views) generally cannot, and plans over them simply have
+// no merge-join steps.
 type SortedSource interface {
 	Source
 	// SortedIDs returns, ascending, the IDs matching the single wildcard
@@ -24,163 +26,142 @@ type SortedSource interface {
 
 var _ SortedSource = (*store.Store)(nil)
 
-// pstep is one executable step of a prepared plan: either an index
-// nested-loop step over one pattern (merge == nil), or a merge-intersection
-// group — several patterns that each constrain the same single unbound
-// variable with every other position constant or already bound, evaluated as
-// a k-way sorted-list intersection instead of scan-and-probe.
+// pstep is one executable step of a plan: either an index nested-loop step
+// over one pattern (merge == nil), or a merge-intersection group — several
+// patterns that each constrain the same single unbound variable with every
+// other position constant or already bound, evaluated as a k-way sorted-list
+// intersection instead of scan-and-probe.
 type pstep struct {
 	cp       cpattern
 	merge    []cpattern
 	mergeVar int
-	// reusable intersection scratch, per step so nested merge groups do not
-	// stomp each other's buffers.
-	views       [][]dict.ID
-	ibuf, ibuf2 []dict.ID
 }
 
-// Prepared is a BGP compiled and planned once and evaluated many times — the
-// prepared-statement counterpart of EvalBGP. It caches the compiled patterns
-// and the join plan: re-evaluation reuses the plan and every scratch buffer,
-// so the steady-state cost per call is the join work plus the result rows
-// and nothing else (zero planning allocations). Dictionary growth leaves a
-// plan whose constants all resolved untouched (IDs are append-only); a plan
-// holding a constant the dictionary did not know recompiles on the next
-// evaluation after the dictionary grows, since the term may exist now.
+// Plan is a BGP compiled against a dictionary and planned against a source's
+// statistics: compiled patterns, join order, the step table with its merge
+// groups, and the projection map. It is immutable once built, so any number
+// of goroutines execute one Plan at the same time; everything an execution
+// writes lives in a scratch drawn from the package's pool, and the source is
+// an argument of Exec, not part of the plan. What can go stale — the join
+// order, a constant the dictionary did not know — is replaced, never
+// patched: For returns the plan to run against a given source.
 //
-// A Prepared is bound to one Source and one Dict (the source can be swapped
-// with Rebind — the snapshot-serving path does this on every epoch). It
-// reads the source live on every evaluation, so data updates are always
-// visible; only the join order can go stale, and it is refreshed when the
-// source size drifts more than replanDrift× from what the optimizer planned
-// against. Not safe for concurrent use;
-// evaluation results are independent of the Prepared and stay valid
-// indefinitely.
-type Prepared struct {
-	src      Source
-	ss       SortedSource // non-nil iff src supports sorted leaves
-	d        *dict.Dict
+//webreason:frozen
+type Plan struct {
+	// patterns, d and version are what a recompilation needs, kept only
+	// while c.impossible (a resolved plan never recompiles, so it does not
+	// pin the term-level query); version is the dictionary version c was
+	// compiled at.
 	patterns []rdf.Triple
-
-	version   uint64 // dictionary version c was compiled at; consulted only while c.impossible
-	c         *Compiled
-	steps     []pstep
-	planSteps []PlanStep
-	callbacks []func(store.Triple) bool
-	// planSize is the source's total size when the plan was last computed;
-	// the drift check compares against it on every refresh.
-	planSize int
-
-	// evaluation scratch, reused across calls
-	b       []dict.ID
-	undo    []int
-	rowHint int
-
-	// fused projection+distinct state for EvalDistinct
+	d        *dict.Dict
+	version  uint64
+	c        *Compiled
+	// order is the greedy join order, steps the same order with merge groups
+	// fused; sorted records that the steps were built for a SortedSource
+	// (only then can they hold merge groups), size the source's total size
+	// the optimizer saw.
+	order  []PlanStep
+	steps  []pstep
+	sorted bool
+	size   int
+	// proj is the projection Exec deduplicates over, projIdx its column map
+	// (-1: a variable the pattern does not bind, emitted as dict.None).
 	proj    []string
 	projIdx []int
-	projRow []dict.ID
-	seen    *rowSet
-
-	// per-call state
-	res      *Result
-	arena    []dict.ID
-	w        int
-	distinct bool
+	// rowHint is the row count of the latest execution, by whichever
+	// goroutine finished last: it sizes the next result's row table and
+	// arena. A hint only — any value is correct.
+	rowHint atomic.Int64
 }
 
-// Prepare compiles and plans the BGP against src and d for repeated
-// evaluation. Structural errors (empty BGP, zero terms) surface here; a
-// constant missing from the dictionary is not an error — the query is empty
-// until the term is coined, at which point the plan refreshes itself.
-func Prepare(src Source, patterns []rdf.Triple, d *dict.Dict) (*Prepared, error) {
-	p := &Prepared{src: src, d: d, patterns: slices.Clone(patterns)}
-	if ss, ok := src.(SortedSource); ok {
-		p.ss = ss
-	}
-	if err := p.refresh(); err != nil {
-		return nil, err
-	}
-	return p, nil
-}
-
-// replanDrift is the size-drift factor that invalidates a cached join plan:
-// once the source holds more than replanDrift× (or fewer than 1/replanDrift×)
-// the triples it was planned against, the optimizer's cardinality estimates
-// are stale enough that the greedy order may be badly wrong, so the plan is
-// recomputed against fresh statistics. Replanning is cheap (no recompilation,
-// no allocation churn beyond the step table), so the factor errs small.
+// replanDrift is the size-drift factor that invalidates a join order: once
+// the source holds more than replanDrift× (or fewer than 1/replanDrift×) the
+// triples it was planned against, the optimizer's cardinality estimates are
+// stale enough that the greedy order may be badly wrong, so the plan is
+// recomputed against fresh statistics. Replanning is cheap (no
+// recompilation), so the factor errs small.
 const replanDrift = 2
 
-// PlanStats counts prepared-plan lifecycle events across the process:
-// full compilations, statistics-only replans, and source rebinds. The
-// counters are package-level atomics so the hot paths pay one uncontended
-// RMW and no plumbing; the server exposes them via its metrics registry.
+// PlanStats counts plan lifecycle events across the process: compilations
+// (NewPlan — one per prepared compile or recompile, per branch of a
+// reformulated union, and per ad hoc query) and statistics-only replans. The
+// counters are package-level atomics so the paths that bump them pay one RMW
+// and no plumbing; the server exposes them via its metrics registry.
 var PlanStats struct {
 	Compiled  atomic.Uint64
 	Replanned atomic.Uint64
-	Rebound   atomic.Uint64
 }
 
-// refresh revalidates the cached plan: one O(1) Count in the steady state.
-// Dictionary IDs are append-only, so growth can change nothing about a plan
-// whose constants all resolved, and such a plan never looks at the dictionary
-// again; a plan compiled with an unknown constant recompiles once the
-// dictionary has grown past the version it was compiled at, because the term
-// may exist now. The join order is recomputed (statistics only) when the
-// source size has drifted more than replanDrift× since it was planned.
-func (p *Prepared) refresh() error {
-	if p.c != nil && (!p.c.impossible || p.d.Version() == p.version) {
-		if n := p.src.Count(store.Triple{}); n > replanDrift*p.planSize || replanDrift*n < p.planSize {
-			p.replan()
-		}
-		return nil
-	}
-	v := p.d.Version() // read before compiling: growth in between recompiles again
-	c, err := Compile(p.patterns, p.d)
+// NewPlan compiles patterns against d and plans them against src's current
+// statistics; proj is the projection Exec deduplicates over. Structural
+// errors (empty BGP, zero terms) surface here; a constant missing from the
+// dictionary is not an error — the plan answers empty, and For replaces it
+// once the dictionary has grown, since the term may exist then. proj (and,
+// for such a plan, patterns) is retained and must not be modified afterwards.
+//
+//webreason:writer
+func NewPlan(src Source, patterns []rdf.Triple, d *dict.Dict, proj []string) (*Plan, error) {
+	v := d.Version() // read before compiling: growth in between recompiles again
+	c, err := Compile(patterns, d)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	PlanStats.Compiled.Add(1)
-	p.c = c
-	p.version = v
-	p.replan()
-	p.b = make([]dict.ID, len(c.vars))
-	if p.proj != nil {
-		p.setProjection(p.proj)
+	pl := c.planOn(src, proj)
+	if c.impossible {
+		pl.patterns, pl.d, pl.version = patterns, d, v
 	}
-	return nil
+	return pl, nil
 }
 
-// replan recomputes the join order and step table against the source's
-// current statistics, recording the size the optimizer saw.
-func (p *Prepared) replan() {
+// planOn orders c's patterns against src's statistics and builds the step
+// table and projection map.
+//
+//webreason:writer
+func (c *Compiled) planOn(src Source, proj []string) *Plan {
+	pl := &Plan{c: c, proj: proj, size: src.Count(store.Triple{}), order: c.plan(src)}
+	_, pl.sorted = src.(SortedSource)
+	pl.steps = c.buildSteps(pl.order, pl.sorted)
+	pl.projIdx = make([]int, len(proj))
+	for i, v := range proj {
+		pl.projIdx[i] = slices.Index(c.vars, v)
+	}
+	return pl
+}
+
+// For returns the plan to execute against src: pl itself while it is still
+// good there — one O(1) Count in the steady state — otherwise a successor.
+// A plan holding a constant the dictionary did not know is recompiled once
+// the dictionary has grown past the version it was compiled at (IDs are
+// append-only, so growth can change nothing about a plan whose constants all
+// resolved, and such a plan never looks at the dictionary again). A plan
+// whose source has drifted more than replanDrift× in size, or gained or lost
+// sorted enumeration, is re-planned from the same compilation. Callers that
+// share pl publish the successor so the work is done once.
+func (pl *Plan) For(src Source) *Plan {
+	if pl.c.impossible && pl.d.Version() != pl.version {
+		// Patterns that compiled once compile again (Compile's errors are
+		// structural), so there is no error to report.
+		if np, err := NewPlan(src, pl.patterns, pl.d, pl.proj); err == nil {
+			return np
+		}
+	}
+	n := src.Count(store.Triple{})
+	if _, sorted := src.(SortedSource); sorted == pl.sorted && n <= replanDrift*pl.size && replanDrift*n >= pl.size {
+		return pl
+	}
 	PlanStats.Replanned.Add(1)
-	p.planSize = p.src.Count(store.Triple{})
-	p.planSteps = p.c.plan(p.src)
-	p.buildSteps()
+	return pl.replan(src, pl.proj)
 }
 
-// Rebind points the prepared query at a different source — typically the
-// next snapshot of the same evolving dataset. The compiled patterns, join
-// plan and all scratch buffers are kept; the next evaluation revalidates the
-// plan against the new source's statistics via the usual drift check, so
-// rebinding across small mutation batches costs one pointer swap and one
-// O(1) Count. Rebinding to the already-bound source is a no-op. Rebinding
-// across a sorted-capability change (SortedSource ⇄ plain Source) rebuilds
-// the step table, since merge-intersection groups exist only for sorted
-// sources.
-func (p *Prepared) Rebind(src Source) {
-	if src == p.src {
-		return
-	}
-	PlanStats.Rebound.Add(1)
-	hadSorted := p.ss != nil
-	p.src = src
-	p.ss, _ = src.(SortedSource)
-	if p.c != nil && hadSorted != (p.ss != nil) {
-		p.buildSteps()
-	}
+// replan plans pl's compilation afresh against src, projected onto proj.
+//
+//webreason:writer
+func (pl *Plan) replan(src Source, proj []string) *Plan {
+	np := pl.c.planOn(src, proj)
+	np.patterns, np.d, np.version = pl.patterns, pl.d, pl.version
+	np.rowHint.Store(pl.rowHint.Load())
+	return np
 }
 
 // soleUnbound inspects cp under bound: if exactly one slot holds an unbound
@@ -204,36 +185,33 @@ func soleUnbound(cp cpattern, bound []bool) (int, bool) {
 // other positions constant or bound — into merge-intersection groups. The
 // regrouping is a valid reorder: a pulled-forward pattern binds only the
 // shared variable, so evaluating it earlier can only shrink intermediate
-// results. Grouping requires a SortedSource; otherwise every step stays a
+// results. Grouping requires a sorted source; otherwise every step stays a
 // nested-loop step.
-func (p *Prepared) buildSteps() {
-	c := p.c
-	ordered := make([]cpattern, len(p.planSteps))
-	for i, st := range p.planSteps {
-		ordered[i] = c.patterns[st.PatternIndex]
-	}
-	p.steps = p.steps[:0]
+func (c *Compiled) buildSteps(order []PlanStep, sorted bool) []pstep {
+	steps := make([]pstep, 0, len(order))
 	bound := make([]bool, len(c.vars))
-	used := make([]bool, len(ordered))
-	for i, cp := range ordered {
+	used := make([]bool, len(order))
+	for i, st := range order {
 		if used[i] {
 			continue
 		}
 		used[i] = true
-		if p.ss != nil {
+		cp := c.patterns[st.PatternIndex]
+		if sorted {
 			if v, ok := soleUnbound(cp, bound); ok {
 				group := []cpattern{cp}
-				for j := i + 1; j < len(ordered); j++ {
+				for j := i + 1; j < len(order); j++ {
 					if used[j] {
 						continue
 					}
-					if v2, ok2 := soleUnbound(ordered[j], bound); ok2 && v2 == v {
-						group = append(group, ordered[j])
+					other := c.patterns[order[j].PatternIndex]
+					if v2, ok2 := soleUnbound(other, bound); ok2 && v2 == v {
+						group = append(group, other)
 						used[j] = true
 					}
 				}
 				if len(group) >= 2 {
-					p.steps = append(p.steps, pstep{merge: group, mergeVar: v})
+					steps = append(steps, pstep{merge: group, mergeVar: v})
 					bound[v] = true
 					continue
 				}
@@ -244,144 +222,191 @@ func (p *Prepared) buildSteps() {
 				bound[s.v] = true
 			}
 		}
-		p.steps = append(p.steps, pstep{cp: cp})
+		steps = append(steps, pstep{cp: cp})
 	}
-	// One persistent callback per step; the per-triple inner loop then runs
-	// closure-allocation-free on every later evaluation too.
-	p.callbacks = make([]func(store.Triple) bool, len(p.steps))
-	for depth := range p.steps {
-		cp := p.steps[depth].cp
-		next := depth + 1
-		p.callbacks[depth] = func(t store.Triple) bool {
-			mark := len(p.undo)
-			if bind(cp, t, p.b, &p.undo) {
-				p.rec(next)
-			}
-			for _, v := range p.undo[mark:] {
-				p.b[v] = dict.None
-			}
-			p.undo = p.undo[:mark]
-			return true
-		}
-	}
+	return steps
 }
 
-// Vars returns the variable names of the BGP in first-occurrence order.
-func (p *Prepared) Vars() []string { return p.c.vars }
-
-// Plan returns the cached greedy join order (before merge-group fusion),
-// for explain-style output. The slice is shared; treat as read-only.
-func (p *Prepared) Plan() []PlanStep {
-	p.refresh()
-	return p.planSteps
-}
-
-// Eval evaluates the prepared BGP, returning one row per match over all
-// variables (bag semantics, like Compiled.Eval).
+// Exec evaluates the plan against src projected onto its projection with
+// duplicate rows removed, without materialising the unprojected matches.
+// src must offer what the plan was built for (For(src) returned this plan);
+// the result is independent of the plan and stays valid indefinitely. A
+// steady-state execution allocates the result — header, row table, row
+// arena — and nothing else; projections wider than three columns fall back
+// to string keys and additionally pay one key allocation per distinct row.
 //
 //webreason:hotpath
-func (p *Prepared) Eval() *Result {
-	//lint:ignore hotpath recompile/replan is the cold revalidation branch; steady-state refresh is a version check plus one O(1) Count
-	p.refresh()
-	p.distinct = false
-	p.w = len(p.c.vars)
-	return p.run(p.c.vars)
-}
+func (pl *Plan) Exec(src Source) *Result { return pl.exec(src, true) }
 
-// EvalDistinct evaluates the prepared BGP projected onto proj with
-// duplicate rows removed — the fused equivalent of
-// Eval().Project(proj).Distinct(), without materialising the intermediate
-// results. Projection variables not bound by the pattern yield dict.None
-// columns (as Project does). The dedup sets are retained between calls, so
-// steady-state evaluation allocates only the result itself; projections
-// wider than three columns fall back to string keys and additionally pay
-// one key allocation per distinct row.
-//
-//webreason:hotpath
-func (p *Prepared) EvalDistinct(proj []string) *Result {
-	//lint:ignore hotpath recompile/replan is the cold revalidation branch; steady-state refresh is a version check plus one O(1) Count
-	p.refresh()
-	if !slices.Equal(proj, p.proj) {
-		//lint:ignore hotpath projection change is a cold branch; steady-state calls reuse the cached projection
-		p.setProjection(slices.Clone(proj))
+// exec runs the plan on a pooled scratch: deduplicated over the projection
+// (distinct), or one row per match over all variables (bag semantics, as
+// SPARQL evaluation defines).
+func (pl *Plan) exec(src Source, distinct bool) *Result {
+	vars := pl.c.vars
+	if distinct {
+		vars = pl.proj
 	}
-	p.distinct = true
-	p.w = len(p.proj)
-	return p.run(p.proj)
-}
-
-// setProjection computes the projection column map; proj must be owned by
-// the Prepared (already cloned).
-func (p *Prepared) setProjection(proj []string) {
-	p.proj = proj
-	if cap(p.projIdx) < len(proj) {
-		p.projIdx = make([]int, len(proj))
-		p.projRow = make([]dict.ID, len(proj))
-	}
-	p.projIdx = p.projIdx[:len(proj)]
-	p.projRow = p.projRow[:len(proj)]
-	for i, v := range proj {
-		if j, ok := p.c.varIndex[v]; ok {
-			p.projIdx[i] = j
-		} else {
-			p.projIdx[i] = -1
-		}
-	}
-}
-
-// run executes the prepared plan and collects rows of width p.w.
-func (p *Prepared) run(vars []string) *Result {
 	res := &Result{Vars: vars}
-	if p.c.impossible {
+	if pl.c.impossible {
 		return res
 	}
-	if p.rowHint > 0 {
-		res.Rows = make([][]dict.ID, 0, p.rowHint)
+	hint := int(pl.rowHint.Load())
+	if hint > 0 {
+		res.Rows = make([][]dict.ID, 0, hint)
 	}
-	for i := range p.b {
-		p.b[i] = dict.None
+	x := scratchPool.Get().(*scratch)
+	x.begin(pl, src, res, distinct, hint)
+	x.rec(0)
+	scratchPool.Put(x)
+	if len(res.Rows) != hint {
+		pl.rowHint.Store(int64(len(res.Rows)))
 	}
-	p.undo = p.undo[:0]
-	p.res = res
-	p.arena = nil
-	if p.distinct {
-		p.resetSeen()
-	}
-	p.rec(0)
-	p.rowHint = len(res.Rows)
-	p.res, p.arena = nil, nil
 	return res
 }
 
+// scratch is everything one execution writes: the binding vector, the undo
+// stack, one match callback and one set of merge buffers per join depth, the
+// dedup sets and the row arena. It belongs to no plan — begin points it at
+// one for the length of an execution — so one pool serves every plan, every
+// strategy and the ad hoc path alike, and a plan that the garbage collector
+// finds unused loses nothing but warm buffers.
+//
+// Nothing is cleared when an execution ends: a pooled scratch keeps pointing
+// at its last plan, source and result until the next execution overwrites
+// them or the collector empties the pool.
+type scratch struct {
+	pl  *Plan
+	src Source
+	ss  SortedSource // non-nil iff src supports sorted leaves
+
+	b      []dict.ID
+	undo   []int
+	levels []level
+
+	// projection + dedup state of a distinct execution: the projected row,
+	// the sets by row width (the last slot serves every width past three)
+	// and size class, and set, the one of the execution in flight.
+	row  []dict.ID
+	seen [4][sizeClasses]*rowSet
+	set  *rowSet
+
+	res      *Result
+	arena    []dict.ID
+	w, hint  int
+	distinct bool
+}
+
+// level is the scratch of one join depth.
+type level struct {
+	// match is the ForEachMatch callback of a nested-loop step at this
+	// depth, allocated once per scratch so the per-triple inner loop runs
+	// closure-allocation-free.
+	match func(store.Triple) bool
+	// intersection buffers of a merge step, per depth so nested merge
+	// groups do not stomp each other.
+	views       [][]dict.ID
+	ibuf, ibuf2 []dict.ID
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+// A pooled dedup set serves many queries, and clearing it — like inserting
+// into it — costs what its largest population did, not what the execution
+// at hand needs. So sets are kept per row width and per size class of the
+// expected result (classes span 8×): a three-row answer never clears, or
+// takes over, the set a thousand-row answer grew. A set that a mis-hinted
+// execution (a first one, an ad hoc one) left holding more than dropFactor×
+// the rows expected now (or 64, whichever is more) is replaced instead of
+// cleared.
+const (
+	sizeClasses = 8
+	dropFactor  = 8
+)
+
+// sizeClass buckets an expected row count: 0–3, 4–31, 32–255, 256–2047, …
+func sizeClass(hint int) int { return min(bits.Len(uint(hint))/3, sizeClasses-1) }
+
+// begin points the scratch at one execution.
+func (x *scratch) begin(pl *Plan, src Source, res *Result, distinct bool, hint int) {
+	x.pl, x.src, x.res, x.arena, x.distinct, x.hint = pl, src, res, nil, distinct, hint
+	x.ss, _ = src.(SortedSource)
+	x.b = grown(x.b, len(pl.c.vars))
+	clear(x.b)
+	x.undo = x.undo[:0]
+	for d := len(x.levels); d < len(pl.steps); d++ {
+		x.levels = append(x.levels, level{match: x.matcher(d)})
+	}
+	x.w = len(pl.c.vars)
+	if !distinct {
+		return
+	}
+	x.w = len(pl.proj)
+	if x.w == 0 {
+		return
+	}
+	x.row = grown(x.row, x.w)
+	slot := &x.seen[min(x.w, len(x.seen))-1][sizeClass(hint)]
+	if s := *slot; s != nil && s.w == x.w && s.held() <= dropFactor*max(hint, 64) {
+		s.reset()
+	} else {
+		*slot = newRowSet(x.w, max(hint, 16))
+	}
+	x.set = *slot
+}
+
+// grown returns s with length n, reallocating only when it is too short.
+func grown(s []dict.ID, n int) []dict.ID {
+	if cap(s) < n {
+		return make([]dict.ID, n)
+	}
+	return s[:n]
+}
+
+// matcher builds the callback of join depth depth: bind the matched triple,
+// descend, undo. The step is read from the plan of the execution in flight.
+func (x *scratch) matcher(depth int) func(store.Triple) bool {
+	return func(t store.Triple) bool {
+		mark := len(x.undo)
+		if bind(&x.pl.steps[depth].cp, t, x.b, &x.undo) {
+			x.rec(depth + 1)
+		}
+		for _, v := range x.undo[mark:] {
+			x.b[v] = dict.None
+		}
+		x.undo = x.undo[:mark]
+		return true
+	}
+}
+
 // rec descends one plan step; at the bottom it emits the current bindings.
-func (p *Prepared) rec(depth int) {
-	if depth == len(p.steps) {
-		p.emit()
+func (x *scratch) rec(depth int) {
+	if depth == len(x.pl.steps) {
+		x.emit()
 		return
 	}
-	st := &p.steps[depth]
+	st := &x.pl.steps[depth]
 	if st.merge != nil {
-		p.execMerge(depth)
+		x.execMerge(st, depth)
 		return
 	}
-	p.src.ForEachMatch(concrete(st.cp, p.b), p.callbacks[depth])
+	x.src.ForEachMatch(concrete(&st.cp, x.b), x.levels[depth].match)
 }
 
 // execMerge evaluates a merge group: fetch the sorted leaf of each pattern
 // (with the shared variable as the wildcard), intersect them smallest-first
 // with galloping merges, and recurse once per surviving ID.
-func (p *Prepared) execMerge(depth int) {
-	st := &p.steps[depth]
-	views := st.views[:0]
-	for _, cp := range st.merge {
-		ids, ok := p.ss.SortedIDs(concrete(cp, p.b))
+func (x *scratch) execMerge(st *pstep, depth int) {
+	lv := &x.levels[depth]
+	views := lv.views[:0]
+	for i := range st.merge {
+		ids, ok := x.ss.SortedIDs(concrete(&st.merge[i], x.b))
 		if !ok {
-			st.views = views
+			lv.views = views
 			return
 		}
 		views = append(views, ids)
 	}
-	st.views = views
+	lv.views = views
 	// Intersect ascending by size: insertion sort, k is tiny.
 	for i := 1; i < len(views); i++ {
 		for j := i; j > 0 && len(views[j]) < len(views[j-1]); j-- {
@@ -389,77 +414,118 @@ func (p *Prepared) execMerge(depth int) {
 		}
 	}
 	cur := views[0]
-	buf, buf2 := st.ibuf, st.ibuf2
+	buf, buf2 := lv.ibuf, lv.ibuf2
 	for i := 1; i < len(views) && len(cur) > 0; i++ {
 		buf = store.IntersectSorted(buf[:0], cur, views[i])
 		cur = buf
 		buf, buf2 = buf2, buf
 	}
-	st.ibuf, st.ibuf2 = buf, buf2
+	lv.ibuf, lv.ibuf2 = buf, buf2
 	v := st.mergeVar
 	for _, id := range cur {
-		p.b[v] = id
-		p.rec(depth + 1)
+		x.b[v] = id
+		x.rec(depth + 1)
 	}
-	p.b[v] = dict.None
-}
-
-// resetSeen readies the shared dedup set for the current width, keeping
-// allocated buckets when the width is unchanged.
-func (p *Prepared) resetSeen() {
-	if p.w == 0 {
-		return
-	}
-	if p.seen == nil || p.seen.w != p.w {
-		p.seen = newRowSet(p.w, max(p.rowHint, 16))
-		return
-	}
-	p.seen.reset()
+	x.b[v] = dict.None
 }
 
 // emit materialises the current bindings as a result row: the full binding
 // vector in bag mode, or the projected row after passing the dedup set in
 // distinct mode.
-func (p *Prepared) emit() {
-	if !p.distinct {
-		p.emitRow(p.b)
+func (x *scratch) emit() {
+	if !x.distinct {
+		x.emitRow(x.b)
 		return
 	}
-	if p.w == 0 {
-		if len(p.res.Rows) == 0 {
-			p.res.Rows = append(p.res.Rows, nil)
+	if x.w == 0 {
+		if len(x.res.Rows) == 0 {
+			x.res.Rows = append(x.res.Rows, nil)
 		}
 		return
 	}
-	row := p.projRow
-	for i, j := range p.projIdx {
+	for i, j := range x.pl.projIdx {
 		if j >= 0 {
-			row[i] = p.b[j]
+			x.row[i] = x.b[j]
 		} else {
-			row[i] = dict.None
+			x.row[i] = dict.None
 		}
 	}
-	if p.seen.add(row) {
-		p.emitRow(row)
+	if x.set.add(x.row) {
+		x.emitRow(x.row)
 	}
 }
 
 // emitRow copies src into the result arena as a fresh row. Rows are carved
-// out of chunks sized by the previous call's row count, so a steady-state
-// evaluation fills exactly one chunk.
-func (p *Prepared) emitRow(src []dict.ID) {
-	w := p.w
+// out of chunks sized by the previous execution's row count, so a
+// steady-state evaluation fills exactly one chunk: one allocation per chunk
+// instead of one per row, and full chunks stay referenced by the rows sliced
+// from them.
+func (x *scratch) emitRow(src []dict.ID) {
+	w := x.w
 	if w == 0 {
-		p.res.Rows = append(p.res.Rows, nil)
+		x.res.Rows = append(x.res.Rows, nil)
 		return
 	}
-	if len(p.arena)+w > cap(p.arena) {
-		rows := max(p.rowHint, 64)
-		p.arena = make([]dict.ID, 0, rows*w)
+	if len(x.arena)+w > cap(x.arena) {
+		x.arena = make([]dict.ID, 0, max(x.hint, 64)*w)
 	}
-	n := len(p.arena)
-	p.arena = p.arena[: n+w : cap(p.arena)]
-	row := p.arena[n : n+w : n+w]
+	n := len(x.arena)
+	x.arena = x.arena[: n+w : cap(x.arena)]
+	row := x.arena[n : n+w : n+w]
 	copy(row, src)
-	p.res.Rows = append(p.res.Rows, row)
+	x.res.Rows = append(x.res.Rows, row)
+}
+
+// Prepared is the single-goroutine handle on the evaluator: one Plan, the
+// Source it currently runs against, and the revalidation (Plan.For) before
+// every evaluation. It reads the source live, so data updates are always
+// visible; dictionary growth and size drift replace the plan as For
+// describes. Strategies share a Plan between goroutines directly; this
+// handle is what tests and the benchmark's layer replay drive. Not safe for
+// concurrent use; results are independent of it and stay valid.
+type Prepared struct {
+	pl  *Plan
+	src Source
+}
+
+// Prepare compiles and plans the BGP against src and d for repeated
+// evaluation; see NewPlan for what is an error.
+func Prepare(src Source, patterns []rdf.Triple, d *dict.Dict) (*Prepared, error) {
+	pl, err := NewPlan(src, slices.Clone(patterns), d, nil)
+	if err != nil {
+		return nil, err
+	}
+	return &Prepared{pl: pl, src: src}, nil
+}
+
+// Rebind points the handle at a different source — typically the next
+// snapshot of the same evolving dataset. The next evaluation revalidates the
+// plan there.
+func (p *Prepared) Rebind(src Source) { p.src = src }
+
+// Plan returns the current greedy join order (before merge-group fusion),
+// for explain-style output. The slice is shared; treat as read-only.
+func (p *Prepared) Plan() []PlanStep {
+	p.pl = p.pl.For(p.src)
+	return p.pl.order
+}
+
+// Eval evaluates the BGP, returning one row per match over all variables
+// (bag semantics, like Compiled.Eval).
+func (p *Prepared) Eval() *Result {
+	p.pl = p.pl.For(p.src)
+	return p.pl.exec(p.src, false)
+}
+
+// EvalDistinct evaluates the BGP projected onto proj with duplicate rows
+// removed — the fused equivalent of Eval().Project(proj).Distinct().
+// Projection variables not bound by the pattern yield dict.None columns (as
+// Project does). A projection other than the previous call's plans anew
+// (the column map is part of the plan).
+func (p *Prepared) EvalDistinct(proj []string) *Result {
+	if !slices.Equal(proj, p.pl.proj) {
+		p.pl = p.pl.replan(p.src, slices.Clone(proj))
+	}
+	p.pl = p.pl.For(p.src)
+	return p.pl.Exec(p.src)
 }

@@ -317,8 +317,8 @@ func TestPreparedMergeGroupsForm(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(p.steps) != 1 || p.steps[0].merge == nil || len(p.steps[0].merge) != 2 {
-		t.Fatalf("expected one merge group of 2 patterns, got steps %+v", p.steps)
+	if len(p.pl.steps) != 1 || p.pl.steps[0].merge == nil || len(p.pl.steps[0].merge) != 2 {
+		t.Fatalf("expected one merge group of 2 patterns, got steps %+v", p.pl.steps)
 	}
 	if got := p.Eval(); len(got.Rows) != 25 {
 		t.Fatalf("merge join: want 25 rows, got %d", len(got.Rows))

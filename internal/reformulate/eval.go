@@ -5,29 +5,38 @@ import (
 	"repro/internal/engine"
 )
 
-// PreparedUCQ is a reformulated union with one prepared (compiled + planned)
-// engine plan per branch, so a repeatedly-asked query pays the rewriting and
-// planning once and each later execution only the join work. Build it with
-// UCQ.Prepare; it is bound to the source and dictionary given there and must
-// be rebuilt when the rewriting itself goes stale (schema change, vocabulary
-// growth) — the caller owns that invalidation, since only it sees schema
-// updates.
+// PreparedUCQ is a reformulated union compiled for execution: the (minimised)
+// union with one engine plan per branch, so a repeatedly-asked query pays the
+// rewriting and planning once and each later execution only the join work.
+// It is immutable once built — any number of goroutines execute one
+// PreparedUCQ at the same time, each on scratch from the engine's pool — and
+// the source is an argument of Exec. What goes stale inside it (a branch's
+// join order, a constant the dictionary did not know) is replaced through
+// For; when the rewriting itself goes stale (schema change, or any data
+// change under VocabDependent) the caller builds a new one, since only it
+// sees schema updates.
+//
+//webreason:frozen
 type PreparedUCQ struct {
-	u         *UCQ
+	src       engine.Source // what Prepare planned against; Evaluate's source
 	proj      []string
-	branches  []*engine.Prepared
+	branches  []*engine.Plan
 	fixedCols [][]int
 	fixedIDs  [][]dict.ID
 }
 
-// Prepare compiles every branch of the union against src and d.
+// Prepare compiles every branch of the union against d and plans it against
+// src.
+//
+//webreason:writer
 func (u *UCQ) Prepare(src engine.Source, d *dict.Dict) (*PreparedUCQ, error) {
-	pu := &PreparedUCQ{u: u, proj: u.Query.Projection()}
+	pu := &PreparedUCQ{src: src, proj: u.Query.Projection()}
 	for _, br := range u.Branches {
-		p, err := engine.Prepare(src, br.Patterns, d)
+		p, err := engine.NewPlan(src, br.Patterns, d, pu.proj)
 		if err != nil {
 			return nil, err
 		}
+		// Columns of variables the rewriting bound to constants.
 		var cols []int
 		var ids []dict.ID
 		for i, v := range pu.proj {
@@ -45,34 +54,45 @@ func (u *UCQ) Prepare(src engine.Source, d *dict.Dict) (*PreparedUCQ, error) {
 	return pu, nil
 }
 
-// Rebind points every branch plan at a different source — the next snapshot
-// of the same evolving graph. This is the branch-level invalidation path for
-// data-only mutations: the union itself (which depends only on the schema
-// closure, the dictionary and — when VocabDependent — the data vocabulary)
-// is kept, each branch keeps its compiled patterns and join plan, and a
-// branch replans individually only when the new source's size has drifted
-// past the engine's threshold. The caller remains responsible for rebuilding
-// the whole union when the rewriting itself is stale.
-func (pu *PreparedUCQ) Rebind(src engine.Source) {
-	for _, p := range pu.branches {
-		p.Rebind(src)
+// For returns the prepared union to execute against src — the next snapshot
+// of the same evolving graph, under the same schema: pu itself while every
+// branch plan is still good there, otherwise a copy holding the successors
+// engine.Plan.For names (a branch replans only when the data size has
+// drifted past the engine's threshold, recompiles only when a constant it
+// could not resolve may exist now). The union and the untouched branch plans
+// are shared, so following a data-only batch costs one O(1) check per
+// branch.
+//
+//webreason:writer
+func (pu *PreparedUCQ) For(src engine.Source) *PreparedUCQ {
+	out := pu
+	for i, p := range pu.branches {
+		np := p.For(src)
+		if np == p {
+			continue
+		}
+		if out == pu {
+			cp := *pu
+			cp.src, cp.branches = src, append([]*engine.Plan(nil), pu.branches...)
+			out = &cp
+		}
+		out.branches[i] = np
 	}
+	return out
 }
 
-// VocabDependent reports whether the underlying rewriting consulted the data
-// graph's vocabulary (see UCQ.VocabDependent): if true, any data mutation may
-// invalidate the union and Rebind alone is not sound.
-func (pu *PreparedUCQ) VocabDependent() bool { return pu.u.VocabDependent }
-
-// Evaluate runs every prepared branch and unions the answers, deduplicated
-// over the original projection — the same result as UCQ.Evaluate with the
-// per-branch compile-and-plan cost amortised away. Each branch evaluates
-// with a fused projection+dedup, so only branch-distinct rows are
-// materialised before the cross-branch dedup.
-func (pu *PreparedUCQ) Evaluate() (*engine.Result, error) {
+// Exec runs every branch against src and unions the answers, deduplicated
+// over the original projection — the q_ref(G) = q(G∞) of Section II-B when
+// src is the original, unsaturated graph with its schema component closed.
+// Each branch evaluates with a fused projection+dedup, so only
+// branch-distinct rows are materialised before the cross-branch dedup;
+// variables fixed by the rewriting are emitted as constant columns.
+//
+//webreason:hotpath
+func (pu *PreparedUCQ) Exec(src engine.Source) *engine.Result {
 	out := &engine.Result{Vars: pu.proj}
 	for bi, p := range pu.branches {
-		res := p.EvalDistinct(pu.proj)
+		res := p.Exec(src)
 		for _, row := range res.Rows {
 			for k, col := range pu.fixedCols[bi] {
 				row[col] = pu.fixedIDs[bi][k]
@@ -80,40 +100,17 @@ func (pu *PreparedUCQ) Evaluate() (*engine.Result, error) {
 		}
 		out.Rows = append(out.Rows, res.Rows...)
 	}
-	return out.Distinct(), nil
+	return out.Distinct()
 }
 
-// Evaluate runs the union against a triple source (normally the original,
-// unsaturated store whose schema component is closed) and returns the
-// deduplicated answer set over the original query's projection — the
-// q_ref(G) = q(G∞) of Section II-B. Variables fixed by the rewriting are
-// emitted as constant columns.
+// Evaluate is Exec against the source given to Prepare.
+func (pu *PreparedUCQ) Evaluate() (*engine.Result, error) { return pu.Exec(pu.src), nil }
+
+// Evaluate answers the union against src once: prepare, execute, drop.
 func (u *UCQ) Evaluate(src engine.Source, d *dict.Dict) (*engine.Result, error) {
-	proj := u.Query.Projection()
-	out := &engine.Result{Vars: proj}
-	for _, br := range u.Branches {
-		res, err := engine.EvalBGP(src, br.Patterns, d)
-		if err != nil {
-			return nil, err
-		}
-		res = res.Project(proj)
-		// Fill columns for variables the rewriting bound to constants.
-		var fixedCols []int
-		var fixedIDs []dict.ID
-		for i, v := range proj {
-			if t, ok := br.Fixed[v]; ok {
-				if id, known := d.Lookup(t); known {
-					fixedCols = append(fixedCols, i)
-					fixedIDs = append(fixedIDs, id)
-				}
-			}
-		}
-		for _, row := range res.Rows {
-			for k, col := range fixedCols {
-				row[col] = fixedIDs[k]
-			}
-		}
-		out.Rows = append(out.Rows, res.Rows...)
+	pu, err := u.Prepare(src, d)
+	if err != nil {
+		return nil, err
 	}
-	return out.Distinct(), nil
+	return pu.Exec(src), nil
 }

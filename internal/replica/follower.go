@@ -50,8 +50,9 @@ type Status struct {
 	// durable mirror position (mirror bytes and applied records advance
 	// together).
 	Applied persist.ChainPos
-	// Epoch counts strategy swaps (bootstraps and gap re-bootstraps); the
-	// serving layer invalidates prepared-query caches when it changes.
+	// Epoch counts strategy swaps (bootstraps and gap re-bootstraps). Each
+	// swap installs a new strategy object, which is what the serving layer's
+	// prepared queries notice and re-prepare on.
 	Epoch uint64
 	// LagBytes is how many chain bytes the source held beyond Applied at the
 	// last successful poll — exact at that instant.
@@ -180,13 +181,6 @@ func (f *Follower) KB() *core.KB {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return f.kb
-}
-
-// Epoch returns the strategy-swap counter; see Status.Epoch.
-func (f *Follower) Epoch() uint64 {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.epoch
 }
 
 // Status returns the follower's current replication state.
@@ -458,7 +452,7 @@ func (f *Follower) fetchWAL(gen uint64, off int64) (bool, error) {
 // bootstrap adopts the source's snapshot of generation snap and swaps the
 // serving strategy to its state — first contact, or a jump forward past a
 // GC'd stretch of WAL the follower can no longer ship. The swap is atomic
-// for readers; Epoch advances so prepared-query caches rebuild.
+// for readers; prepared queries re-prepare on the new strategy object.
 func (f *Follower) bootstrap(snap uint64) error {
 	b, err := f.cfg.Source.ReadSnapshot(snap)
 	if err != nil {

@@ -194,7 +194,7 @@ func TestFollowerGapRebootstrap(t *testing.T) {
 	f = startFollower(t, mirDir, p.dir)
 	defer f.Stop()
 	waitCover(t, f, p.db.TipPos())
-	if f.Epoch() == 0 {
+	if f.Status().Epoch == 0 {
 		t.Fatal("gap catch-up did not re-bootstrap (epoch still 0)")
 	}
 	mustAsk(t, f.Strategy(), 1, false)

@@ -22,7 +22,7 @@ type serverMetrics struct {
 	slow     *obs.SlowLog
 
 	// Read path, labeled by strategy. prepared=true/false separates the
-	// pooled prepared-plan executions from ad-hoc Query/Ask parses.
+	// prepared-plan executions from ad hoc Query/Ask calls.
 	queryLatency    *obs.Histogram
 	preparedLatency *obs.Histogram
 	queryErrors     *obs.Counter
@@ -58,9 +58,9 @@ func newServerMetrics(reg *obs.Registry, slow *obs.SlowLog, strategy string) ser
 		queryErrors: reg.Counter("webreason_query_errors_total",
 			"Queries that returned an error.", "strategy", strategy),
 		planPoolHits: reg.Counter("webreason_prepared_pool_hits_total",
-			"Prepared executions served by a pooled plan instance.", "strategy", strategy),
+			"Prepared executions that ran on the already-compiled shared plan.", "strategy", strategy),
 		planPoolMisses: reg.Counter("webreason_prepared_pool_misses_total",
-			"Prepared executions that compiled a fresh plan instance.", "strategy", strategy),
+			"Prepared executions that first built a plan on the call: compiled, recompiled (schema change, strategy swap, newly resolvable constant) or re-planned (size drift).", "strategy", strategy),
 		enqueueWait: reg.Histogram("webreason_enqueue_wait_seconds",
 			"Time writes spent blocked on MaxPending backpressure.", 1e-9),
 		rejectedOverloaded: reg.Counter("webreason_writes_rejected_total",
@@ -121,20 +121,14 @@ func registerServerFuncs(reg *obs.Registry, s *Server) {
 		"Mutation calls applied (or, after degradation, refused) by the writer.",
 		func() float64 { return float64(s.applied.Load()) })
 	reg.CounterFunc("webreason_plan_compiled_total",
-		"Prepared-plan full compilations (process-wide).",
+		"BGP plans compiled: per prepared compile or recompile, per branch of a reformulated union, per ad hoc query (process-wide).",
 		func() float64 { return float64(engine.PlanStats.Compiled.Load()) })
 	reg.CounterFunc("webreason_plan_replanned_total",
-		"Prepared-plan statistics-only replans (process-wide).",
+		"Shared-plan statistics-only replans (process-wide).",
 		func() float64 { return float64(engine.PlanStats.Replanned.Load()) })
-	reg.CounterFunc("webreason_plan_rebound_total",
-		"Prepared-plan source rebinds (process-wide).",
-		func() float64 { return float64(engine.PlanStats.Rebound.Load()) })
 	reg.CounterFunc("webreason_refplan_rebuilt_total",
-		"Reformulation prepared-union full rebuilds (process-wide).",
+		"Reformulation rewritings compiled into a union plan: per prepared compile or recompile, per ad hoc query (process-wide).",
 		func() float64 { return float64(core.RefPlanStats.Rebuilt.Load()) })
-	reg.CounterFunc("webreason_refplan_rebound_total",
-		"Reformulation prepared-union branch rebinds (process-wide).",
-		func() float64 { return float64(core.RefPlanStats.Rebound.Load()) })
 }
 
 // monoBase anchors the read path's latency timestamps. time.Since on a

@@ -133,18 +133,6 @@ func (s *Server) reading() core.Strategy {
 	return s.strat
 }
 
-// strategyEpoch returns the serving strategy's swap epoch; prepared-query
-// pools discard entries compiled under an older epoch. A primary's strategy
-// never swaps (epoch 0); a promoted server keeps the follower's final epoch
-// so entries pooled just before promotion stay valid (promotion reuses the
-// same strategy object).
-func (s *Server) strategyEpoch() uint64 {
-	if f := s.follower; f != nil {
-		return f.Epoch()
-	}
-	return 0
-}
-
 // waitSession is the session read barrier. On a primary (or promoted
 // server) it waits for the session's own enqueue watermark, the local
 // read-your-writes guarantee. On a follower it waits until the applied

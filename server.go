@@ -270,7 +270,8 @@ type Server struct {
 	opts  ServerOptions
 	// follower is the replication state machine behind a follower-mode
 	// server (NewFollowerServer); nil on a plain primary. It keeps serving
-	// after promotion (frozen) so epoch-tagged prepared entries stay valid.
+	// after promotion (frozen): its strategy object is the promoted server's,
+	// so queries prepared before promotion stay bound to it.
 	follower *replica.Follower
 	// role is the replication role (Role), atomic so every read path can
 	// route without touching mu. It changes exactly once: follower→promoted.
@@ -378,9 +379,9 @@ func (s *Server) Ask(q *Query) (bool, error) { return core.Ask(s.Query(q)) }
 // read is the one read path, behind Server.Query/Ask, the Session reads and
 // ServerPrepared.Answer/Ask. A session read (ss non-nil) first waits, bounded
 // by ctx, until the applied prefix covers the session's writes; an anonymous
-// read skips the barrier. The query is then evaluated — on a pooled prepared
-// instance when p is set, ad hoc against the serving strategy otherwise —
-// and, with metrics on, timed and noted. With metrics off the path reads no
+// read skips the barrier. The query is then evaluated — on p's shared plan
+// when p is set, ad hoc against the serving strategy otherwise — and, with
+// metrics on, timed and noted. With metrics off the path reads no
 // clock.
 //
 //webreason:hotpath
@@ -408,25 +409,29 @@ func (s *Server) read(ctx context.Context, ss *Session, q *Query, p *ServerPrepa
 }
 
 // eval answers q against the current snapshot: ad hoc on the serving
-// strategy, or — p set — on one of p's pooled prepared instances (hit reports
-// whether the pool had one). An instance whose execution errored is dropped
-// instead of pooled: its cached plan state may be mid-revalidation, and
-// recycling it would hand the breakage to the next caller; get builds a
-// fresh one on demand.
+// strategy, or — p set — on p's prepared query, re-prepared first when the
+// serving strategy is no longer the object it was prepared on (a follower's
+// gap re-bootstrap replaces the whole strategy, not just its data; promotion
+// keeps the object). hit reports that the execution ran on the plan already
+// compiled, with nothing built on this call.
 func (s *Server) eval(q *Query, p *ServerPrepared) (res *engine.Result, hit bool, err error) {
+	strat := s.reading()
 	if p == nil {
-		res, err = s.reading().Answer(q)
+		res, err = strat.Answer(q)
 		return res, false, err
 	}
-	e, hit, err := p.get()
-	if err != nil {
-		return nil, hit, err
+	b := p.cur.Load()
+	swapped := b.strat != strat
+	if swapped {
+		pq, err := strat.Prepare(q)
+		if err != nil {
+			return nil, false, err
+		}
+		b = &boundPrepared{strat: strat, pq: pq}
+		p.cur.Store(b)
 	}
-	if res, err = e.pq.Answer(); err != nil {
-		return nil, hit, err
-	}
-	p.pool.Put(e)
-	return res, hit, nil
+	res, built, err := b.pq.Execute()
+	return res, !swapped && !built, err
 }
 
 // Mutation is one write: the assertion, or with Delete the retraction, of a
@@ -863,9 +868,11 @@ func fireAcks(acks []func(error), err error) {
 	}
 }
 
-// asyncDurErr records a durability failure delivered asynchronously (a
-// failed group fsync) as the sticky error, so mutations after the failed
-// record are refused instead of diverging from the durable history.
+// asyncDurErr records a durability failure — delivered asynchronously (a
+// failed group fsync) or found by the writer itself — as the sticky error, so
+// mutations after the failed record are refused instead of diverging from
+// the durable history. The writer calls it before it fires a refused run's
+// acks, so Health().Degraded never lags an ErrDegraded a caller has seen.
 func (s *Server) asyncDurErr(err error) {
 	if err == nil {
 		return
@@ -1059,6 +1066,9 @@ func (s *Server) apply() {
 		}
 		if durErr != nil {
 			refused(runStart)
+			// Sticky before the acks: a caller handed ErrDegraded must find
+			// Health().Degraded already set.
+			s.asyncDurErr(durErr)
 			fireAcks(acks, wrapDegraded(durErr))
 			run = run[:0]
 			return
@@ -1086,6 +1096,7 @@ func (s *Server) apply() {
 			if err := s.opts.DB.AppendAck(del, run, ack); err != nil {
 				durErr = err
 				refused(runStart)
+				s.asyncDurErr(err)
 				fireAcks(acks, wrapDegraded(err))
 				run = run[:0]
 				return
@@ -1151,23 +1162,19 @@ func (s *Server) apply() {
 // Len returns the strategy's physical size as of the current snapshot.
 func (s *Server) Len() int { return s.reading().Len() }
 
-// Prepare compiles q for repeated concurrent execution against the server.
-// The returned ServerPrepared is safe for any number of concurrent callers
-// (unlike a bare PreparedQuery): it keeps a pool of per-goroutine prepared
-// instances, each of which revalidates against the strategy's current
-// snapshot on every execution.
+// Prepare compiles q for repeated concurrent execution against the server;
+// compile-time errors surface here. The returned ServerPrepared is safe for
+// any number of concurrent callers: they share one compiled plan, each
+// execution runs on scratch from the engine's pool, and the plan is replaced
+// — for everyone, by whoever notices — when core's validity rule says so.
 func (s *Server) Prepare(q *Query) (*ServerPrepared, error) {
-	// Prepare one instance eagerly so compile-time errors surface here. The
-	// epoch is read before the strategy: if a follower re-bootstrap swaps the
-	// strategy in between, the entry is tagged stale and dropped on reuse
-	// rather than binding a fresh epoch to an old strategy's plan.
-	epoch := s.strategyEpoch()
-	pq, err := s.reading().Prepare(q)
+	strat := s.reading()
+	pq, err := strat.Prepare(q)
 	if err != nil {
 		return nil, err
 	}
 	sp := &ServerPrepared{s: s, q: q}
-	sp.pool.Put(&preparedEntry{pq: pq, epoch: epoch})
+	sp.cur.Store(&boundPrepared{strat: strat, pq: pq})
 	return sp, nil
 }
 
@@ -1175,35 +1182,20 @@ func (s *Server) Prepare(q *Query) (*ServerPrepared, error) {
 // execution. Each execution evaluates against the server's current snapshot;
 // see the Server type doc for exactly what that snapshot can contain.
 type ServerPrepared struct {
-	s    *Server
-	q    *Query
-	pool sync.Pool // of *preparedEntry (pointers: a value would box per Put)
+	s   *Server
+	q   *Query
+	cur atomic.Pointer[boundPrepared]
 }
 
-// preparedEntry is one pooled prepared instance, tagged with the strategy
-// epoch it was compiled under. A follower's gap re-bootstrap replaces the
-// whole serving strategy (not just its data), so entries from an older epoch
-// are discarded instead of executing against a retired strategy.
-type preparedEntry struct {
+// boundPrepared is a prepared query together with the strategy object it was
+// prepared on.
+type boundPrepared struct {
+	strat core.Strategy
 	pq    core.PreparedQuery
-	epoch uint64
 }
 
 // Query returns the source query.
 func (p *ServerPrepared) Query() *Query { return p.q }
-
-// get hands out a pooled prepared instance for the current strategy epoch,
-// building one if the pool is momentarily empty (first use by a new level of
-// concurrency) or holds only retired-epoch entries. hit reports whether the
-// pool served the instance (the plan-cache hit/miss signal).
-func (p *ServerPrepared) get() (e *preparedEntry, hit bool, err error) {
-	epoch := p.s.strategyEpoch()
-	if e, ok := p.pool.Get().(*preparedEntry); ok && e.epoch == epoch {
-		return e, true, nil
-	}
-	pq, err := p.s.reading().Prepare(p.q)
-	return &preparedEntry{pq: pq, epoch: epoch}, false, err
-}
 
 // Answer executes the prepared query against the current snapshot.
 func (p *ServerPrepared) Answer() (*engine.Result, error) {

@@ -23,20 +23,23 @@
 //
 // The paper's central trade-off assumes queries are asked repeatedly. For
 // that regime, Prepare compiles a query once against a strategy and returns
-// a PreparedQuery whose Answer reuses the cached plan on every call:
+// a PreparedQuery whose Answer reuses the compiled plan on every call:
 // saturation and backward chaining skip per-call compilation and join
-// planning, and reformulation additionally caches the rewritten union with
-// one plan per union member. Prepared queries read the strategy's data live
-// and revalidate themselves (on dictionary growth, schema updates, or data
-// mutation), so they stay correct across Insert/Delete — steady-state
-// re-execution is allocation-free apart from the result itself.
+// planning, and reformulation additionally keeps the rewritten union with
+// one plan per union member. The plan is immutable and shared, so a
+// PreparedQuery is safe for concurrent use; it reads the strategy's data
+// live and replaces its plan when it goes stale (schema updates, a constant
+// the dictionary has learnt since, statistics drift), so it stays correct
+// across Insert/Delete — steady-state re-execution is allocation-free apart
+// from the result itself.
 //
 //	pq, err := webreason.Prepare(strategy, q)
 //	for ... { res, err := pq.Answer() }
 //
 // # Concurrent serving
 //
-// Strategies and bare prepared queries assume a single goroutine. To serve
+// Strategy mutations are serialized and reads are snapshot-isolated, but a
+// bare strategy applies each write on the caller's goroutine. To serve
 // many clients while the graph evolves — the paper's web setting — wrap a
 // strategy in a Server: queries run concurrently against immutable
 // snapshots, and updates flow through an asynchronous batched mutation
@@ -253,9 +256,10 @@ func NewMetricsRegistry() *MetricsRegistry { return obs.NewRegistry() }
 var NewSlowLog = obs.NewSlowLog
 
 // Prepare compiles q against s for repeated execution. The returned
-// PreparedQuery caches the join plan (and, for reformulation, the rewritten
-// union) across Answer calls, revalidating automatically when the
-// strategy's data, schema or dictionary changes — use it whenever the same
+// PreparedQuery keeps the join plan (and, for reformulation, the rewritten
+// union) across Answer calls — shared by all its callers, replaced
+// automatically when the strategy's schema, dictionary or data statistics
+// outdate it — use it whenever the same
 // query is asked more than a handful of times, the regime the paper's
 // Figure 3 thresholds reason about.
 func Prepare(s Strategy, q *Query) (PreparedQuery, error) { return s.Prepare(q) }
