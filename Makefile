@@ -23,6 +23,13 @@
 #                         metrics; see benchmark/README.md for traced runs.
 #                         The Go Benchmark* functions remain runnable with
 #                         plain go test -bench.
+#   make ab               paired A/B of the benchmark between two versions:
+#                         tools/ab.sh AB_BASE AB_HEAD (default: HEAD and the
+#                         working tree) on AB_WORKLOAD (default sat.update)
+#                         for AB_PAIRS (default 10) alternating pairs at fresh
+#                         seeds; prints medians, quartiles, wins and a
+#                         gain / no regression / unresolved verdict per
+#                         end-to-end metric by BENCHMARK.json's bounds
 #   make test-benchmark   vet and smoke-test the benchmark module against
 #                         this checkout's root module, so a facade change
 #                         that breaks the benchmark fails here
@@ -51,8 +58,12 @@ REPLICA_CHAOS_SEEDS ?= 24
 STORE_SEED ?= 1
 STORE_ROUNDS ?= 1000
 STORE_STEPS ?= 300
+AB_BASE ?= HEAD
+AB_HEAD ?= .
+AB_WORKLOAD ?= sat.update
+AB_PAIRS ?= 10
 
-.PHONY: test test-race test-chaos test-replica-chaos test-store-stress test-benchmark vet lint fuzz bench
+.PHONY: test test-race test-chaos test-replica-chaos test-store-stress test-benchmark vet lint fuzz bench ab
 
 test:
 	$(GO) build ./...
@@ -99,3 +110,6 @@ bench:
 	for w in sat.read ref.read sat.update fig3.batch; do \
 		bash benchmark/run.sh -workload $$w -seed $(BENCH_SEED) || exit 1; \
 	done
+
+ab:
+	tools/ab.sh $(AB_BASE) $(AB_HEAD) -workload $(AB_WORKLOAD) -pairs $(AB_PAIRS)

@@ -73,6 +73,13 @@ func TestAdminEndpoints(t *testing.T) {
 		`webreason_query_seconds_count{strategy="saturation",prepared="false"} 1`,
 		"webreason_queue_depth 0",
 		"webreason_mutations_applied_total 1",
+		// One drained queue so far: one view, counted as the drain was.
+		"webreason_views_published_total 1",
+		"webreason_apply_seconds_count 1",
+		"# TYPE webreason_store_copied_total counter",
+		"# TYPE go_gc_heap_live_bytes gauge",
+		"# TYPE go_gc_cycles_total counter",
+		"# TYPE go_gc_cpu_fraction gauge",
 	} {
 		if !strings.Contains(body, want) {
 			t.Fatalf("/metrics missing %q in:\n%s", want, body)
@@ -148,11 +155,7 @@ func TestAdminPreparedAndPoolCounters(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	var b strings.Builder
-	if err := reg.WritePrometheus(&b); err != nil {
-		t.Fatal(err)
-	}
-	out := b.String()
+	out := expose(t, reg)
 	if !strings.Contains(out, `webreason_query_seconds_count{strategy="saturation",prepared="true"} 5`) {
 		t.Fatalf("prepared latency count missing:\n%s", out)
 	}
@@ -165,6 +168,16 @@ func TestAdminPreparedAndPoolCounters(t *testing.T) {
 	if !strings.Contains(out, "webreason_plan_compiled_total") {
 		t.Fatalf("plan lifecycle counters missing:\n%s", out)
 	}
+}
+
+// expose renders the registry as an operator scrapes it.
+func expose(t *testing.T, reg *webreason.MetricsRegistry) string {
+	t.Helper()
+	var b strings.Builder
+	if err := reg.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	return b.String()
 }
 
 // counterValue extracts the integer sample of the exactly-named series from
@@ -189,13 +202,7 @@ func counterValue(t *testing.T, exposition, series string) int {
 // at threshold 0, lands in the slow log; a failing one counts as an error.
 func TestSessionReadsAreObserved(t *testing.T) {
 	srv, reg, slow := newObsServer(t)
-	exposition := func() string {
-		var b strings.Builder
-		if err := reg.WritePrometheus(&b); err != nil {
-			t.Fatal(err)
-		}
-		return b.String()
-	}
+	exposition := func() string { return expose(t, reg) }
 	const count = `webreason_query_seconds_count{strategy="saturation",prepared="false"}`
 	const errs = `webreason_query_errors_total{strategy="saturation"}`
 	before, seen := counterValue(t, exposition(), count), slow.Seen()

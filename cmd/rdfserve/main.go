@@ -136,7 +136,7 @@ func main() {
 			if err != nil {
 				fatalf("%v", err)
 			}
-			replayed, err := db.ReplayTail(strat.Insert, strat.Delete)
+			replayed, err := webreason.Replay(strat, db.ReplayTail)
 			if err != nil {
 				fatalf("replaying WAL: %v", err)
 			}
@@ -149,7 +149,7 @@ func main() {
 			// than letting the bootstrap checkpoint garbage-collect them.
 			replayed := 0
 			if db.TailLen() > 0 {
-				if replayed, err = db.ReplayTail(strat.Insert, strat.Delete); err != nil {
+				if replayed, err = webreason.Replay(strat, db.ReplayTail); err != nil {
 					fatalf("replaying WAL: %v", err)
 				}
 			}

@@ -45,7 +45,7 @@ func (b *Backward) apply(del bool, enc []store.Triple, ts []rdf.Triple) {
 
 func (b *Backward) view() *view {
 	st := b.data.Snapshot()
-	return &view{src: &inferredView{st: st, sch: b.sch, voc: b.kb.voc}, sch: b.sch, size: st.Len()}
+	return &view{src: &inferredView{st: st, sch: b.sch, voc: b.kb.voc}, sch: b.sch, size: st.Len(), stats: storeStats(b.data)}
 }
 
 // inferredView is an engine.Source that behaves like G∞ without storing it.

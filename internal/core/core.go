@@ -15,8 +15,13 @@
 // into an immutable plan that every goroutine executing it shares — kept by
 // a prepared query (safe for concurrent use, replaced under the one
 // validity rule of prepared.current), dropped after one execution by an ad
-// hoc Answer. The package also hosts the threshold arithmetic of Figure 3
-// and the strategy advisor sketched as an open issue in §II-D.
+// hoc Answer. And one write path, Strategy.Apply: a sequence of insert and
+// delete runs, each maintained as it arrives, the stores frozen and the new
+// view published once at the end (Insert and Delete are its one-run case), so
+// the copy-on-write a published view costs the next writer is paid per
+// drained queue, shipped chunk or recovered WAL tail, not per run. The
+// package also hosts the threshold arithmetic of Figure 3 and the strategy
+// advisor sketched as an open issue in §II-D.
 package core
 
 import (

@@ -23,9 +23,9 @@ import (
 // All three implementations follow a single-writer, multi-reader concurrency
 // model: Answer and Prepare route every read through an immutable
 // current-state pointer (store snapshots plus whatever derived structures the
-// technique keeps) that Insert/Delete swap atomically after each mutation
-// batch, so reads racing a mutation observe either the state before the whole
-// batch or after it, never a torn middle. Mutation calls themselves are
+// technique keeps) that the write path swaps atomically once per Apply, so
+// reads racing an Apply observe either the state before all of its runs or
+// after all of them, never a torn middle. Apply calls themselves are
 // serialized internally; readers never block writers and vice versa.
 type Strategy interface {
 	// Name identifies the technique in reports.
@@ -34,9 +34,18 @@ type Strategy interface {
 	// the evaluation of q against G∞, deduplicated over the projection
 	// (certain-answer semantics; LIMIT is applied afterwards).
 	Answer(q *sparql.Query) (*engine.Result, error)
-	// Insert asserts base triples.
+	// Apply is the one write path: it runs fn as one write epoch. Each
+	// Insert or Delete fn makes on w is one run — maintained at once, in
+	// call order, so a later run sees the earlier ones — and the stores are
+	// frozen and the view readers use is swapped once, after fn returns,
+	// whatever it returns: the runs that succeeded before an error are
+	// applied and become visible together. The copy-on-write a frozen store
+	// costs its next writer is therefore paid once per Apply, not once per
+	// run. w is valid only until fn returns.
+	Apply(fn func(w Writer) error) error
+	// Insert asserts base triples: an Apply of one run.
 	Insert(ts ...rdf.Triple) error
-	// Delete retracts base triples.
+	// Delete retracts base triples: an Apply of one run.
 	Delete(ts ...rdf.Triple) error
 	// Len returns the number of triples the strategy stores physically
 	// (|G∞| for saturation, |G| plus the closed schema for reformulation,
@@ -53,15 +62,59 @@ type Strategy interface {
 	// (when materialised), plus the dictionary length as of the same
 	// boundary. It must be called from the strategy's (serialized) mutation
 	// side — in serving deployments, the server's single writer goroutine at
-	// a mutation-batch boundary — and returns O(1) copy-on-write views:
-	// capturing a checkpoint never stalls reads or subsequent writes, the
-	// serialisation happens later against the frozen views.
+	// a run boundary, between Apply calls or through the Writer inside one —
+	// and returns O(1) copy-on-write views: capturing a checkpoint never
+	// stalls reads or subsequent writes, the serialisation happens later
+	// against the frozen views. (The capture freezes the stores like a
+	// publication does, so a capture in the middle of an Apply splits its
+	// copy-on-write epoch in two.)
 	DurableState() persist.State
+	// WriteStats reports what the write path has cost so far, as of the
+	// current view; safe for any goroutine.
+	WriteStats() WriteStats
 }
 
 // DurableStrategy names the checkpointing surface, which every Strategy
 // carries.
 type DurableStrategy = Strategy
+
+// Writer is the write side of a strategy inside one Apply: runs to maintain,
+// and the state capture a checkpoint that comes due between two of them
+// needs. Nothing done through it is visible to readers before the Apply ends.
+type Writer interface {
+	// Insert asserts base triples as one run.
+	Insert(ts ...rdf.Triple) error
+	// Delete retracts base triples as one run.
+	Delete(ts ...rdf.Triple) error
+	// DurableState is Strategy.DurableState as of the runs applied so far.
+	DurableState() persist.State
+}
+
+// WriteStats counts a strategy's write epochs and what they copied.
+type WriteStats struct {
+	// Views is the number of views published by Apply (the one built at
+	// construction is not counted).
+	Views uint64
+	// StoreEpoch is the mutation epoch of the store behind the current view
+	// (G∞ for saturation, G otherwise): it advances once per freeze — a
+	// publication or a mid-Apply DurableState — that a write follows.
+	StoreEpoch uint64
+	// StoreCopied is that store's CopiedNodes: the trie nodes, entries and
+	// postings leaves its writes have copied because a freeze shared them.
+	StoreCopied uint64
+}
+
+// Replay feeds a recovered record sequence through s as one Apply, so a WAL
+// tail of any number of runs is maintained run by run and published once.
+// replay is persist.DB.ReplayTail, or a closure over persist.ReplayBatch; its
+// record count and error are returned.
+func Replay(s Strategy, replay func(insert, del func(...rdf.Triple) error) (int, error)) (n int, err error) {
+	err = s.Apply(func(w Writer) error {
+		n, err = replay(w.Insert, w.Delete)
+		return err
+	})
+	return n, err
+}
 
 // PreparedQuery is a query compiled against one strategy for repeated
 // execution. Answer matches Strategy.Answer; the compiled plan is replaced
@@ -105,8 +158,8 @@ func limit(res *engine.Result, q *sparql.Query) *engine.Result {
 // ---------------------------------------------------------------------------
 
 // view is one immutable read epoch of a strategy. A fresh view is published
-// after every mutation batch, so a reader that loads one evaluates entirely
-// against that batch boundary.
+// at the end of every Apply, so a reader that loads one evaluates entirely
+// against that boundary.
 type view struct {
 	// src is what queries evaluate against: a snapshot of G∞ (saturation),
 	// of G plus the closed schema (reformulation), or the virtual G∞ derived
@@ -119,6 +172,9 @@ type view struct {
 	sch *schema.Schema
 	// size is the number of triples physically stored (Strategy.Len).
 	size int
+	// stats is WriteStats as of this view: the technique fills the store
+	// fields, the skeleton the publication count.
+	stats WriteStats
 }
 
 // technique is what distinguishes one strategy from another: what it
@@ -127,10 +183,11 @@ type view struct {
 // writer side, serialized by the skeleton's mutex; compile runs on any reader
 // against the immutable view it is handed.
 type technique interface {
-	// apply maintains the strategy's stores for one batch of assertions or
+	// apply maintains the strategy's stores for one run of assertions or
 	// retractions; ts are the same triples as enc at term level.
 	apply(del bool, enc []store.Triple, ts []rdf.Triple)
-	// view builds the immutable read epoch over the stores' current content.
+	// view freezes the stores and builds the immutable read epoch over their
+	// current content.
 	view() *view
 	// durable adds O(1) snapshots of the stores a checkpoint must hold.
 	durable(st *persist.State)
@@ -153,9 +210,9 @@ type plan interface {
 }
 
 // skeleton is the part every strategy shares: the KB, the writer mutex, the
-// atomically published view, and the paths that run on them — every mutation
-// is encode → lock → technique.apply → publish, every read loads the current
-// view and hands it to the technique.
+// atomically published view, and the paths that run on them — every write is
+// lock → (encode → technique.apply) per run → publish once, every read loads
+// the current view and hands it to the technique.
 type skeleton struct {
 	kb   *KB
 	tech technique
@@ -171,28 +228,63 @@ func (s *skeleton) start(t technique) {
 	s.cur.Store(t.view())
 }
 
-// mutate runs one batch. The whole batch becomes visible to readers at once,
-// when the view built after the technique's maintenance is swapped in.
-func (s *skeleton) mutate(del bool, ts []rdf.Triple) error {
+// Apply implements Strategy. Everything fn's runs changed becomes visible to
+// readers at once, when the view built after the last of them is swapped in.
+func (s *skeleton) Apply(fn func(Writer) error) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	e := epoch{s: s}
+	err := fn(&e)
+	if e.ran {
+		v := s.tech.view()
+		v.stats.Views = s.cur.Load().stats.Views + 1
+		s.cur.Store(v)
+	}
+	return err
+}
+
+// epoch is the Writer of one Apply; the skeleton's mutex is held for as long
+// as it is valid.
+type epoch struct {
+	s *skeleton
+	// ran records that a run reached the technique, so there is something to
+	// publish.
+	ran bool
+}
+
+// run maintains the stores for one run; an ill-formed triple refuses the
+// whole run.
+func (e *epoch) run(del bool, ts []rdf.Triple) error {
 	enc := make([]store.Triple, 0, len(ts))
 	for _, t := range ts {
 		if err := t.WellFormed(); err != nil {
 			return err
 		}
-		enc = append(enc, s.kb.Encode(t))
+		enc = append(enc, e.s.kb.Encode(t))
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.tech.apply(del, enc, ts)
-	s.cur.Store(s.tech.view())
+	e.s.tech.apply(del, enc, ts)
+	e.ran = true
 	return nil
 }
 
+func (e *epoch) Insert(ts ...rdf.Triple) error { return e.run(false, ts) }
+
+func (e *epoch) Delete(ts ...rdf.Triple) error { return e.run(true, ts) }
+
+func (e *epoch) DurableState() persist.State { return e.s.durableState() }
+
 // Insert implements Strategy.
-func (s *skeleton) Insert(ts ...rdf.Triple) error { return s.mutate(false, ts) }
+func (s *skeleton) Insert(ts ...rdf.Triple) error {
+	return s.Apply(func(w Writer) error { return w.Insert(ts...) })
+}
 
 // Delete implements Strategy.
-func (s *skeleton) Delete(ts ...rdf.Triple) error { return s.mutate(true, ts) }
+func (s *skeleton) Delete(ts ...rdf.Triple) error {
+	return s.Apply(func(w Writer) error { return w.Delete(ts...) })
+}
+
+// WriteStats implements Strategy.
+func (s *skeleton) WriteStats() WriteStats { return s.cur.Load().stats }
 
 // Len implements Strategy, as of the current view.
 func (s *skeleton) Len() int { return s.cur.Load().size }
@@ -222,11 +314,16 @@ func (s *skeleton) Answer(q *sparql.Query) (*engine.Result, error) {
 	return limit(c.plan.exec(v.src), q), nil
 }
 
-// DurableState implements Strategy: the dictionary boundary plus the
-// technique's stores, captured under the writer mutex.
+// DurableState implements Strategy: the capture, under the writer mutex.
 func (s *skeleton) DurableState() persist.State {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	return s.durableState()
+}
+
+// durableState captures the dictionary boundary plus the technique's stores;
+// the caller holds the writer mutex.
+func (s *skeleton) durableState() persist.State {
 	st := persist.State{Dict: s.kb.dict, DictLen: s.kb.dict.Len()}
 	s.tech.durable(&st)
 	return st
@@ -361,6 +458,12 @@ func (g *asserted) update(del bool, enc []store.Triple, ts []rdf.Triple) (schema
 	return schemaChanged
 }
 
+// storeStats is the store part of a view's WriteStats; the writer side reads
+// it off the live store just after freezing it.
+func storeStats(st *store.Store) WriteStats {
+	return WriteStats{StoreEpoch: st.Epoch(), StoreCopied: st.CopiedNodes()}
+}
+
 // durable persists only the asserted triples: whatever is derived from them
 // is recomputed on restore (it is small by the paper's DB-fragment
 // assumption).
@@ -421,7 +524,7 @@ func (s *Saturation) apply(del bool, enc []store.Triple, _ []rdf.Triple) {
 
 func (s *Saturation) view() *view {
 	snap := s.mat.Store().Snapshot()
-	return &view{src: snap, size: snap.Len()}
+	return &view{src: snap, size: snap.Len(), stats: storeStats(s.mat.Store())}
 }
 
 // durable persists the asserted set and the saturated closure, so a restart
@@ -484,7 +587,7 @@ func (r *Reformulation) reclose() {
 
 func (r *Reformulation) view() *view {
 	src := &unionSource{a: r.data.Snapshot(), b: r.overlay.Snapshot()}
-	return &view{src: src, sch: r.sch, size: src.Count(store.Triple{})}
+	return &view{src: src, sch: r.sch, size: src.Count(store.Triple{}), stats: storeStats(r.data)}
 }
 
 // rewrite reformulates q against v's schema and data vocabulary.

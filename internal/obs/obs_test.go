@@ -2,6 +2,8 @@ package obs
 
 import (
 	"math"
+	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -276,4 +278,40 @@ func BenchmarkObsHistogramObserveParallel(b *testing.B) {
 			h.Observe(v)
 		}
 	})
+}
+
+// TestRegisterRuntime: the collector family reads real values — after a
+// forced collection there is a live heap, a cycle count and a CPU share in
+// [0,1] — and a nil registry is a no-op like every other registration.
+func TestRegisterRuntime(t *testing.T) {
+	RegisterRuntime(nil)
+	r := NewRegistry()
+	RegisterRuntime(r)
+	runtime.GC()
+	var b strings.Builder
+	if err := r.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	sample := func(name string) float64 {
+		for _, line := range strings.Split(b.String(), "\n") {
+			if rest, ok := strings.CutPrefix(line, name+" "); ok {
+				v, err := strconv.ParseFloat(rest, 64)
+				if err != nil {
+					t.Fatalf("%s: %v", line, err)
+				}
+				return v
+			}
+		}
+		t.Fatalf("%s missing from:\n%s", name, b.String())
+		return 0
+	}
+	if v := sample("go_gc_heap_live_bytes"); v <= 0 {
+		t.Errorf("go_gc_heap_live_bytes = %v after a collection", v)
+	}
+	if v := sample("go_gc_cycles_total"); v < 1 {
+		t.Errorf("go_gc_cycles_total = %v after a collection", v)
+	}
+	if v := sample("go_gc_cpu_fraction"); v < 0 || v > 1 {
+		t.Errorf("go_gc_cpu_fraction = %v, want a share", v)
+	}
 }

@@ -17,7 +17,7 @@ import (
 func FuzzSnapshotDecode(f *testing.F) {
 	seed := func(st State) {
 		dir := f.TempDir()
-		if err := writeSnapshotFile(OS, dir, 3, 1, st); err != nil {
+		if _, err := writeSnapshotFile(OS, dir, 3, 1, st, 0); err != nil {
 			f.Fatal(err)
 		}
 		b, err := os.ReadFile(snapshotPath(dir, 3))
@@ -46,7 +46,7 @@ func FuzzSnapshotDecode(f *testing.F) {
 			st.Saturated = ls.Saturated
 		}
 		dir := t.TempDir()
-		if err := writeSnapshotFile(OS, dir, ls.Generation, ls.Term, st); err != nil {
+		if _, err := writeSnapshotFile(OS, dir, ls.Generation, ls.Term, st, 0); err != nil {
 			t.Fatalf("re-encoding accepted snapshot: %v", err)
 		}
 		ls2, err := readSnapshotFile(OS, snapshotPath(dir, ls.Generation))

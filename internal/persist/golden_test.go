@@ -47,7 +47,7 @@ func goldenState() State {
 // file) so old files are refused rather than misread.
 func TestGoldenSnapshot(t *testing.T) {
 	dir := t.TempDir()
-	if err := writeSnapshotFile(OS, dir, 2, 3, goldenState()); err != nil {
+	if _, err := writeSnapshotFile(OS, dir, 2, 3, goldenState(), 0); err != nil {
 		t.Fatal(err)
 	}
 	got, err := os.ReadFile(snapshotPath(dir, 2))

@@ -227,6 +227,9 @@ type DB struct {
 	syncWg     sync.WaitGroup
 
 	ckptBusy atomic.Bool
+	// imageLen is the length of the last snapshot image written (0 before
+	// the first), the size the next one's buffer starts at.
+	imageLen atomic.Int64
 	bg       sync.WaitGroup
 	bgMu     sync.Mutex
 	// bgErr holds the most recent checkpoint failure; a later successful
@@ -517,18 +520,20 @@ func (db *DB) State() *LoadedState { return db.loaded }
 func (db *DB) TailLen() int { return len(db.tail) }
 
 // ReplayTail feeds the recovered WAL tail, in order, through the given
-// insert/delete callbacks — wire these to the strategy's (or server's)
-// normal Insert/Delete so replayed batches take the ordinary maintenance
-// path. Maximal runs of same-kind records are coalesced into one callback
-// invocation, exactly as the live server coalesces its mutation queue: each
-// per-call copy-on-write index detach and maintenance round is then paid once
-// per run instead of once per record, which is what keeps recovery (and a
-// replication follower's catch-up, which replays through the same path)
-// linear in triples rather than in records. Sound because mutations are
-// set-semantic — within a same-kind run order is irrelevant and duplicates
-// are absorbed, and the insert/delete interleaving is preserved across run
-// boundaries. It returns the number of records replayed. The tail is
-// consumed.
+// insert/delete callbacks — wire these to the Writer of one strategy Apply
+// (core.Replay does), so replayed runs take the ordinary maintenance path and
+// the whole tail is one copy-on-write epoch, published once. Maximal runs of
+// same-kind records are coalesced into one callback invocation, which is how
+// the live server cuts its mutation queue into WAL records in the first
+// place: each maintenance round is then paid once per run instead of once per
+// record, which is what keeps recovery (and a replication follower's
+// catch-up, which replays through the same path) linear in triples rather
+// than in records. Wired to a strategy's own Insert/Delete instead, every run
+// is an epoch of its own — correct, but each run then re-copies what the
+// previous one froze. Sound because mutations are set-semantic — within a
+// same-kind run order is irrelevant and duplicates are absorbed, and the
+// insert/delete interleaving is preserved across run boundaries. It returns
+// the number of records replayed. The tail is consumed.
 func (db *DB) ReplayTail(insert, del func(...rdf.Triple) error) (int, error) {
 	var t0 time.Time
 	if db.om.on {
@@ -544,20 +549,23 @@ func (db *DB) ReplayTail(insert, del func(...rdf.Triple) error) (int, error) {
 
 // replayMutations is ReplayTail's coalescing engine, shared with follower
 // catch-up. done runs after a fully successful replay (consuming the source).
+// Every coalesced run is a slice of its own: a callback may keep the run it
+// was handed (to apply a whole epoch at its end, say) without the next run
+// overwriting it.
 func replayMutations(recs []Mutation, insert, del func(...rdf.Triple) error, done func()) (int, error) {
-	var scratch []rdf.Triple
 	for i := 0; i < len(recs); {
 		j := i + 1
+		n := len(recs[i].Triples)
 		for j < len(recs) && recs[j].Del == recs[i].Del {
+			n += len(recs[j].Triples)
 			j++
 		}
 		ts := recs[i].Triples
 		if j > i+1 { // coalesce the run; a lone record replays in place
-			scratch = scratch[:0]
+			ts = make([]rdf.Triple, 0, n)
 			for k := i; k < j; k++ {
-				scratch = append(scratch, recs[k].Triples...)
+				ts = append(ts, recs[k].Triples...)
 			}
-			ts = scratch
 		}
 		var err error
 		if recs[i].Del {
@@ -1032,9 +1040,14 @@ func (db *DB) writeCheckpoint(gen uint64, st State) error {
 	if db.om.on {
 		t0 = time.Now()
 	}
-	if err := writeSnapshotFile(db.fs, db.dir, gen, db.term, st); err != nil {
+	// Size the image buffer from the last image plus slack for the growth
+	// of one checkpoint interval.
+	hint := int(db.imageLen.Load())
+	n, err := writeSnapshotFile(db.fs, db.dir, gen, db.term, st, hint+hint/16)
+	if err != nil {
 		return err
 	}
+	db.imageLen.Store(int64(n))
 	// Failed attempts are visible through persist_checkpoint_failures_total;
 	// the duration histogram records completed snapshot writes only.
 	db.om.ckptDuration.ObserveSince(t0)

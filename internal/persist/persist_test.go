@@ -488,7 +488,7 @@ func TestSnapshotRoundTripBothBaseForms(t *testing.T) {
 	for _, saturated := range []bool{false, true} {
 		dir := t.TempDir()
 		st := mkState(t, 7, saturated)
-		if err := writeSnapshotFile(OS, dir, 9, 4, st); err != nil {
+		if _, err := writeSnapshotFile(OS, dir, 9, 4, st, 0); err != nil {
 			t.Fatal(err)
 		}
 		ls, err := readSnapshotFile(OS, snapshotPath(dir, 9))
@@ -619,5 +619,42 @@ func TestOrphanSnapshotTmpSwept(t *testing.T) {
 	db2.Close()
 	if _, err := os.Stat(orphan); !os.IsNotExist(err) {
 		t.Fatalf("orphan %s survived Open: %v", orphan, err)
+	}
+}
+
+// TestReplayRunsDoNotAlias: every coalesced run handed to a replay callback
+// is a slice of its own. Two runs, the second longer than the first, are kept
+// by the callbacks and compared only once the whole replay is over — the way
+// a caller applying the tail as one epoch at its end would read them. (With
+// one scratch buffer reused across runs, building the second run overwrote
+// the first.)
+func TestReplayRunsDoNotAlias(t *testing.T) {
+	recs := []Mutation{
+		{Triples: []rdf.Triple{triple(0)}},
+		{Triples: []rdf.Triple{triple(1)}},
+		{Del: true, Triples: []rdf.Triple{triple(2), triple(3)}},
+		{Del: true, Triples: []rdf.Triple{triple(4)}},
+		{Del: true, Triples: []rdf.Triple{triple(5), triple(6)}},
+	}
+	var kept []Mutation
+	n, err := ReplayBatch(recs,
+		func(ts ...rdf.Triple) error { kept = append(kept, Mutation{Triples: ts}); return nil },
+		func(ts ...rdf.Triple) error { kept = append(kept, Mutation{Del: true, Triples: ts}); return nil })
+	if err != nil || n != len(recs) {
+		t.Fatalf("ReplayBatch = %d, %v; want %d records", n, err, len(recs))
+	}
+	want := [][]int{{0, 1}, {2, 3, 4, 5, 6}}
+	if len(kept) != len(want) {
+		t.Fatalf("%d runs, want %d", len(kept), len(want))
+	}
+	for r, run := range kept {
+		if run.Del != (r == 1) || len(run.Triples) != len(want[r]) {
+			t.Fatalf("run %d: del=%v with %d triples, want del=%v with %d", r, run.Del, len(run.Triples), r == 1, len(want[r]))
+		}
+		for i, tr := range run.Triples {
+			if tr != triple(want[r][i]) {
+				t.Fatalf("run %d, triple %d: %v, want %v: a later run overwrote it", r, i, tr, triple(want[r][i]))
+			}
+		}
 	}
 }

@@ -111,16 +111,20 @@ func snapshotPath(dir string, gen uint64) string {
 }
 
 // writeSnapshotFile serialises st as generation gen under fencing term term
-// into dir, atomically, through the given FS.
-func writeSnapshotFile(fsys FS, dir string, gen, term uint64, st State) error {
+// into dir, atomically, through the given FS, and returns the image's length.
+// sizeHint is the expected length (the previous image's, 0 when unknown): the
+// image is built in one buffer, and reaching tens of megabytes by doubling
+// from empty allocates over twice the image and re-copies all of it.
+func writeSnapshotFile(fsys FS, dir string, gen, term uint64, st State, sizeHint int) (int, error) {
 	var body bytes.Buffer
+	body.Grow(sizeHint)
 	header := make([]byte, 0, 28)
 	header = append(header, snapMagic...)
 	header = binary.LittleEndian.AppendUint16(header, FormatVersion)
 	header = binary.LittleEndian.AppendUint64(header, gen)
 	header = binary.LittleEndian.AppendUint64(header, term)
 	if (st.Base == nil) == (st.BaseSet == nil) {
-		return fmt.Errorf("persist: snapshot state needs exactly one of Base and BaseSet")
+		return 0, fmt.Errorf("persist: snapshot state needs exactly one of Base and BaseSet")
 	}
 	flags := uint32(0)
 	if st.Saturated != nil {
@@ -156,30 +160,30 @@ func writeSnapshotFile(fsys FS, dir string, gen, term uint64, st State) error {
 		return nil
 	}
 	if err := writeSection(func(w *bytes.Buffer) error { return st.Dict.WriteBinary(w, st.DictLen) }); err != nil {
-		return fmt.Errorf("persist: snapshot dict section: %w", err)
+		return 0, fmt.Errorf("persist: snapshot dict section: %w", err)
 	}
 	base := st.Base
 	if base == nil {
 		base = st.BaseSet
 	}
 	if err := writeSection(func(w *bytes.Buffer) error { return base.WriteBinary(w) }); err != nil {
-		return fmt.Errorf("persist: snapshot base section: %w", err)
+		return 0, fmt.Errorf("persist: snapshot base section: %w", err)
 	}
 	if st.Saturated != nil {
 		if err := writeSection(func(w *bytes.Buffer) error { return st.Saturated.WriteBinary(w) }); err != nil {
-			return fmt.Errorf("persist: snapshot saturated section: %w", err)
+			return 0, fmt.Errorf("persist: snapshot saturated section: %w", err)
 		}
 	}
 
 	final := snapshotPath(dir, gen)
 	tmp := final + ".tmp"
 	if err := writeFileSync(fsys, tmp, body.Bytes()); err != nil {
-		return err
+		return 0, err
 	}
 	if err := fsys.Rename(tmp, final); err != nil {
-		return err
+		return 0, err
 	}
-	return syncDir(fsys, dir)
+	return body.Len(), syncDir(fsys, dir)
 }
 
 // readSnapshotFile loads and validates one snapshot file.

@@ -10,6 +10,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/persist"
+	"repro/internal/rdf"
 )
 
 // DefaultPoll is the default interval between source polls — the upper bound
@@ -133,7 +134,8 @@ func Start(cfg Config) (*Follower, error) {
 	f := &Follower{cfg: cfg, name: cfg.Strategy, mirror: m, done: make(chan struct{}), om: om}
 	f.cond = sync.NewCond(&f.mu)
 	// Seed the strategy from the local mirror: snapshot state if present,
-	// then the locally recovered WAL tail through the normal mutation path.
+	// then the locally recovered WAL tail through the normal mutation path,
+	// as one epoch.
 	if ls := m.State(); ls != nil {
 		if f.kb, f.strat, err = core.RestoreStrategy(f.name, ls); err != nil {
 			m.Close()
@@ -147,7 +149,7 @@ func Start(cfg Config) (*Follower, error) {
 		}
 	}
 	if tail := m.Tail(); len(tail) > 0 {
-		if _, err := persist.ReplayBatch(tail, f.strat.Insert, f.strat.Delete); err != nil {
+		if err := f.replay(tail); err != nil {
 			m.Close()
 			return nil, err
 		}
@@ -432,10 +434,7 @@ func (f *Follower) fetchWAL(gen uint64, off int64) (bool, error) {
 	if err := f.mirror.AppendWAL(gen, off, b[:total]); err != nil {
 		return false, err
 	}
-	// Apply through the normal maintenance path, coalescing same-kind runs
-	// exactly like recovery does. Reads run concurrently against the
-	// strategy's snapshots; this loop is its single writer.
-	if _, err := persist.ReplayBatch(recs, f.strat.Insert, f.strat.Delete); err != nil {
+	if err := f.replay(recs); err != nil {
 		return false, err
 	}
 	f.om.shippedRecords.Add(uint64(len(recs)))
@@ -447,6 +446,18 @@ func (f *Follower) fetchWAL(gen uint64, off int64) (bool, error) {
 	f.cond.Broadcast()
 	f.mu.Unlock()
 	return true, nil
+}
+
+// replay applies recs — one shipped chunk, or the mirror's recovered tail —
+// through the normal maintenance path as one epoch: same-kind runs coalesced
+// exactly like recovery does, the strategy's view published once at the end,
+// so readers (who run concurrently against its snapshots; this loop is its
+// single writer) move from chunk boundary to chunk boundary.
+func (f *Follower) replay(recs []persist.Mutation) error {
+	_, err := core.Replay(f.strat, func(insert, del func(...rdf.Triple) error) (int, error) {
+		return persist.ReplayBatch(recs, insert, del)
+	})
+	return err
 }
 
 // bootstrap adopts the source's snapshot of generation snap and swaps the

@@ -304,3 +304,46 @@ func TestWaitAppliedContext(t *testing.T) {
 		t.Fatalf("WaitApplied = %v, want DeadlineExceeded", err)
 	}
 }
+
+// TestFollowerChunkAndTailAreOneEpochEach: a shipped chunk of many runs is
+// one view publication on the follower, not one per run, and so is the local
+// mirror's tail when a restarted follower replays it.
+func TestFollowerChunkAndTailAreOneEpochEach(t *testing.T) {
+	p := newPrimary(t, persist.Options{})
+	defer p.db.Close()
+	// Six records alternating in kind: six runs, all in the WAL before the
+	// follower first looks, so they ship as one chunk.
+	for i := 1; i <= 3; i++ {
+		p.insert(rt(i), rt(i+10))
+		p.delete(rt(i + 10))
+	}
+	mirDir := t.TempDir()
+	f := startFollower(t, mirDir, p.dir)
+	waitCover(t, f, p.db.TipPos())
+	if v := f.Strategy().WriteStats().Views; v != 1 {
+		t.Fatalf("one shipped chunk of 6 runs published %d views, want 1", v)
+	}
+	if err := f.Stop(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Four more runs while the follower is down. Restarted, it replays its
+	// mirror's six-record tail (one epoch on the fresh strategy), then ships
+	// the four new records (one more).
+	p.insert(rt(4))
+	p.delete(rt(1))
+	p.insert(rt(5))
+	p.delete(rt(2))
+	f = startFollower(t, mirDir, p.dir)
+	defer f.Stop()
+	waitCover(t, f, p.db.TipPos())
+	if v := f.Strategy().WriteStats().Views; v != 2 {
+		t.Fatalf("bootstrap tail + one chunk published %d views, want 2", v)
+	}
+	for i, want := range map[int]bool{1: false, 2: false, 3: true, 4: true, 5: true, 11: false, 13: false} {
+		mustAsk(t, f.Strategy(), i, want)
+	}
+	if got, want := f.Strategy().Len(), p.strat.Len(); got != want {
+		t.Fatalf("follower holds %d triples, primary %d", got, want)
+	}
+}

@@ -43,12 +43,21 @@ type hmap[V any] struct {
 	// from: trie growth allocates one node or one slot at a time, and
 	// batching the backing memory into chunks replaces a heap allocation per
 	// grow with one per chunk. Only the current chunk is pinned by these
-	// headers — full chunks stay alive exactly as long as live nodes point
-	// into them — so the worst case is one chunk each of unused slots, and
-	// backings abandoned by growth cost at most the live size over a map's
-	// mutable lifetime (the doubling-growth bound). Snapshots copy the
-	// struct but never mutate, so the writer appending to spare slab
-	// capacity is invisible to them.
+	// headers; a full chunk stays alive for as long as any live node or slot
+	// array points into it. For a map that only grows that bounds the waste
+	// at one chunk each of unused slots plus the backings growth abandoned.
+	// For a persistent trie under copy-on-write it bounds nothing: a chunk is
+	// one allocation, so the collector keeps — and scans — all of it while
+	// one node in it is live, the dead ones included, and a dead node is
+	// typically a superseded copy of a root or inner node whose kids still
+	// point at the old version of everything below it. One long-lived node
+	// therefore retains every old trie version that was ever copied into its
+	// chunk, leaves and all, until the chunk's last live node is itself
+	// copied away; under a sustained write stream the live heap grows by
+	// whole old versions (ROADMAP.md, "Holes" and item 2, has the measured
+	// series and why plain per-node allocation is not yet a drop-in fix).
+	// Snapshots copy the struct but never mutate, so the writer appending to
+	// spare slab capacity is invisible to them.
 	slab    []hnode[V]
 	entSlab []hent[V]
 	kidSlab []*hnode[V]

@@ -77,14 +77,24 @@ func newServerMetrics(reg *obs.Registry, slow *obs.SlowLog, strategy string) ser
 }
 
 // registerServerFuncs exposes server state that something already tracks —
-// queue depth, watermark lag, degradation — as exposition-time gauges, plus
-// the package-level prepared-plan lifecycle counters. Func registration
-// replaces by identity, so the second server of a promotion test (or a
-// follower reopening against a shared registry) wins the series.
+// queue depth, watermark lag, degradation, the serving strategy's write
+// epochs — as exposition-time gauges and counters, plus the package-level
+// prepared-plan lifecycle counters and the Go runtime's collector family.
+// Func registration replaces by identity, so the second server of a promotion
+// test (or a follower reopening against a shared registry) wins the series.
+// The constructors call it last: the functions read the strategy and the
+// follower.
 func registerServerFuncs(reg *obs.Registry, s *Server) {
 	if reg == nil {
 		return
 	}
+	obs.RegisterRuntime(reg)
+	reg.CounterFunc("webreason_views_published_total",
+		"Read views the serving strategy has published: one per drained mutation queue on a primary, one per shipped chunk on a follower (restarts from zero when a follower re-bootstraps).",
+		func() float64 { return float64(s.reading().WriteStats().Views) })
+	reg.CounterFunc("webreason_store_copied_total",
+		"Copy-on-write copies (trie nodes, index entries, postings leaves) the serving store's writes have paid because a published view or a checkpoint capture had frozen them, as of the current view.",
+		func() float64 { return float64(s.reading().WriteStats().StoreCopied) })
 	reg.Func("webreason_queue_depth",
 		"Queued-but-unapplied mutation calls (the MaxPending bound applies here).",
 		func() float64 {

@@ -1,6 +1,7 @@
 package webreason_test
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"os"
@@ -172,8 +173,8 @@ func runDurableServerSync(t *testing.T, dir string, seed int64, muts int, sync p
 	return srv, kb, db
 }
 
-// restoreFrom recovers a strategy from a data directory, replaying the WAL
-// tail through the normal Insert/Delete path.
+// restoreFrom recovers a strategy from a data directory the way rdfserve
+// does: the WAL tail goes through the normal maintenance path as one epoch.
 func restoreFrom(t *testing.T, dir, strategy string) (webreason.Strategy, *core.KB, *webreason.DB) {
 	t.Helper()
 	db, err := persist.Open(dir, persist.Options{})
@@ -188,10 +189,83 @@ func restoreFrom(t *testing.T, dir, strategy string) (webreason.Strategy, *core.
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db.ReplayTail(strat.Insert, strat.Delete); err != nil {
+	if _, err := webreason.Replay(strat, db.ReplayTail); err != nil {
 		t.Fatal(err)
 	}
 	return strat, kb, db
+}
+
+// TestRecoveryReplaysTailAsOneEpoch: a recovered WAL tail of many runs is
+// one view publication and one store epoch, and recovers the same |G∞| —
+// and the same answers — as the live server had, and as replaying the same
+// tail one epoch per run does.
+func TestRecoveryReplaysTailAsOneEpoch(t *testing.T) {
+	dir := t.TempDir()
+	kb := core.NewKB()
+	if _, err := kb.LoadGraph(lubm.GenerateWithOntology(lubm.SmallConfig())); err != nil {
+		t.Fatal(err)
+	}
+	live := core.NewSaturation(kb)
+	db, err := persist.Open(dir, persist.Options{CheckpointRecords: -1, CheckpointBytes: -1, Sync: persist.SyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Checkpoint(live.DurableState()); err != nil {
+		t.Fatal(err)
+	}
+	srv := webreason.NewServer(live, webreason.ServerOptions{FlushEvery: 4, DB: db, NoFinalCheckpoint: true})
+	for _, m := range mutationStream(5, 80) {
+		if err := srv.Mutate(context.Background(), webreason.Mutation{Delete: m.del, Triples: m.ts}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	q := webreason.MustParseQuery(`SELECT ?s ?o WHERE { ?s <http://mut.example.org/rel> ?o }`)
+	want := answersOf(t, live, kb.Dict(), q)
+	recoverWith := func(replay func(webreason.Strategy, *webreason.DB) (int, error)) (webreason.Strategy, int) {
+		db, err := persist.Open(copyDataDir(t, dir), persist.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer db.Close()
+		rkb, strat, err := core.RestoreStrategy("saturation", db.State())
+		if err != nil {
+			t.Fatal(err)
+		}
+		n, err := replay(strat, db)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := answersOf(t, strat, rkb.Dict(), q); fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("recovered answers differ from the live server's:\n%v\nvs\n%v", got, want)
+		}
+		if strat.Len() != live.Len() {
+			t.Fatalf("recovered |G∞| = %d, live %d", strat.Len(), live.Len())
+		}
+		return strat, n
+	}
+	oneEpoch, records := recoverWith(func(s webreason.Strategy, db *webreason.DB) (int, error) {
+		return webreason.Replay(s, db.ReplayTail)
+	})
+	perRun, _ := recoverWith(func(s webreason.Strategy, db *webreason.DB) (int, error) {
+		return db.ReplayTail(s.Insert, s.Delete)
+	})
+	runs := perRun.WriteStats().Views
+	if records < 10 || runs < 5 {
+		t.Fatalf("the tail has %d records in %d runs: too short to show anything", records, runs)
+	}
+	if st := oneEpoch.WriteStats(); st.Views != 1 || st.StoreEpoch != 1 {
+		t.Fatalf("a tail of %d runs was replayed as %d views and %d store epochs, want 1 and 1", runs, st.Views, st.StoreEpoch)
+	}
+	if one, per := oneEpoch.WriteStats().StoreCopied, perRun.WriteStats().StoreCopied; one >= per {
+		t.Fatalf("one epoch copied %d structures, one epoch per run %d: nothing saved", one, per)
+	}
 }
 
 // TestServerCrashRecoveryAnswersIdentically is the acceptance check: a

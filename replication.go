@@ -116,6 +116,7 @@ func NewFollowerServer(f *Follower, opts ServerOptions) *Server {
 	srv := newServer(opts, f.Strategy().Name())
 	srv.follower = f
 	srv.role.Store(int32(RoleFollower))
+	registerServerFuncs(opts.Obs, srv)
 	return srv
 }
 

@@ -154,7 +154,9 @@ func (e *OverloadedError) Unwrap() []error { return []error{ErrOverloaded, e.Cau
 // sharing; the writer path-copies only what it touches), so pinning one per
 // read is free and any number of historical versions can stay live while
 // the writer proceeds. The writer swaps the current version in atomically
-// after applying each mutation batch. Readers therefore observe:
+// after applying each mutation batch — everything one drain of the queue
+// took, however many insert and delete runs that is. Readers therefore
+// observe:
 //
 //   - a consistent closure of some prefix of the mutation sequence: all
 //     entailments of exactly the base triples from batches applied so far,
@@ -203,14 +205,17 @@ func (e *OverloadedError) Unwrap() []error { return []error{ErrOverloaded, e.Cau
 //
 // # Durability
 //
-// With ServerOptions.DB set, the applier write-ahead logs every mutation run
+// With ServerOptions.DB set, the applier cuts each drained queue into
+// maximal same-kind runs and write-ahead logs every run — one WAL record —
 // before handing it to the strategy, schedules checkpoints at the DB's
-// thresholds from O(1) copy-on-write state captures, and Close ends the log
-// with a final checkpoint. Because logging happens at batch application
-// (not enqueue), the durable history is exactly the sequence of applied
-// batches: recovery replays the WAL tail and reaches precisely the state a
-// reader of the crashed server could last have observed, plus any batches
-// that were logged but whose application the crash cut short.
+// thresholds from O(1) copy-on-write state captures taken at run boundaries,
+// and Close ends the log with a final checkpoint. Maintenance is per run,
+// publication per drain: the runs of one drain become visible together, once
+// the last of them is applied. Because logging happens at application (not
+// enqueue), the durable history is exactly the sequence of applied runs:
+// recovery replays the WAL tail and reaches precisely the state a reader of
+// the crashed server could last have observed, plus any runs that were
+// logged but not yet published when the crash came.
 //
 // What a crash can take with it depends on the DB's sync policy:
 //
@@ -329,6 +334,7 @@ type mutation struct {
 func NewServer(s Strategy, opts ServerOptions) *Server {
 	srv := newServer(opts, s.Name())
 	srv.strat = s
+	registerServerFuncs(opts.Obs, srv)
 	srv.wg.Add(1)
 	go srv.writer()
 	return srv
@@ -352,7 +358,6 @@ func newServer(opts ServerOptions, strategy string) *Server {
 		done: make(chan struct{}),
 	}
 	srv.om = newServerMetrics(opts.Obs, opts.SlowLog, strategy)
-	registerServerFuncs(opts.Obs, srv)
 	srv.cond = sync.NewCond(&srv.mu)
 	srv.flushTimer = time.NewTimer(time.Hour)
 	srv.flushTimer.Stop()
@@ -1009,9 +1014,14 @@ func (s *Server) maybeCheckpoint() {
 	}
 }
 
-// apply drains the queue and applies it as maximal same-kind runs, so a
-// burst of Inserts becomes one strategy-level batch (one maintenance round,
-// one snapshot swap) while preserving enqueue order across kinds.
+// apply drains the queue as one write epoch of maximal same-kind runs. Each
+// run is one WAL record and one maintenance round, logged then applied in
+// enqueue order, so a burst of Inserts costs one of each and the order across
+// kinds is preserved; the strategy's stores are frozen and its view swapped
+// once, after the last run — the copy-on-write a published snapshot costs the
+// next write is paid per drain, however the insert/delete mix cuts the runs.
+// Readers therefore move from one drain boundary to the next, and applied
+// advances only after the swap, which is what Flush and session reads wait on.
 func (s *Server) apply() {
 	// Disarm the latency timer before grabbing the queue: any mutation
 	// enqueued earlier is included in this batch, and one enqueued later
@@ -1047,7 +1057,11 @@ func (s *Server) apply() {
 	}
 	var run []Triple
 	var runAcks []func(error)
-	flushRun := func(del bool, runStart int) {
+	// appliedAcks are the acks of a server without a DB, where "durable"
+	// degrades to "applied": they fire once the drain is published, so a
+	// caller released by one finds its write visible.
+	var appliedAcks []func(error)
+	flushRun := func(w core.Writer, del bool, runStart int) {
 		acks := runAcks
 		runAcks = nil // acks escape into the durability callback; fresh slice per run
 		if len(run) == 0 {
@@ -1076,9 +1090,10 @@ func (s *Server) apply() {
 		// Write-ahead: the run is durably logged before the strategy sees
 		// it. If logging fails the run is NOT applied (and neither is
 		// anything after it) — replay-on-recovery and the live state must
-		// describe the same history. Re-applying a logged-but-unapplied run
-		// after a crash is harmless: strategy Insert/Delete absorb
-		// duplicates.
+		// describe the same history; the runs logged before it are applied
+		// and are published with the rest of the drain. Re-applying a
+		// logged-but-unapplied run after a crash is harmless: strategy
+		// Insert/Delete absorb duplicates.
 		if s.opts.DB != nil {
 			// The durability callback fans the record's completion out to
 			// every covered mutation call and records an asynchronous
@@ -1101,20 +1116,18 @@ func (s *Server) apply() {
 				run = run[:0]
 				return
 			}
+		} else {
+			appliedAcks = append(appliedAcks, acks...)
 		}
 		// Strategy errors are impossible here: triples were validated on
 		// enqueue and strategy mutation paths only fail on ill-formed input.
 		if del {
-			s.strat.Delete(run...)
+			w.Delete(run...)
 		} else {
-			s.strat.Insert(run...)
-		}
-		if s.opts.DB == nil {
-			// No durability layer: "durable" degrades to "applied".
-			fireAcks(acks, nil)
+			w.Insert(run...)
 		}
 		run = run[:0]
-		// Checkpoint scheduling rides every run boundary, not just batch
+		// Checkpoint scheduling rides every run boundary, not just drain
 		// ends: under sustained load one drained batch can hold thousands of
 		// runs and take seconds to log and apply (especially with per-record
 		// fsync), and the strategy state and WAL position agree exactly here
@@ -1122,25 +1135,35 @@ func (s *Server) apply() {
 		// the DB's background serialisation keep this loop unstalled; the
 		// DB's in-flight guard makes extra Due checks free.
 		if s.opts.DB != nil && s.opts.DB.CheckpointDue() {
-			if err := s.opts.DB.CheckpointAsync(s.strat.DurableState()); err != nil {
+			if err := s.opts.DB.CheckpointAsync(w.DurableState()); err != nil {
 				durErr = err
 			}
 		}
 	}
-	cur := batch[0].del
-	runStart := 0
-	for i, m := range batch {
-		if m.del != cur {
-			flushRun(cur, runStart)
-			cur = m.del
-			runStart = i
+	s.strat.Apply(func(w core.Writer) error {
+		cur := batch[0].del
+		runStart := 0
+		for i, m := range batch {
+			if m.del != cur {
+				flushRun(w, cur, runStart)
+				cur = m.del
+				runStart = i
+			}
+			run = append(run, m.ts...)
+			if m.ack != nil {
+				runAcks = append(runAcks, m.ack)
+			}
 		}
-		run = append(run, m.ts...)
-		if m.ack != nil {
-			runAcks = append(runAcks, m.ack)
-		}
+		flushRun(w, cur, runStart)
+		return nil
+	})
+	fireAcks(appliedAcks, nil)
+	if s.om.on {
+		// Observed before applied advances, so whoever a Flush releases finds
+		// the drain counted: views published per drain is then an exact ratio.
+		s.om.applyLatency.ObserveSince(applyStart)
+		s.om.batchSize.Observe(int64(len(batch)))
 	}
-	flushRun(cur, runStart)
 	s.mu.Lock()
 	if firstRefused >= 0 && s.divergedAt.Load() == 0 {
 		// Seq of batch[i] is applied-before-this-batch + i + 1; applied has
@@ -1153,10 +1176,6 @@ func (s *Server) apply() {
 	}
 	s.cond.Broadcast()
 	s.mu.Unlock()
-	if s.om.on {
-		s.om.applyLatency.ObserveSince(applyStart)
-		s.om.batchSize.Observe(int64(len(batch)))
-	}
 }
 
 // Len returns the strategy's physical size as of the current snapshot.

@@ -177,7 +177,7 @@ func NewStrategy(name string, kb *KB) (Strategy, error) { return core.NewStrateg
 // Durability. A DB is an open persistence directory: binary snapshots of the
 // serving state plus a write-ahead log of mutation batches. Open one, rebuild
 // the KB and strategy from its recovered state, replay the WAL tail through
-// the strategy, and hand the DB to NewServer via ServerOptions.DB; see
+// the strategy (Replay), and hand the DB to NewServer via ServerOptions.DB; see
 // internal/persist for the format and crash-recovery contract.
 type (
 	// DB is the handle to a persistence directory (WAL + snapshots).
@@ -228,6 +228,12 @@ func OpenDB(dir string, opts DBOptions) (*DB, error) { return persist.Open(dir, 
 // structures. A saturation snapshot restored as the saturation strategy
 // starts serving without re-running saturation.
 var RestoreStrategy = core.RestoreStrategy
+
+// Replay feeds a DB's recovered WAL tail through a strategy as one write
+// epoch — every run takes the normal maintenance path, the strategy's view is
+// published once: webreason.Replay(strategy, db.ReplayTail). It returns the
+// number of records replayed.
+var Replay = core.Replay
 
 // Observability. A MetricsRegistry collects the serving stack's metric
 // families — build one, pass it through ServerOptions.Obs, DBOptions.Obs
