@@ -1,16 +1,14 @@
-// Benchmarks regenerating the paper's figures, one family per artifact:
+// Micro-benchmarks of the paper's Figure 3 cost inputs, one family per
+// input:
 //
-//	Figure 3 cost inputs — BenchmarkSaturate (one-time saturation cost),
-//	    BenchmarkMaintain* (per-update maintenance), BenchmarkQuery*
-//	    (per-query answering under each technique).
-//	E4 — BenchmarkSaturate across scales.
-//	E5 — BenchmarkQuery{Saturation,Reformulation,Backward}.
-//	E6 — BenchmarkReformulate (rewriting time; union sizes are reported
-//	    by cmd/rdfbench -experiment blowup).
-//	E7 — BenchmarkMaintain* (DRed vs counting vs resaturation).
+//	BenchmarkSaturate — the one-time saturation cost, at two scales.
+//	BenchmarkMaintain* — per-update DRed maintenance, instance and schema.
+//	BenchmarkQuery* — per-query answering under each technique.
+//	BenchmarkReformulate — rewriting time and union size.
 //
-// cmd/rdfbench prints the paper-style tables; these benches give the same
-// quantities under `go test -bench`.
+// The repository's benchmark (benchmark/, BENCHMARK.json) measures the same
+// quantities end to end at LUBM 4×15 and computes the Figure 3 thresholds;
+// these run under plain `go test -bench`.
 package webreason_test
 
 import (
@@ -60,7 +58,7 @@ func getFixture(b testing.TB) *fixture {
 }
 
 // BenchmarkSaturate measures the one-time saturation cost (Figure 3's
-// fixed cost; E4) at two scales.
+// fixed cost) at two scales.
 func BenchmarkSaturate(b *testing.B) {
 	for _, depts := range []int{2, 6} {
 		cfg := lubm.SmallConfig()
@@ -88,7 +86,7 @@ var benchQueries = []string{"Q1", "Q5", "Q6", "Q9", "Q12", "Q14"}
 // BenchmarkQuerySaturation measures eval(G∞) per query in the repeated-query
 // regime the paper's Figure 3 reasons about: the query is prepared once and
 // the steady-state per-execution cost is measured — cached plan, merge
-// joins, zero planning allocations (E5). BenchmarkQuerySaturationUnprepared
+// joins, zero planning allocations. BenchmarkQuerySaturationUnprepared
 // keeps the one-shot compile-and-plan figure for comparison.
 func BenchmarkQuerySaturation(b *testing.B) {
 	f := getFixture(b)
@@ -177,8 +175,7 @@ func BenchmarkQueryBackwardPrepared(b *testing.B) {
 	}
 }
 
-// BenchmarkQueryReformulation measures reformulate+evaluate on G (Figure 3,
-// E5).
+// BenchmarkQueryReformulation measures reformulate+evaluate on G (Figure 3).
 func BenchmarkQueryReformulation(b *testing.B) {
 	f := getFixture(b)
 	for _, name := range benchQueries {
@@ -193,7 +190,7 @@ func BenchmarkQueryReformulation(b *testing.B) {
 	}
 }
 
-// BenchmarkQueryBackward measures backward-chaining answering (E5).
+// BenchmarkQueryBackward measures backward-chaining answering.
 func BenchmarkQueryBackward(b *testing.B) {
 	f := getFixture(b)
 	for _, name := range benchQueries {
@@ -209,7 +206,7 @@ func BenchmarkQueryBackward(b *testing.B) {
 }
 
 // BenchmarkReformulate measures pure rewriting time and reports the union
-// size (E6).
+// size.
 func BenchmarkReformulate(b *testing.B) {
 	f := getFixture(b)
 	for _, name := range benchQueries {
@@ -230,7 +227,7 @@ func BenchmarkReformulate(b *testing.B) {
 
 // maintenance benchmarks: each op is paired with its undo inside the timed
 // loop, so the measured figure is (op + undo)/2 ≈ one maintenance step at
-// steady state (Figure 3 maintenance costs; E7).
+// steady state (Figure 3 maintenance costs).
 
 func BenchmarkMaintainInstanceDRed(b *testing.B) {
 	kb := core.NewKB()
@@ -247,21 +244,6 @@ func BenchmarkMaintainInstanceDRed(b *testing.B) {
 	}
 }
 
-func BenchmarkMaintainInstanceCounting(b *testing.B) {
-	kb := core.NewKB()
-	if _, err := kb.LoadGraph(lubm.GenerateWithOntology(lubm.SmallConfig())); err != nil {
-		b.Fatal(err)
-	}
-	cnt := reason.MaterializeCounting(kb.Base(), kb.Rules())
-	tr := kb.Encode(lubm.InstanceUpdates(1)[0])
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		cnt.Insert(tr)
-		cnt.Delete(tr)
-	}
-}
-
 func BenchmarkMaintainSchemaDRed(b *testing.B) {
 	kb := core.NewKB()
 	if _, err := kb.LoadGraph(lubm.GenerateWithOntology(lubm.SmallConfig())); err != nil {
@@ -274,46 +256,6 @@ func BenchmarkMaintainSchemaDRed(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		mat.Insert(tr)
 		mat.Delete(tr)
-	}
-}
-
-func BenchmarkMaintainSchemaCounting(b *testing.B) {
-	kb := core.NewKB()
-	if _, err := kb.LoadGraph(lubm.GenerateWithOntology(lubm.SmallConfig())); err != nil {
-		b.Fatal(err)
-	}
-	cnt := reason.MaterializeCounting(kb.Base(), kb.Rules())
-	tr := kb.Encode(lubm.SchemaUpdates()[0])
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		cnt.Insert(tr)
-		cnt.Delete(tr)
-	}
-}
-
-// BenchmarkSaturateParallel compares worker counts for the
-// round-synchronous parallel materialisation with the hash-sharded merge
-// (E10), at the scales BenchmarkSaturate measures sequentially. workers=0
-// selects GOMAXPROCS — the wall-clock comparison point against the
-// sequential engine (identical by construction when GOMAXPROCS is 1, since
-// one worker degenerates to the sequential path).
-func BenchmarkSaturateParallel(b *testing.B) {
-	for _, depts := range []int{2, 6} {
-		cfg := lubm.SmallConfig()
-		cfg.DeptsPerUniv = depts
-		kb := core.NewKB()
-		if _, err := kb.LoadGraph(lubm.GenerateWithOntology(cfg)); err != nil {
-			b.Fatal(err)
-		}
-		for _, workers := range []int{0, 1, 2} {
-			b.Run(benchName("depts", depts)+"/"+benchName("workers", workers), func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					reason.MaterializeParallel(kb.Base(), kb.Rules(), workers)
-				}
-			})
-		}
 	}
 }
 

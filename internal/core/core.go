@@ -35,9 +35,13 @@ import (
 )
 
 // KB is a knowledge base: a dictionary-encoded RDF graph (instance + schema
-// triples) plus the entailment rule set. It is the loading container from
-// which strategies are built; strategies own independent copies of the data
-// so their update paths can be compared side by side.
+// triples) plus the entailment rules of the DB fragment, reason.RDFSRules,
+// fixed. Saturation materialises G∞ under those rules while reformulation and
+// backward chaining answer from the schema closure of internal/schema, which
+// is the closure under the same rules — so q(G∞) = q_ref(G) holds only for
+// this rule set, and there is no way to replace it. The KB is the loading
+// container from which strategies are built; strategies own independent
+// copies of the data so their update paths can be compared side by side.
 type KB struct {
 	dict  *dict.Dict
 	voc   schema.Vocab
@@ -84,20 +88,9 @@ func (kb *KB) Dict() *dict.Dict { return kb.dict }
 // Vocab exposes the encoded RDF/RDFS vocabulary.
 func (kb *KB) Vocab() schema.Vocab { return kb.voc }
 
-// Rules returns the entailment rules in force.
+// Rules returns the entailment rules in force: reason.RDFSRules over the
+// KB's vocabulary.
 func (kb *KB) Rules() []reason.Rule { return kb.rules }
-
-// SetRules replaces the rule set (e.g. to add user-defined rules). It must
-// be called before strategies are constructed.
-func (kb *KB) SetRules(rules []reason.Rule) error {
-	for i := range rules {
-		if err := rules[i].Validate(); err != nil {
-			return err
-		}
-	}
-	kb.rules = rules
-	return nil
-}
 
 // Len returns the number of asserted triples.
 func (kb *KB) Len() int { return kb.base.Len() }

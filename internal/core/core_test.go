@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -238,23 +239,29 @@ func TestKBAddRemove(t *testing.T) {
 	}
 }
 
+// TestKBGraphRoundTrip also checks the rule set: a new KB and one restored
+// from its dictionary and base both carry exactly the RDFS rules, each valid
+// — the rules internal/schema closes under, which reformulation and backward
+// chaining answer from.
 func TestKBGraphRoundTrip(t *testing.T) {
 	kb := loadKB(t)
 	back := kb.Graph()
 	if !back.Equal(universityGraph()) {
 		t.Error("KB.Graph() does not round-trip the loaded graph")
 	}
-}
-
-func TestSetRulesValidates(t *testing.T) {
-	kb := NewKB()
-	badRule := kb.Rules()[0]
-	badRule.Conclusion.S = reason.V(99)
-	if err := kb.SetRules([]reason.Rule{badRule}); err == nil {
-		t.Error("SetRules accepted an invalid rule")
+	restored := RestoreKB(kb.Dict(), kb.Base())
+	if !restored.Graph().Equal(universityGraph()) {
+		t.Error("RestoreKB does not round-trip the loaded graph")
 	}
-	if err := kb.SetRules(kb.Rules()); err != nil {
-		t.Errorf("SetRules rejected the stock rules: %v", err)
+	for name, k := range map[string]*KB{"NewKB": kb, "RestoreKB": restored} {
+		if !reflect.DeepEqual(k.Rules(), reason.RDFSRules(k.Vocab())) {
+			t.Errorf("%s: rule set is not reason.RDFSRules", name)
+		}
+		for i := range k.Rules() {
+			if err := k.Rules()[i].Validate(); err != nil {
+				t.Errorf("%s: %v", name, err)
+			}
+		}
 	}
 }
 

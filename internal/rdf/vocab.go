@@ -51,33 +51,3 @@ var (
 func IsSchemaProperty(p Term) bool {
 	return p == SubClassOf || p == SubPropertyOf || p == Domain || p == Range
 }
-
-// Figure1Row is one row of the paper's Figure 1: how an assertion or
-// constraint is written as a triple and what it means.
-type Figure1Row struct {
-	// Kind is "assertion" or "constraint".
-	Kind string
-	// Name is the paper's row label, e.g. "Class" or "Domain typing".
-	Name string
-	// TriplePattern is the triple shape, e.g. "s rdf:type o".
-	TriplePattern string
-	// Semantics is the relational/OWA interpretation column.
-	Semantics string
-	// Property is the built-in property the row is about (zero Term for the
-	// generic property assertion row).
-	Property Term
-}
-
-// Figure1 returns the content of the paper's Figure 1 as data, so the bench
-// harness (experiment E1) can print it and tests can check the vocabulary
-// stays in sync with the paper.
-func Figure1() []Figure1Row {
-	return []Figure1Row{
-		{Kind: "assertion", Name: "Class", TriplePattern: "s rdf:type o", Semantics: "o(s)", Property: Type},
-		{Kind: "assertion", Name: "Property", TriplePattern: "s p o", Semantics: "p(s, o)"},
-		{Kind: "constraint", Name: "Subclass", TriplePattern: "s rdfs:subClassOf o", Semantics: "s ⊆ o", Property: SubClassOf},
-		{Kind: "constraint", Name: "Subproperty", TriplePattern: "s rdfs:subPropertyOf o", Semantics: "s ⊆ o", Property: SubPropertyOf},
-		{Kind: "constraint", Name: "Domain typing", TriplePattern: "s rdfs:domain o", Semantics: "Π_domain(s) ⊆ o", Property: Domain},
-		{Kind: "constraint", Name: "Range typing", TriplePattern: "s rdfs:range o", Semantics: "Π_range(s) ⊆ o", Property: Range},
-	}
-}

@@ -6,7 +6,11 @@
 // Rules are declarative values: two triple-pattern premises and a conclusion
 // over shared variables. The engine is a small semi-naive Datalog evaluator
 // specialised to triples, so the RDFS rule set of Figure 2 is data, not
-// code, and user-defined rules (Oracle-style, Section II-C) work unchanged.
+// code. Materialize and its maintenance accept any valid rule set, so
+// user-defined rules (Oracle-style, Section II-C) work at this level; the
+// knowledge base (internal/core) runs RDFSRules only, because reformulation
+// and backward chaining answer from the schema closure of internal/schema,
+// which is the closure under exactly those rules.
 package reason
 
 import (
@@ -46,14 +50,8 @@ type Rule struct {
 	// Name is the rule's identifier, e.g. "rdfs9" (paper names where they
 	// exist, "ext-*" for the constraint-on-constraint rules of [12]).
 	Name string
-	// Doc is the human-readable rendering used to reproduce Figure 2.
+	// Doc is the rule written out in the paper's notation.
 	Doc string
-	// InFigure2 marks the four rules the paper shows in Figure 2.
-	InFigure2 bool
-	// SchemaOnly marks rules whose conclusion is a schema triple (they
-	// implement the schema closure; instance-level rules derive instance
-	// triples).
-	SchemaOnly bool
 	// Premises are the two body patterns.
 	Premises [2]Pattern
 	// Conclusion is the head pattern; all its variables must appear in the
@@ -110,7 +108,6 @@ func RDFSRules(voc schema.Vocab) []Rule {
 	rules := []Rule{
 		{
 			Name: "rdfs5", Doc: "p1 rdfs:subPropertyOf p2 ∧ p2 rdfs:subPropertyOf p3 ⊢ p1 rdfs:subPropertyOf p3",
-			SchemaOnly: true,
 			Premises: [2]Pattern{
 				{S: V(0), P: C(voc.SubPropertyOf), O: V(1)},
 				{S: V(1), P: C(voc.SubPropertyOf), O: V(2)},
@@ -120,7 +117,6 @@ func RDFSRules(voc schema.Vocab) []Rule {
 		},
 		{
 			Name: "rdfs11", Doc: "c1 rdfs:subClassOf c2 ∧ c2 rdfs:subClassOf c3 ⊢ c1 rdfs:subClassOf c3",
-			SchemaOnly: true,
 			Premises: [2]Pattern{
 				{S: V(0), P: C(voc.SubClassOf), O: V(1)},
 				{S: V(1), P: C(voc.SubClassOf), O: V(2)},
@@ -130,7 +126,6 @@ func RDFSRules(voc schema.Vocab) []Rule {
 		},
 		{
 			Name: "ext-dom-sp", Doc: "p1 rdfs:subPropertyOf p2 ∧ p2 rdfs:domain c ⊢ p1 rdfs:domain c",
-			SchemaOnly: true,
 			Premises: [2]Pattern{
 				{S: V(0), P: C(voc.SubPropertyOf), O: V(1)},
 				{S: V(1), P: C(voc.Domain), O: V(2)},
@@ -140,7 +135,6 @@ func RDFSRules(voc schema.Vocab) []Rule {
 		},
 		{
 			Name: "ext-rng-sp", Doc: "p1 rdfs:subPropertyOf p2 ∧ p2 rdfs:range c ⊢ p1 rdfs:range c",
-			SchemaOnly: true,
 			Premises: [2]Pattern{
 				{S: V(0), P: C(voc.SubPropertyOf), O: V(1)},
 				{S: V(1), P: C(voc.Range), O: V(2)},
@@ -150,7 +144,6 @@ func RDFSRules(voc schema.Vocab) []Rule {
 		},
 		{
 			Name: "ext-dom-sc", Doc: "p rdfs:domain c1 ∧ c1 rdfs:subClassOf c2 ⊢ p rdfs:domain c2",
-			SchemaOnly: true,
 			Premises: [2]Pattern{
 				{S: V(0), P: C(voc.Domain), O: V(1)},
 				{S: V(1), P: C(voc.SubClassOf), O: V(2)},
@@ -160,7 +153,6 @@ func RDFSRules(voc schema.Vocab) []Rule {
 		},
 		{
 			Name: "ext-rng-sc", Doc: "p rdfs:range c1 ∧ c1 rdfs:subClassOf c2 ⊢ p rdfs:range c2",
-			SchemaOnly: true,
 			Premises: [2]Pattern{
 				{S: V(0), P: C(voc.Range), O: V(1)},
 				{S: V(1), P: C(voc.SubClassOf), O: V(2)},
@@ -170,7 +162,6 @@ func RDFSRules(voc schema.Vocab) []Rule {
 		},
 		{
 			Name: "rdfs2", Doc: "p rdfs:domain c ∧ s p o ⊢ s rdf:type c",
-			InFigure2: true,
 			Premises: [2]Pattern{
 				{S: V(0), P: C(voc.Domain), O: V(1)},
 				{S: V(2), P: V(0), O: V(3)},
@@ -180,7 +171,6 @@ func RDFSRules(voc schema.Vocab) []Rule {
 		},
 		{
 			Name: "rdfs3", Doc: "p rdfs:range c ∧ s p o ⊢ o rdf:type c",
-			InFigure2: true,
 			Premises: [2]Pattern{
 				{S: V(0), P: C(voc.Range), O: V(1)},
 				{S: V(2), P: V(0), O: V(3)},
@@ -190,7 +180,6 @@ func RDFSRules(voc schema.Vocab) []Rule {
 		},
 		{
 			Name: "rdfs7", Doc: "p1 rdfs:subPropertyOf p2 ∧ s p1 o ⊢ s p2 o",
-			InFigure2: true,
 			Premises: [2]Pattern{
 				{S: V(0), P: C(voc.SubPropertyOf), O: V(1)},
 				{S: V(2), P: V(0), O: V(3)},
@@ -200,7 +189,6 @@ func RDFSRules(voc schema.Vocab) []Rule {
 		},
 		{
 			Name: "rdfs9", Doc: "c1 rdfs:subClassOf c2 ∧ s rdf:type c1 ⊢ s rdf:type c2",
-			InFigure2: true,
 			Premises: [2]Pattern{
 				{S: V(0), P: C(voc.SubClassOf), O: V(1)},
 				{S: V(2), P: C(voc.Type), O: V(0)},
@@ -210,18 +198,6 @@ func RDFSRules(voc schema.Vocab) []Rule {
 		},
 	}
 	return rules
-}
-
-// Figure2Rules returns, in the paper's order, the four rules shown in
-// Figure 2 (experiment E2).
-func Figure2Rules(voc schema.Vocab) []Rule {
-	var byName = map[string]Rule{}
-	for _, r := range RDFSRules(voc) {
-		if r.InFigure2 {
-			byName[r.Name] = r
-		}
-	}
-	return []Rule{byName["rdfs9"], byName["rdfs7"], byName["rdfs2"], byName["rdfs3"]}
 }
 
 // matchPattern binds pattern p against concrete triple t, writing variable

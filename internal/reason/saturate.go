@@ -8,8 +8,8 @@ import (
 // maintain the saturation under updates: the store holds G∞ = base ∪
 // derived, and the base store records which triples were explicitly asserted
 // (the "G" of the paper). Deletion maintenance uses DRed
-// (delete-and-rederive), which is sound for the recursive RDFS rules; see
-// Counting for the cheaper but cycle-unsafe alternative of [11].
+// (delete-and-rederive), which is sound for the recursive RDFS rules,
+// cyclic subClassOf/subPropertyOf schemas included.
 //
 // Both stores support O(1) copy-on-write snapshots, which is what lets the
 // persistence layer checkpoint a live materialization (base G and saturated
@@ -96,19 +96,19 @@ func (m *Materialization) Clone() *Materialization {
 
 // forEachInstantiation enumerates, for a triple t playing premise position
 // pos of rule r, every rule instantiation against partner triples currently
-// in st; fn receives the instantiated conclusion and the partner premise.
+// in st; fn receives each instantiated conclusion.
 // The binding vectors come from sc, so the call allocates nothing at steady
 // state; fn must not re-enter forEachInstantiation with the same scratch.
 //
 // Instantiations are buffered and fn runs only after the store enumeration
 // has finished: the store forbids mutation during ForEachMatch, and the
-// seminaive/propagate callbacks Add conclusions (which may land in the very
+// seminaive callback Adds conclusions (which may land in the very
 // postings leaf being iterated). Conclusions added by fn therefore never
 // join the current enumeration — the semi-naive outer loop picks them up as
 // the next delta.
 //
 //webreason:hotpath
-func forEachInstantiation(st *store.Store, r *Rule, pos int, t store.Triple, sc *scratch, fn func(conclusion, partner store.Triple)) {
+func forEachInstantiation(st *store.Store, r *Rule, pos int, t store.Triple, sc *scratch, fn func(conclusion store.Triple)) {
 	sc.grow(r.NVars)
 	b, b2 := sc.b, sc.b2
 	if !matchPattern(r.Premises[pos], t, b) {
@@ -116,16 +116,16 @@ func forEachInstantiation(st *store.Store, r *Rule, pos int, t store.Triple, sc 
 	}
 	other := 1 - pos
 	partnerPat := instantiate(r.Premises[other], b)
-	sc.pairs = sc.pairs[:0]
+	sc.conclusions = sc.conclusions[:0]
 	st.ForEachMatch(partnerPat, func(u store.Triple) bool {
 		copy(b2, b)
 		if matchPattern(r.Premises[other], u, b2) {
-			sc.pairs = append(sc.pairs, conclusionPartner{instantiate(r.Conclusion, b2), u})
+			sc.conclusions = append(sc.conclusions, instantiate(r.Conclusion, b2))
 		}
 		return true
 	})
-	for _, cp := range sc.pairs {
-		fn(cp.conclusion, cp.partner)
+	for _, c := range sc.conclusions {
+		fn(c)
 	}
 }
 
@@ -141,7 +141,7 @@ func (m *Materialization) seminaive(delta []store.Triple) {
 			for ri := range m.rules {
 				r := &m.rules[ri]
 				for pos := 0; pos < 2; pos++ {
-					forEachInstantiation(m.st, r, pos, t, &m.sc, func(c, _ store.Triple) {
+					forEachInstantiation(m.st, r, pos, t, &m.sc, func(c store.Triple) {
 						if m.st.Add(c) {
 							m.Stats.Derived++
 							next = append(next, c)
@@ -212,7 +212,7 @@ func (m *Materialization) Delete(ts ...store.Triple) int {
 		for ri := range m.rules {
 			r := &m.rules[ri]
 			for pos := 0; pos < 2; pos++ {
-				forEachInstantiation(m.st, r, pos, t, &m.sc, func(c, _ store.Triple) {
+				forEachInstantiation(m.st, r, pos, t, &m.sc, func(c store.Triple) {
 					if _, dead := over[c]; dead {
 						return
 					}

@@ -1,6 +1,7 @@
 package reason
 
 import (
+	"math/rand"
 	"testing"
 
 	"repro/internal/dict"
@@ -80,19 +81,21 @@ func TestValidateCatchesBadRules(t *testing.T) {
 	}
 }
 
+// TestFigure2RuleSelection checks that the rule set carries the four
+// instance rules of the paper's Figure 2 beside the schema-closure rules,
+// each documented.
 func TestFigure2RuleSelection(t *testing.T) {
 	e := newEnv()
-	rules := Figure2Rules(e.voc)
-	want := []string{"rdfs9", "rdfs7", "rdfs2", "rdfs3"}
-	if len(rules) != len(want) {
-		t.Fatalf("Figure 2 has %d rules, got %d", len(want), len(rules))
-	}
-	for i, r := range rules {
-		if r.Name != want[i] {
-			t.Errorf("rule %d = %s, want %s (paper order)", i, r.Name, want[i])
-		}
+	byName := map[string]Rule{}
+	for _, r := range RDFSRules(e.voc) {
+		byName[r.Name] = r
 		if r.Doc == "" {
-			t.Errorf("rule %s has no doc string for Figure 2 rendering", r.Name)
+			t.Errorf("rule %s has no doc string", r.Name)
+		}
+	}
+	for _, name := range []string{"rdfs9", "rdfs7", "rdfs2", "rdfs3"} {
+		if _, ok := byName[name]; !ok {
+			t.Errorf("Figure 2 rule %s missing from RDFSRules", name)
 		}
 	}
 }
@@ -392,6 +395,86 @@ func TestDeleteMatchesResaturation(t *testing.T) {
 	}
 }
 
+// TestMaintenanceRandomisedAgainstResaturation drives seeded streams of
+// instance and schema inserts and deletes — single triples and small
+// batches, cyclic subClassOf/subPropertyOf edges, domain/range on
+// sub-properties — through one Materialization and, after every step,
+// compares the maintained store with a fresh Materialize of the tracked base.
+func TestMaintenanceRandomisedAgainstResaturation(t *testing.T) {
+	classes := []string{"A", "B", "C", "D"}
+	props := []string{"p", "q", "r"}
+	subjects := []string{"s1", "s2", "s3", "s4"}
+	for _, seed := range []int64{1, 2, 3} {
+		e := newEnv()
+		rules := RDFSRules(e.voc)
+		rng := rand.New(rand.NewSource(seed))
+		pick := func(xs []string) string { return xs[rng.Intn(len(xs))] }
+		randTriple := func() store.Triple {
+			switch rng.Intn(8) {
+			case 0:
+				return e.tr(pick(classes), "sco", pick(classes))
+			case 1:
+				return e.tr(pick(props), "spo", pick(props))
+			case 2:
+				return e.tr(pick(props), "dom", pick(classes))
+			case 3:
+				return e.tr(pick(props), "rng", pick(classes))
+			case 4, 5:
+				return e.tr(pick(subjects), "type", pick(classes))
+			default:
+				return e.tr(pick(subjects), pick(props), pick(subjects))
+			}
+		}
+		// Start from a schema with a subClassOf and a subPropertyOf cycle and
+		// domain/range on a sub-property, so deletes cut cycles from step 0.
+		start := []store.Triple{
+			e.tr("A", "sco", "B"), e.tr("B", "sco", "A"), e.tr("B", "sco", "C"),
+			e.tr("p", "spo", "q"), e.tr("q", "spo", "p"), e.tr("q", "spo", "r"),
+			e.tr("p", "dom", "D"), e.tr("q", "rng", "C"),
+			e.tr("s1", "p", "s2"), e.tr("s3", "type", "A"),
+		}
+		m := Materialize(e.storeOf(start...), rules)
+		current := map[store.Triple]struct{}{}
+		for _, tr := range start {
+			current[tr] = struct{}{}
+		}
+		schemaSteps := 0
+		for step := 0; step < 150; step++ {
+			batch := make([]store.Triple, 1+rng.Intn(3))
+			for i := range batch {
+				batch[i] = randTriple()
+				if e.voc.IsConstraintProperty(batch[i].P) {
+					schemaSteps++
+				}
+			}
+			insert := rng.Intn(2) == 0
+			if insert {
+				m.Insert(batch...)
+				for _, tr := range batch {
+					current[tr] = struct{}{}
+				}
+			} else {
+				m.Delete(batch...)
+				for _, tr := range batch {
+					delete(current, tr)
+				}
+			}
+			base := store.New()
+			for tr := range current {
+				base.Add(tr)
+			}
+			want := Materialize(base, rules)
+			if !storesEqual(m.Store(), want.Store()) || m.BaseLen() != len(current) {
+				t.Fatalf("seed %d step %d (insert=%v %v): maintained store %d triples, base %d; resaturation %d triples, base %d",
+					seed, step, insert, batch, m.Store().Len(), m.BaseLen(), want.Store().Len(), len(current))
+			}
+		}
+		if schemaSteps < 30 {
+			t.Fatalf("seed %d: only %d schema triples drawn", seed, schemaSteps)
+		}
+	}
+}
+
 func TestDeleteNonexistentIsNoop(t *testing.T) {
 	e := newEnv()
 	m := Materialize(e.tomGraph(), RDFSRules(e.voc))
@@ -582,8 +665,6 @@ func TestSaturateConclusionIntoIteratedLeaf(t *testing.T) {
 
 	for name, got := range map[string]*store.Store{
 		"materialize": Materialize(g, []Rule{rule}).Store(),
-		"counting":    MaterializeCounting(g, []Rule{rule}).Store(),
-		"parallel":    MaterializeParallel(g, []Rule{rule}, 2).Store(),
 	} {
 		if got.Len() != len(want) {
 			t.Errorf("%s: closure has %d triples, want %d", name, got.Len(), len(want))

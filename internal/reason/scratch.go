@@ -8,21 +8,16 @@ import (
 // scratch holds reusable variable-binding buffers for rule matching. The
 // join inner loop (forEachInstantiation and the re-derivation check) used to
 // allocate fresh []dict.ID binding vectors on every call, which dominated
-// the allocation profile of saturation; each Materialization/Counting owns
-// one scratch (and each parallel worker its own), so the hot path reuses the
-// same few words instead. Not safe for concurrent use — which matches the
-// store's own concurrency contract.
+// the allocation profile of saturation; each Materialization owns one
+// scratch, so the hot path reuses the same few words instead. Not safe for
+// concurrent use — which matches the store's own concurrency contract.
 type scratch struct {
 	b, b2, b3 []dict.ID
-	// pairs buffers (conclusion, partner) results of one instantiation
-	// enumeration so callbacks run only after the store iteration has
-	// finished — the store forbids mutation during ForEachMatch, and
-	// seminaive/propagate callbacks Add conclusions to the store.
-	pairs []conclusionPartner
-}
-
-type conclusionPartner struct {
-	conclusion, partner store.Triple
+	// conclusions buffers the results of one instantiation enumeration so
+	// callbacks run only after the store iteration has finished — the store
+	// forbids mutation during ForEachMatch, and the seminaive callback Adds
+	// conclusions to the store.
+	conclusions []store.Triple
 }
 
 // grow ensures all three buffers have length n. Only b is cleared to

@@ -26,7 +26,9 @@ func benchTriples(n int) []Triple {
 func benchStore(n int) (*Store, []Triple) {
 	ts := benchTriples(n)
 	s := New()
-	s.AddBatch(ts)
+	for _, t := range ts {
+		s.Add(t)
+	}
 	return s, ts
 }
 
@@ -39,16 +41,6 @@ func BenchmarkStoreAdd(b *testing.B) {
 		for _, t := range ts {
 			s.Add(t)
 		}
-	}
-}
-
-func BenchmarkStoreAddBatch(b *testing.B) {
-	ts := benchTriples(1 << 14)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s := New()
-		s.AddBatch(ts)
 	}
 }
 

@@ -54,8 +54,8 @@ type hmap[V any] struct {
 	// therefore retains every old trie version that was ever copied into its
 	// chunk, leaves and all, until the chunk's last live node is itself
 	// copied away; under a sustained write stream the live heap grows by
-	// whole old versions (ROADMAP.md, "Holes" and item 2, has the measured
-	// series and why plain per-node allocation is not yet a drop-in fix).
+	// whole old versions (ROADMAP.md item 1 has the measured series and why
+	// plain per-node allocation is not yet a drop-in fix).
 	// Snapshots copy the struct but never mutate, so the writer appending to
 	// spare slab capacity is invisible to them.
 	slab    []hnode[V]

@@ -181,16 +181,3 @@ func TestPackedStoreEquivalence(t *testing.T) {
 		t.Fatalf("drained store retains %d index entries", n)
 	}
 }
-
-// TestAddBatch checks the bulk-load path: AddBatch reports the number of new
-// triples.
-func TestAddBatch(t *testing.T) {
-	s := New()
-	batch := []Triple{{1, 2, 3}, {1, 2, 4}, {2, 2, 3}, {1, 2, 3}} // one dup
-	if got := s.AddBatch(batch); got != 3 {
-		t.Fatalf("AddBatch = %d, want 3", got)
-	}
-	if s.Len() != 3 || !s.Contains(Triple{1, 2, 4}) {
-		t.Fatalf("AddBatch lost data: Len=%d", s.Len())
-	}
-}

@@ -255,27 +255,3 @@ func TestSnapshotConcurrentReaders(t *testing.T) {
 	close(snaps)
 	wg.Wait()
 }
-
-// TestSnapshotAddBatchParallel: the three-writer bulk path respects
-// snapshot isolation too.
-func TestSnapshotAddBatchParallel(t *testing.T) {
-	s := New()
-	for o := 1; o <= 20; o++ {
-		s.Add(Triple{1, 2, dict.ID(o)})
-	}
-	snap := s.Snapshot()
-	want := sortedTriples(snap)
-
-	batch := make([]Triple, 0, 600)
-	for i := 0; i < 600; i++ {
-		batch = append(batch, Triple{dict.ID(1 + i%7), 2, dict.ID(1 + i)})
-	}
-	s.AddBatchParallel(batch)
-
-	if got := sortedTriples(snap); !equalTriples(got, want) {
-		t.Errorf("snapshot changed under AddBatchParallel")
-	}
-	if s.Len() <= 20 {
-		t.Errorf("bulk insert did not land in live store")
-	}
-}

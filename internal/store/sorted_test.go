@@ -144,88 +144,3 @@ func TestIntersectSorted(t *testing.T) {
 		}
 	}
 }
-
-// TestAddBatchParallelMatchesAdd checks the index-parallel bulk insert
-// against the sequential path: same membership, counts and sorted leaves,
-// with duplicates inside the batch, across batches and against the store.
-func TestAddBatchParallelMatchesAdd(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	mk := func() ([]Triple, *Store) {
-		var ts []Triple
-		st := New()
-		for i := 0; i < 2000; i++ {
-			tr := Triple{
-				S: dict.ID(1 + rng.Intn(20)),
-				P: dict.ID(1 + rng.Intn(6)),
-				O: dict.ID(1 + rng.Intn(40)),
-			}
-			ts = append(ts, tr)
-			if i%5 == 0 {
-				ts = append(ts, tr) // in-batch duplicate
-			}
-			if i%7 == 0 {
-				st.Add(tr) // already-present duplicate
-			}
-		}
-		return ts, st
-	}
-	ts, par := mk()
-	seq := par.Clone()
-	preLen := seq.Len()
-
-	// Split into uneven batches to exercise the variadic path.
-	batches := [][]Triple{ts[:100], ts[100:101], ts[101:]}
-	gotAdded := par.AddBatchParallel(batches...)
-	wantAdded := 0
-	for _, tr := range ts {
-		if seq.Add(tr) {
-			wantAdded++
-		}
-	}
-	if gotAdded != wantAdded {
-		t.Fatalf("AddBatchParallel added %d, sequential added %d", gotAdded, wantAdded)
-	}
-	if par.Len() != seq.Len() || par.Len() != preLen+wantAdded {
-		t.Fatalf("Len mismatch: parallel %d sequential %d", par.Len(), seq.Len())
-	}
-	if !storesEqualTest(t, par, seq) {
-		t.Fatal("parallel and sequential stores differ")
-	}
-	// Counts across all shapes must agree (the side tables are maintained by
-	// different goroutines in the parallel path).
-	for a := dict.ID(1); a <= 20; a++ {
-		for _, pair := range [][2]Triple{
-			{{S: a}, {S: a}}, {{P: a}, {P: a}}, {{O: a}, {O: a}},
-		} {
-			if par.Count(pair[0]) != seq.Count(pair[1]) {
-				t.Fatalf("Count(%v): parallel %d sequential %d", pair[0], par.Count(pair[0]), seq.Count(pair[1]))
-			}
-		}
-	}
-}
-
-// TestAddBatchParallelSmallBatch covers the sequential fast path under the
-// goroutine threshold.
-func TestAddBatchParallelSmallBatch(t *testing.T) {
-	st := New()
-	added := st.AddBatchParallel([]Triple{{S: 1, P: 2, O: 3}, {S: 1, P: 2, O: 3}, {S: 4, P: 5, O: 6}})
-	if added != 2 || st.Len() != 2 {
-		t.Fatalf("small batch: added=%d len=%d, want 2/2", added, st.Len())
-	}
-}
-
-func storesEqualTest(t *testing.T, a, b *Store) bool {
-	t.Helper()
-	if a.Len() != b.Len() {
-		return false
-	}
-	equal := true
-	a.ForEachMatch(Triple{}, func(tr Triple) bool {
-		if !b.Contains(tr) {
-			equal = false
-			return false
-		}
-		return true
-	})
-	return equal
-}

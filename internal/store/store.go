@@ -39,7 +39,6 @@ package store
 import (
 	"fmt"
 	"slices"
-	"sync"
 
 	"repro/internal/dict"
 )
@@ -320,94 +319,6 @@ func (s *Store) Add(t Triple) bool {
 	s.size++
 	s.copied += m.copied
 	return true
-}
-
-// AddBatch inserts a batch of triples and returns the number that were new.
-// It is the bulk-load entry point for callers that already hold a triple
-// slice.
-func (s *Store) AddBatch(ts []Triple) int {
-	added := 0
-	for _, t := range ts {
-		if s.Add(t) {
-			added++
-		}
-	}
-	return added
-}
-
-// addBatchParallelMin is the batch size below which AddBatchParallel runs
-// sequentially: three goroutine handoffs cost more than a few hundred index
-// inserts.
-const addBatchParallelMin = 256
-
-// AddBatchParallel inserts every triple of the batches (their concatenation,
-// in order) using one writer goroutine per index order: the SPO, POS and OSP
-// tries are disjoint structures, so the three writers never share memory and
-// the batch costs one index-build wall-clock instead of three. It returns the
-// number of triples that were new. Duplicate triples — within the batches or
-// against the store — are absorbed index-locally exactly as Add absorbs
-// them, so no pre-deduplication is required for correctness (callers that
-// dedup anyway, like the parallel closure merge, just skip wasted probes).
-// The caller must ensure no concurrent access to the store during the call.
-func (s *Store) AddBatchParallel(batches ...[]Triple) int {
-	total := 0
-	for _, ts := range batches {
-		total += len(ts)
-		for _, t := range ts {
-			if t.S == dict.None || t.P == dict.None || t.O == dict.None {
-				panic("store: AddBatchParallel of triple with wildcard (None) component")
-			}
-		}
-	}
-	if total < addBatchParallelMin {
-		added := 0
-		for _, ts := range batches {
-			for _, t := range ts {
-				if s.Add(t) {
-					added++
-				}
-			}
-		}
-		return added
-	}
-	s.mut()
-	add := (*index).add
-	if s.epoch == 0 {
-		add = (*index).addFast
-	}
-	var wg sync.WaitGroup
-	wg.Add(2)
-	var mPos, mOsp mctx
-	mPos.epoch, mOsp.epoch = s.epoch, s.epoch
-	go func() {
-		defer wg.Done()
-		for _, ts := range batches {
-			for _, t := range ts {
-				add(&s.pos, t.P, t.O, t.S, &mPos)
-			}
-		}
-	}()
-	go func() {
-		defer wg.Done()
-		for _, ts := range batches {
-			for _, t := range ts {
-				add(&s.osp, t.O, t.S, t.P, &mOsp)
-			}
-		}
-	}()
-	added := 0
-	m := mctx{epoch: s.epoch}
-	for _, ts := range batches {
-		for _, t := range ts {
-			if add(&s.spo, t.S, t.P, t.O, &m) {
-				added++
-			}
-		}
-	}
-	wg.Wait()
-	s.size += added
-	s.copied += m.copied + mPos.copied + mOsp.copied
-	return added
 }
 
 // Remove deletes the triple and reports whether it was present.

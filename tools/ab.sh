@@ -2,7 +2,7 @@
 # Paired A/B of the repository's benchmark between two versions of the tree —
 # the protocol every performance claim in ROADMAP.md's log is measured by:
 #
-#   tools/ab.sh BASE HEAD -workload W [-pairs N] [-seed S] [-seconds T] [-dir D]
+#   tools/ab.sh BASE HEAD -workload W [-pairs N] [-seed S] [-seconds T] [-dir D] [-gctrace]
 #
 # BASE and HEAD are git revisions, or directories holding a checkout (`.` is
 # the working tree with its uncommitted changes). Each side is exported once
@@ -15,7 +15,11 @@
 # that goes first alternating pair by pair, and the two data directories
 # (benchmark/out) swapped between the sides every second pair. Per end-to-end
 # metric of BENCHMARK.json it prints both sides' medians and quartiles, the
-# win count and a verdict (tools/abstat has the rule).
+# win count and a verdict (tools/abstat has the rule). With -gctrace every run
+# is made under GODEBUG=gctrace=1 and a reported-only row follows the table:
+# each side's median [q1–q3] of peak live heap, the largest live heap after a
+# collection in the run, which the gated heap_mb (sampled before the window)
+# does not see.
 #
 # The exports are `git archive` trees, not `git worktree`s: they leave nothing
 # registered in .git and HEAD may be a dirty working tree.
@@ -24,9 +28,10 @@ usage() { sed -n '2,6p' "$0" >&2; exit 2; }
 [ $# -ge 2 ] || usage
 repo="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 base="$1" head="$2"; shift 2
-workload="" pairs=10 seed=$(( $(date +%s) % 100000 * 10 )) seconds="" dir=""
+workload="" pairs=10 seed=$(( $(date +%s) % 100000 * 10 )) seconds="" dir="" gctrace=""
 while [ $# -gt 0 ]; do
 	case "$1" in
+	-gctrace|--gctrace) gctrace=1; shift; continue ;;
 	-workload|--workload) workload="$2" ;;
 	-pairs|--pairs) pairs="$2" ;;
 	-seed|--seed) seed="$2" ;;
@@ -57,17 +62,18 @@ export_side base "$base"
 export_side head "$head"
 
 # run SIDE SLOT SEED: one benchmark run of SIDE with its benchmark/out on data
-# directory SLOT; the driver's JSON line (the last line of output) is appended
-# to $dir/SIDE.jsonl.
+# directory SLOT; the driver's JSON line (the last line of output that starts
+# with "{" — under -gctrace a trace line can follow it) is appended to
+# $dir/SIDE.jsonl.
 run() {
 	local side="$1" slot="$2" s="$3" log="$dir/log/$1.$3.txt"
 	rm -rf "$dir/$side/benchmark/out" "$dir/data/$slot"/*
 	ln -s "$dir/data/$slot" "$dir/$side/benchmark/out"
-	(cd "$dir/$side" && bash benchmark/run.sh -workload "$workload" -seed "$s" ${seconds:+-seconds "$seconds"}) >"$log" 2>&1 ||
+	(cd "$dir/$side" && env ${gctrace:+GODEBUG=gctrace=1} bash benchmark/run.sh -workload "$workload" -seed "$s" ${seconds:+-seconds "$seconds"}) >"$log" 2>&1 ||
 		{ echo "ab: $side run at seed $s failed; see $log" >&2; exit 1; }
-	tail -n 1 "$log" >>"$dir/$side.jsonl"
+	grep '^{' "$log" | tail -n 1 >>"$dir/$side.jsonl"
 }
-: >"$dir/base.jsonl"; : >"$dir/head.jsonl"
+: >"$dir/base.jsonl"; : >"$dir/head.jsonl"; rm -f "$dir"/log/*.txt
 echo "ab: $workload, $pairs pairs, seeds $seed..$((seed + pairs - 1)), base=$base head=$head, in $dir"
 for ((i = 0; i < pairs; i++)); do
 	s=$((seed + i)) slot=$((i / 2 % 2))
@@ -78,5 +84,5 @@ for ((i = 0; i < pairs; i++)); do
 	fi
 	echo "ab: pair $((i + 1))/$pairs done (seed $s)"
 done
-cd "$repo" && go run ./tools/abstat -bench BENCHMARK.json "$dir/base.jsonl" "$dir/head.jsonl"
+cd "$repo" && go run ./tools/abstat -bench BENCHMARK.json ${gctrace:+-gctrace "$dir/log"} "$dir/base.jsonl" "$dir/head.jsonl"
 echo "ab: full output of every run is in $dir/log"

@@ -2,7 +2,10 @@
 // and verdicts a performance claim is judged by. It reads BENCHMARK.json for
 // the end-to-end metrics (direction and bound) and two files of driver lines
 // — the JSON line benchmark/run.sh prints last — whose i-th lines are the two
-// sides of pair i.
+// sides of pair i. With -gctrace DIR it also reads every run's full output,
+// DIR/base.*.txt and DIR/head.*.txt, taken under GODEBUG=gctrace=1, and adds
+// a reported-only row: per side, the median [q1–q3] of each run's peak live
+// heap.
 package main
 
 import (
@@ -10,9 +13,14 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"os"
+	"path/filepath"
+	"regexp"
 	"sort"
+	"strconv"
+	"strings"
 )
 
 // metricSpec is one end_to_end entry of BENCHMARK.json.
@@ -122,7 +130,69 @@ func readLines(path string) ([]driverLine, error) {
 	return out, sc.Err()
 }
 
-func run(benchPath, basePath, headPath string) error {
+// gcHeap matches a GODEBUG=gctrace=1 line, "gc 7 @… 4->5->2 MB, …" (heap at
+// the start of the cycle, at its end, and live after it), capturing the live
+// heap.
+var gcHeap = regexp.MustCompile(`^gc \d+ @.* \d+->\d+->(\d+) MB`)
+
+// peakLiveMB returns the largest live heap after a collection (the c of
+// a->b->c MB) that the trace in r reports for its last Go process, and the
+// number of collections that process ran. Every process numbers its
+// collections from "gc 1", and benchmark/run.sh execs the benchmark only after
+// its `go build` (whose processes inherit GODEBUG and trace too) has exited,
+// so the benchmark's trace is the one that starts at the last "gc 1 @".
+// Lines that are not trace lines, the driver's JSON line among them, are
+// skipped wherever they fall.
+func peakLiveMB(r io.Reader) (peak float64, cycles int, err error) {
+	sc := bufio.NewScanner(r)
+	sc.Buffer(nil, 1<<20)
+	for sc.Scan() {
+		line := sc.Text()
+		m := gcHeap.FindStringSubmatch(line)
+		if m == nil {
+			continue
+		}
+		if strings.HasPrefix(line, "gc 1 @") {
+			peak, cycles = 0, 0
+		}
+		live, err := strconv.ParseFloat(m[1], 64)
+		if err != nil {
+			return 0, 0, err
+		}
+		peak, cycles = math.Max(peak, live), cycles+1
+	}
+	return peak, cycles, sc.Err()
+}
+
+// peaks returns the peak live heap of every run log of one side.
+func peaks(dir, side string) ([]float64, error) {
+	logs, err := filepath.Glob(filepath.Join(dir, side+".*.txt"))
+	if err != nil {
+		return nil, err
+	}
+	var out []float64
+	for _, path := range logs {
+		f, err := os.Open(path)
+		if err != nil {
+			return nil, err
+		}
+		peak, cycles, err := peakLiveMB(f)
+		f.Close()
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", path, err)
+		}
+		if cycles == 0 {
+			return nil, fmt.Errorf("%s: no gctrace lines (was the run made under GODEBUG=gctrace=1?)", path)
+		}
+		out = append(out, peak)
+	}
+	if len(out) == 0 {
+		return nil, fmt.Errorf("no %s run logs in %s", side, dir)
+	}
+	return out, nil
+}
+
+func run(benchPath, basePath, headPath, traceDir string) error {
 	raw, err := os.ReadFile(benchPath)
 	if err != nil {
 		return err
@@ -168,6 +238,22 @@ func run(benchPath, basePath, headPath string) error {
 		}
 		return
 	}
+	if traceDir != "" {
+		b, err := peaks(traceDir, "base")
+		if err != nil {
+			return err
+		}
+		h, err := peaks(traceDir, "head")
+		if err != nil {
+			return err
+		}
+		bq1, bmed, bq3 := quartiles(b)
+		hq1, hmed, hq3 := quartiles(h)
+		fmt.Printf("%-13s %-38s %-38s %-7s %s\n", "peak_live_mb",
+			fmt.Sprintf("%s [%s–%s] MB", num(bmed), num(bq1), num(bq3)),
+			fmt.Sprintf("%s [%s–%s] MB", num(hmed), num(hq1), num(hq3)),
+			"-", fmt.Sprintf("reported only (%+.1f%%; max live heap after a GC, gctrace)", 100*(hmed-bmed)/bmed))
+	}
 	bf, ba := share(base)
 	hf, ha := share(head)
 	fmt.Printf("failed operations: base %d of %d, head %d of %d\n", bf, ba, hf, ha)
@@ -179,12 +265,13 @@ func run(benchPath, basePath, headPath string) error {
 
 func main() {
 	bench := flag.String("bench", "BENCHMARK.json", "the benchmark declaration to take metrics, directions and bounds from")
+	gctrace := flag.String("gctrace", "", "directory of run logs (base.*.txt, head.*.txt) taken under GODEBUG=gctrace=1; adds a peak live heap row")
 	flag.Parse()
 	if flag.NArg() != 2 {
-		fmt.Fprintln(os.Stderr, "usage: abstat [-bench BENCHMARK.json] base.jsonl head.jsonl")
+		fmt.Fprintln(os.Stderr, "usage: abstat [-bench BENCHMARK.json] [-gctrace LOGDIR] base.jsonl head.jsonl")
 		os.Exit(2)
 	}
-	if err := run(*bench, flag.Arg(0), flag.Arg(1)); err != nil {
+	if err := run(*bench, flag.Arg(0), flag.Arg(1), *gctrace); err != nil {
 		fmt.Fprintln(os.Stderr, "abstat:", err)
 		os.Exit(1)
 	}

@@ -17,7 +17,7 @@
 //
 // The Thresholds and Advise helpers quantify when each choice wins, the
 // paper's Figure 3 analysis. See examples/ for runnable walkthroughs and
-// cmd/rdfbench for the full experiment suite.
+// benchmark/ for the paper's experiment at LUBM scale, end to end.
 //
 // # Prepared queries
 //
