@@ -27,9 +27,11 @@
 #                         tools/ab.sh AB_BASE AB_HEAD (default: HEAD and the
 #                         working tree) on AB_WORKLOAD (default sat.update)
 #                         for AB_PAIRS (default 10) alternating pairs at fresh
-#                         seeds; prints medians, quartiles, wins and a
-#                         gain / no regression / unresolved verdict per
-#                         end-to-end metric by BENCHMARK.json's bounds
+#                         seeds, every run under GODEBUG=gctrace=1; prints
+#                         medians, quartiles, wins and a gain / no regression
+#                         / unresolved verdict per end-to-end metric by
+#                         BENCHMARK.json's bounds, killed runs per side, and
+#                         each side's peak live heap, GC count and GC CPU
 #   make test-benchmark   vet and smoke-test the benchmark module against
 #                         this checkout's root module, so a facade change
 #                         that breaks the benchmark fails here
@@ -112,4 +114,4 @@ bench:
 	done
 
 ab:
-	tools/ab.sh $(AB_BASE) $(AB_HEAD) -workload $(AB_WORKLOAD) -pairs $(AB_PAIRS)
+	tools/ab.sh $(AB_BASE) $(AB_HEAD) -workload $(AB_WORKLOAD) -pairs $(AB_PAIRS) -gctrace

@@ -92,19 +92,17 @@ func appendIndexBinary(w io.Writer, buf []byte, ix *index) ([]byte, error) {
 	// ascending a, so collect and sort the group keys first (one sort of the
 	// a vocabulary; the b keys and leaf runs below are already ascending).
 	groups := make([]dict.ID, 0, ix.as.len())
-	ix.as.forEach(func(k uint64, _ aSub) bool {
+	ix.as.forEach(func(k uint64, _ *aSub) bool {
 		groups = append(groups, dict.ID(k))
 		return true
 	})
 	slices.Sort(groups)
 	for _, a := range groups {
-		e, _ := ix.as.get(uint64(a))
-		bs := e.sub.ids
+		bs := ix.as.ref(uint64(a)).bs()
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(a))
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(bs)))
 		for _, b := range bs {
-			l, _ := ix.ls.get(pack(a, b))
-			ids := l.ids
+			ids := ix.leaf(a, b).ids()
 			buf = binary.LittleEndian.AppendUint32(buf, uint32(b))
 			buf = binary.LittleEndian.AppendUint32(buf, uint32(len(ids)))
 			for _, id := range ids {
@@ -190,23 +188,30 @@ func readIndex(ix *index, b []byte, size int, maxID dict.ID) ([]byte, error) {
 		return nil, fmt.Errorf("group count %d inconsistent with %d leaves", nA64, nLeaves64)
 	}
 	nA, nLeaves := int(nA64), int(nLeaves64) // ≤ size, which fits int
-	// Postings structs (leaves and side-table sub sets) and the per-group b
-	// key runs are carved out of contiguous arenas — one allocation each
-	// instead of one per leaf — sized by the exact totals the header
-	// declares. The incremental checks below keep appends within the arenas'
-	// capacity, so carved slices and struct pointers are never invalidated
-	// by reallocation. Leaf IDs alias the input in place when the host
+	// A one-ID run becomes an inline slot (see leaf) and needs nothing
+	// else. Longer runs get a postings struct, carved out of chunked arenas
+	// — one allocation per chunk instead of one per run; a full chunk is
+	// left as it is and a new one opened, so pointers into it stay valid —
+	// and the per-group b key runs are carved out of one arena sized by the
+	// leaf count the header declares (the checks below keep appends within
+	// its capacity). Leaf IDs alias the input in place when the host
 	// representation matches (see ReadBinaryChecked), falling back to one
-	// more arena otherwise. A validated run is a finished leaf — the in-memory
-	// and on-disk forms are the same bytes — which is what makes loading
-	// "near-memcpy".
+	// more arena otherwise. A validated run is a finished leaf — the
+	// in-memory and on-disk forms are the same bytes — which is what makes
+	// loading "near-memcpy".
 	alias := hostLittleEndian && uintptr(unsafe.Pointer(unsafe.SliceData(b)))%4 == 0
 	var leafArena []dict.ID
 	if !alias {
 		leafArena = make([]dict.ID, 0, size)
 	}
-	posArena := make([]postings, 0, nLeaves)
-	subArena := make([]postings, 0, nA)    // per-group side-table b sets
+	var runArena []postings
+	newRun := func(ids []dict.ID) *postings {
+		if len(runArena) == cap(runArena) {
+			runArena = make([]postings, 0, min(1024, max(16, 2*cap(runArena))))
+		}
+		runArena = append(runArena, postings{ids: ids})
+		return &runArena[len(runArena)-1]
+	}
 	ksArena := make([]dict.ID, 0, nLeaves) // per-group b keys
 	m := &mctx{}                           // epoch-0 build: every structure is freshly owned
 	var (
@@ -232,8 +237,8 @@ func readIndex(ix *index, b []byte, size int, maxID dict.ID) ([]byte, error) {
 			return nil, fmt.Errorf("empty group %d", a)
 		}
 		// Checked before any leaf of the group is appended: exceeding the
-		// declared leaf count would grow posArena past its capacity and
-		// invalidate every pointer already taken into it.
+		// declared leaf count would grow ksArena past its capacity and
+		// invalidate every run already carved from it.
 		if nB64 > uint64(nLeaves-leavesSeen) {
 			return nil, fmt.Errorf("group %d leaf count %d exceeds remaining %d", a, nB64, nLeaves-leavesSeen)
 		}
@@ -299,13 +304,19 @@ func readIndex(ix *index, b []byte, size int, maxID dict.ID) ([]byte, error) {
 				ids = leafArena[start:len(leafArena):len(leafArena)]
 			}
 			b = b[4*n:]
-			posArena = append(posArena, postings{ids: ids})
-			*ix.ls.upsert(pack(a, bb), m) = &posArena[len(posArena)-1]
+			l := leaf{one: ids[0]}
+			if n > 1 {
+				l = leaf{run: newRun(ids)}
+			}
+			*ix.ls.upsert(pack(a, bb), m) = l
 			ksArena = append(ksArena, bb)
 			count += n
 		}
-		subArena = append(subArena, postings{ids: ksArena[ksStart:len(ksArena):len(ksArena)]})
-		*ix.as.upsert(uint64(a), m) = aSub{count: int32(count), sub: &subArena[len(subArena)-1]}
+		e := aSub{count: int32(count), one: prevB}
+		if nB > 1 {
+			e = aSub{count: int32(count), sub: newRun(ksArena[ksStart:len(ksArena):len(ksArena)])}
+		}
+		*ix.as.upsert(uint64(a), m) = e
 	}
 	if leavesSeen != nLeaves {
 		return nil, fmt.Errorf("index holds %d leaves, header says %d", leavesSeen, nLeaves)

@@ -193,7 +193,9 @@ func differentialRound(t *testing.T, rng *rand.Rand, seed int64) {
 	// snapshots must still show exactly the state frozen at their step, no
 	// matter what the writer did since.
 	checkViews(t, tag(*storeSteps, "live"), st, brute, maxID)
+	checkCanonical(t, tag(*storeSteps, "live"), &st.tables)
 	for i, sn := range snaps {
 		checkViews(t, tag(sn.step, fmt.Sprintf("snap[%d]", i)), sn.snap, sn.brute, maxID)
+		checkCanonical(t, tag(sn.step, fmt.Sprintf("snap[%d]", i)), &sn.snap.tables)
 	}
 }

@@ -39,52 +39,88 @@ type hmap[V any] struct {
 	// exactly as long as gen is unchanged (see index's side-table hint).
 	gen uint64
 
-	// The slabs are tail chunks that nodes and their slot arrays are carved
-	// from: trie growth allocates one node or one slot at a time, and
-	// batching the backing memory into chunks replaces a heap allocation per
-	// grow with one per chunk. Only the current chunk is pinned by these
-	// headers; a full chunk stays alive for as long as any live node or slot
-	// array points into it. For a map that only grows that bounds the waste
-	// at one chunk each of unused slots plus the backings growth abandoned.
-	// For a persistent trie under copy-on-write it bounds nothing: a chunk is
-	// one allocation, so the collector keeps — and scans — all of it while
-	// one node in it is live, the dead ones included, and a dead node is
-	// typically a superseded copy of a root or inner node whose kids still
-	// point at the old version of everything below it. One long-lived node
-	// therefore retains every old trie version that was ever copied into its
-	// chunk, leaves and all, until the chunk's last live node is itself
-	// copied away; under a sustained write stream the live heap grows by
-	// whole old versions (ROADMAP.md item 1 has the measured series and why
-	// plain per-node allocation is not yet a drop-in fix).
-	// Snapshots copy the struct but never mutate, so the writer appending to
-	// spare slab capacity is invisible to them.
+	// The slabs are tail chunks that epoch-0 nodes and their slot arrays are
+	// carved from: a bulk build (load, Materialize, decode, Clone) grows the
+	// trie one node or one slot at a time, and batching the backing memory
+	// into chunks replaces a heap allocation per grow with one per chunk.
+	// A chunk is one allocation, so the collector keeps — and scans — all of
+	// it while one node in it is live. That is harmless at epoch 0, where
+	// nothing is ever copied away: a chunk's dead slots are only the slot
+	// arrays growth abandoned, no trie version. It is not harmless under
+	// copy-on-write, where a dead node is typically a superseded copy of a
+	// root or inner node whose kids still point at the old version of
+	// everything below it: one long-lived node would retain every version
+	// ever copied into its chunk, and under a sustained write stream the live
+	// heap would grow by whole old versions. So the slabs serve epoch 0 only;
+	// a node or slot array made at epoch ≥ 1 is its own allocation and is
+	// collected as soon as no version reaches it. The epoch-0 chunks can
+	// still pin the dead epoch-0 nodes beside their live neighbours, and
+	// through them the epoch-0 version — once, however many epochs follow.
+	// (Allocating epoch-0 nodes one by one as well was measured on the
+	// sat.read benchmark, LUBM 4×15 on a 2-vCPU VM: 15% fewer queries a
+	// second, lost to collector work on the extra objects.)
+	// Snapshots copy the struct but never mutate, and a snapshotted map is
+	// past epoch 0, so no writer appends to a chunk a snapshot can see.
 	slab    []hnode[V]
-	entSlab []hent[V]
-	kidSlab []*hnode[V]
+	entSlab slab[hent[V]]
+	kidSlab slab[*hnode[V]]
 }
 
-// carve returns a zero-length slice with capacity c cut from the slab's tail
-// chunk, opening a new chunk (doubling, capped) when the current one is full.
-func carve[E any](slab *[]E, c int) []E {
-	if len(*slab)+c > cap(*slab) {
-		*slab = make([]E, 0, max(c, min(1024, max(16, 2*cap(*slab)))))
+// slab is the backing store for one kind of node slot array (see the
+// slabs' doc on hmap): the tail chunk arrays are cut from, and the arrays
+// that epoch-0 growth abandoned, by power-of-two capacity, for the next
+// grow into that capacity to reuse. Reuse is safe at epoch 0 only, where no
+// snapshot shares a node and an abandoned array is referenced by nothing.
+type slab[E any] struct {
+	tail []E
+	free [hBits + 1][][]E // free[j]: abandoned arrays of capacity 1<<j
+}
+
+// freeClass returns the free-list class of capacity c, log2(c), and whether
+// c is a power of two that has one.
+func freeClass(c int) (int, bool) {
+	return bits.TrailingZeros(uint(c)), c > 0 && c&(c-1) == 0 && c <= hWide
+}
+
+// carve returns a zero-length slice with capacity c: at epoch 0 a reused
+// abandoned array or a cut from the tail chunk, opening a new chunk
+// (doubling, capped) when the current one is full, and at any later epoch
+// an allocation of its own.
+func (sl *slab[E]) carve(c int, epoch uint64) []E {
+	if epoch != 0 {
+		return make([]E, 0, c)
 	}
-	off := len(*slab)
-	*slab = (*slab)[:off+c]
-	return (*slab)[off : off : off+c]
+	if j, ok := freeClass(c); ok {
+		if f := sl.free[j]; len(f) > 0 {
+			sl.free[j] = f[:len(f)-1]
+			return f[len(f)-1]
+		}
+	}
+	if len(sl.tail)+c > cap(sl.tail) {
+		sl.tail = make([]E, 0, max(c, min(1024, max(16, 2*cap(sl.tail)))))
+	}
+	off := len(sl.tail)
+	sl.tail = sl.tail[:off+c]
+	return sl.tail[off : off : off+c]
 }
 
-// insSlot inserts e at position i of a node slot slice, growing into a
-// doubled-capacity carve from the slab (minimum 4 slots) instead of an exact
-// heap fit: nodes grow one slot at a time during bulk builds, and amortising
-// the growth removes almost all of the insert path's allocation and
-// write-barrier traffic.
-func insSlot[E any](slab *[]E, s []E, i int, e E) []E {
+// insert inserts e at position i of a node slot slice, growing into a
+// doubled-capacity carve (minimum 4 slots, at most a node's fan-out) instead
+// of an exact fit: nodes grow one slot at a time during bulk builds, and
+// amortising the growth removes almost all of the insert path's allocation
+// and write-barrier traffic. At epoch 0 the array it grows out of is
+// cleared and kept for reuse, so the slabs do not fill up with the smaller
+// arrays every node passed through.
+func (sl *slab[E]) insert(s []E, i int, e E, epoch uint64) []E {
 	if len(s) == cap(s) {
-		ns := carve(slab, max(4, 2*cap(s)))[:len(s)+1]
+		ns := sl.carve(min(hWide, max(4, 2*cap(s))), epoch)[:len(s)+1]
 		copy(ns, s[:i])
 		copy(ns[i+1:], s[i:])
 		ns[i] = e
+		if j, ok := freeClass(cap(s)); ok && epoch == 0 {
+			clear(s)
+			sl.free[j] = append(sl.free[j], s[:0])
+		}
 		return ns
 	}
 	s = s[:len(s)+1]
@@ -93,9 +129,13 @@ func insSlot[E any](slab *[]E, s []E, i int, e E) []E {
 	return s
 }
 
-// newNode returns a fresh node owned by epoch. Chunk sizes double from 8 up
-// to 128 nodes so small maps don't pay a large slab up front.
+// newNode returns a fresh node owned by epoch: at epoch 0 carved from the
+// node slab, whose chunk sizes double from 8 up to 128 nodes so small maps
+// don't pay a large slab up front, and at any later epoch allocated alone.
 func (h *hmap[V]) newNode(epoch uint64) *hnode[V] {
+	if epoch != 0 {
+		return &hnode[V]{epoch: epoch}
+	}
 	if len(h.slab) == cap(h.slab) {
 		h.slab = make([]hnode[V], 0, min(128, max(8, 2*cap(h.slab))))
 	}
@@ -164,46 +204,62 @@ func bmRank(bm uint64, c uint32) (int, bool) {
 	return bits.OnesCount64(bm & (bit - 1)), bm&bit != 0
 }
 
-// cloneNode copies n into the current epoch; the copy is private to the
-// writer and safe to mutate.
+// cloneNode copies n into the current epoch, with room for extra more
+// entries; the copy is private to the writer and safe to mutate.
 //
 //webreason:writer
-func (h *hmap[V]) cloneNode(n *hnode[V], m *mctx) *hnode[V] {
+func (h *hmap[V]) cloneNode(n *hnode[V], extra int, m *mctx) *hnode[V] {
 	m.copied++
 	h.gen++
 	c := h.newNode(m.epoch)
 	c.entBm, c.kidBm = n.entBm, n.kidBm
-	c.ents = append(carve(&h.entSlab, len(n.ents)), n.ents...)
-	c.kids = append(carve(&h.kidSlab, len(n.kids)), n.kids...)
+	c.ents = append(h.entSlab.carve(len(n.ents)+extra, m.epoch), n.ents...)
+	c.kids = append(h.kidSlab.carve(len(n.kids), m.epoch), n.kids...)
 	return c
 }
 
 // len returns the number of entries.
 func (h *hmap[V]) len() int { return int(h.n) }
 
-// get returns the value under k.
-func (h *hmap[V]) get(k uint64) (V, bool) {
-	var zero V
+// ref returns a pointer to the value slot under k, or nil when k is absent.
+// It is read-only: the slot may sit in a node a snapshot shares. The pointer
+// stays valid for as long as the map value it was taken from is not mutated
+// (for a snapshot's map, for the snapshot's lifetime).
+func (h *hmap[V]) ref(k uint64) *V {
 	n := h.root
 	if n == nil {
-		return zero, false
+		return nil
 	}
 	hh := mix64(k)
 	for {
 		c := uint32(hh) & (hWide - 1)
 		if i, ok := bmRank(n.entBm, c); ok {
 			if e := &n.ents[i]; e.k == k {
-				return e.v, true
+				return &e.v
 			}
-			return zero, false
+			return nil
 		}
 		i, ok := bmRank(n.kidBm, c)
 		if !ok {
-			return zero, false
+			return nil
 		}
 		n = n.kids[i]
 		hh >>= hBits
 	}
+}
+
+// clonePath copies the frozen node n for upsert, which is about to look up
+// the chunk at the bottom of hh in it: when that chunk is free the walk ends
+// by inserting an entry there, so the copy gets room for it, sparing a
+// second, doubled copy of the entry array.
+//
+//webreason:writer
+func (h *hmap[V]) clonePath(n *hnode[V], hh uint64, m *mctx) *hnode[V] {
+	extra := 0
+	if bit := uint64(1) << (uint32(hh) & (hWide - 1)); (n.entBm|n.kidBm)&bit == 0 {
+		extra = 1
+	}
+	return h.cloneNode(n, extra, m)
 }
 
 // upsert returns a pointer to the value slot for k, inserting a zero slot
@@ -213,13 +269,13 @@ func (h *hmap[V]) get(k uint64) (V, bool) {
 //
 //webreason:writer
 func (h *hmap[V]) upsert(k uint64, m *mctx) *V {
+	hh := mix64(k)
 	if h.root == nil {
 		h.root = h.newNode(m.epoch)
 	} else if h.root.epoch != m.epoch {
-		h.root = h.cloneNode(h.root, m)
+		h.root = h.clonePath(h.root, hh, m)
 	}
 	n := h.root
-	hh := mix64(k)
 	depth := 0
 	for {
 		c := uint32(hh) & (hWide - 1)
@@ -236,13 +292,13 @@ func (h *hmap[V]) upsert(k uint64, m *mctx) *V {
 			n.entBm &^= uint64(1) << c
 			child := h.newNode(m.epoch)
 			j, _ := bmRank(n.kidBm, c)
-			n.kids = insSlot(&h.kidSlab, n.kids, j, child)
+			n.kids = h.kidSlab.insert(n.kids, j, child, m.epoch)
 			n.kidBm |= uint64(1) << c
 			n = child
 			hh >>= hBits
 			for uint32(hh)&(hWide-1) == uint32(eh)&(hWide-1) {
 				grand := h.newNode(m.epoch)
-				n.kids = append(carve(&h.kidSlab, 1), grand)
+				n.kids = append(h.kidSlab.carve(1, m.epoch), grand)
 				n.kidBm |= uint64(1) << (uint32(hh) & (hWide - 1))
 				n = grand
 				hh >>= hBits
@@ -250,30 +306,30 @@ func (h *hmap[V]) upsert(k uint64, m *mctx) *V {
 			}
 			ec := uint32(eh) & (hWide - 1)
 			ei, _ := bmRank(n.entBm, ec)
-			n.ents = insSlot(&h.entSlab, n.ents, ei, ent)
+			n.ents = h.entSlab.insert(n.ents, ei, ent, m.epoch)
 			n.entBm |= uint64(1) << ec
 			kc := uint32(hh) & (hWide - 1)
 			ki, _ := bmRank(n.entBm, kc)
-			n.ents = insSlot(&h.entSlab, n.ents, ki, hent[V]{k: k})
+			n.ents = h.entSlab.insert(n.ents, ki, hent[V]{k: k}, m.epoch)
 			n.entBm |= uint64(1) << kc
 			h.n++
 			h.gen++
 			return &n.ents[ki].v
 		}
 		if i, ok := bmRank(n.kidBm, c); ok {
+			hh >>= hBits
 			child := n.kids[i]
 			if child.epoch != m.epoch {
-				child = h.cloneNode(child, m)
+				child = h.clonePath(child, hh, m)
 				n.kids[i] = child
 			}
 			n = child
-			hh >>= hBits
 			depth++
 			continue
 		}
 		// Free slot: the entry terminates here.
 		i, _ := bmRank(n.entBm, c)
-		n.ents = insSlot(&h.entSlab, n.ents, i, hent[V]{k: k})
+		n.ents = h.entSlab.insert(n.ents, i, hent[V]{k: k}, m.epoch)
 		n.entBm |= uint64(1) << c
 		h.n++
 		h.gen++
@@ -289,7 +345,7 @@ func (h *hmap[V]) upsert(k uint64, m *mctx) *V {
 //webreason:writer
 func (h *hmap[V]) del(k uint64, m *mctx) {
 	// Probe first: a miss must not copy anything.
-	if _, ok := h.get(k); !ok {
+	if h.ref(k) == nil {
 		return
 	}
 	var (
@@ -299,7 +355,7 @@ func (h *hmap[V]) del(k uint64, m *mctx) {
 	)
 	n := h.root
 	if n.epoch != m.epoch {
-		n = h.cloneNode(n, m)
+		n = h.cloneNode(n, 0, m)
 		h.root = n
 	}
 	hh := mix64(k)
@@ -315,7 +371,7 @@ func (h *hmap[V]) del(k uint64, m *mctx) {
 		i, _ := bmRank(n.kidBm, c)
 		child := n.kids[i]
 		if child.epoch != m.epoch {
-			child = h.cloneNode(child, m)
+			child = h.cloneNode(child, 0, m)
 			n.kids[i] = child
 		}
 		path[depth] = n
@@ -340,17 +396,17 @@ func (h *hmap[V]) del(k uint64, m *mctx) {
 
 // forEach calls fn for every entry in hash (trie) order — deterministic for
 // a given map value, not key-sorted; it returns false iff fn stopped the
-// iteration early.
-func (h *hmap[V]) forEach(fn func(uint64, V) bool) bool {
+// iteration early. The value pointer is read-only, like ref's.
+func (h *hmap[V]) forEach(fn func(uint64, *V) bool) bool {
 	if h.root == nil {
 		return true
 	}
 	return eachHNode(h.root, fn)
 }
 
-func eachHNode[V any](n *hnode[V], fn func(uint64, V) bool) bool {
-	for _, e := range n.ents {
-		if !fn(e.k, e.v) {
+func eachHNode[V any](n *hnode[V], fn func(uint64, *V) bool) bool {
+	for i := range n.ents {
+		if !fn(n.ents[i].k, &n.ents[i].v) {
 			return false
 		}
 	}

@@ -157,13 +157,12 @@ func TestLongLeafAgainstOracle(t *testing.T) {
 // append's growth slack — not a rebuild. A TripleSet write unshares one
 // n-ID run (the leaf); a Store write unshares two (the POS leaf and the OSP
 // side-table sub set). Each case takes the cheapest of several
-// snapshot-then-write rounds, so the occasional trie slab chunk a write
-// happens to open is not charged to the leaf.
+// snapshot-then-write rounds.
 func TestCopyOnWriteLeafAllocation(t *testing.T) {
 	const (
 		n      = 8192
 		perRun = 2 * 4 * n // bytes: twice the run
-		slop   = 4 << 10   // trie path copies, one-ID leaves, headers
+		slop   = 4 << 10   // trie path copies (inline leaves ride in them), headers
 		rounds = 8
 	)
 	set := NewTripleSet()

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -106,6 +107,60 @@ func checkEquivalent(t *testing.T, step int, s *Store, ref *refStore, maxID dict
 	}
 }
 
+// checkCanonical walks every index of the tables and requires the canonical
+// form the store's reads and the codec rely on: a leaf or side-table set of
+// one ID is inline (no run, and never dict.None), one of two or more is a
+// strictly ascending run (no run shorter than 2), every side-table record
+// counts exactly the triples of the leaves its b set names, and the leaves
+// are exactly the ones the b sets name.
+func checkCanonical(t *testing.T, tag string, tb *tables) {
+	t.Helper()
+	form := func(what string, one dict.ID, run *postings) {
+		t.Helper()
+		switch {
+		case run == nil && one == dict.None:
+			t.Fatalf("%s: %s is empty (inline dict.None, no run)", tag, what)
+		case run != nil && one != dict.None:
+			t.Fatalf("%s: %s holds both inline %d and a run", tag, what, one)
+		case run != nil && len(run.ids) < 2:
+			t.Fatalf("%s: %s is a run of %d IDs", tag, what, len(run.ids))
+		case run != nil:
+			for i := 1; i < len(run.ids); i++ {
+				if run.ids[i] <= run.ids[i-1] {
+					t.Fatalf("%s: %s run not strictly ascending: %v", tag, what, run.ids)
+				}
+			}
+		}
+	}
+	for name, ix := range map[string]*index{"spo": &tb.spo, "pos": &tb.pos, "osp": &tb.osp} {
+		ix.ls.forEach(func(k uint64, l *leaf) bool {
+			form(fmt.Sprintf("%s leaf (%d,%d)", name, k>>32, uint32(k)), l.one, l.run)
+			return true
+		})
+		named := 0
+		ix.as.forEach(func(a uint64, e *aSub) bool {
+			what := fmt.Sprintf("%s side-table set of %d", name, a)
+			form(what, e.one, e.sub)
+			sum := 0
+			for _, b := range e.bs() {
+				l := ix.leaf(dict.ID(a), b)
+				if l == nil {
+					t.Fatalf("%s: %s names b = %d, which has no leaf", tag, what, b)
+				}
+				sum += l.size()
+			}
+			if int(e.count) != sum {
+				t.Fatalf("%s: %s counts %d triples, its leaves hold %d", tag, what, e.count, sum)
+			}
+			named += len(e.bs())
+			return true
+		})
+		if named != ix.leaves() {
+			t.Fatalf("%s: %s side tables name %d leaves, the index holds %d", tag, name, named, ix.leaves())
+		}
+	}
+}
+
 // TestPackedStoreEquivalence randomizes Add/Remove/Contains against the
 // reference and periodically checks full observational equivalence. The ID
 // domain is small so patterns collide heavily (dense leaves) and removals
@@ -138,9 +193,11 @@ func TestPackedStoreEquivalence(t *testing.T) {
 		}
 		if step%checkGap == checkGap-1 {
 			checkEquivalent(t, step, s, ref, maxID)
+			checkCanonical(t, fmt.Sprintf("step %d", step), &s.tables)
 		}
 	}
 	checkEquivalent(t, steps, s, ref, maxID)
+	checkCanonical(t, "end", &s.tables)
 
 	// Predicates/Objects agree with the reference at the end state.
 	ps := s.Predicates()

@@ -7,7 +7,7 @@ package store
 // returns.
 //
 // Snapshots are cheap on both sides: taking one is O(1) — a shallow copy of
-// the three index root structs, sharing every trie node and postings leaf —
+// the three index root structs, sharing every trie node and postings run —
 // and the writer's continued mutations pay only an O(trie depth) path copy
 // for the first touch of each index path per epoch (copy-on-write on the
 // persistent tries), never a per-snapshot scan of the index. Any number of

@@ -6,15 +6,18 @@
 //
 // Triples are (S,P,O) tuples of dict.IDs. Three persistent indexes (SPO,
 // POS, OSP) cover all eight triple-pattern shapes. Each index maps the
-// packed key (a<<32)|b straight to a compact postings leaf of third
-// components through a persistent hash-array-mapped trie (see hmap) — one
-// walk per probe, which is what the engine's merge joins hammer — and keeps
-// a side table per first component a (in a second hmap) holding the set of b
-// values under a and the per-a triple count. A leaf is one strictly
-// ascending []dict.ID run at every size (see postings): membership is a
-// binary search, SortedIDs/Postings hand the run out as it is, and the
-// binary codec writes and aliases the same bytes (the flat-layout idea of
-// RDF-3X-style engines, reduced to the three orders pattern matching needs).
+// packed key (a<<32)|b straight to a leaf of third components through a
+// persistent hash-array-mapped trie (see hmap) — one walk per probe, which
+// is what the engine's merge joins hammer — and keeps a side table per first
+// component a (in a second hmap) holding the set of b values under a and the
+// per-a triple count. A leaf, and a side-table set, of one ID is stored by
+// value in its trie slot; one of two or more IDs is one strictly ascending
+// []dict.ID run (see leaf and postings): membership is a binary search,
+// SortedIDs/Postings hand the run — or a one-element view of the slot — out
+// as it is, and the binary codec writes and aliases the same bytes (the
+// flat-layout idea of RDF-3X-style engines, reduced to the three orders
+// pattern matching needs). Most leaves hold one ID, and inline they cost the
+// collector nothing beyond the node that holds them.
 // The per-a counters make every Count O(lookup) except the fully-unbound
 // scan. Leaves enumerate ascending; the order in which an index visits its
 // leaves is unspecified (hash order), and the canonical encoder sorts the
@@ -24,21 +27,24 @@
 //
 // The store separates a single-writer mutation path from immutable read
 // epochs: Store.Snapshot returns a point-in-time Snapshot in O(1) — a
-// shallow copy of the three index root structs, sharing every trie node and
-// postings leaf. Nodes and leaves are stamped with the mutation epoch that
-// created them; taking a snapshot freezes the current epoch, and the writer
+// shallow copy of the three index root structs, sharing every trie node
+// (inline leaves with it) and postings run. Nodes and runs are stamped with
+// the mutation epoch that created them; taking a snapshot freezes the current epoch, and the writer
 // path-copies frozen nodes on the way to its first mutation of each path per
 // epoch (copy-on-write), mutating in place afterwards. The first write to a
-// path in an epoch therefore costs O(depth) node copies plus one memmove of
-// the leaf it lands in (and of the side-table sub set when a leaf appears or
-// disappears) — linear in that leaf, never in the index, no matter how many
-// snapshots are live; later writes to the same leaf in the same epoch are in
-// place. See snapshot.go.
+// path in an epoch therefore costs O(depth) node copies plus, when the leaf
+// it lands in is a run, one memmove of it (and of the side-table sub set
+// when a leaf appears or disappears) — linear in that leaf, never in the
+// index, no matter how many snapshots are live; later writes to the same
+// leaf in the same epoch are in place. Copies are allocated one by one, so a
+// version no snapshot holds any more is garbage (see hmap's slabs, which
+// serve the epoch-0 bulk builds only). See snapshot.go.
 package store
 
 import (
 	"fmt"
 	"slices"
+	"unsafe"
 
 	"repro/internal/dict"
 )
@@ -65,21 +71,33 @@ func (t Triple) Matches(u Triple) bool {
 func pack(a, b dict.ID) uint64 { return uint64(a)<<32 | uint64(b) }
 
 // aSub is the side-table record for one first-component value a within an
-// index: the set of second components b under a (a postings run, like the
-// leaves) and the number of triples under a, which makes the single-constant
+// index: the set of second components b under a — held like a leaf, inline
+// in one when it is a single ID and as a postings run sub otherwise (see
+// leaf) — and the number of triples under a, which makes the single-constant
 // Count shapes a single lookup. Records are stored by value in the a-level
-// trie, so node ownership covers the record itself; the sub postings follows
-// the usual per-structure epoch copy-on-write protocol.
+// trie, so node ownership covers the record itself; count and one share a
+// word, keeping the record at 16 bytes. The sub run follows the usual
+// per-structure epoch copy-on-write protocol.
 type aSub struct {
 	count int32
+	one   dict.ID
 	sub   *postings
 }
 
+// bs returns the b set ascending; like leaf.ids, e must point into the trie
+// node.
+func (e *aSub) bs() []dict.ID {
+	if e.sub != nil {
+		return e.sub.ids
+	}
+	return unsafe.Slice(&e.one, 1)
+}
+
 // index is one access order of the store: a persistent hash trie from the
-// packed (a,b) key to the postings leaf of third components, plus the per-a
-// side table that drives sorted enumeration and constant-time counts.
+// packed (a,b) key to the leaf of third components, plus the per-a side
+// table that drives sorted enumeration and constant-time counts.
 type index struct {
-	ls hmap[*postings]
+	ls hmap[leaf]
 	as hmap[aSub]
 
 	// Side-table hint: the record the last addFast touched. Bulk loads and
@@ -106,36 +124,29 @@ func (ix *index) aHint(a uint64, m *mctx) *aSub {
 	return e
 }
 
+// add is the insert path for a store with snapshots behind it. It probes
+// before it writes, so duplicate inserts — the common case during
+// saturation rounds — never copy anything, and it walks the leaf trie a
+// second time (upsert, which path-copies) only when the slot itself changes
+// or its run is frozen; a writer-owned run grows in place.
 func (ix *index) add(a, b, c dict.ID, m *mctx) bool {
 	k := pack(a, b)
-	l, _ := ix.ls.get(k)
-	if l != nil {
-		if l.contains(c) {
-			// Probe before any copying so duplicate inserts — the common
-			// case during saturation rounds — never pay a copy.
-			return false
-		}
-		if l.epoch != m.epoch {
-			l = l.cloneAt(m.epoch)
-			m.copied++
-			*ix.ls.upsert(k, m) = l
-		}
-		l.add(c)
-		ix.as.upsert(uint64(a), m).count++
+	switch l := ix.ls.ref(k); {
+	case l == nil:
+		*ix.ls.upsert(k, m) = leaf{one: c}
+		e := ix.as.upsert(uint64(a), m)
+		setAdd(&e.one, &e.sub, b, m)
+		e.count++
 		return true
+	case l.contains(c):
+		return false
+	case l.run != nil && l.run.epoch == m.epoch:
+		l.run.add(c)
+	default:
+		l = ix.ls.upsert(k, m)
+		setAdd(&l.one, &l.run, c, m)
 	}
-	l = &postings{epoch: m.epoch}
-	l.add(c)
-	*ix.ls.upsert(k, m) = l
-	e := ix.as.upsert(uint64(a), m)
-	if e.sub == nil {
-		e.sub = &postings{epoch: m.epoch}
-	} else if e.sub.epoch != m.epoch {
-		e.sub = e.sub.cloneAt(m.epoch)
-		m.copied++
-	}
-	e.sub.add(b)
-	e.count++
+	ix.as.upsert(uint64(a), m).count++
 	return true
 }
 
@@ -145,62 +156,55 @@ func (ix *index) add(a, b, c dict.ID, m *mctx) bool {
 // the bulk-load and saturation path — Materialize builds closures into fresh
 // stores — and the single-walk difference is worth ~20% of saturation time.
 func (ix *index) addFast(a, b, c dict.ID, m *mctx) bool {
-	lp := ix.ls.upsert(pack(a, b), m)
-	l := *lp
-	if l == nil {
-		l = &postings{epoch: m.epoch}
-		l.add(c)
-		*lp = l
-		e := ix.aHint(uint64(a), m)
-		if e.sub == nil {
-			e.sub = &postings{epoch: m.epoch}
-		}
-		e.sub.add(b)
-		e.count++
-		return true
-	}
-	if !l.add(c) {
+	l := ix.ls.upsert(pack(a, b), m)
+	fresh := l.run == nil && l.one == dict.None
+	if !setAdd(&l.one, &l.run, c, m) {
 		return false
 	}
-	ix.aHint(uint64(a), m).count++
+	e := ix.aHint(uint64(a), m)
+	if fresh {
+		setAdd(&e.one, &e.sub, b, m)
+	}
+	e.count++
 	return true
 }
 
+// remove deletes (a,b,c), path-copying like add: the leaf trie is written
+// only when the slot changes (the leaf goes, re-inlines or leaves its run)
+// or the run is frozen, and a record whose last triple goes is deleted
+// without being copied first.
 func (ix *index) remove(a, b, c dict.ID, m *mctx) bool {
 	k := pack(a, b)
-	l, _ := ix.ls.get(k)
+	l := ix.ls.ref(k)
 	if l == nil || !l.contains(c) {
 		return false
 	}
-	if l.epoch != m.epoch {
-		l = l.cloneAt(m.epoch)
-		m.copied++
-		*ix.ls.upsert(k, m) = l
+	gone := l.run == nil
+	switch {
+	case gone:
+		ix.ls.del(k, m)
+	case len(l.run.ids) > 2 && l.run.epoch == m.epoch:
+		l.run.remove(c)
+	default:
+		l = ix.ls.upsert(k, m)
+		setRemove(&l.one, &l.run, c, m)
 	}
-	l.remove(c)
+	if ix.as.ref(uint64(a)).count == 1 {
+		ix.as.del(uint64(a), m)
+		return true
+	}
 	e := ix.as.upsert(uint64(a), m)
 	e.count--
-	if l.size() == 0 {
-		ix.ls.del(k, m)
-		if e.sub.epoch != m.epoch {
-			e.sub = e.sub.cloneAt(m.epoch)
-			m.copied++
-		}
-		e.sub.remove(b)
-	}
-	if e.count == 0 {
-		ix.as.del(uint64(a), m)
+	if gone {
+		setRemove(&e.one, &e.sub, b, m)
 	}
 	return true
 }
 
-// leaf returns the postings for (a,b), or nil.
-func (ix *index) leaf(a, b dict.ID) *postings {
-	l, _ := ix.ls.get(pack(a, b))
-	return l
-}
+// leaf returns the slot of the leaf for (a,b), or nil.
+func (ix *index) leaf(a, b dict.ID) *leaf { return ix.ls.ref(pack(a, b)) }
 
-// leaves returns the number of postings leaves in the index.
+// leaves returns the number of leaves in the index.
 func (ix *index) leaves() int { return ix.ls.len() }
 
 // forEachTriple enumerates the index by walking the leaf trie directly —
@@ -208,26 +212,60 @@ func (ix *index) leaves() int { return ix.ls.len() }
 // deterministic for a given index value, but not sorted (the canonical
 // encoder drives its own sorted enumeration off the side tables instead).
 func (ix *index) forEachTriple(fn func(a, b, c dict.ID) bool) bool {
-	return ix.ls.forEach(func(k uint64, l *postings) bool {
+	return ix.ls.forEach(func(k uint64, l *leaf) bool {
 		a, b := dict.ID(k>>32), dict.ID(k)
-		return l.forEach(func(c dict.ID) bool { return fn(a, b, c) })
+		for _, c := range l.ids() {
+			if !fn(a, b, c) {
+				return false
+			}
+		}
+		return true
 	})
 }
 
 // clone deep-copies the index: fresh trie nodes (epoch 0) and duplicated
-// leaves, nothing shared with the receiver.
+// runs, nothing shared with the receiver.
 func (ix *index) clone() index {
 	var c index
 	m := &mctx{} // epoch 0: matches a freshly constructed store
-	ix.as.forEach(func(k uint64, e aSub) bool {
-		*c.as.upsert(k, m) = aSub{count: e.count, sub: e.sub.clone()}
+	ix.as.forEach(func(k uint64, e *aSub) bool {
+		ce := *e
+		if e.sub != nil {
+			ce.sub = e.sub.clone()
+		}
+		*c.as.upsert(k, m) = ce
 		return true
 	})
-	ix.ls.forEach(func(k uint64, l *postings) bool {
+	ix.ls.forEach(func(k uint64, l *leaf) bool {
 		*c.ls.upsert(k, m) = l.clone()
 		return true
 	})
 	return c
+}
+
+// countUnder returns the number of triples under first component a.
+func (ix *index) countUnder(a dict.ID) int {
+	if e := ix.as.ref(uint64(a)); e != nil {
+		return int(e.count)
+	}
+	return 0
+}
+
+// forEachUnder calls fn(b, c) for every triple under first component a, b
+// ascending and c ascending within each b; it stops early if fn returns
+// false.
+func (ix *index) forEachUnder(a dict.ID, fn func(b, c dict.ID) bool) {
+	e := ix.as.ref(uint64(a))
+	if e == nil {
+		return
+	}
+	for _, b := range e.bs() {
+		for _, c := range ix.leaf(a, b).ids() {
+			if !fn(b, c) {
+				return
+			}
+		}
+	}
 }
 
 // tables is the read side of the store: the three indexes plus the triple
@@ -364,40 +402,34 @@ func (t *tables) ForEachMatch(pat Triple, fn func(Triple) bool) {
 		}
 	case bs && bp: // (s,p,?) via SPO
 		if l := t.spo.leaf(pat.S, pat.P); l != nil {
-			l.forEach(func(o dict.ID) bool { return fn(Triple{pat.S, pat.P, o}) })
+			for _, o := range l.ids() {
+				if !fn(Triple{pat.S, pat.P, o}) {
+					return
+				}
+			}
 		}
 	case bp && bo: // (?,p,o) via POS
 		if l := t.pos.leaf(pat.P, pat.O); l != nil {
-			l.forEach(func(sub dict.ID) bool { return fn(Triple{sub, pat.P, pat.O}) })
+			for _, sub := range l.ids() {
+				if !fn(Triple{sub, pat.P, pat.O}) {
+					return
+				}
+			}
 		}
 	case bs && bo: // (s,?,o) via OSP
 		if l := t.osp.leaf(pat.O, pat.S); l != nil {
-			l.forEach(func(p dict.ID) bool { return fn(Triple{pat.S, p, pat.O}) })
+			for _, p := range l.ids() {
+				if !fn(Triple{pat.S, p, pat.O}) {
+					return
+				}
+			}
 		}
 	case bs: // (s,?,?) via SPO
-		if e, ok := t.spo.as.get(uint64(pat.S)); ok {
-			e.sub.forEach(func(p dict.ID) bool {
-				return t.spo.leaf(pat.S, p).forEach(func(o dict.ID) bool {
-					return fn(Triple{pat.S, p, o})
-				})
-			})
-		}
+		t.spo.forEachUnder(pat.S, func(p, o dict.ID) bool { return fn(Triple{pat.S, p, o}) })
 	case bp: // (?,p,?) via POS
-		if e, ok := t.pos.as.get(uint64(pat.P)); ok {
-			e.sub.forEach(func(o dict.ID) bool {
-				return t.pos.leaf(pat.P, o).forEach(func(subj dict.ID) bool {
-					return fn(Triple{subj, pat.P, o})
-				})
-			})
-		}
+		t.pos.forEachUnder(pat.P, func(o, subj dict.ID) bool { return fn(Triple{subj, pat.P, o}) })
 	case bo: // (?,?,o) via OSP
-		if e, ok := t.osp.as.get(uint64(pat.O)); ok {
-			e.sub.forEach(func(subj dict.ID) bool {
-				return t.osp.leaf(pat.O, subj).forEach(func(p dict.ID) bool {
-					return fn(Triple{subj, p, pat.O})
-				})
-			})
-		}
+		t.osp.forEachUnder(pat.O, func(subj, p dict.ID) bool { return fn(Triple{subj, p, pat.O}) })
 	default: // full scan via SPO
 		t.spo.forEachTriple(func(s, p, o dict.ID) bool {
 			return fn(Triple{s, p, o})
@@ -411,11 +443,12 @@ func (t *tables) ForEachMatch(pat Triple, fn func(Triple) bool) {
 // matches. The returned slice aliases store internals and must be treated as
 // read-only; it stays valid until the store is mutated (slices obtained from
 // a Snapshot stay valid for the snapshot's lifetime). The slice is the leaf's
-// own run — no lock, no copy, no rebuild — which is what the engine's
-// merge-intersection joins build on.
+// own run, or a one-element view of an inline leaf's trie slot — no lock, no
+// copy, no allocation — which is what the engine's merge-intersection joins
+// build on.
 func (t *tables) SortedIDs(pat Triple) ([]dict.ID, bool) {
 	bs, bp, bo := pat.S != dict.None, pat.P != dict.None, pat.O != dict.None
-	var l *postings
+	var l *leaf
 	switch {
 	case bs && bp && !bo:
 		l = t.spo.leaf(pat.S, pat.P)
@@ -429,7 +462,7 @@ func (t *tables) SortedIDs(pat Triple) ([]dict.ID, bool) {
 	if l == nil {
 		return nil, false
 	}
-	return l.ids, true
+	return l.ids(), true
 }
 
 // Cursor is a positioned iterator over one sorted postings leaf, obtained
@@ -570,20 +603,11 @@ func (t *tables) Count(pat Triple) int {
 		}
 		return 0
 	case bs:
-		if e, ok := t.spo.as.get(uint64(pat.S)); ok {
-			return int(e.count)
-		}
-		return 0
+		return t.spo.countUnder(pat.S)
 	case bp:
-		if e, ok := t.pos.as.get(uint64(pat.P)); ok {
-			return int(e.count)
-		}
-		return 0
+		return t.pos.countUnder(pat.P)
 	case bo:
-		if e, ok := t.osp.as.get(uint64(pat.O)); ok {
-			return int(e.count)
-		}
-		return 0
+		return t.osp.countUnder(pat.O)
 	default:
 		return t.size
 	}
@@ -594,7 +618,7 @@ func (t *tables) Count(pat Triple) int {
 // step relies on this being the complete property vocabulary of the graph.
 func (t *tables) Predicates() []dict.ID {
 	out := make([]dict.ID, 0, t.pos.as.len())
-	t.pos.as.forEach(func(k uint64, _ aSub) bool {
+	t.pos.as.forEach(func(k uint64, _ *aSub) bool {
 		out = append(out, dict.ID(k))
 		return true
 	})
@@ -606,11 +630,11 @@ func (t *tables) Predicates() []dict.ID {
 // the classes used in rdf:type triples when p is rdf:type), in ascending
 // order.
 func (t *tables) Objects(p dict.ID) []dict.ID {
-	e, ok := t.pos.as.get(uint64(p))
-	if !ok {
+	e := t.pos.as.ref(uint64(p))
+	if e == nil {
 		return nil
 	}
-	return slices.Clone(e.sub.ids)
+	return slices.Clone(e.bs())
 }
 
 // Clone returns a deep copy of the store: every trie node and leaf is

@@ -15,11 +15,15 @@
 # that goes first alternating pair by pair, and the two data directories
 # (benchmark/out) swapped between the sides every second pair. Per end-to-end
 # metric of BENCHMARK.json it prints both sides' medians and quartiles, the
-# win count and a verdict (tools/abstat has the rule). With -gctrace every run
-# is made under GODEBUG=gctrace=1 and a reported-only row follows the table:
-# each side's median [q1–q3] of peak live heap, the largest live heap after a
-# collection in the run, which the gated heap_mb (sampled before the window)
-# does not see.
+# win count and a verdict (tools/abstat has the rule). A run that exits
+# non-zero — the benchmark failed, or the kernel killed it — does not stop the
+# A/B: it is recorded as a killed run of its side, with its exit status and
+# the last line of its output, and abstat leaves its pair out of the medians
+# and grants no gain to a head side with a killed run. With -gctrace every run
+# is made under GODEBUG=gctrace=1 and reported-only rows follow the table:
+# each side's median [q1–q3] of peak live heap (the largest live heap after a
+# collection in the run, which the gated heap_mb, sampled before the window,
+# does not see), of its number of collections and of its GC CPU share.
 #
 # The exports are `git archive` trees, not `git worktree`s: they leave nothing
 # registered in .git and HEAD may be a dirty working tree.
@@ -64,14 +68,21 @@ export_side head "$head"
 # run SIDE SLOT SEED: one benchmark run of SIDE with its benchmark/out on data
 # directory SLOT; the driver's JSON line (the last line of output that starts
 # with "{" — under -gctrace a trace line can follow it) is appended to
-# $dir/SIDE.jsonl.
+# $dir/SIDE.jsonl, or, when the run exits non-zero, a killed record with its
+# exit status and last line of output.
 run() {
-	local side="$1" slot="$2" s="$3" log="$dir/log/$1.$3.txt"
+	local side="$1" slot="$2" s="$3" log="$dir/log/$1.$3.txt" status=0 last
 	rm -rf "$dir/$side/benchmark/out" "$dir/data/$slot"/*
 	ln -s "$dir/data/$slot" "$dir/$side/benchmark/out"
 	(cd "$dir/$side" && env ${gctrace:+GODEBUG=gctrace=1} bash benchmark/run.sh -workload "$workload" -seed "$s" ${seconds:+-seconds "$seconds"}) >"$log" 2>&1 ||
-		{ echo "ab: $side run at seed $s failed; see $log" >&2; exit 1; }
-	grep '^{' "$log" | tail -n 1 >>"$dir/$side.jsonl"
+		status=$?
+	if ((status == 0)); then
+		grep '^{' "$log" | tail -n 1 >>"$dir/$side.jsonl"
+		return
+	fi
+	last="$(tail -n 1 "$log" | tr -d '\000-\037' | sed 's/[\\"]/\\&/g')"
+	echo "ab: $side run at seed $s exited $status; see $log" >&2
+	printf '{"killed": true, "exit": %d, "last": "%s"}\n' "$status" "$last" >>"$dir/$side.jsonl"
 }
 : >"$dir/base.jsonl"; : >"$dir/head.jsonl"; rm -f "$dir"/log/*.txt
 echo "ab: $workload, $pairs pairs, seeds $seed..$((seed + pairs - 1)), base=$base head=$head, in $dir"

@@ -1,6 +1,9 @@
 package main
 
 import (
+	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -60,14 +63,88 @@ func TestPeakLiveMB(t *testing.T) {
 		// A collection can land after the driver line.
 		"gc 4 @16.3s 5%: 0.04+55+0.01 ms clock, 0.08+11/50/2+0.02 ms cpu, 300->310->120 MB, 298 MB goal, 0 MB stacks, 0 MB globals, 2 P (forced)",
 	}, "\n")
-	peak, cycles, err := peakLiveMB(strings.NewReader(log))
+	tr, err := readTrace(strings.NewReader(log))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if peak != 149 || cycles != 4 {
-		t.Errorf("peakLiveMB = %v MB over %d cycles, want 149 over 4 (the benchmark process only)", peak, cycles)
+	if tr != (gcTrace{peakMB: 149, cycles: 4, cpuPct: 5}) {
+		t.Errorf("readTrace = %+v, want 149 MB peak over 4 cycles at 5%% GC CPU (the benchmark process only)", tr)
 	}
-	if peak, cycles, _ := peakLiveMB(strings.NewReader(`{"attempted": 1}`)); peak != 0 || cycles != 0 {
-		t.Errorf("untraced log: %v MB over %d cycles, want 0 and 0", peak, cycles)
+	if tr, _ := readTrace(strings.NewReader(`{"attempted": 1}`)); tr != (gcTrace{}) {
+		t.Errorf("untraced log: %+v, want nothing", tr)
+	}
+}
+
+// TestKilledRuns feeds abstat a run that tools/ab.sh recorded as killed (an
+// OOM kill ends a traced log mid-trace, at a far larger live heap) and
+// checks that the pair leaves every median, the trace rows included, that
+// the kill and its last line are reported, and that a head side with a
+// killed run is granted no gain however clear the remaining pairs are.
+func TestKilledRuns(t *testing.T) {
+	dir := t.TempDir()
+	write := func(name, body string) string {
+		t.Helper()
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	bench := write("BENCHMARK.json", `{"end_to_end": [{"name": "work_s", "unit": "1/s", "better": "higher", "bound": 0.25}]}`)
+	line := func(work float64) string {
+		return fmt.Sprintf(`{"attempted": 100, "failed": 0, "metrics": {"work_s": {"value": %v}}}`, work)
+	}
+	const killed = `{"killed": true, "exit": 137, "last": "gc 90 @12.8s 24%: 1+2+3 ms clock, 4->5->5231 MB"}`
+	gc := func(pct, live int) string {
+		return fmt.Sprintf("gc 1 @0.1s 1%%: 0.01+0.5+0.002 ms clock, 0.02+0.1/0.4/0.2+0.004 ms cpu, 4->4->1 MB, 4 MB goal, 2 P\n"+
+			"gc 2 @9.9s %d%%: 0.01+0.5+0.002 ms clock, 0.02+0.1/0.4/0.2+0.004 ms cpu, 90->95->%d MB, 100 MB goal, 2 P\n", pct, live)
+	}
+	// Seeds 9 and 10 order numerically, not as strings.
+	for i, seed := range []int{8, 9, 10} {
+		write(fmt.Sprintf("head.%d.txt", seed), gc(10, 60)+line(80)+"\n")
+		if i == 2 {
+			write(fmt.Sprintf("base.%d.txt", seed), gc(24, 5231))
+		} else {
+			write(fmt.Sprintf("base.%d.txt", seed), gc(20+i, 100+i)+line(40)+"\n")
+		}
+	}
+	base := write("base.jsonl", line(40)+"\n"+line(41)+"\n"+killed+"\n")
+	head := write("head.jsonl", line(80)+"\n"+line(81)+"\n"+line(82)+"\n")
+
+	var out strings.Builder
+	if err := run(&out, bench, base, head, dir); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		"killed: base 1/3, head 0/3; 2 complete pairs compared",
+		"pair 3: base exited 137; last line: gc 90 @12.8s",
+		"pair 3: base's trace ends at 5231 MB peak live heap",
+		"peak_live_mb  100.5 [100.2–100.8] MB",
+		"gc_cpu_pct    20.5 [20.25–20.75] %",
+		"gain (",
+	} {
+		if !strings.Contains(out.String(), want) {
+			t.Errorf("output lacks %q:\n%s", want, out.String())
+		}
+	}
+
+	// The same pairs with the sides swapped: head now has the killed run.
+	out.Reset()
+	if err := run(&out, bench, head, base, ""); err != nil {
+		t.Fatal(err)
+	}
+	if s := out.String(); strings.Contains(s, "gain (") || !strings.Contains(s, "head has killed runs: no gain counts") {
+		t.Errorf("a killed head run must rule out gain:\n%s", s)
+	}
+
+	// Every pair broken: a report of the kills, no table.
+	out.Reset()
+	all := write("killed.jsonl", killed+"\n")
+	one := write("one.jsonl", line(1)+"\n")
+	if err := run(&out, bench, all, one, ""); err != nil {
+		t.Fatal(err)
+	}
+	if s := out.String(); !strings.Contains(s, "no complete pair") || strings.Contains(s, "work_s") {
+		t.Errorf("no complete pair: want the kills reported and no table:\n%s", s)
 	}
 }
