@@ -129,8 +129,8 @@ func healthJSON(h Health) healthView {
 // ServeAdmin binds addr (e.g. "localhost:6060") and serves AdminHandler on
 // it in a background goroutine, returning the listening server and the
 // address it actually bound (useful with ":0"). The caller shuts it down
-// with (*http.Server).Close or Shutdown. Used by cmd/rdfserve's -admin
-// flag.
+// with (*http.Server).Close or Shutdown. Used by the -admin flag of
+// webreason serve.
 func ServeAdmin(addr string, srv *Server, reg *obs.Registry, slow *obs.SlowLog) (*http.Server, string, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {

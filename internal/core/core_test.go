@@ -281,6 +281,34 @@ func TestNewStrategyFactory(t *testing.T) {
 	}
 }
 
+// TestNewStrategyReformulationMinimises pins that the by-name constructor
+// builds the minimised union, on a query whose plain union has a subsumed
+// branch.
+func TestNewStrategyReformulationMinimises(t *testing.T) {
+	kb := loadKB(t)
+	q := sparql.MustParse("PREFIX ex: <http://ex.org/> SELECT ?x WHERE { ?x a ex:Person . ?x ex:knows ?y }")
+	size := func(s Strategy) int {
+		t.Helper()
+		ucq, err := s.(*Reformulation).Reformulate(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ucq.Size()
+	}
+	named, err := NewStrategy("reformulation", kb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain := size(NewReformulation(kb, reformulate.Options{}))
+	minimised := size(NewReformulation(kb, reformulate.Options{Minimize: true}))
+	if minimised >= plain {
+		t.Fatalf("fixture query has no subsumed branch: plain %d, minimised %d", plain, minimised)
+	}
+	if got := size(named); got != minimised {
+		t.Errorf(`NewStrategy("reformulation") union has %d branches, want the minimised %d (plain %d)`, got, minimised, plain)
+	}
+}
+
 func TestStrategyLenSemantics(t *testing.T) {
 	kb := loadKB(t)
 	sat := NewSaturation(kb)

@@ -716,13 +716,14 @@ func PlainAnswer(kb *KB, q *sparql.Query) (*engine.Result, error) {
 }
 
 // NewStrategy builds a strategy by name ("saturation", "reformulation",
-// "backward"), the switch used by cmd/rdfquery.
+// "backward"). Reformulation minimises its unions, as the benchmark
+// measures it.
 func NewStrategy(name string, kb *KB) (Strategy, error) {
 	switch name {
 	case "saturation":
 		return NewSaturation(kb), nil
 	case "reformulation":
-		return NewReformulation(kb, reformulate.Options{}), nil
+		return NewReformulation(kb, reformulate.Options{Minimize: true}), nil
 	case "backward":
 		return NewBackward(kb), nil
 	default:

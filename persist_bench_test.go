@@ -49,7 +49,7 @@ type persistFixtureT struct {
 
 // persistBenchConfig is the serving-layer scale every concurrent and
 // persistence bench uses: LUBM scale 1 at 6 departments (G ≈ 6.9k triples,
-// G∞ ≈ 10.3k), the same state cmd/rdfserve builds by default.
+// G∞ ≈ 10.3k), the same state webreason serve builds by default.
 func persistBenchConfig() lubm.Config {
 	cfg := lubm.DefaultConfig()
 	cfg.DeptsPerUniv = 6

@@ -173,8 +173,9 @@ func runDurableServerSync(t *testing.T, dir string, seed int64, muts int, sync p
 	return srv, kb, db
 }
 
-// restoreFrom recovers a strategy from a data directory the way rdfserve
-// does: the WAL tail goes through the normal maintenance path as one epoch.
+// restoreFrom recovers a strategy from a data directory the way webreason
+// serve does: the WAL tail goes through the normal maintenance path as one
+// epoch.
 func restoreFrom(t *testing.T, dir, strategy string) (webreason.Strategy, *core.KB, *webreason.DB) {
 	t.Helper()
 	db, err := persist.Open(dir, persist.Options{})

@@ -161,17 +161,18 @@ func NewSaturationStrategy(kb *KB) Strategy { return core.NewSaturation(kb) }
 
 // NewReformulationStrategy answers queries by run-time rewriting over the
 // untouched graph, with subsumption minimization of the union (the minimal
-// reformulations of [12]).
+// reformulations of [12]). It is NewStrategy("reformulation", kb).
 func NewReformulationStrategy(kb *KB) Strategy {
-	return core.NewReformulation(kb, reformulate.Options{Minimize: true})
+	s, _ := core.NewStrategy("reformulation", kb) // a known name cannot fail
+	return s
 }
 
 // NewBackwardStrategy answers queries by backward chaining during
 // evaluation.
 func NewBackwardStrategy(kb *KB) Strategy { return core.NewBackward(kb) }
 
-// NewStrategy builds a strategy by name: "saturation", "reformulation" or
-// "backward".
+// NewStrategy builds a strategy by name: "saturation", "reformulation" (the
+// minimised union of NewReformulationStrategy) or "backward".
 func NewStrategy(name string, kb *KB) (Strategy, error) { return core.NewStrategy(name, kb) }
 
 // Durability. A DB is an open persistence directory: binary snapshots of the
