@@ -2,7 +2,7 @@
 // input:
 //
 //	BenchmarkSaturate — the one-time saturation cost, at two scales.
-//	BenchmarkMaintain* — per-update DRed maintenance, instance and schema.
+//	BenchmarkMaintain* — per-update maintenance, instance and schema.
 //	BenchmarkQuery* — per-query answering under each technique.
 //	BenchmarkReformulate — rewriting time and union size.
 //
@@ -227,7 +227,12 @@ func BenchmarkReformulate(b *testing.B) {
 
 // maintenance benchmarks: each op is paired with its undo inside the timed
 // loop, so the measured figure is (op + undo)/2 ≈ one maintenance step at
-// steady state (Figure 3 maintenance costs).
+// steady state (Figure 3 maintenance costs). The names keep the DRed
+// suffix of the engine they first measured, so their history stays one
+// series; maintenance is now the compiled closure's. The instance pair adds
+// one triple's consequences and support-checks them away again; the schema
+// pair recompiles the closure twice and visits the postings leaves of the
+// lists that change, which for a class without instances is none.
 
 func BenchmarkMaintainInstanceDRed(b *testing.B) {
 	kb := core.NewKB()

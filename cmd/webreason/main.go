@@ -173,7 +173,7 @@ func load(args []string, stdout io.Writer) error {
 		fmt.Fprintf(stdout, "|G∞| = %d triples (+%d derived, +%.1f%%)\n",
 			mat.Store().Len(), mat.DerivedLen(),
 			100*float64(mat.DerivedLen())/float64(mat.BaseLen()))
-		fmt.Fprintf(stdout, "saturation time: %v (%d semi-naive rounds)\n", build, mat.Stats.Rounds)
+		fmt.Fprintf(stdout, "saturation time: %v (%d triples derived)\n", build, mat.Stats.Derived)
 		if *out != "" {
 			written = webreason.NewGraph()
 			mat.Store().ForEachMatch(store.Triple{}, func(t store.Triple) bool {

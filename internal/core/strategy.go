@@ -474,8 +474,9 @@ func (g *asserted) durable(st *persist.State) { st.Base = g.data.Snapshot() }
 // ---------------------------------------------------------------------------
 
 // Saturation answers queries by direct evaluation against the materialised
-// closure G∞, maintained incrementally on updates (semi-naive insertion,
-// DRed deletion). This is the forward-chaining camp of §II-C (OWLIM, Oracle,
+// closure G∞, maintained incrementally on updates (the RDFS rules compiled
+// against the closed schema: consequences added on insertion, one-step
+// support checks on deletion). This is the forward-chaining camp of §II-C (OWLIM, Oracle,
 // Jena/Sesame persistent inferencing).
 type Saturation struct {
 	skeleton

@@ -16,11 +16,18 @@ import (
 type ParseError struct {
 	Line int
 	Msg  string
+	// Err is the cause, when the line parsed but its triple is refused: an
+	// error wrapping rdf.ErrIllFormed.
+	Err error
 }
 
 func (e *ParseError) Error() string {
 	return fmt.Sprintf("ntriples: line %d: %s", e.Line, e.Msg)
 }
+
+// Unwrap returns the cause, so errors.Is(err, rdf.ErrIllFormed) holds for a
+// refused triple.
+func (e *ParseError) Unwrap() error { return e.Err }
 
 // Read parses an N-Triples document into a graph. Comment lines (#) and
 // blank lines are skipped. Each triple must be terminated by a dot.
@@ -54,7 +61,7 @@ func ReadTriples(r io.Reader, fn func(rdf.Triple) error) error {
 			return err
 		}
 		if err := t.WellFormed(); err != nil {
-			return &ParseError{Line: lineNo, Msg: err.Error()}
+			return &ParseError{Line: lineNo, Msg: err.Error(), Err: err}
 		}
 		if err := fn(t); err != nil {
 			return err

@@ -27,6 +27,16 @@ var ErrIllFormed = errors.New("ill-formed triple")
 // fragment: subject is an IRI or blank node, predicate is an IRI, and object
 // is an IRI, blank node or literal. Variables are rejected (they belong to
 // patterns, not graphs).
+//
+// The DB fragment also keeps the built-in properties of Figure 1 (rdf:type
+// and the four constraint properties) at their fixed meaning, so a property
+// constraint may neither name one of them as the super-property of another
+// property, as in (p rdfs:subPropertyOf rdf:type), nor constrain one of them,
+// as in (rdf:type rdfs:range c); the reflexive (b rdfs:subPropertyOf b) says
+// nothing and is allowed. Either form would let instance triples entail
+// schema triples, or rdf:type triples entail further rdf:type triples about
+// other resources, and the closed schema that saturation, reformulation and
+// backward chaining all answer from captures neither.
 func (t Triple) WellFormed() error {
 	switch t.S.Kind {
 	case IRI, Blank:
@@ -40,6 +50,13 @@ func (t Triple) WellFormed() error {
 	case IRI, Blank, Literal:
 	default:
 		return fmt.Errorf("%w: object must be IRI, blank node or literal, got %s", ErrIllFormed, t.O)
+	}
+	constraint := t.P == SubPropertyOf || t.P == Domain || t.P == Range
+	switch reflexive := t.P == SubPropertyOf && t.S == t.O; {
+	case t.P == SubPropertyOf && IsBuiltinProperty(t.O) && !reflexive:
+		return fmt.Errorf("%w: built-in property %s cannot be a super-property of %s in the DB fragment", ErrIllFormed, t.O, t.S)
+	case constraint && IsBuiltinProperty(t.S) && !reflexive:
+		return fmt.Errorf("%w: built-in property %s cannot be constrained in the DB fragment", ErrIllFormed, t.S)
 	}
 	return nil
 }

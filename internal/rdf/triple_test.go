@@ -17,6 +17,10 @@ func TestTripleWellFormed(t *testing.T) {
 		T(exA, exP, NewLiteral("v")),
 		T(NewBlank("b"), exP, NewBlank("c")),
 		T(exA, Type, exB),
+		T(exP, SubPropertyOf, exB),
+		T(Type, SubPropertyOf, Type),    // reflexive: says nothing
+		T(exA, SubClassOf, RDFProperty), // built-in classes are plain classes
+		T(exP, Domain, Class),
 	}
 	for _, tr := range good {
 		if err := tr.WellFormed(); err != nil {
@@ -30,6 +34,19 @@ func TestTripleWellFormed(t *testing.T) {
 		T(exA, exP, NewVar("o")),     // variable object
 		T(NewVar("s"), exP, exB),     // variable subject
 		T(exA, NewVar("p"), exB),     // variable predicate
+		// Outside the DB fragment: a built-in property as super-property
+		// of another, or constrained itself.
+		T(exP, SubPropertyOf, Type),
+		T(exP, SubPropertyOf, SubClassOf),
+		T(exP, SubPropertyOf, SubPropertyOf),
+		T(exP, SubPropertyOf, Domain),
+		T(exP, SubPropertyOf, Range),
+		T(Type, SubPropertyOf, exP),
+		T(Type, Domain, exB),
+		T(Type, Range, exB),
+		T(SubClassOf, SubPropertyOf, exP),
+		T(SubClassOf, Domain, exB),
+		T(Range, Range, exB),
 	}
 	for _, tr := range bad {
 		err := tr.WellFormed()

@@ -51,3 +51,7 @@ var (
 func IsSchemaProperty(p Term) bool {
 	return p == SubClassOf || p == SubPropertyOf || p == Domain || p == Range
 }
+
+// IsBuiltinProperty reports whether p is one of the five built-in properties
+// of Figure 1: rdf:type or one of the four RDFS constraint properties.
+func IsBuiltinProperty(p Term) bool { return p == Type || IsSchemaProperty(p) }

@@ -3,22 +3,32 @@
 // the saturation-maintenance algorithms for instance and schema updates
 // whose costs drive the thresholds of Figure 3.
 //
-// Rules are declarative values: two triple-pattern premises and a conclusion
-// over shared variables. The engine is a small semi-naive Datalog evaluator
-// specialised to triples, so the RDFS rule set of Figure 2 is data, not
-// code. Materialize and its maintenance accept any valid rule set, so
-// user-defined rules (Oracle-style, Section II-C) work at this level; the
-// knowledge base (internal/core) runs RDFSRules only, because reformulation
-// and backward chaining answer from the schema closure of internal/schema,
-// which is the closure under exactly those rules.
+// The rules are declarative values (RDFSRules: two triple-pattern premises
+// and a conclusion over shared variables), and they are the only rule set
+// this package implements. It does not evaluate them by joins: it compiles
+// them against the closed schema of internal/schema, the closure under
+// exactly these rules that reformulation and backward chaining answer from
+// as well. Once the schema is closed, every rule has one schema premise, so
+// each triple of G∞ is one step from an asserted triple: a triple (s p o)
+// entails (s p' o) for each super-property p' of p, (s rdf:type c) for each
+// closed domain c of p and (o rdf:type c) for each closed range c, and
+// (s rdf:type c) entails (s rdf:type c') for each superclass c' of c.
+// Saturation adds those consequences in one pass with no rounds, and a
+// deletion checks each affected triple's support one step back.
+//
+// The precondition is the DB fragment of RDF (rdf.Triple.WellFormed): no
+// constraint names a built-in property (rdf:type, rdfs:subClassOf,
+// rdfs:subPropertyOf, rdfs:domain, rdfs:range) as a super-property of
+// another property, or constrains one. Outside it a derived triple can have
+// consequences of its own, which the one-step closure does not add.
 package reason
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/dict"
 	"repro/internal/schema"
-	"repro/internal/store"
 )
 
 // Atom is one position of a rule pattern: either a constant term ID or a
@@ -45,7 +55,8 @@ type Pattern struct {
 
 // Rule is an immediate entailment rule with exactly two premises, the shape
 // of every rule in the DB fragment of RDF (Figure 2 plus the schema-level
-// rules). Premises and conclusion share variables by index.
+// rules). Premises and conclusion share variables by index. Rules are
+// comparable values.
 type Rule struct {
 	// Name is the rule's identifier, e.g. "rdfs9" (paper names where they
 	// exist, "ext-*" for the constraint-on-constraint rules of [12]).
@@ -200,32 +211,22 @@ func RDFSRules(voc schema.Vocab) []Rule {
 	return rules
 }
 
-// matchPattern binds pattern p against concrete triple t, writing variable
-// bindings into b (dict.None means "unbound"). It reports whether the match
-// is consistent with the bindings already in b.
-func matchPattern(p Pattern, t store.Triple, b []dict.ID) bool {
-	bind := func(a Atom, v dict.ID) bool {
-		if !a.IsVar {
-			return a.ID == v
+// vocabOf returns the vocabulary rules were built over. It panics unless
+// rules is RDFSRules of that vocabulary: the compiled closure implements
+// that rule set and no other.
+func vocabOf(rules []Rule) schema.Vocab {
+	var voc schema.Vocab
+	if len(rules) == 10 {
+		voc = schema.Vocab{
+			Type:          rules[9].Premises[1].P.ID,
+			SubClassOf:    rules[1].Premises[0].P.ID,
+			SubPropertyOf: rules[0].Premises[0].P.ID,
+			Domain:        rules[2].Premises[1].P.ID,
+			Range:         rules[3].Premises[1].P.ID,
 		}
-		if b[a.Var] == dict.None {
-			b[a.Var] = v
-			return true
-		}
-		return b[a.Var] == v
 	}
-	return bind(p.S, t.S) && bind(p.P, t.P) && bind(p.O, t.O)
-}
-
-// instantiate builds the (possibly partial) triple pattern obtained by
-// substituting bindings into p; unbound variables map to dict.None, i.e.
-// store wildcards.
-func instantiate(p Pattern, b []dict.ID) store.Triple {
-	get := func(a Atom) dict.ID {
-		if a.IsVar {
-			return b[a.Var]
-		}
-		return a.ID
+	if !slices.Equal(rules, RDFSRules(voc)) {
+		panic("reason: the rule set is not RDFSRules; only the RDFS rules of the DB fragment are implemented")
 	}
-	return store.Triple{S: get(p.S), P: get(p.P), O: get(p.O)}
+	return voc
 }

@@ -1,15 +1,20 @@
 package reason
 
 import (
+	"repro/internal/dict"
+	"repro/internal/schema"
 	"repro/internal/store"
 )
 
 // Materialization is a saturated RDF graph with enough bookkeeping to
 // maintain the saturation under updates: the store holds G∞ = base ∪
 // derived, and the base store records which triples were explicitly asserted
-// (the "G" of the paper). Deletion maintenance uses DRed
-// (delete-and-rederive), which is sound for the recursive RDFS rules,
-// cyclic subClassOf/subPropertyOf schemas included.
+// (the "G" of the paper). The rules are compiled against the closed schema
+// (see the package doc), so maintenance needs no joins: an insertion adds
+// the new triples' consequences, a deletion checks the support of the
+// triples the deleted ones entailed, and a schema update recompiles the
+// closure and visits only the triples whose consequences changed. All of it
+// holds on cyclic subClassOf/subPropertyOf schemas too.
 //
 // Both stores support O(1) copy-on-write snapshots, which is what lets the
 // persistence layer checkpoint a live materialization (base G and saturated
@@ -18,7 +23,9 @@ type Materialization struct {
 	st    *store.Store
 	base  *store.TripleSet
 	rules []Rule
-	sc    scratch // reusable binding buffers for the join hot path
+	cl    *closure
+	// buf is reused for the consequences and candidates of one operation.
+	buf []store.Triple
 
 	// Stats accumulates counters for the most recent operation.
 	Stats Stats
@@ -26,43 +33,91 @@ type Materialization struct {
 
 // Stats reports work done by a saturation or maintenance operation.
 type Stats struct {
-	// Rounds is the number of semi-naive iterations.
-	Rounds int
-	// Derived is the number of triples added by rules (not base).
+	// Derived is the number of triples added to G∞ that are not base
+	// triples of the operation.
 	Derived int
-	// Overdeleted is the number of triples removed during DRed overdeletion.
-	Overdeleted int
-	// Rederived is the number of overdeleted triples put back.
-	Rederived int
+	// Checked is the number of support checks a deletion made, one per
+	// candidate triple still in G∞ when its turn came.
+	Checked int
+	// Retracted is the number of triples a deletion removed from G∞.
+	Retracted int
 }
 
 // Materialize saturates the triples of g under the rules and returns the
-// resulting materialization. The input store is not modified.
+// resulting materialization. The input store is not modified. rules must be
+// RDFSRules of some vocabulary, the only rule set the package implements;
+// Materialize panics on any other.
 func Materialize(g *store.Store, rules []Rule) *Materialization {
+	voc := vocabOf(rules)
 	m := &Materialization{
-		st:    store.New(),
-		base:  store.NewTripleSet(),
+		st:    g.Clone(),
+		base:  g.CloneSet(),
 		rules: rules,
+		cl:    compile(schema.Extract(g, voc)),
 	}
-	delta := make([]store.Triple, 0, g.Len())
-	g.ForEachMatch(store.Triple{}, func(t store.Triple) bool {
-		m.base.Add(t)
-		m.st.Add(t)
-		delta = append(delta, t)
-		return true
-	})
-	m.Stats = Stats{}
-	m.seminaive(delta)
+	for _, t := range m.cl.sch.ClosureTriples() {
+		m.add(t)
+	}
+	// One pass over the base, a predicate (a class, for rdf:type) at a
+	// time: one consequence-list lookup per predicate, none for the many
+	// that have no consequences.
+	for _, p := range g.Predicates() {
+		if p == voc.Type {
+			for _, k := range g.Objects(p) {
+				if sup := m.cl.classes[k]; sup != nil {
+					g.ForEachMatch(store.Triple{P: p, O: k}, func(t store.Triple) bool {
+						m.deriveTypes(t.S, sup)
+						return true
+					})
+				}
+			}
+		} else if cons := m.cl.props[p]; cons != nil {
+			g.ForEachMatch(store.Triple{P: p}, func(t store.Triple) bool {
+				m.derive(t, cons)
+				return true
+			})
+		}
+	}
 	return m
+}
+
+// derive adds the consequences of t, whose property has the lists cons.
+func (m *Materialization) derive(t store.Triple, cons *consequences) {
+	for _, q := range cons.supers {
+		m.add(store.Triple{S: t.S, P: q, O: t.O})
+	}
+	m.deriveTypes(t.S, cons.domains)
+	m.deriveTypes(t.O, cons.ranges)
+}
+
+// deriveTypes adds (s rdf:type c) for every c of classes.
+func (m *Materialization) deriveTypes(s dict.ID, classes []dict.ID) {
+	for _, c := range classes {
+		m.add(store.Triple{S: s, P: m.cl.voc.Type, O: c})
+	}
+}
+
+// add adds a derived triple to G∞, counting it if it is new.
+func (m *Materialization) add(t store.Triple) {
+	if m.st.Add(t) {
+		m.Stats.Derived++
+	}
 }
 
 // Restore rebuilds a materialization from a previously saturated state
 // without re-running saturation: base is the set of asserted triples G,
 // saturated is its closure G∞ under the same rules (typically both just
 // loaded from a snapshot — the snapshot codec guarantees integrity, this
-// constructor trusts the pair). It takes ownership of both containers.
+// constructor trusts the pair). It takes ownership of both containers. The
+// closure is compiled from the constraint triples of saturated, which are
+// the closed schema.
 func Restore(base *store.TripleSet, saturated *store.Store, rules []Rule) *Materialization {
-	return &Materialization{st: saturated, base: base, rules: rules}
+	return &Materialization{
+		st:    saturated,
+		base:  base,
+		rules: rules,
+		cl:    compile(schema.Extract(saturated, vocabOf(rules))),
+	}
 }
 
 // Store exposes the saturated store (G∞). Callers must not mutate it
@@ -91,199 +146,121 @@ func (m *Materialization) Clone() *Materialization {
 		st:    m.st.Clone(),
 		base:  m.base.Clone(),
 		rules: m.rules,
+		cl:    m.cl,
 	}
 }
 
-// forEachInstantiation enumerates, for a triple t playing premise position
-// pos of rule r, every rule instantiation against partner triples currently
-// in st; fn receives each instantiated conclusion.
-// The binding vectors come from sc, so the call allocates nothing at steady
-// state; fn must not re-enter forEachInstantiation with the same scratch.
-//
-// Instantiations are buffered and fn runs only after the store enumeration
-// has finished: the store forbids mutation during ForEachMatch, and the
-// seminaive callback Adds conclusions (which may land in the very
-// postings leaf being iterated). Conclusions added by fn therefore never
-// join the current enumeration — the semi-naive outer loop picks them up as
-// the next delta.
-//
-//webreason:hotpath
-func forEachInstantiation(st *store.Store, r *Rule, pos int, t store.Triple, sc *scratch, fn func(conclusion store.Triple)) {
-	sc.grow(r.NVars)
-	b, b2 := sc.b, sc.b2
-	if !matchPattern(r.Premises[pos], t, b) {
-		return
-	}
-	other := 1 - pos
-	partnerPat := instantiate(r.Premises[other], b)
-	sc.conclusions = sc.conclusions[:0]
-	st.ForEachMatch(partnerPat, func(u store.Triple) bool {
-		copy(b2, b)
-		if matchPattern(r.Premises[other], u, b2) {
-			sc.conclusions = append(sc.conclusions, instantiate(r.Conclusion, b2))
-		}
-		return true
-	})
-	for _, c := range sc.conclusions {
-		fn(c)
-	}
-}
-
-// seminaive runs delta-driven forward chaining until fixpoint: each round,
-// every rule is joined with the previous round's new triples in either
-// premise position against the full current store. Duplicates are absorbed
-// by the store's set semantics.
-func (m *Materialization) seminaive(delta []store.Triple) {
-	for len(delta) > 0 {
-		m.Stats.Rounds++
-		var next []store.Triple
-		for _, t := range delta {
-			for ri := range m.rules {
-				r := &m.rules[ri]
-				for pos := 0; pos < 2; pos++ {
-					forEachInstantiation(m.st, r, pos, t, &m.sc, func(c store.Triple) {
-						if m.st.Add(c) {
-							m.Stats.Derived++
-							next = append(next, c)
-						}
-					})
-				}
-			}
-		}
-		delta = next
-	}
-}
-
-// Insert adds base triples and incrementally maintains the saturation by
-// semi-naive propagation from the new triples (insertion maintenance is the
-// cheap direction, as the paper notes; deletions are the hard part).
-// It returns the number of base triples that were actually new.
+// Insert adds base triples and maintains the saturation: each new triple's
+// consequences are added, and a new constraint triple recompiles the closure
+// and adds what its new list entries carry the existing triples to
+// (insertion maintenance is the cheap direction, as the paper notes). It
+// returns the number of base triples that were actually new.
 func (m *Materialization) Insert(ts ...store.Triple) int {
 	m.Stats = Stats{}
-	var delta []store.Triple
-	added := 0
+	added, schemaChanged := 0, false
+	fresh := m.buf[:0]
 	for _, t := range ts {
 		if !m.base.Add(t) {
 			continue
 		}
 		added++
-		if m.st.Add(t) {
-			delta = append(delta, t)
+		if !m.st.Add(t) {
+			continue // already entailed, and so are its consequences
+		}
+		if m.cl.voc.IsConstraintProperty(t.P) {
+			schemaChanged = true
+		} else {
+			fresh = append(fresh, t)
 		}
 	}
-	m.seminaive(delta)
+	n := len(fresh)
+	if schemaChanged {
+		old := m.cl
+		m.recompile()
+		for _, t := range m.cl.sch.Minus(old.sch) {
+			m.add(t)
+		}
+		fresh = m.cl.diff(old).affected(fresh, m.st, m.cl.voc)
+	}
+	for i := 0; i < n; i++ {
+		fresh = m.cl.appendConsequences(fresh, fresh[i])
+	}
+	for _, t := range fresh[n:] {
+		m.add(t)
+	}
+	m.buf = fresh[:0]
 	return added
 }
 
-// Delete removes base triples and maintains the saturation with DRed:
-// (1) overdelete everything transitively derived using a deleted triple,
-// (2) re-derive whatever is still entailed by the remaining graph.
-// It returns the number of base triples actually removed.
+// Delete removes base triples and maintains the saturation. The candidates
+// are the deleted triples and their consequences, plus, when a constraint
+// triple goes, what the closure's lost list entries carried the stored
+// triples to. Each candidate stays if it is still supported one step back
+// (see closure.supported) — the non-type candidates first, so the rdf:type
+// ones are checked against settled domain and range evidence. It returns the
+// number of base triples actually removed.
 func (m *Materialization) Delete(ts ...store.Triple) int {
 	m.Stats = Stats{}
-	// Phase 0: retract base facts.
-	removedBase := 0
-	var seeds []store.Triple
+	removed, schemaChanged := 0, false
+	cands := m.buf[:0]
 	for _, t := range ts {
 		if !m.base.Remove(t) {
 			continue
 		}
-		removedBase++
-		seeds = append(seeds, t)
-	}
-	if removedBase == 0 {
-		return 0
-	}
-
-	// Phase 1: overdeletion. Compute the set of triples whose derivations
-	// may involve a deleted triple, joining against the still-intact store
-	// so every instantiation that existed before the deletion is seen.
-	over := make(map[store.Triple]struct{})
-	queue := make([]store.Triple, 0, len(seeds))
-	for _, t := range seeds {
-		if _, ok := over[t]; !ok {
-			over[t] = struct{}{}
-			queue = append(queue, t)
-		}
-	}
-	for len(queue) > 0 {
-		t := queue[0]
-		queue = queue[1:]
-		for ri := range m.rules {
-			r := &m.rules[ri]
-			for pos := 0; pos < 2; pos++ {
-				forEachInstantiation(m.st, r, pos, t, &m.sc, func(c store.Triple) {
-					if _, dead := over[c]; dead {
-						return
-					}
-					if m.base.Contains(c) {
-						return // still explicitly asserted: keep
-					}
-					if !m.st.Contains(c) {
-						return
-					}
-					over[c] = struct{}{}
-					queue = append(queue, c)
-				})
-			}
-		}
-	}
-
-	// Physically remove the overdeleted triples.
-	for t := range over {
-		m.st.Remove(t)
-	}
-	m.Stats.Overdeleted = len(over)
-
-	// Phase 2: re-derivation. An overdeleted triple survives if some rule
-	// instantiation over the remaining store still concludes it; re-derived
-	// triples then propagate semi-naively (they may resurrect others).
-	var redelta []store.Triple
-	for t := range over {
-		if m.derivableOneStep(t) {
-			m.st.Add(t)
-			m.Stats.Rederived++
-			redelta = append(redelta, t)
-		}
-	}
-	m.seminaive(redelta)
-	return removedBase
-}
-
-// derivableOneStep reports whether some rule instantiation over the current
-// store concludes t. It shares the materialization's scratch buffers (it is
-// never nested inside forEachInstantiation).
-func (m *Materialization) derivableOneStep(t store.Triple) bool {
-	for ri := range m.rules {
-		r := &m.rules[ri]
-		m.sc.grow(r.NVars)
-		b, b2, b3 := m.sc.b, m.sc.b2, m.sc.b3
-		if !matchPattern(r.Conclusion, t, b) {
+		removed++
+		if m.cl.voc.IsConstraintProperty(t.P) {
+			schemaChanged = true
 			continue
 		}
-		found := false
-		p0 := instantiate(r.Premises[0], b)
-		m.st.ForEachMatch(p0, func(u store.Triple) bool {
-			copy(b2, b)
-			if !matchPattern(r.Premises[0], u, b2) {
-				return true
+		cands = append(cands, t)
+		cands = m.cl.appendConsequences(cands, t)
+	}
+	var gone []store.Triple
+	if schemaChanged {
+		old := m.cl
+		m.recompile()
+		cands = old.diff(m.cl).affected(cands, m.st, m.cl.voc)
+		gone = old.sch.Minus(m.cl.sch)
+	}
+	typ := m.cl.voc.Type
+	for pass := 0; pass < 2; pass++ {
+		for _, t := range cands {
+			if (t.P == typ) != (pass == 1) || !m.st.Contains(t) {
+				continue
 			}
-			p1 := instantiate(r.Premises[1], b2)
-			m.st.ForEachMatch(p1, func(v store.Triple) bool {
-				copy(b3, b2)
-				if matchPattern(r.Premises[1], v, b3) && instantiate(r.Conclusion, b3) == t {
-					found = true
-					return false
-				}
-				return true
-			})
-			return !found
-		})
-		if found {
-			return true
+			m.Stats.Checked++
+			if !m.cl.supported(t, m.base, m.st) {
+				m.st.Remove(t)
+				m.Stats.Retracted++
+			}
 		}
 	}
-	return false
+	for _, t := range gone {
+		if m.st.Remove(t) {
+			m.Stats.Retracted++
+		}
+	}
+	m.buf = cands[:0]
+	return removed
+}
+
+// recompile rebuilds the closure from the base's constraint triples. Those
+// are all in the store, among the previous closure's triples, so the store
+// enumerates them and the base set filters out the derived ones.
+func (m *Materialization) recompile() {
+	m.cl = compile(schema.Extract(baseSource{m.st, m.base}, m.cl.voc))
+}
+
+// baseSource reads the triples of st that are in base.
+type baseSource struct {
+	st   *store.Store
+	base *store.TripleSet
+}
+
+func (b baseSource) ForEachMatch(pat store.Triple, fn func(store.Triple) bool) {
+	b.st.ForEachMatch(pat, func(t store.Triple) bool {
+		return !b.base.Contains(t) || fn(t)
+	})
 }
 
 // Saturate is a convenience wrapper: it returns a new store holding the

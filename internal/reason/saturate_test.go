@@ -248,7 +248,7 @@ func TestInsertMatchesResaturation(t *testing.T) {
 	for _, batch := range inserts {
 		m.Insert(batch...)
 		all = append(all, batch...)
-		want := Materialize(e.storeOf(all...), rules)
+		want := genericMaterialize(e.storeOf(all...), rules)
 		if !storesEqual(m.Store(), want.Store()) {
 			t.Fatalf("after inserting %v: incremental store (%d triples) != resaturation (%d triples)",
 				batch, m.Store().Len(), want.Store().Len())
@@ -317,7 +317,7 @@ func TestDeleteKeepsMultiplySupportedTriples(t *testing.T) {
 	m := Materialize(st, RDFSRules(e.voc))
 	m.Delete(e.tr("tom", "type", "Cat"))
 	if !m.Store().Contains(e.tr("tom", "type", "Mammal")) {
-		t.Error("explicitly asserted triple deleted by DRed")
+		t.Error("explicitly asserted triple deleted by maintenance")
 	}
 }
 
@@ -387,9 +387,9 @@ func TestDeleteMatchesResaturation(t *testing.T) {
 		m := Materialize(e.storeOf(base...), rules)
 		m.Delete(base[i])
 		remaining := append(append([]store.Triple{}, base[:i]...), base[i+1:]...)
-		want := Materialize(e.storeOf(remaining...), rules)
+		want := genericMaterialize(e.storeOf(remaining...), rules)
 		if !storesEqual(m.Store(), want.Store()) {
-			t.Errorf("deleting %v: DRed result (%d) differs from resaturation (%d)",
+			t.Errorf("deleting %v: maintained result (%d) differs from resaturation (%d)",
 				base[i], m.Store().Len(), want.Store().Len())
 		}
 	}
@@ -399,7 +399,8 @@ func TestDeleteMatchesResaturation(t *testing.T) {
 // instance and schema inserts and deletes — single triples and small
 // batches, cyclic subClassOf/subPropertyOf edges, domain/range on
 // sub-properties — through one Materialization and, after every step,
-// compares the maintained store with a fresh Materialize of the tracked base.
+// compares the maintained store with the generic engine's saturation of the
+// tracked base.
 func TestMaintenanceRandomisedAgainstResaturation(t *testing.T) {
 	classes := []string{"A", "B", "C", "D"}
 	props := []string{"p", "q", "r"}
@@ -463,7 +464,7 @@ func TestMaintenanceRandomisedAgainstResaturation(t *testing.T) {
 			for tr := range current {
 				base.Add(tr)
 			}
-			want := Materialize(base, rules)
+			want := genericMaterialize(base, rules)
 			if !storesEqual(m.Store(), want.Store()) || m.BaseLen() != len(current) {
 				t.Fatalf("seed %d step %d (insert=%v %v): maintained store %d triples, base %d; resaturation %d triples, base %d",
 					seed, step, insert, batch, m.Store().Len(), m.BaseLen(), want.Store().Len(), len(current))
@@ -511,11 +512,50 @@ func TestSaturateStatsAndHelper(t *testing.T) {
 	if st.Len() != 3 {
 		t.Errorf("Saturate store len = %d, want 3", st.Len())
 	}
-	if stats.Derived != 1 {
-		t.Errorf("stats.Derived = %d, want 1", stats.Derived)
+	if stats != (Stats{Derived: 1}) {
+		t.Errorf("saturation stats = %+v, want 1 derived and no deletion counters", stats)
 	}
-	if stats.Rounds < 1 {
-		t.Error("stats.Rounds should be at least 1")
+	// An insertion counts the triples it derives; a deletion the support
+	// checks it makes and the triples it retracts.
+	m := Materialize(e.tomGraph(), RDFSRules(e.voc))
+	m.Insert(e.tr("Mammal", "sco", "Animal"), e.tr("felix", "type", "Cat"))
+	// tom type Animal, felix type Mammal, felix type Animal, Cat ⊑ Animal.
+	if m.Stats != (Stats{Derived: 4}) {
+		t.Errorf("insert stats = %+v, want 4 derived", m.Stats)
+	}
+	m.Delete(e.tr("felix", "type", "Cat"))
+	// Three candidates, all retracted: felix type Cat, Mammal and Animal.
+	if m.Stats != (Stats{Checked: 3, Retracted: 3}) {
+		t.Errorf("delete stats = %+v, want 3 checked and 3 retracted", m.Stats)
+	}
+	m.Insert(e.tr("tom", "type", "Animal"))
+	m.Delete(e.tr("Mammal", "sco", "Animal"))
+	// The lost edges Mammal ⊑ Animal and Cat ⊑ Animal leave tom type Animal
+	// asserted (checked twice, kept) and retract the two schema triples.
+	if m.Stats != (Stats{Checked: 2, Retracted: 2}) {
+		t.Errorf("schema delete stats = %+v, want 2 checked and 2 retracted", m.Stats)
+	}
+}
+
+// TestMaterializeRefusesOtherRuleSets pins that the compiled closure runs
+// RDFSRules and nothing else: a rule set it does not implement panics
+// instead of being silently saturated as RDFS.
+func TestMaterializeRefusesOtherRuleSets(t *testing.T) {
+	e := newEnv()
+	for name, rules := range map[string][]Rule{
+		"extra rule":   append(RDFSRules(e.voc), RDFSRules(e.voc)[0]),
+		"missing rule": RDFSRules(e.voc)[1:],
+		"renamed rule": append([]Rule{{Name: "rdfs5'"}}, RDFSRules(e.voc)[1:]...),
+		"none":         nil,
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: Materialize did not panic", name)
+				}
+			}()
+			Materialize(e.tomGraph(), rules)
+		}()
 	}
 }
 
@@ -537,7 +577,7 @@ func TestUserDefinedRule(t *testing.T) {
 		t.Fatal(err)
 	}
 	rules := append(RDFSRules(e.voc), custom)
-	m := Materialize(e.storeOf(
+	m := genericMaterialize(e.storeOf(
 		e.tr("a", "worksWith", "b"),
 		e.tr("b", "worksWith", "c"),
 		e.tr("c", "worksWith", "d"),
@@ -664,7 +704,7 @@ func TestSaturateConclusionIntoIteratedLeaf(t *testing.T) {
 	want := naiveClosure(base, []Rule{rule})
 
 	for name, got := range map[string]*store.Store{
-		"materialize": Materialize(g, []Rule{rule}).Store(),
+		"generic": genericMaterialize(g, []Rule{rule}).Store(),
 	} {
 		if got.Len() != len(want) {
 			t.Errorf("%s: closure has %d triples, want %d", name, got.Len(), len(want))

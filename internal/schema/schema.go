@@ -10,6 +10,7 @@
 package schema
 
 import (
+	"slices"
 	"sort"
 
 	"repro/internal/dict"
@@ -45,41 +46,46 @@ func (v Vocab) IsConstraintProperty(p dict.ID) bool {
 	return p == v.SubClassOf || p == v.SubPropertyOf || p == v.Domain || p == v.Range
 }
 
-type idSet map[dict.ID]struct{}
+// relation is a closed binary relation frozen for reading: every key's
+// related IDs as one ascending slice, built once by Extract. Accessors hand
+// the slices out as they are, so reads sort and allocate nothing; callers
+// must not modify them (each slice's capacity equals its length, so an
+// append copies instead of writing into the schema).
+type relation map[dict.ID][]dict.ID
 
-func (s idSet) add(id dict.ID) bool {
-	if _, ok := s[id]; ok {
-		return false
-	}
-	s[id] = struct{}{}
-	return true
+// has reports whether b is related to a.
+func (r relation) has(a, b dict.ID) bool {
+	_, ok := slices.BinarySearch(r[a], b)
+	return ok
 }
 
-func (s idSet) sorted() []dict.ID {
-	out := make([]dict.ID, 0, len(s))
-	for id := range s {
-		out = append(out, id)
+// pairs returns the number of related pairs.
+func (r relation) pairs() int {
+	n := 0
+	for _, ids := range r {
+		n += len(ids)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return n
 }
 
 // Schema is the closed RDFS ontology of a graph. All relations are strict
 // (they never contain c ⊑ c unless the input contains a cycle through c).
+// A Schema is immutable once Extract returns it, and the slices its
+// accessors return are its own: read them, never modify them.
 type Schema struct {
 	voc Vocab
 
-	subClass  map[dict.ID]idSet // class -> strict superclasses (closed)
-	superOf   map[dict.ID]idSet // class -> strict subclasses (closed, inverse)
-	subProp   map[dict.ID]idSet // property -> strict superproperties (closed)
-	subPropOf map[dict.ID]idSet // property -> strict subproperties (closed, inverse)
-	domain    map[dict.ID]idSet // property -> domain classes (closed)
-	rng       map[dict.ID]idSet // property -> range classes (closed)
-	domOf     map[dict.ID]idSet // class -> properties with that domain (closed, inverse)
-	rngOf     map[dict.ID]idSet // class -> properties with that range (closed, inverse)
+	subClass  relation // class -> strict superclasses (closed)
+	superOf   relation // class -> strict subclasses (closed, inverse)
+	subProp   relation // property -> strict superproperties (closed)
+	subPropOf relation // property -> strict subproperties (closed, inverse)
+	domain    relation // property -> domain classes (closed)
+	rng       relation // property -> range classes (closed)
+	domOf     relation // class -> properties with that domain (closed, inverse)
+	rngOf     relation // class -> properties with that range (closed, inverse)
 
-	classes    idSet // every ID that occurs in class position of a constraint
-	properties idSet // every ID that occurs in property position of a constraint
+	classes    []dict.ID // every ID that occurs in class position of a constraint
+	properties []dict.ID // every ID that occurs in property position of a constraint
 }
 
 // TripleSource is the read capability Extract needs; *store.Store satisfies
@@ -89,114 +95,154 @@ type TripleSource interface {
 }
 
 // Extract builds the closed schema from the constraint triples in st.
+// Schemas are small, so it numbers their IDs densely and closes the
+// relations over slices indexed by that number; only the frozen result is
+// keyed by dict.ID.
 func Extract(st TripleSource, voc Vocab) *Schema {
-	s := &Schema{
-		voc:       voc,
-		subClass:  map[dict.ID]idSet{},
-		superOf:   map[dict.ID]idSet{},
-		subProp:   map[dict.ID]idSet{},
-		subPropOf: map[dict.ID]idSet{},
-		domain:    map[dict.ID]idSet{},
-		rng:       map[dict.ID]idSet{},
-		domOf:     map[dict.ID]idSet{},
-		rngOf:     map[dict.ID]idSet{},
-
-		classes:    idSet{},
-		properties: idSet{},
-	}
-	add := func(m map[dict.ID]idSet, k, v dict.ID) bool {
-		set, ok := m[k]
+	index := map[dict.ID]int32{}
+	var ids []dict.ID
+	var isClass, isProp []bool
+	number := func(id dict.ID, class bool) int32 {
+		i, ok := index[id]
 		if !ok {
-			set = idSet{}
-			m[k] = set
+			i = int32(len(ids))
+			index[id] = i
+			ids = append(ids, id)
+			isClass, isProp = append(isClass, false), append(isProp, false)
 		}
-		return set.add(v)
+		if class {
+			isClass[i] = true
+		} else {
+			isProp[i] = true
+		}
+		return i
 	}
-	for _, p := range []dict.ID{voc.SubClassOf, voc.SubPropertyOf, voc.Domain, voc.Range} {
+	// edges holds the asserted subClassOf, subPropertyOf, domain and range
+	// pairs, in that order.
+	var edges [4][][2]int32
+	for k, p := range [4]dict.ID{voc.SubClassOf, voc.SubPropertyOf, voc.Domain, voc.Range} {
 		st.ForEachMatch(store.Triple{P: p}, func(t store.Triple) bool {
-			switch p {
-			case voc.SubClassOf:
-				add(s.subClass, t.S, t.O)
-				s.classes.add(t.S)
-				s.classes.add(t.O)
-			case voc.SubPropertyOf:
-				add(s.subProp, t.S, t.O)
-				s.properties.add(t.S)
-				s.properties.add(t.O)
-			case voc.Domain:
-				add(s.domain, t.S, t.O)
-				s.properties.add(t.S)
-				s.classes.add(t.O)
-			case voc.Range:
-				add(s.rng, t.S, t.O)
-				s.properties.add(t.S)
-				s.classes.add(t.O)
-			}
+			edges[k] = append(edges[k], [2]int32{number(t.S, k == 0), number(t.O, k != 1)})
 			return true
 		})
 	}
-
-	transitiveClose(s.subClass)
-	transitiveClose(s.subProp)
-
-	// Propagate domain/range: through superproperties downwards
-	// (p ⊑ p', p' domain c ⇒ p domain c) and through superclasses upwards
-	// (p domain c, c ⊑ c' ⇒ p domain c').
-	propagate := func(constraint map[dict.ID]idSet) {
-		for p, supers := range s.subProp {
-			for sup := range supers {
-				for c := range constraint[sup] {
-					add(constraint, p, c)
-				}
-			}
+	n := len(ids)
+	out := func(es [][2]int32) [][]int32 {
+		adj := make([][]int32, n)
+		for _, e := range es {
+			adj[e[0]] = append(adj[e[0]], e[1])
 		}
-		for p, cs := range constraint {
-			for c := range cs {
-				for sup := range s.subClass[c] {
-					add(constraint, p, sup)
-				}
-			}
-		}
+		return adj
 	}
-	propagate(s.domain)
-	propagate(s.rng)
-
-	// Build inverses.
-	invert := func(m, inv map[dict.ID]idSet) {
-		for k, vs := range m {
-			for v := range vs {
-				add(inv, v, k)
+	// seen[v] == mark records that v is already collected for the node the
+	// current pass works on; each pass takes a fresh mark.
+	seen, mark := make([]int, n), 0
+	var stack []int32
+	// closure returns every node's strict transitive closure under adj: the
+	// nodes one or more steps away, itself only through a cycle.
+	closure := func(adj [][]int32) [][]int32 {
+		reach := make([][]int32, n)
+		for u := range adj {
+			if len(adj[u]) == 0 {
+				continue
 			}
-		}
-	}
-	invert(s.subClass, s.superOf)
-	invert(s.subProp, s.subPropOf)
-	invert(s.domain, s.domOf)
-	invert(s.rng, s.rngOf)
-	return s
-}
-
-// transitiveClose closes reach-to maps in place (reach[a] ∋ b, reach[b] ∋ c
-// ⇒ reach[a] ∋ c). Schemas are small, so a simple per-node DFS suffices.
-func transitiveClose(reach map[dict.ID]idSet) {
-	for start := range reach {
-		// DFS from start over the original+growing edges; since we only ever
-		// add reachable nodes, iterating to fixpoint per node is sound.
-		stack := reach[start].sorted()
-		seen := idSet{}
-		for _, n := range stack {
-			seen.add(n)
-		}
-		for len(stack) > 0 {
-			n := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			for m := range reach[n] {
-				if seen.add(m) {
-					reach[start].add(m)
-					stack = append(stack, m)
+			mark++
+			stack = append(stack[:0], int32(u))
+			for len(stack) > 0 {
+				v := stack[len(stack)-1]
+				stack = stack[:len(stack)-1]
+				for _, w := range adj[v] {
+					if seen[w] != mark {
+						seen[w] = mark
+						reach[u] = append(reach[u], w)
+						stack = append(stack, w)
+					}
 				}
 			}
 		}
+		return reach
+	}
+	superClass, superProp := closure(out(edges[0])), closure(out(edges[1]))
+	// propagate closes domain (or range) constraints: through
+	// superproperties downwards (p ⊑ p', p' domain c ⇒ p domain c) and
+	// through superclasses upwards (p domain c, c ⊑ c' ⇒ p domain c').
+	collect := func(cs, from []int32) []int32 {
+		for _, c := range from {
+			if seen[c] != mark {
+				seen[c] = mark
+				cs = append(cs, c)
+			}
+		}
+		return cs
+	}
+	propagate := func(adj [][]int32) [][]int32 {
+		closed := make([][]int32, n)
+		for p := range closed {
+			mark++
+			cs := collect(nil, adj[p])
+			for _, q := range superProp[p] {
+				cs = collect(cs, adj[q])
+			}
+			for i := 0; i < len(cs); i++ {
+				cs = collect(cs, superClass[cs[i]])
+			}
+			closed[p] = cs
+		}
+		return closed
+	}
+	domain, rng := propagate(out(edges[2])), propagate(out(edges[3]))
+	invert := func(rel [][]int32) [][]int32 {
+		inv := make([][]int32, n)
+		for u, vs := range rel {
+			for _, v := range vs {
+				inv[v] = append(inv[v], int32(u))
+			}
+		}
+		return inv
+	}
+	// freeze keys rel by dict.ID, each list sorted and carved from one
+	// backing array with its capacity capped at its length.
+	freeze := func(rel [][]int32) relation {
+		total, keys := 0, 0
+		for _, vs := range rel {
+			if len(vs) > 0 {
+				total, keys = total+len(vs), keys+1
+			}
+		}
+		r := make(relation, keys)
+		backing := make([]dict.ID, total)
+		for u, vs := range rel {
+			if len(vs) == 0 {
+				continue
+			}
+			list := backing[:len(vs):len(vs)]
+			backing = backing[len(vs):]
+			for i, v := range vs {
+				list[i] = ids[v]
+			}
+			slices.Sort(list)
+			r[ids[u]] = list
+		}
+		return r
+	}
+	members := func(in []bool) []dict.ID {
+		var out []dict.ID
+		for i, ok := range in {
+			if ok {
+				out = append(out, ids[i])
+			}
+		}
+		slices.Sort(out)
+		return slices.Clip(out)
+	}
+	return &Schema{
+		voc:      voc,
+		subClass: freeze(superClass), superOf: freeze(invert(superClass)),
+		subProp: freeze(superProp), subPropOf: freeze(invert(superProp)),
+		domain: freeze(domain), domOf: freeze(invert(domain)),
+		rng: freeze(rng), rngOf: freeze(invert(rng)),
+		classes:    members(isClass),
+		properties: members(isProp),
 	}
 }
 
@@ -204,64 +250,74 @@ func transitiveClose(reach map[dict.ID]idSet) {
 func (s *Schema) Vocab() Vocab { return s.voc }
 
 // SubClasses returns the strict subclasses of c, sorted.
-func (s *Schema) SubClasses(c dict.ID) []dict.ID { return s.superOf[c].sorted() }
+func (s *Schema) SubClasses(c dict.ID) []dict.ID { return s.superOf[c] }
 
 // SuperClasses returns the strict superclasses of c, sorted.
-func (s *Schema) SuperClasses(c dict.ID) []dict.ID { return s.subClass[c].sorted() }
+func (s *Schema) SuperClasses(c dict.ID) []dict.ID { return s.subClass[c] }
 
 // SubProperties returns the strict subproperties of p, sorted.
-func (s *Schema) SubProperties(p dict.ID) []dict.ID { return s.subPropOf[p].sorted() }
+func (s *Schema) SubProperties(p dict.ID) []dict.ID { return s.subPropOf[p] }
 
 // SuperProperties returns the strict superproperties of p, sorted.
-func (s *Schema) SuperProperties(p dict.ID) []dict.ID { return s.subProp[p].sorted() }
+func (s *Schema) SuperProperties(p dict.ID) []dict.ID { return s.subProp[p] }
 
 // Domains returns the (closed) domain classes of property p, sorted.
-func (s *Schema) Domains(p dict.ID) []dict.ID { return s.domain[p].sorted() }
+func (s *Schema) Domains(p dict.ID) []dict.ID { return s.domain[p] }
 
 // Ranges returns the (closed) range classes of property p, sorted.
-func (s *Schema) Ranges(p dict.ID) []dict.ID { return s.rng[p].sorted() }
+func (s *Schema) Ranges(p dict.ID) []dict.ID { return s.rng[p] }
 
 // PropertiesWithDomain returns properties whose closed domain includes c.
-func (s *Schema) PropertiesWithDomain(c dict.ID) []dict.ID { return s.domOf[c].sorted() }
+func (s *Schema) PropertiesWithDomain(c dict.ID) []dict.ID { return s.domOf[c] }
 
 // PropertiesWithRange returns properties whose closed range includes c.
-func (s *Schema) PropertiesWithRange(c dict.ID) []dict.ID { return s.rngOf[c].sorted() }
+func (s *Schema) PropertiesWithRange(c dict.ID) []dict.ID { return s.rngOf[c] }
 
 // IsSubClassOf reports whether c1 is a strict subclass of c2 in the closure.
 func (s *Schema) IsSubClassOf(c1, c2 dict.ID) bool {
-	_, ok := s.subClass[c1][c2]
-	return ok
+	return s.subClass.has(c1, c2)
 }
 
 // IsSubPropertyOf reports whether p1 is a strict subproperty of p2.
 func (s *Schema) IsSubPropertyOf(p1, p2 dict.ID) bool {
-	_, ok := s.subProp[p1][p2]
-	return ok
+	return s.subProp.has(p1, p2)
+}
+
+// Minus returns the triples of s's closure that o's closure lacks, in no
+// particular order: what a schema update adds to the closed schema (s the
+// new version) or removes from it (s the old one).
+func (s *Schema) Minus(o *Schema) []store.Triple {
+	var out []store.Triple
+	for _, r := range [...]struct {
+		p    dict.ID
+		a, b relation
+	}{
+		{s.voc.SubClassOf, s.subClass, o.subClass},
+		{s.voc.SubPropertyOf, s.subProp, o.subProp},
+		{s.voc.Domain, s.domain, o.domain},
+		{s.voc.Range, s.rng, o.rng},
+	} {
+		for k, ids := range r.a {
+			for _, x := range ids {
+				if !r.b.has(k, x) {
+					out = append(out, store.Triple{S: k, P: r.p, O: x})
+				}
+			}
+		}
+	}
+	return out
 }
 
 // Classes returns every ID used as a class in some constraint, sorted.
-func (s *Schema) Classes() []dict.ID { return s.classes.sorted() }
+func (s *Schema) Classes() []dict.ID { return s.classes }
 
 // Properties returns every ID used as a property in some constraint, sorted.
-func (s *Schema) Properties() []dict.ID { return s.properties.sorted() }
+func (s *Schema) Properties() []dict.ID { return s.properties }
 
 // Size returns the number of (closed) constraint pairs, a measure of the
 // ontology's size used in reports.
 func (s *Schema) Size() int {
-	n := 0
-	for _, set := range s.subClass {
-		n += len(set)
-	}
-	for _, set := range s.subProp {
-		n += len(set)
-	}
-	for _, set := range s.domain {
-		n += len(set)
-	}
-	for _, set := range s.rng {
-		n += len(set)
-	}
-	return n
+	return s.subClass.pairs() + s.subProp.pairs() + s.domain.pairs() + s.rng.pairs()
 }
 
 // ClosureTriples returns the closed schema as encoded triples (including the
@@ -269,9 +325,9 @@ func (s *Schema) Size() int {
 // saturated graph contains the schema closure, as the RDFS rules require.
 func (s *Schema) ClosureTriples() []store.Triple {
 	var out []store.Triple
-	appendAll := func(m map[dict.ID]idSet, p dict.ID) {
+	appendAll := func(m relation, p dict.ID) {
 		for sub, objs := range m {
-			for obj := range objs {
+			for _, obj := range objs {
 				out = append(out, store.Triple{S: sub, P: p, O: obj})
 			}
 		}

@@ -180,7 +180,7 @@ func (p *postings) clone() *postings { return &postings{ids: slices.Clone(p.ids)
 // cloneAt is the copy-on-write step: an independent copy stamped with the
 // given epoch, made with one allocation and one memmove. The copy has room
 // for a sixteenth more IDs, so the inserts that follow in the same epoch —
-// a drain's appends, DRed's rederivations after its overdeletion — land in
+// a drain's appends, a schema update's new consequences — land in
 // it without a second copy. The room is deliberately smaller than append's
 // amortised quarter: every epoch that writes a hot run copies it once, so
 // the slack is paid on every copy and, under a sustained write stream, it

@@ -12,8 +12,8 @@ import (
 // hash-trie SPO index, copy-on-write snapshot machinery and binary
 // codec as Store, minus the two extra access orders. It exists for state
 // that is a set, not a database — the materialization's record of which
-// triples are explicitly asserted does only point lookups (DRed's IsBase
-// checks) and point updates, so carrying POS and OSP for it would triple the
+// triples are explicitly asserted does only point lookups (IsBase and the
+// support checks of a deletion) and point updates, so carrying POS and OSP for it would triple the
 // memory, checkpoint bytes and snapshot-load work for nothing.
 type TripleSet struct {
 	ix   index
@@ -94,6 +94,13 @@ func (s *TripleSet) Remove(t Triple) bool {
 // The set must not be mutated from inside fn; iteration order is
 // unspecified but deterministic for a given set state.
 func (s *TripleSet) ForEach(fn func(Triple) bool) { forEachInIndex(&s.ix, fn) }
+
+// CloneSet returns a TripleSet holding the store's triples: a deep copy of
+// its SPO index, so the set is built without re-inserting the triples one by
+// one.
+func (s *Store) CloneSet() *TripleSet {
+	return &TripleSet{ix: s.spo.clone(), size: s.size}
+}
 
 // Clone returns an independent deep copy.
 func (s *TripleSet) Clone() *TripleSet {

@@ -148,3 +148,38 @@ func TestReadSetBinaryRejectsCorrupt(t *testing.T) {
 		t.Error("ID beyond dictionary accepted")
 	}
 }
+
+// TestCloneSet builds a TripleSet from a store's SPO index: same triples,
+// and neither side sees the other's later mutations, snapshots included.
+func TestCloneSet(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	st := New()
+	for i := 0; i < 500; i++ {
+		st.Add(Triple{dict.ID(rng.Intn(20) + 1), dict.ID(rng.Intn(4) + 1), dict.ID(rng.Intn(30) + 1)})
+	}
+	snap := st.Snapshot()
+	set := st.CloneSet()
+	if set.Len() != st.Len() {
+		t.Fatalf("Len = %d, want %d", set.Len(), st.Len())
+	}
+	n := 0
+	set.ForEach(func(tr Triple) bool {
+		if !st.Contains(tr) {
+			t.Fatalf("set holds %v, store does not", tr)
+		}
+		n++
+		return true
+	})
+	if n != st.Len() {
+		t.Fatalf("ForEach yielded %d, want %d", n, st.Len())
+	}
+	var some Triple
+	st.ForEachMatch(Triple{}, func(tr Triple) bool { some = tr; return false })
+	if !set.Remove(some) || !st.Contains(some) || !snap.Contains(some) {
+		t.Fatal("removing from the set reached the store")
+	}
+	fresh := Triple{99, 99, 99}
+	if !st.Add(fresh) || set.Contains(fresh) {
+		t.Fatal("adding to the store reached the set")
+	}
+}

@@ -68,9 +68,16 @@ func newLexer(src string) *lexer { return &lexer{src: src, line: 1} }
 type Error struct {
 	Line int
 	Msg  string
+	// Err is the cause, when the statement parsed but its triple is refused:
+	// an error wrapping rdf.ErrIllFormed.
+	Err error
 }
 
 func (e *Error) Error() string { return fmt.Sprintf("turtle: line %d: %s", e.Line, e.Msg) }
+
+// Unwrap returns the cause, so errors.Is(err, rdf.ErrIllFormed) holds for a
+// refused triple.
+func (e *Error) Unwrap() error { return e.Err }
 
 func (l *lexer) errf(format string, args ...any) error {
 	return &Error{Line: l.line, Msg: fmt.Sprintf(format, args...)}

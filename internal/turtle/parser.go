@@ -173,7 +173,7 @@ func (p *parser) triples(g *rdf.Graph) error {
 			}
 			t := rdf.T(subj, pred, obj)
 			if err := t.WellFormed(); err != nil {
-				return p.errf(p.lex.line, "%v", err)
+				return &Error{Line: p.lex.line, Msg: err.Error(), Err: err}
 			}
 			g.Add(t)
 			sep, err := p.next()

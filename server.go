@@ -161,8 +161,8 @@ func (e *OverloadedError) Unwrap() []error { return []error{ErrOverloaded, e.Cau
 //   - a consistent closure of some prefix of the mutation sequence: all
 //     entailments of exactly the base triples from batches applied so far,
 //     never a partially-applied batch, never a store mid-maintenance (no
-//     torn index state, no half-propagated inferences, no transiently
-//     overdeleted triples from DRed's two phases);
+//     torn index state, no half-propagated inferences, no derived triple
+//     transiently removed while a deletion checks its support);
 //   - monotonic progress: successive reads observe the same or a later
 //     prefix, never an earlier one (the snapshot pointer only moves
 //     forward);

@@ -23,7 +23,8 @@
 # is made under GODEBUG=gctrace=1 and reported-only rows follow the table:
 # each side's median [q1–q3] of peak live heap (the largest live heap after a
 # collection in the run, which the gated heap_mb, sampled before the window,
-# does not see), of its number of collections and of its GC CPU share.
+# does not see), of its number of collections and of its GC CPU share, and on
+# fig3.batch of each of the five fig3.threshold_gmean lines a run closes with.
 #
 # The exports are `git archive` trees, not `git worktree`s: they leave nothing
 # registered in .git and HEAD may be a dirty working tree.

@@ -9,7 +9,9 @@
 // reads every run's full output, DIR/base.SEED.txt and DIR/head.SEED.txt,
 // taken under GODEBUG=gctrace=1 (pair i is each side's i-th seed), and adds
 // reported-only rows: per side, the median [q1–q3] of each run's peak live
-// heap, number of collections and GC CPU share.
+// heap, number of collections and GC CPU share; and, when the runs are of
+// fig3.batch, of each of the five fig3.threshold_gmean lines a run closes
+// with (Figure 3's thresholds, as geometric means over the queries).
 package main
 
 import (
@@ -183,9 +185,45 @@ func readTrace(r io.Reader) (gcTrace, error) {
 	return tr, sc.Err()
 }
 
-// traces returns the trace of every run log of one side, in pair order: the
-// logs are named SIDE.SEED.txt and pair i ran at the i-th seed.
-func traces(dir, side string) ([]gcTrace, error) {
+// gmeanLine matches one of the lines a fig3.batch run closes with,
+// "  fig3.threshold_gmean saturation threshold=658.0 executions (over …)",
+// capturing the threshold's name and its geometric mean over the queries.
+var gmeanLine = regexp.MustCompile(`^\s*fig3\.threshold_gmean (.+)=([0-9.]+) executions`)
+
+// readThresholds returns the fig3.threshold_gmean values in r, by name, and
+// the names in the order the run printed them; none for other workloads.
+func readThresholds(r io.Reader) (map[string]float64, []string, error) {
+	values := map[string]float64{}
+	var names []string
+	sc := bufio.NewScanner(r)
+	sc.Buffer(nil, 1<<20)
+	for sc.Scan() {
+		m := gmeanLine.FindStringSubmatch(sc.Text())
+		if m == nil {
+			continue
+		}
+		v, err := strconv.ParseFloat(m[2], 64)
+		if err != nil {
+			return nil, nil, err
+		}
+		if _, seen := values[m[1]]; !seen {
+			names = append(names, m[1])
+		}
+		values[m[1]] = v
+	}
+	return values, names, sc.Err()
+}
+
+// runLog is what abstat reads from one run's full output.
+type runLog struct {
+	gc         gcTrace
+	thresholds map[string]float64
+	names      []string // of thresholds, in printed order
+}
+
+// runLogs reads the log of every run of one side, in pair order: the logs
+// are named SIDE.SEED.txt and pair i ran at the i-th seed.
+func runLogs(dir, side string) ([]runLog, error) {
 	logs, err := filepath.Glob(filepath.Join(dir, side+".*.txt"))
 	if err != nil {
 		return nil, err
@@ -195,21 +233,23 @@ func traces(dir, side string) ([]gcTrace, error) {
 		return n
 	}
 	sort.Slice(logs, func(i, j int) bool { return seed(logs[i]) < seed(logs[j]) })
-	var out []gcTrace
+	var out []runLog
 	for _, path := range logs {
-		f, err := os.Open(path)
+		raw, err := os.ReadFile(path)
 		if err != nil {
 			return nil, err
 		}
-		tr, err := readTrace(f)
-		f.Close()
-		if err != nil {
+		var l runLog
+		if l.gc, err = readTrace(strings.NewReader(string(raw))); err != nil {
 			return nil, fmt.Errorf("%s: %w", path, err)
 		}
-		if tr.cycles == 0 {
+		if l.gc.cycles == 0 {
 			return nil, fmt.Errorf("%s: no gctrace lines (was the run made under GODEBUG=gctrace=1?)", path)
 		}
-		out = append(out, tr)
+		if l.thresholds, l.names, err = readThresholds(strings.NewReader(string(raw))); err != nil {
+			return nil, fmt.Errorf("%s: %w", path, err)
+		}
+		out = append(out, l)
 	}
 	if len(out) == 0 {
 		return nil, fmt.Errorf("no %s run logs in %s", side, dir)
@@ -256,12 +296,12 @@ func run(w io.Writer, benchPath, basePath, headPath, traceDir string) error {
 	if len(base) != len(head) || len(base) == 0 {
 		return fmt.Errorf("%d base runs and %d head runs: want the same number, at least one", len(base), len(head))
 	}
-	var bt, ht []gcTrace
+	var bt, ht []runLog
 	if traceDir != "" {
-		if bt, err = traces(traceDir, "base"); err != nil {
+		if bt, err = runLogs(traceDir, "base"); err != nil {
 			return err
 		}
-		if ht, err = traces(traceDir, "head"); err != nil {
+		if ht, err = runLogs(traceDir, "head"); err != nil {
 			return err
 		}
 		if len(bt) != len(base) || len(ht) != len(head) {
@@ -274,14 +314,14 @@ func run(w io.Writer, benchPath, basePath, headPath, traceDir string) error {
 		for _, side := range []struct {
 			name   string
 			l      driverLine
-			traces []gcTrace
+			traces []runLog
 		}{{"base", base[i], bt}, {"head", head[i], ht}} {
 			if !side.l.Killed {
 				continue
 			}
 			fmt.Fprintf(w, "  pair %d: %s exited %d; last line: %s\n", i+1, side.name, side.l.Exit, side.l.Last)
 			if side.traces != nil {
-				tr := side.traces[i]
+				tr := side.traces[i].gc
 				fmt.Fprintf(w, "  pair %d: %s's trace ends at %s MB peak live heap after %d collections, GC CPU %s%%\n",
 					i+1, side.name, num(tr.peakMB), tr.cycles, num(tr.cpuPct))
 			}
@@ -323,14 +363,25 @@ func run(w io.Writer, benchPath, basePath, headPath, traceDir string) error {
 		} {
 			var b, h []float64
 			for _, i := range pairs {
-				b, h = append(b, row.of(bt[i])), append(h, row.of(ht[i]))
+				b, h = append(b, row.of(bt[i].gc)), append(h, row.of(ht[i].gc))
 			}
-			bq1, bmed, bq3 := quartiles(b)
-			hq1, hmed, hq3 := quartiles(h)
-			fmt.Fprintf(w, "%-13s %-38s %-38s %-7s %s\n", row.name,
-				strings.TrimSpace(fmt.Sprintf("%s [%s–%s] %s", num(bmed), num(bq1), num(bq3), row.unit)),
-				strings.TrimSpace(fmt.Sprintf("%s [%s–%s] %s", num(hmed), num(hq1), num(hq3), row.unit)),
-				"-", fmt.Sprintf("reported only (%+.1f%%; %s, gctrace)", 100*(hmed-bmed)/bmed, row.note))
+			reportedRow(w, row.name, row.unit, fmt.Sprintf("%s, gctrace", row.note), b, h)
+		}
+		// Figure 3's thresholds, when both sides printed them in every pair.
+		if len(pairs) > 0 {
+			for _, name := range bt[pairs[0]].names {
+				var b, h []float64
+				for _, i := range pairs {
+					bv, ok1 := bt[i].thresholds[name]
+					hv, ok2 := ht[i].thresholds[name]
+					if ok1 && ok2 {
+						b, h = append(b, bv), append(h, hv)
+					}
+				}
+				if len(b) == len(pairs) {
+					reportedRow(w, "fig3 "+name, "executions", "fig3.threshold_gmean", b, h)
+				}
+			}
 		}
 	}
 	share := func(ls []driverLine) (failed, attempted int) {
@@ -351,9 +402,20 @@ func run(w io.Writer, benchPath, basePath, headPath, traceDir string) error {
 	return nil
 }
 
+// reportedRow prints one reported-only row: each side's median [q1–q3] of
+// its per-pair values and the change of the medians.
+func reportedRow(w io.Writer, name, unit, note string, b, h []float64) {
+	bq1, bmed, bq3 := quartiles(b)
+	hq1, hmed, hq3 := quartiles(h)
+	fmt.Fprintf(w, "%-13s %-38s %-38s %-7s %s\n", name,
+		strings.TrimSpace(fmt.Sprintf("%s [%s–%s] %s", num(bmed), num(bq1), num(bq3), unit)),
+		strings.TrimSpace(fmt.Sprintf("%s [%s–%s] %s", num(hmed), num(hq1), num(hq3), unit)),
+		"-", fmt.Sprintf("reported only (%+.1f%%; %s)", 100*(hmed-bmed)/bmed, note))
+}
+
 func main() {
 	bench := flag.String("bench", "BENCHMARK.json", "the benchmark declaration to take metrics, directions and bounds from")
-	gctrace := flag.String("gctrace", "", "directory of run logs (base.SEED.txt, head.SEED.txt) taken under GODEBUG=gctrace=1; adds peak live heap, GC count and GC CPU rows")
+	gctrace := flag.String("gctrace", "", "directory of run logs (base.SEED.txt, head.SEED.txt) taken under GODEBUG=gctrace=1; adds peak live heap, GC count and GC CPU rows, and fig3.batch's five threshold_gmean rows")
 	flag.Parse()
 	if flag.NArg() != 2 {
 		fmt.Fprintln(os.Stderr, "usage: abstat [-bench BENCHMARK.json] [-gctrace LOGDIR] base.jsonl head.jsonl")

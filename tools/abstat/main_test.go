@@ -148,3 +148,73 @@ func TestKilledRuns(t *testing.T) {
 		t.Errorf("no complete pair: want the kills reported and no table:\n%s", s)
 	}
 }
+
+// TestThresholdRows reads the fig3.threshold_gmean lines fig3.batch runs
+// close with and checks that each of the five becomes a reported-only row of
+// medians and quartiles per side, in the order the runs printed them, while
+// logs of another workload add no such row.
+func TestThresholdRows(t *testing.T) {
+	dir := t.TempDir()
+	write := func(name, body string) string {
+		t.Helper()
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	bench := write("BENCHMARK.json", `{"end_to_end": [{"name": "work_s", "unit": "1/s", "better": "higher", "bound": 0.25}]}`)
+	line := func(work float64) string {
+		return fmt.Sprintf(`{"attempted": 100, "failed": 0, "metrics": {"work_s": {"value": %v}}}`, work)
+	}
+	const gc = "gc 1 @0.1s 1%: 0.01+0.5+0.002 ms clock, 0.02+0.1/0.4/0.2+0.004 ms cpu, 4->4->1 MB, 4 MB goal, 2 P\n"
+	names := []string{"saturation threshold", "threshold for an instance insertion", "threshold for an instance deletion",
+		"threshold for a schema insertion", "threshold for a schema deletion"}
+	closing := func(scale float64) string {
+		var b strings.Builder
+		b.WriteString("  fig3.threshold Q1   saturation threshold=12 threshold for a schema deletion=3\n")
+		for i, n := range names {
+			fmt.Fprintf(&b, "  fig3.threshold_gmean %s=%.1f executions (over 14 of 14 queries with a finite threshold)\n", n, scale*float64(i+1))
+		}
+		return b.String()
+	}
+	for i, seed := range []int{1, 2, 3} {
+		write(fmt.Sprintf("base.%d.txt", seed), gc+line(40)+"\n"+closing(100+float64(i)))
+		write(fmt.Sprintf("head.%d.txt", seed), gc+line(80)+"\n"+closing(50+float64(i)))
+	}
+	base := write("base.jsonl", line(40)+"\n"+line(41)+"\n"+line(42)+"\n")
+	head := write("head.jsonl", line(80)+"\n"+line(81)+"\n"+line(82)+"\n")
+	var out strings.Builder
+	if err := run(&out, bench, base, head, dir); err != nil {
+		t.Fatal(err)
+	}
+	s := out.String()
+	at := -1
+	for i, n := range names {
+		row := fmt.Sprintf("fig3 %s %s [%s–%s] executions", n, num(101*float64(i+1)), num(100.5*float64(i+1)), num(101.5*float64(i+1)))
+		j := strings.Index(s, row)
+		if j < at {
+			t.Fatalf("row %q missing or out of order:\n%s", row, s)
+		}
+		at = j
+		if head := fmt.Sprintf("%s [%s–%s] executions", num(51*float64(i+1)), num(50.5*float64(i+1)), num(51.5*float64(i+1))); !strings.Contains(s[j:], head) {
+			t.Errorf("row %q lacks head's %q:\n%s", n, head, s)
+		}
+	}
+	if !strings.Contains(s, "reported only (-49.5%; fig3.threshold_gmean)") {
+		t.Errorf("threshold rows are not marked reported only:\n%s", s)
+	}
+
+	// Another workload's logs: no threshold rows.
+	for _, seed := range []int{1, 2, 3} {
+		write(fmt.Sprintf("base.%d.txt", seed), gc+line(40)+"\n")
+		write(fmt.Sprintf("head.%d.txt", seed), gc+line(80)+"\n")
+	}
+	out.Reset()
+	if err := run(&out, bench, base, head, dir); err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(out.String(), "fig3 ") {
+		t.Errorf("threshold rows without threshold lines:\n%s", out.String())
+	}
+}
