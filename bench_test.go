@@ -58,16 +58,26 @@ func getFixture(b testing.TB) *fixture {
 }
 
 // BenchmarkSaturate measures the one-time saturation cost (Figure 3's
-// fixed cost) at two scales.
+// fixed cost) at three scales: two miniature ones, and lubm=4x15, the
+// benchmark's own graph (LUBM defaults per department, 4 universities of
+// 15 departments, seed 1), whose ns/op is fig3.batch's saturate_ms.
 func BenchmarkSaturate(b *testing.B) {
-	for _, depts := range []int{2, 6} {
+	small := func(depts int) lubm.Config {
 		cfg := lubm.SmallConfig()
 		cfg.DeptsPerUniv = depts
+		return cfg
+	}
+	full := lubm.DefaultConfig()
+	full.Universities = 4
+	for _, sc := range []struct {
+		name string
+		cfg  lubm.Config
+	}{{benchName("depts", 2), small(2)}, {benchName("depts", 6), small(6)}, {"lubm=4x15", full}} {
 		kb := core.NewKB()
-		if _, err := kb.LoadGraph(lubm.GenerateWithOntology(cfg)); err != nil {
+		if _, err := kb.LoadGraph(lubm.GenerateWithOntology(sc.cfg)); err != nil {
 			b.Fatal(err)
 		}
-		b.Run(benchName("depts", depts), func(b *testing.B) {
+		b.Run(sc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				reason.Materialize(kb.Base(), kb.Rules())
@@ -227,14 +237,15 @@ func BenchmarkReformulate(b *testing.B) {
 
 // maintenance benchmarks: each op is paired with its undo inside the timed
 // loop, so the measured figure is (op + undo)/2 ≈ one maintenance step at
-// steady state (Figure 3 maintenance costs). The names keep the DRed
-// suffix of the engine they first measured, so their history stays one
-// series; maintenance is now the compiled closure's. The instance pair adds
-// one triple's consequences and support-checks them away again; the schema
-// pair recompiles the closure twice and visits the postings leaves of the
-// lists that change, which for a class without instances is none.
+// steady state (Figure 3 maintenance costs), by the compiled closure.
+// Until the DRed engine was deleted they were BenchmarkMaintainInstanceDRed
+// and BenchmarkMaintainSchemaDRed, the names results recorded before the
+// rename carry. The instance pair adds one triple's
+// consequences and support-checks them away again; the schema pair
+// recompiles the closure twice and visits the postings leaves of the lists
+// that change, which for a class without instances is none.
 
-func BenchmarkMaintainInstanceDRed(b *testing.B) {
+func BenchmarkMaintainInstance(b *testing.B) {
 	kb := core.NewKB()
 	if _, err := kb.LoadGraph(lubm.GenerateWithOntology(lubm.SmallConfig())); err != nil {
 		b.Fatal(err)
@@ -249,7 +260,7 @@ func BenchmarkMaintainInstanceDRed(b *testing.B) {
 	}
 }
 
-func BenchmarkMaintainSchemaDRed(b *testing.B) {
+func BenchmarkMaintainSchema(b *testing.B) {
 	kb := core.NewKB()
 	if _, err := kb.LoadGraph(lubm.GenerateWithOntology(lubm.SmallConfig())); err != nil {
 		b.Fatal(err)

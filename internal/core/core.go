@@ -139,22 +139,37 @@ func (kb *KB) Remove(t rdf.Triple) bool {
 	return kb.base.Remove(enc)
 }
 
-// LoadGraph asserts every triple of g, returning the number added.
+// LoadGraph asserts every triple of g, returning the number added. Every
+// triple is validated before any is encoded, so a graph with an ill-formed
+// triple adds nothing, to the base or to the dictionary. Into an empty KB
+// the base is built in one pass (store.Build) and replaces the empty store.
 func (kb *KB) LoadGraph(g *rdf.Graph) (int, error) {
-	n := 0
-	var firstErr error
+	var err error
 	g.ForEach(func(t rdf.Triple) bool {
-		added, err := kb.Add(t)
-		if err != nil {
-			firstErr = fmt.Errorf("loading %s: %w", t, err)
-			return false
+		if werr := t.WellFormed(); werr != nil {
+			err = fmt.Errorf("loading %s: %w", t, werr)
 		}
-		if added {
-			n++
-		}
+		return err == nil
+	})
+	if err != nil {
+		return 0, err
+	}
+	ts := make([]store.Triple, 0, g.Len())
+	g.ForEach(func(t rdf.Triple) bool {
+		ts = append(ts, kb.Encode(t))
 		return true
 	})
-	return n, firstErr
+	if kb.base.Len() == 0 {
+		kb.base = store.Build(ts)
+		return kb.base.Len(), nil
+	}
+	n := 0
+	for _, t := range ts {
+		if kb.base.Add(t) {
+			n++
+		}
+	}
+	return n, nil
 }
 
 // Graph decodes the asserted triples back into an rdf.Graph (mainly for

@@ -1,16 +1,20 @@
 package core
 
 import (
+	"bytes"
+	"errors"
 	"reflect"
 	"sort"
 	"strings"
 	"testing"
 
 	"repro/internal/engine"
+	"repro/internal/persist"
 	"repro/internal/rdf"
 	"repro/internal/reason"
 	"repro/internal/reformulate"
 	"repro/internal/sparql"
+	"repro/internal/store"
 )
 
 const ex = "http://ex.org/"
@@ -323,5 +327,88 @@ func TestStrategyLenSemantics(t *testing.T) {
 	if ref.Len() < kb.Len() || ref.Len() > sat.Len() {
 		t.Errorf("reformulation Len %d should be base + small schema overlay (base %d, sat %d)",
 			ref.Len(), kb.Len(), sat.Len())
+	}
+}
+
+// TestLoadGraphIllFormedAddsNothing: a graph with one ill-formed triple is
+// refused whole — nothing reaches the base or the dictionary, into a loaded
+// KB or an empty one — and a second load into a non-empty KB counts only
+// the triples it adds.
+func TestLoadGraphIllFormedAddsNothing(t *testing.T) {
+	bad := rdf.GraphOf(
+		rdf.T(iri("new1"), iri("p"), iri("new2")),
+		rdf.T(iri("new3"), iri("q"), rdf.NewLiteral("new4")),
+		rdf.T(rdf.NewLiteral("x"), iri("p"), iri("new5")),
+	)
+	for name, kb := range map[string]*KB{"loaded": loadKB(t), "empty": NewKB()} {
+		n, d := kb.Len(), kb.Dict().Len()
+		if _, err := kb.LoadGraph(bad); !errors.Is(err, rdf.ErrIllFormed) {
+			t.Fatalf("%s: LoadGraph error = %v, want rdf.ErrIllFormed", name, err)
+		}
+		if kb.Len() != n || kb.Dict().Len() != d {
+			t.Fatalf("%s: failed load changed Len %d → %d, dictionary %d → %d", name, n, kb.Len(), d, kb.Dict().Len())
+		}
+	}
+	kb := loadKB(t)
+	n := kb.Len()
+	more := rdf.GraphOf(
+		rdf.T(iri("smith"), rdf.Type, iri("Professor")), // already asserted
+		rdf.T(iri("kim"), iri("knows"), iri("pat")),
+		rdf.T(iri("pat"), iri("knows"), iri("kim")),
+	)
+	if added, err := kb.LoadGraph(more); err != nil || added != 2 || kb.Len() != n+2 {
+		t.Fatalf("second LoadGraph = (%d, %v), Len %d → %d; want 2 new triples", added, err, n, kb.Len())
+	}
+}
+
+// TestRestoreStrategyMatchesFreshBuild restores each strategy from each
+// snapshot shape — the saturation's (G as a set, G∞), G alone, and G as a
+// store beside G∞ — and requires its durable state to encode byte for byte
+// like that of the same strategy built fresh from the KB.
+func TestRestoreStrategyMatchesFreshBuild(t *testing.T) {
+	kb := loadKB(t)
+	mat := reason.Materialize(kb.Base(), kb.Rules())
+	shapes := map[string]func() *persist.LoadedState{
+		"G set and G∞": func() *persist.LoadedState {
+			return &persist.LoadedState{Dict: kb.Dict(), BaseSet: mat.BaseSet().Clone(), Saturated: mat.Store().Clone()}
+		},
+		"G": func() *persist.LoadedState {
+			return &persist.LoadedState{Dict: kb.Dict(), Base: kb.Base().Clone()}
+		},
+		"G store and G∞": func() *persist.LoadedState {
+			return &persist.LoadedState{Dict: kb.Dict(), Base: kb.Base().Clone(), Saturated: mat.Store().Clone()}
+		},
+	}
+	encode := func(v store.BinaryView) string {
+		if v == nil || reflect.ValueOf(v).IsNil() {
+			return "<nil>"
+		}
+		var buf bytes.Buffer
+		if err := v.WriteBinary(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.String()
+	}
+	for _, name := range []string{"saturation", "reformulation", "backward"} {
+		fresh, err := NewStrategy(name, kb)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := fresh.DurableState()
+		for shape, ls := range shapes {
+			_, s, err := RestoreStrategy(name, ls())
+			if err != nil {
+				t.Fatalf("%s from %s: %v", name, shape, err)
+			}
+			got := s.DurableState()
+			for _, part := range []struct {
+				what      string
+				got, want store.BinaryView
+			}{{"Base", got.Base, want.Base}, {"BaseSet", got.BaseSet, want.BaseSet}, {"Saturated", got.Saturated, want.Saturated}} {
+				if encode(part.got) != encode(part.want) {
+					t.Errorf("%s from %s: %s differs from a fresh build's", name, shape, part.what)
+				}
+			}
+		}
 	}
 }

@@ -743,15 +743,15 @@ func NewStrategy(name string, kb *KB) (Strategy, error) {
 func RestoreStrategy(name string, ls *persist.LoadedState) (*KB, Strategy, error) {
 	base := ls.Base
 	if base == nil && !(name == "saturation" && ls.Saturated != nil) {
-		base = store.New()
-		ls.BaseSet.ForEach(func(t store.Triple) bool { base.Add(t); return true })
+		ts := make([]store.Triple, 0, ls.BaseSet.Len())
+		ls.BaseSet.ForEach(func(t store.Triple) bool { ts = append(ts, t); return true })
+		base = store.Build(ts)
 	}
 	kb := RestoreKB(ls.Dict, base)
 	if name == "saturation" && ls.Saturated != nil {
 		baseSet := ls.BaseSet
 		if baseSet == nil {
-			baseSet = store.NewTripleSet()
-			ls.Base.ForEachMatch(store.Triple{}, func(t store.Triple) bool { baseSet.Add(t); return true })
+			baseSet = ls.Base.CloneSet()
 		}
 		return kb, NewSaturationRestored(kb, baseSet, ls.Saturated), nil
 	}

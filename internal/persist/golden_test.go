@@ -85,4 +85,19 @@ func TestGoldenSnapshot(t *testing.T) {
 	if _, ok := ls.Dict.Lookup(rdf.NewLangLiteral("bonjour", "fr")); !ok {
 		t.Fatal("golden dictionary lost the language-tagged literal")
 	}
+
+	// Decoding builds every index bottom-up; the decoded state must encode
+	// back to the pinned bytes.
+	redir := t.TempDir()
+	decoded := State{Dict: ls.Dict, DictLen: ls.Dict.Len(), BaseSet: ls.BaseSet, Saturated: ls.Saturated}
+	if _, err := writeSnapshotFile(OS, redir, 2, 3, decoded, 0); err != nil {
+		t.Fatal(err)
+	}
+	again, err := os.ReadFile(snapshotPath(redir, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again, want) {
+		t.Fatalf("decoded golden state re-encodes to %d bytes that differ from the %d golden bytes", len(again), len(want))
+	}
 }

@@ -88,6 +88,21 @@ func (c *closure) appendConsequences(out []store.Triple, t store.Triple) []store
 	return out
 }
 
+// consequenceCount returns how many triples Materialize appends for the
+// base triples of g, duplicates included: per predicate, its triple count
+// times the length of its consequence lists, and per class, the length of
+// its superclass list times its instance count.
+func (c *closure) consequenceCount(g *store.Store) int {
+	n := 0
+	for p, cons := range c.props {
+		n += g.Count(store.Triple{P: p}) * (len(cons.supers) + len(cons.domains) + len(cons.ranges))
+	}
+	for k, sup := range c.classes {
+		n += g.Count(store.Triple{P: c.voc.Type, O: k}) * len(sup)
+	}
+	return n
+}
+
 // supported reports whether t, a non-constraint triple, is entailed by the
 // base triples under c, looking one step back: t is asserted, or a base
 // triple about the same subject (or, for a range, with t's subject as its

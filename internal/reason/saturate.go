@@ -47,54 +47,61 @@ type Stats struct {
 // resulting materialization. The input store is not modified. rules must be
 // RDFSRules of some vocabulary, the only rule set the package implements;
 // Materialize panics on any other.
+//
+// G∞ is built once: G, the schema closure and every base triple's
+// consequences go into one slice, which store.Build sorts, deduplicates and
+// turns into the three indexes bottom-up. The base set is a structural copy
+// of g's SPO index.
 func Materialize(g *store.Store, rules []Rule) *Materialization {
-	voc := vocabOf(rules)
-	m := &Materialization{
-		st:    g.Clone(),
-		base:  g.CloneSet(),
-		rules: rules,
-		cl:    compile(schema.Extract(g, voc)),
-	}
-	for _, t := range m.cl.sch.ClosureTriples() {
-		m.add(t)
-	}
+	cl := compile(schema.Extract(g, vocabOf(rules)))
+	closure := cl.sch.ClosureTriples()
+	ts := make([]store.Triple, 0, g.Len()+len(closure)+cl.consequenceCount(g))
+	g.ForEachMatch(store.Triple{}, func(t store.Triple) bool {
+		ts = append(ts, t)
+		return true
+	})
+	ts = append(ts, closure...)
 	// One pass over the base, a predicate (a class, for rdf:type) at a
 	// time: one consequence-list lookup per predicate, none for the many
 	// that have no consequences.
+	typ := cl.voc.Type
 	for _, p := range g.Predicates() {
-		if p == voc.Type {
+		if p == typ {
 			for _, k := range g.Objects(p) {
-				if sup := m.cl.classes[k]; sup != nil {
-					g.ForEachMatch(store.Triple{P: p, O: k}, func(t store.Triple) bool {
-						m.deriveTypes(t.S, sup)
-						return true
-					})
+				if sup := cl.classes[k]; sup != nil {
+					ss, _ := g.SortedIDs(store.Triple{P: p, O: k})
+					for _, s := range ss {
+						ts = appendTypes(ts, typ, s, sup)
+					}
 				}
 			}
-		} else if cons := m.cl.props[p]; cons != nil {
+		} else if cons := cl.props[p]; cons != nil {
 			g.ForEachMatch(store.Triple{P: p}, func(t store.Triple) bool {
-				m.derive(t, cons)
+				for _, q := range cons.supers {
+					ts = append(ts, store.Triple{S: t.S, P: q, O: t.O})
+				}
+				ts = appendTypes(ts, typ, t.S, cons.domains)
+				ts = appendTypes(ts, typ, t.O, cons.ranges)
 				return true
 			})
 		}
 	}
-	return m
-}
-
-// derive adds the consequences of t, whose property has the lists cons.
-func (m *Materialization) derive(t store.Triple, cons *consequences) {
-	for _, q := range cons.supers {
-		m.add(store.Triple{S: t.S, P: q, O: t.O})
+	st := store.Build(ts)
+	return &Materialization{
+		st:    st,
+		base:  g.CloneSet(),
+		rules: rules,
+		cl:    cl,
+		Stats: Stats{Derived: st.Len() - g.Len()},
 	}
-	m.deriveTypes(t.S, cons.domains)
-	m.deriveTypes(t.O, cons.ranges)
 }
 
-// deriveTypes adds (s rdf:type c) for every c of classes.
-func (m *Materialization) deriveTypes(s dict.ID, classes []dict.ID) {
+// appendTypes appends (s rdf:type c) for every c of classes.
+func appendTypes(ts []store.Triple, typ, s dict.ID, classes []dict.ID) []store.Triple {
 	for _, c := range classes {
-		m.add(store.Triple{S: s, P: m.cl.voc.Type, O: c})
+		ts = append(ts, store.Triple{S: s, P: typ, O: c})
 	}
+	return ts
 }
 
 // add adds a derived triple to G∞, counting it if it is new.
@@ -139,8 +146,8 @@ func (m *Materialization) DerivedLen() int { return m.st.Len() - m.base.Len() }
 // Rules returns the rule set the materialization maintains.
 func (m *Materialization) Rules() []Rule { return m.rules }
 
-// Clone returns an independent copy (used by benchmarks to restore state
-// between destructive runs).
+// Clone returns an independent copy: structural copies of both stores
+// (see store.Store.Clone), sharing the immutable closure.
 func (m *Materialization) Clone() *Materialization {
 	return &Materialization{
 		st:    m.st.Clone(),

@@ -29,12 +29,14 @@ import (
 //
 // Every field is 4 bytes, so ID runs stay 4-byte aligned whenever the buffer
 // is — which is what lets the decoder alias them in place. Import rebuilds
-// each index in one linear pass: each leaf becomes one hash-trie insert,
-// and per-a groups become side-table records directly — their ascending b
-// runs carved out of a shared arena as ready-made sorted sub sets, their
-// triple counts summed during the same pass. Grouping by a also drops the
-// old format's repeated high key halves, and the side table's ordered
-// iteration replaces the explicit key sort the map-backed writer needed.
+// each index in one linear pass: each leaf becomes one trie entry, and
+// per-a groups become side-table records directly — their ascending b runs
+// carved out of a shared arena as ready-made sorted sub sets, their triple
+// counts summed during the same pass — and once the section has validated,
+// the bulk builder's bottom-up step (buildTrie) makes both tries from those
+// entries. Grouping by a also drops the old format's repeated high key
+// halves, and the side table's ordered iteration replaces the explicit key
+// sort the map-backed writer needed.
 // Serialising all three orders trades a 3× larger file for skipping the
 // entire Add path on load; snapshots are written by a background
 // checkpointer and read on process start, exactly the asymmetry that trade
@@ -213,7 +215,8 @@ func readIndex(ix *index, b []byte, size int, maxID dict.ID) ([]byte, error) {
 		return &runArena[len(runArena)-1]
 	}
 	ksArena := make([]dict.ID, 0, nLeaves) // per-group b keys
-	m := &mctx{}                           // epoch-0 build: every structure is freshly owned
+	ls := make([]hent[leaf], 0, nLeaves)
+	as := make([]hent[aSub], 0, nA)
 	var (
 		total      int
 		leavesSeen int
@@ -308,7 +311,7 @@ func readIndex(ix *index, b []byte, size int, maxID dict.ID) ([]byte, error) {
 			if n > 1 {
 				l = leaf{run: newRun(ids)}
 			}
-			*ix.ls.upsert(pack(a, bb), m) = l
+			ls = append(ls, hent[leaf]{k: pack(a, bb), v: l})
 			ksArena = append(ksArena, bb)
 			count += n
 		}
@@ -316,7 +319,7 @@ func readIndex(ix *index, b []byte, size int, maxID dict.ID) ([]byte, error) {
 		if nB > 1 {
 			e = aSub{count: int32(count), sub: newRun(ksArena[ksStart:len(ksArena):len(ksArena)])}
 		}
-		*ix.as.upsert(uint64(a), m) = e
+		as = append(as, hent[aSub]{k: uint64(a), v: e})
 	}
 	if leavesSeen != nLeaves {
 		return nil, fmt.Errorf("index holds %d leaves, header says %d", leavesSeen, nLeaves)
@@ -324,5 +327,6 @@ func readIndex(ix *index, b []byte, size int, maxID dict.ID) ([]byte, error) {
 	if total != size {
 		return nil, fmt.Errorf("index holds %d triples, header says %d", total, size)
 	}
+	ix.ls, ix.as = buildTrie(ls), buildTrie(as)
 	return b, nil
 }

@@ -3,6 +3,7 @@ package store
 import (
 	"flag"
 	"fmt"
+	"maps"
 	"math/rand"
 	"slices"
 	"testing"
@@ -123,18 +124,39 @@ type diffSnap struct {
 	step  int
 }
 
+// diffCopy is one side of a Clone: a store the live one must no longer
+// affect, with the oracle state frozen beside it.
+type diffCopy struct {
+	st    *Store
+	brute map[Triple]struct{}
+	step  int
+}
+
 // TestDifferentialBattery drives randomized interleavings of
-// Add/Remove/Snapshot/query through the store and a brute-force set and
-// requires them to answer identically — on the live store and on every
-// snapshot, including snapshots that stay live across many later mutations.
-// Runs in CI under -race; the store-stress job repeats it at
-// -store.rounds=1000.
+// Add/Remove/Snapshot/query — and whole-store Build and Clone steps, after
+// which the writer carries on at epoch 0 in the built or copied arenas —
+// through the store and a brute-force set and requires them to answer
+// identically: on the live store, on every snapshot, including snapshots
+// that stay live across many later mutations, and on each side a Clone
+// left behind. Each round then runs the same steps at a scale whose tries
+// reach a node at depth 3 (bulkRound). Runs in CI under -race; the
+// store-stress job repeats it at -store.rounds=1000.
 func TestDifferentialBattery(t *testing.T) {
 	for round := 0; round < *storeRounds; round++ {
 		seed := *storeSeed + int64(round)
 		rng := rand.New(rand.NewSource(seed))
 		differentialRound(t, rng, seed)
+		bulkRound(t, rng, seed)
 	}
+}
+
+// bruteTriples lists an oracle set, in map order.
+func bruteTriples(brute map[Triple]struct{}) []Triple {
+	ts := make([]Triple, 0, len(brute))
+	for tr := range brute {
+		ts = append(ts, tr)
+	}
+	return ts
 }
 
 func differentialRound(t *testing.T, rng *rand.Rand, seed int64) {
@@ -142,7 +164,10 @@ func differentialRound(t *testing.T, rng *rand.Rand, seed int64) {
 	maxID := dict.ID(rng.Intn(7) + 4) // [4, 10]: dense collisions, leaves fill and empty
 	st := New()
 	brute := map[Triple]struct{}{}
-	var snaps []diffSnap
+	var (
+		snaps  []diffSnap
+		copies []diffCopy
+	)
 	tag := func(step int, what string) string {
 		return fmt.Sprintf("seed %d step %d %s", seed, step, what)
 	}
@@ -150,26 +175,35 @@ func differentialRound(t *testing.T, rng *rand.Rand, seed int64) {
 	for step := 0; step < *storeSteps; step++ {
 		x := Triple{randID(), randID(), randID()}
 		switch op := rng.Intn(100); {
-		case op < 50: // Add
+		case op < 48: // Add
 			_, had := brute[x]
 			brute[x] = struct{}{}
 			if got := st.Add(x); got != !had {
 				t.Fatalf("%s: Add(%v) = %v, want %v", tag(step, "add"), x, got, !had)
 			}
-		case op < 80: // Remove
+		case op < 77: // Remove
 			_, had := brute[x]
 			delete(brute, x)
 			if got := st.Remove(x); got != had {
 				t.Fatalf("%s: Remove(%v) = %v, want %v", tag(step, "remove"), x, got, had)
 			}
-		case op < 90: // Snapshot store and oracle at the same point
-			frozen := make(map[Triple]struct{}, len(brute))
-			for tr := range brute {
-				frozen[tr] = struct{}{}
-			}
-			snaps = append(snaps, diffSnap{st.Snapshot(), frozen, step})
+		case op < 87: // Snapshot store and oracle at the same point
+			snaps = append(snaps, diffSnap{st.Snapshot(), maps.Clone(brute), step})
 			if len(snaps) > 4 {
 				snaps = slices.Delete(snaps, 0, 1)
+			}
+		case op < 89: // rebuild the live store in one pass from the oracle
+			st = Build(bruteTriples(brute))
+			checkBuilt(t, tag(step, "build"), st, addBuilt(bruteTriples(brute)), nil)
+		case op < 91: // Clone; either side carries on as the live store
+			c := st.Clone()
+			checkBuilt(t, tag(step, "clone"), c, addBuilt(bruteTriples(brute)), st)
+			if rng.Intn(2) == 0 {
+				st, c = c, st
+			}
+			copies = append(copies, diffCopy{c, maps.Clone(brute), step})
+			if len(copies) > 2 {
+				copies = slices.Delete(copies, 0, 1)
 			}
 		case op < 95: // drop a snapshot
 			if len(snaps) > 0 {
@@ -197,5 +231,9 @@ func differentialRound(t *testing.T, rng *rand.Rand, seed int64) {
 	for i, sn := range snaps {
 		checkViews(t, tag(sn.step, fmt.Sprintf("snap[%d]", i)), sn.snap, sn.brute, maxID)
 		checkCanonical(t, tag(sn.step, fmt.Sprintf("snap[%d]", i)), &sn.snap.tables)
+	}
+	for i, c := range copies {
+		checkViews(t, tag(c.step, fmt.Sprintf("copy[%d]", i)), c.st, c.brute, maxID)
+		checkCanonical(t, tag(c.step, fmt.Sprintf("copy[%d]", i)), &c.st.tables)
 	}
 }

@@ -21,8 +21,13 @@ import (
 // An entry stays as high as its hash prefix is unique, so small maps are a
 // root node of inline entries and one pointer chase resolves most probes.
 // The 64-wide radix keeps rank a single popcount and bounds the memmove an
-// insert pays in a dense node to 64 slots — the insert path (saturation
-// bulk-builds) is as hot as the probe path here.
+// insert pays in a dense node to 64 slots.
+//
+// Whole maps are not built through the insert path: buildTrie (build.go)
+// makes the trie bottom-up, in the shape inserting the same keys gives,
+// with its nodes and slot arrays carved from per-build arenas. A node or
+// slot array an insert or a copy-on-write creates afterwards is an
+// allocation of its own, so a version no snapshot holds any more is garbage.
 //
 // Persistence: nodes carry the mutation epoch that created them, and a
 // mutation under a newer epoch copies the node before writing (path copying,
@@ -32,115 +37,24 @@ import (
 type hmap[V any] struct {
 	root *hnode[V]
 	n    int32
-
-	// gen counts structural changes — inserts, deletes and copy-on-write
-	// node clones. Anything that could move or freeze an entry bumps it, so
-	// a caller holding a pointer from upsert can keep writing through it for
-	// exactly as long as gen is unchanged (see index's side-table hint).
-	gen uint64
-
-	// The slabs are tail chunks that epoch-0 nodes and their slot arrays are
-	// carved from: a bulk build (load, Materialize, decode, Clone) grows the
-	// trie one node or one slot at a time, and batching the backing memory
-	// into chunks replaces a heap allocation per grow with one per chunk.
-	// A chunk is one allocation, so the collector keeps — and scans — all of
-	// it while one node in it is live. That is harmless at epoch 0, where
-	// nothing is ever copied away: a chunk's dead slots are only the slot
-	// arrays growth abandoned, no trie version. It is not harmless under
-	// copy-on-write, where a dead node is typically a superseded copy of a
-	// root or inner node whose kids still point at the old version of
-	// everything below it: one long-lived node would retain every version
-	// ever copied into its chunk, and under a sustained write stream the live
-	// heap would grow by whole old versions. So the slabs serve epoch 0 only;
-	// a node or slot array made at epoch ≥ 1 is its own allocation and is
-	// collected as soon as no version reaches it. The epoch-0 chunks can
-	// still pin the dead epoch-0 nodes beside their live neighbours, and
-	// through them the epoch-0 version — once, however many epochs follow.
-	// (Allocating epoch-0 nodes one by one as well was measured on the
-	// sat.read benchmark, LUBM 4×15 on a 2-vCPU VM: 15% fewer queries a
-	// second, lost to collector work on the extra objects.)
-	// Snapshots copy the struct but never mutate, and a snapshotted map is
-	// past epoch 0, so no writer appends to a chunk a snapshot can see.
-	slab    []hnode[V]
-	entSlab slab[hent[V]]
-	kidSlab slab[*hnode[V]]
 }
 
-// slab is the backing store for one kind of node slot array (see the
-// slabs' doc on hmap): the tail chunk arrays are cut from, and the arrays
-// that epoch-0 growth abandoned, by power-of-two capacity, for the next
-// grow into that capacity to reuse. Reuse is safe at epoch 0 only, where no
-// snapshot shares a node and an abandoned array is referenced by nothing.
-type slab[E any] struct {
-	tail []E
-	free [hBits + 1][][]E // free[j]: abandoned arrays of capacity 1<<j
-}
-
-// freeClass returns the free-list class of capacity c, log2(c), and whether
-// c is a power of two that has one.
-func freeClass(c int) (int, bool) {
-	return bits.TrailingZeros(uint(c)), c > 0 && c&(c-1) == 0 && c <= hWide
-}
-
-// carve returns a zero-length slice with capacity c: at epoch 0 a reused
-// abandoned array or a cut from the tail chunk, opening a new chunk
-// (doubling, capped) when the current one is full, and at any later epoch
-// an allocation of its own.
-func (sl *slab[E]) carve(c int, epoch uint64) []E {
-	if epoch != 0 {
-		return make([]E, 0, c)
-	}
-	if j, ok := freeClass(c); ok {
-		if f := sl.free[j]; len(f) > 0 {
-			sl.free[j] = f[:len(f)-1]
-			return f[len(f)-1]
-		}
-	}
-	if len(sl.tail)+c > cap(sl.tail) {
-		sl.tail = make([]E, 0, max(c, min(1024, max(16, 2*cap(sl.tail)))))
-	}
-	off := len(sl.tail)
-	sl.tail = sl.tail[:off+c]
-	return sl.tail[off : off : off+c]
-}
-
-// insert inserts e at position i of a node slot slice, growing into a
-// doubled-capacity carve (minimum 4 slots, at most a node's fan-out) instead
-// of an exact fit: nodes grow one slot at a time during bulk builds, and
-// amortising the growth removes almost all of the insert path's allocation
-// and write-barrier traffic. At epoch 0 the array it grows out of is
-// cleared and kept for reuse, so the slabs do not fill up with the smaller
-// arrays every node passed through.
-func (sl *slab[E]) insert(s []E, i int, e E, epoch uint64) []E {
+// insertAt inserts e at position i of a node slot slice, growing it into a
+// doubled-capacity array (minimum 4 slots, at most a node's fan-out) instead
+// of an exact fit, so a node that keeps growing in place — one a writer owns
+// across many inserts of one epoch — reallocates only now and then.
+func insertAt[E any](s []E, i int, e E) []E {
 	if len(s) == cap(s) {
-		ns := sl.carve(min(hWide, max(4, 2*cap(s))), epoch)[:len(s)+1]
+		ns := make([]E, len(s)+1, min(hWide, max(4, 2*cap(s))))
 		copy(ns, s[:i])
 		copy(ns[i+1:], s[i:])
 		ns[i] = e
-		if j, ok := freeClass(cap(s)); ok && epoch == 0 {
-			clear(s)
-			sl.free[j] = append(sl.free[j], s[:0])
-		}
 		return ns
 	}
 	s = s[:len(s)+1]
 	copy(s[i+1:], s[i:])
 	s[i] = e
 	return s
-}
-
-// newNode returns a fresh node owned by epoch: at epoch 0 carved from the
-// node slab, whose chunk sizes double from 8 up to 128 nodes so small maps
-// don't pay a large slab up front, and at any later epoch allocated alone.
-func (h *hmap[V]) newNode(epoch uint64) *hnode[V] {
-	if epoch != 0 {
-		return &hnode[V]{epoch: epoch}
-	}
-	if len(h.slab) == cap(h.slab) {
-		h.slab = make([]hnode[V], 0, min(128, max(8, 2*cap(h.slab))))
-	}
-	h.slab = append(h.slab, hnode[V]{epoch: epoch})
-	return &h.slab[len(h.slab)-1]
 }
 
 const (
@@ -210,11 +124,9 @@ func bmRank(bm uint64, c uint32) (int, bool) {
 //webreason:writer
 func (h *hmap[V]) cloneNode(n *hnode[V], extra int, m *mctx) *hnode[V] {
 	m.copied++
-	h.gen++
-	c := h.newNode(m.epoch)
-	c.entBm, c.kidBm = n.entBm, n.kidBm
-	c.ents = append(h.entSlab.carve(len(n.ents)+extra, m.epoch), n.ents...)
-	c.kids = append(h.kidSlab.carve(len(n.kids), m.epoch), n.kids...)
+	c := &hnode[V]{epoch: m.epoch, entBm: n.entBm, kidBm: n.kidBm}
+	c.ents = append(make([]hent[V], 0, len(n.ents)+extra), n.ents...)
+	c.kids = slices.Clone(n.kids)
 	return c
 }
 
@@ -271,7 +183,7 @@ func (h *hmap[V]) clonePath(n *hnode[V], hh uint64, m *mctx) *hnode[V] {
 func (h *hmap[V]) upsert(k uint64, m *mctx) *V {
 	hh := mix64(k)
 	if h.root == nil {
-		h.root = h.newNode(m.epoch)
+		h.root = &hnode[V]{epoch: m.epoch}
 	} else if h.root.epoch != m.epoch {
 		h.root = h.clonePath(h.root, hh, m)
 	}
@@ -290,15 +202,15 @@ func (h *hmap[V]) upsert(k uint64, m *mctx) *V {
 			eh := mix64(ent.k) >> ((depth + 1) * hBits)
 			n.ents = slices.Delete(n.ents, i, i+1)
 			n.entBm &^= uint64(1) << c
-			child := h.newNode(m.epoch)
+			child := &hnode[V]{epoch: m.epoch}
 			j, _ := bmRank(n.kidBm, c)
-			n.kids = h.kidSlab.insert(n.kids, j, child, m.epoch)
+			n.kids = insertAt(n.kids, j, child)
 			n.kidBm |= uint64(1) << c
 			n = child
 			hh >>= hBits
 			for uint32(hh)&(hWide-1) == uint32(eh)&(hWide-1) {
-				grand := h.newNode(m.epoch)
-				n.kids = append(h.kidSlab.carve(1, m.epoch), grand)
+				grand := &hnode[V]{epoch: m.epoch}
+				n.kids = []*hnode[V]{grand}
 				n.kidBm |= uint64(1) << (uint32(hh) & (hWide - 1))
 				n = grand
 				hh >>= hBits
@@ -306,14 +218,13 @@ func (h *hmap[V]) upsert(k uint64, m *mctx) *V {
 			}
 			ec := uint32(eh) & (hWide - 1)
 			ei, _ := bmRank(n.entBm, ec)
-			n.ents = h.entSlab.insert(n.ents, ei, ent, m.epoch)
+			n.ents = insertAt(n.ents, ei, ent)
 			n.entBm |= uint64(1) << ec
 			kc := uint32(hh) & (hWide - 1)
 			ki, _ := bmRank(n.entBm, kc)
-			n.ents = h.entSlab.insert(n.ents, ki, hent[V]{k: k}, m.epoch)
+			n.ents = insertAt(n.ents, ki, hent[V]{k: k})
 			n.entBm |= uint64(1) << kc
 			h.n++
-			h.gen++
 			return &n.ents[ki].v
 		}
 		if i, ok := bmRank(n.kidBm, c); ok {
@@ -329,10 +240,9 @@ func (h *hmap[V]) upsert(k uint64, m *mctx) *V {
 		}
 		// Free slot: the entry terminates here.
 		i, _ := bmRank(n.entBm, c)
-		n.ents = h.entSlab.insert(n.ents, i, hent[V]{k: k}, m.epoch)
+		n.ents = insertAt(n.ents, i, hent[V]{k: k})
 		n.entBm |= uint64(1) << c
 		h.n++
-		h.gen++
 		return &n.ents[i].v
 	}
 }
@@ -365,7 +275,6 @@ func (h *hmap[V]) del(k uint64, m *mctx) {
 			n.ents = slices.Delete(n.ents, i, i+1)
 			n.entBm &^= uint64(1) << c
 			h.n--
-			h.gen++
 			break
 		}
 		i, _ := bmRank(n.kidBm, c)

@@ -48,14 +48,6 @@ func (l *leaf) size() int {
 	return 1
 }
 
-// clone returns an independent copy owned by a fresh store (epoch 0).
-func (l *leaf) clone() leaf {
-	if l.run != nil {
-		return leaf{run: l.run.clone()}
-	}
-	return *l
-}
-
 // setAdd inserts c into the ID set held in a writer-owned slot as an inline
 // ID one and a run, keeping the canonical form (an empty slot is one ==
 // dict.None and run == nil), and reports whether c was new. A frozen run is
@@ -172,10 +164,6 @@ func (p *postings) contains(c dict.ID) bool {
 	_, ok := slices.BinarySearch(p.ids, c)
 	return ok
 }
-
-// clone returns an independent copy cut to fit, owned by a fresh store
-// (epoch 0).
-func (p *postings) clone() *postings { return &postings{ids: slices.Clone(p.ids)} }
 
 // cloneAt is the copy-on-write step: an independent copy stamped with the
 // given epoch, made with one allocation and one memmove. The copy has room

@@ -115,42 +115,43 @@ func checkEquivalent(t *testing.T, step int, s *Store, ref *refStore, maxID dict
 // are exactly the ones the b sets name.
 func checkCanonical(t *testing.T, tag string, tb *tables) {
 	t.Helper()
-	form := func(what string, one dict.ID, run *postings) {
+	// what names the checked set; it is formatted only for a failure.
+	form := func(what func() string, one dict.ID, run *postings) {
 		t.Helper()
 		switch {
 		case run == nil && one == dict.None:
-			t.Fatalf("%s: %s is empty (inline dict.None, no run)", tag, what)
+			t.Fatalf("%s: %s is empty (inline dict.None, no run)", tag, what())
 		case run != nil && one != dict.None:
-			t.Fatalf("%s: %s holds both inline %d and a run", tag, what, one)
+			t.Fatalf("%s: %s holds both inline %d and a run", tag, what(), one)
 		case run != nil && len(run.ids) < 2:
-			t.Fatalf("%s: %s is a run of %d IDs", tag, what, len(run.ids))
+			t.Fatalf("%s: %s is a run of %d IDs", tag, what(), len(run.ids))
 		case run != nil:
 			for i := 1; i < len(run.ids); i++ {
 				if run.ids[i] <= run.ids[i-1] {
-					t.Fatalf("%s: %s run not strictly ascending: %v", tag, what, run.ids)
+					t.Fatalf("%s: %s run not strictly ascending: %v", tag, what(), run.ids)
 				}
 			}
 		}
 	}
 	for name, ix := range map[string]*index{"spo": &tb.spo, "pos": &tb.pos, "osp": &tb.osp} {
 		ix.ls.forEach(func(k uint64, l *leaf) bool {
-			form(fmt.Sprintf("%s leaf (%d,%d)", name, k>>32, uint32(k)), l.one, l.run)
+			form(func() string { return fmt.Sprintf("%s leaf (%d,%d)", name, k>>32, uint32(k)) }, l.one, l.run)
 			return true
 		})
 		named := 0
 		ix.as.forEach(func(a uint64, e *aSub) bool {
-			what := fmt.Sprintf("%s side-table set of %d", name, a)
+			what := func() string { return fmt.Sprintf("%s side-table set of %d", name, a) }
 			form(what, e.one, e.sub)
 			sum := 0
 			for _, b := range e.bs() {
 				l := ix.leaf(dict.ID(a), b)
 				if l == nil {
-					t.Fatalf("%s: %s names b = %d, which has no leaf", tag, what, b)
+					t.Fatalf("%s: %s names b = %d, which has no leaf", tag, what(), b)
 				}
 				sum += l.size()
 			}
 			if int(e.count) != sum {
-				t.Fatalf("%s: %s counts %d triples, its leaves hold %d", tag, what, e.count, sum)
+				t.Fatalf("%s: %s counts %d triples, its leaves hold %d", tag, what(), e.count, sum)
 			}
 			named += len(e.bs())
 			return true

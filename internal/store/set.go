@@ -57,14 +57,6 @@ func (s *TripleSet) Add(t Triple) bool {
 	}
 	s.mut()
 	m := mctx{epoch: s.epoch}
-	if s.epoch == 0 {
-		// Never snapshotted: single-walk path, nothing can be frozen.
-		if !s.ix.addFast(t.S, t.P, t.O, &m) {
-			return false
-		}
-		s.size++
-		return true
-	}
 	if !s.ix.add(t.S, t.P, t.O, &m) {
 		s.copied += m.copied
 		return false
@@ -95,16 +87,16 @@ func (s *TripleSet) Remove(t Triple) bool {
 // unspecified but deterministic for a given set state.
 func (s *TripleSet) ForEach(fn func(Triple) bool) { forEachInIndex(&s.ix, fn) }
 
-// CloneSet returns a TripleSet holding the store's triples: a deep copy of
-// its SPO index, so the set is built without re-inserting the triples one by
-// one.
+// CloneSet returns a TripleSet holding the store's triples: a structural
+// copy of its SPO index (see Store.Clone), so the set is built without
+// re-inserting the triples one by one.
 func (s *Store) CloneSet() *TripleSet {
-	return &TripleSet{ix: s.spo.clone(), size: s.size}
+	return &TripleSet{ix: s.spo.copy(), size: s.size}
 }
 
-// Clone returns an independent deep copy.
+// Clone returns an independent deep copy, structural like Store.Clone.
 func (s *TripleSet) Clone() *TripleSet {
-	return &TripleSet{ix: s.ix.clone(), size: s.size}
+	return &TripleSet{ix: s.ix.copy(), size: s.size}
 }
 
 // Snapshot returns an immutable view of the current contents, O(1) like

@@ -37,8 +37,15 @@
 // when a leaf appears or disappears) — linear in that leaf, never in the
 // index, no matter how many snapshots are live; later writes to the same
 // leaf in the same epoch are in place. Copies are allocated one by one, so a
-// version no snapshot holds any more is garbage (see hmap's slabs, which
-// serve the epoch-0 bulk builds only). See snapshot.go.
+// version no snapshot holds any more is garbage. See snapshot.go.
+//
+// # Builds
+//
+// A whole store — a load, a saturation, a decoded checkpoint, a copy — is
+// not inserted triple by triple: Build sorts its triples once into each
+// access order and makes every index bottom-up at epoch 0, its nodes, slot
+// arrays and runs carved from per-build arenas, and Clone copies the tries
+// node for node (see build.go).
 package store
 
 import (
@@ -99,36 +106,13 @@ func (e *aSub) bs() []dict.ID {
 type index struct {
 	ls hmap[leaf]
 	as hmap[aSub]
-
-	// Side-table hint: the record the last addFast touched. Bulk loads and
-	// saturation insert long runs with the same first component (POS sees a
-	// handful of predicates over and over), and the hint turns the per-insert
-	// count walk into a pointer bump for those runs. The pointer is valid
-	// while as.gen is unchanged — any insert, delete or copy-on-write clone
-	// in the side table invalidates it. Snapshots copy these fields but
-	// never write through them; clone() and the decoder start from a zero
-	// index, so the hint never crosses store boundaries.
-	hintA   uint64
-	hintE   *aSub
-	hintGen uint64
 }
 
-// aHint returns the side-table record for a, through the hint when it still
-// applies, refreshing it otherwise.
-func (ix *index) aHint(a uint64, m *mctx) *aSub {
-	if ix.hintE != nil && ix.hintA == a && ix.hintGen == ix.as.gen {
-		return ix.hintE
-	}
-	e := ix.as.upsert(a, m)
-	ix.hintA, ix.hintE, ix.hintGen = a, e, ix.as.gen
-	return e
-}
-
-// add is the insert path for a store with snapshots behind it. It probes
-// before it writes, so duplicate inserts — the common case during
-// saturation rounds — never copy anything, and it walks the leaf trie a
-// second time (upsert, which path-copies) only when the slot itself changes
-// or its run is frozen; a writer-owned run grows in place.
+// add is the one insert path. It probes before it writes, so a duplicate
+// insert never copies anything, and it walks the leaf trie a second time
+// (upsert, which path-copies) only when the slot itself changes or its run
+// is frozen; a writer-owned run grows in place. Whole-graph builds do not
+// come here: see Build.
 func (ix *index) add(a, b, c dict.ID, m *mctx) bool {
 	k := pack(a, b)
 	switch l := ix.ls.ref(k); {
@@ -147,25 +131,6 @@ func (ix *index) add(a, b, c dict.ID, m *mctx) bool {
 		setAdd(&l.one, &l.run, c, m)
 	}
 	ix.as.upsert(uint64(a), m).count++
-	return true
-}
-
-// addFast is the insert path for a store that has never been snapshotted
-// (epoch 0): nothing reachable can be frozen, so the probe-before-copy dance
-// is pointless and the leaf trie is walked exactly once via upsert. This is
-// the bulk-load and saturation path — Materialize builds closures into fresh
-// stores — and the single-walk difference is worth ~20% of saturation time.
-func (ix *index) addFast(a, b, c dict.ID, m *mctx) bool {
-	l := ix.ls.upsert(pack(a, b), m)
-	fresh := l.run == nil && l.one == dict.None
-	if !setAdd(&l.one, &l.run, c, m) {
-		return false
-	}
-	e := ix.aHint(uint64(a), m)
-	if fresh {
-		setAdd(&e.one, &e.sub, b, m)
-	}
-	e.count++
 	return true
 }
 
@@ -221,26 +186,6 @@ func (ix *index) forEachTriple(fn func(a, b, c dict.ID) bool) bool {
 		}
 		return true
 	})
-}
-
-// clone deep-copies the index: fresh trie nodes (epoch 0) and duplicated
-// runs, nothing shared with the receiver.
-func (ix *index) clone() index {
-	var c index
-	m := &mctx{} // epoch 0: matches a freshly constructed store
-	ix.as.forEach(func(k uint64, e *aSub) bool {
-		ce := *e
-		if e.sub != nil {
-			ce.sub = e.sub.clone()
-		}
-		*c.as.upsert(k, m) = ce
-		return true
-	})
-	ix.ls.forEach(func(k uint64, l *leaf) bool {
-		*c.ls.upsert(k, m) = l.clone()
-		return true
-	})
-	return c
 }
 
 // countUnder returns the number of triples under first component a.
@@ -338,16 +283,6 @@ func (s *Store) Add(t Triple) bool {
 	}
 	s.mut()
 	m := mctx{epoch: s.epoch}
-	if s.epoch == 0 {
-		// Never snapshotted: nothing is frozen, take the single-walk path.
-		if !s.spo.addFast(t.S, t.P, t.O, &m) {
-			return false
-		}
-		s.pos.addFast(t.P, t.O, t.S, &m)
-		s.osp.addFast(t.O, t.S, t.P, &m)
-		s.size++
-		return true
-	}
 	if !s.spo.add(t.S, t.P, t.O, &m) {
 		s.copied += m.copied
 		return false
@@ -638,15 +573,18 @@ func (t *tables) Objects(p dict.ID) []dict.ID {
 }
 
 // Clone returns a deep copy of the store: every trie node and leaf is
-// duplicated, nothing is shared with the receiver or its snapshots. Prefer
-// Snapshot for read isolation — Clone exists for benchmarks and callers that
-// need a second independently mutable store.
+// duplicated, nothing is shared with the receiver or its snapshots. The copy
+// is structural — each trie node copied as it is, every run cut from one
+// arena, nothing hashed or inserted. Prefer Snapshot for read isolation;
+// Clone is for a second independently mutable store, such as the asserted
+// triples a reformulation or backward-chaining strategy keeps beside the
+// knowledge base's.
 func (s *Store) Clone() *Store {
 	return &Store{
 		tables: tables{
-			spo:  s.spo.clone(),
-			pos:  s.pos.clone(),
-			osp:  s.osp.clone(),
+			spo:  s.spo.copy(),
+			pos:  s.pos.copy(),
+			osp:  s.osp.copy(),
 			size: s.size,
 		},
 	}
