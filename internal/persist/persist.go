@@ -591,510 +591,6 @@ func ReplayBatch(recs []Mutation, insert, del func(...rdf.Triple) error) (int, e
 	return replayMutations(recs, insert, del, nil)
 }
 
-// Append durably logs one mutation batch (write-ahead: call it before
-// applying the batch to the strategy). Replay applies inserts and deletes
-// through the normal strategy paths, which absorb duplicates, so a batch
-// that was logged but not yet applied at the moment of a crash replays
-// harmlessly. Under SyncGroup, Append blocks until the covering group fsync
-// completes (synchronous durability); use AppendAck to overlap appends with
-// the in-flight fsync.
-func (db *DB) Append(del bool, ts []rdf.Triple) error {
-	if db.opts.Sync != SyncGroup {
-		return db.AppendAck(del, ts, nil)
-	}
-	ch := make(chan error, 1)
-	//lint:ignore ctxblock the channel is buffered(1) and the ack fires at most once, so the send never blocks
-	if err := db.AppendAck(del, ts, func(err error) { ch <- err }); err != nil {
-		return err
-	}
-	//lint:ignore ctxblock synchronous durability is Append's contract; a staged ack always fires — from the group syncer or from Close's final fireAcks
-	return <-ch
-}
-
-// AppendAck logs one mutation batch and reports its durability through ack:
-// ack(nil) fires once the record — and, by WAL ordering, every record
-// appended before it — is durable under the configured policy. Under
-// SyncAlways and SyncNever the policy's work happens inline and ack fires
-// before AppendAck returns; under SyncGroup AppendAck returns once the
-// record is written (staged) and ack fires from the background syncer after
-// the covering group fsync, at most GroupDelay plus one fsync later.
-//
-// A non-nil return means the record was NOT staged (encode bound, write
-// failure, closed DB) and ack will never fire; a group fsync failure is
-// delivered through ack instead and is sticky — every later append is
-// refused with it, because a record covered by the failed fsync may be
-// gone and acknowledging anything after it would break the durable-prefix
-// contract. ack must be cheap and non-blocking: it runs on the appender
-// (inline policies) or the syncer goroutine (SyncGroup).
-func (db *DB) AppendAck(del bool, ts []rdf.Triple, ack func(error)) error {
-	var t0 time.Time
-	if db.om.on {
-		t0 = time.Now()
-	}
-	db.mu.Lock()
-	if db.closed {
-		db.mu.Unlock()
-		return ErrDBClosed
-	}
-	if db.groupErr != nil {
-		// A covering group fsync failed: some already-written record may
-		// never have reached stable storage (and the kernel has dropped the
-		// error state), so acknowledging anything after it would break the
-		// durable-prefix contract. Refuse until the DB is reopened.
-		err := db.groupErr
-		db.mu.Unlock()
-		return err
-	}
-	db.buf = appendWALRecord(db.buf[:0], del, ts)
-	if len(db.buf) > walRecHdrLen+maxWALRecord {
-		db.mu.Unlock()
-		return errRecordTooLarge
-	}
-	if db.opts.MaxWALBytes > 0 && db.chainBytes+int64(len(db.buf)) > db.opts.MaxWALBytes {
-		// Checkpoints have failed for long enough that the un-collected
-		// chain would outgrow its byte bound: refuse the append (the server
-		// degrades to read-only) rather than write until the disk is full —
-		// at which point even the recovery checkpoint could not be written.
-		chain, gen := db.chainBytes, db.gen
-		db.mu.Unlock()
-		return fmt.Errorf("%w: %d bytes live across generations ≤%d (bound %d)",
-			ErrWALBound, chain, gen, db.opts.MaxWALBytes)
-	}
-	if _, err := db.wal.Write(db.buf); err != nil {
-		// A failed write may have persisted a prefix of the record, leaving
-		// garbage at the file's tail. Sticky for the same reason as a failed
-		// group fsync: appending past the torn bytes would bury them mid-file
-		// (recovery only tolerates a torn FINAL record), and rotating would
-		// strand them mid-chain — either way the directory stops recovering.
-		if db.groupErr == nil {
-			db.groupErr = err
-		}
-		db.mu.Unlock()
-		return err
-	}
-	db.walSize += int64(len(db.buf))
-	db.chainBytes += int64(len(db.buf))
-	db.walRecords++
-	switch db.opts.Sync {
-	case SyncAlways:
-		var s0 time.Time
-		if db.om.on {
-			s0 = time.Now()
-		}
-		err := db.wal.Sync()
-		if db.om.on {
-			db.om.fsyncLatency.ObserveSince(s0)
-		}
-		if err != nil && db.groupErr == nil {
-			// Same hazard as a failed group fsync: the kernel may drop the
-			// dirty pages and clear the error, so a later fsync could
-			// "succeed" past a hole. No append or rotation after this point
-			// may be trusted until the DB is reopened.
-			db.groupErr = err
-		}
-		db.mu.Unlock()
-		if err != nil {
-			return err
-		}
-	case SyncNever:
-		db.mu.Unlock()
-	default: // SyncGroup: stage the ack and let the syncer cover it.
-		if ack != nil {
-			db.staged = append(db.staged, ack)
-		}
-		// The record needs a covering fsync even with no ack to notify —
-		// GroupDelay bounds every record's durability lag, not just the
-		// acknowledged ones.
-		db.syncPending = true
-		db.stagedRecs++
-		db.mu.Unlock()
-		select {
-		case db.syncKick <- struct{}{}:
-		default:
-		}
-		if db.om.on {
-			db.om.appendLatency.ObserveSince(t0)
-		}
-		return nil
-	}
-	if db.om.on {
-		db.om.appendLatency.ObserveSince(t0)
-	}
-	if ack != nil {
-		ack(nil)
-	}
-	return nil
-}
-
-// syncer is the SyncGroup background goroutine: it wakes when a record is
-// staged, optionally waits out the coalescing window so a burst accumulates,
-// then performs one fsync covering everything staged so far. Close cuts the
-// window short so a large GroupDelay never delays shutdown.
-func (db *DB) syncer() {
-	defer db.syncWg.Done()
-	var window *time.Timer
-	for {
-		select {
-		case <-db.syncDone:
-			db.groupFlush() // cover anything staged after the final kick
-			return
-		case <-db.syncKick:
-		}
-		// Adaptive window: a lone durable writer (previous flush covered ≤1
-		// record) would pay the whole GroupDelay as pure ack latency with
-		// nothing to coalesce — fsync immediately instead. The moment a burst
-		// arrives, one flush covers several records and the window returns.
-		if db.opts.GroupDelay > 0 && !db.loneWriter.Load() {
-			if window == nil {
-				window = time.NewTimer(db.opts.GroupDelay)
-				defer window.Stop()
-			} else {
-				window.Reset(db.opts.GroupDelay)
-			}
-			select {
-			case <-window.C:
-			case <-db.syncDone:
-				window.Stop()
-				db.groupFlush()
-				return
-			}
-		}
-		db.groupFlush()
-	}
-}
-
-// groupFlush fsyncs the active WAL once and completes every ack staged
-// before the fsync began. The fsync runs outside db.mu so appends keep
-// flowing, and under syncMu so rotation/close cannot swap or close the file
-// mid-fsync. Acks staged while the fsync is in flight stay for the next one.
-func (db *DB) groupFlush() {
-	db.syncMu.Lock()
-	defer db.syncMu.Unlock()
-	db.mu.Lock()
-	acks := db.staged
-	db.staged = nil
-	pending := db.syncPending
-	db.syncPending = false
-	covered := db.stagedRecs
-	db.stagedRecs = 0
-	gerr := db.groupErr
-	f := db.wal
-	closed := db.closed
-	db.mu.Unlock()
-	db.loneWriter.Store(covered <= 1)
-	if gerr != nil {
-		// A previous covering fsync failed. Records staged in the window
-		// before the sticky error landed must NOT be acknowledged off a
-		// later, spuriously succeeding fsync (the kernel reports an fsync
-		// error once, then clears it): an earlier record may be gone, and
-		// these records sit behind the hole.
-		fireAcks(acks, gerr)
-		return
-	}
-	if !pending && len(acks) == 0 {
-		return
-	}
-	// Rotation and Close flush staged work themselves (under syncMu), so a
-	// closed DB here means the records were already covered by Close's final
-	// wal.Sync; acknowledge without touching the closed file. A sync failure
-	// with no ack to carry it surfaces on the next acknowledged append or
-	// rotation, which will fail the same way.
-	var err error
-	if !closed {
-		var s0 time.Time
-		if db.om.on {
-			s0 = time.Now()
-		}
-		err = f.Sync()
-		if db.om.on {
-			db.om.fsyncLatency.ObserveSince(s0)
-			db.om.groupCoalesce.Observe(int64(covered))
-		}
-	}
-	if err != nil {
-		// The failure must outlive this flush even when no ack carries it
-		// (nil-ack records): a failed fsync may have dropped dirty pages,
-		// and the kernel clears the file's error state after reporting it
-		// once — a later fsync can "succeed" without those pages. Sticky:
-		// every subsequent append is refused, and Close reports it.
-		db.mu.Lock()
-		if db.groupErr == nil {
-			db.groupErr = err
-		}
-		db.mu.Unlock()
-	}
-	for _, a := range acks {
-		a(err)
-	}
-}
-
-// CheckpointDue reports whether a checkpoint should be attempted now: the
-// active WAL has grown past the configured thresholds and no checkpoint is
-// in flight — or a previously failed checkpoint's backoff window has
-// elapsed and a retry is due. While a retry is pending the ordinary
-// thresholds are suppressed: the WAL keeps growing past them (nothing
-// rotated), and honouring them would hammer a broken disk with zero-delay
-// attempts instead of backing off.
-func (db *DB) CheckpointDue() bool {
-	if db.ckptBusy.Load() {
-		return false
-	}
-	db.bgMu.Lock()
-	pending, at := db.retryPending, db.retryAt
-	db.bgMu.Unlock()
-	if pending {
-		return !time.Now().Before(at)
-	}
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if db.opts.CheckpointBytes > 0 && db.walSize >= db.opts.CheckpointBytes {
-		return true
-	}
-	return db.opts.CheckpointRecords > 0 && db.walRecords >= db.opts.CheckpointRecords
-}
-
-// CheckpointRetryAfter returns how long until the caller should next check
-// the checkpoint state; ok is false when there is nothing to watch. It
-// reports a wait in two cases: a failed checkpoint's backoff retry is
-// scheduled (wait until it is due), or an attempt is still in flight (wait
-// one backoff unit and look again — the attempt's outcome, recorded
-// asynchronously, decides whether a retry follows). Callers that schedule
-// checkpoints only at write boundaries use it to arm a timer, so an idle
-// server still retries (and eventually garbage-collects the superseded
-// chain) without new mutations arriving.
-func (db *DB) CheckpointRetryAfter() (d time.Duration, ok bool) {
-	if db.ckptBusy.Load() {
-		return db.opts.CheckpointBackoff, true
-	}
-	db.bgMu.Lock()
-	defer db.bgMu.Unlock()
-	if !db.retryPending {
-		return 0, false
-	}
-	return max(time.Until(db.retryAt), 0), true
-}
-
-// checkpointTarget picks the generation the next checkpoint writes. The
-// normal path rotates: appends move to a fresh WAL and the snapshot captures
-// the state at that boundary. A backoff retry instead re-writes the current
-// generation's snapshot from the caller's fresh state capture, without
-// rotating — each extra rotation would mint another WAL file and grow the
-// very chain the checkpoint is meant to collect. Re-using the generation is
-// sound because WAL replay is idempotent at set level: the retried snapshot
-// captures a state mid-generation, so recovery re-applies the records of
-// wal-gen that precede the capture, and re-applying a full in-order prefix
-// of insert/delete runs through the normal mutation path reproduces exactly
-// the membership the capture already holds (each triple's final state is
-// decided by its last record, same as it was live).
-func (db *DB) checkpointTarget() (uint64, error) {
-	db.bgMu.Lock()
-	pending := db.retryPending
-	db.bgMu.Unlock()
-	if pending {
-		return db.Generation(), nil
-	}
-	return db.rotate()
-}
-
-// Checkpoint synchronously ends the current generation with the given state:
-// appends rotate to a fresh WAL, the snapshot is written and fsynced, and
-// superseded files are removed. It blocks until the snapshot is durable —
-// use it for bootstrap (initial bulk load) and final (clean shutdown)
-// checkpoints, where the caller must not proceed on a promise.
-func (db *DB) Checkpoint(st State) error {
-	gen, err := db.checkpointTarget()
-	if err != nil {
-		return err
-	}
-	if err := db.writeCheckpoint(gen, st); err != nil {
-		db.noteCheckpointFailure(err)
-		return err
-	}
-	return nil
-}
-
-// CheckpointAsync ends the current generation like Checkpoint but serialises
-// the snapshot on a background goroutine, so the writer only pays the WAL
-// rotation (one file create). A snapshot-write failure is not fatal: it
-// schedules a capped-exponential-backoff retry (CheckpointDue turns true
-// again once the window elapses, and the next attempt re-writes this
-// generation from a fresh state capture), counts toward Stats, and — only if
-// no later attempt ever succeeds — surfaces on Close. The superseded chain
-// stays intact for recovery throughout. No-op if a checkpoint is already in
-// flight.
-func (db *DB) CheckpointAsync(st State) error {
-	if !db.ckptBusy.CompareAndSwap(false, true) {
-		return nil
-	}
-	gen, err := db.checkpointTarget()
-	if err != nil {
-		db.ckptBusy.Store(false)
-		return err
-	}
-	db.bg.Add(1)
-	go func() {
-		defer db.bg.Done()
-		defer db.ckptBusy.Store(false)
-		if err := db.writeCheckpoint(gen, st); err != nil {
-			db.noteCheckpointFailure(err)
-		}
-	}()
-	return nil
-}
-
-// noteCheckpointFailure records a failed snapshot write and schedules its
-// backoff retry: the first failure retries after CheckpointBackoff, each
-// consecutive failure doubles the delay up to CheckpointBackoffMax.
-func (db *DB) noteCheckpointFailure(err error) {
-	db.ckptFails.Add(1)
-	db.bgMu.Lock()
-	db.bgErr = err // latest failure wins; cleared by the next success
-	if !db.retryPending || db.backoff <= 0 {
-		db.backoff = db.opts.CheckpointBackoff
-	} else {
-		db.backoff = min(2*db.backoff, db.opts.CheckpointBackoffMax)
-	}
-	db.retryPending = true
-	db.retryAt = time.Now().Add(db.backoff)
-	db.bgMu.Unlock()
-}
-
-// rotate switches appends to the next generation's WAL and returns that
-// generation. The old WAL is synced and closed; its records are covered by
-// the snapshot the caller is about to write. Acks staged under SyncGroup are
-// completed here — the rotation sync covers them — so no callback is ever
-// left pointing at a retired generation.
-func (db *DB) rotate() (uint64, error) {
-	db.syncMu.Lock()
-	defer db.syncMu.Unlock()
-	db.mu.Lock()
-	if db.closed {
-		db.mu.Unlock()
-		return 0, ErrDBClosed
-	}
-	acks := db.staged
-	db.staged = nil
-	db.syncPending = false // the rotation sync covers everything written
-	db.stagedRecs = 0
-	if err := db.groupErr; err != nil {
-		// The WAL may already have a durability hole behind these records
-		// (see groupFlush); refusing the rotation also keeps the checkpoint
-		// from garbage-collecting the suspect chain.
-		db.mu.Unlock()
-		fireAcks(acks, err)
-		return 0, err
-	}
-	var s0 time.Time
-	if db.om.on {
-		s0 = time.Now()
-	}
-	serr := db.wal.Sync()
-	if db.om.on {
-		db.om.fsyncLatency.ObserveSince(s0)
-	}
-	if err := serr; err != nil {
-		// Same durability hole as a failed group fsync: pre-rotation pages
-		// may be dropped while the kernel clears the error state, so a
-		// later fsync could "succeed" past them. Sticky — no append after
-		// this point may be acknowledged.
-		if db.groupErr == nil {
-			db.groupErr = err
-		}
-		db.mu.Unlock()
-		fireAcks(acks, err)
-		return 0, err
-	}
-	// From here the staged records are durable regardless of how the
-	// rotation itself fares.
-	if err := db.wal.Close(); err != nil {
-		db.mu.Unlock()
-		fireAcks(acks, nil)
-		return 0, err
-	}
-	db.gen++
-	if err := db.openActiveWAL(); err != nil {
-		db.mu.Unlock()
-		fireAcks(acks, nil)
-		return 0, err
-	}
-	db.chainBytes += db.walSize // the fresh generation's header joins the chain
-	gen := db.gen
-	db.mu.Unlock()
-	db.om.rotations.Inc()
-	fireAcks(acks, nil)
-	return gen, nil
-}
-
-// fireAcks invokes each durability callback with err, in staging order.
-func fireAcks(acks []func(error), err error) {
-	for _, a := range acks {
-		a(err)
-	}
-}
-
-// writeCheckpoint serialises st as snap-gen, garbage-collects the
-// generations it supersedes, and clears any pending retry state — the
-// durable history is checkpointed again, whatever earlier attempts failed.
-func (db *DB) writeCheckpoint(gen uint64, st State) error {
-	var t0 time.Time
-	if db.om.on {
-		t0 = time.Now()
-	}
-	// Size the image buffer from the last image plus slack for the growth
-	// of one checkpoint interval.
-	hint := int(db.imageLen.Load())
-	n, err := writeSnapshotFile(db.fs, db.dir, gen, db.term, st, hint+hint/16)
-	if err != nil {
-		return err
-	}
-	db.imageLen.Store(int64(n))
-	// Failed attempts are visible through persist_checkpoint_failures_total;
-	// the duration histogram records completed snapshot writes only.
-	db.om.ckptDuration.ObserveSince(t0)
-	db.removeBelow(gen)
-	db.mu.Lock()
-	// The live chain is now exactly the active generation (gen's WAL);
-	// everything below it just got collected.
-	db.chainBytes = db.walSize
-	db.mu.Unlock()
-	db.bgMu.Lock()
-	db.bgErr = nil
-	db.retryPending = false
-	db.backoff = 0
-	db.lastCkpt = time.Now()
-	db.bgMu.Unlock()
-	return nil
-}
-
-// removeBelow deletes snapshots and WALs of generations older than gen. A
-// removal failure is counted (Stats.GCRemoveFailures) but not fatal: the
-// file is superseded, recovery ignores it as long as the chain above stays
-// valid, and the next checkpoint's GC pass — which rescans the directory —
-// re-attempts it.
-func (db *DB) removeBelow(gen uint64) {
-	snaps, wals, err := scanDir(db.fs, db.dir)
-	if err != nil {
-		db.gcFails.Add(1)
-		return
-	}
-	remove := func(path string) {
-		if err := db.fs.Remove(path); err != nil && !os.IsNotExist(err) {
-			// ENOENT is not a failure: a concurrent pass already won.
-			db.gcFails.Add(1)
-		}
-	}
-	for _, g := range snaps {
-		if g < gen {
-			remove(snapshotPath(db.dir, g))
-		}
-	}
-	for _, g := range wals {
-		if g < gen {
-			remove(walPath(db.dir, g))
-		}
-	}
-}
-
 // Dirty reports whether the active WAL holds any records — i.e. whether the
 // present state is not fully captured by the newest snapshot. Clean-shutdown
 // paths use it to skip a pointless final checkpoint.
