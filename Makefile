@@ -9,9 +9,12 @@
 #                         frozenmut, ctxblock, errtaxonomy, atomicfield)
 #   make fuzz             run each fuzz target briefly (parsers, the
 #                         persistence snapshot/WAL decoders and the store
-#                         index codec: panic hunt; the store's bulk builder:
-#                         against per-triple Add; the compiled RDFS closure:
-#                         maintained G∞ against the generic rule engine)
+#                         index codec: panic hunt; chain recovery of a
+#                         damaged data directory: the mirror's against the
+#                         undamaged history and against Open's; the store's
+#                         bulk builder: against per-triple Add; the compiled
+#                         RDFS closure: maintained G∞ against the generic
+#                         rule engine)
 #   make test-chaos       seeded fault-injection sweep under the race
 #                         detector: CHAOS_SEEDS (default 200) full server
 #                         rounds over a scripted faulty filesystem, each
@@ -104,6 +107,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzSPARQL -fuzztime $(FUZZTIME) ./internal/sparql/
 	$(GO) test -run '^$$' -fuzz FuzzSnapshotDecode -fuzztime $(FUZZTIME) ./internal/persist/
 	$(GO) test -run '^$$' -fuzz FuzzWALDecode -fuzztime $(FUZZTIME) ./internal/persist/
+	$(GO) test -run '^$$' -fuzz FuzzChainRecover -fuzztime $(FUZZTIME) ./internal/persist/
 	$(GO) test -run '^$$' -fuzz FuzzHAMTNodeDecode -fuzztime $(FUZZTIME) ./internal/store/
 	$(GO) test -run '^$$' -fuzz FuzzBuild -fuzztime $(FUZZTIME) ./internal/store/
 	$(GO) test -run '^$$' -fuzz FuzzCompiledClosure -fuzztime $(FUZZTIME) ./internal/reason/

@@ -37,7 +37,7 @@ func TestWriteHeapPlateaus(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer db.Close()
-	if err := db.Checkpoint(strat.(webreason.DurableStrategy).DurableState()); err != nil {
+	if err := db.Checkpoint(strat.DurableState()); err != nil {
 		t.Fatal(err)
 	}
 	srv := webreason.NewServer(strat, webreason.ServerOptions{DB: db})

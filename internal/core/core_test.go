@@ -362,32 +362,19 @@ func TestLoadGraphIllFormedAddsNothing(t *testing.T) {
 }
 
 // TestRestoreStrategyMatchesFreshBuild restores each strategy from each
-// snapshot shape — the saturation's (G as a set, G∞), G alone, and G as a
-// store beside G∞ — and requires its durable state to encode byte for byte
-// like that of the same strategy built fresh from the KB.
+// snapshot shape — the saturation's (G, G∞) and G alone — and requires its
+// durable state to encode byte for byte like that of the same strategy built
+// fresh from the KB.
 func TestRestoreStrategyMatchesFreshBuild(t *testing.T) {
 	kb := loadKB(t)
 	mat := reason.Materialize(kb.Base(), kb.Rules())
 	shapes := map[string]func() *persist.LoadedState{
-		"G set and G∞": func() *persist.LoadedState {
+		"G and G∞": func() *persist.LoadedState {
 			return &persist.LoadedState{Dict: kb.Dict(), BaseSet: mat.BaseSet().Clone(), Saturated: mat.Store().Clone()}
 		},
 		"G": func() *persist.LoadedState {
-			return &persist.LoadedState{Dict: kb.Dict(), Base: kb.Base().Clone()}
+			return &persist.LoadedState{Dict: kb.Dict(), BaseSet: kb.Base().CloneSet()}
 		},
-		"G store and G∞": func() *persist.LoadedState {
-			return &persist.LoadedState{Dict: kb.Dict(), Base: kb.Base().Clone(), Saturated: mat.Store().Clone()}
-		},
-	}
-	encode := func(v store.BinaryView) string {
-		if v == nil || reflect.ValueOf(v).IsNil() {
-			return "<nil>"
-		}
-		var buf bytes.Buffer
-		if err := v.WriteBinary(&buf); err != nil {
-			t.Fatal(err)
-		}
-		return buf.String()
 	}
 	for _, name := range []string{"saturation", "reformulation", "backward"} {
 		fresh, err := NewStrategy(name, kb)
@@ -404,11 +391,60 @@ func TestRestoreStrategyMatchesFreshBuild(t *testing.T) {
 			for _, part := range []struct {
 				what      string
 				got, want store.BinaryView
-			}{{"Base", got.Base, want.Base}, {"BaseSet", got.BaseSet, want.BaseSet}, {"Saturated", got.Saturated, want.Saturated}} {
-				if encode(part.got) != encode(part.want) {
+			}{{"BaseSet", got.BaseSet, want.BaseSet}, {"Saturated", got.Saturated, want.Saturated}} {
+				if encode(t, part.got) != encode(t, part.want) {
 					t.Errorf("%s from %s: %s differs from a fresh build's", name, shape, part.what)
 				}
 			}
 		}
 	}
+}
+
+// TestCheckpointBaseIsOneShape pins the one persisted shape of G: for the
+// same G, the base sections a checkpoint writes for saturation,
+// reformulation and backward chaining are the same bytes — when built, and
+// again after the same updates went through each strategy.
+func TestCheckpointBaseIsOneShape(t *testing.T) {
+	kb := loadKB(t)
+	var strats []Strategy
+	for _, name := range []string{"saturation", "reformulation", "backward"} {
+		s, err := NewStrategy(name, kb)
+		if err != nil {
+			t.Fatal(err)
+		}
+		strats = append(strats, s)
+	}
+	check := func(when string) {
+		t.Helper()
+		want := encode(t, strats[0].DurableState().BaseSet)
+		for _, s := range strats[1:] {
+			if got := encode(t, s.DurableState().BaseSet); got != want {
+				t.Errorf("%s: %s writes a base section of %d bytes that differs from saturation's %d", when, s.Name(), len(got), len(want))
+			}
+		}
+	}
+	check("built")
+	for _, s := range strats {
+		if err := s.Insert(rdf.T(iri("kim"), rdf.Type, iri("Professor")), rdf.T(iri("kim"), iri("knows"), iri("smith")),
+			rdf.T(iri("Dean"), rdf.SubClassOf, iri("Professor"))); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Delete(rdf.T(iri("smith"), rdf.Type, iri("Professor"))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check("after updates")
+}
+
+// encode returns v's binary encoding, "<nil>" for a nil view.
+func encode(t *testing.T, v store.BinaryView) string {
+	t.Helper()
+	if v == nil || reflect.ValueOf(v).IsNil() {
+		return "<nil>"
+	}
+	var buf bytes.Buffer
+	if err := v.WriteBinary(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.String()
 }

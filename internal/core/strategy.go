@@ -464,10 +464,11 @@ func storeStats(st *store.Store) WriteStats {
 	return WriteStats{StoreEpoch: st.Epoch(), StoreCopied: st.CopiedNodes()}
 }
 
-// durable persists only the asserted triples: whatever is derived from them
-// is recomputed on restore (it is small by the paper's DB-fragment
-// assumption).
-func (g *asserted) durable(st *persist.State) { st.Base = g.data.Snapshot() }
+// durable persists only the asserted triples, as the set image of the
+// store's SPO index — the bytes saturation writes for the same G. Whatever is
+// derived from them is recomputed on restore (it is small by the paper's
+// DB-fragment assumption).
+func (g *asserted) durable(st *persist.State) { st.BaseSet = g.data.Snapshot().Set() }
 
 // ---------------------------------------------------------------------------
 // Saturation strategy
@@ -529,9 +530,7 @@ func (s *Saturation) view() *view {
 }
 
 // durable persists the asserted set and the saturated closure, so a restart
-// restores G and G∞ without re-running saturation. The base goes into the
-// snapshot as a single-index set image — a third of a full store's bytes and
-// load work, matching what the materialisation actually keeps.
+// restores G and G∞ without re-running saturation.
 func (s *Saturation) durable(st *persist.State) {
 	st.BaseSet = s.mat.BaseSet().Snapshot()
 	st.Saturated = s.mat.Store().Snapshot()
@@ -573,17 +572,18 @@ func (r *Reformulation) apply(del bool, enc []store.Triple, ts []rdf.Triple) {
 	}
 }
 
-// reclose recomputes the schema closure overlay (cheap: schemas are small).
+// reclose recomputes the closed schema queries are rewritten against and the
+// overlay of its closure triples (cheap: schemas are small). The schema
+// extracted from data alone is already closed: extracting it again over
+// data ∪ overlay returns the same schema.
 func (r *Reformulation) reclose() {
+	r.sch = schema.Extract(r.data, r.kb.voc)
 	r.overlay = store.New()
-	for _, t := range schema.Extract(r.data, r.kb.voc).ClosureTriples() {
+	for _, t := range r.sch.ClosureTriples() {
 		if !r.data.Contains(t) {
 			r.overlay.Add(t)
 		}
 	}
-	// The schema used for rewriting must be the closed one, extracted over
-	// data + overlay.
-	r.sch = schema.Extract(&unionSource{a: r.data, b: r.overlay}, r.kb.voc)
 }
 
 func (r *Reformulation) view() *view {
@@ -736,25 +736,18 @@ func NewStrategy(name string, kb *KB) (Strategy, error) {
 // returning the KB it was built on. The fast path — a saturation snapshot
 // restored as the saturation strategy — starts serving without re-running
 // saturation (and without a full base store: the KB then carries only
-// dictionary, vocabulary and rules). Cross-strategy restores convert: a
-// saturation snapshot restored as reformulation/backward rebuilds the full
-// G store from the base set, and a G-only snapshot restored as saturation
-// re-saturates, exactly as a fresh build would.
+// dictionary, vocabulary and rules). Otherwise the G store is built from the
+// base set in one pass (store.Build) and the strategy is built on it exactly
+// as a fresh one would be: a G-only snapshot restored as saturation
+// re-saturates.
 func RestoreStrategy(name string, ls *persist.LoadedState) (*KB, Strategy, error) {
-	base := ls.Base
-	if base == nil && !(name == "saturation" && ls.Saturated != nil) {
-		ts := make([]store.Triple, 0, ls.BaseSet.Len())
-		ls.BaseSet.ForEach(func(t store.Triple) bool { ts = append(ts, t); return true })
-		base = store.Build(ts)
-	}
-	kb := RestoreKB(ls.Dict, base)
 	if name == "saturation" && ls.Saturated != nil {
-		baseSet := ls.BaseSet
-		if baseSet == nil {
-			baseSet = ls.Base.CloneSet()
-		}
-		return kb, NewSaturationRestored(kb, baseSet, ls.Saturated), nil
+		kb := RestoreKB(ls.Dict, nil)
+		return kb, NewSaturationRestored(kb, ls.BaseSet, ls.Saturated), nil
 	}
+	ts := make([]store.Triple, 0, ls.BaseSet.Len())
+	ls.BaseSet.ForEach(func(t store.Triple) bool { ts = append(ts, t); return true })
+	kb := RestoreKB(ls.Dict, store.Build(ts))
 	s, err := NewStrategy(name, kb)
 	return kb, s, err
 }

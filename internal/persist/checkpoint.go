@@ -1,14 +1,8 @@
 package persist
 
-// Checkpoints and rotation: when a checkpoint is due, how a generation ends
-// (rotate), how its snapshot is written (synchronously or in the background,
-// with backoff retries), and the garbage collection of the generations it
-// supersedes.
+// Checkpoints: rotation, snapshot writes with backoff retries, and GC.
 
-import (
-	"os"
-	"time"
-)
+import "time"
 
 // CheckpointDue reports whether a checkpoint should be attempted now: the
 // active WAL has grown past the configured thresholds and no checkpoint is
@@ -194,7 +188,7 @@ func (db *DB) rotate() (uint64, error) {
 		return 0, err
 	}
 	db.gen++
-	if err := db.openActiveWAL(); err != nil {
+	if err := db.openActiveWAL(db.walSize); err != nil {
 		db.mu.Unlock()
 		fireAcks(acks, nil)
 		return 0, err
@@ -226,7 +220,7 @@ func (db *DB) writeCheckpoint(gen uint64, st State) error {
 	// Failed attempts are visible through persist_checkpoint_failures_total;
 	// the duration histogram records completed snapshot writes only.
 	db.om.ckptDuration.ObserveSince(t0)
-	db.removeBelow(gen)
+	db.gcFails.Add(removeBelow(db.fs, db.dir, gen))
 	db.mu.Lock()
 	// The live chain is now exactly the active generation (gen's WAL);
 	// everything below it just got collected.
@@ -239,33 +233,4 @@ func (db *DB) writeCheckpoint(gen uint64, st State) error {
 	db.lastCkpt = time.Now()
 	db.bgMu.Unlock()
 	return nil
-}
-
-// removeBelow deletes snapshots and WALs of generations older than gen. A
-// removal failure is counted (Stats.GCRemoveFailures) but not fatal: the
-// file is superseded, recovery ignores it as long as the chain above stays
-// valid, and the next checkpoint's GC pass — which rescans the directory —
-// re-attempts it.
-func (db *DB) removeBelow(gen uint64) {
-	snaps, wals, err := scanDir(db.fs, db.dir)
-	if err != nil {
-		db.gcFails.Add(1)
-		return
-	}
-	remove := func(path string) {
-		if err := db.fs.Remove(path); err != nil && !os.IsNotExist(err) {
-			// ENOENT is not a failure: a concurrent pass already won.
-			db.gcFails.Add(1)
-		}
-	}
-	for _, g := range snaps {
-		if g < gen {
-			remove(snapshotPath(db.dir, g))
-		}
-	}
-	for _, g := range wals {
-		if g < gen {
-			remove(walPath(db.dir, g))
-		}
-	}
 }

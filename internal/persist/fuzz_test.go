@@ -24,24 +24,19 @@ func FuzzSnapshotDecode(f *testing.F) {
 		if err != nil {
 			f.Fatal(err)
 		}
-		f.Add(b)
+		f.Add(b, uint64(3))
 	}
 	seed(mkState(f, 5, false))
 	seed(mkState(f, 5, true))
-	f.Add([]byte(snapMagic))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		ls, err := decodeSnapshot(data)
+	f.Add([]byte(snapMagic), uint64(0))
+	f.Fuzz(func(t *testing.T, data []byte, gen uint64) {
+		ls, err := decodeSnapshot(data, gen)
 		if err != nil {
 			return
 		}
 		// Accepted: re-encoding the loaded state must reproduce the input
 		// byte for byte (same generation, same sections, canonical codecs).
-		st := State{Dict: ls.Dict, DictLen: ls.Dict.Len(), Saturated: nil}
-		if ls.Base != nil {
-			st.Base = ls.Base
-		} else {
-			st.BaseSet = ls.BaseSet
-		}
+		st := State{Dict: ls.Dict, DictLen: ls.Dict.Len(), BaseSet: ls.BaseSet}
 		if ls.Saturated != nil {
 			st.Saturated = ls.Saturated
 		}
@@ -49,18 +44,19 @@ func FuzzSnapshotDecode(f *testing.F) {
 		if _, err := writeSnapshotFile(OS, dir, ls.Generation, ls.Term, st, 0); err != nil {
 			t.Fatalf("re-encoding accepted snapshot: %v", err)
 		}
-		ls2, err := readSnapshotFile(OS, snapshotPath(dir, ls.Generation))
+		b, err := os.ReadFile(snapshotPath(dir, ls.Generation))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ls2, err := decodeSnapshot(b, ls.Generation)
 		if err != nil {
 			t.Fatalf("re-decoding re-encoded snapshot: %v", err)
 		}
 		if ls2.Generation != ls.Generation || ls2.Dict.Len() != ls.Dict.Len() ||
-			(ls2.Base == nil) != (ls.Base == nil) || (ls2.Saturated == nil) != (ls.Saturated == nil) {
+			(ls2.Saturated == nil) != (ls.Saturated == nil) {
 			t.Fatal("round trip changed snapshot shape")
 		}
-		if ls.Base != nil && ls2.Base.Len() != ls.Base.Len() {
-			t.Fatalf("round trip changed base size %d -> %d", ls.Base.Len(), ls2.Base.Len())
-		}
-		if ls.BaseSet != nil && ls2.BaseSet.Len() != ls.BaseSet.Len() {
+		if ls2.BaseSet.Len() != ls.BaseSet.Len() {
 			t.Fatal("round trip changed base set size")
 		}
 		if ls.Saturated != nil {
@@ -81,7 +77,7 @@ func FuzzSnapshotDecode(f *testing.F) {
 // panic, and every record in the accepted prefix must re-encode to the exact
 // bytes it was decoded from.
 func FuzzWALDecode(f *testing.F) {
-	valid := encodeWALHeader(1, 1)
+	valid := encodeWALHeader(1, 1, 0)
 	valid = appendWALRecord(valid, false, []rdf.Triple{
 		rdf.T(rdf.NewIRI("http://f/s"), rdf.NewIRI("http://f/p"), rdf.NewLiteral("o")),
 	})
@@ -96,7 +92,7 @@ func FuzzWALDecode(f *testing.F) {
 	// minimum admits (the exact claim the pre-fix bound let through).
 	f.Add(walBoundaryCountImage(), uint64(1))
 	f.Fuzz(func(t *testing.T, data []byte, gen uint64) {
-		recs, term, validLen, err := decodeWAL(data, gen)
+		recs, hdr, validLen, err := decodeWAL(data, gen)
 		if err != nil {
 			return
 		}
@@ -105,12 +101,12 @@ func FuzzWALDecode(f *testing.F) {
 		}
 		// Re-encode the accepted records and decode again; the content must
 		// survive exactly (byte images may differ for non-minimal uvarints).
-		out := encodeWALHeader(gen, term)
+		out := encodeWALHeader(gen, hdr.term, hdr.prev)
 		for _, m := range recs {
 			out = appendWALRecord(out, m.Del, m.Triples)
 		}
-		recs2, term2, validLen2, err := decodeWAL(out, gen)
-		if err != nil || term2 != term || validLen2 != int64(len(out)) || len(recs2) != len(recs) {
+		recs2, hdr2, validLen2, err := decodeWAL(out, gen)
+		if err != nil || hdr2 != hdr || validLen2 != int64(len(out)) || len(recs2) != len(recs) {
 			t.Fatalf("round trip: err=%v len=%d/%d recs=%d/%d", err, validLen2, len(out), len(recs2), len(recs))
 		}
 		for i := range recs {

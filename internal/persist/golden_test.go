@@ -2,6 +2,7 @@ package persist
 
 import (
 	"bytes"
+	"errors"
 	"flag"
 	"os"
 	"path/filepath"
@@ -41,7 +42,7 @@ func goldenState() State {
 }
 
 // TestGoldenSnapshot pins the exact bytes of the snapshot format: encoding
-// the fixed state must reproduce testdata/golden_v3.snap, and decoding the
+// the fixed state must reproduce testdata/golden_v4.snap, and decoding the
 // pinned file must yield the same content. Any intentional codec or layout
 // change breaks this test and must bump FormatVersion (and add a new golden
 // file) so old files are refused rather than misread.
@@ -55,7 +56,7 @@ func TestGoldenSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	golden := filepath.Join("testdata", "golden_v3.snap")
+	golden := filepath.Join("testdata", "golden_v4.snap")
 	if *updateGolden {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
@@ -73,7 +74,7 @@ func TestGoldenSnapshot(t *testing.T) {
 	}
 
 	// The pinned file must decode to the pinned content.
-	ls, err := decodeSnapshot(want)
+	ls, err := decodeSnapshot(want, 2)
 	if err != nil {
 		t.Fatalf("decoding golden file: %v", err)
 	}
@@ -99,5 +100,25 @@ func TestGoldenSnapshot(t *testing.T) {
 	}
 	if !bytes.Equal(again, want) {
 		t.Fatalf("decoded golden state re-encodes to %d bytes that differ from the %d golden bytes", len(again), len(want))
+	}
+}
+
+// TestV3SnapshotRefused: a version 3 snapshot — the last format with two
+// shapes of G — is refused with ErrVersionMismatch, not converted: decoded
+// directly, and as the only snapshot of a data directory.
+func TestV3SnapshotRefused(t *testing.T) {
+	b, err := os.ReadFile(filepath.Join("testdata", "golden_v3.snap"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := decodeSnapshot(b, 2); !errors.Is(err, ErrVersionMismatch) {
+		t.Fatalf("decoding a v3 snapshot = %v, want ErrVersionMismatch", err)
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(snapshotPath(dir, 2), b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(dir, Options{}); !errors.Is(err, ErrVersionMismatch) {
+		t.Fatalf("Open over a v3 snapshot = %v, want ErrVersionMismatch", err)
 	}
 }

@@ -1,8 +1,6 @@
 package persist
 
-// Group commit: Append and AppendAck write one record under the DB's sync
-// policy, and under SyncGroup a background syncer covers every record staged
-// since the last fsync with one fsync.
+// Appends, and the group commit of SyncGroup.
 
 import (
 	"fmt"
@@ -243,9 +241,7 @@ func (db *DB) groupFlush() {
 		}
 		db.mu.Unlock()
 	}
-	for _, a := range acks {
-		a(err)
-	}
+	fireAcks(acks, err)
 }
 
 // fireAcks invokes each durability callback with err, in staging order.

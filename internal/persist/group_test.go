@@ -389,7 +389,7 @@ func walBoundaryCountImage() []byte {
 	payload := []byte{opInsert}
 	payload = binary.AppendUvarint(payload, 3)
 	payload = append(payload, make([]byte, 12)...)
-	img := encodeWALHeader(1, 0)
+	img := encodeWALHeader(1, 0, 0)
 	img = binary.LittleEndian.AppendUint32(img, uint32(len(payload)))
 	img = binary.LittleEndian.AppendUint32(img, crc32.Checksum(payload, crcTable))
 	return append(img, payload...)

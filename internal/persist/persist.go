@@ -26,12 +26,19 @@
 //
 // # Recovery
 //
-// Open picks the highest generation with a valid snapshot (falling back past
-// an unreadable one when an older valid snapshot plus the intervening WALs
-// still cover the full history), loads it, and exposes the concatenated WAL
-// tail for the caller to replay through its strategy. A torn final record —
-// the signature of a crash mid-append — is truncated away; damage anywhere
-// else refuses to open rather than silently dropping applied history.
+// One walk recovers every data directory, a primary's and a follower's
+// mirror alike (chain.go): it picks the newest loadable snapshot (falling
+// back past an unreadable one when an older snapshot plus the intervening
+// WALs still cover the full history) and walks the contiguous WAL run above
+// it, whose header terms never decrease, up to the first point that is not a
+// verified prefix of the history. A torn final record of the newest WAL — the
+// signature of a crash mid-append — is part of no such point; it is truncated
+// away. Two policies read the walk. Open loads the snapshot, exposes the
+// run's records for the caller to replay through its strategy, and refuses
+// any other damage rather than silently drop applied history; only a
+// header-less newest WAL (a torn rotation) is removed. OpenMirror keeps
+// exactly the verified prefix and deletes the rest, which its source ships
+// again (see Mirror).
 package persist
 
 import (
@@ -39,8 +46,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"slices"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -306,134 +311,63 @@ func Open(dir string, opts Options) (*DB, error) {
 			unlockDir(lock)
 		}
 	}()
-	// Sweep snapshot temporaries orphaned by a crash mid-checkpoint: the
-	// atomic rename means they were never part of the durable state, and
-	// nothing else ever deletes them.
-	if entries, err := opts.FS.ReadDir(dir); err == nil {
-		for _, e := range entries {
-			if strings.HasSuffix(e.Name(), ".snap.tmp") {
-				opts.FS.Remove(filepath.Join(dir, e.Name()))
-			}
-		}
-	}
-	snaps, wals, err := scanDir(opts.FS, dir)
+	c, err := walkChain(opts.FS, dir)
 	if err != nil {
 		return nil, err
 	}
-
-	db := &DB{dir: dir, opts: opts, fs: opts.FS, gen: 1, lock: lock}
-	db.om = newDBMetrics(opts.Obs)
-	activeRecords := 0
-	chainBytes := int64(0) // bytes of live non-active WAL generations
-
-	// Load the newest valid snapshot; fall back past unreadable ones (a
-	// crash cannot produce a half-renamed snapshot, but bit rot can produce
-	// an unreadable one, and an older snapshot plus the still-present WAL
-	// chain covers the same history).
-	var snapErrs []error
-	for i := len(snaps) - 1; i >= 0; i-- {
-		ls, err := readSnapshotFile(opts.FS, snapshotPath(dir, snaps[i]))
-		if err != nil {
-			snapErrs = append(snapErrs, fmt.Errorf("snap %d: %w", snaps[i], err))
-			continue
-		}
-		db.loaded = ls
-		db.gen = snaps[i]
-		break
-	}
-	if db.loaded == nil && len(snaps) > 0 {
+	if c.loaded == nil && len(c.snaps) > 0 {
 		// Snapshots exist but none loads: starting empty would silently
 		// abandon durable history.
-		return nil, fmt.Errorf("persist: no loadable snapshot in %s: %w", dir, errors.Join(snapErrs...))
+		return nil, fmt.Errorf("persist: no loadable snapshot in %s: %w", dir, errors.Join(c.snapErrs...))
 	}
-	if db.loaded == nil && len(wals) > 0 {
-		// Bootstrap directory that already has WALs: resume their chain.
-		db.gen = wals[0]
-	}
-
-	// Decode the WAL chain from the recovered generation upward. The chain
-	// must be contiguous; a gap means files were deleted out from under us.
-	// Header terms must never decrease along the chain — ownership only ever
-	// moves forward (promotion bumps the term); a regression means files from
-	// two histories were mixed.
-	chainTerm := uint64(0)
-	if db.loaded != nil {
-		chainTerm = db.loaded.Term
-	}
-	expected := db.gen
-	for _, g := range wals {
-		if g < db.gen {
-			continue // superseded by the loaded snapshot; removed below
-		}
-		if g != expected {
-			return nil, fmt.Errorf("%w: generation gap, wal %d where %d was expected", ErrWALCorrupt, g, expected)
-		}
-		path := walPath(dir, g)
-		b, err := opts.FS.ReadFile(path)
-		if err != nil {
+	if errors.Is(c.stop, errTornRotation) {
+		// Every acknowledged record lives at or below the previous
+		// generation: drop the file and resume that one.
+		if err := opts.FS.Remove(walPath(dir, c.wals[len(c.wals)-1])); err != nil {
 			return nil, err
 		}
-		if len(b) < walHeaderLen && g == wals[len(wals)-1] {
-			// Torn rotation: a crash between creating the next generation's
-			// file and completing its header leaves a short file that never
-			// held a record. Drop it and resume the previous generation —
-			// every acknowledged record lives at or below that one. A short
-			// file anywhere else in the chain is still corruption.
-			if err := opts.FS.Remove(path); err != nil {
-				return nil, err
-			}
-			break
-		}
-		expected = g + 1
-		recs, term, validLen, err := decodeWAL(b, g)
-		if err != nil {
-			return nil, fmt.Errorf("persist: %s: %w", path, err)
-		}
-		if term < chainTerm {
-			return nil, fmt.Errorf("%w: %s carries term %d below the chain's term %d", ErrWALCorrupt, path, term, chainTerm)
-		}
-		chainTerm = term
-		if validLen < int64(len(b)) {
-			if g != wals[len(wals)-1] {
-				return nil, fmt.Errorf("%w: %s has a torn record but is not the newest log", ErrWALCorrupt, path)
-			}
-			if err := opts.FS.Truncate(path, validLen); err != nil {
-				return nil, err
-			}
-		}
-		db.tail = append(db.tail, recs...)
-		activeRecords = len(recs)
-		chainBytes += validLen
+	} else if c.stop != nil {
+		// Damage a crash cannot explain: refuse rather than silently drop
+		// applied history.
+		return nil, c.stop
 	}
-	if expected > db.gen {
-		db.gen = expected - 1 // newest WAL seen stays the active generation
+	// A torn final record of the newest WAL is a crash mid-append.
+	if err := c.trimTip(opts.FS, dir); err != nil {
+		return nil, err
+	}
+
+	db := &DB{dir: dir, opts: opts, fs: opts.FS, gen: c.start(), lock: lock, loaded: c.loaded, tail: c.tail}
+	db.om = newDBMetrics(opts.Obs)
+	tip, tipExists := c.tip() // the newest WAL of the run stays the active generation
+	if tipExists {
+		db.gen = tip.gen
 	}
 
 	// Fencing. A TERM fence file outranking both the chain and the caller's
 	// claim means a follower was promoted and this chain must never accept
 	// another write; a caller whose claimed term is below the chain's is
-	// itself stale. Checked before any file is created or removed.
-	db.term = chainTerm
+	// itself stale. Checked before the active WAL is created.
+	db.term = c.term
 	fence, err := readFence(opts.FS, dir)
 	if err != nil {
 		return nil, err
 	}
-	if claim := max(chainTerm, opts.Term); fence > claim {
+	if claim := max(c.term, opts.Term); fence > claim {
 		return nil, &FencedError{Dir: dir, Term: claim, Fence: fence}
 	}
-	if opts.Term != 0 && opts.Term < chainTerm {
-		return nil, &FencedError{Dir: dir, Term: opts.Term, Fence: chainTerm}
+	if opts.Term != 0 && opts.Term < c.term {
+		return nil, &FencedError{Dir: dir, Term: opts.Term, Fence: c.term}
 	}
-	if opts.Term > chainTerm {
+	if opts.Term > c.term {
 		// Promotion: mint the new term before any write. A fresh generation
 		// keeps every WAL file single-term (its header IS the durable term
 		// record); when the active generation's WAL does not exist yet — a
 		// bootstrap directory, or every WAL superseded — that generation
 		// simply starts at the new term.
 		db.term = opts.Term
-		if len(wals) > 0 && wals[len(wals)-1] >= db.gen {
+		if tipExists {
 			db.gen++
-			activeRecords = 0
+			tipExists = false
 		}
 	}
 
@@ -441,17 +375,19 @@ func Open(dir string, opts Options) (*DB, error) {
 	// seeded with the recovered tail of the active generation, so the
 	// CheckpointRecords trigger accounts for replay debt already on disk —
 	// otherwise a crash-looping server could grow the tail (and the next
-	// boot's recovery time) without ever tripping a checkpoint.
-	if err := db.openActiveWAL(); err != nil {
+	// boot's recovery time) without ever tripping a checkpoint. A fresh
+	// active WAL follows the run's tip, if any.
+	if err := db.openActiveWAL(tip.valid); err != nil {
 		return nil, err
 	}
-	db.walRecords = activeRecords
-	if len(wals) == 0 || wals[len(wals)-1] < db.gen {
-		chainBytes += db.walSize // the active WAL was created fresh above
+	db.chainBytes = c.bytes
+	if tipExists {
+		db.walRecords = tip.recs
+	} else {
+		db.chainBytes += db.walSize // the active WAL was created fresh above
 	}
-	db.chainBytes = chainBytes
 	// Remove files superseded by the loaded snapshot.
-	db.removeBelow(db.loadedGen())
+	db.gcFails.Add(removeBelow(db.fs, dir, c.start()))
 	if opts.Sync == SyncGroup {
 		db.loneWriter.Store(true) // first durable ack should not wait out a window
 		db.syncKick = make(chan struct{}, 1)
@@ -464,17 +400,10 @@ func Open(dir string, opts Options) (*DB, error) {
 	return db, nil
 }
 
-// loadedGen returns the generation recovery started from.
-func (db *DB) loadedGen() uint64 {
-	if db.loaded != nil {
-		return db.loaded.Generation
-	}
-	return 0
-}
-
 // openActiveWAL opens wal-gen for appending, creating it with a fresh header
-// when absent. Called with db.mu effectively held (Open and rotate).
-func (db *DB) openActiveWAL() error {
+// when absent — begun after a previous WAL of prev bytes, 0 when none. Called
+// with db.mu effectively held (Open and rotate).
+func (db *DB) openActiveWAL(prev int64) error {
 	path := walPath(db.dir, db.gen)
 	f, err := db.fs.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_APPEND, 0o644)
 	if err != nil {
@@ -486,7 +415,7 @@ func (db *DB) openActiveWAL() error {
 		return err
 	}
 	if st.Size() == 0 {
-		if _, err := f.Write(encodeWALHeader(db.gen, db.term)); err != nil {
+		if _, err := f.Write(encodeWALHeader(db.gen, db.term, prev)); err != nil {
 			f.Close()
 			return err
 		}
@@ -539,7 +468,10 @@ func (db *DB) ReplayTail(insert, del func(...rdf.Triple) error) (int, error) {
 	if db.om.on {
 		t0 = time.Now()
 	}
-	n, err := replayMutations(db.tail, insert, del, func() { db.tail = nil })
+	n, err := ReplayBatch(db.tail, insert, del)
+	if err == nil {
+		db.tail = nil
+	}
 	if db.om.on {
 		db.om.replayDuration.ObserveSince(t0)
 		db.om.replayRecords.Add(uint64(n))
@@ -547,12 +479,12 @@ func (db *DB) ReplayTail(insert, del func(...rdf.Triple) error) (int, error) {
 	return n, err
 }
 
-// replayMutations is ReplayTail's coalescing engine, shared with follower
-// catch-up. done runs after a fully successful replay (consuming the source).
-// Every coalesced run is a slice of its own: a callback may keep the run it
-// was handed (to apply a whole epoch at its end, say) without the next run
-// overwriting it.
-func replayMutations(recs []Mutation, insert, del func(...rdf.Triple) error, done func()) (int, error) {
+// ReplayBatch feeds an arbitrary record sequence through ReplayTail's
+// coalescing replay path; a replication follower applies the records of one
+// streamed chunk with it. Every coalesced run is a slice of its own: a
+// callback may keep the run it was handed (to apply a whole epoch at its
+// end, say) without the next run overwriting it.
+func ReplayBatch(recs []Mutation, insert, del func(...rdf.Triple) error) (int, error) {
 	for i := 0; i < len(recs); {
 		j := i + 1
 		n := len(recs[i].Triples)
@@ -578,17 +510,7 @@ func replayMutations(recs []Mutation, insert, del func(...rdf.Triple) error, don
 		}
 		i = j
 	}
-	if done != nil {
-		done()
-	}
 	return len(recs), nil
-}
-
-// ReplayBatch feeds an arbitrary record sequence through the same coalescing
-// replay path as ReplayTail. A replication follower uses it to apply the
-// records of one streamed chunk as maximal same-kind runs.
-func ReplayBatch(recs []Mutation, insert, del func(...rdf.Triple) error) (int, error) {
-	return replayMutations(recs, insert, del, nil)
 }
 
 // Dirty reports whether the active WAL holds any records — i.e. whether the
@@ -734,48 +656,4 @@ func (db *DB) Close() error {
 	}
 	db.bgMu.Unlock()
 	return err
-}
-
-// scanDir lists the snapshot and WAL generations present in dir, ascending.
-func scanDir(fsys FS, dir string) (snaps, wals []uint64, err error) {
-	entries, err := fsys.ReadDir(dir)
-	if err != nil {
-		return nil, nil, err
-	}
-	for _, e := range entries {
-		name := e.Name()
-		var g uint64
-		switch {
-		case matchGen(name, "snap-", ".snap", &g):
-			snaps = append(snaps, g)
-		case matchGen(name, "wal-", ".wal", &g):
-			wals = append(wals, g)
-		}
-	}
-	slices.Sort(snaps)
-	slices.Sort(wals)
-	return snaps, wals, nil
-}
-
-// matchGen parses names of the form prefix + 16 hex digits + suffix.
-func matchGen(name, prefix, suffix string, g *uint64) bool {
-	if len(name) != len(prefix)+16+len(suffix) ||
-		name[:len(prefix)] != prefix || name[len(name)-len(suffix):] != suffix {
-		return false
-	}
-	hex := name[len(prefix) : len(prefix)+16]
-	var v uint64
-	for i := 0; i < 16; i++ {
-		c := hex[i]
-		switch {
-		case c >= '0' && c <= '9':
-			v = v<<4 | uint64(c-'0')
-		case c >= 'a' && c <= 'f':
-			v = v<<4 | uint64(c-'a'+10)
-		default:
-			return false
-		}
-	}
-	*g = v
-	return true
 }

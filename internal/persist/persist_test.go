@@ -13,13 +13,12 @@ import (
 	"repro/internal/store"
 )
 
-// mkState builds a small writer-side State: n triples over fresh terms, with
-// the triples in both the base (full store) and, when saturated is true, a
-// set-base plus a saturated store with one extra triple.
+// mkState builds a small writer-side State: n triples over fresh terms in
+// the base set and, when saturated is true, a saturated store holding them
+// plus one extra triple.
 func mkState(t testing.TB, n int, saturated bool) State {
 	t.Helper()
 	d := dict.New()
-	base := store.New()
 	baseSet := store.NewTripleSet()
 	sat := store.New()
 	for i := 0; i < n; i++ {
@@ -28,12 +27,11 @@ func mkState(t testing.TB, n int, saturated bool) State {
 			P: d.Encode(rdf.NewIRI("http://t/p")),
 			O: d.Encode(rdf.NewIRI(fmt.Sprintf("http://t/o%d", i))),
 		}
-		base.Add(tr)
 		baseSet.Add(tr)
 		sat.Add(tr)
 	}
 	if !saturated {
-		return State{Dict: d, DictLen: d.Len(), Base: base}
+		return State{Dict: d, DictLen: d.Len(), BaseSet: baseSet}
 	}
 	sat.Add(store.Triple{
 		S: d.Encode(rdf.NewIRI("http://t/s0")),
@@ -131,8 +129,8 @@ func TestCheckpointRotateAndGC(t *testing.T) {
 	}
 	defer db2.Close()
 	st := db2.State()
-	if st == nil || st.BaseSet == nil || st.Saturated == nil || st.Base != nil {
-		t.Fatalf("recovered state %+v, want set-base saturated snapshot", st)
+	if st == nil || st.BaseSet == nil || st.Saturated == nil {
+		t.Fatalf("recovered state %+v, want a saturated snapshot", st)
 	}
 	if st.BaseSet.Len() != 5 || st.Saturated.Len() != 6 || st.Dict.Len() == 0 {
 		t.Fatalf("recovered sizes base=%d sat=%d dict=%d", st.BaseSet.Len(), st.Saturated.Len(), st.Dict.Len())
@@ -163,7 +161,7 @@ func TestCheckpointAsyncCoversOldGeneration(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer db2.Close()
-	if st := db2.State(); st == nil || st.Base == nil || st.Base.Len() != 3 {
+	if st := db2.State(); st == nil || st.BaseSet.Len() != 3 {
 		t.Fatalf("state after async checkpoint: %+v", db2.State())
 	}
 	tail := collect(t, db2)
@@ -236,7 +234,7 @@ func TestTornRotationHeaderRecovered(t *testing.T) {
 	}
 	db.Append(false, []rdf.Triple{triple(1)})
 	db.Close()
-	header := encodeWALHeader(2, 0)
+	header := encodeWALHeader(2, 0, 0)
 
 	for cut := 0; cut < walHeaderLen; cut++ {
 		dir2 := t.TempDir()
@@ -374,8 +372,8 @@ func TestFallbackToOlderSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st := db2.State(); st.Generation != 3 || st.Base.Len() != 4 {
-		t.Fatalf("state = gen %d len %d, want gen 3 len 4", st.Generation, st.Base.Len())
+	if st := db2.State(); st.Generation != 3 || st.BaseSet.Len() != 4 {
+		t.Fatalf("state = gen %d len %d, want gen 3 len 4", st.Generation, st.BaseSet.Len())
 	}
 	if tail := collect(t, db2); len(tail) != 1 || tail[0].Triples[0] != triple(2) {
 		t.Fatalf("tail = %+v", tail)
@@ -434,7 +432,7 @@ func TestFallbackChainIntact(t *testing.T) {
 		t.Fatalf("Open: %v", err)
 	}
 	defer db2.Close()
-	if st := db2.State(); st.Generation != 2 || st.Base.Len() != 3 {
+	if st := db2.State(); st.Generation != 2 || st.BaseSet.Len() != 3 {
 		t.Fatalf("state = gen %d, want the older snapshot", st.Generation)
 	}
 	tail := collect(t, db2)
@@ -481,32 +479,31 @@ func TestCheckpointDueThresholds(t *testing.T) {
 	}
 }
 
-// TestSnapshotRoundTripBothBaseForms pins that both base flavours and the
-// saturated section survive a write/read cycle byte-exactly at the content
-// level.
-func TestSnapshotRoundTripBothBaseForms(t *testing.T) {
+// TestSnapshotRoundTrip pins that the base set, with and without the
+// saturated section, survives a write/read cycle at the content level.
+func TestSnapshotRoundTrip(t *testing.T) {
 	for _, saturated := range []bool{false, true} {
 		dir := t.TempDir()
 		st := mkState(t, 7, saturated)
 		if _, err := writeSnapshotFile(OS, dir, 9, 4, st, 0); err != nil {
 			t.Fatal(err)
 		}
-		ls, err := readSnapshotFile(OS, snapshotPath(dir, 9))
+		b, err := os.ReadFile(snapshotPath(dir, 9))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ls, err := decodeSnapshot(b, 9)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if ls.Generation != 9 || ls.Dict.Len() != st.Dict.Len() {
 			t.Fatalf("saturated=%v: gen=%d dict=%d", saturated, ls.Generation, ls.Dict.Len())
 		}
-		if saturated {
-			if ls.BaseSet == nil || ls.Base != nil || ls.Saturated == nil {
-				t.Fatalf("saturated=%v: wrong sections %+v", saturated, ls)
-			}
-			if ls.BaseSet.Len() != 7 || ls.Saturated.Len() != 8 {
-				t.Fatalf("sizes: base=%d sat=%d", ls.BaseSet.Len(), ls.Saturated.Len())
-			}
-		} else if ls.Base == nil || ls.BaseSet != nil || ls.Saturated != nil || ls.Base.Len() != 7 {
+		if ls.BaseSet.Len() != 7 || (ls.Saturated != nil) != saturated {
 			t.Fatalf("saturated=%v: wrong sections %+v", saturated, ls)
+		}
+		if saturated && ls.Saturated.Len() != 8 {
+			t.Fatalf("saturated size %d, want 8", ls.Saturated.Len())
 		}
 	}
 }

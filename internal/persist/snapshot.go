@@ -14,17 +14,19 @@ import (
 )
 
 // Snapshot files. A snapshot is the durable form of one serving state at a
-// mutation-batch boundary: the term dictionary, the store of asserted
-// triples (G), and — when the strategy materialises — the saturated store
-// (G∞), so a restart skips re-saturation entirely. Layout:
+// mutation-batch boundary: the term dictionary, the asserted triples (G) as
+// a single-index set image — one shape, whichever strategy wrote it — and,
+// when the strategy materialises, the saturated store (G∞), so a restart
+// skips re-saturation entirely. Layout:
 //
 //	magic   "WRSNAP"            6 bytes
 //	version uint16 LE           format version; mismatch is rejected
 //	gen     uint64 LE           generation the snapshot begins
 //	term    uint64 LE           fencing term of the primary that wrote it
-//	flags   uint32 LE           bit 0: saturated section present
+//	flags   uint32 LE           bit 0: saturated section present; bit 1
+//	                            (version 3's set-image marker) is retired
 //	section dict                framed (see below)
-//	section base store          framed
+//	section base set            framed
 //	section saturated store     framed, only when flagged
 //
 // Each section is [length uint64 LE][payload][crc32c uint32 LE]; the CRC is
@@ -43,15 +45,15 @@ import (
 // Version 2 added the fencing term to both headers (replication failover).
 // Version 3 regrouped store index sections by first component for the
 // persistent-trie (HAMT) index layout (see internal/store/codec.go).
-const FormatVersion = 3
+// Version 4 writes G in one shape, the set image, which version 3 wrote only
+// for saturation (flag bit 1) beside full store images, and links each WAL
+// header to the previous WAL's length; version 3 files are refused, not
+// converted.
+const FormatVersion = 4
 
 const (
 	snapMagic   = "WRSNAP"
 	flagHasGInf = 1 << 0
-	// flagBaseSet marks the base section as a single-index TripleSet image
-	// (written by the saturation strategy, whose base does only membership)
-	// rather than a full three-index store image.
-	flagBaseSet = 1 << 1
 )
 
 // sectionPad returns the zero-padding after an n-byte section payload that
@@ -70,7 +72,7 @@ var (
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
-// State is the writer-side view of one checkpointable serving state. Base
+// State is the writer-side view of one checkpointable serving state. BaseSet
 // and Saturated are typically O(1) copy-on-write snapshots, and DictLen a
 // dictionary length recorded at the same mutation-batch boundary — the
 // append-only dictionary makes that prefix immutable, so a background
@@ -79,11 +81,8 @@ type State struct {
 	// Dict is the live dictionary; DictLen the number of terms to persist.
 	Dict    *dict.Dict
 	DictLen int
-	// Base holds the asserted triples (G) as a full store image; BaseSet
-	// holds them as a single-index set image instead (the saturation
-	// strategy's choice — a third of the bytes and load work). Exactly one
-	// of the two must be set.
-	Base    store.BinaryView
+	// BaseSet holds the asserted triples (G) as a single-index set image: a
+	// third of a full store image's bytes and load work.
 	BaseSet store.BinaryView
 	// Saturated holds G∞ when the strategy materialises it; nil otherwise.
 	Saturated store.BinaryView
@@ -93,9 +92,7 @@ type State struct {
 // structures owned by the caller.
 type LoadedState struct {
 	Dict *dict.Dict
-	// Base or BaseSet holds the asserted triples, matching the form the
-	// writing strategy persisted (exactly one is non-nil).
-	Base    *store.Store
+	// BaseSet holds the asserted triples (G).
 	BaseSet *store.TripleSet
 	// Saturated is G∞, nil when the snapshot carries no saturation.
 	Saturated  *store.Store
@@ -123,15 +120,9 @@ func writeSnapshotFile(fsys FS, dir string, gen, term uint64, st State, sizeHint
 	header = binary.LittleEndian.AppendUint16(header, FormatVersion)
 	header = binary.LittleEndian.AppendUint64(header, gen)
 	header = binary.LittleEndian.AppendUint64(header, term)
-	if (st.Base == nil) == (st.BaseSet == nil) {
-		return 0, fmt.Errorf("persist: snapshot state needs exactly one of Base and BaseSet")
-	}
 	flags := uint32(0)
 	if st.Saturated != nil {
 		flags |= flagHasGInf
-	}
-	if st.BaseSet != nil {
-		flags |= flagBaseSet
 	}
 	header = binary.LittleEndian.AppendUint32(header, flags)
 	body.Write(header)
@@ -162,11 +153,7 @@ func writeSnapshotFile(fsys FS, dir string, gen, term uint64, st State, sizeHint
 	if err := writeSection(func(w *bytes.Buffer) error { return st.Dict.WriteBinary(w, st.DictLen) }); err != nil {
 		return 0, fmt.Errorf("persist: snapshot dict section: %w", err)
 	}
-	base := st.Base
-	if base == nil {
-		base = st.BaseSet
-	}
-	if err := writeSection(func(w *bytes.Buffer) error { return base.WriteBinary(w) }); err != nil {
+	if err := writeSection(func(w *bytes.Buffer) error { return st.BaseSet.WriteBinary(w) }); err != nil {
 		return 0, fmt.Errorf("persist: snapshot base section: %w", err)
 	}
 	if st.Saturated != nil {
@@ -175,29 +162,25 @@ func writeSnapshotFile(fsys FS, dir string, gen, term uint64, st State, sizeHint
 		}
 	}
 
+	return body.Len(), installSnapshot(fsys, dir, gen, body.Bytes())
+}
+
+// installSnapshot durably installs image b as generation gen's snapshot: it
+// is written to a temporary name, fsynced and renamed into place, so a crash
+// never leaves a file the loader would consider.
+func installSnapshot(fsys FS, dir string, gen uint64, b []byte) error {
 	final := snapshotPath(dir, gen)
-	tmp := final + ".tmp"
-	if err := writeFileSync(fsys, tmp, body.Bytes()); err != nil {
-		return 0, err
+	if err := writeFileSync(fsys, final+".tmp", b); err != nil {
+		return err
 	}
-	if err := fsys.Rename(tmp, final); err != nil {
-		return 0, err
+	if err := fsys.Rename(final+".tmp", final); err != nil {
+		return err
 	}
-	return body.Len(), syncDir(fsys, dir)
+	return syncDir(fsys, dir)
 }
 
-// readSnapshotFile loads and validates one snapshot file.
-func readSnapshotFile(fsys FS, path string) (*LoadedState, error) {
-	b, err := fsys.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	return decodeSnapshot(b)
-}
-
-// decodeSnapshot decodes a whole snapshot image. Exposed package-internally
-// so the fuzz target can drive it directly.
-func decodeSnapshot(b []byte) (*LoadedState, error) {
+// decodeSnapshot decodes a whole snapshot image of generation wantGen.
+func decodeSnapshot(b []byte, wantGen uint64) (*LoadedState, error) {
 	if len(b) < len(snapMagic)+2 {
 		return nil, fmt.Errorf("%w: truncated header", ErrSnapshotCorrupt)
 	}
@@ -217,7 +200,10 @@ func decodeSnapshot(b []byte) (*LoadedState, error) {
 	term := binary.LittleEndian.Uint64(b[8:])
 	flags := binary.LittleEndian.Uint32(b[16:])
 	b = b[20:]
-	if flags&^uint32(flagHasGInf|flagBaseSet) != 0 {
+	if gen != wantGen {
+		return nil, fmt.Errorf("%w: header generation %d, want %d", ErrSnapshotCorrupt, gen, wantGen)
+	}
+	if flags&^uint32(flagHasGInf) != 0 {
 		return nil, fmt.Errorf("%w: unknown flags %#x", ErrSnapshotCorrupt, flags)
 	}
 
@@ -258,12 +244,8 @@ func decodeSnapshot(b []byte) (*LoadedState, error) {
 		return nil, err
 	}
 	ls := &LoadedState{Dict: d, Generation: gen, Term: term}
-	if flags&flagBaseSet != 0 {
-		if ls.BaseSet, err = store.ReadSetBinary(basePayload, maxID); err != nil {
-			return nil, fmt.Errorf("%w: base set: %w", ErrSnapshotCorrupt, err)
-		}
-	} else if ls.Base, err = store.ReadBinaryChecked(basePayload, maxID); err != nil {
-		return nil, fmt.Errorf("%w: base: %w", ErrSnapshotCorrupt, err)
+	if ls.BaseSet, err = store.ReadSetBinary(basePayload, maxID); err != nil {
+		return nil, fmt.Errorf("%w: base set: %w", ErrSnapshotCorrupt, err)
 	}
 	if flags&flagHasGInf != 0 {
 		satPayload, err := section("saturated")

@@ -76,14 +76,6 @@ type ChainInfo struct {
 	WALs []WALExtent
 }
 
-// TipWAL returns the newest WAL extent and true, or false for an empty chain.
-func (c ChainInfo) TipWAL() (WALExtent, bool) {
-	if len(c.WALs) == 0 {
-		return WALExtent{}, false
-	}
-	return c.WALs[len(c.WALs)-1], true
-}
-
 // WALFilePath returns the path of generation gen's WAL file under dir, and
 // SnapshotFilePath the snapshot's. Exposed for replication feeders, which
 // read a primary's chain files directly through an FS.
@@ -155,15 +147,16 @@ type Mirror struct {
 }
 
 // OpenMirror opens (creating if needed) a follower's mirror directory and
-// recovers the verified prefix it holds: the newest loadable snapshot, the
-// contiguous run of verified WALs above it (a torn tail — bytes past the last
-// complete record, possible when a crash interrupted an append — is truncated
-// away), and the highest term in their headers. Local files that cannot
-// contribute to a consistent prefix (an unreadable snapshot with no coverage
-// below it, a WAL run with a gap) are deleted: the source is authoritative
-// and the follower re-fetches, which is always safe and never loses anything
-// that was durable here — what is deleted never formed a recoverable state.
-func OpenMirror(dir string, fsys FS) (*Mirror, error) {
+// recovers the verified prefix it holds by the same walk as Open: the newest
+// loadable snapshot and the contiguous run of WALs above it, up to the first
+// point that is not a verified prefix, and the highest term in their headers.
+// It keeps exactly that prefix, the run's last WAL cut back to its verified
+// bytes, and deletes every other chain file: unreadable snapshots, WALs below
+// the snapshot or past the walk's stop, and everything when snapshots exist
+// but none loads. The source is authoritative and ships it again, which is
+// always safe and never loses anything that was durable here — what is
+// deleted never formed a recoverable state.
+func OpenMirror(dir string, fsys FS) (_ *Mirror, err error) {
 	if fsys == nil {
 		fsys = OS
 	}
@@ -174,106 +167,46 @@ func OpenMirror(dir string, fsys FS) (*Mirror, error) {
 	if err != nil {
 		return nil, err
 	}
-	m := &Mirror{dir: dir, fs: fsys, lock: lock}
-	if err := m.recover(); err != nil {
-		unlockDir(lock)
+	defer func() {
+		if err != nil {
+			unlockDir(lock)
+		}
+	}()
+	c, err := walkChain(fsys, dir)
+	if err != nil {
 		return nil, err
 	}
+	var drop []string
+	for _, g := range c.snaps {
+		if c.loaded == nil || g != c.loaded.Generation {
+			drop = append(drop, snapshotPath(dir, g))
+		}
+	}
+	tip, inRun := c.tip()
+	for _, g := range c.wals {
+		if !inRun || g < c.run[0].gen || g > tip.gen {
+			drop = append(drop, walPath(dir, g))
+		}
+	}
+	for _, path := range drop {
+		if err := fsys.Remove(path); err != nil && !isNotExist(err) {
+			return nil, err
+		}
+	}
+	if err := c.trimTip(fsys, dir); err != nil {
+		return nil, err
+	}
+	m := &Mirror{dir: dir, fs: fsys, lock: lock, loaded: c.loaded, tail: c.tail, term: c.term}
+	if c.loaded != nil {
+		m.snapGen = c.loaded.Generation
+	}
+	if inRun {
+		m.gen, m.size = tip.gen, tip.valid
+		if err := m.openWAL(); err != nil {
+			return nil, err
+		}
+	}
 	return m, nil
-}
-
-// recover scans the local directory and rebuilds the mirror's position,
-// deleting whatever cannot extend a consistent verified prefix.
-func (m *Mirror) recover() error {
-	if entries, err := m.fs.ReadDir(m.dir); err == nil {
-		for _, e := range entries {
-			if n := e.Name(); len(n) > 9 && n[len(n)-9:] == ".snap.tmp" {
-				m.fs.Remove(m.dir + string(os.PathSeparator) + n)
-			}
-		}
-	}
-	snaps, wals, err := scanDir(m.fs, m.dir)
-	if err != nil {
-		return err
-	}
-	// Newest loadable snapshot wins; unreadable ones above it are deleted (the
-	// source will be asked again if their coverage is ever needed).
-	for i := len(snaps) - 1; i >= 0; i-- {
-		ls, err := readSnapshotFile(m.fs, snapshotPath(m.dir, snaps[i]))
-		if err != nil {
-			if rerr := m.fs.Remove(snapshotPath(m.dir, snaps[i])); rerr != nil && !isNotExist(rerr) {
-				return rerr
-			}
-			continue
-		}
-		m.loaded = ls
-		m.snapGen = snaps[i]
-		m.term = ls.Term
-		break
-	}
-	// Verify the WAL run above the snapshot. It must start exactly at the
-	// snapshot's generation (or at the chain's first generation when no
-	// snapshot exists — the source's bootstrap generation) and be contiguous;
-	// anything below the snapshot is superseded, anything past a break cannot
-	// apply and is deleted for re-fetch.
-	drop := func(from int) error {
-		for _, g := range wals[from:] {
-			if err := m.fs.Remove(walPath(m.dir, g)); err != nil && !isNotExist(err) {
-				return err
-			}
-		}
-		return nil
-	}
-	expected := m.snapGen
-	for i, g := range wals {
-		if g < m.snapGen {
-			if err := m.fs.Remove(walPath(m.dir, g)); err != nil && !isNotExist(err) {
-				return err
-			}
-			continue
-		}
-		if m.snapGen == 0 && expected == 0 {
-			expected = g // no snapshot: the run defines its own start
-		}
-		if g != expected {
-			return drop(i)
-		}
-		path := walPath(m.dir, g)
-		b, err := m.fs.ReadFile(path)
-		if err != nil {
-			return err
-		}
-		if len(b) < walHeaderLen {
-			// A crash between creating the file and completing its header; no
-			// record was lost. Delete and re-fetch from the header on.
-			return drop(i)
-		}
-		hg, term, err := ParseWALHeader(b)
-		if err != nil || hg != g || term < m.term {
-			return drop(i)
-		}
-		recs, n, err := DecodeWALRecords(b[walHeaderLen:])
-		valid := int64(walHeaderLen) + n
-		if err != nil {
-			return drop(i)
-		}
-		if valid < int64(len(b)) {
-			// Torn tail: only ever written by a crashed local append; the
-			// source never saw these bytes acknowledged here.
-			if err := m.fs.Truncate(path, valid); err != nil {
-				return err
-			}
-		}
-		m.term = term
-		m.gen = g
-		m.size = valid
-		m.tail = append(m.tail, recs...)
-		expected = g + 1
-	}
-	if m.gen != 0 {
-		return m.openWAL()
-	}
-	return nil
 }
 
 // openWAL opens wal-gen for appending and positions size at its current end.
@@ -337,15 +270,15 @@ func (m *Mirror) AppendWAL(gen uint64, off int64, b []byte) error {
 		if off != 0 {
 			return fmt.Errorf("persist: mirror: new generation %d must start at offset 0, got %d", gen, off)
 		}
-		hg, term, err := ParseWALHeader(b)
+		h, err := parseWALHeader(b)
 		if err != nil {
 			return err
 		}
-		if hg != gen {
-			return fmt.Errorf("%w: mirror: header generation %d, want %d", ErrWALCorrupt, hg, gen)
+		if h.gen != gen {
+			return fmt.Errorf("%w: mirror: header generation %d, want %d", ErrWALCorrupt, h.gen, gen)
 		}
-		if term < m.term {
-			return &FencedError{Dir: m.dir, Term: term, Fence: m.term}
+		if h.term < m.term {
+			return &FencedError{Dir: m.dir, Term: h.term, Fence: m.term}
 		}
 		if m.wal != nil {
 			if err := m.wal.Sync(); err != nil {
@@ -356,7 +289,7 @@ func (m *Mirror) AppendWAL(gen uint64, off int64, b []byte) error {
 			}
 			m.wal = nil
 		}
-		m.gen, m.size, m.term = gen, 0, term
+		m.gen, m.size, m.term = gen, 0, h.term
 		if err := m.openWAL(); err != nil {
 			return err
 		}
@@ -386,12 +319,9 @@ func (m *Mirror) AdoptSnapshot(gen uint64, b []byte) (*LoadedState, error) {
 	if m.closed {
 		return nil, ErrDBClosed
 	}
-	ls, err := decodeSnapshot(b)
+	ls, err := decodeSnapshot(b, gen)
 	if err != nil {
 		return nil, err
-	}
-	if ls.Generation != gen {
-		return nil, fmt.Errorf("%w: mirror: snapshot generation %d, want %d", ErrSnapshotCorrupt, ls.Generation, gen)
 	}
 	if ls.Term < m.term {
 		return nil, &FencedError{Dir: m.dir, Term: ls.Term, Fence: m.term}
@@ -399,14 +329,7 @@ func (m *Mirror) AdoptSnapshot(gen uint64, b []byte) (*LoadedState, error) {
 	if gen < m.snapGen {
 		return nil, fmt.Errorf("persist: mirror: snapshot generation %d below local %d", gen, m.snapGen)
 	}
-	final := snapshotPath(m.dir, gen)
-	if err := writeFileSync(m.fs, final+".tmp", b); err != nil {
-		return nil, err
-	}
-	if err := m.fs.Rename(final+".tmp", final); err != nil {
-		return nil, err
-	}
-	if err := syncDir(m.fs, m.dir); err != nil {
+	if err := installSnapshot(m.fs, m.dir, gen, b); err != nil {
 		return nil, err
 	}
 	m.snapGen = gen
@@ -418,28 +341,8 @@ func (m *Mirror) AdoptSnapshot(gen uint64, b []byte) (*LoadedState, error) {
 		}
 		m.wal, m.gen, m.size = nil, 0, 0
 	}
-	m.gcBelow(gen)
+	removeBelow(m.fs, m.dir, gen)
 	return ls, nil
-}
-
-// gcBelow removes local snapshots and WALs of generations older than gen.
-// Failures are ignored: a leftover file is re-considered (and re-deleted) by
-// the next recovery, exactly like the primary's GC.
-func (m *Mirror) gcBelow(gen uint64) {
-	snaps, wals, err := scanDir(m.fs, m.dir)
-	if err != nil {
-		return
-	}
-	for _, g := range snaps {
-		if g < gen {
-			m.fs.Remove(snapshotPath(m.dir, g))
-		}
-	}
-	for _, g := range wals {
-		if g < gen {
-			m.fs.Remove(walPath(m.dir, g))
-		}
-	}
 }
 
 // Sync fsyncs the active WAL file. The follower calls it at its own cadence —

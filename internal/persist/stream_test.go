@@ -56,9 +56,8 @@ func TestScanChain(t *testing.T) {
 	if len(info.SnapGens) != 1 || info.SnapGens[0] != gen {
 		t.Fatalf("SnapGens = %v, want [%d]", info.SnapGens, gen)
 	}
-	tip, ok := info.TipWAL()
-	if !ok || tip.Gen != gen || tip.Size <= int64(WALHeaderLen) {
-		t.Fatalf("TipWAL = %+v ok=%v, want gen %d with records", tip, ok, gen)
+	if n := len(info.WALs); n == 0 || info.WALs[n-1].Gen != gen || info.WALs[n-1].Size <= int64(WALHeaderLen) {
+		t.Fatalf("WALs = %+v, want the newest at gen %d with records", info.WALs, gen)
 	}
 	if info.FenceTerm != 0 {
 		t.Fatalf("FenceTerm = %d, want 0", info.FenceTerm)
@@ -163,8 +162,8 @@ func TestTermBumpRotatesGeneration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, hdrTerm, err := ParseWALHeader(b); err != nil || hdrTerm != 5 {
-		t.Fatalf("new WAL header term = %d err=%v, want 5", hdrTerm, err)
+	if h, err := parseWALHeader(b); err != nil || h.term != 5 {
+		t.Fatalf("new WAL header term = %d err=%v, want 5", h.term, err)
 	}
 	if pos := db.TipPos(); pos.Term != 5 {
 		t.Fatalf("TipPos = %s, want term 5", pos)
@@ -419,5 +418,83 @@ func TestMirrorRefusesDeposedTerm(t *testing.T) {
 	}
 	if err := m.AppendWAL(oldGen, 0, b); !errors.Is(err, ErrFenced) {
 		t.Fatalf("AppendWAL from deposed term = %v, want ErrFenced", err)
+	}
+}
+
+// TestMirrorStopsAtTornNonNewestWAL: a mirror whose non-newest WAL ends in a
+// CRC-invalid record holds no verified prefix past that record. Recovery
+// stops the run there — the records behind it in later WALs cannot apply —
+// truncates the WAL to its verified bytes, deletes the later WAL, and resumes
+// shipping inside the torn one, so the promoted directory holds every record
+// in order.
+func TestMirrorStopsAtTornNonNewestWAL(t *testing.T) {
+	srcDir, mirDir := t.TempDir(), t.TempDir()
+	db, err := Open(srcDir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	if err := db.Append(false, []rdf.Triple{triple(1)}); err != nil {
+		t.Fatal(err)
+	}
+	mark := db.TipPos()
+	if err := db.Append(false, []rdf.Triple{triple(2)}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.rotate(); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Append(true, []rdf.Triple{triple(1)}); err != nil {
+		t.Fatal(err)
+	}
+
+	m, err := OpenMirror(mirDir, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shipChain(t, m, srcDir)
+	if err := m.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// Flip the last byte of wal-1's final record, which breaks its CRC.
+	path := walPath(mirDir, 1)
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b[len(b)-1] ^= 0xFF
+	if err := os.WriteFile(path, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	m, err = OpenMirror(mirDir, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g, s := m.ActiveGen(); g != 1 || s != mark.Off {
+		t.Fatalf("recovered to gen %d size %d, want gen 1 size %d", g, s, mark.Off)
+	}
+	if tail := m.Tail(); len(tail) != 1 || tail[0].Del || tail[0].Triples[0] != triple(1) {
+		t.Fatalf("recovered tail = %+v, want record 1 only", tail)
+	}
+	if _, err := os.Stat(walPath(mirDir, 2)); !os.IsNotExist(err) {
+		t.Fatalf("wal-2 past the stop survived recovery: %v", err)
+	}
+	shipChain(t, m, srcDir)
+	if pos := m.Pos(); pos != db.TipPos() {
+		t.Fatalf("mirror pos %s after reshipping, want source tip %s", pos, db.TipPos())
+	}
+	if err := m.Close(); err != nil {
+		t.Fatal(err)
+	}
+	pdb, err := Open(mirDir, Options{})
+	if err != nil {
+		t.Fatalf("opening the mirror as a data directory: %v", err)
+	}
+	defer pdb.Close()
+	recs := collect(t, pdb)
+	if len(recs) != 2 || recs[0].Del || len(recs[0].Triples) != 2 || !recs[1].Del ||
+		recs[0].Triples[1] != triple(2) || recs[1].Triples[0] != triple(1) {
+		t.Fatalf("mirror tail = %+v, want insert(1, 2) then delete(1)", recs)
 	}
 }

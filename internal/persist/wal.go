@@ -19,6 +19,8 @@ import (
 //	version uint16 LE
 //	gen     uint64 LE
 //	term    uint64 LE   fencing term of the primary that owns the generation
+//	prev    uint64 LE   length of wal-(gen-1) when it ended and this
+//	                    generation began, 0 when there was none
 //	records…
 //
 // One record per applied mutation run, length-prefixed and CRC-checked:
@@ -37,11 +39,13 @@ import (
 // torn final append and is truncated away; a CRC-invalid or undecodable
 // record with more data behind it cannot be explained by a crashed append
 // and is reported as ErrWALCorrupt instead of silently dropping applied
-// history.
+// history. A WAL that lost whole records at its end is told from a complete
+// one only by the next generation's prev, which links the chain: recovery
+// ends the run where a link does not match.
 
 const (
 	walMagic     = "WRWAL"
-	walHeaderLen = len(walMagic) + 2 + 8 + 8
+	walHeaderLen = len(walMagic) + 2 + 8 + 8 + 8
 	walRecHdrLen = 8
 	maxWALRecord = 1 << 28 // sanity bound on one record's length claim
 	opInsert     = 0
@@ -70,14 +74,22 @@ func walPath(dir string, gen uint64) string {
 }
 
 // encodeWALHeader builds a WAL file header for generation gen owned by the
-// primary whose fencing term is term.
-func encodeWALHeader(gen, term uint64) []byte {
+// primary whose fencing term is term, begun after a previous WAL of prev
+// bytes (0 when none).
+func encodeWALHeader(gen, term uint64, prev int64) []byte {
 	b := make([]byte, 0, walHeaderLen)
 	b = append(b, walMagic...)
 	b = binary.LittleEndian.AppendUint16(b, FormatVersion)
 	b = binary.LittleEndian.AppendUint64(b, gen)
 	b = binary.LittleEndian.AppendUint64(b, term)
+	b = binary.LittleEndian.AppendUint64(b, uint64(prev))
 	return b
+}
+
+// walHeader is a decoded WAL file header.
+type walHeader struct {
+	gen, term uint64
+	prev      int64
 }
 
 // WALHeaderLen is the byte length of a WAL file header — the offset of the
@@ -85,24 +97,27 @@ func encodeWALHeader(gen, term uint64) []byte {
 // boundary to know where a fresh generation's records begin.
 const WALHeaderLen = walHeaderLen
 
-// ParseWALHeader decodes the generation and fencing term from the first
-// WALHeaderLen bytes of a WAL file. It rejects short buffers, a bad magic and
-// a foreign format version; it is the validation a replication follower runs
-// on the header bytes it is about to adopt verbatim.
-func ParseWALHeader(b []byte) (gen, term uint64, err error) {
+// parseWALHeader decodes the first WALHeaderLen bytes of a WAL file. It
+// rejects short buffers, a bad magic and a foreign format version; it is the
+// validation a mirror runs on the header bytes it is about to adopt
+// verbatim.
+func parseWALHeader(b []byte) (walHeader, error) {
 	if len(b) < walHeaderLen {
-		return 0, 0, fmt.Errorf("%w: truncated header", ErrWALCorrupt)
+		return walHeader{}, fmt.Errorf("%w: truncated header", ErrWALCorrupt)
 	}
 	if string(b[:len(walMagic)]) != walMagic {
-		return 0, 0, fmt.Errorf("%w: bad magic", ErrWALCorrupt)
+		return walHeader{}, fmt.Errorf("%w: bad magic", ErrWALCorrupt)
 	}
 	version := binary.LittleEndian.Uint16(b[len(walMagic):])
 	if version != FormatVersion {
-		return 0, 0, fmt.Errorf("%w: WAL version %d, this build reads %d", ErrVersionMismatch, version, FormatVersion)
+		return walHeader{}, fmt.Errorf("%w: WAL version %d, this build reads %d", ErrVersionMismatch, version, FormatVersion)
 	}
-	gen = binary.LittleEndian.Uint64(b[len(walMagic)+2:])
-	term = binary.LittleEndian.Uint64(b[len(walMagic)+10:])
-	return gen, term, nil
+	b = b[len(walMagic)+2:]
+	return walHeader{
+		gen:  binary.LittleEndian.Uint64(b),
+		term: binary.LittleEndian.Uint64(b[8:]),
+		prev: int64(binary.LittleEndian.Uint64(b[16:])),
+	}, nil
 }
 
 // errRecordTooLarge is returned by Append for a batch whose encoding
@@ -180,7 +195,8 @@ func decodeWALPayload(b []byte) (Mutation, error) {
 // flight on a live file — which the caller retries (a streaming follower) or
 // truncates away (recovery). Damage that a racing or torn final append cannot
 // explain — an oversized length claim, or an invalid record with more data
-// behind it — returns ErrWALCorrupt. Offsets in errors are relative to b.
+// behind it — returns ErrWALCorrupt, with recs and consumed still describing
+// the verified records before it. Offsets in errors are relative to b.
 func DecodeWALRecords(b []byte) (recs []Mutation, consumed int64, err error) {
 	off := int64(0)
 	rest := b
@@ -197,7 +213,7 @@ func DecodeWALRecords(b []byte) (recs []Mutation, consumed int64, err error) {
 			// claim is a corrupt frame header — checked BEFORE the
 			// runs-past-EOF test, which would otherwise misread it as a torn
 			// tail and silently truncate every record behind it.
-			return nil, 0, fmt.Errorf("%w: record length %d at offset %d exceeds limit", ErrWALCorrupt, length, off)
+			return recs, off, fmt.Errorf("%w: record length %d at offset %d exceeds limit", ErrWALCorrupt, length, off)
 		}
 		if uint64(len(rest)-walRecHdrLen) < uint64(length) {
 			return recs, off, nil // torn: payload runs past EOF
@@ -208,11 +224,11 @@ func DecodeWALRecords(b []byte) (recs []Mutation, consumed int64, err error) {
 			if len(tail) == 0 {
 				return recs, off, nil // torn: garbage final record
 			}
-			return nil, 0, fmt.Errorf("%w: CRC mismatch at offset %d with %d bytes following", ErrWALCorrupt, off, len(tail))
+			return recs, off, fmt.Errorf("%w: CRC mismatch at offset %d with %d bytes following", ErrWALCorrupt, off, len(tail))
 		}
 		m, err := decodeWALPayload(payload)
 		if err != nil {
-			return nil, 0, fmt.Errorf("%w at offset %d: %w", ErrWALCorrupt, off, err)
+			return recs, off, fmt.Errorf("%w at offset %d: %w", ErrWALCorrupt, off, err)
 		}
 		recs = append(recs, m)
 		off += int64(walRecHdrLen) + int64(length)
@@ -222,22 +238,20 @@ func DecodeWALRecords(b []byte) (recs []Mutation, consumed int64, err error) {
 }
 
 // decodeWAL parses a whole WAL image for the expected generation. It returns
-// the decoded records, the header's fencing term, and the number of bytes of
+// the decoded records, the header, and the number of bytes of
 // b that form a valid prefix; validLen < len(b) means a torn final append
 // that the caller should truncate away. Damage that a torn append cannot
 // explain returns ErrWALCorrupt (or ErrVersionMismatch for a foreign
-// version).
-func decodeWAL(b []byte, wantGen uint64) (recs []Mutation, term uint64, validLen int64, err error) {
-	gen, term, err := ParseWALHeader(b)
+// version); past a valid header, recs and validLen then still describe the
+// verified prefix before the damage, and validLen is 0 otherwise.
+func decodeWAL(b []byte, wantGen uint64) (recs []Mutation, h walHeader, validLen int64, err error) {
+	h, err = parseWALHeader(b)
 	if err != nil {
-		return nil, 0, 0, err
+		return nil, walHeader{}, 0, err
 	}
-	if gen != wantGen {
-		return nil, 0, 0, fmt.Errorf("%w: header generation %d, want %d", ErrWALCorrupt, gen, wantGen)
+	if h.gen != wantGen {
+		return nil, walHeader{}, 0, fmt.Errorf("%w: header generation %d, want %d", ErrWALCorrupt, h.gen, wantGen)
 	}
 	recs, n, err := DecodeWALRecords(b[walHeaderLen:])
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	return recs, term, int64(walHeaderLen) + n, nil
+	return recs, h, int64(walHeaderLen) + n, err
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"os"
 	"testing"
 	"time"
 
@@ -345,5 +346,47 @@ func TestFollowerChunkAndTailAreOneEpochEach(t *testing.T) {
 	}
 	if got, want := f.Strategy().Len(), p.strat.Len(); got != want {
 		t.Fatalf("follower holds %d triples, primary %d", got, want)
+	}
+}
+
+// TestFollowerRestartOverUnreadableSnapshot: a follower restarted over a
+// mirror whose only snapshot is unreadable cannot trust the WALs above it, so
+// it discards the mirror, bootstraps again from the primary's checkpoint, and
+// answers every triple the snapshot held.
+func TestFollowerRestartOverUnreadableSnapshot(t *testing.T) {
+	p := newPrimary(t, persist.Options{})
+	defer p.db.Close()
+	p.insert(rt(1), rt(2))
+	p.checkpoint()
+	p.insert(rt(3))
+
+	mirDir := t.TempDir()
+	f := startFollower(t, mirDir, p.dir)
+	waitCover(t, f, p.db.TipPos())
+	if err := f.Stop(); err != nil {
+		t.Fatal(err)
+	}
+	info, err := persist.ScanChain(nil, mirDir)
+	if err != nil || len(info.SnapGens) != 1 {
+		t.Fatalf("mirror snapshots %v, err %v: want exactly one", info.SnapGens, err)
+	}
+	path := persist.SnapshotFilePath(mirDir, info.SnapGens[0])
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b[len(b)-1] ^= 0xFF // break the last section's CRC
+	if err := os.WriteFile(path, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	f = startFollower(t, mirDir, p.dir)
+	defer f.Stop()
+	waitCover(t, f, p.db.TipPos())
+	for i := 1; i <= 3; i++ {
+		mustAsk(t, f.Strategy(), i, true)
+	}
+	if st := f.Status(); st.Err != nil || st.LagBytes != 0 {
+		t.Fatalf("restarted follower status: %+v", st)
 	}
 }

@@ -1,6 +1,9 @@
 package schema
 
 import (
+	"fmt"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/dict"
@@ -207,4 +210,52 @@ func TestDiamondHierarchy(t *testing.T) {
 	s := Extract(st, voc)
 	eqIDs(t, "SuperClasses(D)", s.SuperClasses(dd), ids(a, b, c))
 	eqIDs(t, "SubClasses(A)", s.SubClasses(a), ids(b, c, dd))
+}
+
+// TestExtractOfClosureIsSameSchema: the schema Extract returns is closed, so
+// extracting again over its own ClosureTriples returns the same schema — the
+// same closure triples, classes and properties, and the same answer from
+// every accessor. Reformulation relies on it to extract once per schema
+// change. Checked on the fixtures and on random hierarchies with cycles.
+func TestExtractOfClosureIsSameSchema(t *testing.T) {
+	same := func(t *testing.T, what string, s *Schema) {
+		t.Helper()
+		st := store.New()
+		for _, tr := range s.ClosureTriples() {
+			st.Add(tr)
+		}
+		again := Extract(st, s.Vocab())
+		if !slices.Equal(again.ClosureTriples(), s.ClosureTriples()) {
+			t.Fatalf("%s: closure triples differ", what)
+		}
+		eqIDs(t, what+": Classes", again.Classes(), s.Classes())
+		eqIDs(t, what+": Properties", again.Properties(), s.Properties())
+		for _, id := range append(slices.Clone(s.Classes()), s.Properties()...) {
+			for _, acc := range []func(*Schema, dict.ID) []dict.ID{
+				(*Schema).SubClasses, (*Schema).SuperClasses,
+				(*Schema).SubProperties, (*Schema).SuperProperties,
+				(*Schema).Domains, (*Schema).Ranges,
+				(*Schema).PropertiesWithDomain, (*Schema).PropertiesWithRange,
+			} {
+				eqIDs(t, fmt.Sprintf("%s: accessor of %d", what, id), acc(again, id), acc(s, id))
+			}
+		}
+	}
+	same(t, "fixture", buildFixture(t).s)
+	for seed := int64(0); seed < 300; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		d := dict.New()
+		voc := NewVocab(d)
+		terms := make([]dict.ID, 8)
+		for i := range terms {
+			terms[i] = d.Encode(rdf.NewIRI(fmt.Sprintf("http://ex.org/t%d", i)))
+		}
+		preds := []dict.ID{voc.SubClassOf, voc.SubPropertyOf, voc.Domain, voc.Range}
+		st := store.New()
+		for i := rng.Intn(16); i >= 0; i-- {
+			st.Add(store.Triple{S: terms[rng.Intn(len(terms))], P: preds[rng.Intn(len(preds))], O: terms[rng.Intn(len(terms))]})
+		}
+		st.Add(store.Triple{S: terms[0], P: voc.Type, O: terms[1]}) // instance data, ignored
+		same(t, fmt.Sprintf("seed %d", seed), Extract(st, voc))
+	}
 }

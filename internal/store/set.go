@@ -94,6 +94,12 @@ func (s *Store) CloneSet() *TripleSet {
 	return &TripleSet{ix: s.spo.copy(), size: s.size}
 }
 
+// Set returns the snapshot's SPO index as a set snapshot, sharing it: the
+// same triples, written by WriteBinary as the single-index set image.
+func (s *Snapshot) Set() *TripleSetSnapshot {
+	return &TripleSetSnapshot{ix: s.spo, size: s.size, epoch: s.epoch}
+}
+
 // Clone returns an independent deep copy, structural like Store.Clone.
 func (s *TripleSet) Clone() *TripleSet {
 	return &TripleSet{ix: s.ix.copy(), size: s.size}
