@@ -18,7 +18,7 @@ import (
 func newObsServer(t *testing.T) (*webreason.Server, *webreason.MetricsRegistry, *webreason.SlowLog) {
 	t.Helper()
 	kb := webreason.NewKB()
-	if _, err := kb.Add(webreason.T(webreason.NewIRI("ex:Student"), webreason.SubClassOf, webreason.NewIRI("ex:Person"))); err != nil {
+	if _, err := kb.LoadGraph(webreason.GraphOf(webreason.T(webreason.NewIRI("ex:Student"), webreason.SubClassOf, webreason.NewIRI("ex:Person")))); err != nil {
 		t.Fatal(err)
 	}
 	reg := webreason.NewMetricsRegistry()

@@ -22,8 +22,10 @@ import (
 // its result, the union its own and a dedup set, and the strategy's source
 // (a union of the data and the schema overlay) one closure per match call of
 // the nested-loop joins, which is most of it — 33 allocs for the one-branch
-// Q1, 1,323 for the 75-branch Q5, the same as before plans were shared. The
-// budgets leave 5%: a collection in the middle of a measurement this
+// Q1, 1,323 for the 75-branch Q5, the same as before plans were shared.
+// Backward chaining pays its result and one dedup set per match call of the
+// virtual G∞ — 6 allocs for Q1, 61 for Q5, 22 for Q9; a match call whose
+// emitter escapes to the heap pays several more each. The budgets leave 5%: a collection in the middle of a measurement this
 // allocation-heavy empties the scratch pool, and the refill is averaged in.
 func TestPreparedAnswerAllocs(t *testing.T) {
 	f := getFixture(t)
@@ -43,6 +45,7 @@ func TestPreparedAnswerAllocs(t *testing.T) {
 		}{
 			{f.sat, "Q1", 3}, {f.sat, "Q5", 3},
 			{f.ref, "Q1", 35}, {f.ref, "Q5", 1390},
+			{f.back, "Q1", 7}, {f.back, "Q5", 65}, {f.back, "Q9", 24},
 		} {
 			srv := webreason.NewServer(c.strat, mode.opts)
 			defer srv.Close()

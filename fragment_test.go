@@ -13,7 +13,7 @@ import (
 // the super-property of another property — on which saturation derived an
 // answer that reformulation and backward chaining did not — and checks that
 // every entry point refuses them with rdf.ErrIllFormed: the Turtle and
-// N-Triples parsers, KB.Add and Server.Insert under each strategy, which
+// N-Triples parsers, KB.LoadGraph and Server.Insert under each strategy, which
 // accepts no triple of the batch.
 func TestOutsideDBFragmentRefused(t *testing.T) {
 	const prefixes = "@prefix ex: <http://ex.org/> .\n" +
@@ -44,8 +44,8 @@ func TestOutsideDBFragmentRefused(t *testing.T) {
 			if _, err := webreason.ParseNTriples(strings.NewReader(c.nt)); !errors.Is(err, rdf.ErrIllFormed) {
 				t.Errorf("N-Triples: err = %v, want rdf.ErrIllFormed", err)
 			}
-			if _, err := webreason.NewKB().Add(c.bad); !errors.Is(err, rdf.ErrIllFormed) {
-				t.Errorf("KB.Add: err = %v, want rdf.ErrIllFormed", err)
+			if _, err := webreason.NewKB().LoadGraph(webreason.GraphOf(c.bad)); !errors.Is(err, rdf.ErrIllFormed) {
+				t.Errorf("KB.LoadGraph: err = %v, want rdf.ErrIllFormed", err)
 			}
 			batch := []webreason.Triple{
 				webreason.T(ex("y"), ex("p"), ex("A")),

@@ -3,7 +3,6 @@ package core
 import (
 	"repro/internal/dict"
 	"repro/internal/engine"
-	"repro/internal/rdf"
 	"repro/internal/schema"
 	"repro/internal/store"
 )
@@ -22,14 +21,11 @@ type Backward struct {
 	skeleton
 	direct
 	asserted
-	// sch is the closed schema the virtual view chains through.
-	sch *schema.Schema
 }
 
 // NewBackward builds the strategy over a private copy of the KB's data.
 func NewBackward(kb *KB) *Backward {
-	b := &Backward{skeleton: skeleton{kb: kb}, direct: direct{kb.dict}, asserted: asserted{kb.base.Clone()}}
-	b.sch = schema.Extract(b.data, kb.voc)
+	b := &Backward{skeleton: skeleton{kb: kb}, direct: direct{kb.dict}, asserted: newAsserted(kb)}
 	b.start(b)
 	return b
 }
@@ -37,33 +33,28 @@ func NewBackward(kb *KB) *Backward {
 // Name implements Strategy.
 func (b *Backward) Name() string { return "backward" }
 
-func (b *Backward) apply(del bool, enc []store.Triple, ts []rdf.Triple) {
-	if b.update(del, enc, ts) {
-		b.sch = schema.Extract(b.data, b.kb.voc)
-	}
-}
-
 func (b *Backward) view() *view {
 	st := b.data.Snapshot()
-	return &view{src: &inferredView{st: st, sch: b.sch, voc: b.kb.voc}, sch: b.sch, size: st.Len(), stats: storeStats(b.data)}
+	return &view{src: &inferredView{st: st, overlay: b.overlay, sch: b.sch, voc: b.voc}, sch: b.sch, size: st.Len(), stats: storeStats(b.data)}
 }
 
 // inferredView is an engine.Source that behaves like G∞ without storing it.
 // Each match call unions the explicit matches with the entailed ones
 // reachable through the closed schema; a per-call set deduplicates triples
-// derivable several ways. The view is immutable — it reads a store snapshot
-// and a schema that are both frozen — so any number of evaluations may share
+// derivable several ways. The view is immutable — it reads two store
+// snapshots and a schema, all frozen — so any number of evaluations may share
 // it concurrently.
 type inferredView struct {
-	st  *store.Snapshot
-	sch *schema.Schema
-	voc schema.Vocab
+	// st is G; overlay the closed-schema triples G does not assert.
+	st, overlay *store.Snapshot
+	sch         *schema.Schema
+	voc         schema.Vocab
 }
 
 var _ engine.Source = (*inferredView)(nil)
 
 func (v *inferredView) ForEachMatch(pat store.Triple, fn func(store.Triple) bool) {
-	emit := newDedupEmitter(pat, fn)
+	emit := newDedupEmitter(fn)
 	switch {
 	case pat.P == v.voc.Type:
 		v.matchType(pat.S, pat.O, emit)
@@ -83,7 +74,7 @@ type dedupEmitter struct {
 	stopped bool
 }
 
-func newDedupEmitter(_ store.Triple, fn func(store.Triple) bool) *dedupEmitter {
+func newDedupEmitter(fn func(store.Triple) bool) *dedupEmitter {
 	return &dedupEmitter{seen: map[store.Triple]struct{}{}, fn: fn}
 }
 
@@ -192,74 +183,20 @@ func (v *inferredView) matchProperty(s, p, o dict.ID, e *dedupEmitter) {
 	}
 }
 
-// matchSchema serves constraint-property patterns from the closed schema.
+// matchSchema serves constraint-property patterns: their triples in G∞ are
+// G's plus the schema closure's, which data ∪ overlay holds. The two
+// snapshots are called directly, not through an interface, so the emitter
+// does not escape to the heap.
 func (v *inferredView) matchSchema(pat store.Triple, e *dedupEmitter) {
-	emitPairs := func(p dict.ID, pairs func() [][2]dict.ID) {
-		for _, pr := range pairs() {
-			e.emit(store.Triple{S: pr[0], P: p, O: pr[1]})
-			if e.stopped {
-				return
-			}
-		}
-	}
-	switch pat.P {
-	case v.voc.SubClassOf:
-		emitPairs(pat.P, func() [][2]dict.ID { return v.hierPairs(pat, v.sch.Classes(), v.sch.SuperClasses, v.sch.SubClasses) })
-	case v.voc.SubPropertyOf:
-		emitPairs(pat.P, func() [][2]dict.ID {
-			return v.hierPairs(pat, v.sch.Properties(), v.sch.SuperProperties, v.sch.SubProperties)
+	for _, st := range [...]*store.Snapshot{v.st, v.overlay} {
+		st.ForEachMatch(pat, func(t store.Triple) bool {
+			e.emit(t)
+			return !e.stopped
 		})
-	case v.voc.Domain:
-		emitPairs(pat.P, func() [][2]dict.ID { return v.constraintPairs(pat, v.sch.Domains, v.sch.PropertiesWithDomain) })
-	case v.voc.Range:
-		emitPairs(pat.P, func() [][2]dict.ID { return v.constraintPairs(pat, v.sch.Ranges, v.sch.PropertiesWithRange) })
-	}
-}
-
-func (v *inferredView) hierPairs(pat store.Triple, all []dict.ID, ups, downs func(dict.ID) []dict.ID) [][2]dict.ID {
-	var out [][2]dict.ID
-	switch {
-	case pat.S != dict.None:
-		for _, o := range ups(pat.S) {
-			if pat.O == dict.None || pat.O == o {
-				out = append(out, [2]dict.ID{pat.S, o})
-			}
-		}
-	case pat.O != dict.None:
-		for _, s := range downs(pat.O) {
-			out = append(out, [2]dict.ID{s, pat.O})
-		}
-	default:
-		for _, s := range all {
-			for _, o := range ups(s) {
-				out = append(out, [2]dict.ID{s, o})
-			}
+		if e.stopped {
+			return
 		}
 	}
-	return out
-}
-
-func (v *inferredView) constraintPairs(pat store.Triple, of func(dict.ID) []dict.ID, with func(dict.ID) []dict.ID) [][2]dict.ID {
-	var out [][2]dict.ID
-	switch {
-	case pat.S != dict.None:
-		for _, c := range of(pat.S) {
-			if pat.O == dict.None || pat.O == c {
-				out = append(out, [2]dict.ID{pat.S, c})
-			}
-		}
-	case pat.O != dict.None:
-		for _, p := range with(pat.O) {
-			out = append(out, [2]dict.ID{p, pat.O})
-		}
-	default:
-		for _, p := range v.sch.Properties() {
-			for _, c := range of(p) {
-				out = append(out, [2]dict.ID{p, c})
-			}
-		}
-	}
-	return out
 }
 
 // matchAnyPredicate handles patterns with an unbound predicate: the union
@@ -269,10 +206,10 @@ func (v *inferredView) matchAnyPredicate(pat store.Triple, e *dedupEmitter) {
 	if e.stopped {
 		return
 	}
-	// Candidate properties: those used in G plus those of the schema (a
-	// subproperty may only appear in the schema yet label entailed triples
-	// — no: entailed triples use *super*properties, which the schema
-	// knows; explicit triples use G's predicates).
+	// Candidate properties: G's predicates label the explicit triples, and
+	// the schema's properties the entailed ones (an entailed triple carries
+	// a superproperty of an asserted triple's predicate, which the closed
+	// schema knows).
 	cands := map[dict.ID]struct{}{}
 	for _, p := range v.st.Predicates() {
 		cands[p] = struct{}{}

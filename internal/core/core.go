@@ -40,8 +40,10 @@ import (
 // backward chaining answer from the schema closure of internal/schema, which
 // is the closure under the same rules — so q(G∞) = q_ref(G) holds only for
 // this rule set, and there is no way to replace it. The KB is the loading
-// container from which strategies are built; strategies own independent
-// copies of the data so their update paths can be compared side by side.
+// container from which strategies are built: LoadGraph is its one write, and
+// strategies own independent copies of the data so their update paths can be
+// compared side by side. Updates go through a strategy and never reach the
+// KB, so what the KB reads is G as loaded.
 type KB struct {
 	dict  *dict.Dict
 	voc   schema.Vocab
@@ -92,11 +94,12 @@ func (kb *KB) Vocab() schema.Vocab { return kb.voc }
 // KB's vocabulary.
 func (kb *KB) Rules() []reason.Rule { return kb.rules }
 
-// Len returns the number of asserted triples.
+// Len returns the number of loaded triples: |G| as loaded, not the current G
+// of a strategy that has since been updated.
 func (kb *KB) Len() int { return kb.base.Len() }
 
-// Base returns the store of asserted triples. Callers must treat it as
-// read-only; use Add/Remove.
+// Base returns the store of loaded triples. Callers must treat it as
+// read-only; LoadGraph is the one write.
 func (kb *KB) Base() *store.Store { return kb.base }
 
 // Encode converts a term-level triple to its dictionary-encoded form,
@@ -112,31 +115,6 @@ func (kb *KB) Encode(t rdf.Triple) store.Triple {
 // Decode converts an encoded triple back to terms.
 func (kb *KB) Decode(t store.Triple) rdf.Triple {
 	return rdf.T(kb.dict.MustTerm(t.S), kb.dict.MustTerm(t.P), kb.dict.MustTerm(t.O))
-}
-
-// Add asserts a triple; it reports whether it was new and errors on
-// ill-formed input.
-func (kb *KB) Add(t rdf.Triple) (bool, error) {
-	if err := t.WellFormed(); err != nil {
-		return false, err
-	}
-	return kb.base.Add(kb.Encode(t)), nil
-}
-
-// Remove retracts a triple, reporting whether it was present.
-func (kb *KB) Remove(t rdf.Triple) bool {
-	enc := store.Triple{}
-	var ok bool
-	if enc.S, ok = kb.dict.Lookup(t.S); !ok {
-		return false
-	}
-	if enc.P, ok = kb.dict.Lookup(t.P); !ok {
-		return false
-	}
-	if enc.O, ok = kb.dict.Lookup(t.O); !ok {
-		return false
-	}
-	return kb.base.Remove(enc)
 }
 
 // LoadGraph asserts every triple of g, returning the number added. Every
@@ -172,8 +150,9 @@ func (kb *KB) LoadGraph(g *rdf.Graph) (int, error) {
 	return n, nil
 }
 
-// Graph decodes the asserted triples back into an rdf.Graph (mainly for
-// serialisation and tests).
+// Graph decodes the loaded triples back into an rdf.Graph (mainly for
+// serialisation and tests): G as loaded, not the current G of a strategy
+// that has since been updated.
 func (kb *KB) Graph() *rdf.Graph {
 	g := rdf.NewGraph()
 	kb.base.ForEachMatch(store.Triple{}, func(t store.Triple) bool {
@@ -181,9 +160,4 @@ func (kb *KB) Graph() *rdf.Graph {
 		return true
 	})
 	return g
-}
-
-// Schema extracts the closed schema of the current base graph.
-func (kb *KB) Schema() *schema.Schema {
-	return schema.Extract(kb.base, kb.voc)
 }

@@ -218,31 +218,6 @@ func TestAskAndLimit(t *testing.T) {
 	}
 }
 
-func TestKBAddRemove(t *testing.T) {
-	kb := NewKB()
-	tr := rdf.T(iri("a"), iri("p"), iri("b"))
-	added, err := kb.Add(tr)
-	if err != nil || !added {
-		t.Fatalf("Add = %v, %v", added, err)
-	}
-	if added, _ := kb.Add(tr); added {
-		t.Error("duplicate Add reported new")
-	}
-	if kb.Len() != 1 {
-		t.Errorf("Len = %d", kb.Len())
-	}
-	if !kb.Remove(tr) {
-		t.Error("Remove failed")
-	}
-	if kb.Remove(rdf.T(iri("nope"), iri("p"), iri("b"))) {
-		t.Error("Remove of unknown triple succeeded")
-	}
-	// Ill-formed triples must be rejected.
-	if _, err := kb.Add(rdf.T(rdf.NewLiteral("x"), iri("p"), iri("b"))); err == nil {
-		t.Error("ill-formed triple accepted")
-	}
-}
-
 // TestKBGraphRoundTrip also checks the rule set: a new KB and one restored
 // from its dictionary and base both carry exactly the RDFS rules, each valid
 // — the rules internal/schema closes under, which reformulation and backward

@@ -203,10 +203,47 @@ func TestStrategiesAgreeUnderInterleavedMutations(t *testing.T) {
 						}
 					}
 				}
+
+				// Fixed schema-level queries, after the random draws so the
+				// draws stay as they were: the closed schema every strategy
+				// answers from must follow the schema writes.
+				for _, q := range schemaQueries {
+					var ref []string
+					for i, s := range strategies {
+						res, err := s.Answer(q)
+						if err != nil {
+							t.Fatalf("step %d: %s on %s: %v", step, s.Name(), q, err)
+						}
+						got := resultStrings(t, kb, res)
+						if i == 0 {
+							ref = got
+						} else if strings.Join(got, "\n") != strings.Join(ref, "\n") {
+							t.Fatalf("step %d: schema divergence on %s\nins: %v\ndel: %v\nsaturation: %v\n%s: %v",
+								step, q, ins, del, ref, s.Name(), got)
+						}
+					}
+				}
 			}
 		})
 	}
 }
+
+// schemaQueries ask for the closed schema itself: each constraint property
+// with both ends variable, and a join through each hierarchy.
+var schemaQueries = func() []*sparql.Query {
+	v := rdf.NewVar
+	bgp := func(ps ...rdf.Triple) *sparql.Query {
+		return &sparql.Query{Form: sparql.Select, Star: true, Patterns: ps}
+	}
+	return []*sparql.Query{
+		bgp(rdf.T(v("a"), rdf.SubClassOf, v("b"))),
+		bgp(rdf.T(v("a"), rdf.SubPropertyOf, v("b"))),
+		bgp(rdf.T(v("a"), rdf.Domain, v("b"))),
+		bgp(rdf.T(v("a"), rdf.Range, v("b"))),
+		bgp(rdf.T(v("x"), rdf.Type, v("c")), rdf.T(v("c"), rdf.SubClassOf, v("d"))),
+		bgp(rdf.T(v("x"), v("p"), v("y")), rdf.T(v("p"), rdf.SubPropertyOf, v("q"))),
+	}
+}()
 
 // vocabulary pools for random generation.
 var (

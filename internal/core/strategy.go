@@ -434,16 +434,33 @@ func (p bgpPlan) on(src engine.Source) plan { return bgpPlan{p.For(src)} }
 func (p bgpPlan) exec(src engine.Source) *engine.Result { return p.Exec(src) }
 
 // asserted is the write side of the two strategies that store G as asserted
-// and reason at query time: instance updates cost O(1), and only the (small)
-// schema is re-derived when a schema triple changes.
+// and reason at query time, reformulation and backward chaining: both answer
+// from G plus its closed schema. Instance updates cost O(1), and only the
+// (small) schema is re-derived when a schema triple changes.
 type asserted struct {
+	voc schema.Vocab
 	// data holds the asserted triples (the strategy's private copy of G).
 	data *store.Store
+	// sch is the closed schema of data, which reformulation rewrites queries
+	// against and backward chaining chains through.
+	sch *schema.Schema
+	// overlay holds the closed-schema triples not asserted in data, so
+	// data ∪ overlay is G with closed schema and no duplicates. It is built
+	// whole by reclose and never written.
+	overlay *store.Snapshot
 }
 
-// update applies the batch to data and reports whether it changed a schema
-// triple.
-func (g *asserted) update(del bool, enc []store.Triple, ts []rdf.Triple) (schemaChanged bool) {
+// newAsserted builds the write side over a private copy of the KB's data.
+func newAsserted(kb *KB) asserted {
+	g := asserted{voc: kb.voc, data: kb.base.Clone()}
+	g.reclose()
+	return g
+}
+
+// apply maintains data for one run and recloses the schema when the run
+// changed a schema triple.
+func (g *asserted) apply(del bool, enc []store.Triple, ts []rdf.Triple) {
+	schemaChanged := false
 	for i, t := range enc {
 		var changed bool
 		if del {
@@ -455,7 +472,24 @@ func (g *asserted) update(del bool, enc []store.Triple, ts []rdf.Triple) (schema
 			schemaChanged = true
 		}
 	}
-	return schemaChanged
+	if schemaChanged {
+		g.reclose()
+	}
+}
+
+// reclose recomputes the closed schema and the overlay of its closure
+// triples (cheap: schemas are small). The schema extracted from data alone is
+// already closed: extracting it again over data ∪ overlay returns the same
+// schema.
+func (g *asserted) reclose() {
+	g.sch = schema.Extract(g.data, g.voc)
+	var ts []store.Triple
+	for _, t := range g.sch.ClosureTriples() {
+		if !g.data.Contains(t) {
+			ts = append(ts, t)
+		}
+	}
+	g.overlay = store.Build(ts).Snapshot()
 }
 
 // storeStats is the store part of a view's WriteStats; the writer side reads
@@ -546,19 +580,13 @@ func (s *Saturation) durable(st *persist.State) {
 type Reformulation struct {
 	skeleton
 	asserted
-	// overlay holds closed-schema triples not asserted in data, so
-	// data ∪ overlay is G with closed schema and no duplicates.
-	overlay *store.Store
-	// sch is the closed schema queries are rewritten against.
-	sch *schema.Schema
 	opt reformulate.Options
 }
 
 // NewReformulation builds the strategy over a private copy of the KB's data;
 // opt tunes the rewriting (zero value = defaults).
 func NewReformulation(kb *KB, opt reformulate.Options) *Reformulation {
-	r := &Reformulation{skeleton: skeleton{kb: kb}, asserted: asserted{kb.base.Clone()}, opt: opt}
-	r.reclose()
+	r := &Reformulation{skeleton: skeleton{kb: kb}, asserted: newAsserted(kb), opt: opt}
 	r.start(r)
 	return r
 }
@@ -566,28 +594,8 @@ func NewReformulation(kb *KB, opt reformulate.Options) *Reformulation {
 // Name implements Strategy.
 func (r *Reformulation) Name() string { return "reformulation" }
 
-func (r *Reformulation) apply(del bool, enc []store.Triple, ts []rdf.Triple) {
-	if r.update(del, enc, ts) {
-		r.reclose()
-	}
-}
-
-// reclose recomputes the closed schema queries are rewritten against and the
-// overlay of its closure triples (cheap: schemas are small). The schema
-// extracted from data alone is already closed: extracting it again over
-// data ∪ overlay returns the same schema.
-func (r *Reformulation) reclose() {
-	r.sch = schema.Extract(r.data, r.kb.voc)
-	r.overlay = store.New()
-	for _, t := range r.sch.ClosureTriples() {
-		if !r.data.Contains(t) {
-			r.overlay.Add(t)
-		}
-	}
-}
-
 func (r *Reformulation) view() *view {
-	src := &unionSource{a: r.data.Snapshot(), b: r.overlay.Snapshot()}
+	src := &unionSource{a: r.data.Snapshot(), b: r.overlay}
 	return &view{src: src, sch: r.sch, size: src.Count(store.Triple{}), stats: storeStats(r.data)}
 }
 
@@ -701,10 +709,11 @@ var (
 	_ reformulate.VocabularySource = (*unionSource)(nil)
 )
 
-// PlainAnswer evaluates q against the asserted triples only, ignoring
+// PlainAnswer evaluates q against the KB's loaded triples only, ignoring
 // entailment — the plain "query evaluation" that the paper's motivation
 // contrasts with query answering, and the baseline showing how many answers
-// each workload query loses without reasoning.
+// each workload query loses without reasoning. It reads G as loaded, not the
+// current G of a strategy that has since been updated.
 func PlainAnswer(kb *KB, q *sparql.Query) (*engine.Result, error) {
 	if err := q.Validate(); err != nil {
 		return nil, err

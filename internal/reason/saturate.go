@@ -269,10 +269,3 @@ func (b baseSource) ForEachMatch(pat store.Triple, fn func(store.Triple) bool) {
 		return !b.base.Contains(t) || fn(t)
 	})
 }
-
-// Saturate is a convenience wrapper: it returns a new store holding the
-// closure of g under rules, plus saturation stats.
-func Saturate(g *store.Store, rules []Rule) (*store.Store, Stats) {
-	m := Materialize(g, rules)
-	return m.st, m.Stats
-}

@@ -508,12 +508,12 @@ func TestCloneIndependence(t *testing.T) {
 
 func TestSaturateStatsAndHelper(t *testing.T) {
 	e := newEnv()
-	st, stats := Saturate(e.tomGraph(), RDFSRules(e.voc))
-	if st.Len() != 3 {
-		t.Errorf("Saturate store len = %d, want 3", st.Len())
+	sat := Materialize(e.tomGraph(), RDFSRules(e.voc))
+	if sat.Store().Len() != 3 {
+		t.Errorf("saturated store len = %d, want 3", sat.Store().Len())
 	}
-	if stats != (Stats{Derived: 1}) {
-		t.Errorf("saturation stats = %+v, want 1 derived and no deletion counters", stats)
+	if sat.Stats != (Stats{Derived: 1}) {
+		t.Errorf("saturation stats = %+v, want 1 derived and no deletion counters", sat.Stats)
 	}
 	// An insertion counts the triples it derives; a deletion the support
 	// checks it makes and the triples it retracts.

@@ -43,7 +43,7 @@ func buildKB(t *testing.T, turtleish []string) *kb {
 		k.st.Add(tr)
 	}
 	k.sch = schema.Extract(k.st, k.voc)
-	k.sat, _ = reason.Saturate(k.st, reason.RDFSRules(k.voc))
+	k.sat = reason.Materialize(k.st, reason.RDFSRules(k.voc)).Store()
 	return k
 }
 

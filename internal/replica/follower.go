@@ -85,7 +85,6 @@ type Follower struct {
 	mu      sync.Mutex
 	cond    *sync.Cond
 	strat   core.Strategy
-	kb      *core.KB
 	epoch   uint64
 	applied persist.ChainPos
 	// appliedRecs/appliedRecBytes scale the LagRecords estimate.
@@ -137,13 +136,12 @@ func Start(cfg Config) (*Follower, error) {
 	// then the locally recovered WAL tail through the normal mutation path,
 	// as one epoch.
 	if ls := m.State(); ls != nil {
-		if f.kb, f.strat, err = core.RestoreStrategy(f.name, ls); err != nil {
+		if _, f.strat, err = core.RestoreStrategy(f.name, ls); err != nil {
 			m.Close()
 			return nil, err
 		}
 	} else {
-		f.kb = core.NewKB()
-		if f.strat, err = core.NewStrategy(f.name, f.kb); err != nil {
+		if f.strat, err = core.NewStrategy(f.name, core.NewKB()); err != nil {
 			m.Close()
 			return nil, err
 		}
@@ -175,14 +173,6 @@ func (f *Follower) Strategy() core.Strategy {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return f.strat
-}
-
-// KB returns the knowledge base backing the current strategy (swapped
-// together with it).
-func (f *Follower) KB() *core.KB {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.kb
 }
 
 // Status returns the follower's current replication state.
@@ -473,13 +463,13 @@ func (f *Follower) bootstrap(snap uint64) error {
 	if err != nil {
 		return err
 	}
-	kb, strat, err := core.RestoreStrategy(f.name, ls)
+	_, strat, err := core.RestoreStrategy(f.name, ls)
 	if err != nil {
 		return err
 	}
 	f.om.bootstraps.Inc()
 	f.mu.Lock()
-	f.kb, f.strat = kb, strat
+	f.strat = strat
 	f.epoch++
 	f.applied = persist.ChainPos{Term: ls.Term, Gen: snap}
 	f.appliedRecs, f.appliedRecBytes = 0, 0
@@ -546,13 +536,13 @@ type PromoteOptions struct {
 // a bumped term (best-effort — an unreachable directory is still fenced
 // logically, by the term carried in every header the new primary writes),
 // closes the mirror, and reopens the local directory as a writable
-// persist.DB minting the new term. The returned DB, KB and strategy are the
+// persist.DB minting the new term. The returned DB and strategy are the
 // new primary's serving state; the recovered history inside the DB is
 // dropped (the strategy already applied every mirrored record).
 //
 // Promotion fails if the follower already adopted a term that fences it (a
 // different follower was promoted first and this one saw the fence).
-func (f *Follower) Promote(opts PromoteOptions) (*persist.DB, *core.KB, core.Strategy, error) {
+func (f *Follower) Promote(opts PromoteOptions) (*persist.DB, core.Strategy, error) {
 	var t0 time.Time
 	if f.om.on {
 		t0 = time.Now()
@@ -564,17 +554,17 @@ func (f *Follower) Promote(opts PromoteOptions) (*persist.DB, *core.KB, core.Str
 	termErr := f.termErr
 	f.mu.Unlock()
 	if termErr != nil {
-		return nil, nil, nil, fmt.Errorf("replica: cannot promote: %w", termErr)
+		return nil, nil, fmt.Errorf("replica: cannot promote: %w", termErr)
 	}
 	if opts.CatchUp {
 		if err := f.syncOnce(); err != nil && f.terminal(err) {
-			return nil, nil, nil, fmt.Errorf("replica: cannot promote: %w", err)
+			return nil, nil, fmt.Errorf("replica: cannot promote: %w", err)
 		}
 	}
 	newTerm := f.mirror.Term() + 1
 	f.cfg.Source.Fence(newTerm) // best-effort; the header terms fence regardless
 	if err := f.mirror.Close(); err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 	dbOpts := opts.DB
 	dbOpts.Term = newTerm
@@ -583,13 +573,13 @@ func (f *Follower) Promote(opts PromoteOptions) (*persist.DB, *core.KB, core.Str
 	}
 	db, err := persist.Open(f.cfg.Dir, dbOpts)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 	// The mirror applied every record it ever shipped; the DB's re-decoded
 	// copy of that history is redundant.
 	db.DropRecovered()
 	f.mu.Lock()
-	kb, strat := f.kb, f.strat
+	strat := f.strat
 	f.applied = db.TipPos()
 	f.cond.Broadcast()
 	f.mu.Unlock()
@@ -597,5 +587,5 @@ func (f *Follower) Promote(opts PromoteOptions) (*persist.DB, *core.KB, core.Str
 		f.om.promoteDuration.ObserveSince(t0)
 		f.om.promotions.Inc()
 	}
-	return db, kb, strat, nil
+	return db, strat, nil
 }

@@ -113,7 +113,7 @@ func BenchmarkReplicaPromotion(b *testing.B) {
 		}
 		p.db.Close()
 		b.StartTimer()
-		db, _, _, err := f.Promote(replica.PromoteOptions{CatchUp: true})
+		db, _, err := f.Promote(replica.PromoteOptions{CatchUp: true})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -219,7 +219,7 @@ func TestFollowerPromotion(t *testing.T) {
 	oldTerm := p.db.Term()
 	p.db.Close()
 
-	db, _, strat, err := f.Promote(replica.PromoteOptions{CatchUp: true})
+	db, strat, err := f.Promote(replica.PromoteOptions{CatchUp: true})
 	if err != nil {
 		t.Fatalf("Promote: %v", err)
 	}
@@ -258,7 +258,7 @@ func TestFollowerFencedBySiblingPromotion(t *testing.T) {
 	waitCover(t, f2, p.db.TipPos())
 	p.db.Close()
 
-	db, _, _, err := f1.Promote(replica.PromoteOptions{CatchUp: true})
+	db, _, err := f1.Promote(replica.PromoteOptions{CatchUp: true})
 	if err != nil {
 		t.Fatalf("Promote: %v", err)
 	}
@@ -281,7 +281,7 @@ func TestFollowerFencedBySiblingPromotion(t *testing.T) {
 		t.Fatalf("WaitApplied on fenced follower = %v, want ErrFenced", err)
 	}
 	// And the fenced follower cannot be promoted over the new primary.
-	if _, _, _, err := f2.Promote(replica.PromoteOptions{}); !errors.Is(err, persist.ErrFenced) {
+	if _, _, err := f2.Promote(replica.PromoteOptions{}); !errors.Is(err, persist.ErrFenced) {
 		t.Fatalf("Promote of fenced follower = %v, want ErrFenced", err)
 	}
 }

@@ -189,7 +189,7 @@ func (s *Server) Promote(opts PromotionOptions) error {
 	if closed {
 		return ErrServerClosed
 	}
-	db, _, strat, err := s.follower.Promote(replica.PromoteOptions{DB: opts.DB, CatchUp: opts.CatchUp})
+	db, strat, err := s.follower.Promote(replica.PromoteOptions{DB: opts.DB, CatchUp: opts.CatchUp})
 	if err != nil {
 		return err
 	}

@@ -15,14 +15,12 @@ func serverKB(t testing.TB) *webreason.KB {
 	t.Helper()
 	kb := webreason.NewKB()
 	ex := func(n string) webreason.Term { return webreason.NewIRI("http://ex.org/" + n) }
-	for _, tr := range []webreason.Triple{
+	if _, err := kb.LoadGraph(webreason.GraphOf(
 		webreason.T(ex("p"), webreason.SubPropertyOf, ex("q")),
 		webreason.T(ex("p"), webreason.Domain, ex("D")),
 		webreason.T(ex("p"), webreason.Range, ex("R")),
-	} {
-		if _, err := kb.Add(tr); err != nil {
-			t.Fatal(err)
-		}
+	)); err != nil {
+		t.Fatal(err)
 	}
 	return kb
 }
