@@ -14,7 +14,8 @@
 #                         undamaged history and against Open's; the store's
 #                         bulk builder: against per-triple Add; the compiled
 #                         RDFS closure: maintained G∞ against the generic
-#                         rule engine)
+#                         rule engine; query reformulation: the plain and the
+#                         minimised union against the query over G∞)
 #   make test-chaos       seeded fault-injection sweep under the race
 #                         detector: CHAOS_SEEDS (default 200) full server
 #                         rounds over a scripted faulty filesystem, each
@@ -111,6 +112,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzHAMTNodeDecode -fuzztime $(FUZZTIME) ./internal/store/
 	$(GO) test -run '^$$' -fuzz FuzzBuild -fuzztime $(FUZZTIME) ./internal/store/
 	$(GO) test -run '^$$' -fuzz FuzzCompiledClosure -fuzztime $(FUZZTIME) ./internal/reason/
+	$(GO) test -run '^$$' -fuzz FuzzReformulate -fuzztime $(FUZZTIME) ./internal/reformulate/
 
 test-benchmark:
 	$(GO) -C benchmark vet .

@@ -216,21 +216,32 @@ func BenchmarkQueryBackward(b *testing.B) {
 }
 
 // BenchmarkReformulate measures pure rewriting time and reports the union
-// size.
+// size, plain (min=false, the shared fixture's strategy) and minimised
+// (min=true, what every served path runs).
 func BenchmarkReformulate(b *testing.B) {
 	f := getFixture(b)
-	for _, name := range benchQueries {
-		b.Run(name, func(b *testing.B) {
-			b.ReportAllocs()
-			var branches int
-			for i := 0; i < b.N; i++ {
-				ucq, err := f.ref.Reformulate(f.qs[name])
-				if err != nil {
-					b.Fatal(err)
-				}
-				branches = ucq.Size()
+	for _, m := range []struct {
+		name string
+		ref  *core.Reformulation
+	}{
+		{"min=false", f.ref},
+		{"min=true", core.NewReformulation(f.kb, reformulate.Options{Minimize: true})},
+	} {
+		b.Run(m.name, func(b *testing.B) {
+			for _, name := range benchQueries {
+				b.Run(name, func(b *testing.B) {
+					b.ReportAllocs()
+					var branches int
+					for i := 0; i < b.N; i++ {
+						ucq, err := m.ref.Reformulate(f.qs[name])
+						if err != nil {
+							b.Fatal(err)
+						}
+						branches = ucq.Size()
+					}
+					b.ReportMetric(float64(branches), "branches")
+				})
 			}
-			b.ReportMetric(float64(branches), "branches")
 		})
 	}
 }

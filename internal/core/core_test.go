@@ -8,7 +8,9 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/dict"
 	"repro/internal/engine"
+	"repro/internal/lubm"
 	"repro/internal/persist"
 	"repro/internal/rdf"
 	"repro/internal/reason"
@@ -285,6 +287,73 @@ func TestNewStrategyReformulationMinimises(t *testing.T) {
 	}
 	if got := size(named); got != minimised {
 		t.Errorf(`NewStrategy("reformulation") union has %d branches, want the minimised %d (plain %d)`, got, minimised, plain)
+	}
+}
+
+// TestLUBMUnionSizes pins the size of the union each of the 14 LUBM queries
+// rewrites to, minimised and not, at SmallConfig: the rewriting depends on
+// the schema and the vocabulary G uses, not on the scale. A rewriter that
+// loses deduplication grows the plain unions; one that loses subsumption
+// grows the minimised ones, whether the rewriter minimises or
+// UCQ.Minimize does it on the plain union's terms.
+func TestLUBMUnionSizes(t *testing.T) {
+	kb := NewKB()
+	if _, err := kb.LoadGraph(lubm.GenerateWithOntology(lubm.SmallConfig())); err != nil {
+		t.Fatal(err)
+	}
+	wantPlain := []int{1, 15, 4, 14, 75, 5, 5, 15, 55, 5, 1, 4, 100, 1}
+	wantMin := []int{1, 15, 1, 8, 3, 5, 1, 15, 1, 1, 1, 3, 4, 1}
+	plain := NewReformulation(kb, reformulate.Options{})
+	minimised := NewReformulation(kb, reformulate.Options{Minimize: true})
+	for i, wq := range lubm.Queries() {
+		q := wq.Parse()
+		p, err := plain.Reformulate(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := minimised.Reformulate(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p.Size() != wantPlain[i] || m.Size() != wantMin[i] || p.Minimize().Size() != wantMin[i] {
+			t.Errorf("%s: unions of %d, %d minimised, %d minimised from terms; want %d, %d, %d",
+				wq.Name, p.Size(), m.Size(), p.Minimize().Size(), wantPlain[i], wantMin[i], wantMin[i])
+		}
+	}
+}
+
+// TestUnionSourceSortedIDs checks reformulation's source against its own
+// enumeration: for every two-constant pattern of every triple of G and its
+// overlay, SortedIDs lists ascending exactly the IDs ForEachMatch finds, and
+// Count counts them — whether the pattern reads G alone, or both halves
+// (a constraint predicate, or none).
+func TestUnionSourceSortedIDs(t *testing.T) {
+	u := NewReformulation(loadKB(t), reformulate.Options{}).cur.Load().src.(*unionSource)
+	if u.overlay.Len() == 0 {
+		t.Fatal("fixture has no overlay: the merged path is not exercised")
+	}
+	var all []store.Triple
+	u.ForEachMatch(store.Triple{}, func(tr store.Triple) bool { all = append(all, tr); return true })
+	if len(all) != u.Count(store.Triple{}) {
+		t.Fatalf("ForEachMatch found %d triples, Count says %d", len(all), u.Count(store.Triple{}))
+	}
+	for _, tr := range all {
+		for _, c := range []struct {
+			pat  store.Triple
+			free func(store.Triple) dict.ID
+		}{
+			{store.Triple{S: tr.S, P: tr.P}, func(m store.Triple) dict.ID { return m.O }},
+			{store.Triple{P: tr.P, O: tr.O}, func(m store.Triple) dict.ID { return m.S }},
+			{store.Triple{S: tr.S, O: tr.O}, func(m store.Triple) dict.ID { return m.P }},
+		} {
+			var want []dict.ID
+			u.ForEachMatch(c.pat, func(m store.Triple) bool { want = append(want, c.free(m)); return true })
+			sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
+			got, ok := u.SortedIDs(c.pat)
+			if !ok || !reflect.DeepEqual(got, want) || u.Count(c.pat) != len(want) {
+				t.Errorf("%v: SortedIDs %v (ok %v), Count %d; ForEachMatch finds %v", c.pat, got, ok, u.Count(c.pat), want)
+			}
+		}
 	}
 }
 

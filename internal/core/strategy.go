@@ -595,7 +595,7 @@ func NewReformulation(kb *KB, opt reformulate.Options) *Reformulation {
 func (r *Reformulation) Name() string { return "reformulation" }
 
 func (r *Reformulation) view() *view {
-	src := &unionSource{a: r.data.Snapshot(), b: r.overlay}
+	src := &unionSource{g: r.data.Snapshot(), overlay: r.overlay, voc: r.voc}
 	return &view{src: src, sch: r.sch, size: src.Count(store.Triple{}), stats: storeStats(r.data)}
 }
 
@@ -645,23 +645,30 @@ func (p ucqPlan) on(src engine.Source) plan { return ucqPlan{p.For(src)} }
 
 func (p ucqPlan) exec(src engine.Source) *engine.Result { return p.Exec(src) }
 
-// storeView is the read-only store surface shared by *store.Store and
-// *store.Snapshot that composite sources build on: what the engine needs to
-// evaluate plus what reformulation needs to enumerate the vocabulary.
-type storeView interface {
-	engine.Source
-	reformulate.VocabularySource
+// unionSource exposes G and its schema overlay, two disjoint snapshots, as
+// one engine.SortedSource and reformulate.VocabularySource. The overlay holds
+// only rdfs:subClassOf, rdfs:subPropertyOf, rdfs:domain and rdfs:range
+// triples, so a pattern whose predicate is bound to any other property — a
+// reformulated branch's every instance pattern — reads G alone, with G's
+// own sorted leaves; only a constraint or unbound-predicate pattern reads
+// both halves.
+type unionSource struct {
+	g, overlay *store.Snapshot
+	voc        schema.Vocab
 }
 
-// unionSource exposes two disjoint store views as one engine.Source /
-// reformulate.VocabularySource.
-type unionSource struct {
-	a, b storeView
+// inG reports whether every match of pat is in G.
+func (u *unionSource) inG(pat store.Triple) bool {
+	return pat.P != dict.None && !u.voc.IsConstraintProperty(pat.P)
 }
 
 func (u *unionSource) ForEachMatch(pat store.Triple, fn func(store.Triple) bool) {
+	if u.inG(pat) {
+		u.g.ForEachMatch(pat, fn)
+		return
+	}
 	stopped := false
-	u.a.ForEachMatch(pat, func(t store.Triple) bool {
+	u.g.ForEachMatch(pat, func(t store.Triple) bool {
 		if !fn(t) {
 			stopped = true
 			return false
@@ -671,19 +678,47 @@ func (u *unionSource) ForEachMatch(pat store.Triple, fn func(store.Triple) bool)
 	if stopped {
 		return
 	}
-	u.b.ForEachMatch(pat, fn)
+	u.overlay.ForEachMatch(pat, fn)
 }
 
 func (u *unionSource) Count(pat store.Triple) int {
-	return u.a.Count(pat) + u.b.Count(pat)
+	if u.inG(pat) {
+		return u.g.Count(pat)
+	}
+	return u.g.Count(pat) + u.overlay.Count(pat)
+}
+
+// SortedIDs implements engine.SortedSource: G's leaf, or for a pattern both
+// halves can match, their two leaves merged into a new ascending slice.
+func (u *unionSource) SortedIDs(pat store.Triple) ([]dict.ID, bool) {
+	if u.inG(pat) {
+		return u.g.SortedIDs(pat)
+	}
+	a, okA := u.g.SortedIDs(pat)
+	b, okB := u.overlay.SortedIDs(pat)
+	switch {
+	case !okB:
+		return a, okA
+	case !okA:
+		return b, okB
+	}
+	out := make([]dict.ID, 0, len(a)+len(b))
+	for len(a) > 0 && len(b) > 0 {
+		if a[0] < b[0] {
+			out, a = append(out, a[0]), a[1:]
+		} else {
+			out, b = append(out, b[0]), b[1:]
+		}
+	}
+	return append(append(out, a...), b...), true
 }
 
 func (u *unionSource) Predicates() []dict.ID {
-	return unionIDs(u.a.Predicates(), u.b.Predicates())
+	return unionIDs(u.g.Predicates(), u.overlay.Predicates())
 }
 
 func (u *unionSource) Objects(p dict.ID) []dict.ID {
-	return unionIDs(u.a.Objects(p), u.b.Objects(p))
+	return unionIDs(u.g.Objects(p), u.overlay.Objects(p))
 }
 
 func unionIDs(a, b []dict.ID) []dict.ID {
@@ -705,7 +740,7 @@ var (
 	_ Strategy                     = (*Saturation)(nil)
 	_ Strategy                     = (*Reformulation)(nil)
 	_ Strategy                     = (*Backward)(nil)
-	_ engine.Source                = (*unionSource)(nil)
+	_ engine.SortedSource          = (*unionSource)(nil)
 	_ reformulate.VocabularySource = (*unionSource)(nil)
 )
 

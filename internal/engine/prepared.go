@@ -12,10 +12,11 @@ import (
 )
 
 // SortedSource is a Source that can additionally enumerate the free position
-// of a two-constant pattern in ascending ID order. The concrete store
-// implements it via its sorted postings leaves; virtual sources (union views,
-// backward-chaining views) generally cannot, and plans over them simply have
-// no merge-join steps.
+// of a two-constant pattern in ascending ID order. The store and its
+// snapshots implement it via their sorted postings leaves, and so does
+// reformulation's union of G and its schema overlay (G's leaf, or the two
+// halves' leaves merged). Backward chaining's virtual G∞ derives its matches
+// lazily and cannot; plans over it simply have no merge-join steps.
 type SortedSource interface {
 	Source
 	// SortedIDs returns, ascending, the IDs matching the single wildcard

@@ -1,0 +1,93 @@
+package reformulate
+
+import (
+	"fmt"
+	"strings"
+	"testing"
+
+	"repro/internal/sparql"
+)
+
+// fuzzBytes hands out the bytes of a fuzz input, zeros past its end.
+type fuzzBytes []byte
+
+func (b *fuzzBytes) next() int {
+	if len(*b) == 0 {
+		return 0
+	}
+	c := (*b)[0]
+	*b = (*b)[1:]
+	return int(c)
+}
+
+// FuzzReformulate decodes a small schema (cycles allowed), a few instance
+// triples and a BGP of at most three patterns, which may hold a variable in
+// class or property position, and checks that the plain union, the
+// minimised union and q over reason.Materialize's G∞ return the same
+// answers.
+func FuzzReformulate(f *testing.F) {
+	f.Add([]byte{3, 4, 2, 0, 1, 0, 1, 2, 0, 2, 0, 2, 3, 1, 3, 0, 0, 1, 2, 1, 1, 1, 5, 0, 1, 3, 1})
+	f.Add([]byte{4, 3, 3, 0, 1, 0, 1, 0, 0, 2, 1, 1, 0, 0, 3, 1, 2, 1, 0, 3, 2, 3, 1, 0, 2, 1, 1, 2, 0})
+	f.Add([]byte{6, 8, 3, 1, 2, 2, 2, 1, 3, 0, 0, 1, 1, 1, 0, 3, 3, 2, 0, 1, 4, 1, 2, 3, 5, 2, 0, 1, 2, 3, 1, 4, 0, 2, 1, 3, 0, 4, 2, 1})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		in := fuzzBytes(data)
+		nSchema, nInst, nPats := in.next()%7, in.next()%9, 1+in.next()%3
+		var lines []string
+		for range nSchema {
+			a, b := in.next()%4, in.next()%4
+			switch in.next() % 4 {
+			case 0:
+				lines = append(lines, fmt.Sprintf("C%d sco C%d", a, b))
+			case 1:
+				lines = append(lines, fmt.Sprintf("p%d spo p%d", a, b))
+			case 2:
+				lines = append(lines, fmt.Sprintf("p%d dom C%d", a, b))
+			default:
+				lines = append(lines, fmt.Sprintf("p%d rng C%d", a, b))
+			}
+		}
+		for range nInst {
+			a, b, c := in.next()%4, in.next()%4, in.next()
+			if c%2 == 0 {
+				lines = append(lines, fmt.Sprintf("i%d a C%d", a, b))
+			} else {
+				lines = append(lines, fmt.Sprintf("i%d p%d i%d", a, c/2%4, b))
+			}
+		}
+		k := buildKB(t, lines)
+
+		nodes := []string{"?x", "?y", "?c", "?p", "ex:i0", "ex:i1", "ex:C0"}
+		var pats []string
+		for range nPats {
+			s, o, n := nodes[in.next()%len(nodes)], nodes[in.next()%len(nodes)], in.next()%4
+			switch in.next() % 5 {
+			case 0:
+				pats = append(pats, fmt.Sprintf("%s a ex:C%d", s, n))
+			case 1:
+				pats = append(pats, s+" a ?c")
+			case 2:
+				pats = append(pats, fmt.Sprintf("%s ex:p%d %s", s, n, o))
+			case 3:
+				pats = append(pats, s+" ?p "+o)
+			default:
+				pats = append(pats, fmt.Sprintf("?c <http://www.w3.org/2000/01/rdf-schema#subClassOf> ex:C%d", n))
+			}
+		}
+		qtext := prefix + "SELECT * WHERE { " + strings.Join(pats, " . ") + " }"
+		q, err := sparql.Parse(qtext)
+		if err != nil {
+			return // a literal or ill-placed term the generator cannot produce
+		}
+		viaSat, viaRef := k.answers(t, qtext)
+		requireEqual(t, qtext+" (plain union)", viaSat, viaRef)
+		min, err := Reformulate(q, k.sch, k.d, k.st, Options{Minimize: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := min.Evaluate(k.st, k.d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireEqual(t, qtext+" (minimised union)", viaSat, rowsToStrings(res, k.d))
+	})
+}

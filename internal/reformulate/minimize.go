@@ -1,6 +1,10 @@
 package reformulate
 
 import (
+	"cmp"
+	"slices"
+	"strings"
+
 	"repro/internal/rdf"
 )
 
@@ -11,92 +15,167 @@ import (
 // reformulations for exactly this reason — redundant members cost
 // evaluation time without adding answers.
 //
-// Containment of conjunctive queries is NP-hard in general; the BGPs
-// produced by reformulation are small (the homomorphism search is over a
-// handful of patterns), so a simple backtracking check suffices. Minimize
-// returns a new UCQ; the receiver is unchanged. Of a set of mutually
-// equivalent branches, the earliest is kept.
+// Minimize interns the terms of the branches into the ID-level form the
+// rewriter minimises in (variables named _f… are the fresh ones, free to
+// map) and runs the same minimiser. It returns a new UCQ; the receiver is
+// unchanged. Of a set of mutually equivalent branches, the earliest is
+// kept.
 func (u *UCQ) Minimize() *UCQ {
-	out := &UCQ{Query: u.Query, VocabDependent: u.VocabDependent}
+	var f form // no dictionary: every constant goes to the per-run table
+	var fresh []string
+	elem := func(t rdf.Term) uint32 {
+		if t.IsVar() && strings.HasPrefix(t.Value, "_f") {
+			return varTag | freshTag | index(&fresh, t.Value)
+		}
+		return f.intern(t)
+	}
+	brs := make([]branch, len(u.Branches))
 	for i, b := range u.Branches {
-		redundant := false
-		for j, a := range u.Branches {
-			if i == j || !sameFixed(a.Fixed, b.Fixed) {
-				continue
-			}
-			if !subsumes(a, b) {
-				continue
-			}
-			// a maps into b. If they are mutually subsuming (equivalent),
-			// drop only the later one.
-			if j > i && subsumes(b, a) {
-				continue
-			}
-			redundant = true
-			break
+		br := branch{pats: make([]pattern, len(b.Patterns))}
+		for k, p := range b.Patterns {
+			br.pats[k] = pattern{elem(p.S), elem(p.P), elem(p.O)}
 		}
-		if !redundant {
-			out.Branches = append(out.Branches, b)
+		for v, t := range b.Fixed {
+			br.fixed = append(br.fixed, binding{elem(rdf.NewVar(v)), elem(t)})
 		}
+		slices.SortFunc(br.fixed, func(a, b binding) int { return cmp.Compare(a.v, b.v) })
+		brs[i] = br
+	}
+	out := &UCQ{Query: u.Query, VocabDependent: u.VocabDependent}
+	for _, i := range minimize(brs, len(fresh)) {
+		out.Branches = append(out.Branches, u.Branches[i])
 	}
 	return out
 }
 
-// sameFixed reports whether two branches fix the same variables to the same
-// terms (branches with different fixed bindings produce different answer
-// columns and are never interchangeable).
-func sameFixed(a, b map[string]rdf.Term) bool {
-	if len(a) != len(b) {
+// minimize returns, ascending, the indexes of the branches of brs no other
+// branch subsumes (of mutually subsuming ones, the earliest); fresh bounds
+// the number of every fresh variable in them. No element of brs is 0.
+//
+// Containment of conjunctive queries is NP-hard in general, but the pairs
+// that reach the homomorphism search are few and small: a pair is rejected
+// first unless the two branches fix the same bindings and the constants
+// and named variables of the subsuming one (its signature, sorted, with a
+// 64-bit summary of it checked first) are a subset of the other's, since a
+// homomorphism maps each of them to itself.
+func minimize(brs []branch, fresh int) []int {
+	sigs := make([]signature, len(brs))
+	for i, br := range brs {
+		sigs[i] = newSignature(br.pats)
+	}
+	h := homomorphism{assign: make([]uint32, fresh)}
+	subsumes := func(a, b int) bool {
+		return sigs[a].within(sigs[b]) && slices.Equal(brs[a].fixed, brs[b].fixed) && h.maps(brs[a].pats, brs[b].pats)
+	}
+	var keep []int
+	for i := range brs {
+		redundant := false
+		for j := range brs {
+			// j maps into i. If they are mutually subsuming (equivalent),
+			// drop only the later one.
+			if j != i && subsumes(j, i) && (j < i || !subsumes(i, j)) {
+				redundant = true
+				break
+			}
+		}
+		if !redundant {
+			keep = append(keep, i)
+		}
+	}
+	return keep
+}
+
+// signature is the sorted set of the elements of a branch a homomorphism
+// must map to themselves (constants and named variables), and a 64-bit
+// summary of it: one bit per element, by hash.
+type signature struct {
+	elems []uint32
+	bits  uint64
+}
+
+func newSignature(pats []pattern) signature {
+	var s signature
+	for _, p := range pats {
+		for _, e := range p {
+			if !isFresh(e) {
+				s.elems = append(s.elems, e)
+				s.bits |= 1 << (e * 0x9E3779B1 >> 26)
+			}
+		}
+	}
+	slices.Sort(s.elems)
+	s.elems = slices.Compact(s.elems)
+	return s
+}
+
+// within reports whether every element of s is in t.
+func (s signature) within(t signature) bool {
+	if s.bits&^t.bits != 0 {
 		return false
 	}
-	for k, v := range a {
-		if b[k] != v {
+	b := t.elems
+	for _, e := range s.elems {
+		for len(b) > 0 && b[0] < e {
+			b = b[1:]
+		}
+		if len(b) == 0 || b[0] != e {
 			return false
 		}
+		b = b[1:]
 	}
 	return true
 }
 
-// isFreshVar reports whether t is a rewriting-introduced variable ("_fN"),
-// the only kind a subsumption homomorphism may remap.
-func isFreshVar(t rdf.Term) bool {
-	return t.IsVar() && len(t.Value) > 2 && t.Value[0] == '_' && t.Value[1] == 'f'
+// homomorphism is the search state of a subsumption check: the image of
+// each fresh variable of the subsuming branch (0: none yet) and the undo
+// stack of the variables assigned.
+type homomorphism struct {
+	assign []uint32
+	undo   []uint32
 }
 
-// subsumes reports whether branch a subsumes branch b: a homomorphism from
-// a's patterns into b's patterns that is the identity on constants and on
-// the query's named variables, with a's fresh variables free to map to any
-// term of b. Identity on all named variables (not just projected ones)
-// keeps the check sound for any downstream use of the bindings.
-func subsumes(a, b Branch) bool {
-	assign := map[string]rdf.Term{}
-	mapTerm := func(t rdf.Term, target rdf.Term) bool {
-		if !isFreshVar(t) {
-			return t == target
-		}
-		if bound, ok := assign[t.Value]; ok {
-			return bound == target
-		}
-		assign[t.Value] = target
+// maps reports whether a homomorphism from a's patterns into b's patterns
+// exists that is the identity on constants and on the query's named
+// variables, with a's fresh variables free to map to any element of b.
+// Identity on all named variables (not just projected ones) keeps the check
+// sound for any downstream use of the bindings.
+func (h *homomorphism) maps(a, b []pattern) bool {
+	ok := h.match(a, b)
+	for _, v := range h.undo {
+		h.assign[v] = 0
+	}
+	h.undo = h.undo[:0]
+	return ok
+}
+
+func (h *homomorphism) match(a, b []pattern) bool {
+	if len(a) == 0 {
 		return true
 	}
-	var match func(i int) bool
-	match = func(i int) bool {
-		if i == len(a.Patterns) {
+	p := a[0]
+	for _, c := range b {
+		mark := len(h.undo)
+		if h.bind(p[0], c[0]) && h.bind(p[1], c[1]) && h.bind(p[2], c[2]) && h.match(a[1:], b) {
 			return true
 		}
-		p := a.Patterns[i]
-		for _, cand := range b.Patterns {
-			snapshot := make(map[string]rdf.Term, len(assign))
-			for k, v := range assign {
-				snapshot[k] = v
-			}
-			if mapTerm(p.S, cand.S) && mapTerm(p.P, cand.P) && mapTerm(p.O, cand.O) && match(i+1) {
-				return true
-			}
-			assign = snapshot
+		for _, v := range h.undo[mark:] {
+			h.assign[v] = 0
 		}
-		return false
+		h.undo = h.undo[:mark]
 	}
-	return match(0)
+	return false
+}
+
+// bind maps element x of the subsuming branch to element y of the other.
+func (h *homomorphism) bind(x, y uint32) bool {
+	if !isFresh(x) {
+		return x == y
+	}
+	v := x & numMask
+	if bound := h.assign[v]; bound != 0 {
+		return bound == y
+	}
+	h.assign[v] = y
+	h.undo = append(h.undo, v)
+	return true
 }

@@ -20,10 +20,21 @@
 // Schema-level triple patterns (rdfs:subClassOf etc.) are not rewritten:
 // like [12], the schema component of the store is always kept closed, so
 // direct evaluation is already complete for them.
+//
+// The rewriting and the minimisation run on an ID-level form of the query,
+// the one the schema and the store speak (form.go): a branch is a list of
+// [3]uint32 patterns whose constants are dictionary IDs (a query constant
+// the dictionary does not know gets a number in a per-run table), whose
+// variables are numbered, the query's first and the fresh ones after, and
+// whose fixed bindings are a sorted (variable, constant) list. Branches
+// deduplicate on the bytes of their sorted, fresh-renamed pattern list, and
+// the terms of a Branch are built once, for the branches the union keeps.
 package reformulate
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -127,22 +138,31 @@ func (u *UCQ) String() string {
 	return b.String()
 }
 
-// reformulator carries the shared state of one reformulation run.
-type reformulator struct {
-	sch   *schema.Schema
-	d     *dict.Dict
-	src   VocabularySource
-	max   int
-	seen  map[string]struct{}
-	out   []Branch
-	queue []Branch
-	fresh int
+// rewriter carries the shared state of one reformulation run.
+type rewriter struct {
+	form
+	sch *schema.Schema
+	voc schema.Vocab
+	src VocabularySource
+	max int
+	// seen holds the dedup key of every branch produced; out is the union
+	// in production order, and the breadth-first queue: a branch is
+	// expanded once every branch before it has been.
+	seen map[string]struct{}
+	out  []branch
+	// fresh is the number of fresh variables coined so far.
+	fresh uint32
+	// tmp is the branch under construction, fix its fixed bindings, key
+	// and sorted the scratch of its dedup key.
+	tmp    []pattern
+	fix    []binding
+	key    []byte
+	sorted []pattern
 
 	// candidate vocabularies, computed lazily; usedVocab records that at
 	// least one was consulted (feeding UCQ.VocabDependent).
-	classCandidates []rdf.Term
-	propCandidates  []rdf.Term
-	usedVocab       bool
+	classes, props []dict.ID
+	usedVocab      bool
 }
 
 // Reformulate rewrites q against the closed schema. src supplies the data
@@ -152,265 +172,178 @@ func Reformulate(q *sparql.Query, sch *schema.Schema, d *dict.Dict, src Vocabula
 	if err := q.Validate(); err != nil {
 		return nil, err
 	}
+	if d.Len() >= maxDictLen {
+		return nil, fmt.Errorf("reformulate: dictionary of %d terms exceeds the rewriter's %d", d.Len(), maxDictLen)
+	}
 	max := opt.MaxBranches
 	if max <= 0 {
 		max = DefaultMaxBranches
 	}
-	r := &reformulator{sch: sch, d: d, src: src, max: max, seen: map[string]struct{}{}}
-	root := Branch{Patterns: append([]rdf.Triple(nil), q.Patterns...), Fixed: map[string]rdf.Term{}}
-	if err := r.push(root); err != nil {
+	r := &rewriter{form: form{d: d}, sch: sch, voc: sch.Vocab(), src: src, max: max, seen: map[string]struct{}{}}
+	for _, t := range q.Patterns {
+		r.tmp = append(r.tmp, pattern{r.intern(t.S), r.intern(t.P), r.intern(t.O)})
+	}
+	if err := r.push(nil); err != nil {
 		return nil, err
 	}
-	for len(r.queue) > 0 {
-		br := r.queue[0]
-		r.queue = r.queue[1:]
-		r.out = append(r.out, br)
-		if err := r.expand(br); err != nil {
+	for i := 0; i < len(r.out); i++ {
+		if err := r.expand(r.out[i]); err != nil {
 			return nil, err
 		}
 	}
-	ucq := &UCQ{Query: q, Branches: r.out, VocabDependent: r.usedVocab}
+	keep := r.out
 	if opt.Minimize {
-		ucq = ucq.Minimize()
+		keep = nil
+		for _, i := range minimize(r.out, int(r.fresh)) {
+			keep = append(keep, r.out[i])
+		}
+	}
+	ucq := &UCQ{Query: q, Branches: make([]Branch, len(keep)), VocabDependent: r.usedVocab}
+	for i, br := range keep {
+		ucq.Branches[i] = r.render(br)
 	}
 	return ucq, nil
 }
 
-// push enqueues a branch unless an equivalent one was already produced.
-func (r *reformulator) push(br Branch) error {
-	key := canonicalKey(br)
-	if _, dup := r.seen[key]; dup {
+// push adds the branch under construction (tmp, with the fixed bindings
+// given) to the union unless an equivalent one was already produced.
+func (r *rewriter) push(fixed []binding) error {
+	r.tmp = dedupe(r.tmp)
+	r.key, r.sorted = appendKey(r.key[:0], r.sorted, r.tmp, fixed)
+	if _, dup := r.seen[string(r.key)]; dup {
 		return nil
 	}
 	if len(r.seen) >= r.max {
 		return fmt.Errorf("%w (limit %d)", ErrTooLarge, r.max)
 	}
-	r.seen[key] = struct{}{}
-	r.queue = append(r.queue, br)
+	r.seen[string(r.key)] = struct{}{}
+	r.out = append(r.out, branch{pats: slices.Clone(r.tmp), fixed: slices.Clone(fixed)})
 	return nil
 }
 
 // expand applies every single-step rewriting to every pattern of br.
-func (r *reformulator) expand(br Branch) error {
-	for i, p := range br.Patterns {
-		switch {
-		case p.P == rdf.Type:
-			if err := r.expandTypePattern(br, i, p); err != nil {
-				return err
+func (r *rewriter) expand(br branch) error {
+	for i, p := range br.pats {
+		var err error
+		switch pr := p[1]; {
+		case pr == uint32(r.voc.Type):
+			err = r.expandType(br, i, p)
+		case isVar(pr):
+			err = r.instantiate(br, pr, r.propertyCandidates())
+		case pr&unknownTag == 0 && !r.voc.IsConstraintProperty(dict.ID(pr)):
+			for _, sub := range r.sch.SubProperties(dict.ID(pr)) {
+				if err = r.replace(br, i, pattern{p[0], uint32(sub), p[2]}); err != nil {
+					break
+				}
 			}
-		case p.P.IsVar():
-			if err := r.instantiateVar(br, p.P, r.propertyCandidates()); err != nil {
-				return err
-			}
-		case p.P.IsIRI() && !rdf.IsSchemaProperty(p.P):
-			if err := r.expandSubProperty(br, i, p); err != nil {
-				return err
-			}
+		}
+		if err != nil {
+			return err
 		}
 	}
 	return nil
 }
 
-func (r *reformulator) expandTypePattern(br Branch, i int, p rdf.Triple) error {
-	if p.O.IsVar() {
-		return r.instantiateVar(br, p.O, r.classCandidatesList())
+func (r *rewriter) expandType(br branch, i int, p pattern) error {
+	if isVar(p[2]) {
+		return r.instantiate(br, p[2], r.classCandidates())
 	}
-	if !p.O.IsIRI() {
-		return nil // rdf:type with a literal object matches nothing entailed
-	}
-	cid, ok := r.d.Lookup(p.O)
-	if !ok {
+	if p[2]&unknownTag != 0 {
 		return nil // class unknown to graph and schema: no expansions
 	}
+	c := dict.ID(p[2])
+	subs, doms, rngs := r.sch.SubClasses(c), r.sch.PropertiesWithDomain(c), r.sch.PropertiesWithRange(c)
+	if len(subs)+len(doms)+len(rngs) == 0 || !r.d.MustTerm(c).IsIRI() {
+		return nil // rdf:type with a literal object matches nothing entailed
+	}
 	// (s type C) ⇒ (s type C') for C' ⊑ C.
-	for _, sub := range r.sch.SubClasses(cid) {
-		nb := br.replace(i, rdf.T(p.S, rdf.Type, r.d.MustTerm(sub)))
-		if err := r.push(nb); err != nil {
+	for _, sub := range subs {
+		if err := r.replace(br, i, pattern{p[0], p[1], uint32(sub)}); err != nil {
 			return err
 		}
 	}
 	// (s type C) ⇒ (s P ⋆) for P with domain C.
-	for _, prop := range r.sch.PropertiesWithDomain(cid) {
-		nb := br.replace(i, rdf.T(p.S, r.d.MustTerm(prop), r.freshVar()))
-		if err := r.push(nb); err != nil {
+	for _, prop := range doms {
+		if err := r.replace(br, i, pattern{p[0], uint32(prop), r.freshVar()}); err != nil {
 			return err
 		}
 	}
 	// (s type C) ⇒ (⋆ P s) for P with range C.
-	for _, prop := range r.sch.PropertiesWithRange(cid) {
-		nb := br.replace(i, rdf.T(r.freshVar(), r.d.MustTerm(prop), p.S))
-		if err := r.push(nb); err != nil {
+	for _, prop := range rngs {
+		if err := r.replace(br, i, pattern{r.freshVar(), uint32(prop), p[0]}); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-func (r *reformulator) expandSubProperty(br Branch, i int, p rdf.Triple) error {
-	pid, ok := r.d.Lookup(p.P)
-	if !ok {
-		return nil
-	}
-	for _, sub := range r.sch.SubProperties(pid) {
-		nb := br.replace(i, rdf.T(p.S, r.d.MustTerm(sub), p.O))
-		if err := r.push(nb); err != nil {
+// replace pushes br with pattern i swapped for p.
+func (r *rewriter) replace(br branch, i int, p pattern) error {
+	r.tmp = append(r.tmp[:0], br.pats...)
+	r.tmp[i] = p
+	return r.push(br.fixed)
+}
+
+// instantiate pushes br with variable v replaced by each candidate constant
+// everywhere, the binding recorded so the evaluator can emit it.
+func (r *rewriter) instantiate(br branch, v uint32, candidates []dict.ID) error {
+	at, _ := slices.BinarySearchFunc(br.fixed, v, func(b binding, v uint32) int { return cmp.Compare(b.v, v) })
+	for _, c := range candidates {
+		r.tmp = r.tmp[:0]
+		for _, p := range br.pats {
+			for k, e := range p {
+				if e == v {
+					p[k] = uint32(c)
+				}
+			}
+			r.tmp = append(r.tmp, p)
+		}
+		r.fix = append(append(append(r.fix[:0], br.fixed[:at]...), binding{v, uint32(c)}), br.fixed[at:]...)
+		if err := r.push(r.fix); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// instantiateVar substitutes every candidate constant for variable v across
-// the whole branch, recording the binding so the evaluator can emit it.
-func (r *reformulator) instantiateVar(br Branch, v rdf.Term, candidates []rdf.Term) error {
-	for _, cand := range candidates {
-		nb := br.substitute(v, cand)
-		if err := r.push(nb); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (r *reformulator) freshVar() rdf.Term {
+// freshVar coins a fresh, non-projected variable (⋆).
+func (r *rewriter) freshVar() uint32 {
 	r.fresh++
-	return rdf.NewVar(fmt.Sprintf("_f%d", r.fresh))
+	return varTag | freshTag | (r.fresh - 1)
 }
 
 // propertyCandidates returns the possible bindings of a property-position
 // variable over G∞: properties used in G, properties of the schema, and
 // rdf:type.
-func (r *reformulator) propertyCandidates() []rdf.Term {
+func (r *rewriter) propertyCandidates() []dict.ID {
 	r.usedVocab = true
-	if r.propCandidates != nil {
-		return r.propCandidates
-	}
-	set := map[rdf.Term]struct{}{rdf.Type: {}}
-	if r.src != nil {
-		for _, id := range r.src.Predicates() {
-			set[r.d.MustTerm(id)] = struct{}{}
+	if r.props == nil {
+		ids := []dict.ID{r.voc.Type}
+		if r.src != nil {
+			ids = append(ids, r.src.Predicates()...) // a copy: sortedSet sorts in place
 		}
+		r.props = sortedSet(append(ids, r.sch.Properties()...))
 	}
-	for _, id := range r.sch.Properties() {
-		set[r.d.MustTerm(id)] = struct{}{}
-	}
-	r.propCandidates = sortTerms(set)
-	return r.propCandidates
+	return r.props
 }
 
-// classCandidatesList returns the possible bindings of a class-position
-// variable over G∞: classes asserted in G plus classes of the schema.
-func (r *reformulator) classCandidatesList() []rdf.Term {
+// classCandidates returns the possible bindings of a class-position variable
+// over G∞: classes asserted in G plus classes of the schema.
+func (r *rewriter) classCandidates() []dict.ID {
 	r.usedVocab = true
-	if r.classCandidates != nil {
-		return r.classCandidates
-	}
-	set := map[rdf.Term]struct{}{}
-	if r.src != nil {
-		if typeID, ok := r.d.Lookup(rdf.Type); ok {
-			for _, id := range r.src.Objects(typeID) {
-				set[r.d.MustTerm(id)] = struct{}{}
-			}
+	if r.classes == nil {
+		var ids []dict.ID
+		if r.src != nil {
+			ids = r.src.Objects(r.voc.Type)
 		}
+		r.classes = sortedSet(append(append(make([]dict.ID, 0, len(ids)), ids...), r.sch.Classes()...))
 	}
-	for _, id := range r.sch.Classes() {
-		set[r.d.MustTerm(id)] = struct{}{}
-	}
-	r.classCandidates = sortTerms(set)
-	return r.classCandidates
+	return r.classes
 }
 
-func sortTerms(set map[rdf.Term]struct{}) []rdf.Term {
-	out := make([]rdf.Term, 0, len(set))
-	for t := range set {
-		out = append(out, t)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Compare(out[j]) < 0 })
-	return out
-}
-
-// replace returns a copy of the branch with pattern i swapped for p,
-// dropping exact duplicate patterns.
-func (b Branch) replace(i int, p rdf.Triple) Branch {
-	nb := Branch{Patterns: make([]rdf.Triple, 0, len(b.Patterns)), Fixed: b.Fixed}
-	for j, old := range b.Patterns {
-		if j == i {
-			nb.Patterns = append(nb.Patterns, p)
-		} else {
-			nb.Patterns = append(nb.Patterns, old)
-		}
-	}
-	nb.Patterns = dedupePatterns(nb.Patterns)
-	return nb
-}
-
-// substitute returns a copy of the branch with variable v replaced by term
-// c everywhere, and the binding recorded in Fixed.
-func (b Branch) substitute(v rdf.Term, c rdf.Term) Branch {
-	nb := Branch{Patterns: make([]rdf.Triple, 0, len(b.Patterns)), Fixed: map[string]rdf.Term{}}
-	for k, t := range b.Fixed {
-		nb.Fixed[k] = t
-	}
-	nb.Fixed[v.Value] = c
-	sub := func(t rdf.Term) rdf.Term {
-		if t == v {
-			return c
-		}
-		return t
-	}
-	for _, p := range b.Patterns {
-		nb.Patterns = append(nb.Patterns, rdf.T(sub(p.S), sub(p.P), sub(p.O)))
-	}
-	nb.Patterns = dedupePatterns(nb.Patterns)
-	return nb
-}
-
-func dedupePatterns(ps []rdf.Triple) []rdf.Triple {
-	seen := map[rdf.Triple]struct{}{}
-	out := ps[:0]
-	for _, p := range ps {
-		if _, dup := seen[p]; dup {
-			continue
-		}
-		seen[p] = struct{}{}
-		out = append(out, p)
-	}
-	return out
-}
-
-// canonicalKey renders a branch with fresh variables (named "_f…") renamed
-// in order of appearance over sorted patterns, so branches that differ only
-// in fresh-variable naming deduplicate.
-func canonicalKey(b Branch) string {
-	ps := append([]rdf.Triple(nil), b.Patterns...)
-	sort.Slice(ps, func(i, j int) bool { return ps[i].Compare(ps[j]) < 0 })
-	rename := map[string]string{}
-	var sb strings.Builder
-	writeTerm := func(t rdf.Term) {
-		if t.IsVar() && strings.HasPrefix(t.Value, "_f") {
-			nn, ok := rename[t.Value]
-			if !ok {
-				nn = fmt.Sprintf("_c%d", len(rename))
-				rename[t.Value] = nn
-			}
-			sb.WriteString("?" + nn)
-			return
-		}
-		sb.WriteString(t.String())
-	}
-	for _, p := range ps {
-		writeTerm(p.S)
-		sb.WriteByte(' ')
-		writeTerm(p.P)
-		sb.WriteByte(' ')
-		writeTerm(p.O)
-		sb.WriteByte('\n')
-	}
-	fixed := make([]string, 0, len(b.Fixed))
-	for v, t := range b.Fixed {
-		fixed = append(fixed, v+"="+t.String())
-	}
-	sort.Strings(fixed)
-	sb.WriteString(strings.Join(fixed, ";"))
-	return sb.String()
+// sortedSet sorts ids and drops repeats, in place; the result is never nil,
+// so an empty candidate set is computed once.
+func sortedSet(ids []dict.ID) []dict.ID {
+	slices.Sort(ids)
+	return slices.Compact(ids)
 }
