@@ -50,8 +50,10 @@
 #                         go test -run TestReplicaChaos -replica.chaos.seed=N .)
 #   make test-store-stress
 #                         high-iteration randomized store sweep under the
-#                         race detector: the differential battery (store
-#                         and its snapshots vs a brute-force oracle) plus
+#                         race detector: the differential battery (store,
+#                         its snapshots and the clones it leaves behind,
+#                         which the battery keeps writing, vs a brute-force
+#                         oracle) plus
 #                         the structural-sharing properties, at
 #                         STORE_ROUNDS (default 1000) seeded rounds
 #                         (reproduce one round with

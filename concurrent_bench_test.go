@@ -83,7 +83,9 @@ func BenchmarkStoreSnapshot(b *testing.B) {
 	})
 }
 
-// BenchmarkStoreCloneDepts6 is the deep-copy baseline Snapshot replaces.
+// BenchmarkStoreCloneDepts6 prices Clone on a saturated store: O(1), a
+// second writable version over the store's current snapshot, whatever the
+// store's size.
 func BenchmarkStoreCloneDepts6(b *testing.B) {
 	_, mat := depts6(b)
 	st := mat.Store()

@@ -23,7 +23,8 @@ type Backward struct {
 	asserted
 }
 
-// NewBackward builds the strategy over a private copy of the KB's data.
+// NewBackward builds the strategy over a clone of the KB's data, which
+// shares the loaded store's nodes.
 func NewBackward(kb *KB) *Backward {
 	b := &Backward{skeleton: skeleton{kb: kb}, direct: direct{kb.dict}, asserted: newAsserted(kb)}
 	b.start(b)

@@ -40,10 +40,14 @@ import (
 // backward chaining answer from the schema closure of internal/schema, which
 // is the closure under the same rules — so q(G∞) = q_ref(G) holds only for
 // this rule set, and there is no way to replace it. The KB is the loading
-// container from which strategies are built: LoadGraph is its one write, and
-// strategies own independent copies of the data so their update paths can be
-// compared side by side. Updates go through a strategy and never reach the
-// KB, so what the KB reads is G as loaded.
+// container from which strategies are built: LoadGraph is its one write.
+// Each strategy starts from a clone of the loaded store, which shares its
+// nodes under copy-on-write (store.Store.Clone), so a process holds G's
+// nodes once however many strategies it builds, and their update paths can
+// still be compared side by side. Updates go through a strategy and never
+// reach the KB, so what the KB reads is G as loaded. The KB leaves its store
+// snapshotted, so building strategies only reads it: any number of
+// goroutines may build them from one KB at once.
 type KB struct {
 	dict  *dict.Dict
 	voc   schema.Vocab
@@ -53,16 +57,7 @@ type KB struct {
 
 // NewKB returns an empty knowledge base using the RDFS rule set of the DB
 // fragment.
-func NewKB() *KB {
-	d := dict.New()
-	voc := schema.NewVocab(d)
-	return &KB{
-		dict:  d,
-		voc:   voc,
-		base:  store.New(),
-		rules: reason.RDFSRules(voc),
-	}
-}
+func NewKB() *KB { return RestoreKB(dict.New(), nil) }
 
 // RestoreKB rebuilds a knowledge base around a dictionary and base store
 // recovered from a persistence snapshot, taking ownership of both. The RDFS
@@ -75,6 +70,7 @@ func RestoreKB(d *dict.Dict, base *store.Store) *KB {
 	if base == nil {
 		base = store.New()
 	}
+	base.Snapshot()
 	voc := schema.NewVocab(d)
 	return &KB{
 		dict:  d,
@@ -121,6 +117,7 @@ func (kb *KB) Decode(t store.Triple) rdf.Triple {
 // triple is validated before any is encoded, so a graph with an ill-formed
 // triple adds nothing, to the base or to the dictionary. Into an empty KB
 // the base is built in one pass (store.Build) and replaces the empty store.
+// The base is left snapshotted (see KB).
 func (kb *KB) LoadGraph(g *rdf.Graph) (int, error) {
 	var err error
 	g.ForEach(func(t rdf.Triple) bool {
@@ -137,16 +134,18 @@ func (kb *KB) LoadGraph(g *rdf.Graph) (int, error) {
 		ts = append(ts, kb.Encode(t))
 		return true
 	})
+	n := 0
 	if kb.base.Len() == 0 {
 		kb.base = store.Build(ts)
-		return kb.base.Len(), nil
-	}
-	n := 0
-	for _, t := range ts {
-		if kb.base.Add(t) {
-			n++
+		n = kb.base.Len()
+	} else {
+		for _, t := range ts {
+			if kb.base.Add(t) {
+				n++
+			}
 		}
 	}
+	kb.base.Snapshot()
 	return n, nil
 }
 

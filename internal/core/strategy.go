@@ -439,7 +439,8 @@ func (p bgpPlan) exec(src engine.Source) *engine.Result { return p.Exec(src) }
 // (small) schema is re-derived when a schema triple changes.
 type asserted struct {
 	voc schema.Vocab
-	// data holds the asserted triples (the strategy's private copy of G).
+	// data holds the asserted triples: the strategy's own version of G, a
+	// clone of the KB's that shares its nodes until either side writes.
 	data *store.Store
 	// sch is the closed schema of data, which reformulation rewrites queries
 	// against and backward chaining chains through.
@@ -450,7 +451,7 @@ type asserted struct {
 	overlay *store.Snapshot
 }
 
-// newAsserted builds the write side over a private copy of the KB's data.
+// newAsserted builds the write side over a clone of the KB's data.
 func newAsserted(kb *KB) asserted {
 	g := asserted{voc: kb.voc, data: kb.base.Clone()}
 	g.reclose()
@@ -519,8 +520,9 @@ type Saturation struct {
 	mat *reason.Materialization
 }
 
-// NewSaturation materialises the KB's closure. The KB's base store is
-// copied; later updates must go through this strategy.
+// NewSaturation materialises the KB's closure. Its base set is a clone of
+// the KB's store (store.Store.CloneSet), which the KB keeps reading as
+// loaded; later updates must go through this strategy.
 func NewSaturation(kb *KB) *Saturation {
 	return newSaturation(kb, reason.Materialize(kb.base, kb.rules))
 }
@@ -583,8 +585,9 @@ type Reformulation struct {
 	opt reformulate.Options
 }
 
-// NewReformulation builds the strategy over a private copy of the KB's data;
-// opt tunes the rewriting (zero value = defaults).
+// NewReformulation builds the strategy over a clone of the KB's data, which
+// shares the loaded store's nodes; opt tunes the rewriting (zero value =
+// defaults).
 func NewReformulation(kb *KB, opt reformulate.Options) *Reformulation {
 	r := &Reformulation{skeleton: skeleton{kb: kb}, asserted: newAsserted(kb), opt: opt}
 	r.start(r)

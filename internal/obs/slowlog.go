@@ -6,15 +6,9 @@ import (
 	"time"
 )
 
-// Stage is one named timed phase of a traced query (e.g. "rebind", "eval").
-type Stage struct {
-	Name     string        `json:"name"`
-	Duration time.Duration `json:"duration_ns"`
-}
-
 // QueryTrace is one slow-query record: everything needed to explain why a
 // query was slow after the fact — which strategy answered it, whether the
-// prepared-plan cache hit, how many rows came back, and per-stage timings.
+// prepared-plan cache hit, how many rows came back and how long it took.
 type QueryTrace struct {
 	Time         time.Time     `json:"time"`
 	Query        string        `json:"query,omitempty"`
@@ -24,7 +18,6 @@ type QueryTrace struct {
 	Duration     time.Duration `json:"duration_ns"`
 	Rows         int           `json:"rows"`
 	Err          string        `json:"err,omitempty"`
-	Stages       []Stage       `json:"stages,omitempty"`
 }
 
 // SlowLog is a bounded ring buffer of QueryTrace records. The hot-path

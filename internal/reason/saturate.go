@@ -1,7 +1,6 @@
 package reason
 
 import (
-	"repro/internal/dict"
 	"repro/internal/schema"
 	"repro/internal/store"
 )
@@ -50,8 +49,8 @@ type Stats struct {
 //
 // G∞ is built once: G, the schema closure and every base triple's
 // consequences go into one slice, which store.Build sorts, deduplicates and
-// turns into the three indexes bottom-up. The base set is a structural copy
-// of g's SPO index.
+// turns into the three indexes bottom-up. The base set is g's SPO index,
+// shared under copy-on-write (store.Store.CloneSet).
 func Materialize(g *store.Store, rules []Rule) *Materialization {
 	cl := compile(schema.Extract(g, vocabOf(rules)))
 	closure := cl.sch.ClosureTriples()
@@ -61,31 +60,9 @@ func Materialize(g *store.Store, rules []Rule) *Materialization {
 		return true
 	})
 	ts = append(ts, closure...)
-	// One pass over the base, a predicate (a class, for rdf:type) at a
-	// time: one consequence-list lookup per predicate, none for the many
-	// that have no consequences.
-	typ := cl.voc.Type
-	for _, p := range g.Predicates() {
-		if p == typ {
-			for _, k := range g.Objects(p) {
-				if sup := cl.classes[k]; sup != nil {
-					ss, _ := g.SortedIDs(store.Triple{P: p, O: k})
-					for _, s := range ss {
-						ts = appendTypes(ts, typ, s, sup)
-					}
-				}
-			}
-		} else if cons := cl.props[p]; cons != nil {
-			g.ForEachMatch(store.Triple{P: p}, func(t store.Triple) bool {
-				for _, q := range cons.supers {
-					ts = append(ts, store.Triple{S: t.S, P: q, O: t.O})
-				}
-				ts = appendTypes(ts, typ, t.S, cons.domains)
-				ts = appendTypes(ts, typ, t.O, cons.ranges)
-				return true
-			})
-		}
-	}
+	// Saturating G is the schema change from the empty schema: every list
+	// entry carries the base triples it applies to.
+	ts = change{props: cl.props, classes: cl.classes}.affected(ts, g, cl.voc)
 	st := store.Build(ts)
 	return &Materialization{
 		st:    st,
@@ -94,14 +71,6 @@ func Materialize(g *store.Store, rules []Rule) *Materialization {
 		cl:    cl,
 		Stats: Stats{Derived: st.Len() - g.Len()},
 	}
-}
-
-// appendTypes appends (s rdf:type c) for every c of classes.
-func appendTypes(ts []store.Triple, typ, s dict.ID, classes []dict.ID) []store.Triple {
-	for _, c := range classes {
-		ts = append(ts, store.Triple{S: s, P: typ, O: c})
-	}
-	return ts
 }
 
 // add adds a derived triple to G∞, counting it if it is new.
@@ -146,8 +115,10 @@ func (m *Materialization) DerivedLen() int { return m.st.Len() - m.base.Len() }
 // Rules returns the rule set the materialization maintains.
 func (m *Materialization) Rules() []Rule { return m.rules }
 
-// Clone returns an independent copy: structural copies of both stores
-// (see store.Store.Clone), sharing the immutable closure.
+// Clone returns an independently maintainable copy in O(1): clones of both
+// stores, which share every node with the receiver's under copy-on-write
+// (see store.Store.Clone), and the immutable closure. Like the stores'
+// Clone, it must be serialized with the receiver's updates.
 func (m *Materialization) Clone() *Materialization {
 	return &Materialization{
 		st:    m.st.Clone(),

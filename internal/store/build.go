@@ -8,8 +8,8 @@ import (
 	"repro/internal/dict"
 )
 
-// The bulk builder: every whole-graph build — a load, a saturation, a decode,
-// a copy — makes its indexes here in one pass each, bottom-up, instead of
+// The bulk builder: every whole-graph build — a load, a saturation, a
+// decode — makes its indexes here in one pass each, bottom-up, instead of
 // inserting triple by triple. Build sorts the triples once into each access
 // order, cuts every leaf and side-table set of two or more IDs as an
 // exact-size run from one ID arena, and builds each hash trie by
@@ -33,13 +33,6 @@ func Build(ts []Triple) *Store {
 	s.osp = buildIndex(so.rotate())
 	s.pos = buildIndex(so.rotate())
 	return s
-}
-
-// BuildSet is Build for a TripleSet.
-func BuildSet(ts []Triple) *TripleSet {
-	var so sorter
-	tr := so.sortSPO(ts)
-	return &TripleSet{ix: buildIndex(tr), size: len(tr)}
 }
 
 // sorter puts triples into the three access orders with counting sorts. It
@@ -137,16 +130,6 @@ func (ar *runArena) cut(from int) *postings {
 	return &ar.runs[len(ar.runs)-1]
 }
 
-// copyRun returns an arena copy of r, or nil for nil.
-func (ar *runArena) copyRun(r *postings) *postings {
-	if r == nil {
-		return nil
-	}
-	from := len(ar.ids)
-	ar.ids = append(ar.ids, r.ids...)
-	return ar.cut(from)
-}
-
 // buildIndex builds an index from triples sorted and deduplicated in its
 // own (a,b,c) order, held in the S, P, O fields.
 func buildIndex(tr []Triple) index {
@@ -215,28 +198,9 @@ func leafEnd(tr []Triple, i int) int {
 	return j
 }
 
-// copy returns a deep copy of the index at epoch 0, of the same trie shape,
-// its runs cut from one arena: no key is hashed and nothing is inserted.
-func (ix *index) copy() index {
-	nIDs, nRuns := 0, 0
-	count := func(r *postings) {
-		if r != nil {
-			nIDs += len(r.ids)
-			nRuns++
-		}
-	}
-	ix.ls.forEach(func(_ uint64, l *leaf) bool { count(l.run); return true })
-	ix.as.forEach(func(_ uint64, e *aSub) bool { count(e.sub); return true })
-	ar := newRunArena(nIDs, nRuns)
-	return index{
-		ls: copyTrie(&ix.ls, func(l leaf) leaf { return leaf{one: l.one, run: ar.copyRun(l.run)} }),
-		as: copyTrie(&ix.as, func(e aSub) aSub { return aSub{count: e.count, one: e.one, sub: ar.copyRun(e.sub)} }),
-	}
-}
-
 // trieBuilder carves the nodes and child arrays of one trie from chunked
 // arenas. The entries need none: they are the entry array the trie is built
-// from, or copied into one.
+// from.
 type trieBuilder[V any] struct {
 	nodes []hnode[V]
 	kids  []*hnode[V]
@@ -339,34 +303,4 @@ func (b *trieBuilder[V]) build(ents []hent[V], shift uint) *hnode[V] {
 		i, off = i+1, end[c]
 	}
 	return n
-}
-
-// copyTrie returns a copy of h at epoch 0 with the same shape, each value
-// copied through cp, its entries in one array.
-func copyTrie[V any](h *hmap[V], cp func(V) V) hmap[V] {
-	c := hmap[V]{n: h.n}
-	if h.root != nil {
-		var b trieBuilder[V]
-		ents := make([]hent[V], 0, h.n)
-		c.root = b.copyNode(h.root, &ents, cp)
-	}
-	return c
-}
-
-//webreason:writer
-func (b *trieBuilder[V]) copyNode(n *hnode[V], ents *[]hent[V], cp func(V) V) *hnode[V] {
-	c := b.node()
-	c.entBm, c.kidBm = n.entBm, n.kidBm
-	if len(n.ents) > 0 {
-		from := len(*ents)
-		for _, e := range n.ents {
-			*ents = append(*ents, hent[V]{k: e.k, v: cp(e.v)})
-		}
-		c.ents = (*ents)[from:len(*ents):len(*ents)]
-	}
-	c.kids = b.kidSlots(len(n.kids))
-	for i, kid := range n.kids {
-		c.kids[i] = b.copyNode(kid, ents, cp)
-	}
-	return c
 }

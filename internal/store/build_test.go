@@ -105,11 +105,12 @@ func trieDepth[V any](n *hnode[V]) int {
 // bulkRound is the battery at scale: a few thousand random triples, skewed
 // so that some leaves and side-table sets are long runs and, in a quarter
 // of the rounds, with IDs too sparse for the builder's counting sort. Build,
-// BuildSet and Clone must match per-triple Add byte for byte and shape for
-// shape, with tries that reach depth 3; then random Add/Remove on the built
-// store and on its copy — at epoch 0, in the build arenas, and after a
-// Snapshot, under copy-on-write — must agree with the oracle, and neither
-// store nor the snapshot may see the other's writes.
+// the set CloneSet takes of a build, and Clone must match per-triple Add
+// byte for byte and shape for shape, with tries that reach depth 3; then
+// random Add/Remove on the built store — at epoch 0, in the build arenas —
+// and then on it and on its clone, the two sharing every node under
+// copy-on-write, must agree with the oracle, and neither store nor the
+// snapshot the clone was taken over may see the other's writes.
 func bulkRound(t *testing.T, rng *rand.Rand, seed int64) {
 	t.Helper()
 	scale := dict.ID(1)
@@ -132,28 +133,32 @@ func bulkRound(t *testing.T, rng *rand.Rand, seed int64) {
 			ts = append(ts, tr) // a duplicate
 		}
 	}
+	// A draw this size almost always gives a trie of depth 3; the rare one
+	// that falls short grows until it does.
+	ref := addBuilt(ts)
+	for trieDepth(ref.spo.ls.root) < 3 {
+		tr := randTriple()
+		ts = append(ts, tr)
+		ref.Add(tr)
+	}
 	brute := map[Triple]struct{}{}
 	for _, tr := range ts {
 		brute[tr] = struct{}{}
 	}
 	tag := func(what string) string { return fmt.Sprintf("bulk seed %d %s", seed, what) }
-	set := BuildSet(append([]Triple(nil), ts...))
+	set := Build(append([]Triple(nil), ts...)).CloneSet()
 	refSet := NewTripleSet()
 	for _, tr := range ts {
 		refSet.Add(tr)
 	}
 	if !bytes.Equal(encoding(t, set), encoding(t, refSet)) || !sameNodes(set.ix.ls.root, refSet.ix.ls.root) || !sameNodes(set.ix.as.root, refSet.ix.as.root) {
-		t.Fatalf("%s: BuildSet differs from per-triple TripleSet.Add", tag("set"))
+		t.Fatalf("%s: CloneSet of Build differs from per-triple TripleSet.Add", tag("set"))
 	}
-	ref := addBuilt(ts)
 	st := Build(ts)
 	checkBuilt(t, tag("build"), st, ref, nil)
 	if d := trieDepth(st.spo.ls.root); d < 3 {
 		t.Fatalf("%s: SPO trie depth %d, want ≥ 3", tag("build"), d)
 	}
-	cp := st.Clone()
-	checkBuilt(t, tag("clone"), cp, ref, st)
-	cpBrute := maps.Clone(brute)
 	decoded, err := ReadBinary(encoding(t, st))
 	if err != nil {
 		t.Fatalf("%s: %v", tag("decode"), err)
@@ -186,9 +191,12 @@ func bulkRound(t *testing.T, rng *rand.Rand, seed int64) {
 		}
 	}
 	mutate("epoch 0", st, brute, 300)
+	cp := st.Clone()
+	checkBuilt(t, tag("clone"), cp, addBuilt(bruteTriples(brute)), st)
+	cpBrute := maps.Clone(brute)
 	snap := st.Snapshot()
 	frozen := maps.Clone(brute)
-	mutate("after snapshot", st, brute, 300)
+	mutate("after clone", st, brute, 300)
 	mutate("copy", cp, cpBrute, 300)
 	checkHolds(t, tag("live"), st, brute)
 	checkHolds(t, tag("snapshot"), snap, frozen)
@@ -200,9 +208,9 @@ func bulkRound(t *testing.T, rng *rand.Rand, seed int64) {
 
 // FuzzBuild decodes bytes into triples — the first byte picks dense IDs or
 // ones too sparse for the counting sort, then every three bytes are one
-// triple — and requires Build, BuildSet and Clone to match per-triple Add
-// byte for byte and shape for shape, duplicates, empty input and a single
-// ID included.
+// triple — and requires Build, the set CloneSet takes of a build, and Clone
+// to match per-triple Add byte for byte and shape for shape, duplicates,
+// empty input and a single ID included.
 func FuzzBuild(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 1, 1, 1})
@@ -230,9 +238,9 @@ func FuzzBuild(f *testing.F) {
 			brute[tr] = struct{}{}
 			refSet.Add(tr)
 		}
-		set := BuildSet(append([]Triple(nil), ts...))
+		set := Build(append([]Triple(nil), ts...)).CloneSet()
 		if set.Len() != len(brute) || !bytes.Equal(encoding(t, set), encoding(t, refSet)) || !sameNodes(set.ix.ls.root, refSet.ix.ls.root) || !sameNodes(set.ix.as.root, refSet.ix.as.root) {
-			t.Fatal("BuildSet differs from per-triple TripleSet.Add")
+			t.Fatal("CloneSet of Build differs from per-triple TripleSet.Add")
 		}
 		st := Build(ts)
 		if st.Len() != len(brute) {

@@ -124,8 +124,9 @@ type diffSnap struct {
 	step  int
 }
 
-// diffCopy is one side of a Clone: a store the live one must no longer
-// affect, with the oracle state frozen beside it.
+// diffCopy is the side of a Clone that the live store left behind: a second
+// writable store sharing the live one's nodes, with its own oracle beside it
+// and the step it was taken at. The battery keeps writing to both.
 type diffCopy struct {
 	st    *Store
 	brute map[Triple]struct{}
@@ -133,14 +134,16 @@ type diffCopy struct {
 }
 
 // TestDifferentialBattery drives randomized interleavings of
-// Add/Remove/Snapshot/query — and whole-store Build and Clone steps, after
-// which the writer carries on at epoch 0 in the built or copied arenas —
-// through the store and a brute-force set and requires them to answer
-// identically: on the live store, on every snapshot, including snapshots
-// that stay live across many later mutations, and on each side a Clone
-// left behind. Each round then runs the same steps at a scale whose tries
-// reach a node at depth 3 (bulkRound). Runs in CI under -race; the
-// store-stress job repeats it at -store.rounds=1000.
+// Add/Remove/Snapshot/query — and whole-store Build steps, after which the
+// writer carries on at epoch 0 in the build arenas, and Clone steps, after
+// which the live store and the copy it leaves behind are two writable
+// versions sharing every node, both written from then on — through the
+// store and a brute-force set and requires them to answer identically: on
+// the live store, on every snapshot, including snapshots that stay live
+// across many later mutations, and on each copy a Clone left behind. Each
+// round then runs the same steps at a scale whose tries reach a node at
+// depth 3 (bulkRound). Runs in CI under -race; the store-stress job repeats
+// it at -store.rounds=1000.
 func TestDifferentialBattery(t *testing.T) {
 	for round := 0; round < *storeRounds; round++ {
 		seed := *storeSeed + int64(round)
@@ -175,27 +178,27 @@ func differentialRound(t *testing.T, rng *rand.Rand, seed int64) {
 	for step := 0; step < *storeSteps; step++ {
 		x := Triple{randID(), randID(), randID()}
 		switch op := rng.Intn(100); {
-		case op < 48: // Add
+		case op < 44: // Add
 			_, had := brute[x]
 			brute[x] = struct{}{}
 			if got := st.Add(x); got != !had {
 				t.Fatalf("%s: Add(%v) = %v, want %v", tag(step, "add"), x, got, !had)
 			}
-		case op < 77: // Remove
+		case op < 70: // Remove
 			_, had := brute[x]
 			delete(brute, x)
 			if got := st.Remove(x); got != had {
 				t.Fatalf("%s: Remove(%v) = %v, want %v", tag(step, "remove"), x, got, had)
 			}
-		case op < 87: // Snapshot store and oracle at the same point
+		case op < 80: // Snapshot store and oracle at the same point
 			snaps = append(snaps, diffSnap{st.Snapshot(), maps.Clone(brute), step})
 			if len(snaps) > 4 {
 				snaps = slices.Delete(snaps, 0, 1)
 			}
-		case op < 89: // rebuild the live store in one pass from the oracle
+		case op < 82: // rebuild the live store in one pass from the oracle
 			st = Build(bruteTriples(brute))
 			checkBuilt(t, tag(step, "build"), st, addBuilt(bruteTriples(brute)), nil)
-		case op < 91: // Clone; either side carries on as the live store
+		case op < 85: // Clone; either side carries on as the live store
 			c := st.Clone()
 			checkBuilt(t, tag(step, "clone"), c, addBuilt(bruteTriples(brute)), st)
 			if rng.Intn(2) == 0 {
@@ -205,7 +208,23 @@ func differentialRound(t *testing.T, rng *rand.Rand, seed int64) {
 			if len(copies) > 2 {
 				copies = slices.Delete(copies, 0, 1)
 			}
-		case op < 95: // drop a snapshot
+		case op < 93: // write a left-behind copy, sharing nodes with the live store
+			if len(copies) > 0 {
+				c := copies[rng.Intn(len(copies))]
+				_, had := c.brute[x]
+				if rng.Intn(2) == 0 {
+					c.brute[x] = struct{}{}
+					if got := c.st.Add(x); got != !had {
+						t.Fatalf("%s: copy (taken step %d) Add(%v) = %v, want %v", tag(step, "copy add"), c.step, x, got, !had)
+					}
+				} else {
+					delete(c.brute, x)
+					if got := c.st.Remove(x); got != had {
+						t.Fatalf("%s: copy (taken step %d) Remove(%v) = %v, want %v", tag(step, "copy remove"), c.step, x, got, had)
+					}
+				}
+			}
+		case op < 96: // drop a snapshot
 			if len(snaps) > 0 {
 				i := rng.Intn(len(snaps))
 				snaps = slices.Delete(snaps, i, i+1)
@@ -221,11 +240,18 @@ func differentialRound(t *testing.T, rng *rand.Rand, seed int64) {
 						tag(step, "spot"), i, sn.step, pat, got, want)
 				}
 			}
+			for i, c := range copies {
+				if got, want := c.st.Count(pat), len(bruteMatch(c.brute, pat)); got != want {
+					t.Fatalf("%s: copy[%d] (taken step %d) Count(%v) = %d, want %d",
+						tag(step, "spot"), i, c.step, pat, got, want)
+				}
+			}
 		}
 	}
-	// Full sweep on the live store and on every surviving snapshot: the
-	// snapshots must still show exactly the state frozen at their step, no
-	// matter what the writer did since.
+	// Full sweep on the live store, on every surviving snapshot and on every
+	// copy: the snapshots must still show exactly the state frozen at their
+	// step, and the copies exactly their own writes, no matter what the
+	// writer did since.
 	checkViews(t, tag(*storeSteps, "live"), st, brute, maxID)
 	checkCanonical(t, tag(*storeSteps, "live"), &st.tables)
 	for i, sn := range snaps {

@@ -100,8 +100,9 @@ type hent[V any] struct {
 // holds them densely in chunk order); kidBm marks chunks that continue into
 // a child node (kids, same packing). The two bitmaps are disjoint.
 //
-// Nodes at an epoch below the map's current one are shared with snapshots:
-// they are frozen, and only the copy-on-write writers may touch their fields.
+// Nodes at an epoch below the map's current one are shared with snapshots or
+// clones: they are frozen, and only the copy-on-write writers may touch their
+// fields.
 //
 //webreason:frozen
 type hnode[V any] struct {

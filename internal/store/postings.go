@@ -122,7 +122,7 @@ func setRemove(one *dict.ID, run **postings, c dict.ID, m *mctx) bool {
 // every load and saturation path, which makes the common insert an append.
 //
 // A run whose epoch predates the store's current epoch is shared with at
-// least one snapshot: it is frozen, nothing writes it again, and the writer
+// least one snapshot or clone: it is frozen, nothing writes it again, and the writer
 // copies it (cloneAt) before its first mutation in the new epoch. A run at
 // the current epoch is private to the writer.
 //

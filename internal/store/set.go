@@ -87,11 +87,12 @@ func (s *TripleSet) Remove(t Triple) bool {
 // unspecified but deterministic for a given set state.
 func (s *TripleSet) ForEach(fn func(Triple) bool) { forEachInIndex(&s.ix, fn) }
 
-// CloneSet returns a TripleSet holding the store's triples: a structural
-// copy of its SPO index (see Store.Clone), so the set is built without
-// re-inserting the triples one by one.
+// CloneSet returns a TripleSet holding the store's triples, in O(1): a
+// writable set over the SPO index of the store's current Snapshot, which the
+// two then share under copy-on-write (see Store.Clone).
 func (s *Store) CloneSet() *TripleSet {
-	return &TripleSet{ix: s.spo.copy(), size: s.size}
+	sn := s.Snapshot()
+	return &TripleSet{ix: sn.spo, size: sn.size, epoch: sn.epoch + 1}
 }
 
 // Set returns the snapshot's SPO index as a set snapshot, sharing it: the
@@ -100,9 +101,11 @@ func (s *Snapshot) Set() *TripleSetSnapshot {
 	return &TripleSetSnapshot{ix: s.spo, size: s.size, epoch: s.epoch}
 }
 
-// Clone returns an independent deep copy, structural like Store.Clone.
+// Clone returns a second writable set holding the receiver's triples, in
+// O(1) and under the same sharing and contract as Store.Clone.
 func (s *TripleSet) Clone() *TripleSet {
-	return &TripleSet{ix: s.ix.copy(), size: s.size}
+	sn := s.Snapshot()
+	return &TripleSet{ix: sn.ix, size: sn.size, epoch: sn.epoch + 1}
 }
 
 // Snapshot returns an immutable view of the current contents, O(1) like

@@ -41,11 +41,13 @@
 //
 // # Builds
 //
-// A whole store — a load, a saturation, a decoded checkpoint, a copy — is
-// not inserted triple by triple: Build sorts its triples once into each
-// access order and makes every index bottom-up at epoch 0, its nodes, slot
-// arrays and runs carved from per-build arenas, and Clone copies the tries
-// node for node (see build.go).
+// A whole store — a load, a saturation, a decoded checkpoint — is not
+// inserted triple by triple: Build sorts its triples once into each access
+// order and makes every index bottom-up at epoch 0, its nodes, slot arrays
+// and runs carved from per-build arenas (see build.go). A copy is not built
+// at all: Clone and CloneSet share the source's current snapshot, and the
+// copy-on-write above keeps the two versions apart, so a process holds each
+// node once however many writable versions share it.
 package store
 
 import (
@@ -234,9 +236,10 @@ type Store struct {
 	tables
 
 	// epoch is the current mutation epoch. Trie nodes, entries and leaves
-	// stamped with an older epoch are shared with at least one snapshot and
-	// must be copied before mutation; structures stamped with the current
-	// epoch are private to the writer and mutable in place.
+	// stamped with an older epoch are shared with at least one snapshot or
+	// clone and must be copied before mutation; structures stamped with the
+	// current epoch were made by this store's writer, are private to it and
+	// are mutable in place (a clone may stamp its own with the same number).
 	epoch uint64
 	// shared is set while the tables' trie roots are referenced by the most
 	// recent snapshot; the first mutation afterwards advances the epoch and
@@ -572,20 +575,18 @@ func (t *tables) Objects(p dict.ID) []dict.ID {
 	return slices.Clone(e.bs())
 }
 
-// Clone returns a deep copy of the store: every trie node and leaf is
-// duplicated, nothing is shared with the receiver or its snapshots. The copy
-// is structural — each trie node copied as it is, every run cut from one
-// arena, nothing hashed or inserted. Prefer Snapshot for read isolation;
-// Clone is for a second independently mutable store, such as the asserted
-// triples a reformulation or backward-chaining strategy keeps beside the
-// knowledge base's.
+// Clone returns a second writable store holding the receiver's triples, in
+// O(1): a version over the receiver's current Snapshot, one epoch past it.
+// The two stores share every trie node and run, and each copies on write
+// what it touches first, exactly as a writer does after a Snapshot; a
+// version neither side holds any more is garbage. Cloning a store whose
+// snapshot is current writes nothing to it, so any number of goroutines may
+// clone one quiescent store at once; otherwise Clone must be serialized with
+// the receiver's mutations, like Snapshot. Prefer Snapshot for read
+// isolation; Clone is for a second independently mutable store, such as the
+// asserted triples a reformulation or backward-chaining strategy keeps
+// beside the knowledge base's.
 func (s *Store) Clone() *Store {
-	return &Store{
-		tables: tables{
-			spo:  s.spo.copy(),
-			pos:  s.pos.copy(),
-			osp:  s.osp.copy(),
-			size: s.size,
-		},
-	}
+	sn := s.Snapshot()
+	return &Store{tables: sn.tables, epoch: sn.epoch + 1}
 }

@@ -3,6 +3,7 @@ package store
 import (
 	"math/rand"
 	"sort"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -164,6 +165,61 @@ func TestCloneIsIndependent(t *testing.T) {
 	c.Add(tr(7, 7, 7))
 	if s.Contains(tr(7, 7, 7)) {
 		t.Error("adding to clone affected original")
+	}
+}
+
+// TestClonesOfASnapshottedStoreOnlyRead: Clone, CloneSet and TripleSet.Clone
+// of a container whose snapshot is current leave it untouched — the same
+// cached snapshot, the same triples — so goroutines may clone one quiescent
+// store at once and write their clones side by side, each seeing only its
+// own writes (run under -race in CI).
+func TestClonesOfASnapshottedStoreOnlyRead(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	var ts []Triple
+	for i := 0; i < 2000; i++ {
+		ts = append(ts, Triple{dict.ID(rng.Intn(200) + 1), dict.ID(rng.Intn(5) + 1), dict.ID(rng.Intn(200) + 1)})
+	}
+	st := Build(ts)
+	set := st.CloneSet()
+	sn, setSn := st.Snapshot(), set.Snapshot()
+	want := sortedTriples(sn)
+	const writers = 4
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			c, cs, cc := st.Clone(), st.CloneSet(), set.Clone()
+			mine := Triple{dict.ID(1000 + w), 1, 1}
+			for _, tr := range want[w*100 : w*100+100] {
+				c.Remove(tr)
+				cs.Remove(tr)
+				cc.Remove(tr)
+			}
+			c.Add(mine)
+			cs.Add(mine)
+			cc.Add(mine)
+			for i, v := range []interface {
+				Len() int
+				Contains(Triple) bool
+			}{c, cs, cc} {
+				if v.Len() != len(want)-99 || !v.Contains(mine) {
+					t.Errorf("writer %d clone %d: Len %d, want %d, holding its own triple", w, i, v.Len(), len(want)-99)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if st.Snapshot() != sn || set.Snapshot() != setSn {
+		t.Fatal("cloning replaced the source's cached snapshot")
+	}
+	if !equalTriples(sortedTriples(st), want) || set.Len() != len(want) {
+		t.Fatal("writes to the clones reached the source")
+	}
+	for _, tr := range want {
+		if !set.Contains(tr) {
+			t.Fatalf("writes to the clones removed %v from the source set", tr)
+		}
 	}
 }
 
