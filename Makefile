@@ -15,7 +15,8 @@
 #                         bulk builder: against per-triple Add; the compiled
 #                         RDFS closure: maintained G∞ against the generic
 #                         rule engine; query reformulation: the plain and the
-#                         minimised union against the query over G∞)
+#                         minimised union, under a drawn projection, against
+#                         the projected query over G∞)
 #   make test-chaos       seeded fault-injection sweep under the race
 #                         detector: CHAOS_SEEDS (default 200) full server
 #                         rounds over a scripted faulty filesystem, each

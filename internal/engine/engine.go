@@ -412,8 +412,9 @@ func (r *Result) Limit(n int) *Result {
 	return &Result{Vars: r.Vars, Rows: r.Rows[:n]}
 }
 
-// Sort orders rows lexicographically by ID; evaluation order is otherwise
-// nondeterministic (map iteration), so tests and reports sort first.
+// Sort orders rows lexicographically by ID. Evaluation emits rows in the
+// order the join plan meets them, which the source's index layout and the
+// greedy join order decide, so tests and reports sort first.
 func (r *Result) Sort() *Result {
 	sort.Slice(r.Rows, func(i, j int) bool {
 		a, b := r.Rows[i], r.Rows[j]

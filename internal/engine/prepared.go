@@ -69,9 +69,10 @@ type Plan struct {
 	// (-1: a variable the pattern does not bind, emitted as dict.None).
 	proj    []string
 	projIdx []int
-	// rowHint is the row count of the latest execution, by whichever
-	// goroutine finished last: it sizes the next result's row table and
-	// arena. A hint only — any value is correct.
+	// rowHint is the number of rows the latest execution added, by
+	// whichever goroutine finished last — all of them for a plan run alone,
+	// those new to the union for a branch of ExecUnion: it sizes the next
+	// result's row table and arena. A hint only — any value is correct.
 	rowHint atomic.Int64
 }
 
@@ -239,46 +240,76 @@ func (c *Compiled) buildSteps(order []PlanStep, sorted bool) []pstep {
 //webreason:hotpath
 func (pl *Plan) Exec(src Source) *Result { return pl.exec(src, true) }
 
-// exec runs the plan on a pooled scratch: deduplicated over the projection
-// (distinct), or one row per match over all variables (bag semantics, as
-// SPARQL evaluation defines).
+// exec runs the plan as one execution on a pooled scratch: deduplicated over
+// the projection (distinct), or one row per match over all variables (bag
+// semantics, as SPARQL evaluation defines). It opens the execution and enters
+// the plan once each; ExecUnion opens one execution and enters each of its
+// plans in turn.
 func (pl *Plan) exec(src Source, distinct bool) *Result {
 	vars := pl.c.vars
 	if distinct {
 		vars = pl.proj
 	}
-	res := &Result{Vars: vars}
 	if pl.c.impossible {
-		return res
-	}
-	hint := int(pl.rowHint.Load())
-	if hint > 0 {
-		res.Rows = make([][]dict.ID, 0, hint)
+		return &Result{Vars: vars}
 	}
 	x := scratchPool.Get().(*scratch)
-	x.begin(pl, src, res, distinct, hint)
-	x.rec(0)
+	res := x.start(src, vars, distinct, int(pl.rowHint.Load()))
+	x.run(pl, Fixed{})
 	scratchPool.Put(x)
-	if len(res.Rows) != hint {
-		pl.rowHint.Store(int64(len(res.Rows)))
+	return res
+}
+
+// Fixed lists the projected columns a branch of a union emits as constants
+// instead of from its bindings: column Cols[k] holds IDs[k]. Reformulation
+// fixes a variable so when it instantiates a class or property position.
+type Fixed struct {
+	Cols []int
+	IDs  []dict.ID
+}
+
+// ExecUnion evaluates plans as the branches of one union against src,
+// projected onto proj with duplicate rows removed across all branches:
+// branch i runs with the columns of fixed[i] set to their constants, and a
+// row enters the result only if no earlier row, of any branch, equals it.
+// Every plan must have been built with projection proj and be what For(src)
+// returns. The union is one execution — one pooled scratch, one dedup set,
+// one row arena, one result — sized by the sum of its branches' row hints,
+// where each branch records the rows it added; a steady-state union
+// allocates what Plan.Exec does, however many branches it has.
+//
+//webreason:hotpath
+func ExecUnion(src Source, proj []string, plans []*Plan, fixed []Fixed) *Result {
+	hint := 0
+	for _, pl := range plans {
+		hint += int(pl.rowHint.Load())
 	}
+	x := scratchPool.Get().(*scratch)
+	res := x.start(src, proj, true, hint)
+	for i, pl := range plans {
+		if !pl.c.impossible {
+			x.run(pl, fixed[i])
+		}
+	}
+	scratchPool.Put(x)
 	return res
 }
 
 // scratch is everything one execution writes: the binding vector, the undo
 // stack, one match callback and one set of merge buffers per join depth, the
-// dedup sets and the row arena. It belongs to no plan — begin points it at
-// one for the length of an execution — so one pool serves every plan, every
-// strategy and the ad hoc path alike, and a plan that the garbage collector
-// finds unused loses nothing but warm buffers.
+// dedup sets and the row arena. It belongs to no plan — run points it at one
+// plan after another for the length of an execution — so one pool serves
+// every plan, every strategy and the ad hoc path alike, and a plan that the
+// garbage collector finds unused loses nothing but warm buffers.
 //
 // Nothing is cleared when an execution ends: a pooled scratch keeps pointing
 // at its last plan, source and result until the next execution overwrites
 // them or the collector empties the pool.
 type scratch struct {
-	pl  *Plan
-	src Source
-	ss  SortedSource // non-nil iff src supports sorted leaves
+	pl    *Plan
+	fixed Fixed
+	src   Source
+	ss    SortedSource // non-nil iff src supports sorted leaves
 
 	b      []dict.ID
 	undo   []int
@@ -327,23 +358,18 @@ const (
 // sizeClass buckets an expected row count: 0–3, 4–31, 32–255, 256–2047, …
 func sizeClass(hint int) int { return min(bits.Len(uint(hint))/3, sizeClasses-1) }
 
-// begin points the scratch at one execution.
-func (x *scratch) begin(pl *Plan, src Source, res *Result, distinct bool, hint int) {
-	x.pl, x.src, x.res, x.arena, x.distinct, x.hint = pl, src, res, nil, distinct, hint
+// start opens one execution against src and returns its result, whose rows
+// are vars: the row table and arena sized for hint rows and, when distinct,
+// the dedup set of the row width and the hint's size class.
+func (x *scratch) start(src Source, vars []string, distinct bool, hint int) *Result {
+	res := &Result{Vars: vars}
+	if hint > 0 {
+		res.Rows = make([][]dict.ID, 0, hint)
+	}
+	x.src, x.res, x.arena, x.distinct, x.hint, x.w = src, res, nil, distinct, hint, len(vars)
 	x.ss, _ = src.(SortedSource)
-	x.b = grown(x.b, len(pl.c.vars))
-	clear(x.b)
-	x.undo = x.undo[:0]
-	for d := len(x.levels); d < len(pl.steps); d++ {
-		x.levels = append(x.levels, level{match: x.matcher(d)})
-	}
-	x.w = len(pl.c.vars)
-	if !distinct {
-		return
-	}
-	x.w = len(pl.proj)
-	if x.w == 0 {
-		return
+	if !distinct || x.w == 0 {
+		return res
 	}
 	x.row = grown(x.row, x.w)
 	slot := &x.seen[min(x.w, len(x.seen))-1][sizeClass(hint)]
@@ -353,6 +379,25 @@ func (x *scratch) begin(pl *Plan, src Source, res *Result, distinct bool, hint i
 		*slot = newRowSet(x.w, max(hint, 16))
 	}
 	x.set = *slot
+	return res
+}
+
+// run evaluates one plan within the execution in flight, with the columns
+// of fixed set to their constants, and records the rows it added as the
+// plan's next row hint.
+func (x *scratch) run(pl *Plan, fixed Fixed) {
+	x.pl, x.fixed = pl, fixed
+	x.b = grown(x.b, len(pl.c.vars))
+	clear(x.b)
+	x.undo = x.undo[:0]
+	for d := len(x.levels); d < len(pl.steps); d++ {
+		x.levels = append(x.levels, level{match: x.matcher(d)})
+	}
+	n := len(x.res.Rows)
+	x.rec(0)
+	if added := int64(len(x.res.Rows) - n); added != pl.rowHint.Load() {
+		pl.rowHint.Store(added)
+	}
 }
 
 // grown returns s with length n, reallocating only when it is too short.
@@ -431,8 +476,8 @@ func (x *scratch) execMerge(st *pstep, depth int) {
 }
 
 // emit materialises the current bindings as a result row: the full binding
-// vector in bag mode, or the projected row after passing the dedup set in
-// distinct mode.
+// vector in bag mode, or in distinct mode the projected row, its fixed
+// columns written, after passing the dedup set.
 func (x *scratch) emit() {
 	if !x.distinct {
 		x.emitRow(x.b)
@@ -450,6 +495,9 @@ func (x *scratch) emit() {
 		} else {
 			x.row[i] = dict.None
 		}
+	}
+	for k, c := range x.fixed.Cols {
+		x.row[c] = x.fixed.IDs[k]
 	}
 	if x.set.add(x.row) {
 		x.emitRow(x.row)

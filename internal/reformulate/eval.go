@@ -18,11 +18,10 @@ import (
 //
 //webreason:frozen
 type PreparedUCQ struct {
-	src       engine.Source // what Prepare planned against; Evaluate's source
-	proj      []string
-	branches  []*engine.Plan
-	fixedCols [][]int
-	fixedIDs  [][]dict.ID
+	src      engine.Source // what Prepare planned against; Evaluate's source
+	proj     []string
+	branches []*engine.Plan
+	fixed    []engine.Fixed // per branch, the columns the rewriting fixed
 }
 
 // Prepare compiles every branch of the union against d and plans it against
@@ -37,19 +36,17 @@ func (u *UCQ) Prepare(src engine.Source, d *dict.Dict) (*PreparedUCQ, error) {
 			return nil, err
 		}
 		// Columns of variables the rewriting bound to constants.
-		var cols []int
-		var ids []dict.ID
+		var fx engine.Fixed
 		for i, v := range pu.proj {
 			if t, ok := br.Fixed[v]; ok {
 				if id, known := d.Lookup(t); known {
-					cols = append(cols, i)
-					ids = append(ids, id)
+					fx.Cols = append(fx.Cols, i)
+					fx.IDs = append(fx.IDs, id)
 				}
 			}
 		}
 		pu.branches = append(pu.branches, p)
-		pu.fixedCols = append(pu.fixedCols, cols)
-		pu.fixedIDs = append(pu.fixedIDs, ids)
+		pu.fixed = append(pu.fixed, fx)
 	}
 	return pu, nil
 }
@@ -84,23 +81,15 @@ func (pu *PreparedUCQ) For(src engine.Source) *PreparedUCQ {
 // Exec runs every branch against src and unions the answers, deduplicated
 // over the original projection — the q_ref(G) = q(G∞) of Section II-B when
 // src is the original, unsaturated graph with its schema component closed.
-// Each branch evaluates with a fused projection+dedup, so only
-// branch-distinct rows are materialised before the cross-branch dedup;
-// variables fixed by the rewriting are emitted as constant columns.
+// The union is one engine execution (engine.ExecUnion): the branches run in
+// turn on one scratch, each writing the variables the rewriting fixed as
+// constant columns into its projected rows, and one dedup set across the
+// branches admits a row to the one result only the first time any branch
+// produces it.
 //
 //webreason:hotpath
 func (pu *PreparedUCQ) Exec(src engine.Source) *engine.Result {
-	out := &engine.Result{Vars: pu.proj}
-	for bi, p := range pu.branches {
-		res := p.Exec(src)
-		for _, row := range res.Rows {
-			for k, col := range pu.fixedCols[bi] {
-				row[col] = pu.fixedIDs[bi][k]
-			}
-		}
-		out.Rows = append(out.Rows, res.Rows...)
-	}
-	return out.Distinct()
+	return engine.ExecUnion(src, pu.proj, pu.branches, pu.fixed)
 }
 
 // Evaluate is Exec against the source given to Prepare.

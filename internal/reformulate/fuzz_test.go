@@ -21,14 +21,29 @@ func (b *fuzzBytes) next() int {
 }
 
 // FuzzReformulate decodes a small schema (cycles allowed), a few instance
-// triples and a BGP of at most three patterns, which may hold a variable in
-// class or property position, and checks that the plain union, the
-// minimised union and q over reason.Materialize's G∞ return the same
-// answers.
+// triples, a BGP of at most three patterns, which may hold a variable in
+// class or property position, and a projection, and checks that the plain
+// union, the minimised union and q over reason.Materialize's G∞ return the
+// same answers under that projection. A projection byte of 0 (the default
+// past the input's end) asks SELECT *; any other asks for one to five
+// columns, each a variable of the BGP drawn with repetition, so rows that
+// differ only outside the projection, or only in a column the rewriting
+// fixed to a constant, meet in the union's dedup set, and a width of four or
+// more, the set's string-key path, comes up even over two variables. A
+// ground BGP projects onto no column at all (SPARQL cannot project a BGP
+// with variables onto none).
+//
+// The seeds after the first three: two branches whose rows differ only in
+// the column they fix (?c of "?x a ?c" over C0 ⊑ C1), projected onto ?c
+// alone; a ground query that two branches both answer; and the first of
+// them projected four wide.
 func FuzzReformulate(f *testing.F) {
 	f.Add([]byte{3, 4, 2, 0, 1, 0, 1, 2, 0, 2, 0, 2, 3, 1, 3, 0, 0, 1, 2, 1, 1, 1, 5, 0, 1, 3, 1})
 	f.Add([]byte{4, 3, 3, 0, 1, 0, 1, 0, 0, 2, 1, 1, 0, 0, 3, 1, 2, 1, 0, 3, 2, 3, 1, 0, 2, 1, 1, 2, 0})
 	f.Add([]byte{6, 8, 3, 1, 2, 2, 2, 1, 3, 0, 0, 1, 1, 1, 0, 3, 3, 2, 0, 1, 4, 1, 2, 3, 5, 2, 0, 1, 2, 3, 1, 4, 0, 2, 1, 3, 0, 4, 2, 1})
+	f.Add([]byte{1, 1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 1, 5, 0})
+	f.Add([]byte{1, 2, 0, 1, 0, 0, 0, 1, 0, 0, 0, 0, 4, 0, 0, 0})
+	f.Add([]byte{1, 1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 1, 3, 0, 1, 0, 1})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		in := fuzzBytes(data)
 		nSchema, nInst, nPats := in.next()%7, in.next()%9, 1+in.next()%3
@@ -73,10 +88,19 @@ func FuzzReformulate(f *testing.F) {
 				pats = append(pats, fmt.Sprintf("?c <http://www.w3.org/2000/01/rdf-schema#subClassOf> ex:C%d", n))
 			}
 		}
-		qtext := prefix + "SELECT * WHERE { " + strings.Join(pats, " . ") + " }"
-		q, err := sparql.Parse(qtext)
+		where := " WHERE { " + strings.Join(pats, " . ") + " }"
+		q, err := sparql.Parse(prefix + "SELECT *" + where)
 		if err != nil {
 			return // a literal or ill-placed term the generator cannot produce
+		}
+		qtext := prefix + "SELECT *" + where
+		if vars, k := q.PatternVars(), in.next(); k != 0 && len(vars) > 0 {
+			sel := "SELECT"
+			for range 1 + k%5 {
+				sel += " ?" + vars[in.next()%len(vars)]
+			}
+			qtext = prefix + sel + where
+			q = sparql.MustParse(qtext)
 		}
 		viaSat, viaRef := k.answers(t, qtext)
 		requireEqual(t, qtext+" (plain union)", viaSat, viaRef)
