@@ -30,6 +30,10 @@
 #                         metrics; see benchmark/README.md for traced runs.
 #                         The Go Benchmark* functions remain runnable with
 #                         plain go test -bench.
+#   make bench-smoke      run every Go Benchmark* function once
+#                         (-benchtime 1x), so the micro-benchmarks that
+#                         results and open items cite keep compiling and
+#                         running (seconds; no timing is read)
 #   make ab               paired A/B of the benchmark between two versions:
 #                         tools/ab.sh AB_BASE AB_HEAD (default: HEAD and the
 #                         working tree) on AB_WORKLOAD (default sat.update)
@@ -74,7 +78,7 @@ AB_HEAD ?= .
 AB_WORKLOAD ?= sat.update
 AB_PAIRS ?= 10
 
-.PHONY: test test-race test-chaos test-replica-chaos test-store-stress test-benchmark vet lint fuzz bench ab
+.PHONY: test test-race test-chaos test-replica-chaos test-store-stress test-benchmark vet lint fuzz bench bench-smoke ab
 
 test:
 	$(GO) build ./...
@@ -125,6 +129,9 @@ bench:
 	for w in sat.read ref.read sat.update fig3.batch; do \
 		bash benchmark/run.sh -workload $$w -seed $(BENCH_SEED) || exit 1; \
 	done
+
+bench-smoke:
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
 ab:
 	tools/ab.sh $(AB_BASE) $(AB_HEAD) -workload $(AB_WORKLOAD) -pairs $(AB_PAIRS) -gctrace

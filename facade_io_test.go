@@ -79,9 +79,13 @@ func TestFacadeExplain(t *testing.T) {
 	if !strings.Contains(proof, "rdfs9") || !strings.Contains(proof, "[asserted]") {
 		t.Errorf("proof lacks rule/leaf markers:\n%s", proof)
 	}
+	terms := kb.Dict().Len()
 	if _, ok := webreason.Explain(kb, webreason.T(
 		webreason.NewIRI("http://ex.org/tom"), webreason.Type, webreason.NewIRI("http://ex.org/Dog"))); ok {
 		t.Error("non-entailed triple explained")
+	}
+	if kb.Dict().Len() != terms {
+		t.Errorf("explaining a triple with an unknown term grew the dictionary %d → %d", terms, kb.Dict().Len())
 	}
 }
 

@@ -108,6 +108,17 @@ func (kb *KB) Encode(t rdf.Triple) store.Triple {
 	}
 }
 
+// Lookup converts a term-level triple to its dictionary-encoded form without
+// assigning IDs; ok is false when one of its terms is not in the dictionary,
+// so no stored triple can equal it.
+func (kb *KB) Lookup(t rdf.Triple) (enc store.Triple, ok bool) {
+	var okS, okP, okO bool
+	enc.S, okS = kb.dict.Lookup(t.S)
+	enc.P, okP = kb.dict.Lookup(t.P)
+	enc.O, okO = kb.dict.Lookup(t.O)
+	return enc, okS && okP && okO
+}
+
 // Decode converts an encoded triple back to terms.
 func (kb *KB) Decode(t store.Triple) rdf.Triple {
 	return rdf.T(kb.dict.MustTerm(t.S), kb.dict.MustTerm(t.P), kb.dict.MustTerm(t.O))

@@ -184,8 +184,8 @@ type view struct {
 // against the immutable view it is handed.
 type technique interface {
 	// apply maintains the strategy's stores for one run of assertions or
-	// retractions; ts are the same triples as enc at term level.
-	apply(del bool, enc []store.Triple, ts []rdf.Triple)
+	// retractions.
+	apply(del bool, enc []store.Triple)
 	// view freezes the stores and builds the immutable read epoch over their
 	// current content.
 	view() *view
@@ -253,16 +253,24 @@ type epoch struct {
 }
 
 // run maintains the stores for one run; an ill-formed triple refuses the
-// whole run.
+// whole run. A delete only looks its triples up: one with a term the
+// dictionary lacks is stored nowhere, so it is dropped rather than given
+// new IDs.
 func (e *epoch) run(del bool, ts []rdf.Triple) error {
-	enc := make([]store.Triple, 0, len(ts))
 	for _, t := range ts {
 		if err := t.WellFormed(); err != nil {
 			return err
 		}
-		enc = append(enc, e.s.kb.Encode(t))
 	}
-	e.s.tech.apply(del, enc, ts)
+	enc := make([]store.Triple, 0, len(ts))
+	for _, t := range ts {
+		if !del {
+			enc = append(enc, e.s.kb.Encode(t))
+		} else if u, ok := e.s.kb.Lookup(t); ok {
+			enc = append(enc, u)
+		}
+	}
+	e.s.tech.apply(del, enc)
 	e.ran = true
 	return nil
 }
@@ -460,16 +468,16 @@ func newAsserted(kb *KB) asserted {
 
 // apply maintains data for one run and recloses the schema when the run
 // changed a schema triple.
-func (g *asserted) apply(del bool, enc []store.Triple, ts []rdf.Triple) {
+func (g *asserted) apply(del bool, enc []store.Triple) {
 	schemaChanged := false
-	for i, t := range enc {
+	for _, t := range enc {
 		var changed bool
 		if del {
 			changed = g.data.Remove(t)
 		} else {
 			changed = g.data.Add(t)
 		}
-		if changed && ts[i].IsSchema() {
+		if changed && g.voc.IsConstraintProperty(t.P) {
 			schemaChanged = true
 		}
 	}
@@ -552,7 +560,7 @@ func (s *Saturation) Name() string { return "saturation" }
 // it with Insert/Delete.
 func (s *Saturation) Materialization() *reason.Materialization { return s.mat }
 
-func (s *Saturation) apply(del bool, enc []store.Triple, _ []rdf.Triple) {
+func (s *Saturation) apply(del bool, enc []store.Triple) {
 	if del {
 		s.mat.Delete(enc...)
 	} else {

@@ -1,6 +1,7 @@
 package reason
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/dict"
@@ -40,10 +41,11 @@ func sameAsGeneric(t *testing.T, what string, m *Materialization, base *store.St
 	})
 }
 
-// TestCompiledMatchesGenericOnLUBM checks the compiled closure against the
-// generic engine on LUBM at 2 universities × 4 departments: Materialize,
-// then each of Figure 3's schema updates (lubm.SchemaUpdates inserted,
-// lubm.ExistingSchemaTriples deleted) applied and then undone.
+// TestCompiledMatchesGenericOnLUBM checks saturation through the closed
+// schema against the generic engine on LUBM at 2 universities × 4
+// departments: Materialize, then each of Figure 3's schema updates
+// (lubm.SchemaUpdates inserted, lubm.ExistingSchemaTriples deleted) applied
+// and then undone.
 func TestCompiledMatchesGenericOnLUBM(t *testing.T) {
 	cfg := lubm.DefaultConfig()
 	cfg.Universities, cfg.DeptsPerUniv = 2, 4
@@ -138,7 +140,8 @@ func (s *stream) next() (del bool, batch []store.Triple, ok bool) {
 // FuzzCompiledClosure runs decoded streams of instance and schema inserts
 // and deletes through one Materialization and, after every batch, compares
 // the maintained store and base with the generic engine's saturation of the
-// tracked base, triple for triple.
+// tracked base, triple for triple, and the closed schema it keeps with
+// schema.Extract of the tracked base.
 func FuzzCompiledClosure(f *testing.F) {
 	f.Add([]byte{0, 0, 0x10, 0, 0x01, 2, 0x30, 4, 0x00, 1, 0x12, 5, 0x11})
 	f.Add([]byte{2, 0, 0x10, 0, 0x01, 4, 0x00, 3, 0x02, 1, 0, 0x10, 5, 0x23, 7, 0x00, 1})
@@ -166,6 +169,9 @@ func FuzzCompiledClosure(f *testing.F) {
 				}
 			}
 			sameAsGeneric(t, "after a batch", m, base, rules)
+			if got, want := m.sch.ClosureTriples(), schema.Extract(base, e.voc).ClosureTriples(); !slices.Equal(got, want) {
+				t.Fatalf("after a batch: the kept closed schema has %d triples, schema.Extract of the base %d", len(got), len(want))
+			}
 		}
 	})
 }

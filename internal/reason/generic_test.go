@@ -5,11 +5,11 @@ import (
 	"repro/internal/store"
 )
 
-// This file holds the general rule engine the product's compiled closure
-// replaced: semi-naive forward chaining over any valid set of two-premise
-// rules, maintained under deletions by DRed (over-delete, then re-derive).
-// It knows nothing of the RDFS vocabulary, so for RDFSRules it is the
-// differential oracle the compiled closure is checked against, triple for
+// This file holds the general rule engine that applying the rules through
+// the closed schema replaced: semi-naive forward chaining over any valid set
+// of two-premise rules, maintained under deletions by DRed (over-delete,
+// then re-derive). It knows nothing of the RDFS vocabulary, so for RDFSRules
+// it is the differential oracle saturation is checked against, triple for
 // triple; for user-defined rules it is the only engine.
 
 // matchPattern binds pattern p against concrete triple t, writing variable

@@ -5,10 +5,12 @@
 //
 // The rules are declarative values (RDFSRules: two triple-pattern premises
 // and a conclusion over shared variables), and they are the only rule set
-// this package implements. It does not evaluate them by joins: it compiles
-// them against the closed schema of internal/schema, the closure under
-// exactly these rules that reformulation and backward chaining answer from
-// as well. Once the schema is closed, every rule has one schema premise, so
+// this package implements. It does not evaluate them by joins: it applies
+// them through the closed schema of internal/schema (schema.Schema, the
+// closure under exactly these rules that reformulation and backward chaining
+// answer from as well), read through its accessors with no compiled copy,
+// and a schema update is diffed once, by Schema.Minus. Once the schema is
+// closed, every rule has one schema premise, so
 // each triple of G∞ is one step from an asserted triple: a triple (s p o)
 // entails (s p' o) for each super-property p' of p, (s rdf:type c) for each
 // closed domain c of p and (o rdf:type c) for each closed range c, and
@@ -212,8 +214,8 @@ func RDFSRules(voc schema.Vocab) []Rule {
 }
 
 // vocabOf returns the vocabulary rules were built over. It panics unless
-// rules is RDFSRules of that vocabulary: the compiled closure implements
-// that rule set and no other.
+// rules is RDFSRules of that vocabulary: applying them through the closed
+// schema implements that rule set and no other.
 func vocabOf(rules []Rule) schema.Vocab {
 	var voc schema.Vocab
 	if len(rules) == 10 {

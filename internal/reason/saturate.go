@@ -8,12 +8,14 @@ import (
 // Materialization is a saturated RDF graph with enough bookkeeping to
 // maintain the saturation under updates: the store holds G∞ = base ∪
 // derived, and the base store records which triples were explicitly asserted
-// (the "G" of the paper). The rules are compiled against the closed schema
-// (see the package doc), so maintenance needs no joins: an insertion adds
-// the new triples' consequences, a deletion checks the support of the
-// triples the deleted ones entailed, and a schema update recompiles the
-// closure and visits only the triples whose consequences changed. All of it
-// holds on cyclic subClassOf/subPropertyOf schemas too.
+// (the "G" of the paper). The rules are applied through the closed schema
+// of the base (schema.Extract, see the package doc), which is the only copy
+// of the schema the materialization keeps, so maintenance needs no joins: an
+// insertion adds the new triples' consequences, a deletion checks the
+// support of the triples the deleted ones entailed, and a schema update
+// re-extracts the closed schema, diffs it against the old one once
+// (Schema.Minus) and visits only the triples whose consequences that diff
+// changes. All of it holds on cyclic subClassOf/subPropertyOf schemas too.
 //
 // Both stores support O(1) copy-on-write snapshots, which is what lets the
 // persistence layer checkpoint a live materialization (base G and saturated
@@ -22,7 +24,7 @@ type Materialization struct {
 	st    *store.Store
 	base  *store.TripleSet
 	rules []Rule
-	cl    *closure
+	sch   *schema.Schema
 	// buf is reused for the consequences and candidates of one operation.
 	buf []store.Triple
 
@@ -52,23 +54,24 @@ type Stats struct {
 // turns into the three indexes bottom-up. The base set is g's SPO index,
 // shared under copy-on-write (store.Store.CloneSet).
 func Materialize(g *store.Store, rules []Rule) *Materialization {
-	cl := compile(schema.Extract(g, vocabOf(rules)))
-	closure := cl.sch.ClosureTriples()
-	ts := make([]store.Triple, 0, g.Len()+len(closure)+cl.consequenceCount(g))
+	sch := schema.Extract(g, vocabOf(rules))
+	closure := sch.ClosureTriples()
+	// Saturating G is the schema change from the empty schema: every
+	// closure triple carries the base triples it applies to.
+	ch := group(closure, sch.Vocab())
+	ts := make([]store.Triple, 0, g.Len()+len(closure)+ch.consequenceCount(g))
 	g.ForEachMatch(store.Triple{}, func(t store.Triple) bool {
 		ts = append(ts, t)
 		return true
 	})
 	ts = append(ts, closure...)
-	// Saturating G is the schema change from the empty schema: every list
-	// entry carries the base triples it applies to.
-	ts = change{props: cl.props, classes: cl.classes}.affected(ts, g, cl.voc)
+	ts = ch.affected(ts, g)
 	st := store.Build(ts)
 	return &Materialization{
 		st:    st,
 		base:  g.CloneSet(),
 		rules: rules,
-		cl:    cl,
+		sch:   sch,
 		Stats: Stats{Derived: st.Len() - g.Len()},
 	}
 }
@@ -85,14 +88,14 @@ func (m *Materialization) add(t store.Triple) {
 // saturated is its closure G∞ under the same rules (typically both just
 // loaded from a snapshot — the snapshot codec guarantees integrity, this
 // constructor trusts the pair). It takes ownership of both containers. The
-// closure is compiled from the constraint triples of saturated, which are
-// the closed schema.
+// closed schema is extracted from the constraint triples of saturated, which
+// are already closed.
 func Restore(base *store.TripleSet, saturated *store.Store, rules []Rule) *Materialization {
 	return &Materialization{
 		st:    saturated,
 		base:  base,
 		rules: rules,
-		cl:    compile(schema.Extract(saturated, vocabOf(rules))),
+		sch:   schema.Extract(saturated, vocabOf(rules)),
 	}
 }
 
@@ -117,22 +120,23 @@ func (m *Materialization) Rules() []Rule { return m.rules }
 
 // Clone returns an independently maintainable copy in O(1): clones of both
 // stores, which share every node with the receiver's under copy-on-write
-// (see store.Store.Clone), and the immutable closure. Like the stores'
-// Clone, it must be serialized with the receiver's updates.
+// (see store.Store.Clone), and the immutable closed schema. Like the
+// stores' Clone, it must be serialized with the receiver's updates.
 func (m *Materialization) Clone() *Materialization {
 	return &Materialization{
 		st:    m.st.Clone(),
 		base:  m.base.Clone(),
 		rules: m.rules,
-		cl:    m.cl,
+		sch:   m.sch,
 	}
 }
 
 // Insert adds base triples and maintains the saturation: each new triple's
-// consequences are added, and a new constraint triple recompiles the closure
-// and adds what its new list entries carry the existing triples to
-// (insertion maintenance is the cheap direction, as the paper notes). It
-// returns the number of base triples that were actually new.
+// consequences are added, and a new constraint triple re-extracts the closed
+// schema, adds the closure triples new.Minus(old) and what they carry the
+// existing triples to (insertion maintenance is the cheap direction, as the
+// paper notes). It returns the number of base triples that were actually
+// new.
 func (m *Materialization) Insert(ts ...store.Triple) int {
 	m.Stats = Stats{}
 	added, schemaChanged := 0, false
@@ -145,7 +149,7 @@ func (m *Materialization) Insert(ts ...store.Triple) int {
 		if !m.st.Add(t) {
 			continue // already entailed, and so are its consequences
 		}
-		if m.cl.voc.IsConstraintProperty(t.P) {
+		if m.sch.Vocab().IsConstraintProperty(t.P) {
 			schemaChanged = true
 		} else {
 			fresh = append(fresh, t)
@@ -153,15 +157,16 @@ func (m *Materialization) Insert(ts ...store.Triple) int {
 	}
 	n := len(fresh)
 	if schemaChanged {
-		old := m.cl
+		old := m.sch
 		m.recompile()
-		for _, t := range m.cl.sch.Minus(old.sch) {
+		gained := m.sch.Minus(old)
+		for _, t := range gained {
 			m.add(t)
 		}
-		fresh = m.cl.diff(old).affected(fresh, m.st, m.cl.voc)
+		fresh = group(gained, m.sch.Vocab()).affected(fresh, m.st)
 	}
 	for i := 0; i < n; i++ {
-		fresh = m.cl.appendConsequences(fresh, fresh[i])
+		fresh = appendConsequences(m.sch, fresh, fresh[i])
 	}
 	for _, t := range fresh[n:] {
 		m.add(t)
@@ -172,10 +177,10 @@ func (m *Materialization) Insert(ts ...store.Triple) int {
 
 // Delete removes base triples and maintains the saturation. The candidates
 // are the deleted triples and their consequences, plus, when a constraint
-// triple goes, what the closure's lost list entries carried the stored
-// triples to. Each candidate stays if it is still supported one step back
-// (see closure.supported) — the non-type candidates first, so the rdf:type
-// ones are checked against settled domain and range evidence. It returns the
+// triple goes, what the lost closure triples old.Minus(new) carried the
+// stored triples to. Each candidate stays if it is still supported one step
+// back (see supported) — the non-type candidates first, so the rdf:type ones
+// are checked against settled domain and range evidence. It returns the
 // number of base triples actually removed.
 func (m *Materialization) Delete(ts ...store.Triple) int {
 	m.Stats = Stats{}
@@ -186,28 +191,28 @@ func (m *Materialization) Delete(ts ...store.Triple) int {
 			continue
 		}
 		removed++
-		if m.cl.voc.IsConstraintProperty(t.P) {
+		if m.sch.Vocab().IsConstraintProperty(t.P) {
 			schemaChanged = true
 			continue
 		}
 		cands = append(cands, t)
-		cands = m.cl.appendConsequences(cands, t)
+		cands = appendConsequences(m.sch, cands, t)
 	}
 	var gone []store.Triple
 	if schemaChanged {
-		old := m.cl
+		old := m.sch
 		m.recompile()
-		cands = old.diff(m.cl).affected(cands, m.st, m.cl.voc)
-		gone = old.sch.Minus(m.cl.sch)
+		gone = old.Minus(m.sch)
+		cands = group(gone, m.sch.Vocab()).affected(cands, m.st)
 	}
-	typ := m.cl.voc.Type
+	typ := m.sch.Vocab().Type
 	for pass := 0; pass < 2; pass++ {
 		for _, t := range cands {
 			if (t.P == typ) != (pass == 1) || !m.st.Contains(t) {
 				continue
 			}
 			m.Stats.Checked++
-			if !m.cl.supported(t, m.base, m.st) {
+			if !supported(m.sch, t, m.base, m.st) {
 				m.st.Remove(t)
 				m.Stats.Retracted++
 			}
@@ -222,11 +227,11 @@ func (m *Materialization) Delete(ts ...store.Triple) int {
 	return removed
 }
 
-// recompile rebuilds the closure from the base's constraint triples. Those
-// are all in the store, among the previous closure's triples, so the store
-// enumerates them and the base set filters out the derived ones.
+// recompile re-extracts the closed schema from the base's constraint
+// triples. Those are all in the store, among the previous closure's triples,
+// so the store enumerates them and the base set filters out the derived ones.
 func (m *Materialization) recompile() {
-	m.cl = compile(schema.Extract(baseSource{m.st, m.base}, m.cl.voc))
+	m.sch = schema.Extract(baseSource{m.st, m.base}, m.sch.Vocab())
 }
 
 // baseSource reads the triples of st that are in base.

@@ -537,7 +537,45 @@ func TestSaturateStatsAndHelper(t *testing.T) {
 	}
 }
 
-// TestMaterializeRefusesOtherRuleSets pins that the compiled closure runs
+// TestCyclicSchemaStats pins the exact work of deletions over cyclic
+// hierarchies, where the closed schema makes a class its own superclass and
+// a property its own super-property: that self-loop entails nothing new, so
+// it adds no candidate to a deletion's support checks.
+func TestCyclicSchemaStats(t *testing.T) {
+	e := newEnv()
+	rules := RDFSRules(e.voc)
+	g := e.storeOf(
+		e.tr("A", "sco", "B"), e.tr("B", "sco", "A"), e.tr("B", "sco", "C"),
+		e.tr("p", "spo", "q"), e.tr("q", "spo", "p"),
+		e.tr("s", "type", "A"), e.tr("s", "type", "B"),
+		e.tr("x", "p", "y"), e.tr("x", "q", "y"),
+	)
+	m := Materialize(g, rules)
+	del := func(ts ...store.Triple) {
+		m.Delete(ts...)
+		for _, tr := range ts {
+			g.Remove(tr)
+		}
+		sameAsGeneric(t, "after a delete", m, g, rules)
+	}
+	// The deleted triples and their strict consequences (s type A and C,
+	// x p y) are checked, and all are kept by the asserted triple left in
+	// each cycle.
+	del(e.tr("s", "type", "B"), e.tr("x", "q", "y"))
+	if m.Stats != (Stats{Checked: 5}) {
+		t.Errorf("instance delete stats = %+v, want 5 checked", m.Stats)
+	}
+	// Breaking both cycles loses A ⊑ B, A ⊑ C, p ⊑ q and the self-loops
+	// A ⊑ A, B ⊑ B, p ⊑ p, q ⊑ q: the candidates are s type B and C (from
+	// s type A) and x q y (from x p y), all retracted with the seven schema
+	// triples.
+	del(e.tr("A", "sco", "B"), e.tr("p", "spo", "q"))
+	if m.Stats != (Stats{Checked: 3, Retracted: 10}) {
+		t.Errorf("schema delete stats = %+v, want 3 checked and 10 retracted", m.Stats)
+	}
+}
+
+// TestMaterializeRefusesOtherRuleSets pins that saturation runs
 // RDFSRules and nothing else: a rule set it does not implement panics
 // instead of being silently saturated as RDFS.
 func TestMaterializeRefusesOtherRuleSets(t *testing.T) {

@@ -33,7 +33,7 @@ func (m *Materialization) Explain(t store.Triple) *Derivation {
 	if m.IsBase(t) {
 		return &Derivation{Triple: t}
 	}
-	voc, sch := m.cl.voc, m.cl.sch
+	voc, sch := m.sch.Vocab(), m.sch
 	if voc.IsConstraintProperty(t.P) {
 		return m.explainSchema(t)
 	}
@@ -83,7 +83,7 @@ func (m *Materialization) explainSchema(t store.Triple) *Derivation {
 	if m.IsBase(t) {
 		return &Derivation{Triple: t}
 	}
-	voc, sch := m.cl.voc, m.cl.sch
+	voc, sch := m.sch.Vocab(), m.sch
 	switch t.P {
 	case voc.SubClassOf:
 		return m.explainChain(t, "rdfs11")
@@ -115,7 +115,7 @@ func (m *Materialization) viaSuper(t store.Triple, p dict.ID, rule string, d *De
 	if p == t.S {
 		return d
 	}
-	edge := m.explainSchema(store.Triple{S: t.S, P: m.cl.voc.SubPropertyOf, O: p})
+	edge := m.explainSchema(store.Triple{S: t.S, P: m.sch.Vocab().SubPropertyOf, O: p})
 	return &Derivation{Triple: t, Rule: rule, Premises: []*Derivation{edge, d}}
 }
 

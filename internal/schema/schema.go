@@ -11,7 +11,6 @@ package schema
 
 import (
 	"slices"
-	"sort"
 
 	"repro/internal/dict"
 	"repro/internal/rdf"
@@ -52,12 +51,6 @@ func (v Vocab) IsConstraintProperty(p dict.ID) bool {
 // must not modify them (each slice's capacity equals its length, so an
 // append copies instead of writing into the schema).
 type relation map[dict.ID][]dict.ID
-
-// has reports whether b is related to a.
-func (r relation) has(a, b dict.ID) bool {
-	_, ok := slices.BinarySearch(r[a], b)
-	return ok
-}
 
 // pairs returns the number of related pairs.
 func (r relation) pairs() int {
@@ -273,19 +266,10 @@ func (s *Schema) PropertiesWithDomain(c dict.ID) []dict.ID { return s.domOf[c] }
 // PropertiesWithRange returns properties whose closed range includes c.
 func (s *Schema) PropertiesWithRange(c dict.ID) []dict.ID { return s.rngOf[c] }
 
-// IsSubClassOf reports whether c1 is a strict subclass of c2 in the closure.
-func (s *Schema) IsSubClassOf(c1, c2 dict.ID) bool {
-	return s.subClass.has(c1, c2)
-}
-
-// IsSubPropertyOf reports whether p1 is a strict subproperty of p2.
-func (s *Schema) IsSubPropertyOf(p1, p2 dict.ID) bool {
-	return s.subProp.has(p1, p2)
-}
-
-// Minus returns the triples of s's closure that o's closure lacks, in no
-// particular order: what a schema update adds to the closed schema (s the
-// new version) or removes from it (s the old one).
+// Minus returns the triples of s's closure that o's closure lacks, sorted
+// by subject, property and object: what a schema update adds to the closed
+// schema (s the new version) or removes from it (s the old one). It is the
+// one schema diff; against the empty schema it is the whole closure.
 func (s *Schema) Minus(o *Schema) []store.Triple {
 	var out []store.Triple
 	for _, r := range [...]struct {
@@ -298,13 +282,15 @@ func (s *Schema) Minus(o *Schema) []store.Triple {
 		{s.voc.Range, s.rng, o.rng},
 	} {
 		for k, ids := range r.a {
+			others := r.b[k]
 			for _, x := range ids {
-				if !r.b.has(k, x) {
+				if _, ok := slices.BinarySearch(others, x); !ok {
 					out = append(out, store.Triple{S: k, P: r.p, O: x})
 				}
 			}
 		}
 	}
+	slices.SortFunc(out, store.Compare)
 	return out
 }
 
@@ -321,30 +307,7 @@ func (s *Schema) Size() int {
 }
 
 // ClosureTriples returns the closed schema as encoded triples (including the
-// input constraints), sorted. Saturation seeds the store with these so the
-// saturated graph contains the schema closure, as the RDFS rules require.
-func (s *Schema) ClosureTriples() []store.Triple {
-	var out []store.Triple
-	appendAll := func(m relation, p dict.ID) {
-		for sub, objs := range m {
-			for _, obj := range objs {
-				out = append(out, store.Triple{S: sub, P: p, O: obj})
-			}
-		}
-	}
-	appendAll(s.subClass, s.voc.SubClassOf)
-	appendAll(s.subProp, s.voc.SubPropertyOf)
-	appendAll(s.domain, s.voc.Domain)
-	appendAll(s.rng, s.voc.Range)
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if a.S != b.S {
-			return a.S < b.S
-		}
-		if a.P != b.P {
-			return a.P < b.P
-		}
-		return a.O < b.O
-	})
-	return out
-}
+// input constraints), sorted: the Minus of the empty schema. Saturation seeds
+// the store with these so the saturated graph contains the schema closure,
+// as the RDFS rules require.
+func (s *Schema) ClosureTriples() []store.Triple { return s.Minus(&Schema{voc: s.voc}) }

@@ -71,16 +71,16 @@ func eqIDs(t *testing.T, what string, got, want []dict.ID) {
 
 func TestSubClassTransitiveClosure(t *testing.T) {
 	f := buildFixture(t)
-	if !f.s.IsSubClassOf(f.grad, f.person) {
+	if !slices.Contains(f.s.SuperClasses(f.grad), f.person) {
 		t.Error("GradStudent ⊑ Person missing from closure")
 	}
-	if !f.s.IsSubClassOf(f.grad, f.student) || !f.s.IsSubClassOf(f.student, f.person) {
+	if !slices.Contains(f.s.SuperClasses(f.grad), f.student) || !slices.Contains(f.s.SuperClasses(f.student), f.person) {
 		t.Error("direct subclass edges missing")
 	}
-	if f.s.IsSubClassOf(f.person, f.grad) {
+	if slices.Contains(f.s.SuperClasses(f.person), f.grad) {
 		t.Error("closure inverted an edge")
 	}
-	if f.s.IsSubClassOf(f.grad, f.grad) {
+	if slices.Contains(f.s.SuperClasses(f.grad), f.grad) {
 		t.Error("closure must stay strict on acyclic input")
 	}
 	// Sorted slices: GradStudent < Person etc. depend on ID assignment order;
@@ -91,7 +91,7 @@ func TestSubClassTransitiveClosure(t *testing.T) {
 
 func TestSubPropertyClosure(t *testing.T) {
 	f := buildFixture(t)
-	if !f.s.IsSubPropertyOf(f.advises, f.knows) {
+	if !slices.Contains(f.s.SuperProperties(f.advises), f.knows) {
 		t.Error("advises ⊑ knows missing")
 	}
 	eqIDs(t, "SubProperties(knows)", f.s.SubProperties(f.knows), ids(f.advises))
@@ -161,7 +161,7 @@ func TestCyclicHierarchyTerminates(t *testing.T) {
 	// including itself.
 	for _, x := range []dict.ID{a, b, c} {
 		for _, y := range []dict.ID{a, b, c} {
-			if !s.IsSubClassOf(x, y) {
+			if !slices.Contains(s.SuperClasses(x), y) {
 				t.Errorf("cycle closure incomplete: %d ⊑ %d missing", x, y)
 			}
 		}
@@ -243,19 +243,123 @@ func TestExtractOfClosureIsSameSchema(t *testing.T) {
 	}
 	same(t, "fixture", buildFixture(t).s)
 	for seed := int64(0); seed < 300; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		d := dict.New()
-		voc := NewVocab(d)
-		terms := make([]dict.ID, 8)
-		for i := range terms {
-			terms[i] = d.Encode(rdf.NewIRI(fmt.Sprintf("http://ex.org/t%d", i)))
+		g := newRandomSchemas(seed)
+		st := storeOf(g.edges())
+		st.Add(store.Triple{S: g.terms[0], P: g.voc.Type, O: g.terms[1]}) // instance data, ignored
+		same(t, fmt.Sprintf("seed %d", seed), Extract(st, g.voc))
+	}
+}
+
+// randomSchemas draws random constraint triples over eight terms, each
+// term in class and property positions alike, so hierarchies have cycles.
+type randomSchemas struct {
+	rng   *rand.Rand
+	voc   Vocab
+	terms []dict.ID
+}
+
+func newRandomSchemas(seed int64) *randomSchemas {
+	d := dict.New()
+	g := &randomSchemas{rng: rand.New(rand.NewSource(seed)), voc: NewVocab(d), terms: make([]dict.ID, 8)}
+	for i := range g.terms {
+		g.terms[i] = d.Encode(rdf.NewIRI(fmt.Sprintf("http://ex.org/t%d", i)))
+	}
+	return g
+}
+
+// edge returns one random constraint triple.
+func (g *randomSchemas) edge() store.Triple {
+	preds := []dict.ID{g.voc.SubClassOf, g.voc.SubPropertyOf, g.voc.Domain, g.voc.Range}
+	return store.Triple{S: g.terms[g.rng.Intn(len(g.terms))], P: preds[g.rng.Intn(len(preds))], O: g.terms[g.rng.Intn(len(g.terms))]}
+}
+
+// edges returns one to sixteen random constraint triples.
+func (g *randomSchemas) edges() []store.Triple {
+	var ts []store.Triple
+	for i := g.rng.Intn(16); i >= 0; i-- {
+		ts = append(ts, g.edge())
+	}
+	return ts
+}
+
+func storeOf(ts []store.Triple) *store.Store {
+	st := store.New()
+	for _, tr := range ts {
+		st.Add(tr)
+	}
+	return st
+}
+
+// TestMinusIsClosureDifference checks Minus, the one schema diff, against
+// the set difference of two closures read through the accessors, on random
+// cyclic schemas and on the schema updates of each: an edge added, an edge
+// removed, both. Both directions are checked, and against the empty schema
+// Minus is the whole closure, which is what ClosureTriples returns.
+func TestMinusIsClosureDifference(t *testing.T) {
+	// closure lists s's closure triples through its accessors.
+	closure := func(s *Schema) map[store.Triple]bool {
+		out := map[store.Triple]bool{}
+		add := func(a, p dict.ID, bs []dict.ID) {
+			for _, b := range bs {
+				out[store.Triple{S: a, P: p, O: b}] = true
+			}
 		}
-		preds := []dict.ID{voc.SubClassOf, voc.SubPropertyOf, voc.Domain, voc.Range}
-		st := store.New()
-		for i := rng.Intn(16); i >= 0; i-- {
-			st.Add(store.Triple{S: terms[rng.Intn(len(terms))], P: preds[rng.Intn(len(preds))], O: terms[rng.Intn(len(terms))]})
+		for _, c := range s.Classes() {
+			add(c, s.voc.SubClassOf, s.SuperClasses(c))
 		}
-		st.Add(store.Triple{S: terms[0], P: voc.Type, O: terms[1]}) // instance data, ignored
-		same(t, fmt.Sprintf("seed %d", seed), Extract(st, voc))
+		for _, p := range s.Properties() {
+			add(p, s.voc.SubPropertyOf, s.SuperProperties(p))
+			add(p, s.voc.Domain, s.Domains(p))
+			add(p, s.voc.Range, s.Ranges(p))
+		}
+		return out
+	}
+	// difference returns the sorted triples of a's closure not in b's.
+	difference := func(a, b *Schema) []store.Triple {
+		in := closure(b)
+		var out []store.Triple
+		for tr := range closure(a) {
+			if !in[tr] {
+				out = append(out, tr)
+			}
+		}
+		slices.SortFunc(out, store.Compare)
+		return out
+	}
+	check := func(what string, a, b *Schema) {
+		t.Helper()
+		if got, want := a.Minus(b), difference(a, b); !slices.Equal(got, want) {
+			t.Fatalf("%s: Minus = %v, the closures' difference %v", what, got, want)
+		}
+	}
+	nonEmpty := 0
+	for seed := int64(0); seed < 300; seed++ {
+		g := newRandomSchemas(seed)
+		empty := Extract(store.New(), g.voc)
+		edges := g.edges()
+		st := storeOf(edges)
+		old := Extract(st, g.voc)
+		if seed%3 != 0 {
+			st.Remove(edges[g.rng.Intn(len(edges))])
+		}
+		if seed%3 != 1 {
+			st.Add(g.edge())
+		}
+		updated := Extract(st, g.voc)
+		what := fmt.Sprintf("seed %d", seed)
+		check(what+": new minus old", updated, old)
+		check(what+": old minus new", old, updated)
+		check(what+": minus the empty schema", old, empty)
+		check(what+": the empty schema minus", empty, old)
+		check(what+": minus itself", old, old)
+		if !slices.Equal(old.ClosureTriples(), old.Minus(empty)) || len(old.ClosureTriples()) != old.Size() {
+			t.Fatalf("%s: ClosureTriples is not the whole closure", what)
+		}
+		if len(updated.Minus(old))+len(old.Minus(updated)) > 0 {
+			nonEmpty++
+		}
+	}
+	if nonEmpty < 150 {
+		t.Fatalf("only %d of 300 updates changed the closure", nonEmpty)
 	}
 }

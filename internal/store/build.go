@@ -66,7 +66,7 @@ func (so *sorter) sortSPO(ts []Triple) []Triple {
 		so.rotate()
 		so.rotate()
 	} else {
-		slices.SortFunc(so.cur, compareTriples)
+		slices.SortFunc(so.cur, Compare)
 	}
 	so.cur = slices.Compact(so.cur)
 	so.next = so.next[:len(so.cur)]
@@ -81,7 +81,7 @@ func (so *sorter) rotate() []Triple {
 		for i, t := range src {
 			dst[i] = Triple{t.O, t.S, t.P}
 		}
-		slices.SortFunc(dst, compareTriples)
+		slices.SortFunc(dst, Compare)
 	} else {
 		counts := so.counts
 		clear(counts)
@@ -102,8 +102,8 @@ func (so *sorter) rotate() []Triple {
 	return dst
 }
 
-// compareTriples orders triples by S, then P, then O.
-func compareTriples(x, y Triple) int {
+// Compare orders triples by S, then P, then O: the SPO index's order.
+func Compare(x, y Triple) int {
 	if c := cmp.Compare(x.S, y.S); c != 0 {
 		return c
 	}

@@ -84,6 +84,66 @@ func TestServerFlushVisibility(t *testing.T) {
 	}
 }
 
+// TestDeleteOfUnknownTermsLeavesDictionary: deleting triples that name a
+// term the dictionary lacks — which can be stored nowhere — assigns no IDs,
+// so the dictionary's size and version (which prepared plans key on) stay
+// put and the answers do not change; a known triple in the same run is still
+// deleted. Checked for all three strategies, directly and through a Server
+// drain.
+func TestDeleteOfUnknownTermsLeavesDictionary(t *testing.T) {
+	ex := func(n string) webreason.Term { return webreason.NewIRI("http://ex.org/" + n) }
+	q := webreason.MustParseQuery(`PREFIX ex: <http://ex.org/> SELECT ?x WHERE { ?x a ex:D }`)
+	unknown := []webreason.Triple{
+		webreason.T(ex("rex"), webreason.Type, ex("Dog")),
+		webreason.T(ex("a"), ex("p"), ex("nobody")),
+	}
+	for _, name := range serverStrategies {
+		t.Run(name, func(t *testing.T) {
+			kb := serverKB(t)
+			strat, err := webreason.NewStrategy(name, kb)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := strat.Insert(webreason.T(ex("a"), ex("p"), ex("b"))); err != nil {
+				t.Fatal(err)
+			}
+			d := kb.Dict()
+			n, v := d.Len(), d.Version()
+			unchanged := func(what string, rows int) {
+				t.Helper()
+				if d.Len() != n || d.Version() != v {
+					t.Fatalf("%s: dictionary %d terms at version %d, want %d at %d", what, d.Len(), d.Version(), n, v)
+				}
+				res, err := strat.Answer(q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(res.Rows) != rows {
+					t.Fatalf("%s: %d answers, want %d", what, len(res.Rows), rows)
+				}
+			}
+			unchanged("before", 1)
+			if err := strat.Delete(unknown...); err != nil {
+				t.Fatal(err)
+			}
+			unchanged("strategy delete", 1)
+			srv := webreason.NewServer(strat, webreason.ServerOptions{FlushEvery: 1 << 20, FlushInterval: -1})
+			defer srv.Close()
+			if err := srv.Delete(unknown...); err != nil {
+				t.Fatal(err)
+			}
+			if err := srv.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			unchanged("server drain", 1)
+			if err := strat.Delete(append(unknown, webreason.T(ex("a"), ex("p"), ex("b")))...); err != nil {
+				t.Fatal(err)
+			}
+			unchanged("delete beside a known triple", 0)
+		})
+	}
+}
+
 // TestServerTimerFlush: with a short interval and no explicit Flush, the
 // background writer applies the batch on its own.
 func TestServerTimerFlush(t *testing.T) {

@@ -290,12 +290,17 @@ func Advise(cm CostModel, w Workload) core.Recommendation { return core.Advise(c
 // Explain returns a human-readable proof tree showing why the triple is
 // entailed by the KB (OWLIM-style justification), or ok=false if it is not
 // entailed. It reads the KB's loaded G, not the current G of a strategy that
-// has since been updated. The call saturates the KB, so it is meant for
-// debugging and teaching, not hot paths; hold on to a Saturation strategy for
-// repeated use.
+// has since been updated, and adds nothing to the dictionary: a triple with
+// a term the dictionary lacks is not entailed. The call saturates the KB, so
+// it is meant for debugging and teaching, not hot paths; hold on to a
+// Saturation strategy for repeated use.
 func Explain(kb *KB, t Triple) (proof string, ok bool) {
+	enc, known := kb.Lookup(t)
+	if !known {
+		return "", false
+	}
 	sat := core.NewSaturation(kb)
-	d := sat.Materialization().Explain(kb.Encode(t))
+	d := sat.Materialization().Explain(enc)
 	if d == nil {
 		return "", false
 	}
