@@ -109,6 +109,8 @@ lint: vet
 	tools/analyzers/bin/webreasonvet ./...
 	tools/analyzers/bin/webreasonvet -C tools/analyzers ./...
 
+# FuzzCompiledClosure finds new interesting inputs often, and minimising each
+# one for the default 60s would spend most of a short window at 0 execs/s.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzNTriples -fuzztime $(FUZZTIME) ./internal/ntriples/
 	$(GO) test -run '^$$' -fuzz FuzzTurtle -fuzztime $(FUZZTIME) ./internal/turtle/
@@ -118,7 +120,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzChainRecover -fuzztime $(FUZZTIME) ./internal/persist/
 	$(GO) test -run '^$$' -fuzz FuzzHAMTNodeDecode -fuzztime $(FUZZTIME) ./internal/store/
 	$(GO) test -run '^$$' -fuzz FuzzBuild -fuzztime $(FUZZTIME) ./internal/store/
-	$(GO) test -run '^$$' -fuzz FuzzCompiledClosure -fuzztime $(FUZZTIME) ./internal/reason/
+	$(GO) test -run '^$$' -fuzz FuzzCompiledClosure -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/reason/
 	$(GO) test -run '^$$' -fuzz FuzzReformulate -fuzztime $(FUZZTIME) ./internal/reformulate/
 
 test-benchmark:

@@ -21,10 +21,8 @@ import (
 // threshold check without allocating. A reformulated union is one engine
 // execution — its branches share one scratch, one dedup set and one result —
 // so its budget is saturation's whatever its width: the one-branch Q1, the
-// 75-branch Q5, the 55-branch Q9 and Q6 alike. The strategy's source (a union
-// of the data and the schema overlay) hands every pattern with a bound
-// instance predicate to the data's snapshot as it is, so its match calls
-// allocate nothing.
+// 75-branch Q5, the 55-branch Q9 and Q6 alike. The strategy's source is a
+// snapshot of G with its schema closed, so its match calls allocate nothing.
 // Backward chaining pays its result and one dedup set per match call of the
 // virtual G∞ — 6 allocs for Q1, 61 for Q5, 22 for Q9; a match call whose
 // emitter escapes to the heap pays several more each. Its budgets leave 5%:

@@ -257,8 +257,9 @@ func BenchmarkReformulate(b *testing.B) {
 // postings leaves of the properties and classes the diff names, which for a
 // class without instances is none. BenchmarkMaintainSchemaAsserted is the
 // same schema pair on the asserted side that reformulation and backward
-// chaining share, which re-extracts the closed schema and rebuilds its
-// overlay per step.
+// chaining share, which re-extracts the closed schema from the asserted
+// constraints per step and adds or removes the closure triples of the diff
+// in G's store.
 
 func BenchmarkMaintainInstance(b *testing.B) {
 	kb := core.NewKB()

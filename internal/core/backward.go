@@ -36,20 +36,20 @@ func (b *Backward) Name() string { return "backward" }
 
 func (b *Backward) view() *view {
 	st := b.data.Snapshot()
-	return &view{src: &inferredView{st: st, overlay: b.overlay, sch: b.sch, voc: b.voc}, sch: b.sch, size: st.Len(), stats: storeStats(b.data)}
+	return &view{src: &inferredView{st: st, sch: b.sch, voc: b.voc}, sch: b.sch, size: st.Len(), stats: storeStats(b.data)}
 }
 
 // inferredView is an engine.Source that behaves like G∞ without storing it.
 // Each match call unions the explicit matches with the entailed ones
 // reachable through the closed schema; a per-call set deduplicates triples
-// derivable several ways. The view is immutable — it reads two store
-// snapshots and a schema, all frozen — so any number of evaluations may share
-// it concurrently.
+// derivable several ways. The view is immutable — it reads a store snapshot
+// and a schema, both frozen — so any number of evaluations may share it
+// concurrently.
 type inferredView struct {
-	// st is G; overlay the closed-schema triples G does not assert.
-	st, overlay *store.Snapshot
-	sch         *schema.Schema
-	voc         schema.Vocab
+	// st is G with its schema closed.
+	st  *store.Snapshot
+	sch *schema.Schema
+	voc schema.Vocab
 }
 
 var _ engine.Source = (*inferredView)(nil)
@@ -185,19 +185,13 @@ func (v *inferredView) matchProperty(s, p, o dict.ID, e *dedupEmitter) {
 }
 
 // matchSchema serves constraint-property patterns: their triples in G∞ are
-// G's plus the schema closure's, which data ∪ overlay holds. The two
-// snapshots are called directly, not through an interface, so the emitter
-// does not escape to the heap.
+// the closed schema's, which st holds. The snapshot is called directly, not
+// through an interface, so the emitter does not escape to the heap.
 func (v *inferredView) matchSchema(pat store.Triple, e *dedupEmitter) {
-	for _, st := range [...]*store.Snapshot{v.st, v.overlay} {
-		st.ForEachMatch(pat, func(t store.Triple) bool {
-			e.emit(t)
-			return !e.stopped
-		})
-		if e.stopped {
-			return
-		}
-	}
+	v.st.ForEachMatch(pat, func(t store.Triple) bool {
+		e.emit(t)
+		return !e.stopped
+	})
 }
 
 // matchAnyPredicate handles patterns with an unbound predicate: the union
@@ -235,8 +229,9 @@ func (v *inferredView) matchAnyPredicate(pat store.Triple, e *dedupEmitter) {
 	}
 }
 
-// Count gives the optimizer a cheap overestimate: explicit matches plus the
-// explicit counts of the one-step expansions.
+// Count gives the optimizer a cheap estimate: explicit matches plus the
+// explicit counts of the one-step expansions. A constraint pattern's count is
+// exact, since st holds the closed schema.
 func (v *inferredView) Count(pat store.Triple) int {
 	n := v.st.Count(pat)
 	switch {
@@ -257,8 +252,6 @@ func (v *inferredView) Count(pat store.Triple) int {
 	case pat.P == dict.None:
 		// Wildcard predicate: assume inference roughly doubles matches.
 		n *= 2
-	default:
-		n += v.sch.Size()
 	}
 	return n
 }

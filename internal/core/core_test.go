@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -322,41 +323,6 @@ func TestLUBMUnionSizes(t *testing.T) {
 	}
 }
 
-// TestUnionSourceSortedIDs checks reformulation's source against its own
-// enumeration: for every two-constant pattern of every triple of G and its
-// overlay, SortedIDs lists ascending exactly the IDs ForEachMatch finds, and
-// Count counts them — whether the pattern reads G alone, or both halves
-// (a constraint predicate, or none).
-func TestUnionSourceSortedIDs(t *testing.T) {
-	u := NewReformulation(loadKB(t), reformulate.Options{}).cur.Load().src.(*unionSource)
-	if u.overlay.Len() == 0 {
-		t.Fatal("fixture has no overlay: the merged path is not exercised")
-	}
-	var all []store.Triple
-	u.ForEachMatch(store.Triple{}, func(tr store.Triple) bool { all = append(all, tr); return true })
-	if len(all) != u.Count(store.Triple{}) {
-		t.Fatalf("ForEachMatch found %d triples, Count says %d", len(all), u.Count(store.Triple{}))
-	}
-	for _, tr := range all {
-		for _, c := range []struct {
-			pat  store.Triple
-			free func(store.Triple) dict.ID
-		}{
-			{store.Triple{S: tr.S, P: tr.P}, func(m store.Triple) dict.ID { return m.O }},
-			{store.Triple{P: tr.P, O: tr.O}, func(m store.Triple) dict.ID { return m.S }},
-			{store.Triple{S: tr.S, O: tr.O}, func(m store.Triple) dict.ID { return m.P }},
-		} {
-			var want []dict.ID
-			u.ForEachMatch(c.pat, func(m store.Triple) bool { want = append(want, c.free(m)); return true })
-			sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
-			got, ok := u.SortedIDs(c.pat)
-			if !ok || !reflect.DeepEqual(got, want) || u.Count(c.pat) != len(want) {
-				t.Errorf("%v: SortedIDs %v (ok %v), Count %d; ForEachMatch finds %v", c.pat, got, ok, u.Count(c.pat), want)
-			}
-		}
-	}
-}
-
 func TestStrategyLenSemantics(t *testing.T) {
 	kb := loadKB(t)
 	sat := NewSaturation(kb)
@@ -365,12 +331,12 @@ func TestStrategyLenSemantics(t *testing.T) {
 	if sat.Len() <= kb.Len() {
 		t.Errorf("saturation Len %d should exceed base %d (derived triples)", sat.Len(), kb.Len())
 	}
-	if back.Len() != kb.Len() {
-		t.Errorf("backward Len %d should equal base %d", back.Len(), kb.Len())
-	}
-	if ref.Len() < kb.Len() || ref.Len() > sat.Len() {
-		t.Errorf("reformulation Len %d should be base + small schema overlay (base %d, sat %d)",
+	if ref.Len() <= kb.Len() || ref.Len() > sat.Len() {
+		t.Errorf("reformulation Len %d should be base + the closure triples base lacks (base %d, sat %d)",
 			ref.Len(), kb.Len(), sat.Len())
+	}
+	if back.Len() != ref.Len() {
+		t.Errorf("backward Len %d should equal reformulation's %d: both store G with its schema closed", back.Len(), ref.Len())
 	}
 }
 
@@ -447,7 +413,13 @@ func TestRestoreStrategyMatchesFreshBuild(t *testing.T) {
 // TestCheckpointBaseIsOneShape pins the one persisted shape of G: for the
 // same G, the base sections a checkpoint writes for saturation,
 // reformulation and backward chaining are the same bytes — when built, and
-// again after the same updates went through each strategy.
+// again after each step of the same updates went through each strategy —
+// and each checkpoint, restored by RestoreStrategy, answers the schema-level
+// queries as the live strategy does. The steps include asserting a
+// constraint the closed schema already entails, retracting it while it is
+// still entailed, and then retracting its support: G's closed schema holds
+// the entailed triple throughout the first two, its checkpoint only while it
+// is asserted.
 func TestCheckpointBaseIsOneShape(t *testing.T) {
 	kb := loadKB(t)
 	var strats []Strategy
@@ -461,23 +433,66 @@ func TestCheckpointBaseIsOneShape(t *testing.T) {
 	check := func(when string) {
 		t.Helper()
 		want := encode(t, strats[0].DurableState().BaseSet)
-		for _, s := range strats[1:] {
-			if got := encode(t, s.DurableState().BaseSet); got != want {
+		for _, s := range strats {
+			st := s.DurableState()
+			if got := encode(t, st.BaseSet); got != want {
 				t.Errorf("%s: %s writes a base section of %d bytes that differs from saturation's %d", when, s.Name(), len(got), len(want))
+			}
+			ls := &persist.LoadedState{Dict: st.Dict}
+			var err error
+			if ls.BaseSet, err = store.ReadSetBinary([]byte(encode(t, st.BaseSet)), dict.None); err != nil {
+				t.Fatal(err)
+			}
+			if st.Saturated != nil {
+				if ls.Saturated, err = store.ReadBinary([]byte(encode(t, st.Saturated))); err != nil {
+					t.Fatal(err)
+				}
+			}
+			_, restored, err := RestoreStrategy(s.Name(), ls)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, q := range schemaQueries {
+				live, err := s.Answer(q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				back, err := restored.Answer(q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got, want := resultStrings(t, kb, back), resultStrings(t, kb, live); !slices.Equal(got, want) {
+					t.Errorf("%s: %s restored from its checkpoint answers %s with %v, live %v", when, s.Name(), q, got, want)
+				}
 			}
 		}
 	}
 	check("built")
-	for _, s := range strats {
-		if err := s.Insert(rdf.T(iri("kim"), rdf.Type, iri("Professor")), rdf.T(iri("kim"), iri("knows"), iri("smith")),
-			rdf.T(iri("Dean"), rdf.SubClassOf, iri("Professor"))); err != nil {
-			t.Fatal(err)
+	entailed := rdf.T(iri("GradStudent"), rdf.SubClassOf, iri("Person"))
+	for _, step := range []struct {
+		when string
+		run  func(s Strategy) error
+	}{
+		{"after updates", func(s Strategy) error {
+			if err := s.Insert(rdf.T(iri("kim"), rdf.Type, iri("Professor")), rdf.T(iri("kim"), iri("knows"), iri("smith")),
+				rdf.T(iri("Dean"), rdf.SubClassOf, iri("Professor"))); err != nil {
+				return err
+			}
+			return s.Delete(rdf.T(iri("smith"), rdf.Type, iri("Professor")))
+		}},
+		{"after asserting an entailed constraint", func(s Strategy) error { return s.Insert(entailed) }},
+		{"after retracting it while entailed", func(s Strategy) error { return s.Delete(entailed) }},
+		{"after retracting its support", func(s Strategy) error {
+			return s.Delete(rdf.T(iri("Student"), rdf.SubClassOf, iri("Person")))
+		}},
+	} {
+		for _, s := range strats {
+			if err := step.run(s); err != nil {
+				t.Fatal(err)
+			}
 		}
-		if err := s.Delete(rdf.T(iri("smith"), rdf.Type, iri("Professor"))); err != nil {
-			t.Fatal(err)
-		}
+		check(step.when)
 	}
-	check("after updates")
 }
 
 // encode returns v's binary encoding, "<nil>" for a nil view.

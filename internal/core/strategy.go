@@ -47,9 +47,9 @@ type Strategy interface {
 	Insert(ts ...rdf.Triple) error
 	// Delete retracts base triples: an Apply of one run.
 	Delete(ts ...rdf.Triple) error
-	// Len returns the number of triples the strategy stores physically
-	// (|G∞| for saturation, |G| plus the closed schema for reformulation,
-	// |G| for backward chaining).
+	// Len returns the number of triples the strategy stores physically:
+	// |G∞| for saturation, and for reformulation and backward chaining |G|
+	// plus the closed-schema triples G does not assert.
 	Len() int
 	// Prepare compiles q into a PreparedQuery whose plan is kept across
 	// executions — the paper's repeated-query regime, where planning and
@@ -162,8 +162,8 @@ func limit(res *engine.Result, q *sparql.Query) *engine.Result {
 // against that boundary.
 type view struct {
 	// src is what queries evaluate against: a snapshot of G∞ (saturation),
-	// of G plus the closed schema (reformulation), or the virtual G∞ derived
-	// from a snapshot of G (backward chaining).
+	// of G with its schema closed (reformulation), or the virtual G∞ derived
+	// from that snapshot (backward chaining).
 	src engine.Source
 	// sch is the closed schema the view was built under (nil for
 	// saturation, which stores its consequences). Its identity is the
@@ -443,62 +443,72 @@ func (p bgpPlan) exec(src engine.Source) *engine.Result { return p.Exec(src) }
 
 // asserted is the write side of the two strategies that store G as asserted
 // and reason at query time, reformulation and backward chaining: both answer
-// from G plus its closed schema. Instance updates cost O(1), and only the
-// (small) schema is re-derived when a schema triple changes.
+// from G with its schema closed, the store [12] assumes. Instance updates
+// cost O(1), and only the (small) schema is re-derived when a schema triple
+// changes.
 type asserted struct {
 	voc schema.Vocab
-	// data holds the asserted triples: the strategy's own version of G, a
-	// clone of the KB's that shares its nodes until either side writes.
+	// data holds G's instance triples and the closed schema: the strategy's
+	// own version of G, a clone of the KB's that shares its nodes until either
+	// side writes, plus the closure triples G does not assert.
 	data *store.Store
-	// sch is the closed schema of data, which reformulation rewrites queries
-	// against and backward chaining chains through.
+	// axioms holds G's constraint triples, the asserted schema sch is
+	// extracted from; data holds them too, as part of the closure.
+	axioms *store.Store
+	// sch is the closed schema of axioms, which reformulation rewrites
+	// queries against and backward chaining chains through.
 	sch *schema.Schema
-	// overlay holds the closed-schema triples not asserted in data, so
-	// data ∪ overlay is G with closed schema and no duplicates. It is built
-	// whole by reclose and never written.
-	overlay *store.Snapshot
 }
 
-// newAsserted builds the write side over a clone of the KB's data.
+// newAsserted builds the write side over a clone of the KB's data, closing
+// its schema.
 func newAsserted(kb *KB) asserted {
-	g := asserted{voc: kb.voc, data: kb.base.Clone()}
-	g.reclose()
+	g := asserted{voc: kb.voc, data: kb.base.Clone(), axioms: store.New()}
+	for _, p := range [...]dict.ID{g.voc.SubClassOf, g.voc.SubPropertyOf, g.voc.Domain, g.voc.Range} {
+		kb.base.ForEachMatch(store.Triple{P: p}, func(t store.Triple) bool {
+			g.axioms.Add(t)
+			return true
+		})
+	}
+	g.sch = schema.Extract(g.axioms, g.voc)
+	for _, t := range g.sch.ClosureTriples() {
+		g.data.Add(t)
+	}
 	return g
 }
 
-// apply maintains data for one run and recloses the schema when the run
-// changed a schema triple.
+// apply maintains the stores for one run: instance triples in data,
+// constraint triples in axioms. When axioms changed, the closed schema is
+// re-extracted and data takes its one diff — the closure triples gained
+// added, the ones lost removed — the diff saturation applies too.
 func (g *asserted) apply(del bool, enc []store.Triple) {
 	schemaChanged := false
 	for _, t := range enc {
+		st, axiom := g.data, g.voc.IsConstraintProperty(t.P)
+		if axiom {
+			st = g.axioms
+		}
 		var changed bool
 		if del {
-			changed = g.data.Remove(t)
+			changed = st.Remove(t)
 		} else {
-			changed = g.data.Add(t)
+			changed = st.Add(t)
 		}
-		if changed && g.voc.IsConstraintProperty(t.P) {
+		if changed && axiom {
 			schemaChanged = true
 		}
 	}
-	if schemaChanged {
-		g.reclose()
+	if !schemaChanged {
+		return
 	}
-}
-
-// reclose recomputes the closed schema and the overlay of its closure
-// triples (cheap: schemas are small). The schema extracted from data alone is
-// already closed: extracting it again over data ∪ overlay returns the same
-// schema.
-func (g *asserted) reclose() {
-	g.sch = schema.Extract(g.data, g.voc)
-	var ts []store.Triple
-	for _, t := range g.sch.ClosureTriples() {
-		if !g.data.Contains(t) {
-			ts = append(ts, t)
-		}
+	old := g.sch
+	g.sch = schema.Extract(g.axioms, g.voc)
+	for _, t := range g.sch.Minus(old) {
+		g.data.Add(t)
 	}
-	g.overlay = store.Build(ts).Snapshot()
+	for _, t := range old.Minus(g.sch) {
+		g.data.Remove(t)
+	}
 }
 
 // storeStats is the store part of a view's WriteStats; the writer side reads
@@ -508,10 +518,18 @@ func storeStats(st *store.Store) WriteStats {
 }
 
 // durable persists only the asserted triples, as the set image of the
-// store's SPO index — the bytes saturation writes for the same G. Whatever is
-// derived from them is recomputed on restore (it is small by the paper's
-// DB-fragment assumption).
-func (g *asserted) durable(st *persist.State) { st.BaseSet = g.data.Snapshot().Set() }
+// store's SPO index less the closure triples G does not assert — the bytes
+// saturation writes for the same G. Whatever is derived from them is
+// recomputed on restore (it is small by the paper's DB-fragment assumption).
+func (g *asserted) durable(st *persist.State) {
+	base := g.data.CloneSet()
+	for _, t := range g.sch.ClosureTriples() {
+		if !g.axioms.Contains(t) {
+			base.Remove(t)
+		}
+	}
+	st.BaseSet = base.Snapshot()
+}
 
 // ---------------------------------------------------------------------------
 // Saturation strategy
@@ -584,9 +602,9 @@ func (s *Saturation) durable(st *persist.State) {
 // Reformulation strategy
 // ---------------------------------------------------------------------------
 
-// Reformulation leaves the data untouched and rewrites queries at run time;
-// only the (small) schema closure is maintained, stored in an overlay so
-// instance updates cost O(1). This is the approach of [12], [19], [20].
+// Reformulation leaves the instance data untouched and rewrites queries at
+// run time; only the (small) schema closure is maintained, in G's own store,
+// so instance updates cost O(1). This is the approach of [12], [19], [20].
 type Reformulation struct {
 	skeleton
 	asserted
@@ -606,13 +624,13 @@ func NewReformulation(kb *KB, opt reformulate.Options) *Reformulation {
 func (r *Reformulation) Name() string { return "reformulation" }
 
 func (r *Reformulation) view() *view {
-	src := &unionSource{g: r.data.Snapshot(), overlay: r.overlay, voc: r.voc}
-	return &view{src: src, sch: r.sch, size: src.Count(store.Triple{}), stats: storeStats(r.data)}
+	snap := r.data.Snapshot()
+	return &view{src: snap, sch: r.sch, size: snap.Len(), stats: storeStats(r.data)}
 }
 
 // rewrite reformulates q against v's schema and data vocabulary.
 func (r *Reformulation) rewrite(v *view, q *sparql.Query) (*reformulate.UCQ, error) {
-	return reformulate.Reformulate(q, v.sch, r.kb.dict, v.src.(*unionSource), r.opt)
+	return reformulate.Reformulate(q, v.sch, r.kb.dict, v.src.(*store.Snapshot), r.opt)
 }
 
 // Reformulate exposes the rewriting of q (for -explain and experiment E6).
@@ -656,103 +674,11 @@ func (p ucqPlan) on(src engine.Source) plan { return ucqPlan{p.For(src)} }
 
 func (p ucqPlan) exec(src engine.Source) *engine.Result { return p.Exec(src) }
 
-// unionSource exposes G and its schema overlay, two disjoint snapshots, as
-// one engine.SortedSource and reformulate.VocabularySource. The overlay holds
-// only rdfs:subClassOf, rdfs:subPropertyOf, rdfs:domain and rdfs:range
-// triples, so a pattern whose predicate is bound to any other property — a
-// reformulated branch's every instance pattern — reads G alone, with G's
-// own sorted leaves; only a constraint or unbound-predicate pattern reads
-// both halves.
-type unionSource struct {
-	g, overlay *store.Snapshot
-	voc        schema.Vocab
-}
-
-// inG reports whether every match of pat is in G.
-func (u *unionSource) inG(pat store.Triple) bool {
-	return pat.P != dict.None && !u.voc.IsConstraintProperty(pat.P)
-}
-
-func (u *unionSource) ForEachMatch(pat store.Triple, fn func(store.Triple) bool) {
-	if u.inG(pat) {
-		u.g.ForEachMatch(pat, fn)
-		return
-	}
-	stopped := false
-	u.g.ForEachMatch(pat, func(t store.Triple) bool {
-		if !fn(t) {
-			stopped = true
-			return false
-		}
-		return true
-	})
-	if stopped {
-		return
-	}
-	u.overlay.ForEachMatch(pat, fn)
-}
-
-func (u *unionSource) Count(pat store.Triple) int {
-	if u.inG(pat) {
-		return u.g.Count(pat)
-	}
-	return u.g.Count(pat) + u.overlay.Count(pat)
-}
-
-// SortedIDs implements engine.SortedSource: G's leaf, or for a pattern both
-// halves can match, their two leaves merged into a new ascending slice.
-func (u *unionSource) SortedIDs(pat store.Triple) ([]dict.ID, bool) {
-	if u.inG(pat) {
-		return u.g.SortedIDs(pat)
-	}
-	a, okA := u.g.SortedIDs(pat)
-	b, okB := u.overlay.SortedIDs(pat)
-	switch {
-	case !okB:
-		return a, okA
-	case !okA:
-		return b, okB
-	}
-	out := make([]dict.ID, 0, len(a)+len(b))
-	for len(a) > 0 && len(b) > 0 {
-		if a[0] < b[0] {
-			out, a = append(out, a[0]), a[1:]
-		} else {
-			out, b = append(out, b[0]), b[1:]
-		}
-	}
-	return append(append(out, a...), b...), true
-}
-
-func (u *unionSource) Predicates() []dict.ID {
-	return unionIDs(u.g.Predicates(), u.overlay.Predicates())
-}
-
-func (u *unionSource) Objects(p dict.ID) []dict.ID {
-	return unionIDs(u.g.Objects(p), u.overlay.Objects(p))
-}
-
-func unionIDs(a, b []dict.ID) []dict.ID {
-	set := make(map[dict.ID]struct{}, len(a)+len(b))
-	out := make([]dict.ID, 0, len(a)+len(b))
-	for _, ids := range [2][]dict.ID{a, b} {
-		for _, id := range ids {
-			if _, dup := set[id]; !dup {
-				set[id] = struct{}{}
-				out = append(out, id)
-			}
-		}
-	}
-	return out
-}
-
 // interface checks
 var (
-	_ Strategy                     = (*Saturation)(nil)
-	_ Strategy                     = (*Reformulation)(nil)
-	_ Strategy                     = (*Backward)(nil)
-	_ engine.SortedSource          = (*unionSource)(nil)
-	_ reformulate.VocabularySource = (*unionSource)(nil)
+	_ Strategy = (*Saturation)(nil)
+	_ Strategy = (*Reformulation)(nil)
+	_ Strategy = (*Backward)(nil)
 )
 
 // PlainAnswer evaluates q against the KB's loaded triples only, ignoring

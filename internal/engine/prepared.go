@@ -13,10 +13,10 @@ import (
 
 // SortedSource is a Source that can additionally enumerate the free position
 // of a two-constant pattern in ascending ID order. The store and its
-// snapshots implement it via their sorted postings leaves, and so does
-// reformulation's union of G and its schema overlay (G's leaf, or the two
-// halves' leaves merged). Backward chaining's virtual G∞ derives its matches
-// lazily and cannot; plans over it simply have no merge-join steps.
+// snapshots implement it via their sorted postings leaves; reformulation
+// evaluates against a snapshot of G with its schema closed. Backward
+// chaining's virtual G∞ derives its matches lazily and cannot; plans over it
+// simply have no merge-join steps.
 type SortedSource interface {
 	Source
 	// SortedIDs returns, ascending, the IDs matching the single wildcard

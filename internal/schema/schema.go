@@ -81,8 +81,9 @@ type Schema struct {
 	properties []dict.ID // every ID that occurs in property position of a constraint
 }
 
-// TripleSource is the read capability Extract needs; *store.Store satisfies
-// it, as does any overlay/union view of stores.
+// TripleSource is the read capability Extract needs; *store.Store and its
+// snapshots satisfy it, as does saturation's view of the asserted triples
+// among its stored ones.
 type TripleSource interface {
 	ForEachMatch(pat store.Triple, fn func(store.Triple) bool)
 }
