@@ -16,7 +16,9 @@
 #                         RDFS closure: maintained G∞ against the generic
 #                         rule engine; query reformulation: the plain and the
 #                         minimised union, under a drawn projection, against
-#                         the projected query over G∞)
+#                         the projected query over G∞; backward chaining's
+#                         source, pattern shape by pattern shape, against
+#                         G∞'s matches)
 #   make test-chaos       seeded fault-injection sweep under the race
 #                         detector: CHAOS_SEEDS (default 200) full server
 #                         rounds over a scripted faulty filesystem, each
@@ -122,6 +124,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzBuild -fuzztime $(FUZZTIME) ./internal/store/
 	$(GO) test -run '^$$' -fuzz FuzzCompiledClosure -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/reason/
 	$(GO) test -run '^$$' -fuzz FuzzReformulate -fuzztime $(FUZZTIME) ./internal/reformulate/
+	$(GO) test -run '^$$' -fuzz FuzzBackwardSource -fuzztime $(FUZZTIME) ./internal/core/
 
 test-benchmark:
 	$(GO) -C benchmark vet .

@@ -1,22 +1,27 @@
 package core
 
 import (
+	"cmp"
+
 	"repro/internal/dict"
 	"repro/internal/engine"
+	"repro/internal/reformulate"
 	"repro/internal/schema"
 	"repro/internal/store"
 )
 
 // Backward answers queries by backward chaining at match time: the engine
-// evaluates the original query against a virtual view of G∞ that derives
-// entailed triples on demand from G and the closed schema. This mirrors the
-// run-time reasoning of AllegroGraph's RDFS++ and Virtuoso's SPARQL
-// inference (§II-C) — no materialisation, no query rewriting, inference
-// interleaved with evaluation.
+// evaluates the original query against a source that answers each triple
+// pattern over G∞ from G, one atom at a time — the pattern's matches in G
+// plus those of its single-step rewritings (reformulate.Step, the rules the
+// reformulation strategy applies to the whole query), each relabelled as the
+// queried triple. This mirrors the run-time reasoning of AllegroGraph's
+// RDFS++ and Virtuoso's SPARQL inference (§II-C) — no materialisation, no
+// rewriting of the query, inference interleaved with evaluation.
 //
-// The virtual view is a plain Source (its matches are derived lazily, not
-// stored sorted), so prepared backward queries get plan caching but no merge
-// joins.
+// The source is a plain Source (a pattern's matches come from several store
+// lookups, not from one sorted leaf), so prepared backward queries get plan
+// caching but no merge joins.
 type Backward struct {
 	skeleton
 	direct
@@ -36,222 +41,88 @@ func (b *Backward) Name() string { return "backward" }
 
 func (b *Backward) view() *view {
 	st := b.data.Snapshot()
-	return &view{src: &inferredView{st: st, sch: b.sch, voc: b.voc}, sch: b.sch, size: st.Len(), stats: storeStats(b.data)}
+	return &view{src: &chained{st: st, sch: b.sch}, sch: b.sch, size: st.Len(), stats: storeStats(b.data)}
 }
 
-// inferredView is an engine.Source that behaves like G∞ without storing it.
-// Each match call unions the explicit matches with the entailed ones
-// reachable through the closed schema; a per-call set deduplicates triples
-// derivable several ways. The view is immutable — it reads a store snapshot
-// and a schema, both frozen — so any number of evaluations may share it
-// concurrently.
-type inferredView struct {
-	// st is G with its schema closed.
+// chained is backward chaining's engine.Source: G∞, read through the closed
+// schema from a snapshot of G with its schema closed, and never stored. It
+// is immutable, so any number of evaluations may share it concurrently. It
+// does not deduplicate: a triple entailed several ways is emitted once per
+// way, and the engine's projection and dedup give the answers set semantics.
+type chained struct {
 	st  *store.Snapshot
 	sch *schema.Schema
-	voc schema.Vocab
 }
 
-var _ engine.Source = (*inferredView)(nil)
+var _ engine.Source = (*chained)(nil)
 
-func (v *inferredView) ForEachMatch(pat store.Triple, fn func(store.Triple) bool) {
-	emit := newDedupEmitter(fn)
-	switch {
-	case pat.P == v.voc.Type:
-		v.matchType(pat.S, pat.O, emit)
-	case pat.P == dict.None:
-		v.matchAnyPredicate(pat, emit)
-	case v.voc.IsConstraintProperty(pat.P):
-		v.matchSchema(pat, emit)
-	default:
-		v.matchProperty(pat.S, pat.P, pat.O, emit)
-	}
+// ForEachMatch emits the matches of pat in G∞.
+func (c *chained) ForEachMatch(pat store.Triple, fn func(store.Triple) bool) {
+	c.instances(pat, func(q store.Triple) bool { return c.match(q, fn) })
 }
 
-// dedupEmitter suppresses duplicate triples and honours early stop.
-type dedupEmitter struct {
-	seen    map[store.Triple]struct{}
-	fn      func(store.Triple) bool
-	stopped bool
-}
-
-func newDedupEmitter(fn func(store.Triple) bool) *dedupEmitter {
-	return &dedupEmitter{seen: map[store.Triple]struct{}{}, fn: fn}
-}
-
-func (e *dedupEmitter) emit(t store.Triple) {
-	if e.stopped {
-		return
+// Count is the number of triples ForEachMatch emits for pat when its
+// predicate and class are constants. Otherwise it is pat's count in G, an
+// estimate that costs O(1), as the engine's size-drift check of
+// Count(store.Triple{}) on every prepared execution needs.
+func (c *chained) Count(pat store.Triple) int {
+	n := c.st.Count(pat)
+	if c.open(pat) {
+		return n
 	}
-	if _, dup := e.seen[t]; dup {
-		return
-	}
-	e.seen[t] = struct{}{}
-	if !e.fn(t) {
-		e.stopped = true
-	}
-}
-
-// matchType enumerates (s rdf:type c) triples of G∞.
-func (v *inferredView) matchType(s, c dict.ID, e *dedupEmitter) {
-	if c != dict.None {
-		// Explicit members of c and of its subclasses.
-		classes := append([]dict.ID{c}, v.sch.SubClasses(c)...)
-		for _, cls := range classes {
-			v.st.ForEachMatch(store.Triple{P: v.voc.Type, O: cls, S: s}, func(t store.Triple) bool {
-				e.emit(store.Triple{S: t.S, P: v.voc.Type, O: c})
-				return !e.stopped
-			})
-			if e.stopped {
-				return
-			}
-		}
-		// Members via domain constraints: (x p y) with p domain c ⇒ x : c.
-		for _, p := range v.sch.PropertiesWithDomain(c) {
-			v.st.ForEachMatch(store.Triple{S: s, P: p}, func(t store.Triple) bool {
-				e.emit(store.Triple{S: t.S, P: v.voc.Type, O: c})
-				return !e.stopped
-			})
-			if e.stopped {
-				return
-			}
-		}
-		// Members via range constraints: (x p y) with p range c ⇒ y : c.
-		for _, p := range v.sch.PropertiesWithRange(c) {
-			v.st.ForEachMatch(store.Triple{P: p, O: s}, func(t store.Triple) bool {
-				e.emit(store.Triple{S: t.O, P: v.voc.Type, O: c})
-				return !e.stopped
-			})
-			if e.stopped {
-				return
-			}
-		}
-		return
-	}
-	// Class unbound: derive all types of the matching subjects.
-	v.st.ForEachMatch(store.Triple{S: s, P: v.voc.Type}, func(t store.Triple) bool {
-		e.emit(t)
-		for _, sup := range v.sch.SuperClasses(t.O) {
-			e.emit(store.Triple{S: t.S, P: v.voc.Type, O: sup})
-			if e.stopped {
-				return false
-			}
-		}
-		return !e.stopped
-	})
-	if e.stopped {
-		return
-	}
-	// Types induced by domain/range of properties on s (or on anything when
-	// s is unbound). Closed schema makes Domains/Ranges complete.
-	v.st.ForEachMatch(store.Triple{S: s}, func(t store.Triple) bool {
-		for _, c := range v.sch.Domains(t.P) {
-			e.emit(store.Triple{S: t.S, P: v.voc.Type, O: c})
-			if e.stopped {
-				return false
-			}
-		}
+	reformulate.Step(c.sch, nil, pat.S, pat.P, pat.O, dict.None, func(s, p, o dict.ID, _ bool) bool {
+		n += c.st.Count(store.Triple{S: s, P: p, O: o})
 		return true
 	})
-	if e.stopped {
-		return
-	}
-	// Range-induced types: object position. When s is bound we scan its
-	// incoming edges; when unbound, all triples.
-	v.st.ForEachMatch(store.Triple{O: s}, func(t store.Triple) bool {
-		for _, c := range v.sch.Ranges(t.P) {
-			e.emit(store.Triple{S: t.O, P: v.voc.Type, O: c})
-			if e.stopped {
-				return false
-			}
-		}
-		return true
-	})
-}
-
-// matchProperty enumerates (s p o) triples of G∞ for a regular property p:
-// explicit matches plus matches of every subproperty, re-labelled as p.
-func (v *inferredView) matchProperty(s, p, o dict.ID, e *dedupEmitter) {
-	props := append([]dict.ID{p}, v.sch.SubProperties(p)...)
-	for _, sub := range props {
-		v.st.ForEachMatch(store.Triple{S: s, P: sub, O: o}, func(t store.Triple) bool {
-			e.emit(store.Triple{S: t.S, P: p, O: t.O})
-			return !e.stopped
-		})
-		if e.stopped {
-			return
-		}
-	}
-}
-
-// matchSchema serves constraint-property patterns: their triples in G∞ are
-// the closed schema's, which st holds. The snapshot is called directly, not
-// through an interface, so the emitter does not escape to the heap.
-func (v *inferredView) matchSchema(pat store.Triple, e *dedupEmitter) {
-	v.st.ForEachMatch(pat, func(t store.Triple) bool {
-		e.emit(t)
-		return !e.stopped
-	})
-}
-
-// matchAnyPredicate handles patterns with an unbound predicate: the union
-// over rdf:type, every data property, and the four constraint properties.
-func (v *inferredView) matchAnyPredicate(pat store.Triple, e *dedupEmitter) {
-	v.matchType(pat.S, pat.O, e)
-	if e.stopped {
-		return
-	}
-	// Candidate properties: G's predicates label the explicit triples, and
-	// the schema's properties the entailed ones (an entailed triple carries
-	// a superproperty of an asserted triple's predicate, which the closed
-	// schema knows).
-	cands := map[dict.ID]struct{}{}
-	for _, p := range v.st.Predicates() {
-		cands[p] = struct{}{}
-	}
-	for _, p := range v.sch.Properties() {
-		cands[p] = struct{}{}
-	}
-	for p := range cands {
-		if p == v.voc.Type || v.voc.IsConstraintProperty(p) {
-			continue
-		}
-		v.matchProperty(pat.S, p, pat.O, e)
-		if e.stopped {
-			return
-		}
-	}
-	for _, p := range []dict.ID{v.voc.SubClassOf, v.voc.SubPropertyOf, v.voc.Domain, v.voc.Range} {
-		v.matchSchema(store.Triple{S: pat.S, P: p, O: pat.O}, e)
-		if e.stopped {
-			return
-		}
-	}
-}
-
-// Count gives the optimizer a cheap estimate: explicit matches plus the
-// explicit counts of the one-step expansions. A constraint pattern's count is
-// exact, since st holds the closed schema.
-func (v *inferredView) Count(pat store.Triple) int {
-	n := v.st.Count(pat)
-	switch {
-	case pat.P == v.voc.Type && pat.O != dict.None:
-		for _, c := range v.sch.SubClasses(pat.O) {
-			n += v.st.Count(store.Triple{S: pat.S, P: v.voc.Type, O: c})
-		}
-		for _, p := range v.sch.PropertiesWithDomain(pat.O) {
-			n += v.st.Count(store.Triple{S: pat.S, P: p})
-		}
-		for _, p := range v.sch.PropertiesWithRange(pat.O) {
-			n += v.st.Count(store.Triple{P: p, O: pat.S})
-		}
-	case pat.P != dict.None && !v.voc.IsConstraintProperty(pat.P) && pat.P != v.voc.Type:
-		for _, sub := range v.sch.SubProperties(pat.P) {
-			n += v.st.Count(store.Triple{S: pat.S, P: sub, O: pat.O})
-		}
-	case pat.P == dict.None:
-		// Wildcard predicate: assume inference roughly doubles matches.
-		n *= 2
+	if ground(pat) {
+		return min(n, 1)
 	}
 	return n
 }
+
+// open reports whether pat's predicate or, for rdf:type, its class is a
+// variable.
+func (c *chained) open(pat store.Triple) bool {
+	return pat.P == dict.None || pat.P == c.sch.Vocab().Type && pat.O == dict.None
+}
+
+// instances calls fn with pat when its predicate and class are constants,
+// and otherwise with each of its instantiations over G∞'s vocabulary; it
+// reports whether fn let it run to the end.
+func (c *chained) instances(pat store.Triple, fn func(store.Triple) bool) bool {
+	if !c.open(pat) {
+		return fn(pat)
+	}
+	return reformulate.Step(c.sch, c.st, pat.S, pat.P, pat.O, dict.None, func(s, p, o dict.ID, _ bool) bool {
+		return c.instances(store.Triple{S: s, P: p, O: o}, fn)
+	})
+}
+
+// match emits the matches of q in G∞, q's predicate and class constants:
+// its matches in G and those of its single-step rewritings, each relabelled
+// as q — the subject read where the step put it, the object q's when bound.
+// A ground q has at most one match, so it stops at the first. match reports
+// whether fn let it run to the end.
+func (c *chained) match(q store.Triple, fn func(store.Triple) bool) bool {
+	ok, found := true, false
+	one := func(step store.Triple, inv bool) bool {
+		c.st.ForEachMatch(step, func(t store.Triple) bool {
+			s := t.S
+			if inv {
+				s = t.O
+			}
+			ok, found = fn(store.Triple{S: s, P: q.P, O: cmp.Or(q.O, t.O)}), true
+			return ok && !ground(q)
+		})
+		return ok && !(found && ground(q))
+	}
+	if one(q, false) {
+		reformulate.Step(c.sch, nil, q.S, q.P, q.O, dict.None, func(s, p, o dict.ID, inv bool) bool {
+			return one(store.Triple{S: s, P: p, O: o}, inv)
+		})
+	}
+	return ok
+}
+
+// ground reports whether every position of a pattern is bound.
+func ground(t store.Triple) bool { return t.S != dict.None && t.P != dict.None && t.O != dict.None }

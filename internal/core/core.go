@@ -6,8 +6,10 @@
 //     once, evaluate queries directly, maintain the closure under updates;
 //   - Reformulation ([12]/[19] style): leave G untouched, rewrite each
 //     query into a union q_ref with q_ref(G) = q(G∞);
-//   - Backward chaining (AllegroGraph/Virtuoso style): evaluate against a
-//     virtual view of G∞ that derives entailed triples at match time.
+//   - Backward chaining (AllegroGraph/Virtuoso style): evaluate q as
+//     written, each pattern matched at evaluation time in G and through
+//     its single-step rewritings (reformulate.Step, the rules the rewriter
+//     applies to the whole query).
 //
 // All three implement Strategy over the same store, so their performance
 // differences (Figure 3 and experiments E3–E8) are algorithmic, not

@@ -117,6 +117,26 @@ func TestStrategiesAgree(t *testing.T) {
 	}
 }
 
+// TestStrategiesAgreeOnLiteralClass asks for the members of a literal class,
+// which the RDFS rules derive through a range and a domain constraint as
+// for any other class: every strategy must find both.
+func TestStrategiesAgreeOnLiteralClass(t *testing.T) {
+	lit := rdf.NewLiteral("lit")
+	kb := NewKB()
+	if _, err := kb.LoadGraph(rdf.GraphOf(
+		rdf.T(iri("p"), rdf.Range, lit), rdf.T(iri("q"), rdf.Domain, lit),
+		rdf.T(iri("a"), iri("p"), iri("b")), rdf.T(iri("c"), iri("q"), iri("d")),
+	)); err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range allStrategies(t, kb) {
+		got := answers(t, kb, s, `SELECT ?y WHERE { ?y a "lit" }`)
+		if want := []string{"<http://ex.org/b>", "<http://ex.org/c>"}; !slices.Equal(got, want) {
+			t.Errorf("%s: %v, want %v", s.Name(), got, want)
+		}
+	}
+}
+
 // TestStrategiesAgreeAfterUpdates drives the same update sequence through
 // every strategy and re-checks agreement after each step — this exercises
 // incremental saturation maintenance against the stateless strategies.

@@ -162,8 +162,8 @@ func limit(res *engine.Result, q *sparql.Query) *engine.Result {
 // against that boundary.
 type view struct {
 	// src is what queries evaluate against: a snapshot of G∞ (saturation),
-	// of G with its schema closed (reformulation), or the virtual G∞ derived
-	// from that snapshot (backward chaining).
+	// of G with its schema closed (reformulation), or that snapshot read
+	// through each pattern's single-step rewritings (backward chaining).
 	src engine.Source
 	// sch is the closed schema the view was built under (nil for
 	// saturation, which stores its consequences). Its identity is the
@@ -422,8 +422,8 @@ func (pq *prepared) Answer() (*engine.Result, error) {
 }
 
 // direct is the read side of the two strategies that evaluate the query as
-// written — saturation against the stored G∞, backward chaining against the
-// virtual one.
+// written — saturation against the stored G∞, backward chaining against G
+// read through each pattern's single-step rewritings.
 type direct struct{ d *dict.Dict }
 
 func (e direct) compile(v *view, q *sparql.Query) (plan, engine.Source, error) {

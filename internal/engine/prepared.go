@@ -15,8 +15,9 @@ import (
 // of a two-constant pattern in ascending ID order. The store and its
 // snapshots implement it via their sorted postings leaves; reformulation
 // evaluates against a snapshot of G with its schema closed. Backward
-// chaining's virtual G∞ derives its matches lazily and cannot; plans over it
-// simply have no merge-join steps.
+// chaining's source unions a pattern's matches with those of its one-step
+// rewritings, several leaves that no one slice holds in order, and does not
+// implement it; plans over it simply have no merge-join steps.
 type SortedSource interface {
 	Source
 	// SortedIDs returns, ascending, the IDs matching the single wildcard

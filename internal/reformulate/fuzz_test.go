@@ -33,10 +33,16 @@ func (b *fuzzBytes) next() int {
 // ground BGP projects onto no column at all (SPARQL cannot project a BGP
 // with variables onto none).
 //
+// A schema byte of 128 or more makes a domain or range constraint's class,
+// and a class byte of 128 or more a pattern's class, the literal "L": the
+// RDFS rules type a property's subjects or objects with a literal class as
+// with any other.
+//
 // The seeds after the first three: two branches whose rows differ only in
 // the column they fix (?c of "?x a ?c" over C0 ⊑ C1), projected onto ?c
-// alone; a ground query that two branches both answer; and the first of
-// them projected four wide.
+// alone; a ground query that two branches both answer; the first of them
+// projected four wide; and "?x a "L"" over p0 rng "L", p1 dom "L",
+// i0 p0 i1 and i2 p1 i3, which has the answers i1 and i2.
 func FuzzReformulate(f *testing.F) {
 	f.Add([]byte{3, 4, 2, 0, 1, 0, 1, 2, 0, 2, 0, 2, 3, 1, 3, 0, 0, 1, 2, 1, 1, 1, 5, 0, 1, 3, 1})
 	f.Add([]byte{4, 3, 3, 0, 1, 0, 1, 0, 0, 2, 1, 1, 0, 0, 3, 1, 2, 1, 0, 3, 2, 3, 1, 0, 2, 1, 1, 2, 0})
@@ -44,21 +50,26 @@ func FuzzReformulate(f *testing.F) {
 	f.Add([]byte{1, 1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 1, 5, 0})
 	f.Add([]byte{1, 2, 0, 1, 0, 0, 0, 1, 0, 0, 0, 0, 4, 0, 0, 0})
 	f.Add([]byte{1, 1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 1, 3, 0, 1, 0, 1})
+	f.Add([]byte{2, 2, 0, 0, 128, 3, 1, 128, 2, 0, 1, 1, 2, 3, 3, 0, 0, 128, 0, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		in := fuzzBytes(data)
 		nSchema, nInst, nPats := in.next()%7, in.next()%9, 1+in.next()%3
 		var lines []string
 		for range nSchema {
-			a, b := in.next()%4, in.next()%4
+			a, b := in.next()%4, in.next()
+			class := fmt.Sprintf("C%d", b%4)
+			if b >= 128 {
+				class = `"L"`
+			}
 			switch in.next() % 4 {
 			case 0:
-				lines = append(lines, fmt.Sprintf("C%d sco C%d", a, b))
+				lines = append(lines, fmt.Sprintf("C%d sco C%d", a, b%4))
 			case 1:
-				lines = append(lines, fmt.Sprintf("p%d spo p%d", a, b))
+				lines = append(lines, fmt.Sprintf("p%d spo p%d", a, b%4))
 			case 2:
-				lines = append(lines, fmt.Sprintf("p%d dom C%d", a, b))
+				lines = append(lines, fmt.Sprintf("p%d dom %s", a, class))
 			default:
-				lines = append(lines, fmt.Sprintf("p%d rng C%d", a, b))
+				lines = append(lines, fmt.Sprintf("p%d rng %s", a, class))
 			}
 		}
 		for range nInst {
@@ -74,10 +85,14 @@ func FuzzReformulate(f *testing.F) {
 		nodes := []string{"?x", "?y", "?c", "?p", "ex:i0", "ex:i1", "ex:C0"}
 		var pats []string
 		for range nPats {
-			s, o, n := nodes[in.next()%len(nodes)], nodes[in.next()%len(nodes)], in.next()%4
+			s, o, nb := nodes[in.next()%len(nodes)], nodes[in.next()%len(nodes)], in.next()
+			n, class := nb%4, fmt.Sprintf("ex:C%d", nb%4)
+			if nb >= 128 {
+				class = `"L"`
+			}
 			switch in.next() % 5 {
 			case 0:
-				pats = append(pats, fmt.Sprintf("%s a ex:C%d", s, n))
+				pats = append(pats, s+" a "+class)
 			case 1:
 				pats = append(pats, s+" a ?c")
 			case 2:

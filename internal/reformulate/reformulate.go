@@ -17,6 +17,10 @@
 //     rdf:type) — sound and complete in the DB fragment because the RDFS
 //     rules never invent new classes or properties.
 //
+// Step is the one copy of these rules: the rewriter applies it to every
+// pattern of every branch, backward chaining (internal/core) to one pattern
+// at a time during evaluation.
+//
 // Schema-level triple patterns (rdfs:subClassOf etc.) are not rewritten:
 // like [12], the schema component of the store is always kept closed, so
 // direct evaluation is already complete for them.
@@ -158,11 +162,9 @@ type rewriter struct {
 	fix    []binding
 	key    []byte
 	sorted []pattern
-
-	// candidate vocabularies, computed lazily; usedVocab records that at
-	// least one was consulted (feeding UCQ.VocabDependent).
-	classes, props []dict.ID
-	usedVocab      bool
+	// usedVocab records that a variable was instantiated over the data
+	// vocabulary (feeding UCQ.VocabDependent).
+	usedVocab bool
 }
 
 // Reformulate rewrites q against the closed schema. src supplies the data
@@ -221,56 +223,34 @@ func (r *rewriter) push(fixed []binding) error {
 	return nil
 }
 
-// expand applies every single-step rewriting to every pattern of br.
+// expand applies every single-step rewriting to every pattern of br. A
+// variable in property position, or in class position of an rdf:type
+// pattern, goes to Step as dict.None, which instantiates it.
 func (r *rewriter) expand(br branch) error {
+	var err error
 	for i, p := range br.pats {
-		var err error
-		switch pr := p[1]; {
-		case pr == uint32(r.voc.Type):
-			err = r.expandType(br, i, p)
-		case isVar(pr):
-			err = r.instantiate(br, pr, r.propertyCandidates())
-		case pr&unknownTag == 0 && !r.voc.IsConstraintProperty(dict.ID(pr)):
-			for _, sub := range r.sch.SubProperties(dict.ID(pr)) {
-				if err = r.replace(br, i, pattern{p[0], uint32(sub), p[2]}); err != nil {
-					break
-				}
+		v, fresh := uint32(0), dict.None
+		switch {
+		case isVar(p[1]):
+			v, p[1] = p[1], uint32(dict.None)
+		case p[1] == uint32(r.voc.Type) && isVar(p[2]):
+			v, p[2] = p[2], uint32(dict.None)
+		case p[1] == uint32(r.voc.Type):
+			fresh = dict.ID(r.freshVar())
+		}
+		r.usedVocab = r.usedVocab || v != 0
+		Step(r.sch, r.src, dict.ID(p[0]), dict.ID(p[1]), dict.ID(p[2]), fresh, func(s, pr, o dict.ID, _ bool) bool {
+			switch {
+			case v == 0:
+				err = r.replace(br, i, pattern{uint32(s), uint32(pr), uint32(o)})
+			case p[1] == uint32(dict.None):
+				err = r.instantiate(br, v, uint32(pr))
+			default:
+				err = r.instantiate(br, v, uint32(o))
 			}
-		}
+			return err == nil
+		})
 		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (r *rewriter) expandType(br branch, i int, p pattern) error {
-	if isVar(p[2]) {
-		return r.instantiate(br, p[2], r.classCandidates())
-	}
-	if p[2]&unknownTag != 0 {
-		return nil // class unknown to graph and schema: no expansions
-	}
-	c := dict.ID(p[2])
-	subs, doms, rngs := r.sch.SubClasses(c), r.sch.PropertiesWithDomain(c), r.sch.PropertiesWithRange(c)
-	if len(subs)+len(doms)+len(rngs) == 0 || !r.d.MustTerm(c).IsIRI() {
-		return nil // rdf:type with a literal object matches nothing entailed
-	}
-	// (s type C) ⇒ (s type C') for C' ⊑ C.
-	for _, sub := range subs {
-		if err := r.replace(br, i, pattern{p[0], p[1], uint32(sub)}); err != nil {
-			return err
-		}
-	}
-	// (s type C) ⇒ (s P ⋆) for P with domain C.
-	for _, prop := range doms {
-		if err := r.replace(br, i, pattern{p[0], uint32(prop), r.freshVar()}); err != nil {
-			return err
-		}
-	}
-	// (s type C) ⇒ (⋆ P s) for P with range C.
-	for _, prop := range rngs {
-		if err := r.replace(br, i, pattern{r.freshVar(), uint32(prop), p[0]}); err != nil {
 			return err
 		}
 	}
@@ -284,26 +264,21 @@ func (r *rewriter) replace(br branch, i int, p pattern) error {
 	return r.push(br.fixed)
 }
 
-// instantiate pushes br with variable v replaced by each candidate constant
+// instantiate pushes br with variable v replaced by the constant c
 // everywhere, the binding recorded so the evaluator can emit it.
-func (r *rewriter) instantiate(br branch, v uint32, candidates []dict.ID) error {
+func (r *rewriter) instantiate(br branch, v, c uint32) error {
 	at, _ := slices.BinarySearchFunc(br.fixed, v, func(b binding, v uint32) int { return cmp.Compare(b.v, v) })
-	for _, c := range candidates {
-		r.tmp = r.tmp[:0]
-		for _, p := range br.pats {
-			for k, e := range p {
-				if e == v {
-					p[k] = uint32(c)
-				}
+	r.tmp = r.tmp[:0]
+	for _, p := range br.pats {
+		for k, e := range p {
+			if e == v {
+				p[k] = c
 			}
-			r.tmp = append(r.tmp, p)
 		}
-		r.fix = append(append(append(r.fix[:0], br.fixed[:at]...), binding{v, uint32(c)}), br.fixed[at:]...)
-		if err := r.push(r.fix); err != nil {
-			return err
-		}
+		r.tmp = append(r.tmp, p)
 	}
-	return nil
+	r.fix = append(append(append(r.fix[:0], br.fixed[:at]...), binding{v, c}), br.fixed[at:]...)
+	return r.push(r.fix)
 }
 
 // freshVar coins a fresh, non-projected variable (⋆).
@@ -312,37 +287,89 @@ func (r *rewriter) freshVar() uint32 {
 	return varTag | freshTag | (r.fresh - 1)
 }
 
+// Step calls fn with each single-step rewriting of the triple pattern
+// (s p o) under the closed schema sch: the rules of [12], read backwards,
+// that both query-time techniques apply, reformulation to every pattern of a
+// query and backward chaining to one pattern at a time.
+//
+//   - (s rdf:type C) gives (s rdf:type C') for every subclass C' ⊑ C,
+//     (s P fresh) for every property P with domain C, and (fresh P s) for
+//     every property P with range C, the one step that moves s to the
+//     object position, which fn is told by inv;
+//   - (s P o), for any other P but a constraint property, gives (s P' o)
+//     for every subproperty P' ⊑ P; a constraint pattern gives nothing, its
+//     triples being the closed schema the store holds;
+//   - p, or the class o of an rdf:type pattern, given as dict.None is a
+//     variable, and gives its instantiations over G∞'s vocabulary: (s P o)
+//     for every property P of the schema or of src's triples, and rdf:type,
+//     and (s rdf:type C) for every class C of the schema or of src's
+//     rdf:type triples. src may be nil when neither is a variable.
+//
+// fresh stands for ⋆, a position the rewriting leaves free. s, o and fresh
+// are passed through unread, so they may be any element of the caller's
+// patterns. Step stops when fn returns false, and reports whether it ran to
+// the end.
+func Step(sch *schema.Schema, src VocabularySource, s, p, o, fresh dict.ID, fn func(s, p, o dict.ID, inv bool) bool) bool {
+	voc := sch.Vocab()
+	if p != voc.Type {
+		subs := sch.SubProperties(p)
+		switch {
+		case p == dict.None:
+			subs = propertyCandidates(sch, src)
+		case voc.IsConstraintProperty(p):
+			subs = nil
+		}
+		for _, sub := range subs {
+			if !fn(s, sub, o, false) {
+				return false
+			}
+		}
+		return true
+	}
+	classes := sch.SubClasses(o)
+	if o == dict.None {
+		classes = classCandidates(sch, src) // no property has dict.None as domain or range
+	}
+	for _, c := range classes {
+		if !fn(s, p, c, false) {
+			return false
+		}
+	}
+	for _, prop := range sch.PropertiesWithDomain(o) {
+		if !fn(s, prop, fresh, false) {
+			return false
+		}
+	}
+	for _, prop := range sch.PropertiesWithRange(o) {
+		if !fn(fresh, prop, s, true) {
+			return false
+		}
+	}
+	return true
+}
+
 // propertyCandidates returns the possible bindings of a property-position
 // variable over G∞: properties used in G, properties of the schema, and
 // rdf:type.
-func (r *rewriter) propertyCandidates() []dict.ID {
-	r.usedVocab = true
-	if r.props == nil {
-		ids := []dict.ID{r.voc.Type}
-		if r.src != nil {
-			ids = append(ids, r.src.Predicates()...) // a copy: sortedSet sorts in place
-		}
-		r.props = sortedSet(append(ids, r.sch.Properties()...))
+func propertyCandidates(sch *schema.Schema, src VocabularySource) []dict.ID {
+	ids := []dict.ID{sch.Vocab().Type}
+	if src != nil {
+		ids = append(ids, src.Predicates()...) // a copy: sortedSet sorts in place
 	}
-	return r.props
+	return sortedSet(append(ids, sch.Properties()...))
 }
 
 // classCandidates returns the possible bindings of a class-position variable
 // over G∞: classes asserted in G plus classes of the schema.
-func (r *rewriter) classCandidates() []dict.ID {
-	r.usedVocab = true
-	if r.classes == nil {
-		var ids []dict.ID
-		if r.src != nil {
-			ids = r.src.Objects(r.voc.Type)
-		}
-		r.classes = sortedSet(append(append(make([]dict.ID, 0, len(ids)), ids...), r.sch.Classes()...))
+func classCandidates(sch *schema.Schema, src VocabularySource) []dict.ID {
+	var ids []dict.ID
+	if src != nil {
+		ids = src.Objects(sch.Vocab().Type)
 	}
-	return r.classes
+	return sortedSet(append(append(make([]dict.ID, 0, len(ids)), ids...), sch.Classes()...))
 }
 
-// sortedSet sorts ids and drops repeats, in place; the result is never nil,
-// so an empty candidate set is computed once.
+// sortedSet sorts ids and drops repeats, in place.
 func sortedSet(ids []dict.ID) []dict.ID {
 	slices.Sort(ids)
 	return slices.Compact(ids)

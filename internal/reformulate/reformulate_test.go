@@ -60,6 +60,9 @@ func (k *kb) term(s string) dict.ID {
 	case "rng":
 		return k.voc.Range
 	}
+	if lit, ok := strings.CutPrefix(s, `"`); ok {
+		return k.d.Encode(rdf.NewLiteral(strings.TrimSuffix(lit, `"`)))
+	}
 	return k.d.Encode(rdf.NewIRI("http://ex.org/" + s))
 }
 
