@@ -13,6 +13,7 @@ package webreason_test
 
 import (
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 
@@ -215,6 +216,29 @@ func BenchmarkQueryBackward(b *testing.B) {
 	}
 }
 
+// BenchmarkBackwardTypeOfSubject measures backward chaining on patterns
+// with a bound subject and an open class, (s rdf:type ?c) asked directly
+// (type) and reached through an open predicate (edges), for one graduate
+// student; no LUBM query has such a pattern.
+func BenchmarkBackwardTypeOfSubject(b *testing.B) {
+	f := getFixture(b)
+	const s = "<" + lubm.DataNS + "univ0/dept0/grad0>"
+	for _, q := range []struct{ name, text string }{
+		{"type", "SELECT ?c WHERE { " + s + " a ?c }"},
+		{"edges", "SELECT ?p ?o WHERE { " + s + " ?p ?o }"},
+	} {
+		b.Run(q.name, func(b *testing.B) {
+			query := sparql.MustParse(q.text)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := f.back.Answer(query); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkReformulate measures pure rewriting time and reports the union
 // size, plain (min=false, the shared fixture's strategy) and minimised
 // (min=true, what every served path runs).
@@ -307,6 +331,40 @@ func BenchmarkMaintainSchemaAsserted(b *testing.B) {
 		if err := ref.Delete(tr); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkMaintainSchemaExisting times Figure 3's schema deletions at the
+// benchmark's own scale, LUBM 4×15: one sub-benchmark per
+// lubm.ExistingSchemaTriples, each deleting from a fresh Clone of one
+// materialisation, as fig3.batch does, and re-inserting outside the timer.
+// It reports the support decisions and retractions of the delete.
+func BenchmarkMaintainSchemaExisting(b *testing.B) {
+	cfg := lubm.DefaultConfig()
+	cfg.Universities = 4
+	kb := core.NewKB()
+	if _, err := kb.LoadGraph(lubm.GenerateWithOntology(cfg)); err != nil {
+		b.Fatal(err)
+	}
+	mat := reason.Materialize(kb.Base(), kb.Rules())
+	for _, t := range lubm.ExistingSchemaTriples() {
+		tr := kb.Encode(t)
+		b.Run(strings.TrimPrefix(t.S.Value, lubm.NS), func(b *testing.B) {
+			b.ReportAllocs()
+			var stats reason.Stats
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				c := mat.Clone()
+				b.StartTimer()
+				c.Delete(tr)
+				b.StopTimer()
+				stats = c.Stats
+				c.Insert(tr)
+				b.StartTimer()
+			}
+			b.ReportMetric(float64(stats.Checked), "checked")
+			b.ReportMetric(float64(stats.Retracted), "retracted")
+		})
 	}
 }
 

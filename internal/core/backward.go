@@ -2,6 +2,7 @@ package core
 
 import (
 	"cmp"
+	"slices"
 
 	"repro/internal/dict"
 	"repro/internal/engine"
@@ -87,15 +88,52 @@ func (c *chained) open(pat store.Triple) bool {
 }
 
 // instances calls fn with pat when its predicate and class are constants,
-// and otherwise with each of its instantiations over G∞'s vocabulary; it
-// reports whether fn let it run to the end.
+// and otherwise with each of its instantiations over G∞'s vocabulary: for
+// (s rdf:type ?c) with s bound, over the classes s can reach (see
+// classesOf); it reports whether fn let it run to the end.
 func (c *chained) instances(pat store.Triple, fn func(store.Triple) bool) bool {
 	if !c.open(pat) {
 		return fn(pat)
 	}
+	if pat.P == c.sch.Vocab().Type && pat.S != dict.None {
+		for _, k := range c.classesOf(pat.S) {
+			if !fn(store.Triple{S: pat.S, P: pat.P, O: k}) {
+				return false
+			}
+		}
+		return true
+	}
 	return reformulate.Step(c.sch, c.st, pat.S, pat.P, pat.O, dict.None, func(s, p, o dict.ID, _ bool) bool {
 		return c.instances(store.Triple{S: s, P: p, O: o}, fn)
 	})
+}
+
+// classesOf returns, ascending and each once, the classes s is an instance
+// of in G∞, read off s's own edges in G: its asserted types and their
+// superclasses, the domains of its out-edges' properties and the ranges of
+// its in-edges' properties.
+func (c *chained) classesOf(s dict.ID) []dict.ID {
+	typ := c.sch.Vocab().Type
+	var ks, out, in []dict.ID // the classes, and the properties already read
+	c.st.ForEachMatch(store.Triple{S: s}, func(t store.Triple) bool {
+		switch {
+		case t.P == typ:
+			ks = append(append(ks, t.O), c.sch.SuperClasses(t.O)...)
+		case !slices.Contains(out, t.P):
+			out = append(out, t.P)
+			ks = append(ks, c.sch.Domains(t.P)...)
+		}
+		return true
+	})
+	c.st.ForEachMatch(store.Triple{O: s}, func(t store.Triple) bool {
+		if !slices.Contains(in, t.P) {
+			in = append(in, t.P)
+			ks = append(ks, c.sch.Ranges(t.P)...)
+		}
+		return true
+	})
+	slices.Sort(ks)
+	return slices.Compact(ks)
 }
 
 // match emits the matches of q in G∞, q's predicate and class constants:

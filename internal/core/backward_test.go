@@ -144,6 +144,10 @@ func FuzzBackwardSource(f *testing.F) {
 	}
 	f.Add(int64(3), uint8(12), uint8(0), uint8(0), uint8(0))
 	f.Add(int64(32), uint8(53), uint8(218), uint8(59), uint8(240)) // i5 a B, entailed three ways
+	// i0 a ?c: i0 is an instance of a superclass of its asserted type, of a
+	// domain of an out-edge's property and of a range of an in-edge's
+	// property, each a class no other of these routes gives.
+	f.Add(int64(120), uint8(0), uint8(5), uint8(0), uint8(0))
 	f.Fuzz(func(t *testing.T, seed int64, extra, s, p, o uint8) {
 		rng := rand.New(rand.NewSource(seed))
 		g := randomGraph(rng)

@@ -146,6 +146,11 @@ func FuzzCompiledClosure(f *testing.F) {
 	f.Add([]byte{0, 0, 0x10, 0, 0x01, 2, 0x30, 4, 0x00, 1, 0x12, 5, 0x11})
 	f.Add([]byte{2, 0, 0x10, 0, 0x01, 4, 0x00, 3, 0x02, 1, 0, 0x10, 5, 0x23, 7, 0x00, 1})
 	f.Add([]byte{4, 1, 0x10, 1, 0x21, 1, 0x02, 2, 0x10, 3, 0x12, 4, 0x11, 6, 0x31, 3, 0, 0x10})
+	// The two cases of TestSchemaDeleteReadsSettledEvidence: A ⊑ C, B ⊑ C,
+	// s1 type A and B, then one batch deleting A ⊑ C and s1 type B; and the
+	// cycle A ⊑ B ⊑ A with D ⊑ A and s1 type D, then deleting D ⊑ A.
+	f.Add([]byte{2, 0, 0x20, 0, 0x21, 2, 4, 0x00, 4, 0x10, 3, 0, 0x20, 4, 0x10})
+	f.Add([]byte{4, 0, 0x10, 0, 0x01, 0, 0x03, 0, 4, 0x30, 1, 0, 0x03})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		e := newEnv()
 		rules := RDFSRules(e.voc)

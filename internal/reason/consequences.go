@@ -1,6 +1,9 @@
 package reason
 
 import (
+	"cmp"
+	"slices"
+
 	"repro/internal/dict"
 	"repro/internal/schema"
 	"repro/internal/store"
@@ -145,6 +148,60 @@ func (ch change) consequenceCount(g *store.Store) int {
 		n += g.Count(store.Triple{P: ch.voc.Type, O: k}) * len(sup)
 	}
 	return n
+}
+
+// loss is what one class c stopped typing in a schema deletion: the
+// instances of the classes in subs (c is no longer their superclass), the
+// subjects of the properties in domainOf and the objects of those in
+// rangeOf. Their (s rdf:type c) triples are the candidates whose support a
+// deletion decides set at a time (see Materialization.decide).
+type loss struct {
+	class                   dict.ID
+	subs, domainOf, rangeOf []dict.ID
+}
+
+// losses moves the rdf:type half of ch into one loss per class it names,
+// leaving ch with the super-properties only, and returns them ordered so
+// that a class comes after its strict subclasses under sch: most
+// superclasses first, then by ID.
+func (ch change) losses(sch *schema.Schema) []loss {
+	at := map[dict.ID]int{}
+	var out []loss
+	of := func(c dict.ID) *loss {
+		i, ok := at[c]
+		if !ok {
+			i = len(out)
+			at[c] = i
+			out = append(out, loss{class: c})
+		}
+		return &out[i]
+	}
+	for k, sup := range ch.classes {
+		for _, c := range sup {
+			l := of(c)
+			l.subs = append(l.subs, k)
+		}
+		delete(ch.classes, k)
+	}
+	for p, cons := range ch.props {
+		for _, c := range cons.domains {
+			l := of(c)
+			l.domainOf = append(l.domainOf, p)
+		}
+		for _, c := range cons.ranges {
+			l := of(c)
+			l.rangeOf = append(l.rangeOf, p)
+		}
+		if cons.supers == nil {
+			delete(ch.props, p)
+		} else {
+			ch.props[p] = consequences{supers: cons.supers}
+		}
+	}
+	slices.SortFunc(out, func(a, b loss) int {
+		return cmp.Or(cmp.Compare(len(sch.SuperClasses(b.class)), len(sch.SuperClasses(a.class))), cmp.Compare(a.class, b.class))
+	})
+	return out
 }
 
 // affected appends to out, for every entry of ch, the triple it carries each

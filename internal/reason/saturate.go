@@ -1,6 +1,9 @@
 package reason
 
 import (
+	"slices"
+
+	"repro/internal/dict"
 	"repro/internal/schema"
 	"repro/internal/store"
 )
@@ -15,7 +18,10 @@ import (
 // support of the triples the deleted ones entailed, and a schema update
 // re-extracts the closed schema, diffs it against the old one once
 // (Schema.Minus) and visits only the triples whose consequences that diff
-// changes. All of it holds on cyclic subClassOf/subPropertyOf schemas too.
+// changes. A schema deletion decides the rdf:type triples of each class the
+// diff names set at a time: one sorted run of candidates, struck by merging
+// it against G∞'s sorted runs of settled evidence (see Delete). All of it
+// holds on cyclic subClassOf/subPropertyOf schemas too.
 //
 // Both stores support O(1) copy-on-write snapshots, which is what lets the
 // persistence layer checkpoint a live materialization (base G and saturated
@@ -37,8 +43,11 @@ type Stats struct {
 	// Derived is the number of triples added to G∞ that are not base
 	// triples of the operation.
 	Derived int
-	// Checked is the number of support checks a deletion made, one per
-	// candidate triple still in G∞ when its turn came.
+	// Checked is the number of candidates a deletion decided: each
+	// distinct candidate triple still in G∞ when its turn came, once,
+	// whether its support was found by a probe or in a merge of sorted
+	// runs. For a class a schema deletion names, the candidates may be
+	// its whole rdf:type run.
 	Checked int
 	// Retracted is the number of triples a deletion removed from G∞.
 	Retracted int
@@ -178,10 +187,14 @@ func (m *Materialization) Insert(ts ...store.Triple) int {
 // Delete removes base triples and maintains the saturation. The candidates
 // are the deleted triples and their consequences, plus, when a constraint
 // triple goes, what the lost closure triples old.Minus(new) carried the
-// stored triples to. Each candidate stays if it is still supported one step
-// back (see supported) — the non-type candidates first, so the rdf:type ones
-// are checked against settled domain and range evidence. It returns the
-// number of base triples actually removed.
+// stored triples to. Each distinct candidate still in G∞ is decided once:
+// it stays if it is still supported one step back (see supported). The
+// non-type candidates go first, triple by triple, so that every rdf:type
+// decision reads settled domain and range evidence; then the rdf:type
+// candidates of the classes the schema diff does not name, triple by
+// triple; last, for each class c the diff does name, its rdf:type
+// candidates set at a time (see decide). It returns the number of base
+// triples actually removed.
 func (m *Materialization) Delete(ts ...store.Triple) int {
 	m.Stats = Stats{}
 	removed, schemaChanged := 0, false
@@ -199,24 +212,38 @@ func (m *Materialization) Delete(ts ...store.Triple) int {
 		cands = appendConsequences(m.sch, cands, t)
 	}
 	var gone []store.Triple
+	var lost []loss
 	if schemaChanged {
 		old := m.sch
 		m.recompile()
 		gone = old.Minus(m.sch)
-		cands = group(gone, m.sch.Vocab()).affected(cands, m.st)
+		ch := group(gone, m.sch.Vocab())
+		lost = ch.losses(m.sch)
+		cands = ch.affected(cands, m.st)
 	}
+	// kept holds the candidates decided to stay, so that a repeat of one is
+	// not decided again; a repeat of a retracted one is no longer in G∞.
+	var kept map[store.Triple]bool
 	typ := m.sch.Vocab().Type
 	for pass := 0; pass < 2; pass++ {
 		for _, t := range cands {
-			if (t.P == typ) != (pass == 1) || !m.st.Contains(t) {
+			if (t.P == typ) != (pass == 1) || !m.st.Contains(t) || kept[t] || pass == 1 && named(lost, t.O) {
 				continue
 			}
 			m.Stats.Checked++
-			if !supported(m.sch, t, m.base, m.st) {
-				m.st.Remove(t)
-				m.Stats.Retracted++
+			if supported(m.sch, t, m.base, m.st) {
+				if kept == nil {
+					kept = map[store.Triple]bool{}
+				}
+				kept[t] = true
+				continue
 			}
+			m.st.Remove(t)
+			m.Stats.Retracted++
 		}
+	}
+	for i := range lost {
+		m.decide(lost, i, cands)
 	}
 	for _, t := range gone {
 		if m.st.Remove(t) {
@@ -225,6 +252,225 @@ func (m *Materialization) Delete(ts ...store.Triple) int {
 	}
 	m.buf = cands[:0]
 	return removed
+}
+
+// named reports whether one of lost is c's.
+func named(lost []loss, c dict.ID) bool {
+	for _, l := range lost {
+		if l.class == c {
+			return true
+		}
+	}
+	return false
+}
+
+// has reports whether the ascending ids hold x.
+func has(ids []dict.ID, x dict.ID) bool {
+	_, ok := slices.BinarySearch(ids, x)
+	return ok
+}
+
+// probeCost is how many steps of a sorted-run walk one store probe is
+// worth, the exchange rate by which decide picks between walking a
+// property's runs and probing its candidates one by one.
+const probeCost = 2
+
+// decide decides every (s rdf:type c) candidate of lost[i], c its class,
+// set at a time. Its candidate run is one ascending, deduplicated set of
+// subjects: the whole type(c) run of G∞, or, when the lost sources hold
+// fewer triples than that run, the subjects they type as c, with those of
+// the rdf:type candidates of c among cands, kept where still in G∞. Any
+// superset of the true candidates does, because support decides. It
+// strikes the candidates that still have support by merging the run
+// against settled evidence: type(k) for each subclass k of c, the (p, o)
+// runs of each property p with domain c and the objects of each property
+// with range c. Domain and range evidence is settled, because the non-type
+// candidates are decided before any rdf:type one. type(k) is settled when k
+// is no class of lost[i:]: the classes of lost[:i] are decided already, and
+// the rest of the type triples were decided triple by triple or never lost
+// support. A cycle can make a class of lost[i:] a subclass of c; its
+// type(k) is skipped. The residue left unstruck goes through supported.
+func (m *Materialization) decide(lost []loss, i int, cands []store.Triple) {
+	l, typ := lost[i], m.sch.Vocab().Type
+	all, _ := m.st.SortedIDs(store.Triple{P: typ, O: l.class})
+	if len(all) == 0 {
+		return
+	}
+	var left []dict.ID
+	if m.lossSize(l, cands) < len(all) {
+		left = m.lossSubjects(l, cands)
+		left = store.IntersectSorted(nil, left, all)
+	} else {
+		left = slices.Clone(all)
+	}
+	m.Stats.Checked += len(left)
+	struck := make([]bool, len(left))
+	// Of the settled subclasses, only those below no other settled one are
+	// read: in settled G∞, k ⊑ k' makes type(k) a subset of type(k').
+	subs := m.sch.SubClasses(l.class)
+	settled := func(k dict.ID) bool { return has(subs, k) && !named(lost[i:], k) }
+	for _, k := range subs {
+		if len(left) == 0 {
+			return
+		}
+		if !settled(k) || slices.ContainsFunc(m.sch.SuperClasses(k), func(sup dict.ID) bool {
+			return settled(sup) && !has(m.sch.SuperClasses(sup), k)
+		}) {
+			continue
+		}
+		run, _ := m.st.SortedIDs(store.Triple{P: typ, O: k})
+		strike(left, struck, run)
+		left = compact(left, struck)
+	}
+	for _, by := range [2]struct {
+		props  []dict.ID
+		domain bool
+	}{{m.sch.PropertiesWithDomain(l.class), true}, {m.sch.PropertiesWithRange(l.class), false}} {
+		for _, p := range by.props {
+			if len(left) == 0 {
+				return
+			}
+			switch {
+			case m.st.Count(store.Triple{P: p}) > probeCost*len(left):
+				for j, s := range left {
+					pat := store.Triple{P: p, O: s}
+					if by.domain {
+						pat = store.Triple{S: s, P: p}
+					}
+					struck[j] = m.st.Count(pat) > 0
+				}
+			case by.domain:
+				n := 0
+				for _, o := range m.st.Objects(p) {
+					run, _ := m.st.SortedIDs(store.Triple{P: p, O: o})
+					if n += strike(left, struck, run); n == len(left) {
+						break
+					}
+				}
+			default:
+				strike(left, struck, m.st.Objects(p))
+			}
+			left = compact(left, struck)
+		}
+	}
+	for _, s := range left {
+		t := store.Triple{S: s, P: typ, O: l.class}
+		if !supported(m.sch, t, m.base, m.st) {
+			m.st.Remove(t)
+			m.Stats.Retracted++
+		}
+	}
+}
+
+// lossSize is an upper bound on the number of subjects lossSubjects returns:
+// the triples of l's lost sources, read from the store's counters, plus
+// the candidates of cands.
+func (m *Materialization) lossSize(l loss, cands []store.Triple) int {
+	n := len(cands)
+	for _, k := range l.subs {
+		n += m.st.Count(store.Triple{P: m.sch.Vocab().Type, O: k})
+	}
+	for _, p := range l.domainOf {
+		n += m.st.Count(store.Triple{P: p})
+	}
+	for _, p := range l.rangeOf {
+		n += m.st.Count(store.Triple{P: p})
+	}
+	return n
+}
+
+// lossSubjects returns, ascending and deduplicated, every subject l's lost
+// sources type as its class, with the subjects of the candidates of cands
+// that type one.
+func (m *Materialization) lossSubjects(l loss, cands []store.Triple) []dict.ID {
+	typ := m.sch.Vocab().Type
+	var ids []dict.ID
+	for _, t := range cands {
+		if t.P == typ && t.O == l.class {
+			ids = append(ids, t.S)
+		}
+	}
+	for _, k := range l.subs {
+		run, _ := m.st.SortedIDs(store.Triple{P: typ, O: k})
+		ids = append(ids, run...)
+	}
+	for _, p := range l.domainOf {
+		m.st.ForEachMatch(store.Triple{P: p}, func(t store.Triple) bool {
+			ids = append(ids, t.S)
+			return true
+		})
+	}
+	for _, p := range l.rangeOf {
+		ids = append(ids, m.st.Objects(p)...)
+	}
+	slices.Sort(ids)
+	return slices.Compact(ids)
+}
+
+// strike marks in struck each candidate of left, ascending, that the
+// ascending run holds, and returns how many it newly marked. Like
+// store.IntersectSorted, it merges inputs of similar length linearly and
+// otherwise walks the shorter one, galloping through the longer.
+//
+//webreason:hotpath
+func strike(left []dict.ID, struck []bool, run []dict.ID) int {
+	n := 0
+	mark := func(j int) {
+		if !struck[j] {
+			struck[j] = true
+			n++
+		}
+	}
+	switch {
+	case len(left) >= 16*len(run):
+		c := store.NewCursor(left)
+		for _, x := range run {
+			if c.SeekGE(x); !c.Valid() {
+				break
+			}
+			if c.ID() == x {
+				mark(c.Pos())
+				c.Next()
+			}
+		}
+	case len(run) >= 16*len(left):
+		c := store.NewCursor(run)
+		for j, x := range left {
+			if c.SeekGE(x); !c.Valid() {
+				break
+			}
+			if c.ID() == x {
+				mark(j)
+				c.Next()
+			}
+		}
+	default:
+		for j, k := 0, 0; j < len(left) && k < len(run); {
+			switch {
+			case left[j] < run[k]:
+				j++
+			case left[j] > run[k]:
+				k++
+			default:
+				mark(j)
+				j, k = j+1, k+1
+			}
+		}
+	}
+	return n
+}
+
+// compact drops the struck candidates from left, clearing their marks, and
+// returns the rest.
+func compact(left []dict.ID, struck []bool) []dict.ID {
+	out := left[:0]
+	for j, s := range left {
+		if !struck[j] {
+			out = append(out, s)
+		}
+		struck[j] = false
+	}
+	return out
 }
 
 // recompile re-extracts the closed schema from the base's constraint

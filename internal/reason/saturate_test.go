@@ -2,9 +2,13 @@ package reason
 
 import (
 	"math/rand"
+	"slices"
+	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/dict"
+	"repro/internal/lubm"
 	"repro/internal/rdf"
 	"repro/internal/schema"
 	"repro/internal/store"
@@ -400,12 +404,22 @@ func TestDeleteMatchesResaturation(t *testing.T) {
 // batches, cyclic subClassOf/subPropertyOf edges, domain/range on
 // sub-properties — through one Materialization and, after every step,
 // compares the maintained store with the generic engine's saturation of the
-// tracked base.
+// tracked base. Seeds 1–3 draw from 4 subjects, so every type or property
+// run holds one or two IDs; seeds 4–6 draw from 40 and start with 80 more
+// instance triples, so that a schema deletion's set-at-a-time decisions
+// gallop through runs of dozens of IDs and cross their boundaries.
 func TestMaintenanceRandomisedAgainstResaturation(t *testing.T) {
 	classes := []string{"A", "B", "C", "D"}
 	props := []string{"p", "q", "r"}
-	subjects := []string{"s1", "s2", "s3", "s4"}
-	for _, seed := range []int64{1, 2, 3} {
+	for _, run := range []struct {
+		seed            int64
+		subjects, extra int
+	}{{1, 4, 0}, {2, 4, 0}, {3, 4, 0}, {4, 40, 80}, {5, 40, 80}, {6, 40, 80}} {
+		seed := run.seed
+		subjects := make([]string, run.subjects)
+		for i := range subjects {
+			subjects[i] = "s" + strconv.Itoa(i+1)
+		}
 		e := newEnv()
 		rules := RDFSRules(e.voc)
 		rng := rand.New(rand.NewSource(seed))
@@ -433,6 +447,11 @@ func TestMaintenanceRandomisedAgainstResaturation(t *testing.T) {
 			e.tr("p", "spo", "q"), e.tr("q", "spo", "p"), e.tr("q", "spo", "r"),
 			e.tr("p", "dom", "D"), e.tr("q", "rng", "C"),
 			e.tr("s1", "p", "s2"), e.tr("s3", "type", "A"),
+		}
+		for len(start) < 10+run.extra {
+			if tr := randTriple(); !e.voc.IsConstraintProperty(tr.P) {
+				start = append(start, tr)
+			}
 		}
 		m := Materialize(e.storeOf(start...), rules)
 		current := map[store.Triple]struct{}{}
@@ -530,10 +549,20 @@ func TestSaturateStatsAndHelper(t *testing.T) {
 	}
 	m.Insert(e.tr("tom", "type", "Animal"))
 	m.Delete(e.tr("Mammal", "sco", "Animal"))
-	// The lost edges Mammal ⊑ Animal and Cat ⊑ Animal leave tom type Animal
-	// asserted (checked twice, kept) and retract the two schema triples.
-	if m.Stats != (Stats{Checked: 2, Retracted: 2}) {
-		t.Errorf("schema delete stats = %+v, want 2 checked and 2 retracted", m.Stats)
+	// The lost edges Mammal ⊑ Animal and Cat ⊑ Animal make Animal's
+	// instances the candidates: its one-ID type run {tom}, decided once and
+	// kept, because tom type Animal is asserted. The two schema triples are
+	// retracted.
+	if m.Stats != (Stats{Checked: 1, Retracted: 2}) {
+		t.Errorf("schema delete stats = %+v, want 1 checked and 2 retracted", m.Stats)
+	}
+	// Both deleted triples entail x type Animal, which x r z keeps: it is
+	// decided once, beside the two deleted triples, which are retracted.
+	m.Insert(e.tr("p", "dom", "Animal"), e.tr("q", "dom", "Animal"), e.tr("r", "dom", "Animal"),
+		e.tr("x", "p", "y"), e.tr("x", "q", "y"), e.tr("x", "r", "z"))
+	m.Delete(e.tr("x", "p", "y"), e.tr("x", "q", "y"))
+	if m.Stats != (Stats{Checked: 3, Retracted: 2}) {
+		t.Errorf("instance delete stats = %+v, want 3 checked and 2 retracted", m.Stats)
 	}
 }
 
@@ -566,12 +595,88 @@ func TestCyclicSchemaStats(t *testing.T) {
 		t.Errorf("instance delete stats = %+v, want 5 checked", m.Stats)
 	}
 	// Breaking both cycles loses A ⊑ B, A ⊑ C, p ⊑ q and the self-loops
-	// A ⊑ A, B ⊑ B, p ⊑ p, q ⊑ q: the candidates are s type B and C (from
-	// s type A) and x q y (from x p y), all retracted with the seven schema
-	// triples.
+	// A ⊑ A, B ⊑ B, p ⊑ p, q ⊑ q. x q y (from x p y) is decided triple by
+	// triple. B and C lost A's instances, so their type runs are decided
+	// set at a time: B's {s} first (B has more superclasses), then C's {s},
+	// where type(B) no longer holds s. All three are retracted with the
+	// seven schema triples.
 	del(e.tr("A", "sco", "B"), e.tr("p", "spo", "q"))
 	if m.Stats != (Stats{Checked: 3, Retracted: 10}) {
 		t.Errorf("schema delete stats = %+v, want 3 checked and 10 retracted", m.Stats)
+	}
+}
+
+// TestSchemaDeleteReadsSettledEvidence pins the rule by which a schema
+// deletion decides a class's rdf:type candidates set at a time: a type run
+// strikes a candidate only once it is settled. In the first case, one batch
+// deletes A ⊑ C and s type B, where B ⊑ C makes type(B) evidence for C's
+// candidates; s type B must be retracted before type(B) is read, or s type
+// C would be kept. In the second, the cycle A ⊑ B ⊑ A makes each of A and
+// B the other's subclass, and deleting D ⊑ A takes s's only support for
+// both; neither type run may vouch for the other.
+func TestSchemaDeleteReadsSettledEvidence(t *testing.T) {
+	for _, c := range []struct {
+		name      string
+		g, del    []string
+		retracted int
+	}{
+		{"instance delete in the batch",
+			[]string{"A sco C", "B sco C", "s type A", "s type B"},
+			[]string{"A sco C", "s type B"}, 3},
+		{"cyclic evidence",
+			[]string{"A sco B", "B sco A", "D sco A", "s type D"},
+			[]string{"D sco A"}, 4},
+	} {
+		e := newEnv()
+		rules := RDFSRules(e.voc)
+		parse := func(specs []string) []store.Triple {
+			var ts []store.Triple
+			for _, spec := range specs {
+				f := strings.Fields(spec)
+				ts = append(ts, e.tr(f[0], f[1], f[2]))
+			}
+			return ts
+		}
+		g := e.storeOf(parse(c.g)...)
+		m := Materialize(g, rules)
+		del := parse(c.del)
+		m.Delete(del...)
+		for _, tr := range del {
+			g.Remove(tr)
+		}
+		sameAsGeneric(t, c.name, m, g, rules)
+		if m.Stats.Retracted != c.retracted {
+			t.Errorf("%s: %d retracted, want %d", c.name, m.Stats.Retracted, c.retracted)
+		}
+	}
+}
+
+// TestSchemaDeleteStatsOnLUBM pins the work of deleting Student ⊑ Person at
+// LUBM 1×15. It loses Student, UndergraduateStudent and GraduateStudent ⊑
+// Person and takesCourse and advisor domain Person: only Person lost
+// instances, so its type run is the one candidate run, every person of the
+// graph: per department 24 faculty, 96 undergraduates and 32 graduate
+// students, 2,280 over 15 departments. Every one is still a Person (the
+// faculty through Employee, the students through memberOf's domain), so
+// only the five closure triples are retracted.
+func TestSchemaDeleteStatsOnLUBM(t *testing.T) {
+	d := dict.New()
+	voc := schema.NewVocab(d)
+	rules := RDFSRules(voc)
+	g := store.New()
+	lubm.GenerateWithOntology(lubm.DefaultConfig()).ForEach(func(tr rdf.Triple) bool {
+		g.Add(encode(d, tr))
+		return true
+	})
+	m := Materialize(g, rules)
+	del := encode(d, rdf.T(lubm.Class("Student"), rdf.SubClassOf, lubm.Class("Person")))
+	m.Delete(del)
+	if m.Stats != (Stats{Checked: 2280, Retracted: 5}) {
+		t.Errorf("delete stats = %+v, want 2280 checked and 5 retracted", m.Stats)
+	}
+	g.Remove(del)
+	if !storesEqual(m.Store(), Materialize(g, rules).Store()) {
+		t.Error("the maintained G∞ differs from the saturation of the remaining graph")
 	}
 }
 
@@ -751,6 +856,42 @@ func TestSaturateConclusionIntoIteratedLeaf(t *testing.T) {
 		for tr := range want {
 			if !got.Contains(tr) {
 				t.Errorf("%s: closure missing %v", name, tr)
+			}
+		}
+	}
+}
+
+// TestStrike checks strike's three merges (galloping through the candidates,
+// galloping through the run, and linear) against set membership, across size
+// skews and with some candidates already struck.
+func TestStrike(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	set := func(n int) []dict.ID {
+		m := map[dict.ID]bool{}
+		for len(m) < n {
+			m[dict.ID(1+rng.Intn(4*n+8))] = true
+		}
+		ids := make([]dict.ID, 0, n)
+		for id := range m {
+			ids = append(ids, id)
+		}
+		slices.Sort(ids)
+		return ids
+	}
+	for _, sz := range [][2]int{{1, 1}, {3, 200}, {200, 3}, {40, 50}, {0, 5}, {5, 0}, {64, 640}, {640, 64}} {
+		for trial := 0; trial < 20; trial++ {
+			left, run := set(sz[0]), set(sz[1])
+			struck := make([]bool, len(left))
+			want, n := make([]bool, len(left)), 0
+			for j, id := range left {
+				struck[j] = rng.Intn(4) == 0
+				want[j] = struck[j] || slices.Contains(run, id)
+				if want[j] && !struck[j] {
+					n++
+				}
+			}
+			if got := strike(left, struck, run); got != n || !slices.Equal(struck, want) {
+				t.Fatalf("strike(%v, %v) = %d, marks %v; want %d, %v", left, run, got, struck, n, want)
 			}
 		}
 	}

@@ -101,6 +101,13 @@ func TestCursorSeekGE(t *testing.T) {
 	if c.Len() != 0 {
 		t.Fatalf("exhausted cursor Len = %d", c.Len())
 	}
+	// NewCursor over a plain slice: Pos is the index SeekGE lands on.
+	c = NewCursor(ids)
+	for i, id := range ids {
+		if c.SeekGE(id); c.Pos() != i || c.ID() != id {
+			t.Fatalf("NewCursor SeekGE(%d): pos %d, want %d", id, c.Pos(), i)
+		}
+	}
 }
 
 // TestIntersectSorted drives both merge paths (two-pointer and galloping

@@ -403,12 +403,17 @@ func (t *tables) SortedIDs(pat Triple) ([]dict.ID, bool) {
 	return l.ids(), true
 }
 
-// Cursor is a positioned iterator over one sorted postings leaf, obtained
-// from Postings. The zero Cursor is an exhausted cursor.
+// Cursor is a positioned iterator over one ascending run of IDs: a
+// postings leaf, obtained from Postings, or any sorted slice, from
+// NewCursor. The zero Cursor is an exhausted cursor.
 type Cursor struct {
 	ids []dict.ID
 	pos int
 }
+
+// NewCursor returns a cursor at the start of ids, which must be ascending.
+// It reads ids in place.
+func NewCursor(ids []dict.ID) Cursor { return Cursor{ids: ids} }
 
 // Postings returns a sorted cursor over the IDs matching the single
 // wildcard position of pat (same shape contract as SortedIDs). A pattern
@@ -429,6 +434,9 @@ func (c *Cursor) ID() dict.ID { return c.ids[c.pos] }
 
 // Next advances to the following ID.
 func (c *Cursor) Next() { c.pos++ }
+
+// Pos returns the index of the current ID in the cursor's run.
+func (c *Cursor) Pos() int { return c.pos }
 
 // SeekGE advances the cursor to the first ID ≥ id (possibly the current
 // one). It gallops: doubling probes from the current position, then a binary
@@ -472,7 +480,7 @@ func IntersectSorted(dst, a, b []dict.ID) []dict.ID {
 		return dst
 	}
 	if len(b) >= 16*len(a) {
-		c := Cursor{ids: b}
+		c := NewCursor(b)
 		for _, x := range a {
 			c.SeekGE(x)
 			if !c.Valid() {
