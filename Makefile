@@ -18,7 +18,9 @@
 #                         minimised union, under a drawn projection, against
 #                         the projected query over G∞; backward chaining's
 #                         source, pattern shape by pattern shape, against
-#                         G∞'s matches)
+#                         G∞'s matches; a plan's distinct execution, over
+#                         the store and over a source that repeats its
+#                         matches, against a brute-force evaluator)
 #   make test-chaos       seeded fault-injection sweep under the race
 #                         detector: CHAOS_SEEDS (default 200) full server
 #                         rounds over a scripted faulty filesystem, each
@@ -125,6 +127,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzCompiledClosure -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/reason/
 	$(GO) test -run '^$$' -fuzz FuzzReformulate -fuzztime $(FUZZTIME) ./internal/reformulate/
 	$(GO) test -run '^$$' -fuzz FuzzBackwardSource -fuzztime $(FUZZTIME) ./internal/core/
+	$(GO) test -run '^$$' -fuzz FuzzPlanExec -fuzztime $(FUZZTIME) ./internal/engine/
 
 test-benchmark:
 	$(GO) -C benchmark vet .

@@ -65,3 +65,27 @@ func TestPreparedAnswerAllocs(t *testing.T) {
 		}
 	}
 }
+
+// TestAdhocAnswerAllocs pins what an ad hoc saturated answer allocates:
+// compiling and planning the query, and one result sized from the planner's
+// count of the plan's first step — one row table, one arena chunk — however
+// many rows it holds. Q6 and Q14 project every variable of their one-pattern
+// BGPs, so they take no dedup set either.
+func TestAdhocAnswerAllocs(t *testing.T) {
+	f := getFixture(t)
+	for _, c := range []struct {
+		query  string
+		budget float64
+	}{{"Q6", 17}, {"Q14", 17}} {
+		run := func() {
+			if _, err := f.sat.Answer(f.qs[c.query]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		run() // fill the scratch pool
+		res, _ := f.sat.Answer(f.qs[c.query])
+		if got := testing.AllocsPerRun(100, run); got > c.budget {
+			t.Errorf("saturation/%s ad hoc (%d rows): %v allocs/op, want at most %v", c.query, len(res.Rows), got, c.budget)
+		}
+	}
+}

@@ -25,10 +25,14 @@ import (
 	"repro/internal/store"
 )
 
-// Source is anything the engine can match triple patterns against.
+// Source is anything the engine can match triple patterns against. It may
+// enumerate a matching triple more than once — backward chaining's source
+// emits a triple once per way it is entailed — so a distinct execution over
+// a plain Source always deduplicates; only a SortedSource promises a set.
 type Source interface {
-	// ForEachMatch enumerates triples matching pat (dict.None = wildcard);
-	// iteration stops early when fn returns false.
+	// ForEachMatch enumerates triples matching pat (dict.None = wildcard),
+	// possibly some more than once; iteration stops early when fn returns
+	// false.
 	ForEachMatch(pat store.Triple, fn func(store.Triple) bool)
 	// Count returns the (possibly estimated) number of matches of pat; the
 	// optimizer uses it for join ordering.

@@ -18,6 +18,12 @@ import (
 // chaining's source unions a pattern's matches with those of its one-step
 // rewritings, several leaves that no one slice holds in order, and does not
 // implement it; plans over it simply have no merge-join steps.
+//
+// A SortedSource is a set: ForEachMatch enumerates each matching triple at
+// most once (and SortedIDs holds no ID twice). A plan built for one relies on
+// it: distinct triples at each join step extend the bindings differently, so
+// its executions never produce the same full binding vector twice, and a
+// projection that keeps every variable of the BGP needs no dedup set.
 type SortedSource interface {
 	Source
 	// SortedIDs returns, ascending, the IDs matching the single wildcard
@@ -68,12 +74,21 @@ type Plan struct {
 	size   int
 	// proj is the projection Exec deduplicates over, projIdx its column map
 	// (-1: a variable the pattern does not bind, emitted as dict.None).
+	// unique records that Exec cannot meet a row twice: proj keeps every
+	// variable of the BGP and the plan was built for a SortedSource, which
+	// enumerates each match once, so Exec runs without a dedup set.
 	proj    []string
 	projIdx []int
+	unique  bool
+	// est is the number of matches of the first step's pattern, the count
+	// the planner read for it (exact for a one-pattern plan): the row hint
+	// of a plan that has never run.
+	est int
 	// rowHint is the number of rows the latest execution added, by
 	// whichever goroutine finished last — all of them for a plan run alone,
-	// those new to the union for a branch of ExecUnion: it sizes the next
-	// result's row table and arena. A hint only — any value is correct.
+	// those new to the union for a branch of ExecUnion — or -1 before the
+	// first: it sizes the next result's row table, arena and dedup set. A
+	// hint only — any value is correct.
 	rowHint atomic.Int64
 }
 
@@ -129,6 +144,12 @@ func (c *Compiled) planOn(src Source, proj []string) *Plan {
 	for i, v := range proj {
 		pl.projIdx[i] = slices.Index(c.vars, v)
 	}
+	pl.unique = pl.sorted
+	for v := range c.vars {
+		pl.unique = pl.unique && slices.Contains(pl.projIdx, v)
+	}
+	pl.est = pl.order[0].EstimatedCost - 1
+	pl.rowHint.Store(-1)
 	return pl
 }
 
@@ -157,7 +178,8 @@ func (pl *Plan) For(src Source) *Plan {
 	return pl.replan(src, pl.proj)
 }
 
-// replan plans pl's compilation afresh against src, projected onto proj.
+// replan plans pl's compilation afresh against src, projected onto proj,
+// keeping pl's row hint.
 //
 //webreason:writer
 func (pl *Plan) replan(src Source, proj []string) *Plan {
@@ -233,10 +255,16 @@ func (c *Compiled) buildSteps(order []PlanStep, sorted bool) []pstep {
 // Exec evaluates the plan against src projected onto its projection with
 // duplicate rows removed, without materialising the unprojected matches.
 // src must offer what the plan was built for (For(src) returned this plan);
-// the result is independent of the plan and stays valid indefinitely. A
+// the result is independent of the plan and stays valid indefinitely.
+// Duplicates are removed by a pooled dedup set, unless the plan is over a
+// SortedSource and its projection keeps every variable of the BGP: then no
+// row can repeat (see SortedSource) and rows are appended as they are met.
+// The result is sized by the rows the previous execution produced or, on a
+// plan's first execution, by the planner's count of its first step. A
 // steady-state execution allocates the result — header, row table, row
-// arena — and nothing else; projections wider than three columns fall back
-// to string keys and additionally pay one key allocation per distinct row.
+// arena — and nothing else; a deduplicated projection wider than three
+// columns falls back to string keys and additionally pays one key
+// allocation per distinct row.
 //
 //webreason:hotpath
 func (pl *Plan) Exec(src Source) *Result { return pl.exec(src, true) }
@@ -254,8 +282,12 @@ func (pl *Plan) exec(src Source, distinct bool) *Result {
 	if pl.c.impossible {
 		return &Result{Vars: vars}
 	}
+	hint := int(pl.rowHint.Load())
+	if hint < 0 {
+		hint = pl.est
+	}
 	x := scratchPool.Get().(*scratch)
-	res := x.start(src, vars, distinct, int(pl.rowHint.Load()))
+	res := x.start(src, vars, distinct, distinct && !pl.unique, hint)
 	x.run(pl, Fixed{})
 	scratchPool.Put(x)
 	return res
@@ -274,19 +306,22 @@ type Fixed struct {
 // branch i runs with the columns of fixed[i] set to their constants, and a
 // row enters the result only if no earlier row, of any branch, equals it.
 // Every plan must have been built with projection proj and be what For(src)
-// returns. The union is one execution — one pooled scratch, one dedup set,
-// one row arena, one result — sized by the sum of its branches' row hints,
-// where each branch records the rows it added; a steady-state union
-// allocates what Plan.Exec does, however many branches it has.
+// returns. The union is one execution — one pooled scratch, one dedup set
+// (always: branches overlap, whatever each proves alone), one row arena,
+// one result — sized by the sum of the row hints its branches learned, each
+// the rows that branch added; a branch that has never run counts nothing,
+// since the planner's counts, summed over branches, overshoot the union. A
+// steady-state union allocates what Plan.Exec does, however many branches
+// it has.
 //
 //webreason:hotpath
 func ExecUnion(src Source, proj []string, plans []*Plan, fixed []Fixed) *Result {
 	hint := 0
 	for _, pl := range plans {
-		hint += int(pl.rowHint.Load())
+		hint += max(int(pl.rowHint.Load()), 0)
 	}
 	x := scratchPool.Get().(*scratch)
-	res := x.start(src, proj, true, hint)
+	res := x.start(src, proj, true, true, hint)
 	for i, pl := range plans {
 		if !pl.c.impossible {
 			x.run(pl, fixed[i])
@@ -316,17 +351,18 @@ type scratch struct {
 	undo   []int
 	levels []level
 
-	// projection + dedup state of a distinct execution: the projected row,
+	// projection + dedup state of a projected execution: the projected row,
 	// the sets by row width (the last slot serves every width past three)
-	// and size class, and set, the one of the execution in flight.
+	// and size class, and set, the one of the execution in flight (nil when
+	// the execution needs none).
 	row  []dict.ID
 	seen [4][sizeClasses]*rowSet
 	set  *rowSet
 
-	res      *Result
-	arena    []dict.ID
-	w, hint  int
-	distinct bool
+	res     *Result
+	arena   []dict.ID
+	w, hint int
+	project bool
 }
 
 // level is the scratch of one join depth.
@@ -360,16 +396,19 @@ const (
 func sizeClass(hint int) int { return min(bits.Len(uint(hint))/3, sizeClasses-1) }
 
 // start opens one execution against src and returns its result, whose rows
-// are vars: the row table and arena sized for hint rows and, when distinct,
-// the dedup set of the row width and the hint's size class.
-func (x *scratch) start(src Source, vars []string, distinct bool, hint int) *Result {
+// are vars: the row table and arena sized for hint rows — the caller's
+// expectation, learned or estimated — and, when dedup, the dedup set of the
+// row width and the hint's size class, cleared. Rows are the plan's
+// projection when project, its full binding vectors otherwise.
+func (x *scratch) start(src Source, vars []string, project, dedup bool, hint int) *Result {
 	res := &Result{Vars: vars}
 	if hint > 0 {
 		res.Rows = make([][]dict.ID, 0, hint)
 	}
-	x.src, x.res, x.arena, x.distinct, x.hint, x.w = src, res, nil, distinct, hint, len(vars)
+	x.src, x.res, x.arena, x.project, x.hint, x.w = src, res, nil, project, hint, len(vars)
 	x.ss, _ = src.(SortedSource)
-	if !distinct || x.w == 0 {
+	x.set = nil
+	if !dedup || x.w == 0 {
 		return res
 	}
 	x.row = grown(x.row, x.w)
@@ -477,11 +516,12 @@ func (x *scratch) execMerge(st *pstep, depth int) {
 }
 
 // emit materialises the current bindings as a result row: the full binding
-// vector in bag mode, or in distinct mode the projected row, its fixed
-// columns written, after passing the dedup set.
+// vector in bag mode; otherwise the projected row, its fixed columns
+// written, which with a dedup set enters the result only if the set has not
+// met it, and without one is written straight into the result.
 func (x *scratch) emit() {
-	if !x.distinct {
-		x.emitRow(x.b)
+	if !x.project {
+		copy(x.newRow(), x.b)
 		return
 	}
 	if x.w == 0 {
@@ -490,40 +530,40 @@ func (x *scratch) emit() {
 		}
 		return
 	}
+	row := x.row
+	if x.set == nil {
+		row = x.newRow()
+	}
 	for i, j := range x.pl.projIdx {
 		if j >= 0 {
-			x.row[i] = x.b[j]
+			row[i] = x.b[j]
 		} else {
-			x.row[i] = dict.None
+			row[i] = dict.None
 		}
 	}
 	for k, c := range x.fixed.Cols {
-		x.row[c] = x.fixed.IDs[k]
+		row[c] = x.fixed.IDs[k]
 	}
-	if x.set.add(x.row) {
-		x.emitRow(x.row)
+	if x.set != nil && x.set.add(row) {
+		copy(x.newRow(), row)
 	}
 }
 
-// emitRow copies src into the result arena as a fresh row. Rows are carved
-// out of chunks sized by the previous execution's row count, so a
-// steady-state evaluation fills exactly one chunk: one allocation per chunk
-// instead of one per row, and full chunks stay referenced by the rows sliced
-// from them.
-func (x *scratch) emitRow(src []dict.ID) {
+// newRow appends a fresh row of the result's width, carved out of the
+// result arena, and returns it for the caller to fill. Chunks are sized by
+// the execution's hint, so an execution that meets its hint fills exactly
+// one chunk: one allocation per chunk instead of one per row, and full
+// chunks stay referenced by the rows sliced from them.
+func (x *scratch) newRow() []dict.ID {
 	w := x.w
-	if w == 0 {
-		x.res.Rows = append(x.res.Rows, nil)
-		return
-	}
 	if len(x.arena)+w > cap(x.arena) {
 		x.arena = make([]dict.ID, 0, max(x.hint, 64)*w)
 	}
 	n := len(x.arena)
 	x.arena = x.arena[: n+w : cap(x.arena)]
 	row := x.arena[n : n+w : n+w]
-	copy(row, src)
 	x.res.Rows = append(x.res.Rows, row)
+	return row
 }
 
 // Prepared is the single-goroutine handle on the evaluator: one Plan, the

@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -17,17 +18,7 @@ import (
 // planner. Prepared's merge joins and plan caching must agree with it
 // exactly (bag semantics).
 func bruteEval(triples []rdf.Triple, patterns []rdf.Triple) [][]string {
-	// Variable order must match the engine's: first occurrence.
-	var vars []string
-	seen := map[string]bool{}
-	for _, p := range patterns {
-		for _, t := range []rdf.Term{p.S, p.P, p.O} {
-			if t.IsVar() && !seen[t.Value] {
-				seen[t.Value] = true
-				vars = append(vars, t.Value)
-			}
-		}
-	}
+	vars := bruteVars(patterns)
 	var rows [][]string
 	binding := map[string]rdf.Term{}
 	var rec func(depth int)
@@ -73,6 +64,91 @@ func bruteEval(triples []rdf.Triple, patterns []rdf.Triple) [][]string {
 	}
 	rec(0)
 	return rows
+}
+
+// bruteVars lists the variables of patterns in the engine's order: first
+// occurrence.
+func bruteVars(patterns []rdf.Triple) []string {
+	var vars []string
+	for _, p := range patterns {
+		for _, t := range []rdf.Term{p.S, p.P, p.O} {
+			if t.IsVar() && !slices.Contains(vars, t.Value) {
+				vars = append(vars, t.Value)
+			}
+		}
+	}
+	return vars
+}
+
+// bruteDistinct is the reference for a distinct projection: rows, bruteEval's
+// answer over vars, projected onto proj — a variable the patterns lack reads
+// as the zero term, as a dict.None column decodes — with duplicates removed.
+func bruteDistinct(rows [][]string, vars, proj []string) [][]string {
+	seen := map[string]bool{}
+	var out [][]string
+	for _, row := range rows {
+		pr := make([]string, len(proj))
+		for i, v := range proj {
+			if j := slices.Index(vars, v); j >= 0 {
+				pr[i] = row[j]
+			} else {
+				pr[i] = rdf.Term{}.String()
+			}
+		}
+		if k := strings.Join(pr, "|"); !seen[k] {
+			seen[k] = true
+			out = append(out, pr)
+		}
+	}
+	return out
+}
+
+// dupSource is a plain Source — not a SortedSource — that enumerates every
+// match of the store twice, as backward chaining's source does for a triple
+// entailed two ways. A distinct execution over it must deduplicate whatever
+// its projection.
+type dupSource struct{ st *store.Store }
+
+func (d dupSource) ForEachMatch(pat store.Triple, fn func(store.Triple) bool) {
+	d.st.ForEachMatch(pat, func(t store.Triple) bool { return fn(t) && fn(t) })
+}
+
+func (d dupSource) Count(pat store.Triple) int { return d.st.Count(pat) }
+
+// testProjections are the projections a distinct execution is checked
+// under: x (which the BGP may lack), every variable of the BGP (reversed,
+// the projection that needs no dedup set over a store), a proper subset of
+// them (empty for a one-variable BGP) and one naming a variable no BGP has.
+func testProjections(patterns []rdf.Triple) [][]string {
+	vars := bruteVars(patterns)
+	all := slices.Clone(vars)
+	slices.Reverse(all)
+	return [][]string{{"x"}, all, vars[1:], {"absent", vars[0]}}
+}
+
+// checkDistinct evaluates every test projection of pats over src on a fresh
+// plan twice — its first execution, sized by the planner's estimate, then a
+// warm one sized by the first — against bruteDistinct. It reports whether
+// some plan ran without a dedup set.
+func checkDistinct(t *testing.T, src Source, d *dict.Dict, triples, pats []rdf.Triple, label string) (unique bool) {
+	t.Helper()
+	rows, vars := bruteEval(triples, pats), bruteVars(pats)
+	for _, proj := range testProjections(pats) {
+		p, err := Prepare(src, pats, d)
+		if err != nil {
+			t.Fatalf("%s: Prepare: %v", label, err)
+		}
+		want := canon(bruteDistinct(rows, vars, proj))
+		for _, run := range []string{"first", "warm"} {
+			got := canon(decodeRows(t, p.EvalDistinct(proj), d))
+			if !slices.Equal(got, want) {
+				t.Fatalf("%s: %s EvalDistinct(%v) mismatch:\ngot  %v\nwant %v\npatterns: %v",
+					label, run, proj, got, want, pats)
+			}
+		}
+		unique = unique || p.pl.unique
+	}
+	return unique
 }
 
 // canon renders rows as a sorted multiset for comparison.
@@ -208,6 +284,12 @@ func TestPreparedMatchesBruteForce(t *testing.T) {
 					t.Fatalf("seed %d %s case %d: EvalDistinct mismatch:\ngot  %v\nwant %v\npatterns: %v",
 						seed, stage, ci, gotD, wantD, c.pats)
 				}
+				// And with the reference, on fresh plans: over the store a
+				// projection of every variable runs without a dedup set.
+				label := fmt.Sprintf("seed %d %s case %d", seed, stage, ci)
+				if !checkDistinct(t, st, d, triples, c.pats, label) {
+					t.Fatalf("%s: no projection ran without a dedup set over the store", label)
+				}
 			}
 		}
 		check("initial")
@@ -233,6 +315,39 @@ func TestPreparedMatchesBruteForce(t *testing.T) {
 			t.Fatalf("seed %d: growth did not move the dictionary version", seed)
 		}
 		check("after-growth")
+	}
+}
+
+// TestDistinctOverDuplicatingSource: over a Source that is not a set, every
+// distinct execution keeps its dedup set — the projection of every variable
+// included — and still equals the reference.
+func TestDistinctOverDuplicatingSource(t *testing.T) {
+	for seed := int64(0); seed < 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		n := 16 + rng.Intn(32)
+		triples := genStarWorld(rng, n)
+		d := dict.New()
+		st := store.New()
+		for _, tr := range triples {
+			st.Add(store.Triple{S: d.Encode(tr.S), P: d.Encode(tr.P), O: d.Encode(tr.O)})
+		}
+		src := dupSource{st}
+		for qi := 0; qi < 8; qi++ {
+			pats := genPatterns(rng, n)
+			label := fmt.Sprintf("seed %d case %d", seed, qi)
+			// The source does duplicate: one row per way to pick each
+			// pattern's match, twice over per pattern.
+			p, err := Prepare(src, pats, d)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := len(p.Eval().Rows), len(bruteEval(triples, pats))<<len(pats); got != want {
+				t.Fatalf("%s: bag over dupSource: %d rows, want %d", label, got, want)
+			}
+			if checkDistinct(t, src, d, triples, pats, label) {
+				t.Fatalf("%s: a plan over a plain Source ran without a dedup set", label)
+			}
+		}
 	}
 }
 
