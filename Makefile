@@ -2,6 +2,10 @@
 #
 #   make test             run the full tier-1 suite (build + all tests)
 #   make test-race        the same suite under the race detector
+#   make test-procs1      the store and reasoner tests at GOMAXPROCS=1, where
+#                         the goroutines of a bulk build cannot overlap and
+#                         run one after another (-count=1: the test cache
+#                         does not key on GOMAXPROCS)
 #   make vet              static checks
 #   make lint             vet plus the project invariant analyzers: builds
 #                         tools/analyzers/webreasonvet and runs it over the
@@ -82,7 +86,7 @@ AB_HEAD ?= .
 AB_WORKLOAD ?= sat.update
 AB_PAIRS ?= 10
 
-.PHONY: test test-race test-chaos test-replica-chaos test-store-stress test-benchmark vet lint fuzz bench bench-smoke ab
+.PHONY: test test-race test-procs1 test-chaos test-replica-chaos test-store-stress test-benchmark vet lint fuzz bench bench-smoke ab
 
 test:
 	$(GO) build ./...
@@ -90,6 +94,9 @@ test:
 
 test-race:
 	$(GO) test -race ./...
+
+test-procs1:
+	GOMAXPROCS=1 $(GO) test -count=1 ./internal/store ./internal/reason
 
 test-chaos:
 	$(GO) test -race -run 'TestChaos$$' -chaos.seeds=$(CHAOS_SEEDS) .

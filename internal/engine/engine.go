@@ -162,25 +162,29 @@ type PlanStep struct {
 // the variables bound so far. The cost of a pattern is the source count
 // with only constants bound, discounted for every position held by an
 // already-bound variable (it will act as a constant at execution time).
+// Each pattern's count is read from src once, up front; a round only
+// applies the discounts.
 func (c *Compiled) plan(src Source) []PlanStep {
-	remaining := make([]cpattern, len(c.patterns))
-	copy(remaining, c.patterns)
+	remaining := make([]counted, len(c.patterns))
+	for i, cp := range c.patterns {
+		constPat := store.Triple{}
+		if !cp.s.isVar {
+			constPat.S = cp.s.id
+		}
+		if !cp.p.isVar {
+			constPat.P = cp.p.id
+		}
+		if !cp.o.isVar {
+			constPat.O = cp.o.id
+		}
+		remaining[i] = counted{cp, src.Count(constPat)}
+	}
 	bound := make([]bool, len(c.vars))
 	var steps []PlanStep
 	for len(remaining) > 0 {
 		best, bestCost := 0, -1
-		for i, cp := range remaining {
-			constPat := store.Triple{}
-			if !cp.s.isVar {
-				constPat.S = cp.s.id
-			}
-			if !cp.p.isVar {
-				constPat.P = cp.p.id
-			}
-			if !cp.o.isVar {
-				constPat.O = cp.o.id
-			}
-			cost := src.Count(constPat)
+		for i := range remaining {
+			cp, cost := &remaining[i].cp, remaining[i].count
 			// A bound variable behaves like a constant; assume it divides
 			// the candidate set substantially. (Checked per position rather
 			// than via a []slot temporary: this loop is O(patterns²) per
@@ -199,7 +203,7 @@ func (c *Compiled) plan(src Source) []PlanStep {
 				best, bestCost = i, cost
 			}
 		}
-		chosen := remaining[best]
+		chosen := remaining[best].cp
 		remaining = append(remaining[:best], remaining[best+1:]...)
 		if chosen.s.isVar {
 			bound[chosen.s.v] = true
@@ -213,6 +217,12 @@ func (c *Compiled) plan(src Source) []PlanStep {
 		steps = append(steps, PlanStep{PatternIndex: chosen.idx, EstimatedCost: bestCost})
 	}
 	return steps
+}
+
+// counted is a pattern beside its source count with only constants bound.
+type counted struct {
+	cp    cpattern
+	count int
 }
 
 // Plan returns the join order the engine would use against src.

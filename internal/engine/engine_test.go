@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/dict"
@@ -207,6 +208,43 @@ SELECT * WHERE { ?s ?p ?o . ex:alice ex:name ?o }`)
 	}
 	if plan[0].EstimatedCost > plan[1].EstimatedCost {
 		t.Errorf("plan costs not increasing: %+v", plan)
+	}
+}
+
+// countingSource counts the Count probes made of its store.
+type countingSource struct {
+	*store.Store
+	counts int
+}
+
+func (s *countingSource) Count(pat store.Triple) int {
+	s.counts++
+	return s.Store.Count(pat)
+}
+
+// TestPlanReadsEachCountOnce pins that planning a BGP of n patterns probes
+// the source n times, not once per pattern per greedy round, and orders the
+// patterns by their discounted counts: selective first, then the join
+// partners of the variables it binds.
+func TestPlanReadsEachCountOnce(t *testing.T) {
+	kb := newTestKB(t)
+	q := sparql.MustParse(`PREFIX ex: <http://ex.org/>
+SELECT * WHERE { ?x ex:knows ?y . ?y a ?c . ?x ex:name ?n . ?x a ?d }`)
+	c, err := Compile(q.Patterns, kb.d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := &countingSource{Store: kb.st}
+	plan := c.Plan(src)
+	if src.counts != len(q.Patterns) {
+		t.Errorf("plan made %d Count probes for %d patterns", src.counts, len(q.Patterns))
+	}
+	// Counts: knows 3, type 3, name 1. name goes first and binds ?x, which
+	// makes knows and ?x's type 3/4+1 = 1 each: knows, first in query order,
+	// binds ?y, and the two type patterns follow at 1, in query order.
+	want := []PlanStep{{2, 2}, {0, 1}, {1, 1}, {3, 1}}
+	if !slices.Equal(plan, want) {
+		t.Errorf("plan = %+v, want %+v", plan, want)
 	}
 }
 

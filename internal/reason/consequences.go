@@ -2,6 +2,7 @@ package reason
 
 import (
 	"cmp"
+	"math/bits"
 	"slices"
 
 	"repro/internal/dict"
@@ -135,17 +136,15 @@ func group(ts []store.Triple, voc schema.Vocab) change {
 	return ch
 }
 
-// consequenceCount returns how many triples affected appends for the
-// triples of g, duplicates included: per property, its triple count times
-// the length of its lists, and per class, its instance count times the
-// length of its superclass list.
-func (ch change) consequenceCount(g *store.Store) int {
+// superCount returns how many triples appendSupers appends for the triples
+// of st: per property, its triple count times the length of its
+// super-property list.
+func (ch change) superCount(st *store.Store) int {
 	n := 0
 	for p, cons := range ch.props {
-		n += g.Count(store.Triple{P: p}) * (len(cons.supers) + len(cons.domains) + len(cons.ranges))
-	}
-	for k, sup := range ch.classes {
-		n += g.Count(store.Triple{P: ch.voc.Type, O: k}) * len(sup)
+		if len(cons.supers) > 0 {
+			n += st.Count(store.Triple{P: p}) * len(cons.supers)
+		}
 	}
 	return n
 }
@@ -207,30 +206,116 @@ func (ch change) losses(sch *schema.Schema) []loss {
 // affected appends to out, for every entry of ch, the triple it carries each
 // matching triple of st to: the leaf-level work of a schema update. Added
 // entries yield the triples to add, removed ones the triples whose support
-// to check.
+// to check. Each rdf:type triple is appended once, however many triples of
+// st carry to it (see types); a super-property one, once per source.
 func (ch change) affected(out []store.Triple, st *store.Store) []store.Triple {
-	typ := ch.voc.Type
+	out = ch.appendSupers(out, st)
+	return ch.types(st).appendTo(out, ch.voc.Type)
+}
+
+// appendSupers appends to out (s q o) for every triple (s p o) of st and
+// every super-property q that ch gives p.
+func (ch change) appendSupers(out []store.Triple, st *store.Store) []store.Triple {
 	for p, cons := range ch.props {
+		if len(cons.supers) == 0 {
+			continue
+		}
 		st.ForEachMatch(store.Triple{P: p}, func(t store.Triple) bool {
 			for _, q := range cons.supers {
 				out = append(out, store.Triple{S: t.S, P: q, O: t.O})
-			}
-			for _, k := range cons.domains {
-				out = append(out, store.Triple{S: t.S, P: typ, O: k})
-			}
-			for _, k := range cons.ranges {
-				out = append(out, store.Triple{S: t.O, P: typ, O: k})
-			}
-			return true
-		})
-	}
-	for k, sup := range ch.classes {
-		st.ForEachMatch(store.Triple{P: typ, O: k}, func(t store.Triple) bool {
-			for _, c := range sup {
-				out = append(out, store.Triple{S: t.S, P: typ, O: c})
 			}
 			return true
 		})
 	}
 	return out
+}
+
+// types returns the rdf:type triples ch carries the triples of st to, each
+// once: the subject of every triple of a property with a domain c and the
+// object of one with a range c typed c, and every instance of a class typed
+// by each of its superclasses. It fetches a class's set once per property
+// or subclass that types into it, never once per triple.
+func (ch change) types(st *store.Store) typeSets {
+	sets := typeSets{}
+	var doms, rans, sups []*idBits
+	for p, cons := range ch.props {
+		if len(cons.domains)+len(cons.ranges) == 0 {
+			continue
+		}
+		doms, rans = sets.of(doms[:0], cons.domains), sets.of(rans[:0], cons.ranges)
+		st.ForEachMatch(store.Triple{P: p}, func(t store.Triple) bool {
+			for _, b := range doms {
+				b.set(t.S)
+			}
+			for _, b := range rans {
+				b.set(t.O)
+			}
+			return true
+		})
+	}
+	for k, sup := range ch.classes {
+		subjects, _ := st.SortedIDs(store.Triple{P: ch.voc.Type, O: k})
+		if len(subjects) == 0 {
+			continue
+		}
+		sups = sets.of(sups[:0], sup)
+		for _, b := range sups {
+			for _, s := range subjects {
+				b.set(s)
+			}
+		}
+	}
+	return sets
+}
+
+// typeSets is a set of rdf:type triples: per class c, the set of subjects s
+// of its (s rdf:type c) triples.
+type typeSets map[dict.ID]*idBits
+
+// of appends to dst the sets of the classes cs, making the missing ones.
+func (ts typeSets) of(dst []*idBits, cs []dict.ID) []*idBits {
+	for _, c := range cs {
+		b := ts[c]
+		if b == nil {
+			b = &idBits{}
+			ts[c] = b
+		}
+		dst = append(dst, b)
+	}
+	return dst
+}
+
+// len returns the number of triples in ts.
+func (ts typeSets) len() int {
+	n := 0
+	for _, b := range ts {
+		for _, w := range b.w {
+			n += bits.OnesCount64(w)
+		}
+	}
+	return n
+}
+
+// appendTo appends the triples of ts to out, typ the rdf:type ID.
+func (ts typeSets) appendTo(out []store.Triple, typ dict.ID) []store.Triple {
+	for c, b := range ts {
+		for i, w := range b.w {
+			for ; w != 0; w &= w - 1 {
+				out = append(out, store.Triple{S: dict.ID(i<<6 | bits.TrailingZeros64(w)), P: typ, O: c})
+			}
+		}
+	}
+	return out
+}
+
+// idBits is a set of IDs, one bit per ID up to the largest one set.
+type idBits struct{ w []uint64 }
+
+// set adds id to b, growing b to hold it.
+func (b *idBits) set(id dict.ID) {
+	i := int(id >> 6)
+	if i >= len(b.w) {
+		b.w = append(b.w, make([]uint64, i+1-len(b.w))...)
+	}
+	b.w[i] |= 1 << (id & 63)
 }

@@ -59,23 +59,12 @@ type Stats struct {
 // Materialize panics on any other.
 //
 // G∞ is built once: G, the schema closure and every base triple's
-// consequences go into one slice, which store.Build sorts, deduplicates and
-// turns into the three indexes bottom-up. The base set is g's SPO index,
-// shared under copy-on-write (store.Store.CloneSet).
+// consequences go into one slice (see saturationInput), which store.Build
+// sorts, deduplicates and turns into the three indexes bottom-up. The base
+// set is g's SPO index, shared under copy-on-write (store.Store.CloneSet).
 func Materialize(g *store.Store, rules []Rule) *Materialization {
 	sch := schema.Extract(g, vocabOf(rules))
-	closure := sch.ClosureTriples()
-	// Saturating G is the schema change from the empty schema: every
-	// closure triple carries the base triples it applies to.
-	ch := group(closure, sch.Vocab())
-	ts := make([]store.Triple, 0, g.Len()+len(closure)+ch.consequenceCount(g))
-	g.ForEachMatch(store.Triple{}, func(t store.Triple) bool {
-		ts = append(ts, t)
-		return true
-	})
-	ts = append(ts, closure...)
-	ts = ch.affected(ts, g)
-	st := store.Build(ts)
+	st := store.Build(saturationInput(g, sch))
 	return &Materialization{
 		st:    st,
 		base:  g.CloneSet(),
@@ -83,6 +72,27 @@ func Materialize(g *store.Store, rules []Rule) *Materialization {
 		sch:   sch,
 		Stats: Stats{Derived: st.Len() - g.Len()},
 	}
+}
+
+// saturationInput returns the triples G∞ is built from: g's own, the
+// closure of sch, which is g's closed schema, and what that closure carries
+// g's triples to — saturating G is the schema change from the empty schema.
+// Each rdf:type consequence comes once, so a derived type repeats at most an
+// asserted one; a super-property consequence comes once per source. The
+// rdf:type consequences are collected first, so that the slice is allocated
+// at its exact length.
+func saturationInput(g *store.Store, sch *schema.Schema) []store.Triple {
+	closure := sch.ClosureTriples()
+	ch := group(closure, sch.Vocab())
+	types := ch.types(g)
+	ts := make([]store.Triple, 0, g.Len()+len(closure)+ch.superCount(g)+types.len())
+	g.ForEachMatch(store.Triple{}, func(t store.Triple) bool {
+		ts = append(ts, t)
+		return true
+	})
+	ts = append(ts, closure...)
+	ts = ch.appendSupers(ts, g)
+	return types.appendTo(ts, sch.Vocab().Type)
 }
 
 // add adds a derived triple to G∞, counting it if it is new.

@@ -22,17 +22,32 @@ import (
 // later write grows can spill into a neighbour. A build's arenas are live
 // as long as any of its structures is, which is at most one whole version
 // per build, however many copy-on-write epochs follow.
+//
+// The three indexes are built at once, each on its own goroutine with its
+// own arenas and trieBuilder, from its own sorted slice; mix64 is pure, so
+// the builds share nothing they write. The SPO slice is sorted first; while
+// one goroutine builds SPO from it, the caller rotates it into OSP order in
+// the sorter's second buffer and OSP into POS order in a third: the first
+// buffer holds the SPO slice, which its build is still reading. A second
+// goroutine builds POS, the caller OSP, and the Store is assembled from the
+// three results once all are done. With one processor the same goroutines
+// run one after another.
 
 // Build returns a store holding the triples of ts, duplicates counted once.
 // It reorders ts, which the caller must not use afterwards. Like Add, it
-// panics on a triple with a wildcard (dict.None) component.
+// panics on a triple with a wildcard (dict.None) component. It builds the
+// three indexes concurrently and returns when all three are done.
 func Build(ts []Triple) *Store {
 	var so sorter
-	tr := so.sortSPO(ts)
-	s := &Store{tables: tables{size: len(tr), spo: buildIndex(tr)}}
-	s.osp = buildIndex(so.rotate())
-	s.pos = buildIndex(so.rotate())
-	return s
+	spo := so.sortSPO(ts)
+	spoIx, posIx := make(chan index, 1), make(chan index, 1)
+	go func() { spoIx <- buildIndex(spo) }()
+	osp := so.rotate()
+	so.next = make([]Triple, len(osp))
+	pos := so.rotate()
+	go func() { posIx <- buildIndex(pos) }()
+	ospIx := buildIndex(osp)
+	return &Store{tables: tables{size: len(spo), spo: <-spoIx, pos: <-posIx, osp: ospIx}}
 }
 
 // sorter puts triples into the three access orders with counting sorts. It
@@ -40,8 +55,7 @@ func Build(ts []Triple) *Store {
 // triple from an (a,b,c)-sorted slice to a (c,a,b)-sorted one, written
 // rotated, with one stable counting pass on c. Three rotations of an
 // unsorted slice are a least-significant-digit radix sort into SPO order,
-// and from SPO two more give OSP, then POS — the order each index is built
-// in.
+// and from SPO two more give OSP, then POS.
 type sorter struct {
 	cur, next []Triple
 	// counts is the counting array, one slot per ID; nil when the IDs are

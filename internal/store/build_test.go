@@ -110,7 +110,9 @@ func trieDepth[V any](n *hnode[V]) int {
 // random Add/Remove on the built store — at epoch 0, in the build arenas —
 // and then on it and on its clone, the two sharing every node under
 // copy-on-write, must agree with the oracle, and neither store nor the
-// snapshot the clone was taken over may see the other's writes.
+// snapshot the clone was taken over may see the other's writes. Build has
+// one code path, which builds the three indexes on concurrent goroutines,
+// so every round checks that path against per-triple Add.
 func bulkRound(t *testing.T, rng *rand.Rand, seed int64) {
 	t.Helper()
 	scale := dict.ID(1)
@@ -210,7 +212,8 @@ func bulkRound(t *testing.T, rng *rand.Rand, seed int64) {
 // ones too sparse for the counting sort, then every three bytes are one
 // triple — and requires Build, the set CloneSet takes of a build, and Clone
 // to match per-triple Add byte for byte and shape for shape, duplicates,
-// empty input and a single ID included.
+// empty input and a single ID included. Like bulkRound, it checks the one,
+// concurrent, build path.
 func FuzzBuild(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 1, 1, 1})

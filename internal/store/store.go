@@ -44,7 +44,12 @@
 // A whole store — a load, a saturation, a decoded checkpoint — is not
 // inserted triple by triple: Build sorts its triples once into each access
 // order and makes every index bottom-up at epoch 0, its nodes, slot arrays
-// and runs carved from per-build arenas (see build.go). A copy is not built
+// and runs carved from per-build arenas (see build.go). The three indexes
+// are built at once, one goroutine each, every build reading its own sorted
+// slice and writing only its own arenas: the SPO build reads the slice the
+// sort leaves, while the caller rotates that slice into OSP order in a
+// second buffer and OSP into POS order in a third, so that no slice is
+// written while a build reads it. A copy is not built
 // at all: Clone and CloneSet share the source's current snapshot, and the
 // copy-on-write above keeps the two versions apart, so a process holds each
 // node once however many writable versions share it.
