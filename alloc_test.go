@@ -11,6 +11,8 @@ import (
 	"time"
 
 	webreason "repro"
+	"repro/internal/core"
+	"repro/internal/reformulate"
 )
 
 // TestPreparedAnswerAllocs is the allocation gate on the hottest read path:
@@ -66,26 +68,32 @@ func TestPreparedAnswerAllocs(t *testing.T) {
 	}
 }
 
-// TestAdhocAnswerAllocs pins what an ad hoc saturated answer allocates:
-// compiling and planning the query, and one result sized from the planner's
-// count of the plan's first step — one row table, one arena chunk — however
-// many rows it holds. Q6 and Q14 project every variable of their one-pattern
-// BGPs, so they take no dedup set either.
+// TestAdhocAnswerAllocs pins what an ad hoc answer allocates. A saturated
+// one compiles and plans the query, and takes one result sized from the
+// planner's count of the plan's first step — one row table, one arena chunk
+// — however many rows it holds; Q6 and Q14 project every variable of their
+// one-pattern BGPs, so they take no dedup set either. A reformulated one,
+// on the minimised union every served path runs, also rewrites the query
+// and plans each branch, and its one result is sized from the largest of
+// the branches' first-step counts: Q6's five one-pattern branches take a
+// dedup set of that size, and Q14's single branch takes none.
 func TestAdhocAnswerAllocs(t *testing.T) {
 	f := getFixture(t)
+	ref := core.NewReformulation(f.kb, reformulate.Options{Minimize: true})
 	for _, c := range []struct {
+		strat  webreason.Strategy
 		query  string
 		budget float64
-	}{{"Q6", 17}, {"Q14", 17}} {
+	}{{f.sat, "Q6", 17}, {f.sat, "Q14", 17}, {ref, "Q6", 124}, {ref, "Q14", 40}} {
 		run := func() {
-			if _, err := f.sat.Answer(f.qs[c.query]); err != nil {
+			if _, err := c.strat.Answer(f.qs[c.query]); err != nil {
 				t.Fatal(err)
 			}
 		}
 		run() // fill the scratch pool
-		res, _ := f.sat.Answer(f.qs[c.query])
+		res, _ := c.strat.Answer(f.qs[c.query])
 		if got := testing.AllocsPerRun(100, run); got > c.budget {
-			t.Errorf("saturation/%s ad hoc (%d rows): %v allocs/op, want at most %v", c.query, len(res.Rows), got, c.budget)
+			t.Errorf("%s/%s ad hoc (%d rows): %v allocs/op, want at most %v", c.strat.Name(), c.query, len(res.Rows), got, c.budget)
 		}
 	}
 }

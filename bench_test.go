@@ -104,9 +104,35 @@ var benchQueries = []string{"Q1", "Q2", "Q5", "Q6", "Q8", "Q9", "Q12", "Q14"}
 // keeps the one-shot compile-and-plan figure for comparison.
 func BenchmarkQuerySaturation(b *testing.B) {
 	f := getFixture(b)
+	benchPrepared(b, f, f.sat)
+}
+
+// BenchmarkQuerySaturationUnprepared measures the same queries through the
+// one-shot path (compile + plan on every call), the before-side of the
+// prepared-query comparison.
+func BenchmarkQuerySaturationUnprepared(b *testing.B) {
+	f := getFixture(b)
+	benchAdhoc(b, f, f.sat)
+}
+
+// BenchmarkQueryReformulationPrepared measures steady-state reformulated
+// answering with the rewriting and per-branch plans cached: on the shared
+// fixture's plain union, and (min=true) on the minimised union every served
+// path runs.
+func BenchmarkQueryReformulationPrepared(b *testing.B) {
+	f := getFixture(b)
+	benchPrepared(b, f, f.ref)
+	b.Run("min=true", func(b *testing.B) {
+		benchPrepared(b, f, core.NewReformulation(f.kb, reformulate.Options{Minimize: true}))
+	})
+}
+
+// benchPrepared runs one sub-benchmark per query of benchQueries: a
+// steady-state answer of the query prepared once on s.
+func benchPrepared(b *testing.B, f *fixture, s core.Strategy) {
 	for _, name := range benchQueries {
 		b.Run(name, func(b *testing.B) {
-			pq, err := f.sat.Prepare(f.qs[name])
+			pq, err := s.Prepare(f.qs[name])
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -124,79 +150,32 @@ func BenchmarkQuerySaturation(b *testing.B) {
 	}
 }
 
-// BenchmarkQuerySaturationUnprepared measures the same queries through the
-// one-shot path (compile + plan on every call), the before-side of the
-// prepared-query comparison.
-func BenchmarkQuerySaturationUnprepared(b *testing.B) {
-	f := getFixture(b)
-	for _, name := range benchQueries {
-		b.Run(name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := f.sat.Answer(f.qs[name]); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkQueryReformulationPrepared measures steady-state reformulated
-// answering with the rewriting and per-branch plans cached.
-func BenchmarkQueryReformulationPrepared(b *testing.B) {
-	f := getFixture(b)
-	for _, name := range benchQueries {
-		b.Run(name, func(b *testing.B) {
-			pq, err := f.ref.Prepare(f.qs[name])
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := pq.Answer(); err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := pq.Answer(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkQueryBackwardPrepared measures steady-state backward-chaining
 // answering with the compiled plan cached.
 func BenchmarkQueryBackwardPrepared(b *testing.B) {
 	f := getFixture(b)
-	for _, name := range benchQueries {
-		b.Run(name, func(b *testing.B) {
-			pq, err := f.back.Prepare(f.qs[name])
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := pq.Answer(); err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := pq.Answer(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
+	benchPrepared(b, f, f.back)
 }
 
-// BenchmarkQueryReformulation measures reformulate+evaluate on G (Figure 3).
+// BenchmarkQueryReformulation measures reformulate+evaluate on G (Figure
+// 3), on the shared fixture's plain union and (min=true) on the minimised
+// union every served path runs.
 func BenchmarkQueryReformulation(b *testing.B) {
 	f := getFixture(b)
+	benchAdhoc(b, f, f.ref)
+	b.Run("min=true", func(b *testing.B) {
+		benchAdhoc(b, f, core.NewReformulation(f.kb, reformulate.Options{Minimize: true}))
+	})
+}
+
+// benchAdhoc runs one sub-benchmark per query of benchQueries: an ad hoc
+// answer of the query on s.
+func benchAdhoc(b *testing.B, f *fixture, s core.Strategy) {
 	for _, name := range benchQueries {
 		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := f.ref.Answer(f.qs[name]); err != nil {
+				if _, err := s.Answer(f.qs[name]); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -207,16 +186,7 @@ func BenchmarkQueryReformulation(b *testing.B) {
 // BenchmarkQueryBackward measures backward-chaining answering.
 func BenchmarkQueryBackward(b *testing.B) {
 	f := getFixture(b)
-	for _, name := range benchQueries {
-		b.Run(name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := f.back.Answer(f.qs[name]); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
+	benchAdhoc(b, f, f.back)
 }
 
 // BenchmarkBackwardTypeOfSubject measures backward chaining on patterns

@@ -312,11 +312,13 @@ func TestNewStrategyReformulationMinimises(t *testing.T) {
 }
 
 // TestLUBMUnionSizes pins the size of the union each of the 14 LUBM queries
-// rewrites to, minimised and not, at SmallConfig: the rewriting depends on
-// the schema and the vocabulary G uses, not on the scale. A rewriter that
+// rewrites to, minimised and not, at SmallConfig, and the number of atoms
+// over all branches of the minimised one: the rewriting depends on the
+// schema and the vocabulary G uses, not on the scale. A rewriter that
 // loses deduplication grows the plain unions; one that loses subsumption
-// grows the minimised ones, whether the rewriter minimises or
-// UCQ.Minimize does it on the plain union's terms.
+// grows the minimised ones, and one that loses branch cores their atoms,
+// whether the rewriter minimises or UCQ.Minimize does it on the plain
+// union's terms.
 func TestLUBMUnionSizes(t *testing.T) {
 	kb := NewKB()
 	if _, err := kb.LoadGraph(lubm.GenerateWithOntology(lubm.SmallConfig())); err != nil {
@@ -324,6 +326,14 @@ func TestLUBMUnionSizes(t *testing.T) {
 	}
 	wantPlain := []int{1, 15, 4, 14, 75, 5, 5, 15, 55, 5, 1, 4, 100, 1}
 	wantMin := []int{1, 15, 1, 8, 3, 5, 1, 15, 1, 1, 1, 3, 4, 1}
+	wantAtoms := []int{2, 45, 1, 23, 3, 5, 2, 60, 3, 1, 3, 5, 4, 1}
+	atoms := func(u *reformulate.UCQ) int {
+		n := 0
+		for _, b := range u.Branches {
+			n += len(b.Patterns)
+		}
+		return n
+	}
 	plain := NewReformulation(kb, reformulate.Options{})
 	minimised := NewReformulation(kb, reformulate.Options{Minimize: true})
 	for i, wq := range lubm.Queries() {
@@ -336,9 +346,13 @@ func TestLUBMUnionSizes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if p.Size() != wantPlain[i] || m.Size() != wantMin[i] || p.Minimize().Size() != wantMin[i] {
+		pm := p.Minimize()
+		if p.Size() != wantPlain[i] || m.Size() != wantMin[i] || pm.Size() != wantMin[i] {
 			t.Errorf("%s: unions of %d, %d minimised, %d minimised from terms; want %d, %d, %d",
-				wq.Name, p.Size(), m.Size(), p.Minimize().Size(), wantPlain[i], wantMin[i], wantMin[i])
+				wq.Name, p.Size(), m.Size(), pm.Size(), wantPlain[i], wantMin[i], wantMin[i])
+		}
+		if atoms(m) != wantAtoms[i] || atoms(pm) != wantAtoms[i] {
+			t.Errorf("%s: minimised unions of %d atoms, %d from terms; want %d", wq.Name, atoms(m), atoms(pm), wantAtoms[i])
 		}
 	}
 }

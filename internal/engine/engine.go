@@ -241,15 +241,6 @@ type Result struct {
 // once.
 func (c *Compiled) Eval(src Source) *Result { return c.planOn(src, nil).exec(src, false) }
 
-// EvalBGP compiles and evaluates patterns in one call.
-func EvalBGP(src Source, patterns []rdf.Triple, d *dict.Dict) (*Result, error) {
-	c, err := Compile(patterns, d)
-	if err != nil {
-		return nil, err
-	}
-	return c.Eval(src), nil
-}
-
 // Project returns a new result restricted to the named variables, in that
 // order. Unknown variables yield dict.None columns (used for reformulation
 // branches that fix a variable to a constant instead of binding it). When

@@ -42,11 +42,11 @@ func newTestKB(t *testing.T) *testKB {
 func (kb *testKB) evalStrings(t *testing.T, qs string, project []string) []string {
 	t.Helper()
 	q := sparql.MustParse(qs)
-	res, err := EvalBGP(kb.st, q.Patterns, kb.d)
+	c, err := Compile(q.Patterns, kb.d)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res = res.Project(project).Distinct().Sort()
+	res := c.Eval(kb.st).Project(project).Distinct().Sort()
 	var out []string
 	for _, row := range res.Decode(kb.d) {
 		s := ""
@@ -126,11 +126,11 @@ SELECT ?x WHERE { ?x ex:name "Alice" }`, []string{"x"})
 func TestEvalUnknownConstantIsEmptyNotError(t *testing.T) {
 	kb := newTestKB(t)
 	q := sparql.MustParse(`PREFIX ex: <http://ex.org/> SELECT ?x WHERE { ?x a ex:Unicorn }`)
-	res, err := EvalBGP(kb.st, q.Patterns, kb.d)
+	c, err := Compile(q.Patterns, kb.d)
 	if err != nil {
 		t.Fatalf("unknown constant should not error: %v", err)
 	}
-	if len(res.Rows) != 0 {
+	if res := c.Eval(kb.st); len(res.Rows) != 0 {
 		t.Errorf("got %d rows, want 0", len(res.Rows))
 	}
 }
@@ -146,10 +146,11 @@ func TestBagSemanticsAndDistinct(t *testing.T) {
 	kb := newTestKB(t)
 	// ?x knows ?y, project ?x: alice appears twice (bob, carol).
 	q := sparql.MustParse(`PREFIX ex: <http://ex.org/> SELECT ?x WHERE { ?x ex:knows ?y }`)
-	res, err := EvalBGP(kb.st, q.Patterns, kb.d)
+	c, err := Compile(q.Patterns, kb.d)
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := c.Eval(kb.st)
 	proj := res.Project([]string{"x"})
 	if len(proj.Rows) != 3 {
 		t.Errorf("bag projection rows = %d, want 3", len(proj.Rows))
@@ -162,10 +163,11 @@ func TestBagSemanticsAndDistinct(t *testing.T) {
 func TestLimit(t *testing.T) {
 	kb := newTestKB(t)
 	q := sparql.MustParse(`SELECT * WHERE { ?s ?p ?o }`)
-	res, err := EvalBGP(kb.st, q.Patterns, kb.d)
+	c, err := Compile(q.Patterns, kb.d)
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := c.Eval(kb.st)
 	if got := len(res.Limit(2).Rows); got != 2 {
 		t.Errorf("Limit(2) rows = %d", got)
 	}
@@ -180,10 +182,11 @@ func TestLimit(t *testing.T) {
 func TestProjectMissingVarGivesNoneColumn(t *testing.T) {
 	kb := newTestKB(t)
 	q := sparql.MustParse(`PREFIX ex: <http://ex.org/> SELECT ?x WHERE { ?x a ex:Person }`)
-	res, err := EvalBGP(kb.st, q.Patterns, kb.d)
+	c, err := Compile(q.Patterns, kb.d)
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := c.Eval(kb.st)
 	proj := res.Project([]string{"x", "ghost"})
 	for _, row := range proj.Rows {
 		if row[1] != dict.None {
@@ -253,10 +256,11 @@ func TestEvalCartesianProduct(t *testing.T) {
 	kb := newTestKB(t)
 	q := sparql.MustParse(`PREFIX ex: <http://ex.org/>
 SELECT ?x ?y WHERE { ?x a ex:Person . ?y a ex:Student }`)
-	res, err := EvalBGP(kb.st, q.Patterns, kb.d)
+	c, err := Compile(q.Patterns, kb.d)
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := c.Eval(kb.st)
 	if len(res.Rows) != 2 { // 2 persons × 1 student
 		t.Errorf("cartesian rows = %d, want 2", len(res.Rows))
 	}
@@ -265,10 +269,11 @@ SELECT ?x ?y WHERE { ?x a ex:Person . ?y a ex:Student }`)
 func TestDecode(t *testing.T) {
 	kb := newTestKB(t)
 	q := sparql.MustParse(`PREFIX ex: <http://ex.org/> SELECT ?n WHERE { ex:alice ex:name ?n }`)
-	res, err := EvalBGP(kb.st, q.Patterns, kb.d)
+	c, err := Compile(q.Patterns, kb.d)
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := c.Eval(kb.st)
 	rows := res.Decode(kb.d)
 	if len(rows) != 1 || rows[0][0] != rdf.NewLiteral("Alice") {
 		t.Errorf("Decode = %v", rows)

@@ -76,13 +76,14 @@ type Plan struct {
 	// (-1: a variable the pattern does not bind, emitted as dict.None).
 	// unique records that Exec cannot meet a row twice: proj keeps every
 	// variable of the BGP and the plan was built for a SortedSource, which
-	// enumerates each match once, so Exec runs without a dedup set.
+	// enumerates each match once, so Exec, and ExecUnion of this plan
+	// alone, run without a dedup set.
 	proj    []string
 	projIdx []int
 	unique  bool
 	// est is the number of matches of the first step's pattern, the count
 	// the planner read for it (exact for a one-pattern plan): the row hint
-	// of a plan that has never run.
+	// of a plan that has never run, alone or as a branch of ExecUnion.
 	est int
 	// rowHint is the number of rows the latest execution added, by
 	// whichever goroutine finished last — all of them for a plan run alone,
@@ -306,22 +307,30 @@ type Fixed struct {
 // branch i runs with the columns of fixed[i] set to their constants, and a
 // row enters the result only if no earlier row, of any branch, equals it.
 // Every plan must have been built with projection proj and be what For(src)
-// returns. The union is one execution — one pooled scratch, one dedup set
-// (always: branches overlap, whatever each proves alone), one row arena,
-// one result — sized by the sum of the row hints its branches learned, each
-// the rows that branch added; a branch that has never run counts nothing,
-// since the planner's counts, summed over branches, overshoot the union. A
-// steady-state union allocates what Plan.Exec does, however many branches
-// it has.
+// returns. The union is one execution — one pooled scratch, at most one
+// dedup set, one row arena, one result. It takes the set unless it is a
+// single plan that needs none alone (Plan.unique): branches overlap,
+// whatever each proves alone, and a fixed column holds a constant in place
+// of a variable the branch does not bind, which cannot make two rows equal.
+// The result is sized by the rows each branch added the last time it ran,
+// summed, plus, over the branches that have never run, the largest of the
+// planner's counts of their first steps: branches overlap, so a sum of
+// counts overshoots the union, while their maximum is exact for a union of
+// one-pattern branches. A steady-state union allocates what Plan.Exec
+// does, however many branches it has.
 //
 //webreason:hotpath
 func ExecUnion(src Source, proj []string, plans []*Plan, fixed []Fixed) *Result {
-	hint := 0
+	hint, first := 0, 0
 	for _, pl := range plans {
-		hint += max(int(pl.rowHint.Load()), 0)
+		if h := int(pl.rowHint.Load()); h >= 0 {
+			hint += h
+		} else if !pl.c.impossible {
+			first = max(first, pl.est)
+		}
 	}
 	x := scratchPool.Get().(*scratch)
-	res := x.start(src, proj, true, true, hint)
+	res := x.start(src, proj, true, len(plans) != 1 || !plans[0].unique, hint+first)
 	for i, pl := range plans {
 		if !pl.c.impossible {
 			x.run(pl, fixed[i])

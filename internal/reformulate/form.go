@@ -38,7 +38,9 @@ type pattern [3]uint32
 type binding struct{ v, c uint32 }
 
 // branch is one BGP of the union in the ID-level form; fixed is sorted by
-// variable. Both slices are immutable once the branch is in a union.
+// variable. The rewriter never changes either slice once the branch is in
+// a union; minimize, which owns the finished union, shortens pats to its
+// core.
 type branch struct {
 	pats  []pattern
 	fixed []binding

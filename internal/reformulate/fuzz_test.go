@@ -42,7 +42,11 @@ func (b *fuzzBytes) next() int {
 // the column they fix (?c of "?x a ?c" over C0 ⊑ C1), projected onto ?c
 // alone; a ground query that two branches both answer; the first of them
 // projected four wide; and "?x a "L"" over p0 rng "L", p1 dom "L",
-// i0 p0 i1 and i2 p1 i3, which has the answers i1 and i2.
+// i0 p0 i1 and i2 p1 i3, which has the answers i1 and i2. The last two ask
+// "?x a C0 . ?x p0 ?y . ?y a C0" over p0 dom C0, p0 rng C0, i0 p0 i1 and
+// i1 p0 i2, under SELECT * and projected onto ?x: the branches that rewrite
+// a type atom to (?x p0 ?_f) or (?_f p0 ?y) hold an atom that ?x p0 ?y
+// implies, which their cores drop.
 func FuzzReformulate(f *testing.F) {
 	f.Add([]byte{3, 4, 2, 0, 1, 0, 1, 2, 0, 2, 0, 2, 3, 1, 3, 0, 0, 1, 2, 1, 1, 1, 5, 0, 1, 3, 1})
 	f.Add([]byte{4, 3, 3, 0, 1, 0, 1, 0, 0, 2, 1, 1, 0, 0, 3, 1, 2, 1, 0, 3, 2, 3, 1, 0, 2, 1, 1, 2, 0})
@@ -51,6 +55,8 @@ func FuzzReformulate(f *testing.F) {
 	f.Add([]byte{1, 2, 0, 1, 0, 0, 0, 1, 0, 0, 0, 0, 4, 0, 0, 0})
 	f.Add([]byte{1, 1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 1, 3, 0, 1, 0, 1})
 	f.Add([]byte{2, 2, 0, 0, 128, 3, 1, 128, 2, 0, 1, 1, 2, 3, 3, 0, 0, 128, 0, 0})
+	f.Add([]byte{2, 2, 2, 0, 0, 2, 0, 0, 3, 0, 1, 1, 1, 2, 1, 0, 0, 0, 0, 0, 1, 0, 2, 1, 0, 0, 0, 0})
+	f.Add([]byte{2, 2, 2, 0, 0, 2, 0, 0, 3, 0, 1, 1, 1, 2, 1, 0, 0, 0, 0, 0, 1, 0, 2, 1, 0, 0, 0, 5, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		in := fuzzBytes(data)
 		nSchema, nInst, nPats := in.next()%7, in.next()%9, 1+in.next()%3

@@ -8,18 +8,24 @@ import (
 	"repro/internal/rdf"
 )
 
-// Minimize prunes union members that are subsumed by another member: branch
-// B is redundant if some other branch A maps homomorphically into B while
-// fixing the query's named variables, because every answer B produces over
-// any graph, A produces too. [12] stresses computing *minimal*
-// reformulations for exactly this reason — redundant members cost
-// evaluation time without adding answers.
+// Minimize shrinks the union without changing its answers, in two steps.
+// First it reduces every branch to its core: an atom that holds a fresh
+// variable goes when the branch maps homomorphically into the branch without
+// it, fixing constants and the query's named variables, since the two then
+// have the same answers (Chandra and Merlin). Then it prunes union members
+// subsumed by another member: branch B is redundant if some other branch A
+// maps homomorphically into B while fixing the query's named variables,
+// because every answer B produces over any graph, A produces too. [12]
+// stresses computing *minimal* reformulations for exactly this reason —
+// redundant atoms and members cost evaluation time without adding answers.
+// Both steps rely on the union's answers being a set, which they are: its
+// evaluation deduplicates over the projection.
 //
 // Minimize interns the terms of the branches into the ID-level form the
 // rewriter minimises in (variables named _f… are the fresh ones, free to
 // map) and runs the same minimiser. It returns a new UCQ; the receiver is
-// unchanged. Of a set of mutually equivalent branches, the earliest is
-// kept.
+// unchanged. A kept branch keeps its atoms in their order, and of a set of
+// mutually equivalent branches, the earliest is kept.
 func (u *UCQ) Minimize() *UCQ {
 	var f form // no dictionary: every constant goes to the per-run table
 	var fresh []string
@@ -43,27 +49,43 @@ func (u *UCQ) Minimize() *UCQ {
 	}
 	out := &UCQ{Query: u.Query, VocabDependent: u.VocabDependent}
 	for _, i := range minimize(brs, len(fresh)) {
-		out.Branches = append(out.Branches, u.Branches[i])
+		b, core := u.Branches[i], brs[i].pats
+		if len(core) < len(b.Patterns) {
+			// The core is a subsequence of the branch's atoms.
+			pats := make([]rdf.Triple, 0, len(core))
+			for _, p := range b.Patterns {
+				if len(pats) < len(core) && (pattern{elem(p.S), elem(p.P), elem(p.O)}) == core[len(pats)] {
+					pats = append(pats, p)
+				}
+			}
+			b.Patterns = pats
+		}
+		out.Branches = append(out.Branches, b)
 	}
 	return out
 }
 
-// minimize returns, ascending, the indexes of the branches of brs no other
-// branch subsumes (of mutually subsuming ones, the earliest); fresh bounds
-// the number of every fresh variable in them. No element of brs is 0.
+// minimize reduces each branch of brs to its core, in place, and returns,
+// ascending, the indexes of the branches no other branch subsumes (of
+// mutually subsuming ones, the earliest); fresh bounds the number of every
+// fresh variable in them. No element of brs is 0. minimize owns brs: it
+// shortens the pattern slices of branches whose cores are smaller.
 //
 // Containment of conjunctive queries is NP-hard in general, but the pairs
 // that reach the homomorphism search are few and small: a pair is rejected
 // first unless the two branches fix the same bindings and the constants
 // and named variables of the subsuming one (its signature, sorted, with a
 // 64-bit summary of it checked first) are a subset of the other's, since a
-// homomorphism maps each of them to itself.
+// homomorphism maps each of them to itself. A core's search is per atom
+// that holds a fresh variable, with that atom mapped first, so it fails at
+// once unless some other atom of the branch can be its image.
 func minimize(brs []branch, fresh int) []int {
-	sigs := make([]signature, len(brs))
-	for i, br := range brs {
-		sigs[i] = newSignature(br.pats)
-	}
 	h := homomorphism{assign: make([]uint32, fresh)}
+	sigs := make([]signature, len(brs))
+	for i := range brs {
+		brs[i].pats = h.core(brs[i].pats)
+		sigs[i] = newSignature(brs[i].pats)
+	}
 	subsumes := func(a, b int) bool {
 		return sigs[a].within(sigs[b]) && slices.Equal(brs[a].fixed, brs[b].fixed) && h.maps(brs[a].pats, brs[b].pats)
 	}
@@ -83,6 +105,32 @@ func minimize(brs []branch, fresh int) []int {
 		}
 	}
 	return keep
+}
+
+// core drops, in order, each atom of pats that holds a fresh variable and
+// that the rest of the branch implies: the branch maps into the branch
+// without it. One pass suffices: an atom the branch cannot drop, no
+// retract of the branch can drop either. The search runs in pats' own
+// array, the atom tried moved to the front, so it allocates nothing, and
+// the kept atoms stay in their order.
+func (h *homomorphism) core(pats []pattern) []pattern {
+	for i := 0; i < len(pats) && len(pats) > 1; {
+		p := pats[i]
+		if !isFresh(p[0]) && !isFresh(p[1]) && !isFresh(p[2]) {
+			i++
+			continue
+		}
+		copy(pats[1:i+1], pats[:i])
+		pats[0] = p
+		if h.maps(pats, pats[1:]) {
+			pats = pats[1:]
+			continue
+		}
+		copy(pats[:i], pats[1:i+1])
+		pats[i] = p
+		i++
+	}
+	return pats
 }
 
 // signature is the sorted set of the elements of a branch a homomorphism
@@ -126,9 +174,9 @@ func (s signature) within(t signature) bool {
 	return true
 }
 
-// homomorphism is the search state of a subsumption check: the image of
-// each fresh variable of the subsuming branch (0: none yet) and the undo
-// stack of the variables assigned.
+// homomorphism is the search state of a subsumption or core check: the
+// image of each fresh variable of the mapped branch (0: none yet) and the
+// undo stack of the variables assigned.
 type homomorphism struct {
 	assign []uint32
 	undo   []uint32

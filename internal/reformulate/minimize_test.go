@@ -1,6 +1,7 @@
 package reformulate
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/rdf"
@@ -100,6 +101,67 @@ func TestMinimizeMultiPatternSubsumption(t *testing.T) {
 	}
 	if len(min.Branches[0].Patterns) != 1 {
 		t.Error("kept the subsumed (larger) branch")
+	}
+}
+
+// TestMinimizeCoresQ9 reduces LUBM Q9's one minimised branch to its core:
+// each of its first two atoms maps into a later atom of the branch, the
+// fresh variable going to ?c, so the branch keeps its last three atoms, in
+// their order.
+func TestMinimizeCoresQ9(t *testing.T) {
+	q := sparql.MustParse(`PREFIX ex: <http://ex.org/> SELECT ?x ?y ?c WHERE { ?x ex:advisor ?y . ?y ex:teacherOf ?c . ?x ex:takesCourse ?c }`)
+	x, y, c := rdf.NewVar("x"), rdf.NewVar("y"), rdf.NewVar("c")
+	br := Branch{Patterns: []rdf.Triple{
+		rdf.T(x, tIRI("takesCourse"), rdf.NewVar("_f1")),
+		rdf.T(y, tIRI("teacherOf"), rdf.NewVar("_f16")),
+		rdf.T(x, tIRI("advisor"), y),
+		rdf.T(y, tIRI("teacherOf"), c),
+		rdf.T(x, tIRI("takesCourse"), c),
+	}}
+	min := mkUCQ(q, br).Minimize()
+	if min.Size() != 1 {
+		t.Fatalf("size = %d, want 1", min.Size())
+	}
+	if got, want := min.Branches[0].Patterns, br.Patterns[2:]; !slices.Equal(got, want) {
+		t.Errorf("core = %v, want %v", got, want)
+	}
+	if len(br.Patterns) != 5 {
+		t.Error("Minimize changed the receiver's branch")
+	}
+}
+
+// TestMinimizeCoreFixesNamedVariables keeps an atom that only a map of a
+// named variable would imply: ?y q ?_f1 maps onto ?z q ex:c if ?y goes to
+// ?z, but ?y is a variable of the query, not projected yet still fixed,
+// so the branch has no smaller core.
+func TestMinimizeCoreFixesNamedVariables(t *testing.T) {
+	q := sparql.MustParse(`PREFIX ex: <http://ex.org/> SELECT ?x WHERE { ?x ex:p ?y . ?x ex:p ?z . ?z ex:q ex:c }`)
+	x, y, z := rdf.NewVar("x"), rdf.NewVar("y"), rdf.NewVar("z")
+	br := Branch{Patterns: []rdf.Triple{
+		rdf.T(x, tIRI("p"), y),
+		rdf.T(y, tIRI("q"), rdf.NewVar("_f1")),
+		rdf.T(x, tIRI("p"), z),
+		rdf.T(z, tIRI("q"), tIRI("c")),
+	}}
+	if got := mkUCQ(q, br).Minimize().Branches[0].Patterns; len(got) != 4 {
+		t.Errorf("core = %v, want all four atoms", got)
+	}
+}
+
+// TestMinimizeCoreMapsWholeBranch drops an atom whose fresh variable also
+// occurs in another atom only when the whole branch maps: ?x p ?_f1 maps
+// onto ?x p ?z, which takes ?_f1 to ?z, so ?_f1 q ?y must map onto ?z q ?y.
+// Without that atom the branch is a core; with it, both atoms of ?_f1 go.
+func TestMinimizeCoreMapsWholeBranch(t *testing.T) {
+	q := sparql.MustParse(`PREFIX ex: <http://ex.org/> SELECT ?x ?y WHERE { ?x ex:p ?z . ?z ex:q ?y }`)
+	x, y, z, f := rdf.NewVar("x"), rdf.NewVar("y"), rdf.NewVar("z"), rdf.NewVar("_f1")
+	chain := []rdf.Triple{rdf.T(x, tIRI("p"), f), rdf.T(f, tIRI("q"), y), rdf.T(x, tIRI("p"), z)}
+	if got := mkUCQ(q, Branch{Patterns: chain}).Minimize().Branches[0].Patterns; len(got) != 3 {
+		t.Errorf("core = %v, want all three atoms: ?_f1 q ?y has no image", got)
+	}
+	both := append(slices.Clone(chain), rdf.T(z, tIRI("q"), y))
+	if got, want := mkUCQ(q, Branch{Patterns: both}).Minimize().Branches[0].Patterns, both[2:]; !slices.Equal(got, want) {
+		t.Errorf("core = %v, want %v", got, want)
 	}
 }
 

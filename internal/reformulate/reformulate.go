@@ -63,9 +63,11 @@ type Options struct {
 	// MaxBranches caps the size of the union; reformulation fails with
 	// ErrTooLarge beyond it. Zero means DefaultMaxBranches.
 	MaxBranches int
-	// Minimize prunes union members subsumed by other members before
-	// returning ([12]'s minimal reformulations). It trades rewriting time
-	// for evaluation time; see experiment E6.
+	// Minimize reduces each union member to its core, dropping the atoms
+	// the rest of the member implies, and prunes members subsumed by other
+	// members before returning ([12]'s minimal reformulations; see
+	// UCQ.Minimize). It trades rewriting time for evaluation time; see
+	// experiment E6.
 	Minimize bool
 }
 

@@ -73,10 +73,11 @@ func (k *kb) answers(t *testing.T, qtext string) (viaSat, viaRef []string) {
 	q := sparql.MustParse(qtext)
 	proj := q.Projection()
 
-	satRes, err := engine.EvalBGP(k.sat, q.Patterns, k.d)
+	c, err := engine.Compile(q.Patterns, k.d)
 	if err != nil {
 		t.Fatal(err)
 	}
+	satRes := c.Eval(k.sat)
 	viaSat = rowsToStrings(satRes.Project(proj).Distinct(), k.d)
 
 	ucq, err := Reformulate(q, k.sch, k.d, k.st, Options{})
