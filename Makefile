@@ -2,10 +2,13 @@
 #
 #   make test             run the full tier-1 suite (build + all tests)
 #   make test-race        the same suite under the race detector
-#   make test-procs1      the store and reasoner tests at GOMAXPROCS=1, where
-#                         the goroutines of a bulk build cannot overlap and
-#                         run one after another (-count=1: the test cache
-#                         does not key on GOMAXPROCS)
+#   make test-procs1      the store, reasoner and engine tests and the root
+#                         Test*Allocs gates at GOMAXPROCS=1, where the
+#                         goroutines of a bulk build cannot overlap and run
+#                         one after another, and one pooled engine scratch
+#                         serves every execution, so a dedup set that kept
+#                         an earlier execution's rows would show (-count=1:
+#                         the test cache does not key on GOMAXPROCS)
 #   make vet              static checks
 #   make lint             vet plus the project invariant analyzers: builds
 #                         tools/analyzers/webreasonvet and runs it over the
@@ -96,7 +99,8 @@ test-race:
 	$(GO) test -race ./...
 
 test-procs1:
-	GOMAXPROCS=1 $(GO) test -count=1 ./internal/store ./internal/reason
+	GOMAXPROCS=1 $(GO) test -count=1 ./internal/store ./internal/reason ./internal/engine
+	GOMAXPROCS=1 $(GO) test -count=1 -run 'Allocs$$' .
 
 test-chaos:
 	$(GO) test -race -run 'TestChaos$$' -chaos.seeds=$(CHAOS_SEEDS) .

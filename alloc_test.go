@@ -7,12 +7,15 @@
 package webreason_test
 
 import (
+	"maps"
 	"testing"
 	"time"
 
 	webreason "repro"
 	"repro/internal/core"
+	"repro/internal/lubm"
 	"repro/internal/reformulate"
+	"repro/internal/sparql"
 )
 
 // TestPreparedAnswerAllocs is the allocation gate on the hottest read path:
@@ -28,9 +31,16 @@ import (
 // Backward chaining reads the same snapshot through each pattern's one-atom
 // rewritings, looked up in the closed schema with the closures on the stack,
 // and leaves set semantics to the engine's dedup, so its match calls
-// allocate nothing either.
+// allocate nothing either. The dedup set allocates nothing per row at any
+// width: "wide" projects four columns and drops ?n, which only its
+// existential atom binds, so on saturation and on reformulation (one
+// branch) it runs without a set, and on backward chaining, whose source can
+// repeat a match, with a four-column one.
 func TestPreparedAnswerAllocs(t *testing.T) {
 	f := getFixture(t)
+	qs := maps.Clone(f.qs)
+	qs["wide"] = sparql.MustParse("PREFIX lubm: <" + lubm.NS + "> SELECT ?x ?y ?c ?z WHERE { " +
+		"?x lubm:advisor ?y . ?x lubm:takesCourse ?c . ?x lubm:emailAddress ?z . ?x lubm:name ?n }")
 	for _, mode := range []struct {
 		name string
 		opts webreason.ServerOptions
@@ -45,13 +55,13 @@ func TestPreparedAnswerAllocs(t *testing.T) {
 			query  string
 			budget float64
 		}{
-			{f.sat, "Q1", 3}, {f.sat, "Q5", 3},
-			{f.ref, "Q1", 3}, {f.ref, "Q5", 3}, {f.ref, "Q6", 3}, {f.ref, "Q9", 3},
-			{f.back, "Q1", 3}, {f.back, "Q5", 3}, {f.back, "Q6", 3}, {f.back, "Q9", 3},
+			{f.sat, "Q1", 3}, {f.sat, "Q5", 3}, {f.sat, "wide", 3},
+			{f.ref, "Q1", 3}, {f.ref, "Q5", 3}, {f.ref, "Q6", 3}, {f.ref, "Q9", 3}, {f.ref, "wide", 3},
+			{f.back, "Q1", 3}, {f.back, "Q5", 3}, {f.back, "Q6", 3}, {f.back, "Q9", 3}, {f.back, "wide", 3},
 		} {
 			srv := webreason.NewServer(c.strat, mode.opts)
 			defer srv.Close()
-			pq, err := srv.Prepare(f.qs[c.query])
+			pq, err := srv.Prepare(qs[c.query])
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -62,7 +72,8 @@ func TestPreparedAnswerAllocs(t *testing.T) {
 			}
 			run() // grow the scratch buffers, fill the pool, settle the row hint
 			if got := testing.AllocsPerRun(200, run); got > c.budget {
-				t.Errorf("%s/%s/%s: %v allocs/op, want at most %v", mode.name, c.strat.Name(), c.query, got, c.budget)
+				res, _ := pq.Answer()
+				t.Errorf("%s/%s/%s (%d rows): %v allocs/op, want at most %v", mode.name, c.strat.Name(), c.query, len(res.Rows), got, c.budget)
 			}
 		}
 	}

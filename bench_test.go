@@ -92,9 +92,9 @@ func benchName(prefix string, n int) string {
 }
 
 // benchQueries are representative of the workload's reasoning mix. Q2 and
-// Q8 are one join shape on both sides of the dedup rule: Q2 projects every
-// variable of its BGP, so a saturated execution needs no dedup set; Q8
-// drops ?e, so it keeps one.
+// Q8 are one join shape: Q2 projects every variable of its BGP, and Q8
+// drops only ?e, which its existential atom binds (one match per ?x), so
+// neither saturated execution needs a dedup set.
 var benchQueries = []string{"Q1", "Q2", "Q5", "Q6", "Q8", "Q9", "Q12", "Q14"}
 
 // BenchmarkQuerySaturation measures eval(G∞) per query in the repeated-query

@@ -87,23 +87,3 @@ func (t Thresholds) Series() []struct {
 		{"threshold for a schema deletion", t.SchemaDelete},
 	}
 }
-
-// Spread returns the ratio between the largest and smallest finite non-zero
-// thresholds of a workload — the "up to 7 orders of magnitude" observation
-// the paper draws from Figure 3.
-func Spread(all []Thresholds) float64 {
-	minV, maxV := math.Inf(1), 0.0
-	for _, t := range all {
-		for _, s := range t.Series() {
-			if math.IsInf(s.Value, 1) || s.Value <= 0 {
-				continue
-			}
-			minV = math.Min(minV, s.Value)
-			maxV = math.Max(maxV, s.Value)
-		}
-	}
-	if math.IsInf(minV, 1) || maxV == 0 {
-		return 0
-	}
-	return maxV / minV
-}

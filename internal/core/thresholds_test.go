@@ -105,19 +105,6 @@ func TestSeriesOrderMatchesFigure3Legend(t *testing.T) {
 	}
 }
 
-func TestSpread(t *testing.T) {
-	all := []Thresholds{
-		{Saturation: 10, InstanceInsert: 1, InstanceDelete: math.Inf(1), SchemaInsert: 0, SchemaDelete: 100},
-		{Saturation: 10000, InstanceInsert: 5, InstanceDelete: 2, SchemaInsert: 3, SchemaDelete: 4},
-	}
-	if got := Spread(all); got != 10000 {
-		t.Errorf("Spread = %v, want 10000 (10000/1, ignoring Inf and 0)", got)
-	}
-	if got := Spread(nil); got != 0 {
-		t.Errorf("Spread(nil) = %v, want 0", got)
-	}
-}
-
 func TestAdvisor(t *testing.T) {
 	cm := CostModel{
 		Maintenance: MaintenanceCosts{

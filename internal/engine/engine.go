@@ -9,7 +9,7 @@
 //
 // There is one evaluator. A query is compiled and planned into an immutable
 // Plan, which any number of goroutines share; an execution draws its scratch
-// (bindings, undo stack, dedup sets, merge buffers) from one pool and takes
+// (bindings, undo stack, dedup set, merge buffers) from one pool and takes
 // the Source as an argument. A prepared query keeps its Plan between
 // executions and replaces it when Plan.For says so; an ad hoc query builds
 // one, runs it once and drops it.
@@ -17,6 +17,7 @@ package engine
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 	"sort"
 
@@ -289,109 +290,114 @@ func (r *Result) Project(vars []string) *Result {
 	return out
 }
 
-// rowSet is a width-specialized set of binding rows, the shared dedup
-// machinery of Result.Distinct and the evaluator's fused distinct. Rows are keyed
-// on binary values rather than formatted text: widths up to three use
-// fixed-size ID arrays as comparable map keys (no per-row allocation at
-// all); wider rows fall back to the raw little-endian bytes of the IDs as a
-// string key (unambiguous, since all rows of one set have the same width,
-// and costing one key allocation per distinct row). reset empties the set
-// but keeps the allocated buckets, so a reused set is allocation-free at
-// steady state.
+// rowSet is the set of rows a distinct execution has admitted, the dedup
+// machinery of the evaluator's fused distinct and of Result.Distinct. It
+// holds no row of its own: the admitted rows are the result's, and add is
+// handed them, in admission order, with the row to test.
+//
+// One-column rows are marked in bits, a bitset indexed by the row's ID: an
+// add is one test-and-set. The set is clear between executions — release
+// unmarks the result's rows, so clearing costs what the execution admitted,
+// not what the largest answer ever marked — and it grows to the largest ID
+// it has met. Wider rows go in slots, an open-addressing table of row
+// indices (k+1 for rows[k], 0 empty) probed linearly from the row's hash: an
+// add hashes the row once and compares it with the admitted rows its probe
+// meets. The table's length, a power of two, is set per execution by start
+// and doubled at ¾ load by re-inserting the admitted rows, within the
+// capacity a pooled set keeps between executions where that suffices. No
+// width allocates per row.
 type rowSet struct {
-	w      int
-	high   int // most rows ever held; see held
-	seen1  map[dict.ID]struct{}
-	seen2  map[[2]dict.ID]struct{}
-	seen3  map[[3]dict.ID]struct{}
-	seenN  map[string]struct{}
-	keyBuf []byte
+	w     int
+	bits  []uint64
+	slots []uint32
 }
 
-// newRowSet returns a set for rows of width w (w ≥ 1), sized for about hint
-// rows.
-func newRowSet(w, hint int) *rowSet {
-	s := &rowSet{w: w}
-	switch w {
-	case 1:
-		s.seen1 = make(map[dict.ID]struct{}, hint)
-	case 2:
-		s.seen2 = make(map[[2]dict.ID]struct{}, hint)
-	case 3:
-		s.seen3 = make(map[[3]dict.ID]struct{}, hint)
-	default:
-		s.seenN = make(map[string]struct{}, hint)
-		s.keyBuf = make([]byte, 0, 4*w)
+// start readies the set for rows of width w (w ≥ 1), about hint of them: for
+// a width past one, slots becomes a cleared table of the next power of two
+// at or above 2×hint (16 at least).
+func (s *rowSet) start(w, hint int) {
+	s.w = w
+	if w > 1 {
+		n := 16
+		for n < 2*hint {
+			n <<= 1
+		}
+		s.resize(n)
 	}
-	return s
 }
 
-// add inserts the row, reporting whether it was new.
-func (s *rowSet) add(row []dict.ID) bool {
-	switch s.w {
-	case 1:
-		if _, dup := s.seen1[row[0]]; dup {
-			return false
-		}
-		s.seen1[row[0]] = struct{}{}
-	case 2:
-		k := [2]dict.ID{row[0], row[1]}
-		if _, dup := s.seen2[k]; dup {
-			return false
-		}
-		s.seen2[k] = struct{}{}
-	case 3:
-		k := [3]dict.ID{row[0], row[1], row[2]}
-		if _, dup := s.seen3[k]; dup {
-			return false
-		}
-		s.seen3[k] = struct{}{}
-	default:
-		buf := s.keyBuf[:0]
-		for _, id := range row {
-			buf = append(buf, byte(id), byte(id>>8), byte(id>>16), byte(id>>24))
-		}
-		s.keyBuf = buf
-		if _, dup := s.seenN[string(buf)]; dup {
-			return false
-		}
-		s.seenN[string(buf)] = struct{}{}
+// resize makes slots n cleared slots, n a power of two, reallocating only
+// when its capacity is short.
+func (s *rowSet) resize(n int) {
+	if cap(s.slots) < n {
+		s.slots = make([]uint32, n)
 	}
+	s.slots = s.slots[:n]
+	clear(s.slots)
+}
+
+// add inserts row, reporting whether it was new; rows are the rows the set
+// has admitted so far, in order, and a new row is the next of them.
+func (s *rowSet) add(row []dict.ID, rows [][]dict.ID) bool {
+	if s.w == 1 {
+		id := row[0]
+		i := int(id >> 6)
+		if i >= len(s.bits) {
+			nb := make([]uint64, max(i+1, 2*len(s.bits)))
+			copy(nb, s.bits)
+			s.bits = nb
+		}
+		m := uint64(1) << (id & 63)
+		if s.bits[i]&m != 0 {
+			return false
+		}
+		s.bits[i] |= m
+		return true
+	}
+	if 4*(len(rows)+1) > 3*len(s.slots) {
+		s.resize(2 * len(s.slots))
+		for k, r := range rows {
+			s.slots[s.probe(r, nil)] = uint32(k + 1)
+		}
+	}
+	i := s.probe(row, rows)
+	if s.slots[i] != 0 {
+		return false
+	}
+	s.slots[i] = uint32(len(rows) + 1)
 	return true
 }
 
-// held returns the most rows the set has ever held. A map keeps the buckets
-// of its largest population, so this is what reset costs.
-func (s *rowSet) held() int {
-	n := len(s.seenN)
-	switch s.w {
-	case 1:
-		n = len(s.seen1)
-	case 2:
-		n = len(s.seen2)
-	case 3:
-		n = len(s.seen3)
+// probe returns the slot of row: the one holding an equal row of rows, or
+// the empty slot where row goes. With rows nil it skips the comparisons —
+// re-insertion, where every row is known to be new. The slot is read from
+// the top bits of a multiplicative hash.
+func (s *rowSet) probe(row []dict.ID, rows [][]dict.ID) uint64 {
+	h := uint64(0)
+	for _, id := range row {
+		h = (h ^ uint64(id)) * 0x9e3779b97f4a7c15
 	}
-	s.high = max(s.high, n)
-	return s.high
-}
-
-// reset empties the set, retaining the buckets.
-func (s *rowSet) reset() {
-	switch s.w {
-	case 1:
-		clear(s.seen1)
-	case 2:
-		clear(s.seen2)
-	case 3:
-		clear(s.seen3)
-	default:
-		clear(s.seenN)
+	mask := uint64(len(s.slots) - 1)
+	for i := h >> (64 - bits.TrailingZeros64(mask+1)); ; i = (i + 1) & mask {
+		k := s.slots[i]
+		if k == 0 || rows != nil && slices.Equal(rows[k-1], row) {
+			return i
+		}
 	}
 }
 
-// Distinct removes duplicate rows, preserving first-occurrence order; see
-// rowSet for the key scheme.
+// release empties a one-column set of rows, the rows the execution admitted.
+// A wider set needs nothing: start clears its table.
+func (s *rowSet) release(rows [][]dict.ID) {
+	if s.w == 1 {
+		for _, r := range rows {
+			s.bits[r[0]>>6] &^= 1 << (r[0] & 63)
+		}
+	}
+}
+
+// Distinct removes duplicate rows, preserving first-occurrence order, with
+// the evaluator's dedup set (rowSet).
 func (r *Result) Distinct() *Result {
 	out := &Result{Vars: r.Vars}
 	if len(r.Vars) == 0 {
@@ -400,9 +406,10 @@ func (r *Result) Distinct() *Result {
 		}
 		return out
 	}
-	seen := newRowSet(len(r.Vars), len(r.Rows))
+	var seen rowSet
+	seen.start(len(r.Vars), len(r.Rows))
 	for _, row := range r.Rows {
-		if seen.add(row) {
+		if seen.add(row, out.Rows) {
 			out.Rows = append(out.Rows, row)
 		}
 	}

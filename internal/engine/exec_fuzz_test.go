@@ -35,6 +35,12 @@ func FuzzPlanExec(f *testing.F) {
 	f.Add([]byte{5, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 2, 0, 0, 1, 0, 0, 2, 4, 0, 1, 2})
 	f.Add([]byte{9, 1, 1, 0, 2, 2, 1, 3, 3, 0, 1, 1, 0, 1, 0, 1, 0, 2, 0, 3, 4, 0, 1, 2, 3})
 	f.Add([]byte{3, 2, 2, 2, 2, 2, 2, 2, 2, 0, 0, 0, 1, 1, 1, 2, 3, 3, 0, 3})
+	// An existential step: ?x a Class0 . ?x edge0 ?z onto x, where ?z is
+	// bound by one pattern and projected away.
+	f.Add([]byte{2, 0, 2, 0, 1, 0, 2, 1, 1, 0, 2, 0, 1, 1, 3, 2, 0, 1, 0, 0, 1, 0, 1, 0, 0, 0, 0, 1, 1, 0, 0, 2, 1, 0})
+	// A 4-column projection through a dedup set over the store: ?x ?p ?y .
+	// ?y ?p ?z onto x, y, z and an absent variable, over twelve nodes.
+	f.Add([]byte{10, 0, 2, 0, 1, 0, 5, 1, 2, 0, 2, 1, 6, 2, 2, 0, 3, 0, 7, 0, 2, 0, 4, 1, 8, 1, 2, 0, 5, 0, 9, 2, 2, 0, 6, 1, 10, 0, 2, 0, 7, 0, 11, 1, 2, 0, 8, 1, 0, 2, 2, 0, 9, 0, 1, 0, 2, 0, 10, 1, 2, 1, 2, 0, 11, 0, 3, 2, 2, 0, 0, 1, 4, 1, 0, 0, 0, 3, 0, 1, 0, 1, 0, 3, 0, 2, 4, 0, 1, 2, 4})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		b := draws(data)
 		iri := func(kind string, i int) rdf.Term {

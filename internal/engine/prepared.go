@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"math/bits"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -22,8 +21,11 @@ import (
 // A SortedSource is a set: ForEachMatch enumerates each matching triple at
 // most once (and SortedIDs holds no ID twice). A plan built for one relies on
 // it: distinct triples at each join step extend the bindings differently, so
-// its executions never produce the same full binding vector twice, and a
-// projection that keeps every variable of the BGP needs no dedup set.
+// its executions never produce the same full binding vector twice. A distinct
+// execution takes one match of an existential step (see pstep), so it never
+// produces the same binding of the other variables twice either, and a
+// projection that keeps every variable of the BGP but those existential
+// steps bind needs no dedup set.
 type SortedSource interface {
 	Source
 	// SortedIDs returns, ascending, the IDs matching the single wildcard
@@ -39,10 +41,16 @@ var _ SortedSource = (*store.Store)(nil)
 // patterns that each constrain the same single unbound variable with every
 // other position constant or already bound, evaluated as a k-way sorted-list
 // intersection instead of scan-and-probe.
+//
+// A nested-loop step is existential (exists) when every variable it binds is
+// left out of the projection and occurs in no other pattern: no later step
+// and no row reads which match bound them, so a distinct execution stops at
+// the step's first match. Bag executions take every match.
 type pstep struct {
 	cp       cpattern
 	merge    []cpattern
 	mergeVar int
+	exists   bool
 }
 
 // Plan is a BGP compiled against a dictionary and planned against a source's
@@ -74,10 +82,10 @@ type Plan struct {
 	size   int
 	// proj is the projection Exec deduplicates over, projIdx its column map
 	// (-1: a variable the pattern does not bind, emitted as dict.None).
-	// unique records that Exec cannot meet a row twice: proj keeps every
-	// variable of the BGP and the plan was built for a SortedSource, which
-	// enumerates each match once, so Exec, and ExecUnion of this plan
-	// alone, run without a dedup set.
+	// unique records that Exec cannot meet a row twice: the plan was built
+	// for a SortedSource, which enumerates each match once, and proj keeps
+	// every variable of the BGP that no existential step binds, so Exec, and
+	// ExecUnion of this plan alone, run without a dedup set.
 	proj    []string
 	projIdx []int
 	unique  bool
@@ -140,15 +148,13 @@ func NewPlan(src Source, patterns []rdf.Triple, d *dict.Dict, proj []string) (*P
 func (c *Compiled) planOn(src Source, proj []string) *Plan {
 	pl := &Plan{c: c, proj: proj, size: src.Count(store.Triple{}), order: c.plan(src)}
 	_, pl.sorted = src.(SortedSource)
-	pl.steps = c.buildSteps(pl.order, pl.sorted)
 	pl.projIdx = make([]int, len(proj))
 	for i, v := range proj {
 		pl.projIdx[i] = slices.Index(c.vars, v)
 	}
-	pl.unique = pl.sorted
-	for v := range c.vars {
-		pl.unique = pl.unique && slices.Contains(pl.projIdx, v)
-	}
+	var covered bool
+	pl.steps, covered = c.buildSteps(pl.order, pl.sorted, pl.projIdx)
+	pl.unique = pl.sorted && covered
 	pl.est = pl.order[0].EstimatedCost - 1
 	pl.rowHint.Store(-1)
 	return pl
@@ -212,9 +218,12 @@ func soleUnbound(cp cpattern, bound []bool) (int, bool) {
 // regrouping is a valid reorder: a pulled-forward pattern binds only the
 // shared variable, so evaluating it earlier can only shrink intermediate
 // results. Grouping requires a sorted source; otherwise every step stays a
-// nested-loop step.
-func (c *Compiled) buildSteps(order []PlanStep, sorted bool) []pstep {
-	steps := make([]pstep, 0, len(order))
+// nested-loop step. A nested-loop step is marked existential when every
+// variable it binds is missing from projIdx and solitary; covered reports
+// whether every variable is in projIdx or bound by an existential step.
+func (c *Compiled) buildSteps(order []PlanStep, sorted bool, projIdx []int) (steps []pstep, covered bool) {
+	steps = make([]pstep, 0, len(order))
+	covered = true
 	bound := make([]bool, len(c.vars))
 	used := make([]bool, len(order))
 	for i, st := range order {
@@ -239,33 +248,49 @@ func (c *Compiled) buildSteps(order []PlanStep, sorted bool) []pstep {
 				if len(group) >= 2 {
 					steps = append(steps, pstep{merge: group, mergeVar: v})
 					bound[v] = true
+					covered = covered && slices.Contains(projIdx, v)
 					continue
 				}
 			}
 		}
+		exists, projected := true, true
 		for _, s := range [3]slot{cp.s, cp.p, cp.o} {
-			if s.isVar {
+			if s.isVar && !bound[s.v] {
 				bound[s.v] = true
+				inProj := slices.Contains(projIdx, s.v)
+				exists = exists && !inProj && c.solitary(s.v, cp.idx)
+				projected = projected && inProj
 			}
 		}
-		steps = append(steps, pstep{cp: cp})
+		covered = covered && (exists || projected)
+		steps = append(steps, pstep{cp: cp, exists: exists})
 	}
-	return steps
+	return steps, covered
+}
+
+// solitary reports whether variable v occurs in no pattern but the one at
+// index idx.
+func (c *Compiled) solitary(v, idx int) bool {
+	for i, cp := range c.patterns {
+		if i != idx && (cp.s.isVar && cp.s.v == v || cp.p.isVar && cp.p.v == v || cp.o.isVar && cp.o.v == v) {
+			return false
+		}
+	}
+	return true
 }
 
 // Exec evaluates the plan against src projected onto its projection with
 // duplicate rows removed, without materialising the unprojected matches.
 // src must offer what the plan was built for (For(src) returned this plan);
 // the result is independent of the plan and stays valid indefinitely.
-// Duplicates are removed by a pooled dedup set, unless the plan is over a
-// SortedSource and its projection keeps every variable of the BGP: then no
-// row can repeat (see SortedSource) and rows are appended as they are met.
-// The result is sized by the rows the previous execution produced or, on a
-// plan's first execution, by the planner's count of its first step. A
-// steady-state execution allocates the result — header, row table, row
-// arena — and nothing else; a deduplicated projection wider than three
-// columns falls back to string keys and additionally pays one key
-// allocation per distinct row.
+// Duplicates are removed by a pooled dedup set (rowSet), unless the plan is
+// unique — over a SortedSource, its projection keeping every variable but
+// those existential steps bind: then no row can repeat (see SortedSource)
+// and rows are appended as they are met. The result is sized by the rows the
+// previous execution produced or, on a plan's first execution, by the
+// planner's count of its first step. A steady-state execution allocates the
+// result — header, row table, row arena — and nothing else, whatever the
+// width of its rows.
 //
 //webreason:hotpath
 func (pl *Plan) Exec(src Source) *Result { return pl.exec(src, true) }
@@ -290,7 +315,7 @@ func (pl *Plan) exec(src Source, distinct bool) *Result {
 	x := scratchPool.Get().(*scratch)
 	res := x.start(src, vars, distinct, distinct && !pl.unique, hint)
 	x.run(pl, Fixed{})
-	scratchPool.Put(x)
+	x.end()
 	return res
 }
 
@@ -336,20 +361,20 @@ func ExecUnion(src Source, proj []string, plans []*Plan, fixed []Fixed) *Result 
 			x.run(pl, fixed[i])
 		}
 	}
-	scratchPool.Put(x)
+	x.end()
 	return res
 }
 
 // scratch is everything one execution writes: the binding vector, the undo
 // stack, one match callback and one set of merge buffers per join depth, the
-// dedup sets and the row arena. It belongs to no plan — run points it at one
+// dedup set and the row arena. It belongs to no plan — run points it at one
 // plan after another for the length of an execution — so one pool serves
 // every plan, every strategy and the ad hoc path alike, and a plan that the
 // garbage collector finds unused loses nothing but warm buffers.
 //
-// Nothing is cleared when an execution ends: a pooled scratch keeps pointing
-// at its last plan, source and result until the next execution overwrites
-// them or the collector empties the pool.
+// Nothing but the dedup set's bits is cleared when an execution ends: a
+// pooled scratch keeps pointing at its last plan, source and result until
+// the next execution overwrites them or the collector empties the pool.
 type scratch struct {
 	pl    *Plan
 	fixed Fixed
@@ -360,13 +385,14 @@ type scratch struct {
 	undo   []int
 	levels []level
 
-	// projection + dedup state of a projected execution: the projected row,
-	// the sets by row width (the last slot serves every width past three)
-	// and size class, and set, the one of the execution in flight (nil when
-	// the execution needs none).
-	row  []dict.ID
-	seen [4][sizeClasses]*rowSet
-	set  *rowSet
+	// projection + dedup state of a projected execution: the projected row
+	// and the dedup set, in use when dedup. The set keeps its bitset and its
+	// table's backing array from one execution to the next, whatever their
+	// widths: end clears the bits an execution set, and start clears the
+	// prefix of the table the next one uses.
+	row   []dict.ID
+	set   rowSet
+	dedup bool
 
 	res     *Result
 	arena   []dict.ID
@@ -388,27 +414,11 @@ type level struct {
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 
-// A pooled dedup set serves many queries, and clearing it — like inserting
-// into it — costs what its largest population did, not what the execution
-// at hand needs. So sets are kept per row width and per size class of the
-// expected result (classes span 8×): a three-row answer never clears, or
-// takes over, the set a thousand-row answer grew. A set that a mis-hinted
-// execution (a first one, an ad hoc one) left holding more than dropFactor×
-// the rows expected now (or 64, whichever is more) is replaced instead of
-// cleared.
-const (
-	sizeClasses = 8
-	dropFactor  = 8
-)
-
-// sizeClass buckets an expected row count: 0–3, 4–31, 32–255, 256–2047, …
-func sizeClass(hint int) int { return min(bits.Len(uint(hint))/3, sizeClasses-1) }
-
 // start opens one execution against src and returns its result, whose rows
 // are vars: the row table and arena sized for hint rows — the caller's
-// expectation, learned or estimated — and, when dedup, the dedup set of the
-// row width and the hint's size class, cleared. Rows are the plan's
-// projection when project, its full binding vectors otherwise.
+// expectation, learned or estimated — and, when dedup, the dedup set started
+// for the row width and hint. Rows are the plan's projection when project,
+// its full binding vectors otherwise.
 func (x *scratch) start(src Source, vars []string, project, dedup bool, hint int) *Result {
 	res := &Result{Vars: vars}
 	if hint > 0 {
@@ -416,19 +426,21 @@ func (x *scratch) start(src Source, vars []string, project, dedup bool, hint int
 	}
 	x.src, x.res, x.arena, x.project, x.hint, x.w = src, res, nil, project, hint, len(vars)
 	x.ss, _ = src.(SortedSource)
-	x.set = nil
-	if !dedup || x.w == 0 {
-		return res
+	x.dedup = dedup && x.w > 0
+	if x.dedup {
+		x.row = grown(x.row, x.w)
+		x.set.start(x.w, hint)
 	}
-	x.row = grown(x.row, x.w)
-	slot := &x.seen[min(x.w, len(x.seen))-1][sizeClass(hint)]
-	if s := *slot; s != nil && s.w == x.w && s.held() <= dropFactor*max(hint, 64) {
-		s.reset()
-	} else {
-		*slot = newRowSet(x.w, max(hint, 16))
-	}
-	x.set = *slot
 	return res
+}
+
+// end closes the execution in flight, releasing the dedup set's rows, and
+// returns the scratch to the pool.
+func (x *scratch) end() {
+	if x.dedup {
+		x.set.release(x.res.Rows)
+	}
+	scratchPool.Put(x)
 }
 
 // run evaluates one plan within the execution in flight, with the columns
@@ -458,18 +470,21 @@ func grown(s []dict.ID, n int) []dict.ID {
 }
 
 // matcher builds the callback of join depth depth: bind the matched triple,
-// descend, undo. The step is read from the plan of the execution in flight.
+// descend, undo. The step is read from the plan of the execution in flight;
+// a projected execution of an existential step stops at its first match.
 func (x *scratch) matcher(depth int) func(store.Triple) bool {
 	return func(t store.Triple) bool {
+		st := &x.pl.steps[depth]
 		mark := len(x.undo)
-		if bind(&x.pl.steps[depth].cp, t, x.b, &x.undo) {
+		ok := bind(&st.cp, t, x.b, &x.undo)
+		if ok {
 			x.rec(depth + 1)
 		}
 		for _, v := range x.undo[mark:] {
 			x.b[v] = dict.None
 		}
 		x.undo = x.undo[:mark]
-		return true
+		return !ok || !st.exists || !x.project
 	}
 }
 
@@ -540,7 +555,7 @@ func (x *scratch) emit() {
 		return
 	}
 	row := x.row
-	if x.set == nil {
+	if !x.dedup {
 		row = x.newRow()
 	}
 	for i, j := range x.pl.projIdx {
@@ -553,7 +568,7 @@ func (x *scratch) emit() {
 	for k, c := range x.fixed.Cols {
 		row[c] = x.fixed.IDs[k]
 	}
-	if x.set != nil && x.set.add(row) {
+	if x.dedup && x.set.add(row, x.res.Rows) {
 		copy(x.newRow(), row)
 	}
 }

@@ -439,3 +439,67 @@ func TestPreparedMergeGroupsForm(t *testing.T) {
 		t.Fatalf("merge join: want 25 rows, got %d", len(got.Rows))
 	}
 }
+
+// countSource is a plain Source over a store that counts the matches it
+// hands to callbacks.
+type countSource struct {
+	st *store.Store
+	n  *int
+}
+
+func (c countSource) ForEachMatch(pat store.Triple, fn func(store.Triple) bool) {
+	c.st.ForEachMatch(pat, func(t store.Triple) bool { *c.n++; return fn(t) })
+}
+
+func (c countSource) Count(pat store.Triple) int { return c.st.Count(pat) }
+
+// TestExistentialSteps: a step whose variables no other pattern and no
+// column reads takes one match per binding in a distinct execution, every
+// match in a bag one, and its variable does not cost a unique plan its
+// dedup-free run.
+func TestExistentialSteps(t *testing.T) {
+	d := dict.New()
+	st := store.New()
+	iri := func(n string) rdf.Term { return rdf.NewIRI("http://ex.org/" + n) }
+	enc := func(tr rdf.Triple) store.Triple {
+		return store.Triple{S: d.Encode(tr.S), P: d.Encode(tr.P), O: d.Encode(tr.O)}
+	}
+	// Three students taking four courses each.
+	for i := 0; i < 3; i++ {
+		s := iri(fmt.Sprintf("s%d", i))
+		st.Add(enc(rdf.T(s, rdf.Type, iri("Student"))))
+		for c := 0; c < 4; c++ {
+			st.Add(enc(rdf.T(s, iri("takes"), iri(fmt.Sprintf("c%d", c)))))
+		}
+	}
+	pats := []rdf.Triple{
+		rdf.T(rdf.NewVar("x"), rdf.Type, iri("Student")),
+		rdf.T(rdf.NewVar("x"), iri("takes"), rdf.NewVar("f")),
+	}
+	p, err := Prepare(st, pats, d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := len(p.EvalDistinct([]string{"x"}).Rows); got != 3 {
+		t.Fatalf("distinct over the store: %d rows, want 3", got)
+	}
+	if steps := p.pl.steps; len(steps) != 2 || steps[0].exists || !steps[1].exists || !p.pl.unique {
+		t.Fatalf("want the takes step existential and the plan unique, got steps %+v, unique %v", steps, p.pl.unique)
+	}
+	if got := len(p.EvalDistinct([]string{"x", "f"}).Rows); got != 12 || p.pl.steps[1].exists {
+		t.Fatalf("projecting ?f: %d rows (want 12), takes step existential %v", got, p.pl.steps[1].exists)
+	}
+
+	var n int
+	cp, err := Prepare(countSource{st, &n}, pats, d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := len(cp.Eval().Rows); got != 12 || n != 3+12 {
+		t.Fatalf("bag: %d rows from %d matches, want 12 from 15", got, n)
+	}
+	n = 0
+	if got := len(cp.EvalDistinct([]string{"x"}).Rows); got != 3 || n != 3+3 {
+		t.Fatalf("distinct: %d rows from %d matches, want 3 from 6", got, n)
+	}
+}

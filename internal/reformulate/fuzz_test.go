@@ -28,8 +28,9 @@ func (b *fuzzBytes) next() int {
 // past the input's end) asks SELECT *; any other asks for one to five
 // columns, each a variable of the BGP drawn with repetition, so rows that
 // differ only outside the projection, or only in a column the rewriting
-// fixed to a constant, meet in the union's dedup set, and a width of four or
-// more, the set's string-key path, comes up even over two variables. A
+// fixed to a constant, meet in the union's dedup set, and both of the set's
+// layouts, the bitset of one-column rows and the row table of wider ones,
+// come up even over two variables. A
 // ground BGP projects onto no column at all (SPARQL cannot project a BGP
 // with variables onto none).
 //

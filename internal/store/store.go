@@ -73,14 +73,6 @@ type Triple struct {
 // messages (IDs, not terms).
 func (t Triple) String() string { return fmt.Sprintf("(%d %d %d)", t.S, t.P, t.O) }
 
-// Matches reports whether the concrete triple u matches the pattern t
-// (wildcards in t match anything).
-func (t Triple) Matches(u Triple) bool {
-	return (t.S == dict.None || t.S == u.S) &&
-		(t.P == dict.None || t.P == u.P) &&
-		(t.O == dict.None || t.O == u.O)
-}
-
 // pack builds the packed index key for (a, b).
 func pack(a, b dict.ID) uint64 { return uint64(a)<<32 | uint64(b) }
 

@@ -13,6 +13,14 @@ import (
 // tr builds an encoded triple from small ints for test brevity.
 func tr(s, p, o dict.ID) Triple { return Triple{s, p, o} }
 
+// Matches reports whether the concrete triple u matches the pattern t
+// (wildcards in t match anything): the tests' reference for ForEachMatch.
+func (t Triple) Matches(u Triple) bool {
+	return (t.S == dict.None || t.S == u.S) &&
+		(t.P == dict.None || t.P == u.P) &&
+		(t.O == dict.None || t.O == u.O)
+}
+
 func TestAddRemoveContains(t *testing.T) {
 	s := New()
 	if !s.Add(tr(1, 2, 3)) {
