@@ -397,7 +397,7 @@ func (s *rowSet) release(rows [][]dict.ID) {
 }
 
 // Distinct removes duplicate rows, preserving first-occurrence order, with
-// the evaluator's dedup set (rowSet).
+// the evaluator's dedup set (rowSet), drawn from its scratch pool.
 func (r *Result) Distinct() *Result {
 	out := &Result{Vars: r.Vars}
 	if len(r.Vars) == 0 {
@@ -406,13 +406,15 @@ func (r *Result) Distinct() *Result {
 		}
 		return out
 	}
-	var seen rowSet
-	seen.start(len(r.Vars), len(r.Rows))
+	x := scratchPool.Get().(*scratch)
+	x.set.start(len(r.Vars), len(r.Rows))
 	for _, row := range r.Rows {
-		if seen.add(row, out.Rows) {
+		if x.set.add(row, out.Rows) {
 			out.Rows = append(out.Rows, row)
 		}
 	}
+	x.set.release(out.Rows)
+	scratchPool.Put(x)
 	return out
 }
 
