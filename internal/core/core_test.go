@@ -357,6 +357,25 @@ func TestLUBMUnionSizes(t *testing.T) {
 	}
 }
 
+// TestMaxBranchesCountsBuiltBranches caps LUBM Q5's union at 10 branches,
+// at SmallConfig: the cap counts the branches the rewriter builds, so the
+// minimised rewriting, which builds the 3 it keeps, fits, and the plain one,
+// 75 branches, does not.
+func TestMaxBranchesCountsBuiltBranches(t *testing.T) {
+	kb := NewKB()
+	if _, err := kb.LoadGraph(lubm.GenerateWithOntology(lubm.SmallConfig())); err != nil {
+		t.Fatal(err)
+	}
+	q := lubm.QueryByName("Q5").Parse()
+	u, err := NewReformulation(kb, reformulate.Options{MaxBranches: 10, Minimize: true}).Reformulate(q)
+	if err != nil || u.Size() != 3 {
+		t.Fatalf("minimised under a cap of 10: %v, %v; want 3 branches", u, err)
+	}
+	if _, err := NewReformulation(kb, reformulate.Options{MaxBranches: 10}).Reformulate(q); !errors.Is(err, reformulate.ErrTooLarge) {
+		t.Fatalf("plain under a cap of 10: error %v, want ErrTooLarge", err)
+	}
+}
+
 func TestStrategyLenSemantics(t *testing.T) {
 	kb := loadKB(t)
 	sat := NewSaturation(kb)

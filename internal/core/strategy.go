@@ -633,7 +633,8 @@ func (r *Reformulation) rewrite(v *view, q *sparql.Query) (*reformulate.UCQ, err
 	return reformulate.Reformulate(q, v.sch, r.kb.dict, v.src.(*store.Snapshot), r.opt)
 }
 
-// Reformulate exposes the rewriting of q (for -explain and experiment E6).
+// Reformulate exposes the rewriting of q (for -explain, and the union sizes
+// TestLUBMUnionSizes pins).
 func (r *Reformulation) Reformulate(q *sparql.Query) (*reformulate.UCQ, error) {
 	return r.rewrite(r.cur.Load(), q)
 }

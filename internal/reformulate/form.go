@@ -110,49 +110,53 @@ func (f *form) render(br branch) Branch {
 	return out
 }
 
-// dedupe drops exact duplicate patterns, keeping first occurrences, in place.
+// dedupe drops, in place, each pattern equal to an earlier one once their
+// fresh variables are read as one, keeping first occurrences. A fresh
+// variable occurs in one pattern of a branch, so the earlier pattern
+// implies the later.
 func dedupe(ps []pattern) []pattern {
 	out := ps[:0]
 	for _, p := range ps {
-		if !slices.Contains(out, p) {
+		if !slices.ContainsFunc(out, func(q pattern) bool { return comparePatterns(p, q) == 0 }) {
 			out = append(out, p)
 		}
 	}
 	return out
 }
 
+// unfresh reads every fresh variable as one element.
+func unfresh(e uint32) uint32 {
+	if isFresh(e) {
+		return varTag | freshTag
+	}
+	return e
+}
+
+// comparePatterns orders patterns by subject, predicate and object, their
+// fresh variables read as one.
 func comparePatterns(a, b pattern) int {
-	if c := cmp.Compare(a[0], b[0]); c != 0 {
+	if c := cmp.Compare(unfresh(a[0]), unfresh(b[0])); c != 0 {
 		return c
 	}
-	if c := cmp.Compare(a[1], b[1]); c != 0 {
+	if c := cmp.Compare(unfresh(a[1]), unfresh(b[1])); c != 0 {
 		return c
 	}
-	return cmp.Compare(a[2], b[2])
+	return cmp.Compare(unfresh(a[2]), unfresh(b[2]))
 }
 
 // appendKey appends the dedup key of a branch to key: its pattern count,
-// its patterns sorted with the fresh variables renumbered in order of
-// appearance, and its fixed bindings, so branches that differ only in the
-// order of their patterns or the numbering of their fresh variables
-// deduplicate. sorted is scratch, returned for reuse.
+// its patterns sorted with their fresh variables read as one, and its fixed
+// bindings. A fresh variable occurs in one pattern of a branch, so
+// branches that differ only in the order of their patterns or the naming
+// of their fresh variables get one key, and other deduplicated branches
+// different keys. sorted is scratch, returned for reuse.
 func appendKey(key []byte, sorted, pats []pattern, fixed []binding) ([]byte, []pattern) {
 	sorted = append(sorted[:0], pats...)
 	slices.SortFunc(sorted, comparePatterns)
 	key = binary.LittleEndian.AppendUint32(key, uint32(len(sorted)))
-	var buf [16]uint32
-	renamed := buf[:0]
 	for _, p := range sorted {
 		for _, e := range p {
-			if isFresh(e) {
-				i := slices.Index(renamed, e)
-				if i < 0 {
-					i = len(renamed)
-					renamed = append(renamed, e)
-				}
-				e = varTag | freshTag | uint32(i)
-			}
-			key = binary.LittleEndian.AppendUint32(key, e)
+			key = binary.LittleEndian.AppendUint32(key, unfresh(e))
 		}
 	}
 	for _, b := range fixed {
