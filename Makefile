@@ -23,9 +23,11 @@
 #                         RDFS closure: maintained G∞ against the generic
 #                         rule engine; query reformulation: the plain and the
 #                         minimised union, under a drawn projection, against
-#                         the projected query over G∞; backward chaining's
-#                         source, pattern shape by pattern shape, against
-#                         G∞'s matches; a plan's distinct execution, over
+#                         the projected query over G∞, and each as served,
+#                         its product-shaped runs of branches joined as atom
+#                         unions, against one plan per branch; backward
+#                         chaining's source, pattern shape by pattern shape,
+#                         against G∞'s matches; a plan's distinct execution, over
 #                         the store and over a source that repeats its
 #                         matches, against a brute-force evaluator)
 #   make test-chaos       seeded fault-injection sweep under the race

@@ -85,11 +85,15 @@ func TestPreparedAnswerAllocs(t *testing.T) {
 // — however many rows it holds; Q6 and Q14 project every variable of their
 // one-pattern BGPs, so they take no dedup set either. A reformulated one,
 // on the minimised union every served path runs, also rewrites the query
-// and plans each branch, and its one result is sized from the largest of
-// the branches' first-step counts: Q6's five one-pattern branches take a
-// dedup set of that size, and Q14's single branch takes none. Q5 and Q13
-// have the largest plain unions of the 14 (75 and 100 branches), of which
-// the rewriter builds only the 3 and 4 it keeps.
+// and compiles and plans the union, and its one result is sized from the
+// largest first-step count: Q6's union of five one-pattern branches is one
+// plan over the five rewritings of its atom, sized by the largest and
+// taking a dedup set of that size, and Q14's single branch takes none. Q5
+// and Q13 have the largest plain unions of the 14 (75 and 100 branches), of
+// which the rewriter builds only the 3 and 4 it keeps, one atom's
+// rewritings again. Q2 and Q8 are 15-branch unions, 5 rewritings of the
+// Student atom × 3 of the memberOf atom, each evaluated as one join of the
+// atoms' unions.
 func TestAdhocAnswerAllocs(t *testing.T) {
 	f := getFixture(t)
 	ref := core.NewReformulation(f.kb, reformulate.Options{Minimize: true})
@@ -97,7 +101,10 @@ func TestAdhocAnswerAllocs(t *testing.T) {
 		strat  webreason.Strategy
 		query  string
 		budget float64
-	}{{f.sat, "Q6", 17}, {f.sat, "Q14", 17}, {ref, "Q6", 114}, {ref, "Q14", 37}, {ref, "Q5", 79}, {ref, "Q13", 95}} {
+	}{
+		{f.sat, "Q6", 17}, {f.sat, "Q14", 17},
+		{ref, "Q6", 58}, {ref, "Q14", 32}, {ref, "Q5", 52}, {ref, "Q13", 53}, {ref, "Q2", 94}, {ref, "Q8", 93},
+	} {
 		run := func() {
 			if _, err := c.strat.Answer(f.qs[c.query]); err != nil {
 				t.Fatal(err)

@@ -94,9 +94,12 @@ func benchName(prefix string, n int) string {
 // benchQueries are representative of the workload's reasoning mix. Q2 and
 // Q8 are one join shape: Q2 projects every variable of its BGP, and Q8
 // drops only ?e, which its existential atom binds (one match per ?x), so
-// neither saturated execution needs a dedup set. Q13 has the largest plain
-// union of the 14 (100 branches, 4 minimised).
-var benchQueries = []string{"Q1", "Q2", "Q5", "Q6", "Q8", "Q9", "Q12", "Q13", "Q14"}
+// neither saturated execution needs a dedup set; reformulated, each is a
+// product of its atoms' rewritings, evaluated as one join of their unions.
+// Q4's minimised union is no product — its ?x headOf dept0 branch drops
+// the Professor atom the other 7 keep — so it runs one plan per branch.
+// Q13 has the largest plain union of the 14 (100 branches, 4 minimised).
+var benchQueries = []string{"Q1", "Q2", "Q4", "Q5", "Q6", "Q8", "Q9", "Q12", "Q13", "Q14"}
 
 // BenchmarkQuerySaturation measures eval(G∞) per query in the repeated-query
 // regime the paper's Figure 3 reasons about: the query is prepared once and

@@ -264,7 +264,7 @@ func query(args []string, stdout io.Writer) error {
 			if err != nil {
 				return err
 			}
-			fmt.Fprintf(stdout, "reformulation: %d union member(s)\n%s\n\n", ucq.Size(), ucq)
+			fmt.Fprintf(stdout, "reformulation: %d union member(s), evaluated as %s\n%s\n\n", ucq.Size(), ucq.Explain(), ucq)
 		} else {
 			fmt.Fprintf(stdout, "(-explain shows the rewriting only under -strategy reformulation)\n\n")
 		}

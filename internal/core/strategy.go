@@ -639,8 +639,9 @@ func (r *Reformulation) Reformulate(q *sparql.Query) (*reformulate.UCQ, error) {
 	return r.rewrite(r.cur.Load(), q)
 }
 
-// compile rewrites q against v's schema and compiles one engine plan per
-// branch of the union.
+// compile rewrites q against v's schema and compiles the union into engine
+// plans: one join of atom unions per product-shaped run of branches, one
+// plan per other branch (reformulate.PreparedUCQ).
 func (r *Reformulation) compile(v *view, q *sparql.Query) (plan, engine.Source, error) {
 	RefPlanStats.Rebuilt.Add(1)
 	ucq, err := r.rewrite(v, q)
@@ -664,11 +665,11 @@ var RefPlanStats struct {
 	Rebuilt atomic.Uint64
 }
 
-// ucqPlan is a reformulated union with one engine plan per branch. The union
+// ucqPlan is a reformulated union compiled into engine plans. The union
 // depends only on the schema closure (and, when VocabDependent, the data
-// vocabulary), so across a data-only batch it and every branch plan are kept:
-// the common case of constant classes and properties, where update-heavy
-// workloads pay one O(1) check per branch instead of a full rewrite.
+// vocabulary), so across a data-only batch it and every plan are kept: the
+// common case of constant classes and properties, where update-heavy
+// workloads pay one O(1) check per plan instead of a full rewrite.
 type ucqPlan struct{ *reformulate.PreparedUCQ }
 
 func (p ucqPlan) on(src engine.Source) plan { return ucqPlan{p.For(src)} }

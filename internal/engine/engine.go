@@ -50,25 +50,32 @@ type slot struct {
 	id    dict.ID
 }
 
+// cpattern is a compiled pattern: one alternative of the atom idx.
 type cpattern struct {
 	s, p, o slot
-	// original index in the query, reported in plans.
+	// idx is the index of the pattern's atom in the query, reported in
+	// plans.
 	idx int
 }
 
 // Compiled is a BGP compiled against a dictionary: variables numbered, and
-// constant terms resolved to IDs.
+// constant terms resolved to IDs. Each atom of the BGP is one pattern, or,
+// in a join of unions (NewJoinPlan), a union of alternative patterns.
 type Compiled struct {
 	// vars are the variable names in first-occurrence order; a variable's
 	// number is its index (BGPs have a handful, so lookups scan).
 	vars []string
-	// patterns holds the compiled patterns in original BGP order, so
-	// patterns[i].idx == i: a PlanStep.PatternIndex indexes patterns
-	// directly.
+	// patterns holds the compiled alternatives atom by atom, in original
+	// order, each atom's a run of at least one: with one alternative per
+	// atom patterns[i].idx == i, so a PlanStep.PatternIndex indexes
+	// patterns directly.
 	patterns []cpattern
-	// impossible is set when some constant does not occur in the dictionary:
-	// no triple can match, the result is empty.
-	impossible bool
+	// impossible is set when every alternative of some atom holds a
+	// constant that does not occur in the dictionary: no triple can match,
+	// the result is empty. The atom keeps its first alternative, that
+	// constant a wildcard. unresolved is set when any alternative held
+	// one; the others of its atom are kept, and it is dropped.
+	impossible, unresolved bool
 }
 
 // Compile prepares the triple patterns for evaluation. Constant terms that
@@ -76,7 +83,19 @@ type Compiled struct {
 // occur in any triple), which Compile records rather than treating as an
 // error.
 func Compile(patterns []rdf.Triple, d *dict.Dict) (*Compiled, error) {
+	return compile(patterns, nil, d)
+}
+
+// compile compiles patterns as the alternatives of atoms: patterns[k] is an
+// alternative of atom atoms[k], atoms nil making pattern k atom k. An
+// alternative with a constant the dictionary does not know is dropped, the
+// atom kept while it has another (see Compiled.impossible).
+func compile(patterns []rdf.Triple, atoms []int, d *dict.Dict) (*Compiled, error) {
+	if err := checkAtoms(patterns, atoms); err != nil {
+		return nil, err
+	}
 	c := &Compiled{}
+	known := true
 	mk := func(t rdf.Term) (slot, error) {
 		if t.IsVar() {
 			i := slices.Index(c.vars, t.Value)
@@ -91,12 +110,13 @@ func Compile(patterns []rdf.Triple, d *dict.Dict) (*Compiled, error) {
 		}
 		id, ok := d.Lookup(t)
 		if !ok {
-			c.impossible = true
+			known = false
 			return slot{id: dict.None}, nil
 		}
 		return slot{id: id}, nil
 	}
-	for i, p := range patterns {
+	for k, p := range patterns {
+		known = true
 		s, err := mk(p.S)
 		if err != nil {
 			return nil, err
@@ -109,12 +129,87 @@ func Compile(patterns []rdf.Triple, d *dict.Dict) (*Compiled, error) {
 		if err != nil {
 			return nil, err
 		}
+		i := k
+		if atoms != nil {
+			i = atoms[k]
+		}
+		if !known {
+			c.unresolved = true
+			last := k+1 == len(patterns) || atoms == nil || atoms[k+1] != i
+			kept := len(c.patterns) > 0 && c.patterns[len(c.patterns)-1].idx == i
+			if !last || kept {
+				continue
+			}
+			c.impossible = true
+		}
 		c.patterns = append(c.patterns, cpattern{s: s, p: pr, o: o, idx: i})
 	}
 	if len(c.patterns) == 0 {
 		return nil, fmt.Errorf("engine: empty BGP")
 	}
 	return c, nil
+}
+
+// checkAtoms checks the atom numbering of compile's patterns: atoms ascend
+// from 0 one at a time, one per pattern, and a variable that some but not
+// all alternatives of an atom hold occurs in no other atom — a step over
+// the atom binds it on some paths only, so no later step may read it.
+func checkAtoms(patterns []rdf.Triple, atoms []int) error {
+	if atoms == nil {
+		return nil
+	}
+	if len(atoms) != len(patterns) {
+		return fmt.Errorf("engine: %d atom numbers for %d patterns", len(atoms), len(patterns))
+	}
+	prev := -1
+	for _, i := range atoms {
+		if i < 0 || i != prev && i != prev+1 {
+			return fmt.Errorf("engine: atom number %d after %d", i, prev)
+		}
+		prev = i
+	}
+	holds := func(p *rdf.Triple, v string) bool {
+		return p.S.IsVar() && p.S.Value == v || p.P.IsVar() && p.P.Value == v || p.O.IsVar() && p.O.Value == v
+	}
+	for lo, hi := 0, 1; lo < len(patterns); lo, hi = hi, hi+1 {
+		for hi < len(patterns) && atoms[hi] == atoms[lo] {
+			hi++
+		}
+		for k := lo; hi-lo > 1 && k < hi; k++ {
+			for _, t := range [3]*rdf.Term{&patterns[k].S, &patterns[k].P, &patterns[k].O} {
+				every := t.IsVar()
+				for j := lo; every && j < hi; j++ {
+					every = holds(&patterns[j], t.Value)
+				}
+				for j := 0; t.IsVar() && !every && j < len(patterns); j++ {
+					if (j < lo || j >= hi) && holds(&patterns[j], t.Value) {
+						return fmt.Errorf("engine: ?%s is in some alternatives of atom %d and in another atom", t.Value, atoms[k])
+					}
+				}
+			}
+		}
+	}
+	return nil
+}
+
+// atom returns the alternatives of atom i, c.patterns[lo:hi].
+func (c *Compiled) atom(i int) []cpattern {
+	lo, hi := c.span(i)
+	return c.patterns[lo:hi]
+}
+
+// span returns the run of c.patterns that holds the alternatives of atom i.
+// Each atom before it has at least one, so the run starts at i or later.
+func (c *Compiled) span(i int) (lo, hi int) {
+	lo = i
+	for c.patterns[lo].idx != i {
+		lo++
+	}
+	hi = lo + 1
+	for hi < len(c.patterns) && c.patterns[hi].idx == i {
+		hi++
+	}
+	return lo, hi
 }
 
 // Vars returns the variable names in first-occurrence order.
@@ -159,33 +254,57 @@ type PlanStep struct {
 	EstimatedCost int
 }
 
-// plan orders patterns greedily: repeatedly pick the cheapest pattern given
-// the variables bound so far. The cost of a pattern is the source count
-// with only constants bound, discounted for every position held by an
-// already-bound variable (it will act as a constant at execution time).
-// Each pattern's count is read from src once, up front; a round only
-// applies the discounts.
-func (c *Compiled) plan(src Source) []PlanStep {
-	remaining := make([]counted, len(c.patterns))
-	for i, cp := range c.patterns {
-		constPat := store.Triple{}
-		if !cp.s.isVar {
-			constPat.S = cp.s.id
+// plan orders the atoms greedily: repeatedly pick the cheapest atom given
+// the variables bound so far. The cost of an atom is the sum of its
+// alternatives' source counts with only constants bound, discounted for
+// every position of its first alternative held by an already-bound variable
+// that every alternative holds (it will act as a constant at execution
+// time). Each alternative's count is read from src once, up front; a round
+// only applies the discounts. plan also returns the largest count of an
+// alternative of the first atom, the matches it can produce, and, when some
+// atom has several alternatives, the count of each, by index in c.patterns.
+func (c *Compiled) plan(src Source) (steps []PlanStep, first int, counts []int) {
+	remaining := make([]counted, 0, c.patterns[len(c.patterns)-1].idx+1) // one per atom
+	if len(c.patterns) > cap(remaining) { // some atom has several alternatives
+		counts = make([]int, len(c.patterns))
+	}
+	for lo := 0; lo < len(c.patterns); {
+		atom := c.atom(c.patterns[lo].idx)
+		at := counted{key: atom[0]}
+		for k, cp := range atom {
+			constPat := store.Triple{}
+			if !cp.s.isVar {
+				constPat.S = cp.s.id
+			}
+			if !cp.p.isVar {
+				constPat.P = cp.p.id
+			}
+			if !cp.o.isVar {
+				constPat.O = cp.o.id
+			}
+			n := src.Count(constPat)
+			at.count += n
+			at.most = max(at.most, n)
+			if counts != nil {
+				counts[lo+k] = n
+			}
 		}
-		if !cp.p.isVar {
-			constPat.P = cp.p.id
+		lo += len(atom)
+		if len(atom) > 1 {
+			for _, s := range []*slot{&at.key.s, &at.key.p, &at.key.o} {
+				if s.isVar && !allHold(atom, s.v) {
+					*s = slot{}
+				}
+			}
 		}
-		if !cp.o.isVar {
-			constPat.O = cp.o.id
-		}
-		remaining[i] = counted{cp, src.Count(constPat)}
+		remaining = append(remaining, at)
 	}
 	bound := make([]bool, len(c.vars))
-	var steps []PlanStep
+	first = -1
 	for len(remaining) > 0 {
 		best, bestCost := 0, -1
 		for i := range remaining {
-			cp, cost := &remaining[i].cp, remaining[i].count
+			cp, cost := &remaining[i].key, remaining[i].count
 			// A bound variable behaves like a constant; assume it divides
 			// the candidate set substantially. (Checked per position rather
 			// than via a []slot temporary: this loop is O(patterns²) per
@@ -204,30 +323,56 @@ func (c *Compiled) plan(src Source) []PlanStep {
 				best, bestCost = i, cost
 			}
 		}
-		chosen := remaining[best].cp
+		chosen := remaining[best]
 		remaining = append(remaining[:best], remaining[best+1:]...)
-		if chosen.s.isVar {
-			bound[chosen.s.v] = true
+		if first < 0 {
+			first = chosen.most
 		}
-		if chosen.p.isVar {
-			bound[chosen.p.v] = true
+		for _, cp := range c.atom(chosen.key.idx) {
+			if cp.s.isVar {
+				bound[cp.s.v] = true
+			}
+			if cp.p.isVar {
+				bound[cp.p.v] = true
+			}
+			if cp.o.isVar {
+				bound[cp.o.v] = true
+			}
 		}
-		if chosen.o.isVar {
-			bound[chosen.o.v] = true
-		}
-		steps = append(steps, PlanStep{PatternIndex: chosen.idx, EstimatedCost: bestCost})
+		steps = append(steps, PlanStep{PatternIndex: chosen.key.idx, EstimatedCost: bestCost})
 	}
-	return steps
+	return steps, first, counts
 }
 
-// counted is a pattern beside its source count with only constants bound.
+// allHold reports whether every alternative of atom holds variable v.
+func allHold(atom []cpattern, v int) bool {
+	for i := range atom {
+		if !atom[i].holds(v) {
+			return false
+		}
+	}
+	return true
+}
+
+// holds reports whether variable v is in cp.
+func (cp *cpattern) holds(v int) bool {
+	return cp.s.isVar && cp.s.v == v || cp.p.isVar && cp.p.v == v || cp.o.isVar && cp.o.v == v
+}
+
+// counted is an atom before the planner: its key — its first alternative,
+// read as a constant where it holds a variable some other alternative
+// lacks — and the sum and the largest of its alternatives' source counts
+// with only constants bound.
 type counted struct {
-	cp    cpattern
-	count int
+	key         cpattern
+	count, most int
 }
 
 // Plan returns the join order the engine would use against src.
-func (c *Compiled) Plan(src Source) []PlanStep { return c.plan(src) }
+func (c *Compiled) Plan(src Source) []PlanStep {
+	steps, _, _ := c.plan(src)
+	return steps
+}
 
 // Result holds variable bindings produced by evaluation. Rows are aligned
 // with Vars; dict.None marks an unbound position (does not occur for BGPs,

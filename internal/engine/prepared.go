@@ -25,7 +25,8 @@ import (
 // execution takes one match of an existential step (see pstep), so it never
 // produces the same binding of the other variables twice either, and a
 // projection that keeps every variable of the BGP but those existential
-// steps bind needs no dedup set.
+// steps bind needs no dedup set. A step over several alternatives breaks
+// the first argument: two alternatives may match the same binding.
 type SortedSource interface {
 	Source
 	// SortedIDs returns, ascending, the IDs matching the single wildcard
@@ -37,17 +38,21 @@ type SortedSource interface {
 var _ SortedSource = (*store.Store)(nil)
 
 // pstep is one executable step of a plan: either an index nested-loop step
-// over one pattern (merge == nil), or a merge-intersection group — several
-// patterns that each constrain the same single unbound variable with every
-// other position constant or already bound, evaluated as a k-way sorted-list
-// intersection instead of scan-and-probe.
+// over one atom (merge == nil), or a merge-intersection group — several
+// one-pattern atoms that each constrain the same single unbound variable
+// with every other position constant or already bound, evaluated as a k-way
+// sorted-list intersection instead of scan-and-probe.
 //
-// A nested-loop step is existential (exists) when every variable it binds is
-// left out of the projection and occurs in no other pattern: no later step
-// and no row reads which match bound them, so a distinct execution stops at
-// the step's first match. Bag executions take every match.
+// A nested-loop step matches its atom's pattern cp or, for an atom of
+// several alternatives in a join of unions (NewJoinPlan), each of alts in
+// turn; an atom of several never joins a merge group. The step is
+// existential (exists) when every variable any alternative binds is left out
+// of the projection and occurs in no other atom: no later step and no row
+// reads which match bound them, so a distinct execution stops at the step's
+// first match, of whichever alternative. Bag executions take every match.
 type pstep struct {
 	cp       cpattern
+	alts     []cpattern
 	merge    []cpattern
 	mergeVar int
 	exists   bool
@@ -64,11 +69,12 @@ type pstep struct {
 //
 //webreason:frozen
 type Plan struct {
-	// patterns, d and version are what a recompilation needs, kept only
-	// while c.impossible (a resolved plan never recompiles, so it does not
-	// pin the term-level query); version is the dictionary version c was
-	// compiled at.
+	// patterns, atoms, d and version are what a recompilation needs, kept
+	// only while c.unresolved (a resolved plan never recompiles, so it does
+	// not pin the term-level query); version is the dictionary version c
+	// was compiled at.
 	patterns []rdf.Triple
+	atoms    []int
 	d        *dict.Dict
 	version  uint64
 	c        *Compiled
@@ -83,15 +89,18 @@ type Plan struct {
 	// proj is the projection Exec deduplicates over, projIdx its column map
 	// (-1: a variable the pattern does not bind, emitted as dict.None).
 	// unique records that Exec cannot meet a row twice: the plan was built
-	// for a SortedSource, which enumerates each match once, and proj keeps
-	// every variable of the BGP that no existential step binds, so Exec, and
-	// ExecUnion of this plan alone, run without a dedup set.
+	// for a SortedSource, which enumerates each match once, every atom has
+	// one alternative, and proj keeps every variable of the BGP that no
+	// existential step binds, so Exec, and ExecUnion of this plan alone, run
+	// without a dedup set. Alternatives overlap, so a plan with an atom of
+	// several is never unique.
 	proj    []string
 	projIdx []int
 	unique  bool
 	// est is the number of matches of the first step's pattern, the count
-	// the planner read for it (exact for a one-pattern plan): the row hint
-	// of a plan that has never run, alone or as a branch of ExecUnion.
+	// the planner read for it (exact for a one-pattern plan), of its
+	// largest alternative for an atom of several: the row hint of a plan
+	// that has never run, alone or as a branch of ExecUnion.
 	est int
 	// rowHint is the number of rows the latest execution added, by
 	// whichever goroutine finished last — all of them for a plan run alone,
@@ -110,33 +119,54 @@ type Plan struct {
 const replanDrift = 2
 
 // PlanStats counts plan lifecycle events across the process: compilations
-// (NewPlan — one per prepared compile or recompile, per branch of a
-// reformulated union, and per ad hoc query) and statistics-only replans. The
-// counters are package-level atomics so the paths that bump them pay one RMW
-// and no plumbing; the server exposes them via its metrics registry.
+// (NewJoinPlan, and NewPlan — one per prepared compile or recompile, per ad
+// hoc query, and per plan of a reformulated union: one per instantiation
+// its rewriting evaluates as a join of atom unions, one per branch
+// otherwise) and statistics-only replans. The counters are package-level
+// atomics so the paths that bump them pay one RMW and no plumbing; the
+// server exposes them via its metrics registry.
 var PlanStats struct {
 	Compiled  atomic.Uint64
 	Replanned atomic.Uint64
 }
 
 // NewPlan compiles patterns against d and plans them against src's current
-// statistics; proj is the projection Exec deduplicates over. Structural
-// errors (empty BGP, zero terms) surface here; a constant missing from the
-// dictionary is not an error — the plan answers empty, and For replaces it
-// once the dictionary has grown, since the term may exist then. proj (and,
-// for such a plan, patterns) is retained and must not be modified afterwards.
+// statistics; proj is the projection Exec deduplicates over. It is
+// NewJoinPlan with each pattern an atom of its own.
 //
 //webreason:writer
 func NewPlan(src Source, patterns []rdf.Triple, d *dict.Dict, proj []string) (*Plan, error) {
+	return NewJoinPlan(src, patterns, nil, d, proj)
+}
+
+// NewJoinPlan compiles a join of atoms, each a union of alternative
+// patterns, against d and plans it against src's current statistics; proj
+// is the projection Exec deduplicates over. patterns[k] is an alternative of
+// atom atoms[k]: the numbers ascend from 0 one at a time, and atoms nil
+// makes each pattern an atom of its own. Every alternative of an atom must
+// hold the variables any other atom holds; a variable only some of them
+// hold is the atom's own. A plan's step over an atom matches each of its
+// alternatives in turn (pstep), so the plan answers what the union of the
+// BGPs that take one alternative of each atom answers.
+//
+// Structural errors (empty BGP, zero terms, a bad numbering) surface here;
+// a constant missing from the dictionary is not an error — its alternative
+// is dropped, the plan answers empty once an atom has none left, and For
+// replaces it once the dictionary has grown, since the term may exist then.
+// proj (and, for such a plan, patterns and atoms) is retained and must not
+// be modified afterwards.
+//
+//webreason:writer
+func NewJoinPlan(src Source, patterns []rdf.Triple, atoms []int, d *dict.Dict, proj []string) (*Plan, error) {
 	v := d.Version() // read before compiling: growth in between recompiles again
-	c, err := Compile(patterns, d)
+	c, err := compile(patterns, atoms, d)
 	if err != nil {
 		return nil, err
 	}
 	PlanStats.Compiled.Add(1)
 	pl := c.planOn(src, proj)
-	if c.impossible {
-		pl.patterns, pl.d, pl.version = patterns, d, v
+	if c.unresolved {
+		pl.patterns, pl.atoms, pl.d, pl.version = patterns, atoms, d, v
 	}
 	return pl, nil
 }
@@ -146,23 +176,24 @@ func NewPlan(src Source, patterns []rdf.Triple, d *dict.Dict, proj []string) (*P
 //
 //webreason:writer
 func (c *Compiled) planOn(src Source, proj []string) *Plan {
-	pl := &Plan{c: c, proj: proj, size: src.Count(store.Triple{}), order: c.plan(src)}
+	pl := &Plan{c: c, proj: proj, size: src.Count(store.Triple{})}
+	var counts []int
+	pl.order, pl.est, counts = c.plan(src)
 	_, pl.sorted = src.(SortedSource)
 	pl.projIdx = make([]int, len(proj))
 	for i, v := range proj {
 		pl.projIdx[i] = slices.Index(c.vars, v)
 	}
 	var covered bool
-	pl.steps, covered = c.buildSteps(pl.order, pl.sorted, pl.projIdx)
+	pl.steps, covered = c.buildSteps(pl.order, pl.sorted, pl.projIdx, counts)
 	pl.unique = pl.sorted && covered
-	pl.est = pl.order[0].EstimatedCost - 1
 	pl.rowHint.Store(-1)
 	return pl
 }
 
 // For returns the plan to execute against src: pl itself while it is still
 // good there — one O(1) Count in the steady state — otherwise a successor.
-// A plan holding a constant the dictionary did not know is recompiled once
+// A plan that met a constant the dictionary did not know is recompiled once
 // the dictionary has grown past the version it was compiled at (IDs are
 // append-only, so growth can change nothing about a plan whose constants all
 // resolved, and such a plan never looks at the dictionary again). A plan
@@ -170,10 +201,10 @@ func (c *Compiled) planOn(src Source, proj []string) *Plan {
 // sorted enumeration, is re-planned from the same compilation. Callers that
 // share pl publish the successor so the work is done once.
 func (pl *Plan) For(src Source) *Plan {
-	if pl.c.impossible && pl.d.Version() != pl.version {
-		// Patterns that compiled once compile again (Compile's errors are
+	if pl.c.unresolved && pl.d.Version() != pl.version {
+		// Patterns that compiled once compile again (compile's errors are
 		// structural), so there is no error to report.
-		if np, err := NewPlan(src, pl.patterns, pl.d, pl.proj); err == nil {
+		if np, err := NewJoinPlan(src, pl.patterns, pl.atoms, pl.d, pl.proj); err == nil {
 			return np
 		}
 	}
@@ -191,7 +222,7 @@ func (pl *Plan) For(src Source) *Plan {
 //webreason:writer
 func (pl *Plan) replan(src Source, proj []string) *Plan {
 	np := pl.c.planOn(src, proj)
-	np.patterns, np.d, np.version = pl.patterns, pl.d, pl.version
+	np.patterns, np.atoms, np.d, np.version = pl.patterns, pl.atoms, pl.d, pl.version
 	np.rowHint.Store(pl.rowHint.Load())
 	return np
 }
@@ -212,16 +243,20 @@ func soleUnbound(cp cpattern, bound []bool) (int, bool) {
 	return v, true
 }
 
-// buildSteps turns the planned pattern order into executable steps, fusing
-// runs of patterns that each constrain the same fresh variable — with all
-// other positions constant or bound — into merge-intersection groups. The
-// regrouping is a valid reorder: a pulled-forward pattern binds only the
-// shared variable, so evaluating it earlier can only shrink intermediate
-// results. Grouping requires a sorted source; otherwise every step stays a
-// nested-loop step. A nested-loop step is marked existential when every
-// variable it binds is missing from projIdx and solitary; covered reports
-// whether every variable is in projIdx or bound by an existential step.
-func (c *Compiled) buildSteps(order []PlanStep, sorted bool, projIdx []int) (steps []pstep, covered bool) {
+// buildSteps turns the planned atom order into executable steps, fusing
+// runs of one-pattern atoms that each constrain the same fresh variable —
+// with all other positions constant or bound — into merge-intersection
+// groups. The regrouping is a valid reorder: a pulled-forward pattern binds
+// only the shared variable, so evaluating it earlier can only shrink
+// intermediate results. Grouping requires a sorted source; otherwise every
+// step stays a nested-loop step. A nested-loop step is marked existential
+// when every variable it binds is missing from projIdx and solitary, and an
+// existential step over several alternatives tries them in descending order
+// of counts (the planner's, by index in c.patterns): the one with the most
+// matches is likeliest to be the first to match. covered reports whether
+// every atom has one alternative and every variable is in projIdx or bound
+// by an existential step.
+func (c *Compiled) buildSteps(order []PlanStep, sorted bool, projIdx, counts []int) (steps []pstep, covered bool) {
 	steps = make([]pstep, 0, len(order))
 	covered = true
 	bound := make([]bool, len(c.vars))
@@ -231,17 +266,22 @@ func (c *Compiled) buildSteps(order []PlanStep, sorted bool, projIdx []int) (ste
 			continue
 		}
 		used[i] = true
-		cp := c.patterns[st.PatternIndex]
-		if sorted {
+		lo, hi := c.span(st.PatternIndex)
+		alts := c.patterns[lo:hi]
+		if sorted && len(alts) == 1 {
+			cp := alts[0]
 			if v, ok := soleUnbound(cp, bound); ok {
 				group := []cpattern{cp}
 				for j := i + 1; j < len(order); j++ {
 					if used[j] {
 						continue
 					}
-					other := c.patterns[order[j].PatternIndex]
-					if v2, ok2 := soleUnbound(other, bound); ok2 && v2 == v {
-						group = append(group, other)
+					other := c.atom(order[j].PatternIndex)
+					if len(other) != 1 {
+						continue
+					}
+					if v2, ok2 := soleUnbound(other[0], bound); ok2 && v2 == v {
+						group = append(group, other[0])
 						used[j] = true
 					}
 				}
@@ -253,26 +293,48 @@ func (c *Compiled) buildSteps(order []PlanStep, sorted bool, projIdx []int) (ste
 				}
 			}
 		}
-		exists, projected := true, true
-		for _, s := range [3]slot{cp.s, cp.p, cp.o} {
-			if s.isVar && !bound[s.v] {
-				bound[s.v] = true
-				inProj := slices.Contains(projIdx, s.v)
-				exists = exists && !inProj && c.solitary(s.v, cp.idx)
-				projected = projected && inProj
+		exists, projected := true, len(alts) == 1
+		for _, cp := range alts {
+			for _, s := range [3]slot{cp.s, cp.p, cp.o} {
+				if s.isVar && !bound[s.v] {
+					bound[s.v] = true
+					inProj := slices.Contains(projIdx, s.v)
+					exists = exists && !inProj && c.solitary(s.v, cp.idx)
+					projected = projected && inProj
+				}
 			}
 		}
-		covered = covered && (exists || projected)
-		steps = append(steps, pstep{cp: cp, exists: exists})
+		covered = covered && (exists && len(alts) == 1 || projected)
+		switch {
+		case len(alts) == 1:
+			steps = append(steps, pstep{cp: alts[0], exists: exists})
+		case exists:
+			steps = append(steps, pstep{alts: byCount(alts, counts[lo:hi]), exists: exists})
+		default:
+			steps = append(steps, pstep{alts: alts})
+		}
 	}
 	return steps, covered
 }
 
-// solitary reports whether variable v occurs in no pattern but the one at
+// byCount returns a copy of alts in descending order of their counts, ties
+// in their order.
+func byCount(alts []cpattern, counts []int) []cpattern {
+	out, n := slices.Clone(alts), slices.Clone(counts)
+	for i := 1; i < len(out); i++ {
+		for j := i; j > 0 && n[j] > n[j-1]; j-- {
+			out[j], out[j-1] = out[j-1], out[j]
+			n[j], n[j-1] = n[j-1], n[j]
+		}
+	}
+	return out
+}
+
+// solitary reports whether variable v occurs in no atom but the one at
 // index idx.
 func (c *Compiled) solitary(v, idx int) bool {
-	for i, cp := range c.patterns {
-		if i != idx && (cp.s.isVar && cp.s.v == v || cp.p.isVar && cp.p.v == v || cp.o.isVar && cp.o.v == v) {
+	for i := range c.patterns {
+		if c.patterns[i].idx != idx && c.patterns[i].holds(v) {
 			return false
 		}
 	}
@@ -331,17 +393,18 @@ type Fixed struct {
 // projected onto proj with duplicate rows removed across all branches:
 // branch i runs with the columns of fixed[i] set to their constants, and a
 // row enters the result only if no earlier row, of any branch, equals it.
-// Every plan must have been built with projection proj and be what For(src)
-// returns. The union is one execution — one pooled scratch, at most one
+// A branch may itself be a join of atom unions (NewJoinPlan), standing for
+// the branches that take one alternative of each atom. Every plan must
+// have been built with projection proj and be what For(src) returns. The union is one execution — one pooled scratch, at most one
 // dedup set, one row arena, one result. It takes the set unless it is a
 // single plan that needs none alone (Plan.unique): branches overlap,
 // whatever each proves alone, and a fixed column holds a constant in place
 // of a variable the branch does not bind, which cannot make two rows equal.
 // The result is sized by the rows each branch added the last time it ran,
 // summed, plus, over the branches that have never run, the largest of the
-// planner's counts of their first steps: branches overlap, so a sum of
-// counts overshoots the union, while their maximum is exact for a union of
-// one-pattern branches. A steady-state union allocates what Plan.Exec
+// planner's counts of their first steps (of a first step's alternatives):
+// branches overlap, so a sum of counts overshoots the union, while their
+// maximum is exact for a union of one-pattern branches. A steady-state union allocates what Plan.Exec
 // does, however many branches it has.
 //
 //webreason:hotpath
@@ -403,9 +466,13 @@ type scratch struct {
 // level is the scratch of one join depth.
 type level struct {
 	// match is the ForEachMatch callback of a nested-loop step at this
-	// depth, allocated once per scratch so the per-triple inner loop runs
-	// closure-allocation-free.
-	match func(store.Triple) bool
+	// depth, and matchAlt that of a step of several alternatives, which
+	// binds cp, the alternative in turn, stops at the first match when
+	// first, and records in found that it did. Both are allocated once per
+	// scratch so the per-triple inner loop runs closure-allocation-free.
+	match, matchAlt func(store.Triple) bool
+	cp              *cpattern
+	first, found    bool
 	// intersection buffers of a merge step, per depth so nested merge
 	// groups do not stomp each other.
 	views       [][]dict.ID
@@ -452,7 +519,7 @@ func (x *scratch) run(pl *Plan, fixed Fixed) {
 	clear(x.b)
 	x.undo = x.undo[:0]
 	for d := len(x.levels); d < len(pl.steps); d++ {
-		x.levels = append(x.levels, level{match: x.matcher(d)})
+		x.levels = append(x.levels, level{match: x.matcher(d), matchAlt: x.altMatcher(d)})
 	}
 	n := len(x.res.Rows)
 	x.rec(0)
@@ -488,18 +555,60 @@ func (x *scratch) matcher(depth int) func(store.Triple) bool {
 	}
 }
 
+// altMatcher builds the callback of a step of several alternatives at join
+// depth depth: matcher's, for the alternative the level holds, recording
+// the stop at a first match.
+func (x *scratch) altMatcher(depth int) func(store.Triple) bool {
+	return func(t store.Triple) bool {
+		lv := &x.levels[depth]
+		mark := len(x.undo)
+		ok := bind(lv.cp, t, x.b, &x.undo)
+		if ok {
+			x.rec(depth + 1)
+		}
+		for _, v := range x.undo[mark:] {
+			x.b[v] = dict.None
+		}
+		x.undo = x.undo[:mark]
+		if ok && lv.first {
+			lv.found = true
+			return false
+		}
+		return true
+	}
+}
+
 // rec descends one plan step; at the bottom it emits the current bindings.
+// A step of several alternatives matches them in turn, and an existential
+// one stops at the first that matches.
 func (x *scratch) rec(depth int) {
 	if depth == len(x.pl.steps) {
 		x.emit()
 		return
 	}
 	st := &x.pl.steps[depth]
-	if st.merge != nil {
+	switch {
+	case st.merge != nil:
 		x.execMerge(st, depth)
-		return
+	case st.alts != nil:
+		x.execAlts(st, depth)
+	default:
+		x.src.ForEachMatch(concrete(&st.cp, x.b), x.levels[depth].match)
 	}
-	x.src.ForEachMatch(concrete(&st.cp, x.b), x.levels[depth].match)
+}
+
+// execAlts evaluates a step of several alternatives: each in turn, until
+// the first match when the step stops there.
+func (x *scratch) execAlts(st *pstep, depth int) {
+	lv := &x.levels[depth]
+	lv.first, lv.found = st.exists && x.project, false
+	for i := range st.alts {
+		lv.cp = &st.alts[i]
+		x.src.ForEachMatch(concrete(lv.cp, x.b), lv.matchAlt)
+		if lv.found {
+			return
+		}
+	}
 }
 
 // execMerge evaluates a merge group: fetch the sorted leaf of each pattern

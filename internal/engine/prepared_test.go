@@ -503,3 +503,107 @@ func TestExistentialSteps(t *testing.T) {
 		t.Fatalf("distinct: %d rows from %d matches, want 3 from 6", got, n)
 	}
 }
+
+// TestAlternativeSteps: a step over an atom of several alternatives
+// (NewJoinPlan) matches each in turn. A filter step, binding nothing
+// projected, stops at the first alternative that matches, tried in
+// descending order of count; a binding step enumerates every alternative;
+// the plan keeps its dedup set; and a plan's first run is sized by its
+// first atom's largest alternative, not by their sum.
+func TestAlternativeSteps(t *testing.T) {
+	d := dict.New()
+	st := store.New()
+	iri := func(n string) rdf.Term { return rdf.NewIRI("http://ex.org/" + n) }
+	add := func(s, p, o rdf.Term) { st.Add(store.Triple{S: d.Encode(s), P: d.Encode(p), O: d.Encode(o)}) }
+	x, c := rdf.NewVar("x"), rdf.NewVar("c")
+	// s0 is of the classes A, B and C, s1 of B and C, s2 of C and s3 of A:
+	// A and B have two members, C three. s0 takes c0 and teaches c1.
+	for i, classes := range [][]string{{"A", "B", "C"}, {"B", "C"}, {"C"}, {"A"}} {
+		s := iri(fmt.Sprintf("s%d", i))
+		add(s, rdf.Type, iri("Person"))
+		for _, k := range classes {
+			add(s, rdf.Type, iri(k))
+		}
+	}
+	add(iri("s0"), iri("takes"), iri("c0"))
+	add(iri("s0"), iri("teaches"), iri("c1"))
+	filter := []rdf.Triple{rdf.T(x, rdf.Type, iri("Person")),
+		rdf.T(x, rdf.Type, iri("A")), rdf.T(x, rdf.Type, iri("B")), rdf.T(x, rdf.Type, iri("C"))}
+	atoms := []int{0, 1, 1, 1}
+
+	var n int
+	counted := countSource{st, &n}
+	pl, err := NewJoinPlan(counted, filter, atoms, d, []string{"x"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(pl.steps) != 2 || len(pl.steps[1].alts) != 3 || !pl.steps[1].exists || pl.steps[1].alts[0].o.id != d.Encode(iri("C")) {
+		t.Fatalf("want a Person step, then an existential step over 3 alternatives, C first; got %+v", pl.steps)
+	}
+	// s3 comes after s2, whose first alternative matched; its own first
+	// does not.
+	if got := len(pl.Exec(counted).Rows); got != 4 || n != 4+4 {
+		t.Fatalf("filter: %d rows from %d matches, want 4 from 4 Person matches and 1 match each of C, or A for s3", got, n)
+	}
+	n = 0
+	if got := len(pl.exec(counted, false).Rows); got != 7 || n != 4+7 {
+		t.Fatalf("filter, bag: %d rows from %d matches, want 7 from 11", got, n)
+	}
+	sorted, err := NewJoinPlan(st, filter, atoms, d, []string{"x"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sorted.unique {
+		t.Fatal("a plan over alternatives is unique")
+	}
+	if got := len(ExecUnion(st, sorted.proj, []*Plan{sorted}, []Fixed{{}}).Rows); got != 4 {
+		t.Fatalf("filter as a union: %d rows, want 4", got)
+	}
+
+	// ?c is projected, so the step over takes and teaches binds it: both
+	// alternatives run in full.
+	n = 0
+	bind, err := NewJoinPlan(counted, []rdf.Triple{rdf.T(x, iri("takes"), c), rdf.T(x, iri("teaches"), c)}, []int{0, 0}, d, []string{"x", "c"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := len(bind.Exec(counted).Rows); got != 2 || n != 2 || bind.steps[0].exists {
+		t.Fatalf("binding step: %d rows from %d matches (existential %v), want 2 from 2", got, n, bind.steps[0].exists)
+	}
+
+	// One atom of the three classes: the planner's cost sums them, the
+	// first run's hint is the largest.
+	if _, err := NewJoinPlan(st, filter[1:], atoms[1:], d, []string{"x"}); err == nil {
+		t.Fatal("atom numbers starting at 1 were accepted")
+	}
+	classes, err := NewJoinPlan(st, filter[1:], []int{0, 0, 0}, d, []string{"x"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if classes.est != 3 || classes.order[0].EstimatedCost != 2+2+3+1 {
+		t.Fatalf("hint %d, cost %d: want the largest count, 3, and the sum plus one, 8", classes.est, classes.order[0].EstimatedCost)
+	}
+	if got := len(classes.Exec(st).Rows); got != 4 {
+		t.Fatalf("one atom of three classes: %d rows, want 4", got)
+	}
+
+	// An alternative with a constant the dictionary lacks is dropped, the
+	// atom kept while it has another; the plan resolves it once the
+	// dictionary has it.
+	partial, err := NewJoinPlan(st, []rdf.Triple{rdf.T(x, rdf.Type, iri("A")), rdf.T(x, rdf.Type, iri("D"))}, []int{0, 0}, d, []string{"x"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := len(partial.Exec(st).Rows); got != 2 || partial.c.impossible || partial.steps[0].alts != nil {
+		t.Fatalf("unknown alternative: %d rows, impossible %v, %d alternatives; want 2, false, 1", got, partial.c.impossible, max(1, len(partial.steps[0].alts)))
+	}
+	add(iri("s2"), rdf.Type, iri("D"))
+	if got := len(partial.For(st).Exec(st).Rows); got != 3 {
+		t.Fatalf("after D is known: %d rows, want 3", got)
+	}
+
+	// A variable only some alternatives hold belongs to its atom.
+	if _, err := NewJoinPlan(st, []rdf.Triple{rdf.T(x, rdf.Type, iri("A")), rdf.T(x, iri("takes"), c), rdf.T(c, rdf.Type, iri("A"))}, []int{0, 0, 1}, d, nil); err == nil {
+		t.Fatal("a variable of one alternative shared with another atom was accepted")
+	}
+}

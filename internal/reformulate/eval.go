@@ -6,11 +6,15 @@ import (
 )
 
 // PreparedUCQ is a reformulated union compiled for execution: the (minimised)
-// union with one engine plan per branch, so a repeatedly-asked query pays the
-// rewriting and planning once and each later execution only the join work.
+// union as engine plans, so a repeatedly-asked query pays the rewriting and
+// planning once and each later execution only the join work. A run of
+// branches that is the product of its atoms' rewriting lists (UCQ.Explain)
+// is one plan, the join of the atoms' unions, which matches each atom's
+// rewritings in turn at its step instead of repeating the other atoms'
+// matches once per branch; every other branch is a plan of its own.
 // It is immutable once built — any number of goroutines execute one
 // PreparedUCQ at the same time, each on scratch from the engine's pool — and
-// the source is an argument of Exec. What goes stale inside it (a branch's
+// the source is an argument of Exec. What goes stale inside it (a plan's
 // join order, a constant the dictionary did not know) is replaced through
 // For; when the rewriting itself goes stale (schema change, or any data
 // change under VocabDependent) the caller builds a new one, since only it
@@ -18,20 +22,35 @@ import (
 //
 //webreason:frozen
 type PreparedUCQ struct {
-	src      engine.Source // what Prepare planned against; Evaluate's source
-	proj     []string
-	branches []*engine.Plan
-	fixed    []engine.Fixed // per branch, the columns the rewriting fixed
+	src   engine.Source // what Prepare planned against; Evaluate's source
+	proj  []string
+	plans []*engine.Plan
+	fixed []engine.Fixed // per plan, the columns the rewriting fixed
 }
 
-// Prepare compiles every branch of the union against d and plans it against
-// src.
+// Prepare compiles the union against d and plans it against src: each run
+// of branches that is a product as one join of its atoms' unions
+// (engine.NewJoinPlan), every other branch on its own.
 //
 //webreason:writer
 func (u *UCQ) Prepare(src engine.Source, d *dict.Dict) (*PreparedUCQ, error) {
-	pu := &PreparedUCQ{src: src, proj: u.Query.Projection()}
-	for _, br := range u.Branches {
-		p, err := engine.NewPlan(src, br.Patterns, d, pu.proj)
+	n := len(u.Branches)
+	for _, j := range u.joins {
+		n -= j.hi - j.lo - 1
+	}
+	pu := &PreparedUCQ{src: src, proj: u.Query.Projection(), plans: make([]*engine.Plan, 0, n), fixed: make([]engine.Fixed, 0, n)}
+	joins := u.joins
+	for i := 0; i < len(u.Branches); {
+		br := u.Branches[i]
+		var p *engine.Plan
+		var err error
+		if len(joins) > 0 && joins[0].lo == i {
+			p, err = engine.NewJoinPlan(src, joins[0].patterns, joins[0].atoms, d, pu.proj)
+			i, joins = joins[0].hi, joins[1:]
+		} else {
+			p, err = engine.NewPlan(src, br.Patterns, d, pu.proj)
+			i++
+		}
 		if err != nil {
 			return nil, err
 		}
@@ -45,7 +64,7 @@ func (u *UCQ) Prepare(src engine.Source, d *dict.Dict) (*PreparedUCQ, error) {
 				}
 			}
 		}
-		pu.branches = append(pu.branches, p)
+		pu.plans = append(pu.plans, p)
 		pu.fixed = append(pu.fixed, fx)
 	}
 	return pu, nil
@@ -53,43 +72,42 @@ func (u *UCQ) Prepare(src engine.Source, d *dict.Dict) (*PreparedUCQ, error) {
 
 // For returns the prepared union to execute against src — the next snapshot
 // of the same evolving graph, under the same schema: pu itself while every
-// branch plan is still good there, otherwise a copy holding the successors
-// engine.Plan.For names (a branch replans only when the data size has
-// drifted past the engine's threshold, recompiles only when a constant it
-// could not resolve may exist now). The union and the untouched branch plans
-// are shared, so following a data-only batch costs one O(1) check per
-// branch.
+// plan is still good there, otherwise a copy holding the successors
+// engine.Plan.For names (a plan replans only when the data size has drifted
+// past the engine's threshold, recompiles only when a constant it could not
+// resolve may exist now). The union and the untouched plans are shared, so
+// following a data-only batch costs one O(1) check per plan.
 //
 //webreason:writer
 func (pu *PreparedUCQ) For(src engine.Source) *PreparedUCQ {
 	out := pu
-	for i, p := range pu.branches {
+	for i, p := range pu.plans {
 		np := p.For(src)
 		if np == p {
 			continue
 		}
 		if out == pu {
 			cp := *pu
-			cp.src, cp.branches = src, append([]*engine.Plan(nil), pu.branches...)
+			cp.src, cp.plans = src, append([]*engine.Plan(nil), pu.plans...)
 			out = &cp
 		}
-		out.branches[i] = np
+		out.plans[i] = np
 	}
 	return out
 }
 
-// Exec runs every branch against src and unions the answers, deduplicated
+// Exec runs every plan against src and unions the answers, deduplicated
 // over the original projection — the q_ref(G) = q(G∞) of Section II-B when
 // src is the original, unsaturated graph with its schema component closed.
-// The union is one engine execution (engine.ExecUnion): the branches run in
+// The union is one engine execution (engine.ExecUnion): the plans run in
 // turn on one scratch, each writing the variables the rewriting fixed as
 // constant columns into its projected rows, and one dedup set across the
-// branches admits a row to the one result only the first time any branch
+// plans admits a row to the one result only the first time any plan
 // produces it.
 //
 //webreason:hotpath
 func (pu *PreparedUCQ) Exec(src engine.Source) *engine.Result {
-	return engine.ExecUnion(src, pu.proj, pu.branches, pu.fixed)
+	return engine.ExecUnion(src, pu.proj, pu.plans, pu.fixed)
 }
 
 // Evaluate is Exec against the source given to Prepare.

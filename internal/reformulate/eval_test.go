@@ -11,12 +11,12 @@ import (
 )
 
 // unionOneByOne is the reference evaluation of a prepared union, spelled out
-// the long way: each branch's plan executed on its own, the rows
+// the long way: each plan executed on its own, the rows
 // concatenated, the fixed columns written into them, and the whole
 // deduplicated once more.
 func unionOneByOne(pu *PreparedUCQ, src engine.Source) *engine.Result {
 	out := &engine.Result{Vars: pu.proj}
-	for i, p := range pu.branches {
+	for i, p := range pu.plans {
 		res := p.Exec(src)
 		for _, row := range res.Rows {
 			for k, col := range pu.fixed[i].Cols {

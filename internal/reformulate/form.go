@@ -52,10 +52,15 @@ func isFresh(e uint32) bool { return e&(varTag|freshTag) == varTag|freshTag }
 
 // form is the per-run table between terms and elements: the dictionary, the
 // query's variable names and the constants the dictionary does not know.
+// elems and terms hold the terms of the first elements rendered, n of them,
+// each element's at its index in elems: a union repeats a handful of them.
 type form struct {
 	d       *dict.Dict
 	names   []string
 	unknown []rdf.Term
+	n       int
+	elems   [16]uint32
+	terms   [16]rdf.Term
 }
 
 // intern returns the element of a query term. Without a dictionary, every
@@ -82,29 +87,50 @@ func index[T comparable](s *[]T, x T) uint32 {
 	return uint32(i)
 }
 
-// term returns the term of an element; fresh variables are named _f1, _f2, …
-func (f *form) term(e uint32) rdf.Term {
+// term writes the term of an element to t, in place, since a union renders
+// many; fresh variables are named _f1, _f2, …
+func (f *form) term(e uint32, t *rdf.Term) {
+	if i := slices.Index(f.elems[:f.n], e); i >= 0 {
+		*t = f.terms[i]
+		return
+	}
 	switch {
 	case isFresh(e):
-		return rdf.NewVar("_f" + strconv.Itoa(int(e&numMask)+1))
+		*t = rdf.NewVar("_f" + strconv.Itoa(int(e&numMask)+1))
 	case isVar(e):
-		return rdf.NewVar(f.names[e&numMask])
+		*t = rdf.NewVar(f.names[e&numMask])
 	case e&unknownTag != 0:
-		return f.unknown[e&numMask]
+		*t = f.unknown[e&numMask]
+	default:
+		*t = f.d.MustTerm(dict.ID(e))
 	}
-	return f.d.MustTerm(dict.ID(e))
+	if f.n < len(f.elems) {
+		f.elems[f.n], f.terms[f.n] = e, *t
+		f.n++
+	}
 }
 
-// render builds the term-level Branch of br.
-func (f *form) render(br branch) Branch {
-	out := Branch{Patterns: make([]rdf.Triple, len(br.pats))}
+// triple writes the term-level pattern of p to t.
+func (f *form) triple(p pattern, t *rdf.Triple) {
+	f.term(p[0], &t.S)
+	f.term(p[1], &t.P)
+	f.term(p[2], &t.O)
+}
+
+// render builds the term-level Branch of br, its patterns in pats, which
+// holds as many.
+func (f *form) render(br branch, pats []rdf.Triple) Branch {
+	out := Branch{Patterns: pats}
 	for i, p := range br.pats {
-		out.Patterns[i] = rdf.T(f.term(p[0]), f.term(p[1]), f.term(p[2]))
+		f.triple(p, &out.Patterns[i])
 	}
 	if len(br.fixed) > 0 {
 		out.Fixed = make(map[string]rdf.Term, len(br.fixed))
 		for _, b := range br.fixed {
-			out.Fixed[f.term(b.v).Value] = f.term(b.c)
+			var v, c rdf.Term
+			f.term(b.v, &v)
+			f.term(b.c, &c)
+			out.Fixed[v.Value] = c
 		}
 	}
 	return out

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/rdf"
 	"repro/internal/sparql"
 )
 
@@ -25,16 +26,18 @@ func (b *fuzzBytes) next() int {
 // triples, a BGP of at most three patterns, which may hold a variable in
 // class or property position, and a projection, and checks that the plain
 // union, the minimised union and q over reason.Materialize's G∞ return the
-// same answers under that projection, and that both unions agree with the
-// breadth-first reference (checkAgainstBFS). A projection byte of 0 (the
-// default past the input's end) asks SELECT *; any other asks for one to
-// five columns, each a variable of the BGP drawn with repetition, so rows that
-// differ only outside the projection, or only in a column the rewriting
-// fixed to a constant, meet in the union's dedup set, and both of the set's
-// layouts, the bitset of one-column rows and the row table of wider ones,
-// come up even over two variables. A
-// ground BGP projects onto no column at all (SPARQL cannot project a BGP
-// with variables onto none).
+// same answers under that projection, that both unions agree with the
+// breadth-first reference (checkAgainstBFS), and that each, evaluated as
+// Prepare serves it, with its product-shaped runs of branches as joins of
+// atom unions, answers what one plan per branch answers (checkJoins). A
+// projection byte of 0 (the default past the input's end) asks SELECT *;
+// any other asks for one to five columns, each a variable of the BGP drawn
+// with repetition, so rows that differ only outside the projection, or only
+// in a column the rewriting fixed to a constant, meet in the union's dedup
+// set, and both of the set's layouts, the bitset of one-column rows and the
+// row table of wider ones, come up even over two variables. A ground BGP
+// projects onto no column at all (SPARQL cannot project a BGP with
+// variables onto none).
 //
 // A schema byte of 128 or more makes a domain or range constraint's class,
 // and a class byte of 128 or more a pattern's class, the literal "L": the
@@ -60,6 +63,13 @@ func (b *fuzzBytes) next() int {
 // while both still wait on it, so they become one, while the second, once
 // ?p is fixed to rdf:type, may be rewritten before ?c is fixed and stays
 // apart.
+//
+// Two seeds then aim at the joins of atom unions. The first is Q2 in
+// miniature: "?x a C0 . ?x p0 ?y" over C1 ⊑ C0, C2 ⊑ C0, p1 ⊑ p0 and p2 dom
+// C0, a union of 4 × 2 branches whose two atoms share ?x, under SELECT *.
+// The second asks "?x p0 ?y . ?y a C0" projected onto ?x over p1 rng C0 and
+// C1 ⊑ C0: ?y's type atom is a filter over (?y a C0), (?y a C1) and the
+// range rewriting (?_f p1 ?y), which stops at its first match.
 func FuzzReformulate(f *testing.F) {
 	f.Add([]byte{3, 4, 2, 0, 1, 0, 1, 2, 0, 2, 0, 2, 3, 1, 3, 0, 0, 1, 2, 1, 1, 1, 5, 0, 1, 3, 1})
 	f.Add([]byte{4, 3, 3, 0, 1, 0, 1, 0, 0, 2, 1, 1, 0, 0, 3, 1, 2, 1, 0, 3, 2, 3, 1, 0, 2, 1, 1, 2, 0})
@@ -73,6 +83,8 @@ func FuzzReformulate(f *testing.F) {
 	f.Add([]byte{3, 2, 1, 0, 1, 0, 0, 1, 2, 1, 0, 3, 0, 1, 1, 1, 0, 0, 0, 1, 0, 3, 0, 0, 1, 0, 0})
 	f.Add([]byte{3, 2, 1, 0, 1, 0, 0, 0, 2, 1, 1, 3, 0, 1, 1, 2, 0, 3, 0, 0, 0, 0, 0, 0, 1, 0, 0})
 	f.Add([]byte("A82002000000000A00800100008"))
+	f.Add([]byte{4, 5, 1, 1, 0, 0, 2, 0, 0, 1, 0, 1, 2, 0, 2, 0, 1, 0, 0, 1, 3, 2, 2, 0, 2, 3, 1, 3, 0, 5, 0, 0, 0, 0, 0, 1, 0, 2, 0})
+	f.Add([]byte{2, 4, 1, 1, 0, 3, 1, 0, 0, 0, 1, 1, 2, 1, 3, 1, 3, 1, 3, 1, 0, 0, 1, 0, 2, 1, 0, 0, 0, 5, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		in := fuzzBytes(data)
 		nSchema, nInst, nPats := in.next()%7, in.next()%9, 1+in.next()%3
@@ -146,12 +158,34 @@ func FuzzReformulate(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := min.Evaluate(k.st, k.d)
+		requireEqual(t, qtext+" (minimised union)", viaSat, checkJoins(t, qtext+" (minimised union)", min, k))
+		plain, err := Reformulate(q, k.sch, k.d, k.st, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		requireEqual(t, qtext+" (minimised union)", viaSat, rowsToStrings(res, k.d))
+		checkJoins(t, qtext+" (plain union)", plain, k)
 	})
+}
+
+// checkJoins evaluates u two ways and requires the same answers: as Prepare
+// serves it, each run of branches that is a product as one join of its
+// atoms' unions, and one plan per branch, the reference. It returns the
+// answers.
+func checkJoins(t *testing.T, qtext string, u *UCQ, k *kb) []string {
+	t.Helper()
+	served, err := u.Evaluate(k.st, k.d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	perBranch, err := (&UCQ{Query: u.Query, Branches: u.Branches}).Evaluate(k.st, k.d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, want := rowsToStrings(served, k.d), rowsToStrings(perBranch, k.d)
+	if !slices.Equal(got, want) {
+		t.Fatalf("%s, evaluated as %s:\nserved: %v\none plan per branch: %v", qtext, u.Explain(), got, want)
+	}
+	return got
 }
 
 // checkAgainstBFS checks the rewriter against the breadth-first reference
@@ -211,7 +245,7 @@ func checkAgainstBFS(t *testing.T, qtext string, q *sparql.Query, k *kb) {
 		if !slices.ContainsFunc(refMin, func(b branch) bool {
 			return slices.Equal(a.fixed, b.fixed) && h.maps(a.pats, b.pats) && h.maps(b.pats, a.pats)
 		}) {
-			t.Fatalf("%s: minimised branch %v is equivalent to none the reference keeps", qtext, rm.render(a))
+			t.Fatalf("%s: minimised branch %v is equivalent to none the reference keeps", qtext, rm.render(a, make([]rdf.Triple, len(a.pats))))
 		}
 	}
 }

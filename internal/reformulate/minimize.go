@@ -25,7 +25,8 @@ import (
 // rewriter minimises in (variables named _f… are the fresh ones, free to
 // map) and runs the same minimiser. It returns a new UCQ; the receiver is
 // unchanged. A kept branch keeps its atoms in their order, and of a set of
-// mutually equivalent branches, the earliest is kept.
+// mutually equivalent branches, the earliest is kept. The new union knows
+// no product its branches form, so Prepare gives each branch its own plan.
 func (u *UCQ) Minimize() *UCQ {
 	var f form // no dictionary: every constant goes to the per-run table
 	var fresh []string
@@ -82,9 +83,14 @@ func (u *UCQ) Minimize() *UCQ {
 func minimize(brs []branch, fresh int) []int {
 	h := homomorphism{assign: make([]uint32, fresh)}
 	sigs := make([]signature, len(brs))
+	n := 0
 	for i := range brs {
 		brs[i].pats = h.core(brs[i].pats)
-		sigs[i] = newSignature(brs[i].pats)
+		n += 3 * len(brs[i].pats)
+	}
+	elems := make([]uint32, 0, n)
+	for i := range brs {
+		sigs[i], elems = newSignature(brs[i].pats, elems)
 	}
 	subsumes := func(a, b int) bool {
 		return sigs[a].within(sigs[b]) && slices.Equal(brs[a].fixed, brs[b].fixed) && h.maps(brs[a].pats, brs[b].pats)
@@ -141,19 +147,22 @@ type signature struct {
 	bits  uint64
 }
 
-func newSignature(pats []pattern) signature {
+// newSignature returns the signature of pats, its elements appended to buf,
+// and buf past them.
+func newSignature(pats []pattern, buf []uint32) (signature, []uint32) {
 	var s signature
+	n := len(buf)
 	for _, p := range pats {
 		for _, e := range p {
 			if !isFresh(e) {
-				s.elems = append(s.elems, e)
+				buf = append(buf, e)
 				s.bits |= 1 << (e * 0x9E3779B1 >> 26)
 			}
 		}
 	}
-	slices.Sort(s.elems)
-	s.elems = slices.Compact(s.elems)
-	return s
+	slices.Sort(buf[n:])
+	s.elems = slices.Compact(buf[n:])
+	return s, buf[:n+len(s.elems)]
 }
 
 // within reports whether every element of s is in t.

@@ -36,6 +36,17 @@
 // one branch and subsumes the others, so the branches minimisation would
 // delete are never built.
 //
+// The union of an instantiation is then often exactly the product R'_1 × …
+// × R'_k of the rewriting lists of the atoms it keeps: when the product took
+// or skipped each atom whatever it chose before, and the union keeps every
+// one of its branches whole (no two the same, none subsumed, none reduced to
+// a smaller core). Such a run of branches is evaluated as the join of the
+// atoms' unions, one plan whose step over an atom tries its rewritings in
+// turn (engine.NewJoinPlan), instead of one plan per branch: JUCQ over the
+// finest cover, the one-atom fragments (Bursztyn, Goasdoué & Manolescu,
+// EDBT 2015). The branches are still built, rendered and counted; only
+// Prepare reads the factorisation, and UCQ.Explain reports it.
+//
 // Schema-level triple patterns (rdfs:subClassOf etc.) are not rewritten:
 // like [12], the schema component of the store is always kept closed, so
 // direct evaluation is already complete for them.
@@ -56,6 +67,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"strconv"
 	"strings"
 
 	"repro/internal/dict"
@@ -125,12 +137,54 @@ type UCQ struct {
 	// set); a union with VocabDependent false depends only on the schema
 	// closure and the dictionary, so cached plans survive instance updates.
 	VocabDependent bool
+	// joins are the runs of Branches that Reformulate found to be the
+	// product of their atoms' rewriting lists, ascending; Prepare compiles
+	// each to one plan, and every other branch to a plan of its own. A
+	// union built any other way has none.
+	joins []join
+}
+
+// join is a run of a union's branches, Branches[lo:hi], that is exactly the
+// product of its atoms' rewriting lists: patterns[k] is a rewriting of atom
+// atoms[k] (engine.NewJoinPlan's form), and each branch takes one rewriting
+// of each atom. Evaluated as the join of the atoms' unions it answers what
+// the branches answer, and the branches share their fixed bindings.
+type join struct {
+	lo, hi   int
+	patterns []rdf.Triple
+	atoms    []int
 }
 
 // Size returns the number of union members, the paper's measure of
 // reformulation blowup (TestLUBMUnionSizes pins it for the LUBM queries,
 // and the benchmark traces it as reformulate.branches).
 func (u *UCQ) Size() int { return len(u.Branches) }
+
+// Explain says how Prepare evaluates the union: each run of branches that
+// is a product as one join of its atoms' unions, given by the sizes of the
+// atoms' rewriting lists ("one join of atom unions, 5 × 3 × 1"), and every
+// other branch as a plan of its own ("one plan per branch").
+func (u *UCQ) Explain() string {
+	var parts []string
+	rest := len(u.Branches)
+	for _, j := range u.joins {
+		sizes := make([]string, j.atoms[len(j.atoms)-1]+1)
+		for i := range sizes {
+			lo, _ := slices.BinarySearch(j.atoms, i)
+			hi, _ := slices.BinarySearch(j.atoms, i+1)
+			sizes[i] = strconv.Itoa(hi - lo)
+		}
+		parts = append(parts, "one join of atom unions, "+strings.Join(sizes, " × "))
+		rest -= j.hi - j.lo
+	}
+	switch {
+	case len(parts) == 0:
+		return "one plan per branch"
+	case rest > 0:
+		parts = append(parts, fmt.Sprintf("one plan per branch for the other %d", rest))
+	}
+	return strings.Join(parts, "; ")
+}
 
 // String renders the reformulation as a SPARQL-ish union for display.
 func (u *UCQ) String() string {
@@ -177,8 +231,8 @@ type rewriter struct {
 	max int
 	// query is the query's atoms in the ID-level form.
 	query []pattern
-	// seen holds the dedup key of every branch produced; out is the union
-	// in production order.
+	// seen holds the dedup key of every branch produced, from the second
+	// on; out is the union in production order.
 	seen map[string]struct{}
 	out  []branch
 	// fresh is the number of fresh variables coined so far.
@@ -187,14 +241,26 @@ type rewriter struct {
 	// its atoms, atom i's in alts[lo[i]:lo[i+1]] with the atom itself
 	// first; order lists the atoms in the order the product chooses them,
 	// and pick the index in alts of each atom's choice, -1 for an atom the
-	// choices before it absorb. fixed is the query's bindings.
+	// choices before it absorb. fixed is the query's bindings. taken
+	// records whether choose took atom i (1) or skipped it (2), 0 before it
+	// first came to it, and mixed that it took some atom under one choice
+	// of the atoms before and skipped it under another.
 	alts  []pattern
 	lo    []int
 	order []int
 	pick  []int
+	taken []int
+	mixed bool
 	fixed []binding
+	// factors are the instantiated queries whose branches are a product
+	// (see factor), their atoms' rewriting lists held in falts, the atom of
+	// each in fatoms.
+	factors []factor
+	falts   []pattern
+	fatoms  []int
 	// arena backs the pattern lists of the union's branches, the one under
-	// construction last; key and sorted are the scratch of its dedup key.
+	// construction last; key and sorted are the scratch of its dedup key,
+	// made with the union's second branch.
 	arena, sorted []pattern
 	key           []byte
 	// props and classes are the candidates of a variable in property and in
@@ -218,8 +284,42 @@ func Reformulate(q *sparql.Query, sch *schema.Schema, d *dict.Dict, src Vocabula
 		return nil, err
 	}
 	ucq := &UCQ{Query: q, Branches: make([]Branch, len(keep)), VocabDependent: r.usedVocab}
+	// One array holds the branches' patterns, in order, then those of the
+	// joins of several atoms. A join of one atom's rewritings holds its
+	// branches' patterns: branch lo+k takes rewriting k.
+	n, m := 0, 0
+	for _, br := range keep {
+		n += len(br.pats)
+	}
+	for _, f := range r.factors {
+		if f.atoms > 1 {
+			m += f.to - f.from
+		}
+	}
+	all := make([]rdf.Triple, n+m)
+	pats := all
 	for i, br := range keep {
-		ucq.Branches[i] = r.render(br)
+		k := len(br.pats)
+		ucq.Branches[i], pats = r.render(br, pats[:k:k]), pats[k:]
+	}
+	if len(r.factors) > 0 {
+		ucq.joins = make([]join, len(r.factors))
+		b, at := 0, 0 // all[at:] holds the patterns of Branches[b:]
+		for i, f := range r.factors {
+			for ; b < f.lo; b++ {
+				at += len(keep[b].pats)
+			}
+			j, k := join{lo: f.lo, hi: f.hi, atoms: r.fatoms[f.from:f.to:f.to]}, f.to-f.from
+			if f.atoms == 1 {
+				j.patterns = all[at : at+k : at+k]
+			} else {
+				j.patterns, pats = pats[:k:k], pats[k:]
+				for x, p := range r.falts[f.from:f.to] {
+					r.triple(p, &j.patterns[x])
+				}
+			}
+			ucq.joins[i] = j
+		}
 	}
 	return ucq, nil
 }
@@ -235,14 +335,13 @@ func (r *rewriter) init(q *sparql.Query, sch *schema.Schema, d *dict.Dict, src V
 	if max <= 0 {
 		max = DefaultMaxBranches
 	}
-	*r = rewriter{form: form{d: d}, sch: sch, voc: sch.Vocab(), src: src, max: max, seen: map[string]struct{}{}}
+	*r = rewriter{form: form{d: d}, sch: sch, voc: sch.Vocab(), src: src, max: max}
 	// No instantiation has more atoms than the query. The slices grow past
 	// the room given here by reallocating.
 	n := len(q.Patterns)
-	pats, ints := make([]pattern, 14*n), make([]int, 3*n+1)
-	r.query, r.sorted, r.alts, r.arena = pats[:0:n], pats[n:n:2*n], pats[2*n:2*n:10*n], pats[10*n:10*n]
-	r.lo, r.order, r.pick = ints[:0:n+1], ints[n+1:n+1:2*n+1], ints[2*n+1:]
-	r.key = make([]byte, 0, 16*n+16)
+	pats, ints := make([]pattern, 12*n), make([]int, 4*n+1)
+	r.query, r.alts, r.arena = pats[:0:n], pats[n:n:9*n], pats[9*n:9*n]
+	r.lo, r.order, r.pick, r.taken = ints[:0:n+1], ints[n+1:n+1:2*n+1], ints[2*n+1:3*n+1], ints[3*n+1:]
 	for _, t := range q.Patterns {
 		r.query = append(r.query, pattern{r.intern(t.S), r.intern(t.P), r.intern(t.O)})
 	}
@@ -271,13 +370,41 @@ func (r *rewriter) union(minimise bool) ([]branch, error) {
 		}
 	}
 	if !minimise {
+		r.keepFactors(nil)
 		return r.out, nil
 	}
 	keep := minimize(r.out, int(r.fresh))
 	for k, i := range keep {
 		r.out[k] = r.out[i] // i ≥ k: keep ascends
 	}
-	return r.out[:len(keep)], nil
+	r.out = r.out[:len(keep)]
+	r.keepFactors(keep)
+	return r.out, nil
+}
+
+// keepFactors keeps the factors whose branches the union keeps whole: every
+// one (keep lists, ascending, the indexes out held before minimisation, nil
+// for all of them) and each with an atom of every rewriting list, so that
+// neither dedupe nor a core shortened it. The join of the lists then
+// evaluates exactly the union's branches. A kept factor's range is moved to
+// its branches in out.
+func (r *rewriter) keepFactors(keep []int) {
+	kept := r.factors[:0]
+	for _, f := range r.factors {
+		if keep != nil {
+			lo, _ := slices.BinarySearch(keep, f.lo)
+			hi, _ := slices.BinarySearch(keep, f.hi)
+			if hi-lo != f.hi-f.lo {
+				continue
+			}
+			f.lo, f.hi = lo, hi
+		}
+		if slices.ContainsFunc(r.out[f.lo:f.hi], func(b branch) bool { return len(b.pats) != f.atoms }) {
+			continue
+		}
+		kept = append(kept, f)
+	}
+	r.factors = kept
 }
 
 // instances returns the instantiations of the query (its repeated atoms
@@ -380,6 +507,8 @@ func (r *rewriter) candidates(p pattern) []dict.ID {
 // per choice of a rewriting for each of its atoms.
 func (r *rewriter) product(q branch, minimise bool) error {
 	r.alts, r.lo, r.order, r.fixed = r.alts[:0], r.lo[:0], r.order[:0], q.fixed
+	r.taken, r.mixed = r.taken[:len(q.pats)], false
+	clear(r.taken)
 	for i, p := range q.pats {
 		r.lo = append(r.lo, len(r.alts))
 		r.rewrite(p)
@@ -394,7 +523,53 @@ func (r *rewriter) product(q branch, minimise bool) error {
 		}
 	}
 	r.pick = r.pick[:len(q.pats)]
-	return r.choose(0, minimise)
+	start := len(r.out)
+	if err := r.choose(0, minimise); err != nil {
+		return err
+	}
+	r.factor(start)
+	return nil
+}
+
+// factor is an instantiated query whose branches, out[lo:hi], are exactly
+// the product of the rewriting lists of the atoms choose took: it took or
+// skipped each atom whatever it chose before, and no two choices made one
+// branch. falts[from:to] holds the lists; atoms is their number.
+type factor struct {
+	lo, hi, from, to, atoms int
+}
+
+// factor records the branches the product added since the union held start
+// as a factor, when they are the product of the lists of the atoms choose
+// took and number at least two (one branch is its own plan).
+func (r *rewriter) factor(start int) {
+	n, size := len(r.out)-start, 1
+	if r.mixed || n < 2 {
+		return
+	}
+	for i, t := range r.taken {
+		if t == 1 {
+			if size *= r.lo[i+1] - r.lo[i]; size > n {
+				return
+			}
+		}
+	}
+	if size != n {
+		return
+	}
+	f := factor{lo: start, hi: len(r.out), from: len(r.falts)}
+	r.falts, r.fatoms = slices.Grow(r.falts, len(r.alts)), slices.Grow(r.fatoms, len(r.alts))
+	for i, t := range r.taken {
+		if t == 1 {
+			for _, a := range r.alts[r.lo[i]:r.lo[i+1]] {
+				r.falts = append(r.falts, a)
+				r.fatoms = append(r.fatoms, f.atoms)
+			}
+			f.atoms++
+		}
+	}
+	f.to = len(r.falts)
+	r.factors = append(r.factors, f)
 }
 
 // rewrite appends to alts the rewritings of atom p alone: p, then the
@@ -434,7 +609,16 @@ func (r *rewriter) choose(d int, minimise bool) error {
 		return r.emit()
 	}
 	i := r.order[d]
-	if minimise && r.absorbed(r.alts[r.lo[i]:r.lo[i+1]], r.order[:d]) {
+	skip := minimise && r.absorbed(r.alts[r.lo[i]:r.lo[i+1]], r.order[:d])
+	t := 1
+	if skip {
+		t = 2
+	}
+	if r.taken[i] == 0 {
+		r.taken[i] = t
+	}
+	r.mixed = r.mixed || r.taken[i] != t
+	if skip {
 		r.pick[i] = -1
 		return r.choose(d+1, minimise)
 	}
@@ -479,17 +663,32 @@ func (r *rewriter) emit() error {
 	}
 	pats := dedupe(r.arena[n:])
 	r.arena = r.arena[:n+len(pats)]
-	r.key, r.sorted = appendKey(r.key[:0], r.sorted, pats, r.fixed)
-	if _, dup := r.seen[string(r.key)]; dup {
-		r.arena = r.arena[:n]
-		return nil
+	br := branch{pats: r.arena[n:len(r.arena):len(r.arena)], fixed: r.fixed}
+	if len(r.out) > 0 { // the first branch repeats none
+		if r.seen == nil {
+			r.seen = map[string]struct{}{}
+			r.remember(r.out[0])
+		}
+		if !r.remember(br) {
+			r.arena = r.arena[:n]
+			return nil
+		}
+		if len(r.out) >= r.max {
+			return fmt.Errorf("%w (limit %d)", ErrTooLarge, r.max)
+		}
 	}
-	if len(r.seen) >= r.max {
-		return fmt.Errorf("%w (limit %d)", ErrTooLarge, r.max)
+	r.out = append(r.out, br)
+	return nil
+}
+
+// remember adds the dedup key of br to seen, reporting whether it was new.
+func (r *rewriter) remember(br branch) bool {
+	r.key, r.sorted = appendKey(r.key[:0], r.sorted, br.pats, br.fixed)
+	if _, dup := r.seen[string(r.key)]; dup {
+		return false
 	}
 	r.seen[string(r.key)] = struct{}{}
-	r.out = append(r.out, branch{pats: r.arena[n:len(r.arena):len(r.arena)], fixed: r.fixed})
-	return nil
+	return true
 }
 
 // freshVar coins a fresh, non-projected variable (⋆).

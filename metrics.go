@@ -131,7 +131,7 @@ func registerServerFuncs(reg *obs.Registry, s *Server) {
 		"Mutation calls applied (or, after degradation, refused) by the writer.",
 		func() float64 { return float64(s.applied.Load()) })
 	reg.CounterFunc("webreason_plan_compiled_total",
-		"BGP plans compiled: per prepared compile or recompile, per branch of a reformulated union, per ad hoc query (process-wide).",
+		"BGP plans compiled: per prepared compile or recompile, per plan of a reformulated union (one per product-shaped run of branches, one per other branch), per ad hoc query (process-wide).",
 		func() float64 { return float64(engine.PlanStats.Compiled.Load()) })
 	reg.CounterFunc("webreason_plan_replanned_total",
 		"Shared-plan statistics-only replans (process-wide).",

@@ -26,7 +26,9 @@
 // a PreparedQuery whose Answer reuses the compiled plan on every call:
 // saturation and backward chaining skip per-call compilation and join
 // planning, and reformulation additionally keeps the rewritten union with
-// one plan per union member. The plan is immutable and shared, so a
+// its plans: one join of atom unions for each run of members that is the
+// product of its atoms' rewritings, one plan per other member. The plan is
+// immutable and shared, so a
 // PreparedQuery is safe for concurrent use; it reads the strategy's data
 // live and replaces its plan when it goes stale (schema updates, a constant
 // the dictionary has learnt since, statistics drift), so it stays correct
